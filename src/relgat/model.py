@@ -26,6 +26,7 @@ import numpy as np
 from . import numerics as nm
 from .corpus import Sentence, Vocabs
 from .features import (
+    EDGE_MODES,
     DrefTable,
     EdgeFeatureAssignment,
     EmbeddingProvider,
@@ -53,7 +54,6 @@ __all__ = [
 
 GRAPH_LAYERS = ("gat", "gcn")
 GRAPH_MODES = ("multi", "single")
-EDGE_MODES = ("none", "dref", "ctef", "dref+ctef")
 NUM_LABELS = 19
 LEAKY_SLOPE = 0.2
 
@@ -117,7 +117,6 @@ class LstmParams:
     """One LSTM direction: stacked gate matrices in (input, forget, cell, output) order."""
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
-        self.dim = hidden_dim
         self.w_input = nm.parameter(nm.uniform_init(rng, (input_dim, 4 * hidden_dim), input_dim))
         self.w_hidden = nm.parameter(nm.uniform_init(rng, (hidden_dim, 4 * hidden_dim), hidden_dim))
         self.bias = nm.parameter(np.zeros((1, 4 * hidden_dim)))
@@ -147,34 +146,11 @@ class GatHead:
 # Layer operations (module level so each is testable in isolation)
 
 
-def _lstm_direction(x: nm.Node, p: LstmParams, reverse: bool) -> list[nm.Node]:
-    n = x.shape[0]
-    d = p.dim
-    h = nm.constant(np.zeros((1, d)))
-    c = nm.constant(np.zeros((1, d)))
-    outputs: list[nm.Node | None] = [None] * n
-    steps = range(n - 1, -1, -1) if reverse else range(n)
-    for t in steps:
-        row = nm.slice_axis(x, 0, t, t + 1)
-        gates = nm.add(nm.add(nm.matmul(row, p.w_input), nm.matmul(h, p.w_hidden)), p.bias)
-        gate_in = nm.sigmoid(nm.slice_axis(gates, 1, 0, d))
-        gate_forget = nm.sigmoid(nm.slice_axis(gates, 1, d, 2 * d))
-        gate_cell = nm.tanh(nm.slice_axis(gates, 1, 2 * d, 3 * d))
-        gate_out = nm.sigmoid(nm.slice_axis(gates, 1, 3 * d, 4 * d))
-        c = nm.add(nm.mul(gate_forget, c), nm.mul(gate_in, gate_cell))
-        h = nm.mul(gate_out, nm.tanh(c))
-        outputs[t] = h
-    return outputs  # type: ignore[return-value]
-
-
 def bilstm_encode(x: nm.Node, forward: LstmParams, backward: LstmParams) -> nm.Node:
     """Concatenated forward/backward hidden states, one row per input row."""
-    if x.shape[0] == 0:
-        raise ValueError("bilstm_encode: empty sequence")
-    fwd = _lstm_direction(x, forward, reverse=False)
-    bwd = _lstm_direction(x, backward, reverse=True)
-    rows = [nm.concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
-    return nm.concat(rows, axis=0)
+    fwd = nm.lstm_sequence(x, forward.w_input, forward.w_hidden, forward.bias, reverse=False)
+    bwd = nm.lstm_sequence(x, backward.w_input, backward.w_hidden, backward.bias, reverse=True)
+    return nm.concat([fwd, bwd], axis=1)
 
 
 def gat_attention(

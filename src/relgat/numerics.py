@@ -7,9 +7,22 @@ reverse topological order. Broadcasting is deliberately restricted to
 scalar*tensor and row-vector bias addition so every backward rule stays
 small enough to audit by hand.
 
+Recurrences are fused: ``lstm_sequence`` runs one LSTM direction over a
+whole sequence as a single node. Its forward does the input projection
+``x @ w_input + bias`` as one GEMM for all timesteps, so only
+``h @ w_hidden`` stays inside the step loop; its backward runs one
+backpropagation-through-time sweep that yields the gate gradients of
+every step, from which each weight gradient is one GEMM per sequence.
+The graph therefore grows with layers, not with timesteps.
+
 A graph is built fresh for every forward pass. Leaf nodes (parameters)
 accumulate gradients across repeated backward calls until cleared with
-``zero_grads``; interior nodes are throwaway.
+``zero_grads``; interior nodes are throwaway. Accumulation is in place
+with copy-on-first-write: a node's first gradient contribution is stored
+as an owned copy, because pass-through VJPs (``add``, ``concat``,
+``reshape``) return the incoming gradient or a view of it, and every
+later contribution is added into that copy with ``+=``. No two nodes'
+``grad`` arrays ever share memory.
 """
 
 from __future__ import annotations
@@ -37,6 +50,7 @@ __all__ = [
     "tanh",
     "sigmoid",
     "softmax",
+    "lstm_sequence",
     "cross_entropy",
     "gradient_check",
     "zero_grads",
@@ -78,7 +92,9 @@ class Node:
         """Accumulate d(self)/d(leaf) into ``grad`` of every reachable leaf.
 
         Only valid for scalar (size-1) outputs. Visits each node exactly
-        once; shared subexpressions therefore sum their contributions.
+        once; shared subexpressions therefore sum their contributions. The
+        first contribution to a node is copied (VJPs may return ``g`` itself
+        or a view of it); later ones are added into that copy in place.
         """
         if self.value.size != 1:
             raise ValueError(f"backward() requires a scalar output, got shape {self.shape}")
@@ -93,8 +109,9 @@ class Node:
                     continue
                 contribution = vjp(g)
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.value)
-                parent.grad = parent.grad + contribution
+                    parent.grad = np.array(contribution, dtype=np.float64)
+                else:
+                    parent.grad += contribution
 
     def __add__(self, other):
         return add(self, other)
@@ -323,10 +340,14 @@ def tanh(x: Node) -> Node:
     return _node(y, (x,), (lambda g: g * (1.0 - y * y),))
 
 
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    # Split by sign to avoid overflow in exp for large |v|.
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(x: Node) -> Node:
-    # Split by sign to avoid overflow in exp for large |x|.
-    v = x.value
-    y = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))), np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    y = _sigmoid(x.value)
     return _node(y, (x,), (lambda g: g * y * (1.0 - y),))
 
 
@@ -340,6 +361,99 @@ def softmax(x: Node, axis: int) -> Node:
         return y * (g - np.sum(g * y, axis=axis, keepdims=True))
 
     return _node(y, (x,), (vjp,))
+
+
+def lstm_sequence(x: Node, w_input: Node, w_hidden: Node, bias: Node, reverse: bool = False) -> Node:
+    """Hidden states of one LSTM direction over the rows of ``x``, as one node.
+
+    Gates are stacked (input, forget, cell, output) along the columns of
+    ``w_input`` (k, 4d), ``w_hidden`` (d, 4d) and ``bias`` (4d or 1x4d).
+    Row t of the (n, d) result is the hidden state after reading row t;
+    with ``reverse`` the sequence is read from its last row to its first.
+    Initial hidden and cell states are zero.
+    """
+    if x.value.ndim != 2 or x.shape[0] == 0:
+        raise ShapeMismatch(f"lstm_sequence: expected a non-empty matrix, got shape {x.shape}")
+    d = w_hidden.shape[0]
+    if (
+        w_input.shape != (x.shape[1], 4 * d)
+        or w_hidden.shape != (d, 4 * d)
+        or bias.value.size != 4 * d
+    ):
+        raise ShapeMismatch(
+            f"lstm_sequence: input {x.shape} with weights {w_input.shape}, "
+            f"{w_hidden.shape} and bias {bias.shape}"
+        )
+    n = x.shape[0]
+    wh = w_hidden.value
+
+    def flip(a):
+        """Row order <-> step order (reversal is its own inverse)."""
+        return a[::-1] if reverse else a
+
+    # Everything below is indexed by step s; step s reads row n-1-s when reversed.
+    xs = flip(x.value)
+    z_input = xs @ w_input.value + bias.value.reshape(-1)
+    acts = np.empty((n, 4 * d))
+    hidden = np.zeros((n + 1, d))  # hidden[s], cell[s]: the states before step s
+    cell = np.zeros((n + 1, d))
+    tanh_cell = np.empty((n, d))
+    for s in range(n):
+        z = z_input[s] + hidden[s] @ wh
+        a = acts[s]
+        a[: 2 * d] = _sigmoid(z[: 2 * d])
+        a[2 * d : 3 * d] = np.tanh(z[2 * d : 3 * d])
+        a[3 * d :] = _sigmoid(z[3 * d :])
+        cell[s + 1] = a[d : 2 * d] * cell[s] + a[:d] * a[2 * d : 3 * d]
+        tanh_cell[s] = np.tanh(cell[s + 1])
+        hidden[s + 1] = a[3 * d :] * tanh_cell[s]
+    out = np.ascontiguousarray(flip(hidden[1:]))
+
+    cache: dict = {}
+
+    def gate_grads(g):
+        """d(loss)/d(pre-activation gates), (n, 4d) in step order; one BPTT sweep per g."""
+        if cache.get("g") is not g:
+            cache["g"] = g
+            cache["dz"] = _lstm_bptt(flip(g), acts, cell, tanh_cell, wh)
+        return cache["dz"]
+
+    return _node(
+        out,
+        (x, w_input, w_hidden, bias),
+        (
+            lambda g: flip(gate_grads(g) @ w_input.value.T),
+            lambda g: xs.T @ gate_grads(g),
+            lambda g: hidden[:-1].T @ gate_grads(g),
+            lambda g: gate_grads(g).sum(axis=0).reshape(bias.shape),
+        ),
+    )
+
+
+def _lstm_bptt(g_hidden, acts, cell, tanh_cell, wh) -> np.ndarray:
+    """Backpropagation through time for ``lstm_sequence`` (all arrays in step order)."""
+    n, d = tanh_cell.shape
+    gate_in, gate_forget = acts[:, :d], acts[:, d : 2 * d]
+    gate_cell, gate_out = acts[:, 2 * d : 3 * d], acts[:, 3 * d :]
+    # Activation derivatives: y(1-y) for sigmoid gates, 1-y^2 for the tanh gate.
+    slope = acts * (1.0 - acts)
+    slope[:, 2 * d : 3 * d] = 1.0 - gate_cell * gate_cell
+    cell_from_hidden = gate_out * (1.0 - tanh_cell * tanh_cell)
+    dz = np.empty_like(acts)
+    dh_next = np.zeros(d)
+    dc_next = np.zeros(d)
+    for s in range(n - 1, -1, -1):
+        dh = g_hidden[s] + dh_next
+        dc = dh * cell_from_hidden[s] + dc_next
+        row = dz[s]
+        row[:d] = dc * gate_cell[s]
+        row[d : 2 * d] = dc * cell[s]
+        row[2 * d : 3 * d] = dc * gate_in[s]
+        row[3 * d :] = dh * tanh_cell[s]
+        row *= slope[s]
+        dc_next = dc * gate_forget[s]
+        dh_next = wh @ row
+    return dz
 
 
 def cross_entropy(logits: Node, label: int) -> Node:

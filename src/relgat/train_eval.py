@@ -203,7 +203,7 @@ def clip_gradients(params, max_norm: float) -> float:
         scale = max_norm / norm
         for p in params:
             if p.grad is not None:
-                p.grad = p.grad * scale
+                p.grad *= scale
     return norm
 
 
@@ -287,7 +287,7 @@ def train(
             inv = 1.0 / len(batch)
             for p in params:
                 if p.grad is not None:
-                    p.grad = p.grad * inv
+                    p.grad *= inv
             clip_gradients(params, trainer_config.gradient_clip_norm)
             for p in params:
                 if p.grad is not None:

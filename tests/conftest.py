@@ -134,6 +134,17 @@ def build_structure_corpus(n: int, seed: int = 0):
 # Random trees
 
 
+def graph_nodes(*roots):
+    """Every autodiff node reachable from ``roots`` through ``.parents``, once each."""
+    seen, stack = {id(r): r for r in roots}, list(roots)
+    while stack:
+        for parent in stack.pop().parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())
+
+
 def random_heads(rng: np.random.Generator, n: int) -> list[int | None]:
     """Random rooted tree as a head list (vertex 0 is the root)."""
     heads: list[int | None] = [None]

@@ -26,7 +26,7 @@ from relgat.model import (
     gcn_vertex_update,
     pool_graph,
 )
-from conftest import build_toy_corpus
+from conftest import build_toy_corpus, graph_nodes
 
 TINY = dict(d_ctx=6, d_f=3, d_wt=2, d_lstm=4, d_g=6, heads=2, d_e=3)
 
@@ -106,6 +106,31 @@ def test_bilstm_gradient_matches_finite_differences():
         lambda: nm.tensor_sum(nm.mul(bilstm_encode(x, fwd, bwd), probe)), params
     )
     assert err < 1e-4
+
+
+def test_bilstm_matches_numpy_oracle():
+    rng = np.random.default_rng(4)
+    fwd, bwd = LstmParams(5, 4, rng), LstmParams(5, 4, rng)
+    for p in (fwd.bias, bwd.bias):
+        p.value = rng.standard_normal(p.shape)
+    for n in (1, 2, 7):
+        x = rng.standard_normal((n, 5))
+        out = bilstm_encode(nm.constant(x), fwd, bwd).value
+        expected = np.concatenate([
+            _lstm_direction_np(x, fwd.w_input.value, fwd.w_hidden.value, fwd.bias.value, False),
+            _lstm_direction_np(x, bwd.w_input.value, bwd.w_hidden.value, bwd.bias.value, True),
+        ], axis=1)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+
+def test_bilstm_graph_size_independent_of_length():
+    rng = np.random.default_rng(5)
+    fwd, bwd = LstmParams(3, 2, rng), LstmParams(3, 2, rng)
+
+    def graph_size(n):
+        return len(graph_nodes(bilstm_encode(nm.parameter(rng.standard_normal((n, 3))), fwd, bwd)))
+
+    assert graph_size(3) == graph_size(30)
 
 
 def test_bilstm_rejects_empty_sequence():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from relgat import numerics as nm
+from conftest import graph_nodes
 
 
 def rand(rng, *shape):
@@ -32,6 +33,12 @@ def test_shape_errors_name_both_shapes():
     with pytest.raises(nm.ShapeMismatch) as err:
         nm.add(nm.constant(np.zeros((2, 3))), nm.constant(np.zeros((3, 2))))
     assert "(2, 3)" in str(err.value) and "(3, 2)" in str(err.value)
+    with pytest.raises(nm.ShapeMismatch) as err:
+        nm.lstm_sequence(
+            nm.constant(np.zeros((2, 3))), nm.constant(np.zeros((4, 8))),
+            nm.constant(np.zeros((2, 8))), nm.constant(np.zeros((1, 8))),
+        )
+    assert "(2, 3)" in str(err.value) and "(4, 8)" in str(err.value)
 
 
 def test_nonlinearity_values():
@@ -41,6 +48,8 @@ def test_nonlinearity_values():
     assert nm.elu(nm.constant(2.0)).item() == 2.0
     assert nm.elu(nm.constant(-1.0)).item() == pytest.approx(np.expm1(-1.0))
     assert nm.sigmoid(nm.constant(0.0)).item() == 0.5
+    with np.errstate(over="raise"):
+        np.testing.assert_array_equal(nm.sigmoid(nm.constant([-800.0, 800.0])).value, [0.0, 1.0])
 
 
 def test_softmax_symmetry_and_stability():
@@ -180,6 +189,25 @@ def test_op_gradients(case):
     assert err < 1e-6, f"{case}: {err}"
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("n", [1, 5])
+def test_lstm_sequence_gradients(n, reverse):
+    rng = np.random.default_rng(7 + n + int(reverse))
+    x = rand(rng, n, 3)
+    w_input = rand(rng, 3, 8)
+    w_hidden = rand(rng, 2, 8)
+    bias = rand(rng, 1, 8)
+    probe = nm.constant(rng.standard_normal((n, 2)))
+    err = nm.gradient_check(
+        lambda: nm.tensor_sum(nm.mul(nm.lstm_sequence(x, w_input, w_hidden, bias, reverse), probe)),
+        [x, w_input, w_hidden, bias],
+    )
+    assert err < 1e-6
+    # every parent gets gradient; w_hidden only sees a nonzero state after step one
+    for p in (x, w_input, bias) if n == 1 else (x, w_input, w_hidden, bias):
+        assert np.any(p.grad != 0.0)
+
+
 def test_gather_rows_accumulates_duplicates():
     x = nm.parameter(np.eye(3))
     nm.tensor_sum(nm.gather_rows(x, [1, 1, 1])).backward()
@@ -192,3 +220,79 @@ def test_uniform_init_bounds_and_determinism():
     b = nm.uniform_init(np.random.default_rng(3), (50, 50), fan_in=25)
     np.testing.assert_array_equal(a, b)
     assert np.max(np.abs(a)) <= 1.0 / 5.0
+
+
+# ---------------------------------------------------------------------------
+# In-place gradient accumulation
+
+
+def _out_of_place_grads(root, leaves):
+    """Reference backward that sums every contribution into a fresh array."""
+    order, seen = [], set()
+
+    def visit(node):
+        if id(node) not in seen:
+            seen.add(id(node))
+            for parent in node.parents:
+                visit(parent)
+            order.append(node)
+
+    visit(root)
+    grads = {id(root): np.ones_like(root.value)}
+    for node in reversed(order):
+        g = grads.get(id(node))
+        if g is None:
+            continue
+        for parent, vjp in zip(node.parents, node.vjps):
+            if parent.requires_grad:
+                grads[id(parent)] = grads.get(id(parent), np.zeros_like(parent.value)) + vjp(g)
+    return [grads[id(leaf)] for leaf in leaves]
+
+
+def _assert_no_shared_grads(nodes):
+    grads = [n.grad for n in nodes if n.grad is not None]
+    for i, a in enumerate(grads):
+        for b in grads[i + 1 :]:
+            assert not np.shares_memory(a, b)
+
+
+def test_accumulation_add_same_operand():
+    x = nm.parameter(np.array([[0.5, -1.0, 2.0]]))
+    root = nm.tensor_sum(nm.add(x, x))
+    (expected,) = _out_of_place_grads(root, [x])
+    root.backward()
+    _assert_no_shared_grads(graph_nodes(root))
+    np.testing.assert_allclose(x.grad, expected, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(x.grad, [[2.0, 2.0, 2.0]])
+
+
+def test_accumulation_pass_through_chain_to_two_parents():
+    # add, reshape and concat all hand back g or a view of it, so the
+    # same buffer reaches a (twice) and b unless the first write copies.
+    rng = np.random.default_rng(4)
+    a, b = rand(rng, 2, 3), rand(rng, 2, 3)
+    probe = nm.constant(rng.standard_normal((4, 3)))
+    chain = nm.concat([nm.reshape(nm.add(a, b), (2, 3)), a], axis=0)
+    root = nm.tensor_sum(nm.mul(chain, probe))
+    expected = _out_of_place_grads(root, [a, b])
+    root.backward()
+    _assert_no_shared_grads(graph_nodes(root))
+    np.testing.assert_allclose(a.grad, expected[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(b.grad, expected[1], rtol=0, atol=1e-12)
+
+
+def test_accumulation_leaf_over_two_backward_calls():
+    rng = np.random.default_rng(5)
+    x, w = rand(rng, 3, 4), rand(rng, 4, 2)
+    probe = nm.constant(rng.standard_normal((3, 2)))
+
+    def f():
+        return nm.tensor_sum(nm.mul(nm.add(nm.matmul(x, w), nm.matmul(x, w)), probe))
+
+    roots = [f(), f()]
+    expected = [sum(g) for g in zip(*(_out_of_place_grads(r, [x, w]) for r in roots))]
+    for root in roots:
+        root.backward()
+    _assert_no_shared_grads(graph_nodes(*roots))
+    np.testing.assert_allclose(x.grad, expected[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(w.grad, expected[1], rtol=0, atol=1e-12)
