@@ -6,7 +6,9 @@ little-endian bytes of every parameter in header order. The header holds
 the model config, the vocabularies, the dependency-triple statistics and
 the parameter shapes, so a load rebuilds the exact model; outputs are
 byte-identical across runs because nothing time- or path-dependent is
-written.
+written. A load rejects a file that is cut short, carries bytes past
+the last parameter or has an unreadable header with a CheckpointError
+naming the path.
 """
 
 from __future__ import annotations
@@ -73,10 +75,16 @@ def load_checkpoint(path: str) -> Model:
         blob = f.read()
     if blob[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-    offset = len(MAGIC)
-    (header_len,) = struct.unpack_from("<Q", blob, offset)
-    offset += 8
-    header = json.loads(blob[offset : offset + header_len].decode("utf-8"))
+    offset = len(MAGIC) + 8
+    if len(blob) < offset:
+        raise CheckpointError(f"{path}: truncated in the header length")
+    (header_len,) = struct.unpack_from("<Q", blob, len(MAGIC))
+    if len(blob) < offset + header_len:
+        raise CheckpointError(f"{path}: truncated in the header")
+    try:
+        header = json.loads(blob[offset : offset + header_len].decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise CheckpointError(f"{path}: unreadable header ({exc})") from None
     offset += header_len
 
     config = ModelConfig.from_dict(header["config"])
@@ -107,8 +115,12 @@ def load_checkpoint(path: str) -> Model:
                 f"{shape} vs {tuple(node.value.shape)}"
             )
         count = int(np.prod(shape)) if shape else 1
+        if len(blob) < offset + count * 8:
+            raise CheckpointError(f"{path}: truncated in parameter {record['name']}")
         data = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         offset += count * 8
         node.value = data.reshape(shape).astype(np.float64)
+    if offset != len(blob):
+        raise CheckpointError(f"{path}: {len(blob) - offset} bytes after the last parameter")
     model.embedding_info = header["embedding"]  # type: ignore[attr-defined]
     return model

@@ -12,16 +12,12 @@ import argparse
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass, fields
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .corpus import CorpusError, build_vocabs, parse_conllu_annotated
-from .features import (
-    FeatureError,
-    FileEmbeddingProvider,
-    HashedEmbeddingProvider,
-    build_dref_table,
-)
+from .corpus import build_vocabs, parse_conllu_annotated
+from .features import FileEmbeddingProvider, HashedEmbeddingProvider, build_dref_table
 from .graph import subgraph_size_histograms
 from .model import ConfigError, ModelConfig
 from .train_eval import (
@@ -42,42 +38,39 @@ class UsageError(Exception):
     """Bad invocation, config or missing input: exit code 2."""
 
 
-_MODEL_KEYS = {f.name: f.type for f in fields(ModelConfig)}
-_TRAINER_KEYS = {
-    f.name: f.type for f in fields(TrainerConfig) if f.name != "stop_at_train_accuracy"
-}
+def _field_types(cls, skip=()) -> dict[str, type]:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.name not in skip}
+
+
+_MODEL_KEYS = _field_types(ModelConfig)
+_TRAINER_KEYS = _field_types(TrainerConfig, skip=("stop_at_train_accuracy",))
 _PATH_KEYS = ("train", "test", "embeddings", "out_dir")
-_EXTRA_KEYS = {"threads": int, "embedding_seed": int}
+# Every key a config file may set, with the type its value parses to.
+_KEY_TYPES = {
+    **_MODEL_KEYS, **_TRAINER_KEYS, **dict.fromkeys(_PATH_KEYS, str), "embedding_seed": int,
+}
 _BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 def _parse_value(key: str, raw: str):
-    if key in ("contextual", "dref_scale_by_ratio"):
+    kind = _KEY_TYPES[key]
+    if kind is bool:
         low = raw.strip().lower()
         if low not in _BOOL_STRINGS:
             raise UsageError(f"config key {key}: expected a boolean, got {raw!r}")
         return _BOOL_STRINGS[low]
-    int_keys = {
-        "d_ctx", "d_f", "d_wt", "d_lstm", "d_g", "heads", "d_e", "expansion_order",
-        "graph_depth", "batch_size", "epochs", "decay_patience", "seed", "threads",
-        "embedding_seed",
-    }
-    float_keys = {"learning_rate", "lr_decay", "dev_fraction", "gradient_clip_norm"}
-    try:
-        if key in int_keys:
-            return int(raw)
-        if key in float_keys:
-            return float(raw)
-    except ValueError:
-        raise UsageError(f"config key {key}: bad value {raw!r}") from None
+    if kind in (int, float):
+        try:
+            return kind(raw)
+        except ValueError:
+            raise UsageError(f"config key {key}: bad value {raw!r}") from None
     return raw.strip()
 
 
 def _read_config_file(path: str) -> dict:
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
-    known = set(_MODEL_KEYS) | set(_TRAINER_KEYS) | set(_PATH_KEYS) | set(_EXTRA_KEYS)
-    known.discard("stop_at_train_accuracy")
     values = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -88,7 +81,7 @@ def _read_config_file(path: str) -> dict:
                 raise UsageError(f"{path}:{lineno}: expected key=value")
             key, _, raw = body.partition("=")
             key = key.strip()
-            if key not in known:
+            if key not in _KEY_TYPES:
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
             values[key] = _parse_value(key, raw.strip())
     return values
@@ -102,7 +95,6 @@ class RunConfig:
     test: str | None
     embeddings: str | None
     out_dir: str | None
-    threads: int
     embedding_seed: int
 
     @classmethod
@@ -131,7 +123,6 @@ class RunConfig:
             test=pick("test", None),
             embeddings=pick("embeddings", None),
             out_dir=pick("out_dir", None),
-            threads=pick("threads", 1),
             embedding_seed=pick("embedding_seed", 0),
         )
 
@@ -231,11 +222,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     provider, embedding_info = _make_provider(run)
     model, log = train(sentences, run.model, run.trainer, provider)
     if run.test:
-        final = evaluate(model, _load_corpus(run.test, "test"), provider, run.threads)
+        final = evaluate(model, _load_corpus(run.test, "test"), provider)
     else:
         # no test set given: the final report scores the held-out dev split
         _, dev_idx = dev_split(len(sentences), run.trainer.dev_fraction, run.trainer.seed)
-        final = evaluate(model, [sentences[i] for i in dev_idx], provider, run.threads)
+        final = evaluate(model, [sentences[i] for i in dev_idx], provider)
     checkpoint_path = os.path.join(out, "model.ckpt")
     save_checkpoint(model, checkpoint_path, embedding_info)
     with open(os.path.join(out, "metrics.json"), "w", encoding="utf-8", newline="\n") as f:
@@ -251,11 +242,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     model = load_checkpoint(args.checkpoint)
     sentences = _load_corpus(args.test, "test")
     provider = _provider_for_checkpoint(model, args.embeddings)
-    report = evaluate(model, sentences, provider, args.threads)
+    report = evaluate(model, sentences, provider)
     payload = report.to_dict()
     if args.span_buckets:
         buckets = SpanBuckets.from_sentences(sentences)
-        payload["span_buckets"] = span_bucket_eval(model, sentences, buckets, provider, args.threads)
+        payload["span_buckets"] = span_bucket_eval(model, sentences, buckets, provider)
     if args.out:
         _write_json(args.out, payload)
     print(f"macro-F1 (excluding Other): {report.macro_f1:.4f}")
@@ -361,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test")
     p.add_argument("--embeddings")
     p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--threads", type=int)
     p.add_argument("--embedding-seed", dest="embedding_seed", type=int)
     _add_model_flags(p)
     _add_trainer_flags(p)
@@ -373,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings")
     p.add_argument("--out")
     p.add_argument("--span-buckets", dest="span_buckets", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="print one relation label per input sentence")
@@ -399,9 +388,6 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CorpusError, FeatureError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # runtime failures map to exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,12 +9,13 @@ a trainable vector on the (POS, POS, deprel) triple of the underlying
 tree edge, with corpus frequency ratios kept alongside. The
 connection-type kind (ctef) marks, per attention direction, whether the
 attended-from vertex is an entity token (all-ones) or not (all-zeros).
+Both are plain arrays aligned with the (center, neighbor) rows that
+``attention_pairs`` lays out.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +30,6 @@ __all__ = [
     "FileEmbeddingProvider",
     "FeatureEmbeddings",
     "DrefTable",
-    "EdgeFeatureAssignment",
     "EDGE_MODES",
     "build_dref_table",
     "dref_edge_features",
@@ -263,74 +263,34 @@ def build_dref_table(train: list[Sentence], d_e: int = 40) -> DrefTable:
 
 
 # ---------------------------------------------------------------------------
-# Edge feature assignment over a sub-graph
+# Edge features over the attention pairs of a sub-graph
 
 
-@dataclass
-class PairFeature:
-    dref_row: int | None = None
-    dref_ratio: float = 1.0
-    entity_source: bool | None = None
+def attention_pairs(sg: SubGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Each center's first pair row, and the (P, 2) (center, neighbor) pairs.
 
-
-@dataclass
-class EdgeFeatureAssignment:
-    """Per ordered attention pair (center i, neighbor j) feature payload."""
-
-    mode: str
-    d_e: int
-    pairs: dict[tuple[int, int], PairFeature]
-
-    def feature_vector(
-        self,
-        i: int,
-        j: int,
-        dref_values: np.ndarray | None = None,
-        scale_by_ratio: bool = False,
-    ) -> np.ndarray:
-        """Materialize the d_e vector for one pair (for inspection/tests)."""
-        pf = self.pairs[(i, j)]
-        vec = np.zeros(self.d_e)
-        if pf.dref_row is not None:
-            if dref_values is None:
-                raise FeatureError("dref feature requested without embedding values")
-            row = dref_values[pf.dref_row].copy()
-            if scale_by_ratio:
-                row *= pf.dref_ratio
-            vec += row
-        if pf.entity_source is not None and pf.entity_source:
-            vec += np.ones(self.d_e)
-        return vec
-
-
-def attention_pairs(sg: SubGraph) -> tuple[list[list[int]], list[tuple[int, int]]]:
-    """Neighborhoods (self included, ascending) and the flat ordered pair list.
-
-    Pairs are grouped by center vertex so per-vertex score rows are
-    contiguous slices of a flat score column.
+    Pairs are grouped by center with neighbors ascending and the
+    self-loop included, so the closed neighborhood of vertex i is the
+    contiguous segment of rows from ``starts[i]`` to ``starts[i + 1]``.
     """
     size = len(sg)
-    nbrs = []
-    pairs = []
-    for i in range(size):
-        around = sorted(set(np.nonzero(sg.adjacency[i])[0].tolist()) | {i})
-        nbrs.append(around)
-        pairs.extend((i, j) for j in around)
-    return nbrs, pairs
+    pairs = np.argwhere(sg.adjacency + np.eye(size))
+    return np.searchsorted(pairs[:, 0], np.arange(size)), pairs
 
 
-def dref_edge_features(sg: SubGraph, sentence: Sentence, table: DrefTable) -> EdgeFeatureAssignment:
-    """Assign a dref embedding row to every ordered pair of the sub-graph.
+def dref_edge_features(
+    sg: SubGraph, sentence: Sentence, pairs: np.ndarray, table: DrefTable
+) -> tuple[np.ndarray, np.ndarray]:
+    """The dref embedding row and frequency ratio of every pair, in pair order.
 
     The lookup key for pair (i, j) is (POS of i, POS of j, deprel of the
     underlying tree edge); unseen keys map to the fallback row and
-    self-loops to the dedicated self-edge row.
+    self-loops to the dedicated self-edge row with ratio 1.
     """
-    _, pairs = attention_pairs(sg)
-    assignment: dict[tuple[int, int], PairFeature] = {}
-    for i, j in pairs:
+    rows = np.full(len(pairs), DrefTable.SELF_ROW, dtype=np.intp)
+    ratios = np.ones(len(pairs))
+    for k, (i, j) in enumerate(pairs.tolist()):
         if i == j:
-            assignment[(i, j)] = PairFeature(dref_row=DrefTable.SELF_ROW)
             continue
         u, v = sg.vertices[i], sg.vertices[j]
         tok_u, tok_v = sentence.tokens[u], sentence.tokens[v]
@@ -341,56 +301,52 @@ def dref_edge_features(sg: SubGraph, sentence: Sentence, table: DrefTable) -> Ed
         else:
             raise FeatureError(f"pair ({u},{v}) is not an edge of the dependency tree")
         triple = (tok_u.pos, tok_v.pos, deprel)
-        assignment[(i, j)] = PairFeature(
-            dref_row=table.row_for(triple), dref_ratio=table.ratio_for(triple)
-        )
-    return EdgeFeatureAssignment("dref", table.d_e, assignment)
+        rows[k] = table.row_for(triple)
+        ratios[k] = table.ratio_for(triple)
+    return rows, ratios
 
 
 def ctef_edge_features(
-    sg: SubGraph, e1: EntitySpan, e2: EntitySpan, d_e: int
-) -> EdgeFeatureAssignment:
-    """All-ones when the attended-from vertex j is an entity token, else zeros.
+    sg: SubGraph, e1: EntitySpan, e2: EntitySpan, pairs: np.ndarray
+) -> np.ndarray:
+    """1.0 where the attended-from vertex j of pair (i, j) is an entity token, else 0.0.
 
-    The assignment is directional: the two orientations of one undirected
-    edge differ whenever exactly one endpoint is an entity token.
+    The flag is directional: the two orientations of one undirected edge
+    differ whenever exactly one endpoint is an entity token.
     """
-    _, pairs = attention_pairs(sg)
-    assignment = {}
-    for i, j in pairs:
-        source = sg.vertices[j]
-        assignment[(i, j)] = PairFeature(
-            entity_source=e1.covers(source) or e2.covers(source)
-        )
-    return EdgeFeatureAssignment("ctef", d_e, assignment)
+    entity = np.array([float(e1.covers(v) or e2.covers(v)) for v in sg.vertices])
+    return entity[pairs[:, 1]]
 
 
 def edge_features(
     sg: SubGraph,
     sentence: Sentence,
+    pairs: np.ndarray,
     mode: str,
     d_e: int,
     table: DrefTable | None = None,
-) -> EdgeFeatureAssignment | None:
-    """Dispatch on edge mode; the combined mode sums both feature kinds."""
+    dref_embed: nm.Node | None = None,
+    scale_by_ratio: bool = False,
+) -> nm.Node | None:
+    """The (P, d_e) feature rows of ``pairs``, or None when the mode has none.
+
+    dref gathers each pair's row of ``dref_embed``, optionally scaled by
+    the triple's frequency ratio; ctef is an all-ones row where the
+    attended-from vertex is an entity token and zeros elsewhere; the
+    combined mode sums both.
+    """
     if mode not in EDGE_MODES:
         raise FeatureError(f"unknown edge mode {mode!r}")
-    if mode == "none":
-        return None
-    if mode == "ctef":
-        return ctef_edge_features(sg, sentence.e1, sentence.e2, d_e)
-    if table is None:
-        raise FeatureError(f"edge mode {mode!r} needs a dependency-triple table")
-    dref = dref_edge_features(sg, sentence, table)
-    if mode == "dref":
-        return dref
-    ctef = ctef_edge_features(sg, sentence.e1, sentence.e2, d_e)
-    combined = {
-        pair: PairFeature(
-            dref_row=dref.pairs[pair].dref_row,
-            dref_ratio=dref.pairs[pair].dref_ratio,
-            entity_source=ctef.pairs[pair].entity_source,
-        )
-        for pair in dref.pairs
-    }
-    return EdgeFeatureAssignment("dref+ctef", d_e, combined)
+    node = None
+    if "dref" in mode:
+        if table is None or dref_embed is None:
+            raise FeatureError(f"edge mode {mode!r} needs a dependency-triple table and embedding")
+        rows, ratios = dref_edge_features(sg, sentence, pairs, table)
+        node = nm.gather_rows(dref_embed, rows)
+        if scale_by_ratio:
+            node = nm.mul(node, nm.constant(ratios[:, None]))
+    if "ctef" in mode:
+        flags = ctef_edge_features(sg, sentence.e1, sentence.e2, pairs)
+        ctef = nm.constant(np.repeat(flags[:, None], d_e, axis=1))
+        node = ctef if node is None else nm.add(node, ctef)
+    return node

@@ -74,17 +74,6 @@ class DependencyGraph:
                     queue.append(v)
         return len(seen)
 
-    def is_head_edge(self, head: int, child: int) -> bool:
-        return self.heads[child] == head
-
-    def edge_deprel(self, u: int, v: int, deprels: list[str | None]) -> str | None:
-        """Deprel of the tree edge between u and v (label sits on the child)."""
-        if self.heads[v] == u:
-            return deprels[v]
-        if self.heads[u] == v:
-            return deprels[u]
-        raise GraphError(f"no tree edge between vertices {u} and {v}")
-
     @classmethod
     def from_sentence(cls, sentence: Sentence) -> "DependencyGraph":
         if not sentence.parsed:

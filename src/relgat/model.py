@@ -15,6 +15,15 @@ Graph attention per head k with transform W and attention vector a:
 
 Heads are concatenated to width d_g. The GCN variant replaces attention
 with symmetric degree normalization over [h_j | e_ij].
+
+Both layers run over the flat pair layout of ``attention_pairs``: one
+(center i, neighbor j) row per attention pair, grouped by center, with
+edge features as (P, d_e) rows aligned with it. Scores, messages and
+edge features are computed for all pairs at once; ``segment_softmax``
+normalizes the scores within each center's segment and ``segment_sum``
+adds each center's weighted messages (the segment-softmax / scatter-add
+formulation of PyG's GATConv). A layer is thus a fixed number of
+autodiff nodes, independent of the vertex count.
 """
 
 from __future__ import annotations
@@ -28,7 +37,6 @@ from .corpus import Sentence, Vocabs
 from .features import (
     EDGE_MODES,
     DrefTable,
-    EdgeFeatureAssignment,
     EmbeddingProvider,
     FeatureEmbeddings,
     attention_pairs,
@@ -155,63 +163,53 @@ def bilstm_encode(x: nm.Node, forward: LstmParams, backward: LstmParams) -> nm.N
 
 def gat_attention(
     wh: nm.Node,
-    nbrs: list[list[int]],
-    pairs: list[tuple[int, int]],
+    starts: np.ndarray,
+    pairs: np.ndarray,
     a: nm.Node,
     efeat: nm.Node | None = None,
     slope: float = LEAKY_SLOPE,
-) -> list[nm.Node]:
-    """Attention rows, one (1, |N(i)|+1) softmax distribution per vertex.
+) -> nm.Node:
+    """Attention weights as one (P, 1) column, softmax-normalized per center segment.
 
     The pair score is computed as two separate dot products (vertex block
     and edge block) so the edge-free variant is the vertex block alone.
     """
     m = wh.shape[1]
-    src = nm.gather_rows(wh, [i for i, _ in pairs])
-    dst = nm.gather_rows(wh, [j for _, j in pairs])
+    src = nm.gather_rows(wh, pairs[:, 0])
+    dst = nm.gather_rows(wh, pairs[:, 1])
     scores = nm.matmul(nm.concat([src, dst], axis=1), nm.slice_axis(a, 0, 0, 2 * m))
     if efeat is not None:
         scores = nm.add(scores, nm.matmul(efeat, nm.slice_axis(a, 0, 2 * m, a.shape[0])))
-    scores = nm.leaky_relu(scores, slope)
-    alphas = []
-    offset = 0
-    for around in nbrs:
-        row = nm.transpose(nm.slice_axis(scores, 0, offset, offset + len(around)))
-        alphas.append(nm.softmax(row, axis=1))
-        offset += len(around)
-    return alphas
+    return nm.segment_softmax(nm.leaky_relu(scores, slope), starts)
 
 
 def gat_vertex_update(
     h: nm.Node,
-    nbrs: list[list[int]],
-    pairs: list[tuple[int, int]],
+    starts: np.ndarray,
+    pairs: np.ndarray,
     heads: list[GatHead],
     efeat: nm.Node | None = None,
 ) -> tuple[nm.Node, list[list[np.ndarray]]]:
     """Multi-head attention update; heads concatenated to width K*m.
 
-    Also returns the attention rows as plain arrays (head-major) for
-    diagnostics.
+    Also returns the attention rows as plain arrays (head-major, one row
+    per vertex) for diagnostics.
     """
     outputs = []
     attention: list[list[np.ndarray]] = []
     for head in heads:
         wh = nm.matmul(h, head.w)
-        alphas = gat_attention(wh, nbrs, pairs, head.a, efeat)
-        rows = [
-            nm.matmul(alphas[i], nm.gather_rows(wh, around))
-            for i, around in enumerate(nbrs)
-        ]
-        outputs.append(nm.elu(nm.concat(rows, axis=0)))
-        attention.append([alpha.value.copy().reshape(-1) for alpha in alphas])
+        alpha = gat_attention(wh, starts, pairs, head.a, efeat)
+        messages = nm.mul(nm.gather_rows(wh, pairs[:, 1]), alpha)
+        outputs.append(nm.elu(nm.segment_sum(messages, starts)))
+        attention.append(np.split(alpha.value[:, 0], starts[1:]))
     return nm.concat(outputs, axis=1), attention
 
 
 def gcn_vertex_update(
     h: nm.Node,
-    nbrs: list[list[int]],
-    pairs: list[tuple[int, int]],
+    starts: np.ndarray,
+    pairs: np.ndarray,
     w_g: nm.Node,
     efeat: nm.Node | None = None,
 ) -> nm.Node:
@@ -220,19 +218,13 @@ def gcn_vertex_update(
     out_i = relu(sum_j (deg_i * deg_j)^-1/2 * W_g [h_j | e_ij]) where the
     degree counts the self-loop.
     """
-    degree = np.array([len(around) for around in nbrs], dtype=np.float64)
-    messages_in = nm.gather_rows(h, [j for _, j in pairs])
+    degree = np.diff(starts, append=len(pairs))
+    norm = 1.0 / np.sqrt(degree[pairs[:, 0]] * degree[pairs[:, 1]])
+    messages_in = nm.gather_rows(h, pairs[:, 1])
     if efeat is not None:
         messages_in = nm.concat([messages_in, efeat], axis=1)
     messages = nm.matmul(messages_in, w_g)
-    rows = []
-    offset = 0
-    for i, around in enumerate(nbrs):
-        weights = 1.0 / np.sqrt(degree[i] * degree[list(around)])
-        block = nm.slice_axis(messages, 0, offset, offset + len(around))
-        rows.append(nm.matmul(nm.constant(weights.reshape(1, -1)), block))
-        offset += len(around)
-    return nm.relu(nm.concat(rows, axis=0))
+    return nm.relu(nm.segment_sum(nm.mul(messages, nm.constant(norm[:, None])), starts))
 
 
 def pool_graph(vertex_states: nm.Node, w_pool: nm.Node) -> tuple[nm.Node, nm.Node]:
@@ -347,41 +339,23 @@ class Model:
             return bilstm_encode(x, self.lstm_fwd, self.lstm_bwd)
         return nm.add(nm.matmul(x, self.proj_w), self.proj_b)
 
-    def _edge_feature_node(
-        self, efa: EdgeFeatureAssignment | None, pairs: list[tuple[int, int]]
-    ) -> nm.Node | None:
-        if efa is None:
-            return None
-        node = None
-        if self.dref_embed is not None:
-            rows = [efa.pairs[p].dref_row for p in pairs]
-            node = nm.gather_rows(self.dref_embed, rows)
-            if self.config.dref_scale_by_ratio:
-                scales = np.array([efa.pairs[p].dref_ratio for p in pairs])
-                scales = np.repeat(scales[:, None], self.config.d_e, axis=1)
-                node = nm.mul(node, nm.constant(scales))
-        if "ctef" in self.config.edge_mode:
-            flags = np.array(
-                [1.0 if efa.pairs[p].entity_source else 0.0 for p in pairs]
-            )
-            ctef = nm.constant(np.repeat(flags[:, None], self.config.d_e, axis=1))
-            node = ctef if node is None else nm.add(node, ctef)
-        return node
-
     def _graph_update(
         self, h: nm.Node, sg: SubGraph, sentence: Sentence
     ) -> tuple[nm.Node, list[list[np.ndarray]]]:
-        nbrs, pairs = attention_pairs(sg)
-        efa = edge_features(sg, sentence, self.config.edge_mode, self.config.d_e, self.dref_table)
-        efeat = self._edge_feature_node(efa, pairs)
+        cfg = self.config
+        starts, pairs = attention_pairs(sg)
+        efeat = edge_features(
+            sg, sentence, pairs, cfg.edge_mode, cfg.d_e,
+            self.dref_table, self.dref_embed, cfg.dref_scale_by_ratio,
+        )
         attention: list[list[np.ndarray]] = []
-        if self.config.graph_layer == "gat":
+        if cfg.graph_layer == "gat":
             for heads in self.gat_layers:
-                h, layer_attention = gat_vertex_update(h, nbrs, pairs, heads, efeat)
+                h, layer_attention = gat_vertex_update(h, starts, pairs, heads, efeat)
                 attention.extend(layer_attention)
         else:
             for w in self.gcn_layers:
-                h = gcn_vertex_update(h, nbrs, pairs, w, efeat)
+                h = gcn_vertex_update(h, starts, pairs, w, efeat)
         return h, attention
 
     # -- full forward --------------------------------------------------------

@@ -4,8 +4,15 @@ Values are plain numpy arrays; ``Node`` adds the graph bookkeeping. Each
 operation returns a Node holding its parents and one vector-Jacobian
 closure per parent, and ``Node.backward`` walks the graph once in
 reverse topological order. Broadcasting is deliberately restricted to
-scalar*tensor and row-vector bias addition so every backward rule stays
-small enough to audit by hand.
+scalar*tensor, row-vector bias addition and an (m, 1) column scaling
+the rows of an (m, n) matrix, so every backward rule stays small enough
+to audit by hand.
+
+Graph neighborhoods are contiguous row segments: ``segment_sum`` adds
+the rows of each segment (scatter-add) and ``segment_softmax`` normalizes
+within each segment, both given the sorted first row of every segment.
+A graph layer is then a fixed handful of nodes whatever the vertex
+count.
 
 Recurrences are fused: ``lstm_sequence`` runs one LSTM direction over a
 whole sequence as a single node. Its forward does the input projection
@@ -50,6 +57,8 @@ __all__ = [
     "tanh",
     "sigmoid",
     "softmax",
+    "segment_sum",
+    "segment_softmax",
     "lstm_sequence",
     "cross_entropy",
     "gradient_check",
@@ -198,7 +207,11 @@ def add(a: Node, b: Node) -> Node:
 
 
 def mul(a: Node, b: Node) -> Node:
-    """Elementwise product; either operand may be a scalar."""
+    """Elementwise product.
+
+    Beyond same-shape operands, either operand may be a scalar, or an
+    (m, 1) column that scales the rows of an (m, n) matrix.
+    """
     if a.shape == b.shape:
         return _node(
             a.value * b.value,
@@ -215,6 +228,15 @@ def mul(a: Node, b: Node) -> Node:
                 lambda g: g * b.value.reshape(()),
                 lambda g: np.sum(g * a.value).reshape(b.shape),
             ),
+        )
+    # Normalize so an (m, 1) column operand sits on the right.
+    if a.value.ndim == 2 and a.shape[1] == 1:
+        a, b = b, a
+    if a.value.ndim == 2 and b.shape == (a.shape[0], 1):
+        return _node(
+            a.value * b.value,
+            (a, b),
+            (lambda g: g * b.value, lambda g: np.sum(g * a.value, axis=1, keepdims=True)),
         )
     raise ShapeMismatch(f"mul: incompatible shapes {a.shape} and {b.shape}")
 
@@ -359,6 +381,41 @@ def softmax(x: Node, axis: int) -> Node:
 
     def vjp(g):
         return y * (g - np.sum(g * y, axis=axis, keepdims=True))
+
+    return _node(y, (x,), (vjp,))
+
+
+def _segment_ids(op: str, x: Node, starts) -> tuple[np.ndarray, np.ndarray]:
+    """Validated segment starts and the segment index of every row of ``x``."""
+    starts = np.asarray(starts, dtype=np.intp)
+    if (
+        x.value.ndim != 2
+        or starts.ndim != 1
+        or starts.size == 0
+        or starts[0] != 0
+        or np.any(np.diff(starts) <= 0)
+        or starts[-1] >= x.shape[0]
+    ):
+        raise ShapeMismatch(
+            f"{op}: segment starts {starts.tolist()} do not split the rows of shape {x.shape}"
+        )
+    return starts, np.repeat(np.arange(starts.size), np.diff(starts, append=x.shape[0]))
+
+
+def segment_sum(x: Node, starts) -> Node:
+    """Row sums of the contiguous segments of ``x`` (P, n) that begin at ``starts``; (S, n)."""
+    starts, ids = _segment_ids("segment_sum", x, starts)
+    return _node(np.add.reduceat(x.value, starts, axis=0), (x,), (lambda g: g[ids],))
+
+
+def segment_softmax(x: Node, starts) -> Node:
+    """Stable softmax down the rows of each contiguous segment of ``x``."""
+    starts, ids = _segment_ids("segment_softmax", x, starts)
+    e = np.exp(x.value - np.maximum.reduceat(x.value, starts, axis=0)[ids])
+    y = e / np.add.reduceat(e, starts, axis=0)[ids]
+
+    def vjp(g):
+        return y * (g - np.add.reduceat(g * y, starts, axis=0)[ids])
 
     return _node(y, (x,), (vjp,))
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -57,7 +56,6 @@ class TrainingDiverged(RuntimeError):
 class TrainerConfig:
     batch_size: int = 50
     epochs: int = 200
-    optimizer: str = "sgd"
     learning_rate: float = 0.1
     lr_decay: float = 0.9
     decay_patience: int = 10
@@ -72,8 +70,6 @@ class TrainerConfig:
             raise ValueError(f"dev_fraction must be in (0, 1), got {self.dev_fraction}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.optimizer != "sgd":
-            raise ValueError(f"only sgd is supported, got {self.optimizer!r}")
         if self.budget_unit not in ("epoch", "step"):
             raise ValueError(f"budget_unit must be 'epoch' or 'step', got {self.budget_unit!r}")
 
@@ -339,36 +335,22 @@ def train(
 
 
 def _predict_labels(
-    model: Model,
-    sentences: list[Sentence],
-    provider: EmbeddingProvider,
-    threads: int = 1,
+    model: Model, sentences: list[Sentence], provider: EmbeddingProvider
 ) -> list[RelationLabel]:
     graphs = _subgraph_cache(sentences, model.config.expansion_order)
-
-    def predict(i: int) -> int:
-        return model.predict_index(sentences[i], graphs[i], provider)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            indices = list(pool.map(predict, range(len(sentences))))
-    else:
-        indices = [predict(i) for i in range(len(sentences))]
-    return [model.vocabs.label_at(i) for i in indices]
+    return [
+        model.vocabs.label_at(model.predict_index(s, sgs, provider))
+        for s, sgs in zip(sentences, graphs)
+    ]
 
 
-def evaluate(
-    model: Model,
-    sentences: list[Sentence],
-    provider: EmbeddingProvider,
-    threads: int = 1,
-) -> EvalReport:
+def evaluate(model: Model, sentences: list[Sentence], provider: EmbeddingProvider) -> EvalReport:
     if not sentences:
         return score_predictions([], [])
     for s in sentences:
         if s.label is None:
             raise ValueError(f"instance {s.instance_id}: no gold label to score against")
-    preds = _predict_labels(model, sentences, provider, threads)
+    preds = _predict_labels(model, sentences, provider)
     return score_predictions([s.label for s in sentences], preds)
 
 
@@ -423,7 +405,6 @@ def span_bucket_eval(
     sentences: list[Sentence],
     buckets: SpanBuckets,
     provider: EmbeddingProvider,
-    threads: int = 1,
 ) -> dict:
     """One report per bucket; empty buckets are flagged rather than scored."""
     if not sentences:
@@ -440,7 +421,7 @@ def span_bucket_eval(
         out["buckets"][name] = {
             "size": len(members),
             "empty": not members,
-            "report": evaluate(model, members, provider, threads).to_dict() if members else None,
+            "report": evaluate(model, members, provider).to_dict() if members else None,
         }
     return out
 

@@ -264,13 +264,12 @@ def test_08_reduction_identities():
         from test_model import make_subgraph
 
         sg = make_subgraph(adjacency)
-        nbrs, pairs = attention_pairs(sg)
+        starts, pairs = attention_pairs(sg)
         h = nm.constant(rng.standard_normal((3, 4)))
-        multi, _ = gat_vertex_update(h, nbrs, pairs, [head])
+        multi, _ = gat_vertex_update(h, starts, pairs, [head])
         wh = nm.matmul(h, head.w)
-        alphas = gat_attention(wh, nbrs, pairs, head.a)
-        rows = [nm.matmul(alphas[i], nm.gather_rows(wh, a)) for i, a in enumerate(nbrs)]
-        single = nm.elu(nm.concat(rows, axis=0))
+        alpha = gat_attention(wh, starts, pairs, head.a)
+        single = nm.elu(nm.segment_sum(nm.mul(nm.gather_rows(wh, pairs[:, 1]), alpha), starts))
         assert np.array_equal(multi.value, single.value)
 
         # zeroing the edge slots of the attention vector equals deleting the block
@@ -281,8 +280,8 @@ def test_08_reduction_identities():
         plain.w.value = with_edges.w.value.copy()
         plain.a.value = with_edges.a.value[:12].copy()
         efeat = nm.constant(rng.standard_normal((len(pairs), d_e)))
-        out_e, _ = gat_vertex_update(h, nbrs, pairs, [with_edges], efeat)
-        out_p, _ = gat_vertex_update(h, nbrs, pairs, [plain], None)
+        out_e, _ = gat_vertex_update(h, starts, pairs, [with_edges], efeat)
+        out_p, _ = gat_vertex_update(h, starts, pairs, [plain], None)
         assert np.array_equal(out_e.value, out_p.value)
 
         # single-graph composition is entity states plus the one pooled vector

@@ -2,12 +2,16 @@
 
 import json
 import os
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from relgat.cli import main
+from relgat.cli import _read_config_file, main
 from relgat.corpus import parse_conllu_annotated, to_conllu
+from relgat.model import ModelConfig
+from relgat.train_eval import TrainerConfig
 from conftest import build_toy_corpus
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -114,6 +118,23 @@ class TestTrain:
         ck_a = open(os.path.join(out_a, "model.ckpt"), "rb").read()
         ck_b = open(os.path.join(out_b, "model.ckpt"), "rb").read()
         assert ck_a == ck_b
+
+
+def _typed_config_fields():
+    for cls in (ModelConfig, TrainerConfig):
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            if hints[f.name] in (bool, int, float):
+                yield f.name, hints[f.name]
+
+
+@pytest.mark.parametrize("key,kind", list(_typed_config_fields()))
+def test_config_file_value_parses_to_field_type(tmp_path, key, kind):
+    raw, expected = {bool: ("no", False), int: ("3", 3), float: ("0.25", 0.25)}[kind]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {raw}\n", encoding="utf-8")
+    value = _read_config_file(str(config))[key]
+    assert type(value) is kind and value == expected
 
 
 class TestEval:

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from relgat import numerics as nm
 from relgat.corpus import build_vocabs, parse_conllu_annotated
 from relgat.features import (
     DrefTable,
@@ -19,7 +20,7 @@ from relgat.features import (
     edge_features,
     encode_tokens,
 )
-from relgat.graph import sentence_subgraphs
+from relgat.graph import SubGraph, sentence_subgraphs
 from conftest import build_structure_corpus, build_toy_corpus, conllu_block
 
 
@@ -77,16 +78,44 @@ class TestDrefTable:
         assert payload["NOUN|VERB|nsubj"]["count"] == 2
 
 
+def pair_row(pairs, i, j):
+    """Position of attention pair (i, j) in the flat pair layout."""
+    (k,) = np.flatnonzero((pairs[:, 0] == i) & (pairs[:, 1] == j))
+    return k
+
+
+def dref_row(sg, sentence, table, i, j):
+    _, pairs = attention_pairs(sg)
+    rows, _ = dref_edge_features(sg, sentence, pairs, table)
+    return rows[pair_row(pairs, i, j)]
+
+
+def ctef_flags(sentence, sg):
+    _, pairs = attention_pairs(sg)
+    return pairs, ctef_edge_features(sg, sentence.e1, sentence.e2, pairs)
+
+
+class TestAttentionPairs:
+    def test_closed_neighborhoods_grouped_by_center(self):
+        adjacency = np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
+        edges = [(0, 1), (0, 2), (1, 3)]
+        sg = SubGraph("sdp", [0, 1, 2, 3], edges, adjacency, np.zeros_like(adjacency))
+        starts, pairs = attention_pairs(sg)
+        assert pairs.tolist() == [
+            [0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 3], [2, 0], [2, 2], [3, 1], [3, 3],
+        ]
+        assert starts.tolist() == [0, 3, 6, 8]
+
+
 class TestDrefAssignment:
     def test_known_triple_uses_its_row(self):
         (s,) = triple_sentence()
         table = build_dref_table([s], d_e=4)
         sgs = sentence_subgraphs(s)
-        efa = dref_edge_features(sgs.sdp, s, table)
-        # sdp vertices: core(0) spins(1) under(3) -> wait, path from core to hums
+        # sdp vertices: core(0) hums(2); 'hums' is an nsubj of 'core'
         i = sgs.sdp.local(0)
         j = sgs.sdp.local(2)
-        assert efa.pairs[(i, j)].dref_row == table.row[("NOUN", "VERB", "nsubj")]
+        assert dref_row(sgs.sdp, s, table, i, j) == table.row[("NOUN", "VERB", "nsubj")]
 
     def test_reversed_orientation_unseen_maps_to_unk(self):
         (s,) = triple_sentence()
@@ -94,14 +123,24 @@ class TestDrefAssignment:
         sgs = sentence_subgraphs(s)
         i = sgs.sdp.local(2)  # verb attending to its noun head: (VERB, NOUN, nsubj)
         j = sgs.sdp.local(0)
-        assert efa_row(sgs.sdp, s, table, i, j) == DrefTable.UNK_ROW
+        assert dref_row(sgs.sdp, s, table, i, j) == DrefTable.UNK_ROW
 
     def test_self_loop_uses_dedicated_row(self):
         (s,) = triple_sentence()
         table = build_dref_table([s], d_e=4)
         sgs = sentence_subgraphs(s)
-        assert efa_row(sgs.sdp, s, table, 0, 0) == DrefTable.SELF_ROW
+        assert dref_row(sgs.sdp, s, table, 0, 0) == DrefTable.SELF_ROW
         assert DrefTable.SELF_ROW != DrefTable.UNK_ROW
+
+    def test_ratio_at_pair_position(self):
+        (s,) = triple_sentence()
+        table = build_dref_table([s], d_e=4)
+        sdp = sentence_subgraphs(s).sdp
+        _, pairs = attention_pairs(sdp)
+        _, ratios = dref_edge_features(sdp, s, pairs, table)
+        i, j = sdp.local(0), sdp.local(2)
+        assert ratios[pair_row(pairs, i, j)] == pytest.approx(2 / 3)
+        assert ratios[pair_row(pairs, i, i)] == 1.0
 
     def test_unseen_pos_pair_at_test_time(self):
         train = build_toy_corpus()
@@ -109,21 +148,21 @@ class TestDrefAssignment:
         rows = [("gleam", "ADJ", 2, "amod"), ("shard", "NOUN", 0, "root"), ("fell", "VERB", 2, "acl")]
         (test_sentence,) = parse_conllu_annotated(conllu_block(0, rows, (0, 0), (2, 2)))
         sgs = sentence_subgraphs(test_sentence)
-        efa = dref_edge_features(sgs.sdp, test_sentence, table)
-        off_diagonal = [pf.dref_row for (i, j), pf in efa.pairs.items() if i != j]
-        assert off_diagonal and all(r == DrefTable.UNK_ROW for r in off_diagonal)
+        _, pairs = attention_pairs(sgs.sdp)
+        dref_rows, _ = dref_edge_features(sgs.sdp, test_sentence, pairs, table)
+        off_diagonal = dref_rows[pairs[:, 0] != pairs[:, 1]]
+        assert off_diagonal.size and np.all(off_diagonal == DrefTable.UNK_ROW)
 
     def test_defined_for_every_attention_pair(self, toy_corpus):
         table = build_dref_table(toy_corpus, d_e=4)
         s = toy_corpus[0]
         for sg in sentence_subgraphs(s).all():
-            efa = dref_edge_features(sg, s, table)
             _, pairs = attention_pairs(sg)
-            assert set(efa.pairs) == set(pairs)
+            rows, ratios = dref_edge_features(sg, s, pairs, table)
+            assert rows.shape == ratios.shape == (len(pairs),)
+            assert np.all((rows >= 0) & (rows < table.num_rows))
 
     def test_non_tree_edge_rejected(self, pollen_sentence):
-        from relgat.graph import SubGraph
-
         table = build_dref_table([pollen_sentence], d_e=4)
         # claim an edge between 'The'(0) and 'causes'(2), absent from the parse
         fake = SubGraph(
@@ -133,72 +172,68 @@ class TestDrefAssignment:
             np.array([[0, 1], [1, 0]]),
             np.zeros((2, 2), dtype=np.int64),
         )
+        _, pairs = attention_pairs(fake)
         with pytest.raises(FeatureError) as err:
-            dref_edge_features(fake, pollen_sentence, table)
+            dref_edge_features(fake, pollen_sentence, pairs, table)
         assert "not an edge" in str(err.value)
-
-
-def efa_row(sg, sentence, table, i, j):
-    return dref_edge_features(sg, sentence, table).pairs[(i, j)].dref_row
 
 
 class TestCtefAssignment:
     def test_entity_source_gets_ones(self, pollen_sentence):
-        s = pollen_sentence
-        sgs = sentence_subgraphs(s)
-        sdp = sgs.sdp  # pollen(1) causes(2) allergy(4) -> local 0,1,2
-        efa = ctef_edge_features(sdp, s.e1, s.e2, d_e=4)
+        sdp = sentence_subgraphs(pollen_sentence).sdp  # pollen(1) causes(2) allergy(4): local 0,1,2
+        pairs, flags = ctef_flags(pollen_sentence, sdp)
         # causes attends to pollen: source j is an entity token
-        np.testing.assert_array_equal(efa.feature_vector(1, 0), np.ones(4))
+        assert flags[pair_row(pairs, 1, 0)] == 1.0
         # pollen attends to causes: source is not an entity
-        np.testing.assert_array_equal(efa.feature_vector(0, 1), np.zeros(4))
+        assert flags[pair_row(pairs, 0, 1)] == 0.0
 
     def test_direction_asymmetry_on_one_edge(self, pollen_sentence):
-        s = pollen_sentence
-        sdp = sentence_subgraphs(s).sdp
-        efa = ctef_edge_features(sdp, s.e1, s.e2, d_e=4)
-        assert efa.pairs[(1, 0)].entity_source != efa.pairs[(0, 1)].entity_source
+        sdp = sentence_subgraphs(pollen_sentence).sdp
+        pairs, flags = ctef_flags(pollen_sentence, sdp)
+        assert flags[pair_row(pairs, 1, 0)] != flags[pair_row(pairs, 0, 1)]
 
     def test_entity_self_loop_gets_ones(self, pollen_sentence):
-        s = pollen_sentence
-        sdp = sentence_subgraphs(s).sdp
-        efa = ctef_edge_features(sdp, s.e1, s.e2, d_e=4)
-        np.testing.assert_array_equal(efa.feature_vector(0, 0), np.ones(4))
-        np.testing.assert_array_equal(efa.feature_vector(1, 1), np.zeros(4))
+        sdp = sentence_subgraphs(pollen_sentence).sdp
+        pairs, flags = ctef_flags(pollen_sentence, sdp)
+        assert flags[pair_row(pairs, 0, 0)] == 1.0
+        assert flags[pair_row(pairs, 1, 1)] == 0.0
 
     def test_depends_only_on_source_entity_membership(self, pollen_sentence):
-        # relabeling non-entity tokens must not change any vector
+        # relabeling non-entity tokens must not change any flag
         s = pollen_sentence
         sdp = sentence_subgraphs(s).sdp
-        before = ctef_edge_features(sdp, s.e1, s.e2, d_e=4)
+        _, before = ctef_flags(s, sdp)
         for t in s.tokens:
             if not s.entity_token(t.index):
                 t.surface = t.surface.upper()
                 t.pos = "X"
-        after = ctef_edge_features(sdp, s.e1, s.e2, d_e=4)
-        for pair in before.pairs:
-            assert before.pairs[pair].entity_source == after.pairs[pair].entity_source
+        _, after = ctef_flags(s, sdp)
+        np.testing.assert_array_equal(before, after)
 
 
 class TestEdgeFeatureDispatch:
     def test_none_mode_returns_none(self, pollen_sentence):
         sdp = sentence_subgraphs(pollen_sentence).sdp
-        assert edge_features(sdp, pollen_sentence, "none", 4) is None
+        _, pairs = attention_pairs(sdp)
+        assert edge_features(sdp, pollen_sentence, pairs, "none", 4) is None
 
     def test_combined_mode_sums_both(self, pollen_sentence):
         s = pollen_sentence
         table = build_dref_table([s], d_e=4)
         sdp = sentence_subgraphs(s).sdp
-        efa = edge_features(sdp, s, "dref+ctef", 4, table)
+        _, pairs = attention_pairs(sdp)
         values = np.arange(table.num_rows * 4, dtype=np.float64).reshape(-1, 4)
-        pf = efa.pairs[(1, 0)]
-        expected = values[pf.dref_row] + np.ones(4)
-        np.testing.assert_array_equal(efa.feature_vector(1, 0, values), expected)
+        node = edge_features(sdp, s, pairs, "dref+ctef", 4, table, nm.constant(values))
+        assert node.shape == (len(pairs), 4)
+        k = pair_row(pairs, 1, 0)
+        rows, _ = dref_edge_features(sdp, s, pairs, table)
+        np.testing.assert_array_equal(node.value[k], values[rows[k]] + np.ones(4))
 
     def test_dref_mode_requires_table(self, pollen_sentence):
         sdp = sentence_subgraphs(pollen_sentence).sdp
+        _, pairs = attention_pairs(sdp)
         with pytest.raises(FeatureError):
-            edge_features(sdp, pollen_sentence, "dref", 4, None)
+            edge_features(sdp, pollen_sentence, pairs, "dref", 4, None)
 
 
 class TestEncodeTokens:

@@ -1,16 +1,19 @@
 """Network layers and the full forward pass, checked against straight-line numpy."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from relgat import numerics as nm
-from relgat.checkpoint import load_checkpoint, save_checkpoint
+from relgat.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from relgat.corpus import build_vocabs, parse_conllu_annotated
 from relgat.features import (
     HashedEmbeddingProvider,
     attention_pairs,
     build_dref_table,
-    edge_features,
+    ctef_edge_features,
+    dref_edge_features,
 )
 from relgat.graph import SubGraph, sentence_subgraphs
 from relgat.model import (
@@ -29,6 +32,11 @@ from relgat.model import (
 from conftest import build_toy_corpus, graph_nodes
 
 TINY = dict(d_ctx=6, d_f=3, d_wt=2, d_lstm=4, d_g=6, heads=2, d_e=3)
+
+
+def attention_rows(alpha, starts):
+    """Per-vertex attention rows of a (P, 1) attention column."""
+    return np.split(alpha.value[:, 0], starts[1:])
 
 
 def make_subgraph(adjacency, kind="sdp"):
@@ -148,9 +156,9 @@ def test_isolated_vertex_attends_to_itself():
     rng = np.random.default_rng(4)
     head = GatHead(3, 2, 0, rng)
     sg = make_subgraph([[0]])
-    nbrs, pairs = attention_pairs(sg)
+    starts, pairs = attention_pairs(sg)
     wh = nm.matmul(nm.constant(rng.standard_normal((1, 3))), head.w)
-    (alpha,) = gat_attention(wh, nbrs, pairs, head.a)
+    alpha = gat_attention(wh, starts, pairs, head.a)
     assert alpha.value.tolist() == [[1.0]]
 
 
@@ -159,11 +167,11 @@ def test_zeroed_attention_vector_gives_uniform_weights():
     head = GatHead(3, 2, 0, rng)
     head.a.value = np.zeros_like(head.a.value)
     sg = make_subgraph([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
-    nbrs, pairs = attention_pairs(sg)
+    starts, pairs = attention_pairs(sg)
     wh = nm.matmul(nm.constant(rng.standard_normal((3, 3))), head.w)
-    alphas = gat_attention(wh, nbrs, pairs, head.a)
-    np.testing.assert_allclose(alphas[0].value, np.full((1, 3), 1 / 3), atol=1e-15)
-    np.testing.assert_allclose(alphas[1].value, np.full((1, 2), 1 / 2), atol=1e-15)
+    alphas = attention_rows(gat_attention(wh, starts, pairs, head.a), starts)
+    np.testing.assert_allclose(alphas[0], np.full(3, 1 / 3), atol=1e-15)
+    np.testing.assert_allclose(alphas[1], np.full(2, 1 / 2), atol=1e-15)
 
 
 def test_attention_matches_straight_line_recomputation():
@@ -171,33 +179,35 @@ def test_attention_matches_straight_line_recomputation():
     d_in, m, d_e = 4, 3, 2
     head = GatHead(d_in, m, d_e, rng)
     sg = make_subgraph([[0, 1, 0], [1, 0, 1], [0, 1, 0]])  # path graph
-    nbrs, pairs = attention_pairs(sg)
+    starts, pairs = attention_pairs(sg)
     h = rng.standard_normal((3, d_in))
     efeat_rows = rng.standard_normal((len(pairs), d_e))
     wh = nm.matmul(nm.constant(h), head.w)
-    alphas = gat_attention(wh, nbrs, pairs, head.a, nm.constant(efeat_rows))
+    alphas = attention_rows(gat_attention(wh, starts, pairs, head.a, nm.constant(efeat_rows)), starts)
 
     wh_np = h @ head.w.value
     a = head.a.value.reshape(-1)
-    by_pair = {p: e for p, e in zip(pairs, efeat_rows)}
-    for i, around in enumerate(nbrs):
+    by_pair = {(i, j): e for (i, j), e in zip(pairs.tolist(), efeat_rows)}
+    for i, around in enumerate([[0, 1], [0, 1, 2], [1, 2]]):
         scores = []
         for j in around:
             z = np.concatenate([wh_np[i], wh_np[j], by_pair[(i, j)]]) @ a
             scores.append(z if z > 0 else 0.2 * z)
         scores = np.array(scores)
         expected = np.exp(scores) / np.exp(scores).sum()
-        np.testing.assert_allclose(alphas[i].value.reshape(-1), expected, atol=1e-12)
+        np.testing.assert_allclose(alphas[i], expected, atol=1e-12)
 
 
 def test_attention_rows_sum_to_one():
     rng = np.random.default_rng(7)
     head = GatHead(4, 3, 0, rng)
     sg = make_subgraph([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
-    nbrs, pairs = attention_pairs(sg)
+    starts, pairs = attention_pairs(sg)
     wh = nm.matmul(nm.constant(rng.standard_normal((4, 4)) * 10), head.w)
-    for alpha in gat_attention(wh, nbrs, pairs, head.a):
-        assert abs(alpha.value.sum() - 1.0) < 1e-9
+    rows = attention_rows(gat_attention(wh, starts, pairs, head.a), starts)
+    assert len(rows) == 4
+    for row in rows:
+        assert abs(row.sum() - 1.0) < 1e-9
 
 
 def test_multi_head_output_dimension_default_config():
@@ -205,8 +215,8 @@ def test_multi_head_output_dimension_default_config():
     cfg = ModelConfig()
     heads = [GatHead(2 * cfg.d_lstm, cfg.head_dim, 0, rng) for _ in range(cfg.heads)]
     sg = make_subgraph([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-    nbrs, pairs = attention_pairs(sg)
-    out, _ = gat_vertex_update(nm.constant(rng.standard_normal((3, 512))), nbrs, pairs, heads)
+    starts, pairs = attention_pairs(sg)
+    out, _ = gat_vertex_update(nm.constant(rng.standard_normal((3, 512))), starts, pairs, heads)
     assert out.shape == (3, 256)
 
 
@@ -214,15 +224,14 @@ def test_single_head_reduction_is_bitwise():
     rng = np.random.default_rng(9)
     head = GatHead(4, 6, 0, rng)
     sg = make_subgraph([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
-    nbrs, pairs = attention_pairs(sg)
+    starts, pairs = attention_pairs(sg)
     h = nm.constant(rng.standard_normal((3, 4)))
-    multi, _ = gat_vertex_update(h, nbrs, pairs, [head])
+    multi, _ = gat_vertex_update(h, starts, pairs, [head])
 
     # plain single-head update, no multi-head concatenation machinery
     wh = nm.matmul(h, head.w)
-    alphas = gat_attention(wh, nbrs, pairs, head.a)
-    rows = [nm.matmul(alphas[i], nm.gather_rows(wh, around)) for i, around in enumerate(nbrs)]
-    single = nm.elu(nm.concat(rows, axis=0))
+    alpha = gat_attention(wh, starts, pairs, head.a)
+    single = nm.elu(nm.segment_sum(nm.mul(nm.gather_rows(wh, pairs[:, 1]), alpha), starts))
     assert np.array_equal(multi.value, single.value)
 
 
@@ -236,11 +245,11 @@ def test_edge_mode_none_equals_zeroed_edge_slot_bitwise():
     plain.a.value = with_edges.a.value[: 2 * m].copy()
 
     sg = make_subgraph([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    nbrs, pairs = attention_pairs(sg)
+    starts, pairs = attention_pairs(sg)
     h = nm.constant(rng.standard_normal((3, d_in)))
     efeat = nm.constant(rng.standard_normal((len(pairs), d_e)))
-    out_edges, att_edges = gat_vertex_update(h, nbrs, pairs, [with_edges], efeat)
-    out_plain, att_plain = gat_vertex_update(h, nbrs, pairs, [plain], None)
+    out_edges, att_edges = gat_vertex_update(h, starts, pairs, [with_edges], efeat)
+    out_plain, att_plain = gat_vertex_update(h, starts, pairs, [plain], None)
     assert np.array_equal(out_edges.value, out_plain.value)
     for a, b in zip(att_edges[0], att_plain[0]):
         assert np.array_equal(a, b)
@@ -250,9 +259,9 @@ def test_single_vertex_update_is_elu_of_transform():
     rng = np.random.default_rng(41)
     heads = [GatHead(4, 3, 0, rng) for _ in range(2)]
     sg = make_subgraph([[0]])
-    nbrs, pairs = attention_pairs(sg)
+    starts, pairs = attention_pairs(sg)
     h = rng.standard_normal((1, 4))
-    out, _ = gat_vertex_update(nm.constant(h), nbrs, pairs, heads)
+    out, _ = gat_vertex_update(nm.constant(h), starts, pairs, heads)
     expected = np.concatenate([(h @ hd.w.value) for hd in heads], axis=1)
     expected = np.where(expected > 0, expected, np.expm1(expected))
     np.testing.assert_allclose(out.value, expected, atol=1e-12)
@@ -273,12 +282,12 @@ def test_gat_permutation_equivariance():
     h = rng.standard_normal((4, 4))
     perm = np.array([2, 0, 3, 1])
 
-    nbrs, pairs = attention_pairs(make_subgraph(adjacency))
-    out, _ = gat_vertex_update(nm.constant(h), nbrs, pairs, [head])
+    starts, pairs = attention_pairs(make_subgraph(adjacency))
+    out, _ = gat_vertex_update(nm.constant(h), starts, pairs, [head])
 
     permuted_adj = adjacency[np.ix_(perm, perm)]
-    nbrs_p, pairs_p = attention_pairs(make_subgraph(permuted_adj))
-    out_p, _ = gat_vertex_update(nm.constant(h[perm]), nbrs_p, pairs_p, [head])
+    starts_p, pairs_p = attention_pairs(make_subgraph(permuted_adj))
+    out_p, _ = gat_vertex_update(nm.constant(h[perm]), starts_p, pairs_p, [head])
     np.testing.assert_allclose(out_p.value, out.value[perm], atol=1e-12)
 
 
@@ -290,9 +299,9 @@ def test_gcn_three_cycle_hand_computation():
     # identity transform, no edge features: each vertex averages its
     # closed neighborhood (all degrees are 3 with the self-loop)
     sg = make_subgraph([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    nbrs, pairs = attention_pairs(sg)
+    starts, pairs = attention_pairs(sg)
     h = np.array([[3.0, -6.0], [0.0, 3.0], [6.0, 0.0]])
-    out = gcn_vertex_update(nm.constant(h), nbrs, pairs, nm.constant(np.eye(2)))
+    out = gcn_vertex_update(nm.constant(h), starts, pairs, nm.constant(np.eye(2)))
     expected = np.maximum(h.mean(axis=0), 0.0)
     np.testing.assert_allclose(out.value, np.tile(expected, (3, 1)), atol=1e-12)
 
@@ -301,10 +310,10 @@ def test_gcn_self_loop_only_vertex():
     rng = np.random.default_rng(12)
     w = nm.constant(rng.standard_normal((5, 3)))
     sg = make_subgraph([[0]])
-    nbrs, pairs = attention_pairs(sg)
+    starts, pairs = attention_pairs(sg)
     h = rng.standard_normal((1, 3))
     e = rng.standard_normal((1, 2))
-    out = gcn_vertex_update(nm.constant(h), nbrs, pairs, w, nm.constant(e))
+    out = gcn_vertex_update(nm.constant(h), starts, pairs, w, nm.constant(e))
     expected = np.maximum(np.concatenate([h[0], e[0]]) @ w.value, 0.0)
     np.testing.assert_allclose(out.value.reshape(-1), expected, atol=1e-12)
 
@@ -316,11 +325,28 @@ def test_gcn_permutation_equivariance():
     h = rng.standard_normal((4, 4))
     perm = np.array([3, 1, 0, 2])
 
-    nbrs, pairs = attention_pairs(make_subgraph(adjacency))
-    out = gcn_vertex_update(nm.constant(h), nbrs, pairs, w)
-    nbrs_p, pairs_p = attention_pairs(make_subgraph(adjacency[np.ix_(perm, perm)]))
-    out_p = gcn_vertex_update(nm.constant(h[perm]), nbrs_p, pairs_p, w)
+    starts, pairs = attention_pairs(make_subgraph(adjacency))
+    out = gcn_vertex_update(nm.constant(h), starts, pairs, w)
+    starts_p, pairs_p = attention_pairs(make_subgraph(adjacency[np.ix_(perm, perm)]))
+    out_p = gcn_vertex_update(nm.constant(h[perm]), starts_p, pairs_p, w)
     np.testing.assert_allclose(out_p.value, out.value[perm], atol=1e-12)
+
+
+def test_graph_layer_size_independent_of_vertex_count():
+    rng = np.random.default_rng(19)
+    heads = [GatHead(3, 2, 2, rng) for _ in range(2)]
+    w_gcn = nm.parameter(rng.standard_normal((5, 4)))
+
+    def graph_sizes(n):
+        adjacency = np.eye(n, k=1, dtype=np.int64) + np.eye(n, k=-1, dtype=np.int64)  # path graph
+        starts, pairs = attention_pairs(make_subgraph(adjacency))
+        h = nm.parameter(rng.standard_normal((n, 3)))
+        efeat = nm.parameter(rng.standard_normal((len(pairs), 2)))
+        gat, _ = gat_vertex_update(h, starts, pairs, heads, efeat)
+        gcn = gcn_vertex_update(h, starts, pairs, w_gcn, efeat)
+        return len(graph_nodes(gat)), len(graph_nodes(gcn))
+
+    assert graph_sizes(3) == graph_sizes(30)
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +555,26 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert np.array_equal(before, after)
 
 
+def test_malformed_checkpoint_names_path(tmp_path):
+    model, _, _ = tiny_model(edge_mode="dref+ctef")
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, 8)
+    ends = [8, 16, 16 + header_len]  # magic, header length, header
+    for p in model.parameters().values():
+        ends.append(ends[-1] + 8 * p.value.size)
+    assert ends[-1] == len(blob)
+    bad = tmp_path / "bad.ckpt"
+    # cut inside the last byte of every section, and right after every section but the last
+    cuts = [end - 1 for end in ends] + ends[:-1]
+    for blob_bad in [blob[:cut] for cut in cuts] + [blob + b"\0"]:
+        bad.write_bytes(blob_bad)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(str(bad))
+        assert str(bad) in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # Straight-line numpy reimplementation used as the forward oracle
 
@@ -579,21 +625,21 @@ def numpy_oracle_forward(model, sentence, sgs, provider):
             return np.concatenate([f, b], axis=1)
         return x @ p["proj.w"] + p["proj.b"].reshape(-1)
 
-    def edge_vec(efa, i, j):
-        if efa is None:
+    def edge_vec(feats, i, j):
+        if feats is None:
             return None
-        pf = efa.pairs[(i, j)]
+        k = feats["index"][(i, j)]
         vec = np.zeros(cfg.d_e)
-        if pf.dref_row is not None:
-            row = p["edge.dref"][pf.dref_row].copy()
+        if "dref_row" in feats:
+            row = p["edge.dref"][feats["dref_row"][k]].copy()
             if cfg.dref_scale_by_ratio:
-                row *= pf.dref_ratio
+                row *= feats["dref_ratio"][k]
             vec += row
-        if pf.entity_source:
+        if "entity_source" in feats and feats["entity_source"][k]:
             vec += np.ones(cfg.d_e)
         return vec
 
-    def one_layer(h, layer, nbrs, efa):
+    def one_layer(h, layer, nbrs, feats):
         if cfg.graph_layer == "gcn":
             w = p[f"gcn.l{layer}.w"]
             deg = np.array([len(a) for a in nbrs], dtype=np.float64)
@@ -601,7 +647,7 @@ def numpy_oracle_forward(model, sentence, sgs, provider):
             for i, around in enumerate(nbrs):
                 acc = np.zeros(cfg.d_g)
                 for j in around:
-                    feat = h[j] if efa is None else np.concatenate([h[j], edge_vec(efa, i, j)])
+                    feat = h[j] if feats is None else np.concatenate([h[j], edge_vec(feats, i, j)])
                     acc += (feat @ w) / np.sqrt(deg[i] * deg[j])
                 out[i] = np.maximum(acc, 0.0)
             return out
@@ -613,10 +659,10 @@ def numpy_oracle_forward(model, sentence, sgs, provider):
             for i, around in enumerate(nbrs):
                 scores = []
                 for j in around:
-                    feats = [wh[i], wh[j]]
-                    if efa is not None:
-                        feats.append(edge_vec(efa, i, j))
-                    z = np.concatenate(feats) @ a
+                    feats_ij = [wh[i], wh[j]]
+                    if feats is not None:
+                        feats_ij.append(edge_vec(feats, i, j))
+                    z = np.concatenate(feats_ij) @ a
                     scores.append(z if z > 0 else 0.2 * z)
                 scores = np.array(scores)
                 alpha = np.exp(scores - scores.max())
@@ -626,13 +672,26 @@ def numpy_oracle_forward(model, sentence, sgs, provider):
             head_outs.append(rows)
         return np.concatenate(head_outs, axis=1)
 
-    def graph_layer(h, sg):
-        from relgat.features import attention_pairs as ap
+    def pair_features(sg, pairs):
+        """Per-pair feature arrays, plus each (i, j)'s position in them."""
+        if cfg.edge_mode == "none":
+            return None
+        feats = {"index": {(i, j): k for k, (i, j) in enumerate(pairs.tolist())}}
+        if "dref" in cfg.edge_mode:
+            feats["dref_row"], feats["dref_ratio"] = dref_edge_features(
+                sg, sentence, pairs, model.dref_table
+            )
+        if "ctef" in cfg.edge_mode:
+            feats["entity_source"] = ctef_edge_features(sg, sentence.e1, sentence.e2, pairs)
+        return feats
 
-        nbrs, _ = ap(sg)
-        efa = edge_features(sg, sentence, cfg.edge_mode, cfg.d_e, model.dref_table)
+    def graph_layer(h, sg):
+        # closed neighborhoods straight from the adjacency matrix, self included
+        nbrs = [sorted(set(np.nonzero(sg.adjacency[i])[0].tolist()) | {i}) for i in range(len(sg))]
+        _, pairs = attention_pairs(sg)
+        feats = pair_features(sg, pairs)
         for layer in range(cfg.graph_depth):
-            h = one_layer(h, layer, nbrs, efa)
+            h = one_layer(h, layer, nbrs, feats)
         return h
 
     def pool(states):

@@ -39,6 +39,17 @@ def test_shape_errors_name_both_shapes():
             nm.constant(np.zeros((2, 8))), nm.constant(np.zeros((1, 8))),
         )
     assert "(2, 3)" in str(err.value) and "(4, 8)" in str(err.value)
+    x = nm.constant(np.zeros((4, 2)))
+    for op in (nm.segment_sum, nm.segment_softmax):
+        for starts in ([1, 3], [0, 2, 2], [0, 3, 1], [0, 4], [], [[0, 2]]):
+            with pytest.raises(nm.ShapeMismatch) as err:
+                op(x, starts)
+            assert "(4, 2)" in str(err.value) and str(starts) in str(err.value)
+        with pytest.raises(nm.ShapeMismatch):
+            op(nm.constant(np.zeros(4)), [0, 2])
+    with pytest.raises(nm.ShapeMismatch) as err:
+        nm.mul(nm.constant(np.zeros((3, 4))), nm.constant(np.zeros((2, 1))))
+    assert "(3, 4)" in str(err.value) and "(2, 1)" in str(err.value)
 
 
 def test_nonlinearity_values():
@@ -142,7 +153,8 @@ def test_gradient_check_skips_frozen_leaves():
 
 
 @pytest.mark.parametrize("case", [
-    "add_same", "add_bias", "add_scalar", "mul_same", "mul_scalar", "matmul",
+    "add_same", "add_bias", "add_scalar", "mul_same", "mul_scalar", "mul_column",
+    "mul_column_left", "segment_sum", "segment_softmax", "matmul",
     "concat0", "concat1", "slice0", "slice1", "gather", "sum_all", "sum_axis",
     "mean_all", "mean_axis", "transpose", "reshape", "relu", "leaky", "elu",
     "tanh", "sigmoid", "softmax",
@@ -154,10 +166,13 @@ def test_op_gradients(case):
     bias = rand(rng, 4)
     scalar = rand(rng, 1, 1)
     w = rand(rng, 4, 2)
+    column = rand(rng, 3, 1)
+    starts = [0, 1]  # segments of rows {0} and {1, 2}
     probe = nm.constant(rng.standard_normal((3, 4)))
     probe_32 = nm.constant(rng.standard_normal((3, 2)))
     probe_43 = nm.constant(rng.standard_normal((4, 3)))
     probe_44 = nm.constant(rng.standard_normal((4, 4)))
+    probe_24 = nm.constant(rng.standard_normal((2, 4)))
 
     builders = {
         "add_same": (lambda: nm.mul(nm.add(a, b), probe), [a, b]),
@@ -165,6 +180,10 @@ def test_op_gradients(case):
         "add_scalar": (lambda: nm.mul(nm.add(a, scalar), probe), [a, scalar]),
         "mul_same": (lambda: nm.mul(nm.mul(a, b), probe), [a, b]),
         "mul_scalar": (lambda: nm.mul(nm.mul(a, scalar), probe), [a, scalar]),
+        "mul_column": (lambda: nm.mul(nm.mul(a, column), probe), [a, column]),
+        "mul_column_left": (lambda: nm.mul(nm.mul(column, a), probe), [a, column]),
+        "segment_sum": (lambda: nm.mul(nm.segment_sum(a, starts), probe_24), [a]),
+        "segment_softmax": (lambda: nm.mul(nm.segment_softmax(a, starts), probe), [a]),
         "matmul": (lambda: nm.mul(nm.matmul(a, w), probe_32), [a, w]),
         "concat0": (lambda: nm.mul(nm.concat([a, b], 0), nm.constant(np.ones((6, 4)))), [a, b]),
         "concat1": (lambda: nm.mul(nm.concat([a, b], 1), nm.constant(np.ones((3, 8)))), [a, b]),
@@ -206,6 +225,20 @@ def test_lstm_sequence_gradients(n, reverse):
     # every parent gets gradient; w_hidden only sees a nonzero state after step one
     for p in (x, w_input, bias) if n == 1 else (x, w_input, w_hidden, bias):
         assert np.any(p.grad != 0.0)
+
+
+def test_segment_ops_match_per_segment_loops():
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((6, 3)) * 30
+    starts = [0, 1, 4]
+    bounds = [(0, 1), (1, 4), (4, 6)]
+    summed = nm.segment_sum(nm.constant(x), starts).value
+    soft = nm.segment_softmax(nm.constant(x), starts).value
+    for k, (lo, hi) in enumerate(bounds):
+        np.testing.assert_allclose(summed[k], x[lo:hi].sum(axis=0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            soft[lo:hi], nm.softmax(nm.constant(x[lo:hi]), axis=0).value, rtol=0, atol=1e-15
+        )
 
 
 def test_gather_rows_accumulates_duplicates():
