@@ -7,8 +7,8 @@ the model config, the vocabularies, the dependency-triple statistics and
 the parameter shapes, so a load rebuilds the exact model; outputs are
 byte-identical across runs because nothing time- or path-dependent is
 written. A load rejects a file that is cut short, carries bytes past
-the last parameter or has an unreadable header with a CheckpointError
-naming the path.
+the last parameter, or has a header that is unreadable or does not
+describe a model, with a CheckpointError naming the path.
 """
 
 from __future__ import annotations
@@ -87,6 +87,36 @@ def load_checkpoint(path: str) -> Model:
         raise CheckpointError(f"{path}: unreadable header ({exc})") from None
     offset += header_len
 
+    try:
+        model, recorded = _model_from_header(header)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from None
+    params = model.parameters()
+    if [name for name, _ in recorded] != list(params):
+        raise CheckpointError(f"{path}: parameter set does not match config")
+    for name, shape in recorded:
+        node = params[name]
+        if tuple(node.value.shape) != shape:
+            raise CheckpointError(
+                f"{path}: shape mismatch for {name}: {shape} vs {tuple(node.value.shape)}"
+            )
+        count = int(np.prod(shape)) if shape else 1
+        if len(blob) < offset + count * 8:
+            raise CheckpointError(f"{path}: truncated in parameter {name}")
+        data = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+        offset += count * 8
+        node.value = data.reshape(shape).astype(np.float64)
+    if offset != len(blob):
+        raise CheckpointError(f"{path}: {len(blob) - offset} bytes after the last parameter")
+    return model
+
+
+def _model_from_header(header) -> tuple[Model, list[tuple[str, tuple[int, ...]]]]:
+    """The model a decoded header describes, and its recorded (name, shape) list.
+
+    Any structural fault surfaces as KeyError, TypeError, ValueError or
+    AttributeError, which ``load_checkpoint`` turns into CheckpointError.
+    """
     config = ModelConfig.from_dict(header["config"])
     vp = header["vocabs"]
     vocabs = Vocabs(
@@ -100,27 +130,7 @@ def load_checkpoint(path: str) -> Model:
         dp = header["dref"]
         counts = {tuple(t): c for t, c in zip(dp["triples"], dp["counts"])}
         dref = DrefTable(counts, dp["total"], dp["d_e"])
-
     model = Model(config, vocabs, dref, seed=0)
-    params = model.parameters()
-    recorded = header["params"]
-    if [r["name"] for r in recorded] != list(params):
-        raise CheckpointError(f"{path}: parameter set does not match config")
-    for record in recorded:
-        shape = tuple(record["shape"])
-        node = params[record["name"]]
-        if tuple(node.value.shape) != shape:
-            raise CheckpointError(
-                f"{path}: shape mismatch for {record['name']}: "
-                f"{shape} vs {tuple(node.value.shape)}"
-            )
-        count = int(np.prod(shape)) if shape else 1
-        if len(blob) < offset + count * 8:
-            raise CheckpointError(f"{path}: truncated in parameter {record['name']}")
-        data = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        offset += count * 8
-        node.value = data.reshape(shape).astype(np.float64)
-    if offset != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - offset} bytes after the last parameter")
     model.embedding_info = header["embedding"]  # type: ignore[attr-defined]
-    return model
+    recorded = [(r["name"], tuple(r["shape"])) for r in header["params"]]
+    return model, recorded

@@ -17,9 +17,9 @@ from dataclasses import dataclass, fields
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import build_vocabs, parse_conllu_annotated
-from .features import FileEmbeddingProvider, HashedEmbeddingProvider, build_dref_table
+from .features import EDGE_MODES, FileEmbeddingProvider, HashedEmbeddingProvider, build_dref_table
 from .graph import subgraph_size_histograms
-from .model import ConfigError, ModelConfig
+from .model import GRAPH_LAYERS, GRAPH_MODES, ConfigError, ModelConfig
 from .train_eval import (
     SpanBuckets,
     TrainerConfig,
@@ -303,11 +303,11 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d-g", dest="d_g", type=int)
     p.add_argument("--heads", type=int)
     p.add_argument("--d-e", dest="d_e", type=int)
-    p.add_argument("--graph-layer", dest="graph_layer", choices=["gat", "gcn"])
+    p.add_argument("--graph-layer", dest="graph_layer", choices=GRAPH_LAYERS)
     p.add_argument("--graph-depth", dest="graph_depth", type=int)
     p.add_argument("--contextual", type=_bool_flag)
-    p.add_argument("--graph-mode", dest="graph_mode", choices=["multi", "single"])
-    p.add_argument("--edge-mode", dest="edge_mode", choices=["none", "dref", "ctef", "dref+ctef"])
+    p.add_argument("--graph-mode", dest="graph_mode", choices=GRAPH_MODES)
+    p.add_argument("--edge-mode", dest="edge_mode", choices=EDGE_MODES)
     p.add_argument("--expansion-order", dest="expansion_order", type=int, choices=[0, 1, 2])
     p.add_argument("--dref-scale-by-ratio", dest="dref_scale_by_ratio", type=_bool_flag)
 

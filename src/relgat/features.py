@@ -169,31 +169,36 @@ class FeatureEmbeddings:
 
 
 def encode_tokens(
-    sentence: Sentence,
-    sg: SubGraph,
+    units: list[tuple[Sentence, SubGraph]],
     provider: EmbeddingProvider,
     emb: FeatureEmbeddings,
 ) -> nm.Node:
-    """Per-vertex input matrix [ctx ; pos ; deprel ; ner ; word-type].
+    """Input rows [ctx ; pos ; deprel ; ner ; word-type] of (sentence, sub-graph) units.
 
-    Rows follow the sub-graph vertex order. Output width is
-    d_ctx + 3*d_f + d_wt for every vertex.
+    Rows follow the units in order and, within one, the sub-graph vertex
+    order. Output width is d_ctx + 3*d_f + d_wt for every vertex. The
+    provider is asked once per run of units that share a sentence.
     """
-    ctx_all = provider.vectors(sentence)
-    if ctx_all.shape[1] != emb.d_ctx:
-        raise FeatureError(
-            f"provider dimension {ctx_all.shape[1]} != expected {emb.d_ctx}"
-        )
-    idx = sg.vertices
-    tokens = [sentence.tokens[i] for i in idx]
-    ctx = nm.constant(ctx_all[idx])
-    pos_rows = nm.gather_rows(emb.pos, [emb.vocabs.pos.index(t.pos) for t in tokens])
-    dep_rows = nm.gather_rows(emb.deprel, [emb.vocabs.deprel.index(t.deprel) for t in tokens])
-    ner_rows = nm.gather_rows(emb.ner, [emb.vocabs.ner.index(t.ner) for t in tokens])
-    wt_rows = nm.gather_rows(
-        emb.word_type, [1 if sentence.entity_token(i) else 0 for i in idx]
-    )
-    return nm.concat([ctx, pos_rows, dep_rows, ner_rows, wt_rows], axis=1)
+    ctx, tokens, word_type = [], [], []
+    last = ctx_all = None
+    for sentence, sg in units:
+        if sentence is not last:
+            last, ctx_all = sentence, provider.vectors(sentence)
+            if ctx_all.shape[1] != emb.d_ctx:
+                raise FeatureError(
+                    f"provider dimension {ctx_all.shape[1]} != expected {emb.d_ctx}"
+                )
+        ctx.append(ctx_all[sg.vertices])
+        tokens.extend(sentence.tokens[i] for i in sg.vertices)
+        word_type.extend(1 if sentence.entity_token(i) else 0 for i in sg.vertices)
+    vocabs = emb.vocabs
+    return nm.concat([
+        nm.constant(np.concatenate(ctx)),
+        nm.gather_rows(emb.pos, [vocabs.pos.index(t.pos) for t in tokens]),
+        nm.gather_rows(emb.deprel, [vocabs.deprel.index(t.deprel) for t in tokens]),
+        nm.gather_rows(emb.ner, [vocabs.ner.index(t.ner) for t in tokens]),
+        nm.gather_rows(emb.word_type, word_type),
+    ], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -319,21 +324,21 @@ def ctef_edge_features(
 
 
 def edge_features(
-    sg: SubGraph,
-    sentence: Sentence,
-    pairs: np.ndarray,
+    units: list[tuple[Sentence, SubGraph]],
+    pairs: list[np.ndarray],
     mode: str,
     d_e: int,
     table: DrefTable | None = None,
     dref_embed: nm.Node | None = None,
     scale_by_ratio: bool = False,
 ) -> nm.Node | None:
-    """The (P, d_e) feature rows of ``pairs``, or None when the mode has none.
+    """The (P, d_e) feature rows of every unit's pairs, stacked, or None when the mode has none.
 
-    dref gathers each pair's row of ``dref_embed``, optionally scaled by
-    the triple's frequency ratio; ctef is an all-ones row where the
-    attended-from vertex is an entity token and zeros elsewhere; the
-    combined mode sums both.
+    ``pairs[u]`` holds the local ``attention_pairs`` of unit u, a
+    (sentence, sub-graph) pair. dref gathers each pair's row of
+    ``dref_embed``, optionally scaled by the triple's frequency ratio;
+    ctef is an all-ones row where the attended-from vertex is an entity
+    token and zeros elsewhere; the combined mode sums both.
     """
     if mode not in EDGE_MODES:
         raise FeatureError(f"unknown edge mode {mode!r}")
@@ -341,12 +346,15 @@ def edge_features(
     if "dref" in mode:
         if table is None or dref_embed is None:
             raise FeatureError(f"edge mode {mode!r} needs a dependency-triple table and embedding")
-        rows, ratios = dref_edge_features(sg, sentence, pairs, table)
-        node = nm.gather_rows(dref_embed, rows)
+        looked_up = [dref_edge_features(sg, s, p, table) for (s, sg), p in zip(units, pairs)]
+        node = nm.gather_rows(dref_embed, np.concatenate([rows for rows, _ in looked_up]))
         if scale_by_ratio:
+            ratios = np.concatenate([ratios for _, ratios in looked_up])
             node = nm.mul(node, nm.constant(ratios[:, None]))
     if "ctef" in mode:
-        flags = ctef_edge_features(sg, sentence.e1, sentence.e2, pairs)
+        flags = np.concatenate(
+            [ctef_edge_features(sg, s.e1, s.e2, p) for (s, sg), p in zip(units, pairs)]
+        )
         ctef = nm.constant(np.repeat(flags[:, None], d_e, axis=1))
         node = ctef if node is None else nm.add(node, ctef)
     return node

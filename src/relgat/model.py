@@ -24,6 +24,26 @@ normalizes the scores within each center's segment and ``segment_sum``
 adds each center's weighted messages (the segment-softmax / scatter-add
 formulation of PyG's GATConv). A layer is thus a fixed number of
 autodiff nodes, independent of the vertex count.
+
+A forward pass takes a batch of instances and runs it as one segment
+layout, the disjoint union of all their sub-graphs (PyG's mini-batching
+scheme):
+
+    units          (sentence, sub-graph) for every instance, path graph
+                   first; G = 3B in multi-graph mode, B in single mode
+    vertex_starts  each unit's first vertex row: the rows of the token
+                   encoding, the BiLSTM (one packed sequence per unit)
+                   and every graph layer
+    pair_starts,   the units' attention pairs, offset by the vertex and
+    pairs          pair counts before them, and their edge features as
+                   one (P, d_e) node
+    pooling        segment_softmax and segment_sum over vertex_starts:
+                   one (G, d_g) row per unit
+    sentences      segment_sum over each instance's G/B units plus the
+                   gathered e1/e2 rows of its path graph: (B, d_g)
+
+so the autodiff graph has the same nodes whatever B is, and a single
+instance is a batch of one.
 """
 
 from __future__ import annotations
@@ -43,7 +63,7 @@ from .features import (
     edge_features,
     encode_tokens,
 )
-from .graph import SDP, SubGraph, SubGraphSet
+from .graph import SubGraphSet
 
 __all__ = [
     "ModelConfig",
@@ -154,10 +174,10 @@ class GatHead:
 # Layer operations (module level so each is testable in isolation)
 
 
-def bilstm_encode(x: nm.Node, forward: LstmParams, backward: LstmParams) -> nm.Node:
-    """Concatenated forward/backward hidden states, one row per input row."""
-    fwd = nm.lstm_sequence(x, forward.w_input, forward.w_hidden, forward.bias, reverse=False)
-    bwd = nm.lstm_sequence(x, backward.w_input, backward.w_hidden, backward.bias, reverse=True)
+def bilstm_encode(x: nm.Node, starts, forward: LstmParams, backward: LstmParams) -> nm.Node:
+    """Concatenated forward/backward hidden states of the sequences at ``starts``, one row per input row."""
+    fwd = nm.lstm_sequence(x, forward.w_input, forward.w_hidden, forward.bias, starts, reverse=False)
+    bwd = nm.lstm_sequence(x, backward.w_input, backward.w_hidden, backward.bias, starts, reverse=True)
     return nm.concat([fwd, bwd], axis=1)
 
 
@@ -171,13 +191,15 @@ def gat_attention(
 ) -> nm.Node:
     """Attention weights as one (P, 1) column, softmax-normalized per center segment.
 
-    The pair score is computed as two separate dot products (vertex block
-    and edge block) so the edge-free variant is the vertex block alone.
+    The score a . [W h_i | W h_j | e_ij] is split by block: each vertex's
+    center and neighbor terms are computed once, (n, 1) each, and
+    gathered per pair, and the edge block is a separate product, so the
+    edge-free variant is the vertex blocks alone.
     """
     m = wh.shape[1]
-    src = nm.gather_rows(wh, pairs[:, 0])
-    dst = nm.gather_rows(wh, pairs[:, 1])
-    scores = nm.matmul(nm.concat([src, dst], axis=1), nm.slice_axis(a, 0, 0, 2 * m))
+    as_center = nm.matmul(wh, nm.slice_axis(a, 0, 0, m))
+    as_neighbor = nm.matmul(wh, nm.slice_axis(a, 0, m, 2 * m))
+    scores = nm.add(nm.gather_rows(as_center, pairs[:, 0]), nm.gather_rows(as_neighbor, pairs[:, 1]))
     if efeat is not None:
         scores = nm.add(scores, nm.matmul(efeat, nm.slice_axis(a, 0, 2 * m, a.shape[0])))
     return nm.segment_softmax(nm.leaky_relu(scores, slope), starts)
@@ -227,21 +249,26 @@ def gcn_vertex_update(
     return nm.relu(nm.segment_sum(nm.mul(messages, nm.constant(norm[:, None])), starts))
 
 
-def pool_graph(vertex_states: nm.Node, w_pool: nm.Node) -> tuple[nm.Node, nm.Node]:
-    """Scalar-attention readout: weights softmax(tanh(H w)), vector = weighted sum."""
-    logits = nm.tanh(nm.matmul(vertex_states, w_pool))  # (n, 1)
-    alpha = nm.softmax(nm.transpose(logits), axis=1)  # (1, n)
-    return nm.matmul(alpha, vertex_states), alpha
+def pool_graph(vertex_states: nm.Node, starts, w_pool: nm.Node) -> tuple[nm.Node, nm.Node]:
+    """Scalar-attention readout of the graphs whose vertex rows begin at ``starts``.
+
+    Per graph, weights softmax(tanh(H w)) over its vertices and the
+    weighted sum of its rows; returns the (G, d) vectors and the (n, 1)
+    weight column.
+    """
+    alpha = nm.segment_softmax(nm.tanh(nm.matmul(vertex_states, w_pool)), starts)
+    return nm.segment_sum(nm.mul(vertex_states, alpha), starts), alpha
 
 
 def compose_sentence(
-    pooled: list[nm.Node], e1_state: nm.Node, e2_state: nm.Node
+    pooled: nm.Node, starts, e1_state: nm.Node, e2_state: nm.Node
 ) -> nm.Node:
-    """Sentence vector: both entity states plus every pooled graph vector."""
-    v = nm.add(e1_state, e2_state)
-    for p in pooled:
-        v = nm.add(v, p)
-    return v
+    """Sentence vectors: both entity states plus the sum of each sentence's pooled graph rows.
+
+    ``starts`` gives each sentence's first row of ``pooled``; the entity
+    states have one row per sentence.
+    """
+    return nm.add(nm.add(e1_state, e2_state), nm.segment_sum(pooled, starts))
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +277,13 @@ def compose_sentence(
 
 @dataclass
 class ForwardDetail:
-    """Logits plus per-graph attention diagnostics from one forward pass."""
+    """Batch logits plus per-instance attention diagnostics from one forward pass."""
 
-    logits: nm.Node
-    # kind -> [head][vertex] attention weights (graph layer), empty for gcn
-    attention: dict[str, list[list[np.ndarray]]] = field(default_factory=dict)
-    # kind -> pooling distribution over vertices
-    pooling: dict[str, np.ndarray] = field(default_factory=dict)
+    logits: nm.Node  # (B, NUM_LABELS)
+    # per instance: kind -> [head][vertex] attention weights (graph layer), empty for gcn
+    attention: list[dict[str, list[list[np.ndarray]]]] = field(default_factory=list)
+    # per instance: kind -> pooling distribution over vertices
+    pooling: list[dict[str, np.ndarray]] = field(default_factory=list)
 
 
 class Model:
@@ -332,67 +359,85 @@ class Model:
     def parameters(self) -> dict[str, nm.Node]:
         return dict(self._params)
 
-    # -- forward pieces ----------------------------------------------------
+    # -- forward --------------------------------------------------------------
 
-    def _context_encode(self, x: nm.Node) -> nm.Node:
+    def _context_encode(self, x: nm.Node, starts: np.ndarray) -> nm.Node:
         if self.config.contextual:
-            return bilstm_encode(x, self.lstm_fwd, self.lstm_bwd)
+            return bilstm_encode(x, starts, self.lstm_fwd, self.lstm_bwd)
         return nm.add(nm.matmul(x, self.proj_w), self.proj_b)
 
-    def _graph_update(
-        self, h: nm.Node, sg: SubGraph, sentence: Sentence
-    ) -> tuple[nm.Node, list[list[np.ndarray]]]:
+    def forward(
+        self, instances: list[tuple[Sentence, SubGraphSet]], provider: EmbeddingProvider
+    ) -> ForwardDetail:
+        """Logits (B, 19) of B (sentence, sub-graph set) instances, run as one layout.
+
+        The graphs of all instances are units laid out back to back,
+        instance by instance, path graph first: their vertex rows, their
+        offset attention pairs and their edge features each form one
+        array, so every layer runs once for the whole batch.
+        """
+        if not instances:
+            raise ValueError("forward needs at least one instance")
         cfg = self.config
-        starts, pairs = attention_pairs(sg)
+        per_instance = 3 if cfg.graph_mode == "multi" else 1
+        units = [
+            (sentence, sg)
+            for sentence, sgs in instances
+            for sg in (sgs.all() if cfg.graph_mode == "multi" else [sgs.sdp])
+        ]
+        bounds = np.cumsum([0] + [len(sg) for _, sg in units])
+        vertex_starts = bounds[:-1]
+        local_pairs, pair_starts, pairs = [], [], []
+        offset = 0
+        for (_, sg), first in zip(units, vertex_starts):
+            starts_u, pairs_u = attention_pairs(sg)
+            local_pairs.append(pairs_u)
+            pair_starts.append(starts_u + offset)
+            pairs.append(pairs_u + first)
+            offset += len(pairs_u)
+        pair_starts, pairs = np.concatenate(pair_starts), np.concatenate(pairs)
+
+        x = encode_tokens(units, provider, self.embeddings)
+        h = self._context_encode(x, vertex_starts)
         efeat = edge_features(
-            sg, sentence, pairs, cfg.edge_mode, cfg.d_e,
+            units, local_pairs, cfg.edge_mode, cfg.d_e,
             self.dref_table, self.dref_embed, cfg.dref_scale_by_ratio,
         )
         attention: list[list[np.ndarray]] = []
         if cfg.graph_layer == "gat":
             for heads in self.gat_layers:
-                h, layer_attention = gat_vertex_update(h, starts, pairs, heads, efeat)
+                h, layer_attention = gat_vertex_update(h, pair_starts, pairs, heads, efeat)
                 attention.extend(layer_attention)
         else:
             for w in self.gcn_layers:
-                h = gcn_vertex_update(h, starts, pairs, w, efeat)
-        return h, attention
+                h = gcn_vertex_update(h, pair_starts, pairs, w, efeat)
+        pooled, alpha = pool_graph(h, vertex_starts, self.pool_w)
 
-    # -- full forward --------------------------------------------------------
-
-    def forward(
-        self, sentence: Sentence, sgs: SubGraphSet, provider: EmbeddingProvider
-    ) -> ForwardDetail:
-        graphs = sgs.all() if self.config.graph_mode == "multi" else [sgs.sdp]
-        pooled = []
-        attention_by_kind = {}
-        pooling_by_kind = {}
-        e1_state = e2_state = None
-        for sg in graphs:
-            x = encode_tokens(sentence, sg, provider, self.embeddings)
-            h = self._context_encode(x)
-            states, attention = self._graph_update(h, sg, sentence)
-            vector, alpha = pool_graph(states, self.pool_w)
-            pooled.append(vector)
-            attention_by_kind[sg.kind] = attention
-            pooling_by_kind[sg.kind] = alpha.value.copy().reshape(-1)
-            if sg.kind == SDP:
-                e1_local = sg.local(sentence.e1.head_token)
-                e2_local = sg.local(sentence.e2.head_token)
-                e1_state = nm.slice_axis(states, 0, e1_local, e1_local + 1)
-                e2_state = nm.slice_axis(states, 0, e2_local, e2_local + 1)
-        v = compose_sentence(pooled, e1_state, e2_state)
-        logits = nm.add(nm.matmul(v, self.cls_w), self.cls_b)
-        return ForwardDetail(
-            logits=nm.reshape(logits, (NUM_LABELS,)),
-            attention=attention_by_kind,
-            pooling=pooling_by_kind,
+        sdp_starts = vertex_starts[::per_instance]
+        e1_rows = sdp_starts + [sgs.sdp.local(s.e1.head_token) for s, sgs in instances]
+        e2_rows = sdp_starts + [sgs.sdp.local(s.e2.head_token) for s, sgs in instances]
+        v = compose_sentence(
+            pooled, np.arange(0, len(units), per_instance),
+            nm.gather_rows(h, e1_rows), nm.gather_rows(h, e2_rows),
         )
+        detail = ForwardDetail(nm.add(nm.matmul(v, self.cls_w), self.cls_b))
+        for b in range(len(instances)):
+            attention_by_kind, pooling_by_kind = {}, {}
+            for u in range(b * per_instance, (b + 1) * per_instance):
+                lo, hi = bounds[u], bounds[u + 1]
+                kind = units[u][1].kind
+                attention_by_kind[kind] = [rows[lo:hi] for rows in attention]
+                pooling_by_kind[kind] = alpha.value[lo:hi, 0].copy()
+            detail.attention.append(attention_by_kind)
+            detail.pooling.append(pooling_by_kind)
+        return detail
+
+    # -- one instance: a batch of one ------------------------------------------
 
     def logits(
         self, sentence: Sentence, sgs: SubGraphSet, provider: EmbeddingProvider
     ) -> nm.Node:
-        return self.forward(sentence, sgs, provider).logits
+        return nm.reshape(self.forward([(sentence, sgs)], provider).logits, (NUM_LABELS,))
 
     def loss(
         self, sentence: Sentence, sgs: SubGraphSet, provider: EmbeddingProvider
@@ -400,9 +445,9 @@ class Model:
         if sentence.label is None:
             raise ValueError(f"instance {sentence.instance_id}: no gold label")
         label = self.vocabs.label_index(sentence.label)
-        return nm.cross_entropy(self.logits(sentence, sgs, provider), label)
+        return nm.cross_entropy(self.forward([(sentence, sgs)], provider).logits, [label])
 
     def predict_index(
         self, sentence: Sentence, sgs: SubGraphSet, provider: EmbeddingProvider
     ) -> int:
-        return int(np.argmax(self.logits(sentence, sgs, provider).value))
+        return int(np.argmax(self.forward([(sentence, sgs)], provider).logits.value[0]))

@@ -14,17 +14,28 @@ within each segment, both given the sorted first row of every segment.
 A graph layer is then a fixed handful of nodes whatever the vertex
 count.
 
-Recurrences are fused: ``lstm_sequence`` runs one LSTM direction over a
-whole sequence as a single node. Its forward does the input projection
-``x @ w_input + bias`` as one GEMM for all timesteps, so only
-``h @ w_hidden`` stays inside the step loop; its backward runs one
-backpropagation-through-time sweep that yields the gate gradients of
-every step, from which each weight gradient is one GEMM per sequence.
-The graph therefore grows with layers, not with timesteps.
+Recurrences are fused and packed: ``lstm_sequence`` runs one LSTM
+direction over any number of sequences, laid out as contiguous row
+segments in the same ``starts`` convention, as a single node. Its
+forward does the input projection ``x @ w_input + bias`` as one GEMM for
+all rows; with the sequences sorted longest first, step s of the loop
+updates the k_s sequences still running with one ``h @ w_hidden`` GEMM,
+so the loop runs max-length steps, not total rows. Its backward runs one
+backpropagation-through-time sweep over the same steps and yields the
+gate gradients of every row, from which each weight gradient is one GEMM
+for the whole call. The graph therefore grows with layers, not with
+timesteps or sequences.
+
+``cross_entropy`` scores a (B, C) batch of logits against B labels and
+returns the batch-mean loss, so a minibatch is one forward and one
+backward whose gradient is the mean of the per-instance gradients.
 
 A graph is built fresh for every forward pass. Leaf nodes (parameters)
 accumulate gradients across repeated backward calls until cleared with
-``zero_grads``; interior nodes are throwaway. Accumulation is in place
+``zero_grads``. An interior node's gradient is released as soon as it
+has been passed to its parents: a batch's backward then holds only the
+gradients still in flight, and two backward calls through a shared
+interior node each pass their own gradient on once. Accumulation is in place
 with copy-on-first-write: a node's first gradient contribution is stored
 as an owned copy, because pass-through VJPs (``add``, ``concat``,
 ``reshape``) return the incoming gradient or a view of it, and every
@@ -61,6 +72,7 @@ __all__ = [
     "segment_softmax",
     "lstm_sequence",
     "cross_entropy",
+    "cross_entropy_rows",
     "gradient_check",
     "zero_grads",
     "uniform_init",
@@ -104,6 +116,7 @@ class Node:
         once; shared subexpressions therefore sum their contributions. The
         first contribution to a node is copied (VJPs may return ``g`` itself
         or a view of it); later ones are added into that copy in place.
+        Interior nodes drop their gradient once it has reached their parents.
         """
         if self.value.size != 1:
             raise ValueError(f"backward() requires a scalar output, got shape {self.shape}")
@@ -121,6 +134,8 @@ class Node:
                     parent.grad = np.array(contribution, dtype=np.float64)
                 else:
                     parent.grad += contribution
+            if node.parents:
+                node.grad = None
 
     def __add__(self, other):
         return add(self, other)
@@ -420,17 +435,25 @@ def segment_softmax(x: Node, starts) -> Node:
     return _node(y, (x,), (vjp,))
 
 
-def lstm_sequence(x: Node, w_input: Node, w_hidden: Node, bias: Node, reverse: bool = False) -> Node:
-    """Hidden states of one LSTM direction over the rows of ``x``, as one node.
+def lstm_sequence(
+    x: Node, w_input: Node, w_hidden: Node, bias: Node, starts, reverse: bool = False
+) -> Node:
+    """Hidden states of one LSTM direction over packed sequences, as one node.
 
-    Gates are stacked (input, forget, cell, output) along the columns of
+    ``x`` holds S sequences as contiguous, non-empty row segments that
+    begin at ``starts`` (the ``segment_sum`` convention). Each is read on
+    its own, first row to last, or last to first with ``reverse``. Gates
+    are stacked (input, forget, cell, output) along the columns of
     ``w_input`` (k, 4d), ``w_hidden`` (d, 4d) and ``bias`` (4d or 1x4d).
-    Row t of the (n, d) result is the hidden state after reading row t;
-    with ``reverse`` the sequence is read from its last row to its first.
-    Initial hidden and cell states are zero.
+    Row r of the (n, d) result is the hidden state after reading row r;
+    initial hidden and cell states are zero.
+
+    The sequences are stably sorted longest first, so those still running
+    at step s are a prefix of k_s of them. The rows are permuted once into
+    step-major order, where step s is a contiguous slice of k_s rows
+    updated with one (k_s, d) @ (d, 4d) GEMM, and scattered back once.
     """
-    if x.value.ndim != 2 or x.shape[0] == 0:
-        raise ShapeMismatch(f"lstm_sequence: expected a non-empty matrix, got shape {x.shape}")
+    starts, _ = _segment_ids("lstm_sequence", x, starts)
     d = w_hidden.shape[0]
     if (
         w_input.shape != (x.shape[1], 4 * d)
@@ -442,53 +465,72 @@ def lstm_sequence(x: Node, w_input: Node, w_hidden: Node, bias: Node, reverse: b
             f"{w_hidden.shape} and bias {bias.shape}"
         )
     n = x.shape[0]
+    lengths = np.diff(starts, append=n)
+    order = np.argsort(-lengths, kind="stable")
+    first, lengths = starts[order], lengths[order]
+    step = np.arange(lengths[0])[:, None]
+    running = step < lengths  # (step, sequence): a prefix of each row is True
+    read = first + lengths - 1 - step if reverse else first + step
+    perm = read[running]  # step-major position -> row of x
+    widths = running.sum(axis=1)  # k_s
+    offsets = np.concatenate(([0], np.cumsum(widths)))
     wh = w_hidden.value
 
-    def flip(a):
-        """Row order <-> step order (reversal is its own inverse)."""
-        return a[::-1] if reverse else a
-
-    # Everything below is indexed by step s; step s reads row n-1-s when reversed.
-    xs = flip(x.value)
-    z_input = xs @ w_input.value + bias.value.reshape(-1)
+    z_input = (x.value @ w_input.value + bias.value.reshape(-1))[perm]
     acts = np.empty((n, 4 * d))
-    hidden = np.zeros((n + 1, d))  # hidden[s], cell[s]: the states before step s
-    cell = np.zeros((n + 1, d))
+    hidden = np.empty((n, d))  # hidden and cell states after each step
+    cell = np.empty((n, d))
+    hidden_prev = np.zeros((n, d))  # and before it
+    cell_prev = np.zeros((n, d))
     tanh_cell = np.empty((n, d))
-    for s in range(n):
-        z = z_input[s] + hidden[s] @ wh
-        a = acts[s]
-        a[: 2 * d] = _sigmoid(z[: 2 * d])
-        a[2 * d : 3 * d] = np.tanh(z[2 * d : 3 * d])
-        a[3 * d :] = _sigmoid(z[3 * d :])
-        cell[s + 1] = a[d : 2 * d] * cell[s] + a[:d] * a[2 * d : 3 * d]
-        tanh_cell[s] = np.tanh(cell[s + 1])
-        hidden[s + 1] = a[3 * d :] * tanh_cell[s]
-    out = np.ascontiguousarray(flip(hidden[1:]))
+    for s, k in enumerate(widths):
+        rows = slice(offsets[s], offsets[s] + k)
+        z = z_input[rows]
+        if s:
+            last = slice(offsets[s - 1], offsets[s - 1] + k)
+            hidden_prev[rows] = hidden[last]
+            cell_prev[rows] = cell[last]
+            z = z + hidden_prev[rows] @ wh
+        a = acts[rows]
+        a[:] = _sigmoid(z)
+        a[:, 2 * d : 3 * d] = np.tanh(z[:, 2 * d : 3 * d])
+        cell[rows] = a[:, d : 2 * d] * cell_prev[rows] + a[:, :d] * a[:, 2 * d : 3 * d]
+        tanh_cell[rows] = np.tanh(cell[rows])
+        hidden[rows] = a[:, 3 * d :] * tanh_cell[rows]
+    out = np.empty((n, d))
+    out[perm] = hidden
 
     cache: dict = {}
 
     def gate_grads(g):
-        """d(loss)/d(pre-activation gates), (n, 4d) in step order; one BPTT sweep per g."""
+        """d(loss)/d(pre-activation gates), (n, 4d) step-major and in the rows of x; one BPTT sweep per g."""
         if cache.get("g") is not g:
             cache["g"] = g
-            cache["dz"] = _lstm_bptt(flip(g), acts, cell, tanh_cell, wh)
+            dz = _lstm_bptt(g[perm], acts, cell_prev, tanh_cell, wh, offsets, widths)
+            dz_rows = np.empty_like(dz)
+            dz_rows[perm] = dz
+            cache["dz"] = dz, dz_rows
         return cache["dz"]
 
     return _node(
         out,
         (x, w_input, w_hidden, bias),
         (
-            lambda g: flip(gate_grads(g) @ w_input.value.T),
-            lambda g: xs.T @ gate_grads(g),
-            lambda g: hidden[:-1].T @ gate_grads(g),
-            lambda g: gate_grads(g).sum(axis=0).reshape(bias.shape),
+            lambda g: gate_grads(g)[1] @ w_input.value.T,
+            lambda g: x.value.T @ gate_grads(g)[1],
+            lambda g: hidden_prev.T @ gate_grads(g)[0],
+            lambda g: gate_grads(g)[0].sum(axis=0).reshape(bias.shape),
         ),
     )
 
 
-def _lstm_bptt(g_hidden, acts, cell, tanh_cell, wh) -> np.ndarray:
-    """Backpropagation through time for ``lstm_sequence`` (all arrays in step order)."""
+def _lstm_bptt(g_hidden, acts, cell_prev, tanh_cell, wh, offsets, widths) -> np.ndarray:
+    """Backpropagation through time for ``lstm_sequence`` (all rows step-major).
+
+    Carries run over the sorted-sequence prefix: a sequence that ends at
+    step s first gets its (zero) carry there, since later steps only wrote
+    the narrower prefix of longer sequences.
+    """
     n, d = tanh_cell.shape
     gate_in, gate_forget = acts[:, :d], acts[:, d : 2 * d]
     gate_cell, gate_out = acts[:, 2 * d : 3 * d], acts[:, 3 * d :]
@@ -497,45 +539,63 @@ def _lstm_bptt(g_hidden, acts, cell, tanh_cell, wh) -> np.ndarray:
     slope[:, 2 * d : 3 * d] = 1.0 - gate_cell * gate_cell
     cell_from_hidden = gate_out * (1.0 - tanh_cell * tanh_cell)
     dz = np.empty_like(acts)
-    dh_next = np.zeros(d)
-    dc_next = np.zeros(d)
-    for s in range(n - 1, -1, -1):
-        dh = g_hidden[s] + dh_next
-        dc = dh * cell_from_hidden[s] + dc_next
-        row = dz[s]
-        row[:d] = dc * gate_cell[s]
-        row[d : 2 * d] = dc * cell[s]
-        row[2 * d : 3 * d] = dc * gate_in[s]
-        row[3 * d :] = dh * tanh_cell[s]
-        row *= slope[s]
-        dc_next = dc * gate_forget[s]
-        dh_next = wh @ row
+    dh_next = np.zeros((widths[0], d))
+    dc_next = np.zeros((widths[0], d))
+    for s in range(len(widths) - 1, -1, -1):
+        k = widths[s]
+        rows = slice(offsets[s], offsets[s] + k)
+        dh = g_hidden[rows] + dh_next[:k]
+        dc = dh * cell_from_hidden[rows] + dc_next[:k]
+        block = dz[rows]
+        block[:, :d] = dc * gate_cell[rows]
+        block[:, d : 2 * d] = dc * cell_prev[rows]
+        block[:, 2 * d : 3 * d] = dc * gate_in[rows]
+        block[:, 3 * d :] = dh * tanh_cell[rows]
+        block *= slope[rows]
+        dc_next[:k] = dc * gate_forget[rows]
+        dh_next[:k] = block @ wh.T
     return dz
 
 
-def cross_entropy(logits: Node, label: int) -> Node:
-    """Negative log-likelihood of ``label`` under softmax(logits).
+def cross_entropy(logits: Node, labels) -> Node:
+    """Mean negative log-likelihood of ``labels`` under the row softmaxes of ``logits``.
 
-    ``logits`` must be 1-D. Computed as logsumexp(logits) - logits[label];
-    the gradient is softmax(logits) - onehot(label).
+    ``logits`` is (B, C) with one label per row. The gradient of row b is
+    (softmax(logits[b]) - onehot(labels[b])) / B.
     """
-    v = logits.value
-    if v.ndim != 1:
-        raise ShapeMismatch(f"cross_entropy: expected 1-D logits, got shape {logits.shape}")
-    if not 0 <= label < v.shape[0]:
-        raise ValueError(f"cross_entropy: label {label} out of range for {v.shape[0]} classes")
-    m = np.max(v)
-    e = np.exp(v - m)
-    total = np.sum(e)
-    loss = m + np.log(total) - v[label]
-    soft = e / total
+    labels = np.asarray(labels, dtype=np.intp)
+    losses, soft = _cross_entropy_rows(logits, labels)
+    rows = np.arange(len(losses))
 
     def vjp(g):
         out = soft.copy()
-        out[label] -= 1.0
-        return out * g.reshape(())
+        out[rows, labels] -= 1.0
+        out *= g.reshape(()) / len(losses)
+        return out
 
-    return _node(np.asarray(loss), (logits,), (vjp,))
+    return _node(np.mean(losses), (logits,), (vjp,))
+
+
+def cross_entropy_rows(logits: Node, labels) -> np.ndarray:
+    """Per-row negative log-likelihoods, (B,), of the mean ``cross_entropy`` takes."""
+    return _cross_entropy_rows(logits, labels)[0]
+
+
+def _cross_entropy_rows(logits: Node, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Row losses logsumexp(v) - v[label] and row softmaxes, after validation."""
+    v = logits.value
+    labels = np.asarray(labels, dtype=np.intp)
+    if v.ndim != 2 or labels.shape != (v.shape[0],) or v.shape[0] == 0:
+        raise ShapeMismatch(
+            f"cross_entropy: logits of shape {logits.shape} with labels of shape {labels.shape}"
+        )
+    if np.any((labels < 0) | (labels >= v.shape[1])):
+        raise ValueError(f"cross_entropy: labels {labels.tolist()} out of range for {v.shape[1]} classes")
+    m = np.max(v, axis=1, keepdims=True)
+    e = np.exp(v - m)
+    total = np.sum(e, axis=1, keepdims=True)
+    rows = np.arange(v.shape[0])
+    return (m + np.log(total))[:, 0] - v[rows, labels], e / total
 
 
 def zero_grads(params) -> None:

@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 
+EVAL_CHUNK = 32  # sentences per batched forward in evaluation
+
+
 class TrainingDiverged(RuntimeError):
     pass
 
@@ -193,7 +196,7 @@ def clip_gradients(params, max_norm: float) -> float:
     total = 0.0
     for p in params:
         if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
+            total += float(np.vdot(p.grad, p.grad))
     norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
@@ -266,28 +269,21 @@ def train(
         for start in range(0, len(order), trainer_config.batch_size):
             batch = order[start : start + trainer_config.batch_size]
             nm.zero_grads(params)
-            for i in batch:
-                sentence = sentences[i]
-                detail = model.forward(sentence, graphs[i], provider)
-                gold = model.vocabs.label_index(sentence.label)
-                loss = nm.cross_entropy(detail.logits, gold)
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch}, batch starting at item {start}"
-                    )
-                losses.append(value)
-                if int(np.argmax(detail.logits.value)) == gold:
-                    correct += 1
-                loss.backward()
-            inv = 1.0 / len(batch)
-            for p in params:
-                if p.grad is not None:
-                    p.grad *= inv
+            detail = model.forward([(sentences[i], graphs[i]) for i in batch], provider)
+            golds = [model.vocabs.label_index(sentences[i].label) for i in batch]
+            batch_losses = nm.cross_entropy_rows(detail.logits, golds)
+            if not np.all(np.isfinite(batch_losses)):
+                raise TrainingDiverged(
+                    f"non-finite loss at epoch {epoch}, batch starting at item {start}"
+                )
+            losses.extend(batch_losses.tolist())
+            correct += int(np.sum(np.argmax(detail.logits.value, axis=1) == golds))
+            nm.cross_entropy(detail.logits, golds).backward()
             clip_gradients(params, trainer_config.gradient_clip_norm)
             for p in params:
                 if p.grad is not None:
-                    p.value = p.value - lr * p.grad
+                    p.grad *= lr  # the step itself, scaled in place: no temporary
+                    p.value -= p.grad
             steps_done += 1
             if trainer_config.budget_unit == "step" and steps_done >= budget:
                 out_of_budget = True
@@ -338,10 +334,12 @@ def _predict_labels(
     model: Model, sentences: list[Sentence], provider: EmbeddingProvider
 ) -> list[RelationLabel]:
     graphs = _subgraph_cache(sentences, model.config.expansion_order)
-    return [
-        model.vocabs.label_at(model.predict_index(s, sgs, provider))
-        for s, sgs in zip(sentences, graphs)
-    ]
+    instances = list(zip(sentences, graphs))
+    labels = []
+    for start in range(0, len(instances), EVAL_CHUNK):
+        logits = model.forward(instances[start : start + EVAL_CHUNK], provider).logits.value
+        labels.extend(model.vocabs.label_at(int(i)) for i in np.argmax(logits, axis=1))
+    return labels
 
 
 def evaluate(model: Model, sentences: list[Sentence], provider: EmbeddingProvider) -> EvalReport:

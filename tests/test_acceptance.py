@@ -139,13 +139,13 @@ def test_03_attention_and_pooling_normalization():
             model = Model(config, vocabs, dref, seed=trial)
             provider = HashedEmbeddingProvider(config.d_ctx, seed=trial)
             sgs = sentence_subgraphs(sentence)
-            detail = model.forward(sentence, sgs, provider)
-            for rows_per_head in detail.attention.values():
+            detail = model.forward([(sentence, sgs)], provider)
+            for rows_per_head in detail.attention[0].values():
                 for head_rows in rows_per_head:
                     for row in head_rows:
                         assert abs(row.sum() - 1.0) < 1e-9
                         checked_rows += 1
-            for alpha in detail.pooling.values():
+            for alpha in detail.pooling[0].values():
                 assert abs(alpha.sum() - 1.0) < 1e-9
                 checked_rows += 1
         assert checked_rows > 1000
@@ -286,7 +286,7 @@ def test_08_reduction_identities():
 
         # single-graph composition is entity states plus the one pooled vector
         e1, e2, pool = (rng.standard_normal((1, 6)) for _ in range(3))
-        v = compose_sentence([nm.constant(pool)], nm.constant(e1), nm.constant(e2))
+        v = compose_sentence(nm.constant(pool), [0], nm.constant(e1), nm.constant(e2))
         assert np.array_equal(v.value, e1 + e2 + pool)
 
 

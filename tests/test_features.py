@@ -215,7 +215,7 @@ class TestEdgeFeatureDispatch:
     def test_none_mode_returns_none(self, pollen_sentence):
         sdp = sentence_subgraphs(pollen_sentence).sdp
         _, pairs = attention_pairs(sdp)
-        assert edge_features(sdp, pollen_sentence, pairs, "none", 4) is None
+        assert edge_features([(pollen_sentence, sdp)], [pairs], "none", 4) is None
 
     def test_combined_mode_sums_both(self, pollen_sentence):
         s = pollen_sentence
@@ -223,17 +223,29 @@ class TestEdgeFeatureDispatch:
         sdp = sentence_subgraphs(s).sdp
         _, pairs = attention_pairs(sdp)
         values = np.arange(table.num_rows * 4, dtype=np.float64).reshape(-1, 4)
-        node = edge_features(sdp, s, pairs, "dref+ctef", 4, table, nm.constant(values))
+        node = edge_features([(s, sdp)], [pairs], "dref+ctef", 4, table, nm.constant(values))
         assert node.shape == (len(pairs), 4)
         k = pair_row(pairs, 1, 0)
         rows, _ = dref_edge_features(sdp, s, pairs, table)
         np.testing.assert_array_equal(node.value[k], values[rows[k]] + np.ones(4))
 
+    def test_units_stack_in_order(self, pollen_sentence, fig_example_sentence):
+        units = [(s, sg) for s in (pollen_sentence, fig_example_sentence)
+                 for sg in sentence_subgraphs(s).all()]
+        table = build_dref_table([s for s, _ in units[::3]], d_e=4)
+        values = np.arange(table.num_rows * 4, dtype=np.float64).reshape(-1, 4)
+        pairs = [attention_pairs(sg)[1] for _, sg in units]
+        node = edge_features(units, pairs, "dref+ctef", 4, table, nm.constant(values), True)
+        bounds = np.cumsum([0] + [len(p) for p in pairs])
+        for (s, sg), p, lo, hi in zip(units, pairs, bounds[:-1], bounds[1:]):
+            alone = edge_features([(s, sg)], [p], "dref+ctef", 4, table, nm.constant(values), True)
+            np.testing.assert_array_equal(node.value[lo:hi], alone.value)
+
     def test_dref_mode_requires_table(self, pollen_sentence):
         sdp = sentence_subgraphs(pollen_sentence).sdp
         _, pairs = attention_pairs(sdp)
         with pytest.raises(FeatureError):
-            edge_features(sdp, pollen_sentence, pairs, "dref", 4, None)
+            edge_features([(pollen_sentence, sdp)], [pairs], "dref", 4, None)
 
 
 class TestEncodeTokens:
@@ -243,7 +255,7 @@ class TestEncodeTokens:
         provider = HashedEmbeddingProvider(768, seed=0)
         s = toy_corpus[0]
         sdp = sentence_subgraphs(s).sdp
-        x = encode_tokens(s, sdp, provider, emb)
+        x = encode_tokens([(s, sdp)], provider, emb)
         assert x.shape == (len(sdp), 898)
 
     def test_dimension_constant_across_sentences(self, toy_corpus):
@@ -253,7 +265,7 @@ class TestEncodeTokens:
         widths = set()
         for s in toy_corpus:
             for sg in sentence_subgraphs(s).all():
-                widths.add(encode_tokens(s, sg, provider, emb).shape[1])
+                widths.add(encode_tokens([(s, sg)], provider, emb).shape[1])
         assert widths == {emb.input_dim}
 
     def test_word_type_block_marks_entities(self, toy_corpus):
@@ -262,10 +274,19 @@ class TestEncodeTokens:
         provider = HashedEmbeddingProvider(8, seed=0)
         s = toy_corpus[0]
         sdp = sentence_subgraphs(s).sdp  # entity, verb, entity
-        x = encode_tokens(s, sdp, provider, emb).value
+        x = encode_tokens([(s, sdp)], provider, emb).value
         wt = x[:, -2:]
         np.testing.assert_array_equal(wt[0], emb.word_type.value[1])
         np.testing.assert_array_equal(wt[1], emb.word_type.value[0])
+
+    def test_units_stack_in_order(self, toy_corpus):
+        vocabs = build_vocabs(toy_corpus)
+        emb = FeatureEmbeddings(vocabs, d_ctx=8, d_f=3, d_wt=2)
+        provider = HashedEmbeddingProvider(8, seed=0)
+        units = [(s, sg) for s in toy_corpus[:3] for sg in sentence_subgraphs(s).all()]
+        stacked = encode_tokens(units, provider, emb).value
+        alone = [encode_tokens([unit], provider, emb).value for unit in units]
+        np.testing.assert_array_equal(stacked, np.concatenate(alone))
 
     def test_fallback_provider_deterministic(self, toy_corpus):
         s = toy_corpus[0]
@@ -287,7 +308,7 @@ class TestEncodeTokens:
         provider = HashedEmbeddingProvider(16, seed=0)
         s = toy_corpus[0]
         with pytest.raises(FeatureError):
-            encode_tokens(s, sentence_subgraphs(s).sdp, provider, emb)
+            encode_tokens([(s, sentence_subgraphs(s).sdp)], provider, emb)
 
 
 class TestFileProvider:

@@ -1,5 +1,6 @@
 """Network layers and the full forward pass, checked against straight-line numpy."""
 
+import json
 import struct
 
 import numpy as np
@@ -29,7 +30,7 @@ from relgat.model import (
     gcn_vertex_update,
     pool_graph,
 )
-from conftest import build_toy_corpus, graph_nodes
+from conftest import build_structure_corpus, build_toy_corpus, graph_nodes
 
 TINY = dict(d_ctx=6, d_f=3, d_wt=2, d_lstm=4, d_g=6, heads=2, d_e=3)
 
@@ -85,7 +86,7 @@ def test_model_requires_table_for_dref():
 def test_bilstm_single_token_shape():
     rng = np.random.default_rng(0)
     fwd, bwd = LstmParams(5, 4, rng), LstmParams(5, 4, rng)
-    out = bilstm_encode(nm.constant(rng.standard_normal((1, 5))), fwd, bwd)
+    out = bilstm_encode(nm.constant(rng.standard_normal((1, 5))), [0], fwd, bwd)
     assert out.shape == (1, 8)
 
 
@@ -98,8 +99,8 @@ def test_bilstm_reversal_swaps_directions():
     for a, b in zip(fwd.parameters("f").values(), bwd.parameters("b").values()):
         b.value = a.value.copy()
     x = rng.standard_normal((6, 5))
-    out = bilstm_encode(nm.constant(x), fwd, bwd).value
-    out_rev = bilstm_encode(nm.constant(x[::-1].copy()), fwd, bwd).value
+    out = bilstm_encode(nm.constant(x), [0], fwd, bwd).value
+    out_rev = bilstm_encode(nm.constant(x[::-1].copy()), [0], fwd, bwd).value
     np.testing.assert_allclose(out[:, :4], out_rev[::-1, 4:], atol=1e-12)
     np.testing.assert_allclose(out[:, 4:], out_rev[::-1, :4], atol=1e-12)
 
@@ -111,7 +112,7 @@ def test_bilstm_gradient_matches_finite_differences():
     probe = nm.constant(rng.standard_normal((3, 4)))
     params = [x, *fwd.parameters("f").values(), *bwd.parameters("b").values()]
     err = nm.gradient_check(
-        lambda: nm.tensor_sum(nm.mul(bilstm_encode(x, fwd, bwd), probe)), params
+        lambda: nm.tensor_sum(nm.mul(bilstm_encode(x, [0], fwd, bwd), probe)), params
     )
     assert err < 1e-4
 
@@ -121,13 +122,18 @@ def test_bilstm_matches_numpy_oracle():
     fwd, bwd = LstmParams(5, 4, rng), LstmParams(5, 4, rng)
     for p in (fwd.bias, bwd.bias):
         p.value = rng.standard_normal(p.shape)
-    for n in (1, 2, 7):
-        x = rng.standard_normal((n, 5))
-        out = bilstm_encode(nm.constant(x), fwd, bwd).value
+    # one sequence at a time, then several packed, unsorted and with ties and length 1
+    for lengths in ((1,), (2,), (7,), (3, 1, 7, 2, 7), (1, 1), (4, 6, 5)):
+        x = rng.standard_normal((sum(lengths), 5))
+        starts = np.cumsum((0,) + lengths[:-1])
+        out = bilstm_encode(nm.constant(x), starts, fwd, bwd).value
         expected = np.concatenate([
-            _lstm_direction_np(x, fwd.w_input.value, fwd.w_hidden.value, fwd.bias.value, False),
-            _lstm_direction_np(x, bwd.w_input.value, bwd.w_hidden.value, bwd.bias.value, True),
-        ], axis=1)
+            np.concatenate([
+                _lstm_direction_np(seq, fwd.w_input.value, fwd.w_hidden.value, fwd.bias.value, False),
+                _lstm_direction_np(seq, bwd.w_input.value, bwd.w_hidden.value, bwd.bias.value, True),
+            ], axis=1)
+            for seq in np.split(x, starts[1:])
+        ])
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
 
@@ -136,7 +142,7 @@ def test_bilstm_graph_size_independent_of_length():
     fwd, bwd = LstmParams(3, 2, rng), LstmParams(3, 2, rng)
 
     def graph_size(n):
-        return len(graph_nodes(bilstm_encode(nm.parameter(rng.standard_normal((n, 3))), fwd, bwd)))
+        return len(graph_nodes(bilstm_encode(nm.parameter(rng.standard_normal((n, 3))), [0], fwd, bwd)))
 
     assert graph_size(3) == graph_size(30)
 
@@ -145,7 +151,7 @@ def test_bilstm_rejects_empty_sequence():
     rng = np.random.default_rng(3)
     fwd, bwd = LstmParams(3, 2, rng), LstmParams(3, 2, rng)
     with pytest.raises(ValueError):
-        bilstm_encode(nm.constant(np.zeros((0, 3))), fwd, bwd)
+        bilstm_encode(nm.constant(np.zeros((0, 3))), [0], fwd, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +362,7 @@ def test_graph_layer_size_independent_of_vertex_count():
 def test_pool_single_vertex_is_identity():
     rng = np.random.default_rng(14)
     h = rng.standard_normal((1, 5))
-    v, alpha = pool_graph(nm.constant(h), nm.constant(rng.standard_normal((5, 1))))
+    v, alpha = pool_graph(nm.constant(h), [0], nm.constant(rng.standard_normal((5, 1))))
     np.testing.assert_array_equal(v.value, h)
     assert alpha.value.tolist() == [[1.0]]
 
@@ -365,8 +371,8 @@ def test_pool_identical_states_average():
     rng = np.random.default_rng(15)
     row = rng.standard_normal(5)
     h = np.stack([row, row])
-    v, alpha = pool_graph(nm.constant(h), nm.constant(rng.standard_normal((5, 1))))
-    np.testing.assert_allclose(alpha.value, [[0.5, 0.5]], atol=1e-15)
+    v, alpha = pool_graph(nm.constant(h), [0], nm.constant(rng.standard_normal((5, 1))))
+    np.testing.assert_allclose(alpha.value, [[0.5], [0.5]], atol=1e-15)
     np.testing.assert_allclose(v.value.reshape(-1), row, atol=1e-15)
 
 
@@ -374,7 +380,7 @@ def test_pool_matches_recomputation():
     rng = np.random.default_rng(16)
     h = rng.standard_normal((4, 5))
     w = rng.standard_normal((5, 1))
-    v, alpha = pool_graph(nm.constant(h), nm.constant(w))
+    v, alpha = pool_graph(nm.constant(h), [0], nm.constant(w))
     u = np.tanh(h @ w).reshape(-1)
     expected_alpha = np.exp(u) / np.exp(u).sum()
     np.testing.assert_allclose(alpha.value.reshape(-1), expected_alpha, atol=1e-12)
@@ -385,19 +391,19 @@ def test_pool_distribution_sums_to_one():
     rng = np.random.default_rng(17)
     for _ in range(20):
         h = rng.standard_normal((int(rng.integers(1, 7)), 4)) * rng.uniform(0.1, 20)
-        _, alpha = pool_graph(nm.constant(h), nm.constant(rng.standard_normal((4, 1))))
+        _, alpha = pool_graph(nm.constant(h), [0], nm.constant(rng.standard_normal((4, 1))))
         assert abs(alpha.value.sum() - 1.0) < 1e-9
 
 
 def test_compose_zero_inputs_give_zero():
     zero = nm.constant(np.zeros((1, 4)))
-    v = compose_sentence([zero, zero, zero], zero, zero)
+    v = compose_sentence(nm.constant(np.zeros((3, 4))), [0], zero, zero)
     np.testing.assert_array_equal(v.value, np.zeros((1, 4)))
 
 
 def test_compose_unit_basis_sums():
     rows = [np.eye(5)[i : i + 1] for i in range(5)]
-    v = compose_sentence([nm.constant(rows[2]), nm.constant(rows[3]), nm.constant(rows[4])],
+    v = compose_sentence(nm.constant(np.concatenate(rows[2:])), [0],
                          nm.constant(rows[0]), nm.constant(rows[1]))
     np.testing.assert_array_equal(v.value, np.ones((1, 5)))
 
@@ -405,7 +411,7 @@ def test_compose_unit_basis_sums():
 def test_compose_single_graph_reduction():
     rng = np.random.default_rng(18)
     e1, e2, pool = (rng.standard_normal((1, 4)) for _ in range(3))
-    v = compose_sentence([nm.constant(pool)], nm.constant(e1), nm.constant(e2))
+    v = compose_sentence(nm.constant(pool), [0], nm.constant(e1), nm.constant(e2))
     np.testing.assert_array_equal(v.value, e1 + e2 + pool)
 
 
@@ -419,8 +425,8 @@ def test_zeroed_classifier_gives_uniform_distribution(pollen_sentence):
     model.cls_b.value = np.zeros_like(model.cls_b.value)
     s = corpus[0]
     sgs = sentence_subgraphs(s)
-    detail = model.forward(s, sgs, provider)
-    np.testing.assert_array_equal(detail.logits.value, np.zeros(19))
+    detail = model.forward([(s, sgs)], provider)
+    np.testing.assert_array_equal(detail.logits.value, np.zeros((1, 19)))
     loss = model.loss(s, sgs, provider)
     assert loss.item() == pytest.approx(np.log(19.0), abs=1e-12)
 
@@ -437,8 +443,8 @@ def test_identical_sentences_identical_logits():
 def test_single_mode_uses_only_path_graph():
     model, corpus, provider = tiny_model(graph_mode="single")
     s = corpus[0]
-    detail = model.forward(s, sentence_subgraphs(s), provider)
-    assert set(detail.pooling) == {"sdp"}
+    detail = model.forward([(s, sentence_subgraphs(s))], provider)
+    assert set(detail.pooling[0]) == {"sdp"}
 
 
 @pytest.mark.parametrize("edge_mode", ["none", "dref", "ctef", "dref+ctef"])
@@ -525,6 +531,84 @@ def test_logits_invariant_to_internal_vertex_ordering():
     np.testing.assert_allclose(model.logits(s, scrambled, provider).value, reference, atol=1e-10)
 
 
+# ---------------------------------------------------------------------------
+# Batched forward
+
+
+def structure_model(**overrides):
+    corpus = build_structure_corpus(10, seed=5)
+    config = ModelConfig(**{**TINY, **overrides})
+    dref = build_dref_table(corpus, config.d_e) if config.uses_dref else None
+    provider = HashedEmbeddingProvider(config.d_ctx, seed=0)
+    model = Model(config, build_vocabs(corpus), dref, seed=9)
+    return model, [(s, sentence_subgraphs(s, config.expansion_order)) for s in corpus], provider
+
+
+@pytest.mark.parametrize("graph_depth", [1, 2])
+@pytest.mark.parametrize("edge_mode", ["none", "dref", "ctef", "dref+ctef"])
+@pytest.mark.parametrize("graph_mode", ["multi", "single"])
+@pytest.mark.parametrize("graph_layer", ["gat", "gcn"])
+def test_batched_logits_equal_batch_of_one(graph_layer, graph_mode, edge_mode, graph_depth):
+    model, instances, provider = structure_model(
+        graph_layer=graph_layer, graph_mode=graph_mode, edge_mode=edge_mode,
+        graph_depth=graph_depth, expansion_order=1,
+    )
+    batched = model.forward(instances, provider)
+    assert batched.logits.shape == (len(instances), 19)
+    for b, instance in enumerate(instances):
+        one = model.forward([instance], provider)
+        np.testing.assert_allclose(batched.logits.value[b], one.logits.value[0], rtol=0, atol=1e-12)
+        assert batched.pooling[b].keys() == one.pooling[0].keys()
+        for kind, alpha in one.pooling[0].items():
+            np.testing.assert_allclose(batched.pooling[b][kind], alpha, rtol=0, atol=1e-12)
+            for got, want in zip(batched.attention[b][kind], one.attention[0][kind]):
+                assert len(got) == len(want)
+                for got_row, want_row in zip(got, want):
+                    np.testing.assert_allclose(got_row, want_row, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("graph_layer", ["gat", "gcn"])
+def test_batch_mean_loss_gradient_is_mean_of_instance_gradients(graph_layer):
+    model, instances, provider = structure_model(graph_layer=graph_layer, edge_mode="dref+ctef")
+    instances = instances[:5]
+    params = model.parameters()
+    golds = [model.vocabs.label_index(s.label) for s, _ in instances]
+    nm.zero_grads(params.values())
+    nm.cross_entropy(model.forward(instances, provider).logits, golds).backward()
+    batched = {n: p.grad.copy() for n, p in params.items() if p.grad is not None}
+    total = {n: np.zeros_like(p.value) for n, p in params.items()}
+    for sentence, sgs in instances:
+        nm.zero_grads(params.values())
+        model.loss(sentence, sgs, provider).backward()
+        for n, p in params.items():
+            if p.grad is not None:
+                total[n] += p.grad
+    assert batched
+    for n, grad in total.items():
+        np.testing.assert_allclose(batched.get(n, np.zeros_like(grad)), grad / len(instances),
+                                   rtol=0, atol=1e-12, err_msg=n)
+
+
+@pytest.mark.parametrize("graph_layer", ["gat", "gcn"])
+def test_batch_graph_size_independent_of_batch_size(graph_layer):
+    model, instances, provider = structure_model(
+        graph_layer=graph_layer, edge_mode="dref+ctef", graph_depth=2
+    )
+    golds = [model.vocabs.label_index(s.label) for s, _ in instances]
+
+    def graph_size(b):
+        logits = model.forward(instances[:b], provider).logits
+        return len(graph_nodes(nm.cross_entropy(logits, golds[:b])))
+
+    assert graph_size(2) == graph_size(8)
+
+
+def test_forward_rejects_empty_batch():
+    model, _, provider = tiny_model()
+    with pytest.raises(ValueError):
+        model.forward([], provider)
+
+
 def test_depth_two_gradient_check():
     model, corpus, provider = tiny_model(edge_mode="dref", graph_depth=2)
     s = corpus[0]
@@ -570,6 +654,25 @@ def test_malformed_checkpoint_names_path(tmp_path):
     cuts = [end - 1 for end in ends] + ends[:-1]
     for blob_bad in [blob[:cut] for cut in cuts] + [blob + b"\0"]:
         bad.write_bytes(blob_bad)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(str(bad))
+        assert str(bad) in str(err.value)
+
+
+def test_malformed_checkpoint_header_names_path(tmp_path):
+    model, _, _ = tiny_model(edge_mode="dref+ctef")
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + header_len])
+    payload = blob[16 + header_len :]
+    unknown_key = {**header, "config": {**header["config"], "bogus": 1}}
+    bad_layer = {**header, "config": {**header["config"], "graph_layer": "sage"}}
+    bad = tmp_path / "bad.ckpt"
+    for bad_header in ({}, [], unknown_key, bad_layer):
+        text = json.dumps(bad_header).encode("utf-8")
+        bad.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + payload)
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(str(bad))
         assert str(bad) in str(err.value)

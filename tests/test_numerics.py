@@ -36,11 +36,16 @@ def test_shape_errors_name_both_shapes():
     with pytest.raises(nm.ShapeMismatch) as err:
         nm.lstm_sequence(
             nm.constant(np.zeros((2, 3))), nm.constant(np.zeros((4, 8))),
-            nm.constant(np.zeros((2, 8))), nm.constant(np.zeros((1, 8))),
+            nm.constant(np.zeros((2, 8))), nm.constant(np.zeros((1, 8))), [0],
         )
     assert "(2, 3)" in str(err.value) and "(4, 8)" in str(err.value)
+    lstm_weights = [nm.constant(np.zeros(shape)) for shape in ((2, 8), (2, 8), (1, 8))]
     x = nm.constant(np.zeros((4, 2)))
-    for op in (nm.segment_sum, nm.segment_softmax):
+
+    def packed_lstm(x, starts):
+        return nm.lstm_sequence(x, *lstm_weights, starts)
+
+    for op in (nm.segment_sum, nm.segment_softmax, packed_lstm):
         for starts in ([1, 3], [0, 2, 2], [0, 3, 1], [0, 4], [], [[0, 2]]):
             with pytest.raises(nm.ShapeMismatch) as err:
                 op(x, starts)
@@ -109,26 +114,46 @@ def test_diamond_graph_accumulates_shared_gradients():
 
 
 def test_cross_entropy_uniform_logits():
-    loss = nm.cross_entropy(nm.constant(np.zeros(19)), 4)
+    loss = nm.cross_entropy(nm.constant(np.zeros((1, 19))), [4])
     assert loss.item() == pytest.approx(np.log(19.0), abs=1e-12)
 
 
 def test_cross_entropy_large_margin():
-    logits = np.zeros(19)
-    logits[2] = 1000.0
-    assert nm.cross_entropy(nm.constant(logits), 2).item() == pytest.approx(0.0, abs=1e-12)
+    logits = np.zeros((1, 19))
+    logits[0, 2] = 1000.0
+    assert nm.cross_entropy(nm.constant(logits), [2]).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cross_entropy_label_out_of_range():
     with pytest.raises(ValueError):
-        nm.cross_entropy(nm.constant(np.zeros(19)), 19)
+        nm.cross_entropy(nm.constant(np.zeros((1, 19))), [19])
+    with pytest.raises(ValueError):
+        nm.cross_entropy(nm.constant(np.zeros((2, 19))), [0, -1])
+    with pytest.raises(nm.ShapeMismatch):
+        nm.cross_entropy(nm.constant(np.zeros((2, 19))), [0])
+    with pytest.raises(nm.ShapeMismatch):
+        nm.cross_entropy(nm.constant(np.zeros(19)), [0])
 
 
 def test_cross_entropy_gradient_matches_finite_differences():
     rng = np.random.default_rng(11)
-    logits = nm.parameter(rng.standard_normal(19))
-    err = nm.gradient_check(lambda: nm.cross_entropy(logits, 7), [logits])
+    logits = nm.parameter(rng.standard_normal((1, 19)))
+    err = nm.gradient_check(lambda: nm.cross_entropy(logits, [7]), [logits])
     assert err < 1e-6
+    batch = nm.parameter(rng.standard_normal((4, 19)))
+    err = nm.gradient_check(lambda: nm.cross_entropy(batch, [7, 0, 18, 7]), [batch])
+    assert err < 1e-6
+
+
+def test_cross_entropy_is_mean_of_rows():
+    rng = np.random.default_rng(13)
+    values = rng.standard_normal((5, 19)) * 10
+    labels = [3, 0, 18, 3, 9]
+    rows = nm.cross_entropy_rows(nm.constant(values), labels)
+    for b, label in enumerate(labels):
+        single = nm.cross_entropy(nm.constant(values[b : b + 1]), [label]).item()
+        assert rows[b] == pytest.approx(single, abs=1e-12)
+    assert nm.cross_entropy(nm.constant(values), labels).item() == pytest.approx(rows.mean(), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +182,7 @@ def test_gradient_check_skips_frozen_leaves():
     "mul_column_left", "segment_sum", "segment_softmax", "matmul",
     "concat0", "concat1", "slice0", "slice1", "gather", "sum_all", "sum_axis",
     "mean_all", "mean_axis", "transpose", "reshape", "relu", "leaky", "elu",
-    "tanh", "sigmoid", "softmax",
+    "tanh", "sigmoid", "softmax", "lstm_packed", "lstm_packed_reverse",
 ])
 def test_op_gradients(case):
     rng = np.random.default_rng(hash(case) % 2**31)
@@ -173,6 +198,14 @@ def test_op_gradients(case):
     probe_43 = nm.constant(rng.standard_normal((4, 3)))
     probe_44 = nm.constant(rng.standard_normal((4, 4)))
     probe_24 = nm.constant(rng.standard_normal((2, 4)))
+    # packed sequences of lengths 1, 4 and 2
+    seq_x, seq_starts = rand(rng, 7, 3), [0, 1, 5]
+    w_input, w_hidden, lstm_bias = rand(rng, 3, 8), rand(rng, 2, 8), rand(rng, 1, 8)
+    lstm_params = [seq_x, w_input, w_hidden, lstm_bias]
+    probe_72 = nm.constant(rng.standard_normal((7, 2)))
+
+    def packed_lstm(reverse):
+        return nm.mul(nm.lstm_sequence(*lstm_params, seq_starts, reverse), probe_72)
 
     builders = {
         "add_same": (lambda: nm.mul(nm.add(a, b), probe), [a, b]),
@@ -202,10 +235,14 @@ def test_op_gradients(case):
         "tanh": (lambda: nm.mul(nm.tanh(a), probe), [a]),
         "sigmoid": (lambda: nm.mul(nm.sigmoid(a), probe), [a]),
         "softmax": (lambda: nm.mul(nm.softmax(a, axis=1), probe), [a]),
+        "lstm_packed": (lambda: packed_lstm(False), lstm_params),
+        "lstm_packed_reverse": (lambda: packed_lstm(True), lstm_params),
     }
     build, params = builders[case]
     err = nm.gradient_check(lambda: nm.tensor_sum(build()), params)
     assert err < 1e-6, f"{case}: {err}"
+    for p in params:  # every parent gets gradient
+        assert np.any(p.grad != 0.0), case
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -218,7 +255,7 @@ def test_lstm_sequence_gradients(n, reverse):
     bias = rand(rng, 1, 8)
     probe = nm.constant(rng.standard_normal((n, 2)))
     err = nm.gradient_check(
-        lambda: nm.tensor_sum(nm.mul(nm.lstm_sequence(x, w_input, w_hidden, bias, reverse), probe)),
+        lambda: nm.tensor_sum(nm.mul(nm.lstm_sequence(x, w_input, w_hidden, bias, [0], reverse), probe)),
         [x, w_input, w_hidden, bias],
     )
     assert err < 1e-6
@@ -329,3 +366,16 @@ def test_accumulation_leaf_over_two_backward_calls():
     _assert_no_shared_grads(graph_nodes(*roots))
     np.testing.assert_allclose(x.grad, expected[0], rtol=0, atol=1e-12)
     np.testing.assert_allclose(w.grad, expected[1], rtol=0, atol=1e-12)
+
+
+def test_accumulation_shared_interior_over_two_backward_calls():
+    # two losses over one forward: the shared interior node passes on each
+    # loss's gradient once, so the leaf gets the sum of both, not more
+    rng = np.random.default_rng(6)
+    x = rand(rng, 2, 3)
+    shared = nm.tanh(nm.matmul(x, nm.constant(rng.standard_normal((3, 3)))))
+    roots = [nm.tensor_sum(nm.mul(shared, nm.constant(rng.standard_normal((2, 3))))) for _ in range(2)]
+    expected = sum(_out_of_place_grads(r, [x])[0] for r in roots)
+    for root in roots:
+        root.backward()
+    np.testing.assert_allclose(x.grad, expected, rtol=0, atol=1e-12)
