@@ -3,17 +3,24 @@
 Layout: an 8-byte magic (which carries the format version), a little-
 endian uint64 header length, a UTF-8 JSON header, then the raw float64
 little-endian bytes of every parameter in header order. The header holds
-the model config, the vocabularies, the dependency-triple statistics and
-the parameter shapes, so a load rebuilds the exact model; outputs are
-byte-identical across runs because nothing time- or path-dependent is
-written. A load rejects a file that is cut short, carries bytes past
-the last parameter, or has a header that is unreadable or does not
-describe a model, with a CheckpointError naming the path.
+the model config, the vocabularies, the dependency-triple statistics,
+the parameter shapes and a blake2b digest of the parameter bytes, so a
+load rebuilds the exact model; outputs are byte-identical across runs
+because nothing time- or path-dependent is written. A save writes a
+temporary file beside the target and renames it over the target, so the
+path holds either the old checkpoint or the new one, never a partial
+file. A load rejects a file of another format version, one that is cut
+short, carries bytes past the last parameter, has a header that is
+unreadable or does not describe a model, or whose parameter bytes do not
+match the recorded digest, with a CheckpointError naming the path.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -24,7 +31,14 @@ from .model import Model, ModelConfig
 
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
 
-MAGIC = b"RGCKPT01"
+MAGIC = b"RGCKPT02"  # the last two bytes are the format version
+
+
+def _digest(chunks) -> str:
+    h = hashlib.blake2b(digest_size=32)
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
 
 
 class CheckpointError(ValueError):
@@ -49,6 +63,7 @@ def _dref_payload(table: DrefTable | None) -> dict | None:
 
 def save_checkpoint(model: Model, path: str, embedding: dict | None = None) -> None:
     params = model.parameters()
+    payload = [np.ascontiguousarray(p.value, dtype="<f8") for p in params.values()]
     header = {
         "config": model.config.to_dict(),
         "vocabs": {
@@ -60,21 +75,34 @@ def save_checkpoint(model: Model, path: str, embedding: dict | None = None) -> N
         "dref": _dref_payload(model.dref_table),
         "embedding": embedding or {"kind": "hashed", "dim": model.config.d_ctx, "seed": 0},
         "params": [{"name": n, "shape": list(p.value.shape)} for n, p in params.items()],
+        "digest": _digest(payload),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<Q", len(header_bytes)))
-        f.write(header_bytes)
-        for _, p in params.items():
-            f.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
+    tmp_path = f"{path}.{os.getpid()}.tmp"  # same directory, so the rename stays atomic
+    try:
+        with open(tmp_path, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<Q", len(header_bytes)))
+            f.write(header_bytes)
+            for data in payload:
+                f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp_path)
+        raise
 
 
 def load_checkpoint(path: str) -> Model:
     with open(path, "rb") as f:
         blob = f.read()
     if blob[: len(MAGIC)] != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
+        raise CheckpointError(
+            f"{path}: not a checkpoint of this format (magic {blob[:len(MAGIC)]!r}, "
+            f"expected {MAGIC!r})"
+        )
     offset = len(MAGIC) + 8
     if len(blob) < offset:
         raise CheckpointError(f"{path}: truncated in the header length")
@@ -86,9 +114,11 @@ def load_checkpoint(path: str) -> Model:
     except ValueError as exc:  # bad UTF-8 or bad JSON
         raise CheckpointError(f"{path}: unreadable header ({exc})") from None
     offset += header_len
+    payload_start = offset
 
     try:
         model, recorded = _model_from_header(header)
+        digest = header["digest"]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from None
     params = model.parameters()
@@ -108,6 +138,8 @@ def load_checkpoint(path: str) -> Model:
         node.value = data.reshape(shape).astype(np.float64)
     if offset != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - offset} bytes after the last parameter")
+    if _digest([memoryview(blob)[payload_start:]]) != digest:
+        raise CheckpointError(f"{path}: parameter bytes do not match the recorded digest")
     return model
 
 

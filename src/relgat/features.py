@@ -16,6 +16,7 @@ Both are plain arrays aligned with the (center, neighbor) rows that
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -169,36 +170,36 @@ class FeatureEmbeddings:
 
 
 def encode_tokens(
-    units: list[tuple[Sentence, SubGraph]],
+    sentences: list[tuple[Sentence, Sequence[int]]],
     provider: EmbeddingProvider,
     emb: FeatureEmbeddings,
-) -> nm.Node:
-    """Input rows [ctx ; pos ; deprel ; ner ; word-type] of (sentence, sub-graph) units.
+) -> list[nm.Node]:
+    """Input rows of the given tokens of each sentence, as two column blocks.
 
-    Rows follow the units in order and, within one, the sub-graph vertex
-    order. Output width is d_ctx + 3*d_f + d_wt for every vertex. The
-    provider is asked once per run of units that share a sentence.
+    ``sentences`` pairs each sentence with the indices of the tokens to
+    encode; rows follow the pairs in order and, within one, those indices.
+    The blocks are the contextual vectors, a constant (T, d_ctx), and the
+    trainable [pos ; deprel ; ner ; word-type] features, (T, 3*d_f + d_wt):
+    side by side, the d_ctx + 3*d_f + d_wt input columns of every token.
     """
     ctx, tokens, word_type = [], [], []
-    last = ctx_all = None
-    for sentence, sg in units:
-        if sentence is not last:
-            last, ctx_all = sentence, provider.vectors(sentence)
-            if ctx_all.shape[1] != emb.d_ctx:
-                raise FeatureError(
-                    f"provider dimension {ctx_all.shape[1]} != expected {emb.d_ctx}"
-                )
-        ctx.append(ctx_all[sg.vertices])
-        tokens.extend(sentence.tokens[i] for i in sg.vertices)
-        word_type.extend(1 if sentence.entity_token(i) else 0 for i in sg.vertices)
+    for sentence, indices in sentences:
+        ctx_all = provider.vectors(sentence)
+        if ctx_all.shape[1] != emb.d_ctx:
+            raise FeatureError(f"provider dimension {ctx_all.shape[1]} != expected {emb.d_ctx}")
+        ctx.append(ctx_all[indices])
+        tokens.extend(sentence.tokens[i] for i in indices)
+        word_type.extend(1 if sentence.entity_token(i) else 0 for i in indices)
     vocabs = emb.vocabs
-    return nm.concat([
+    return [
         nm.constant(np.concatenate(ctx)),
-        nm.gather_rows(emb.pos, [vocabs.pos.index(t.pos) for t in tokens]),
-        nm.gather_rows(emb.deprel, [vocabs.deprel.index(t.deprel) for t in tokens]),
-        nm.gather_rows(emb.ner, [vocabs.ner.index(t.ner) for t in tokens]),
-        nm.gather_rows(emb.word_type, word_type),
-    ], axis=1)
+        nm.concat([
+            nm.gather_rows(emb.pos, [vocabs.pos.index(t.pos) for t in tokens]),
+            nm.gather_rows(emb.deprel, [vocabs.deprel.index(t.deprel) for t in tokens]),
+            nm.gather_rows(emb.ner, [vocabs.ner.index(t.ner) for t in tokens]),
+            nm.gather_rows(emb.word_type, word_type),
+        ], axis=1),
+    ]
 
 
 # ---------------------------------------------------------------------------

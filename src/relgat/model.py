@@ -31,9 +31,14 @@ scheme):
 
     units          (sentence, sub-graph) for every instance, path graph
                    first; G = 3B in multi-graph mode, B in single mode
-    vertex_starts  each unit's first vertex row: the rows of the token
-                   encoding, the BiLSTM (one packed sequence per unit)
-                   and every graph layer
+    tokens         each instance's distinct tokens, the sorted union of
+                   its units' vertices: the rows of the token encoding
+                   and of the input projection, so a token that several
+                   sub-graphs share is encoded and projected once
+    token_rows     the token row of every vertex row, from which the
+                   BiLSTM (or the non-contextual projection) gathers
+    vertex_starts  each unit's first vertex row: the rows of the BiLSTM
+                   (one packed sequence per unit) and every graph layer
     pair_starts,   the units' attention pairs, offset by the vertex and
     pairs          pair counts before them, and their edge features as
                    one (P, d_e) node
@@ -63,7 +68,7 @@ from .features import (
     edge_features,
     encode_tokens,
 )
-from .graph import SubGraphSet
+from .graph import SubGraph, SubGraphSet
 
 __all__ = [
     "ModelConfig",
@@ -73,6 +78,7 @@ __all__ = [
     "Model",
     "ForwardDetail",
     "bilstm_encode",
+    "token_layout",
     "gat_attention",
     "gat_vertex_update",
     "gcn_vertex_update",
@@ -174,11 +180,40 @@ class GatHead:
 # Layer operations (module level so each is testable in isolation)
 
 
-def bilstm_encode(x: nm.Node, starts, forward: LstmParams, backward: LstmParams) -> nm.Node:
-    """Concatenated forward/backward hidden states of the sequences at ``starts``, one row per input row."""
-    fwd = nm.lstm_sequence(x, forward.w_input, forward.w_hidden, forward.bias, starts, reverse=False)
-    bwd = nm.lstm_sequence(x, backward.w_input, backward.w_hidden, backward.bias, starts, reverse=True)
+def bilstm_encode(
+    x, starts, forward: LstmParams, backward: LstmParams, token_rows=None
+) -> nm.Node:
+    """Concatenated forward/backward hidden states of the sequences at ``starts``.
+
+    ``x`` and ``token_rows`` are the token input of ``nm.lstm_sequence``:
+    one row per layout row, or by default one per row of ``x``.
+    """
+    fwd = nm.lstm_sequence(
+        x, forward.w_input, forward.w_hidden, forward.bias, starts, False, token_rows
+    )
+    bwd = nm.lstm_sequence(
+        x, backward.w_input, backward.w_hidden, backward.bias, starts, True, token_rows
+    )
     return nm.concat([fwd, bwd], axis=1)
+
+
+def token_layout(graph_sets: list[list[SubGraph]]) -> tuple[list[list[int]], np.ndarray]:
+    """The distinct tokens of each instance and the token row of every unit vertex row.
+
+    ``graph_sets[b]`` holds instance b's units. Its tokens are the sorted
+    union of their vertices; token rows number them instance by instance,
+    and the returned map gives, for each vertex of each unit in order,
+    the row of the same sentence token.
+    """
+    tokens, rows = [], []
+    offset = 0
+    for graphs in graph_sets:
+        distinct = sorted({v for sg in graphs for v in sg.vertices})
+        row_of = {v: r for r, v in enumerate(distinct, start=offset)}
+        rows.extend(row_of[v] for sg in graphs for v in sg.vertices)
+        tokens.append(distinct)
+        offset += len(distinct)
+    return tokens, np.array(rows, dtype=np.intp)
 
 
 def gat_attention(
@@ -361,10 +396,13 @@ class Model:
 
     # -- forward --------------------------------------------------------------
 
-    def _context_encode(self, x: nm.Node, starts: np.ndarray) -> nm.Node:
+    def _context_encode(
+        self, x: list[nm.Node], starts: np.ndarray, token_rows: np.ndarray
+    ) -> nm.Node:
         if self.config.contextual:
-            return bilstm_encode(x, starts, self.lstm_fwd, self.lstm_bwd)
-        return nm.add(nm.matmul(x, self.proj_w), self.proj_b)
+            return bilstm_encode(x, starts, self.lstm_fwd, self.lstm_bwd, token_rows)
+        projected = nm.add(nm.matmul(nm.concat(x, axis=1), self.proj_w), self.proj_b)
+        return nm.gather_rows(projected, token_rows)
 
     def forward(
         self, instances: list[tuple[Sentence, SubGraphSet]], provider: EmbeddingProvider
@@ -380,10 +418,9 @@ class Model:
             raise ValueError("forward needs at least one instance")
         cfg = self.config
         per_instance = 3 if cfg.graph_mode == "multi" else 1
+        graph_sets = [sgs.all() if cfg.graph_mode == "multi" else [sgs.sdp] for _, sgs in instances]
         units = [
-            (sentence, sg)
-            for sentence, sgs in instances
-            for sg in (sgs.all() if cfg.graph_mode == "multi" else [sgs.sdp])
+            (sentence, sg) for (sentence, _), graphs in zip(instances, graph_sets) for sg in graphs
         ]
         bounds = np.cumsum([0] + [len(sg) for _, sg in units])
         vertex_starts = bounds[:-1]
@@ -397,8 +434,10 @@ class Model:
             offset += len(pairs_u)
         pair_starts, pairs = np.concatenate(pair_starts), np.concatenate(pairs)
 
-        x = encode_tokens(units, provider, self.embeddings)
-        h = self._context_encode(x, vertex_starts)
+        tokens, token_rows = token_layout(graph_sets)
+        sentence_tokens = [(sentence, t) for (sentence, _), t in zip(instances, tokens)]
+        x = encode_tokens(sentence_tokens, provider, self.embeddings)
+        h = self._context_encode(x, vertex_starts, token_rows)
         efeat = edge_features(
             units, local_pairs, cfg.edge_mode, cfg.d_e,
             self.dref_table, self.dref_embed, cfg.dref_scale_by_ratio,

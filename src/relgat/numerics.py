@@ -16,14 +16,21 @@ count.
 
 Recurrences are fused and packed: ``lstm_sequence`` runs one LSTM
 direction over any number of sequences, laid out as contiguous row
-segments in the same ``starts`` convention, as a single node. Its
-forward does the input projection ``x @ w_input + bias`` as one GEMM for
-all rows; with the sequences sorted longest first, step s of the loop
-updates the k_s sequences still running with one ``h @ w_hidden`` GEMM,
-so the loop runs max-length steps, not total rows. Its backward runs one
-backpropagation-through-time sweep over the same steps and yields the
-gate gradients of every row, from which each weight gradient is one GEMM
-for the whole call. The graph therefore grows with layers, not with
+segments in the same ``starts`` convention, as a single node. Its input
+is given per token: a ``token_rows`` map names the token row each layout
+row reads, so sequences that share tokens (sub-graphs cut from one
+sentence) share their input rows. The forward does the input projection
+``x @ w_input + bias`` as one GEMM over the distinct token rows and
+gathers it to the layout rows; with the sequences sorted longest first,
+step s of the loop updates the k_s sequences still running with one
+``h @ w_hidden`` GEMM, so the loop runs max-length steps, not total
+rows. Its backward runs one backpropagation-through-time sweep over the
+same steps and yields the gate gradients of every row, sums them per
+token row, and makes each weight gradient one GEMM for the whole call.
+The input may be handed over as column blocks (several nodes whose
+columns, side by side, are the input): each block's gradient is the
+product with its own rows of ``w_input`` only, so a constant block costs
+no gradient GEMM. The graph therefore grows with layers, not with
 timesteps or sequences.
 
 ``cross_entropy`` scores a (B, C) batch of logits against B labels and
@@ -35,15 +42,19 @@ accumulate gradients across repeated backward calls until cleared with
 ``zero_grads``. An interior node's gradient is released as soon as it
 has been passed to its parents: a batch's backward then holds only the
 gradients still in flight, and two backward calls through a shared
-interior node each pass their own gradient on once. Accumulation is in place
-with copy-on-first-write: a node's first gradient contribution is stored
-as an owned copy, because pass-through VJPs (``add``, ``concat``,
-``reshape``) return the incoming gradient or a view of it, and every
-later contribution is added into that copy with ``+=``. No two nodes'
-``grad`` arrays ever share memory.
+interior node each pass their own gradient on once. Accumulation is in
+place, and a node's first gradient contribution is adopted or copied: a
+freshly allocated float64 array that nothing else references becomes the
+node's ``grad`` as it is; anything else is copied, because pass-through
+VJPs (``add``, ``concat``, ``reshape``) return the incoming gradient or a
+view of it and a VJP may keep the array it returns. Every later
+contribution is added into that array with ``+=``. No two nodes'
+``grad`` arrays ever share memory, with each other or with a value.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -77,6 +88,15 @@ __all__ = [
     "zero_grads",
     "uniform_init",
 ]
+
+
+def _sole_owner_refs() -> int:
+    """What ``sys.getrefcount`` reports for an array held by one local variable only."""
+    fresh = np.empty(0)
+    return sys.getrefcount(fresh)
+
+
+_SOLE_OWNER_REFS = _sole_owner_refs()
 
 
 class ShapeMismatch(ValueError):
@@ -113,10 +133,12 @@ class Node:
         """Accumulate d(self)/d(leaf) into ``grad`` of every reachable leaf.
 
         Only valid for scalar (size-1) outputs. Visits each node exactly
-        once; shared subexpressions therefore sum their contributions. The
-        first contribution to a node is copied (VJPs may return ``g`` itself
-        or a view of it); later ones are added into that copy in place.
-        Interior nodes drop their gradient once it has reached their parents.
+        once; shared subexpressions therefore sum their contributions. A
+        node's first contribution is adopted as its gradient when it is a
+        fresh float64 array that nothing else references, and copied
+        otherwise (VJPs may return ``g`` itself, a view of it, or an array
+        they keep); later ones are added into it in place. Interior nodes
+        drop their gradient once it has reached their parents.
         """
         if self.value.size != 1:
             raise ValueError(f"backward() requires a scalar output, got shape {self.shape}")
@@ -130,10 +152,17 @@ class Node:
                 if not parent.requires_grad:
                     continue
                 contribution = vjp(g)
-                if parent.grad is None:
-                    parent.grad = np.array(contribution, dtype=np.float64)
-                else:
+                if parent.grad is not None:
                     parent.grad += contribution
+                elif (
+                    type(contribution) is np.ndarray
+                    and contribution.dtype == np.float64
+                    and contribution.base is None
+                    and sys.getrefcount(contribution) == _SOLE_OWNER_REFS
+                ):
+                    parent.grad = contribution
+                else:
+                    parent.grad = np.array(contribution, dtype=np.float64)
             if node.parents:
                 node.grad = None
 
@@ -400,32 +429,32 @@ def softmax(x: Node, axis: int) -> Node:
     return _node(y, (x,), (vjp,))
 
 
-def _segment_ids(op: str, x: Node, starts) -> tuple[np.ndarray, np.ndarray]:
-    """Validated segment starts and the segment index of every row of ``x``."""
+def _segment_ids(op: str, shape: tuple, starts) -> tuple[np.ndarray, np.ndarray]:
+    """Validated segment starts and the segment index of every row of a matrix of ``shape``."""
     starts = np.asarray(starts, dtype=np.intp)
     if (
-        x.value.ndim != 2
+        len(shape) != 2
         or starts.ndim != 1
         or starts.size == 0
         or starts[0] != 0
         or np.any(np.diff(starts) <= 0)
-        or starts[-1] >= x.shape[0]
+        or starts[-1] >= shape[0]
     ):
         raise ShapeMismatch(
-            f"{op}: segment starts {starts.tolist()} do not split the rows of shape {x.shape}"
+            f"{op}: segment starts {starts.tolist()} do not split the rows of shape {shape}"
         )
-    return starts, np.repeat(np.arange(starts.size), np.diff(starts, append=x.shape[0]))
+    return starts, np.repeat(np.arange(starts.size), np.diff(starts, append=shape[0]))
 
 
 def segment_sum(x: Node, starts) -> Node:
     """Row sums of the contiguous segments of ``x`` (P, n) that begin at ``starts``; (S, n)."""
-    starts, ids = _segment_ids("segment_sum", x, starts)
+    starts, ids = _segment_ids("segment_sum", x.shape, starts)
     return _node(np.add.reduceat(x.value, starts, axis=0), (x,), (lambda g: g[ids],))
 
 
 def segment_softmax(x: Node, starts) -> Node:
     """Stable softmax down the rows of each contiguous segment of ``x``."""
-    starts, ids = _segment_ids("segment_softmax", x, starts)
+    starts, ids = _segment_ids("segment_softmax", x.shape, starts)
     e = np.exp(x.value - np.maximum.reduceat(x.value, starts, axis=0)[ids])
     y = e / np.add.reduceat(e, starts, axis=0)[ids]
 
@@ -436,14 +465,21 @@ def segment_softmax(x: Node, starts) -> Node:
 
 
 def lstm_sequence(
-    x: Node, w_input: Node, w_hidden: Node, bias: Node, starts, reverse: bool = False
+    x, w_input: Node, w_hidden: Node, bias: Node, starts, reverse: bool = False, token_rows=None
 ) -> Node:
     """Hidden states of one LSTM direction over packed sequences, as one node.
 
-    ``x`` holds S sequences as contiguous, non-empty row segments that
-    begin at ``starts`` (the ``segment_sum`` convention). Each is read on
-    its own, first row to last, or last to first with ``reverse``. Gates
-    are stacked (input, forget, cell, output) along the columns of
+    The input is given per token: ``x`` is a (T, k) node, or a list of
+    nodes with T rows each whose columns, side by side, are the k input
+    columns. Row r of the packed layout reads token row ``token_rows[r]``
+    (all T rows in order when None), so a token that several sequences
+    read is projected once: ``x @ w_input + bias`` runs over the T token
+    rows and is gathered to the n layout rows.
+
+    The layout holds S sequences as contiguous, non-empty row segments
+    that begin at ``starts`` (the ``segment_sum`` convention). Each is read
+    on its own, first row to last, or last to first with ``reverse``.
+    Gates are stacked (input, forget, cell, output) along the columns of
     ``w_input`` (k, 4d), ``w_hidden`` (d, 4d) and ``bias`` (4d or 1x4d).
     Row r of the (n, d) result is the hidden state after reading row r;
     initial hidden and cell states are zero.
@@ -453,30 +489,45 @@ def lstm_sequence(
     step-major order, where step s is a contiguous slice of k_s rows
     updated with one (k_s, d) @ (d, 4d) GEMM, and scattered back once.
     """
-    starts, _ = _segment_ids("lstm_sequence", x, starts)
+    blocks = [x] if isinstance(x, Node) else list(x)
+    try:
+        x_value = np.concatenate([b.value for b in blocks], axis=1)
+    except ValueError:  # no blocks, a block that is not a matrix, or unequal row counts
+        x_value = None
+    if x_value is None or x_value.ndim != 2:
+        raise ShapeMismatch(f"lstm_sequence: input blocks of shapes {[b.shape for b in blocks]}")
+    tokens = x_value.shape[0]
+    token_rows = np.arange(tokens) if token_rows is None else np.asarray(token_rows, dtype=np.intp)
+    out_of_range = token_rows.size > 0 and (token_rows.min() < 0 or token_rows.max() >= tokens)
+    if token_rows.ndim != 1 or out_of_range:
+        raise ShapeMismatch(
+            f"lstm_sequence: token rows {token_rows.tolist()} for input of shape {x_value.shape}"
+        )
+    starts, _ = _segment_ids("lstm_sequence", (token_rows.size, x_value.shape[1]), starts)
     d = w_hidden.shape[0]
     if (
-        w_input.shape != (x.shape[1], 4 * d)
+        w_input.shape != (x_value.shape[1], 4 * d)
         or w_hidden.shape != (d, 4 * d)
         or bias.value.size != 4 * d
     ):
         raise ShapeMismatch(
-            f"lstm_sequence: input {x.shape} with weights {w_input.shape}, "
+            f"lstm_sequence: input {x_value.shape} with weights {w_input.shape}, "
             f"{w_hidden.shape} and bias {bias.shape}"
         )
-    n = x.shape[0]
+    n = token_rows.size
     lengths = np.diff(starts, append=n)
     order = np.argsort(-lengths, kind="stable")
     first, lengths = starts[order], lengths[order]
     step = np.arange(lengths[0])[:, None]
     running = step < lengths  # (step, sequence): a prefix of each row is True
     read = first + lengths - 1 - step if reverse else first + step
-    perm = read[running]  # step-major position -> row of x
+    perm = read[running]  # step-major position -> layout row
+    step_tokens = token_rows[perm]  # step-major position -> token row
     widths = running.sum(axis=1)  # k_s
     offsets = np.concatenate(([0], np.cumsum(widths)))
     wh = w_hidden.value
 
-    z_input = (x.value @ w_input.value + bias.value.reshape(-1))[perm]
+    z_input = (x_value @ w_input.value + bias.value.reshape(-1))[step_tokens]
     acts = np.empty((n, 4 * d))
     hidden = np.empty((n, d))  # hidden and cell states after each step
     cell = np.empty((n, d))
@@ -503,25 +554,44 @@ def lstm_sequence(
     cache: dict = {}
 
     def gate_grads(g):
-        """d(loss)/d(pre-activation gates), (n, 4d) step-major and in the rows of x; one BPTT sweep per g."""
+        """d(loss)/d(pre-activation gates), one BPTT sweep per g.
+
+        Returns them (n, 4d) in step-major order and (T, 4d) summed per token row.
+        """
         if cache.get("g") is not g:
             cache["g"] = g
             dz = _lstm_bptt(g[perm], acts, cell_prev, tanh_cell, wh, offsets, widths)
-            dz_rows = np.empty_like(dz)
-            dz_rows[perm] = dz
-            cache["dz"] = dz, dz_rows
+            cache["dz"] = dz, _sum_rows_by_index(dz, step_tokens, tokens)
         return cache["dz"]
 
+    def block_vjp(lo, hi):
+        return lambda g: gate_grads(g)[1] @ w_input.value[lo:hi].T
+
+    vjps, lo = [], 0
+    for block in blocks:
+        vjps.append(block_vjp(lo, lo + block.shape[1]))
+        lo += block.shape[1]
     return _node(
         out,
-        (x, w_input, w_hidden, bias),
+        (*blocks, w_input, w_hidden, bias),
         (
-            lambda g: gate_grads(g)[1] @ w_input.value.T,
-            lambda g: x.value.T @ gate_grads(g)[1],
+            *vjps,
+            lambda g: x_value.T @ gate_grads(g)[1],
             lambda g: hidden_prev.T @ gate_grads(g)[0],
             lambda g: gate_grads(g)[0].sum(axis=0).reshape(bias.shape),
         ),
     )
+
+
+def _sum_rows_by_index(values: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
+    """(size, m) sums of the rows of ``values`` (n, m) that share an ``index`` entry.
+
+    Row t adds the rows i with index[i] == t in order of i, as
+    ``np.add.at`` would, but as one ``bincount`` over the flat entries.
+    """
+    width = values.shape[1]
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=size * width).reshape(size, width)
 
 
 def _lstm_bptt(g_hidden, acts, cell_prev, tanh_cell, wh, offsets, widths) -> np.ndarray:

@@ -249,6 +249,7 @@ def train(
 
     graphs = _subgraph_cache(sentences, model_config.expansion_order)
     dev_sentences = [sentences[i] for i in dev_idx]
+    dev_graphs = [graphs[i] for i in dev_idx]
 
     log = TrainLog()
     lr = trainer_config.learning_rate
@@ -289,7 +290,7 @@ def train(
                 out_of_budget = True
                 break
 
-        dev_report = evaluate(model, dev_sentences, provider)
+        dev_report = _evaluate_graphs(model, dev_sentences, dev_graphs, provider)
         record = EpochRecord(
             epoch=epoch,
             learning_rate=lr,
@@ -330,25 +331,29 @@ def train(
 # Evaluation
 
 
-def _predict_labels(
-    model: Model, sentences: list[Sentence], provider: EmbeddingProvider
-) -> list[RelationLabel]:
-    graphs = _subgraph_cache(sentences, model.config.expansion_order)
-    instances = list(zip(sentences, graphs))
-    labels = []
-    for start in range(0, len(instances), EVAL_CHUNK):
-        logits = model.forward(instances[start : start + EVAL_CHUNK], provider).logits.value
-        labels.extend(model.vocabs.label_at(int(i)) for i in np.argmax(logits, axis=1))
-    return labels
-
-
 def evaluate(model: Model, sentences: list[Sentence], provider: EmbeddingProvider) -> EvalReport:
+    return _evaluate_graphs(
+        model, sentences, _subgraph_cache(sentences, model.config.expansion_order), provider
+    )
+
+
+def _evaluate_graphs(
+    model: Model,
+    sentences: list[Sentence],
+    graphs: list[SubGraphSet],
+    provider: EmbeddingProvider,
+) -> EvalReport:
+    """``evaluate`` over sentences whose sub-graph sets are already derived."""
     if not sentences:
         return score_predictions([], [])
     for s in sentences:
         if s.label is None:
             raise ValueError(f"instance {s.instance_id}: no gold label to score against")
-    preds = _predict_labels(model, sentences, provider)
+    instances = list(zip(sentences, graphs))
+    preds = []
+    for start in range(0, len(instances), EVAL_CHUNK):
+        logits = model.forward(instances[start : start + EVAL_CHUNK], provider).logits.value
+        preds.extend(model.vocabs.label_at(int(i)) for i in np.argmax(logits, axis=1))
     return score_predictions([s.label for s in sentences], preds)
 
 

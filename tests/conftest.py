@@ -4,8 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from relgat.corpus import parse_conllu_annotated
+
+# Property tests draw from a fixed seed with no example database and no
+# per-example deadline, so a run is repeatable and its time bounded.
+settings.register_profile(
+    "repeatable", derandomize=True, database=None, deadline=None, max_examples=60
+)
+settings.load_profile("repeatable")
 
 # Worked example: SDP {ridges, uprises, from, surge}, e1 graph
 # {ridges, uprises}, e2 graph {surge, from, the}.

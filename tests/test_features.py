@@ -248,6 +248,13 @@ class TestEdgeFeatureDispatch:
             edge_features([(pollen_sentence, sdp)], [pairs], "dref", 4, None)
 
 
+def encoded(sentences, provider, emb):
+    """The input rows ``encode_tokens`` yields, its column blocks side by side."""
+    blocks = encode_tokens(sentences, provider, emb)
+    assert blocks[0].shape[1] == emb.d_ctx and not blocks[0].requires_grad
+    return np.concatenate([b.value for b in blocks], axis=1)
+
+
 class TestEncodeTokens:
     def test_default_dimension_is_898(self, toy_corpus):
         vocabs = build_vocabs(toy_corpus)
@@ -255,7 +262,7 @@ class TestEncodeTokens:
         provider = HashedEmbeddingProvider(768, seed=0)
         s = toy_corpus[0]
         sdp = sentence_subgraphs(s).sdp
-        x = encode_tokens([(s, sdp)], provider, emb)
+        x = encoded([(s, sdp.vertices)], provider, emb)
         assert x.shape == (len(sdp), 898)
 
     def test_dimension_constant_across_sentences(self, toy_corpus):
@@ -265,7 +272,7 @@ class TestEncodeTokens:
         widths = set()
         for s in toy_corpus:
             for sg in sentence_subgraphs(s).all():
-                widths.add(encode_tokens([(s, sg)], provider, emb).shape[1])
+                widths.add(encoded([(s, sg.vertices)], provider, emb).shape[1])
         assert widths == {emb.input_dim}
 
     def test_word_type_block_marks_entities(self, toy_corpus):
@@ -274,7 +281,7 @@ class TestEncodeTokens:
         provider = HashedEmbeddingProvider(8, seed=0)
         s = toy_corpus[0]
         sdp = sentence_subgraphs(s).sdp  # entity, verb, entity
-        x = encode_tokens([(s, sdp)], provider, emb).value
+        x = encoded([(s, sdp.vertices)], provider, emb)
         wt = x[:, -2:]
         np.testing.assert_array_equal(wt[0], emb.word_type.value[1])
         np.testing.assert_array_equal(wt[1], emb.word_type.value[0])
@@ -283,9 +290,9 @@ class TestEncodeTokens:
         vocabs = build_vocabs(toy_corpus)
         emb = FeatureEmbeddings(vocabs, d_ctx=8, d_f=3, d_wt=2)
         provider = HashedEmbeddingProvider(8, seed=0)
-        units = [(s, sg) for s in toy_corpus[:3] for sg in sentence_subgraphs(s).all()]
-        stacked = encode_tokens(units, provider, emb).value
-        alone = [encode_tokens([unit], provider, emb).value for unit in units]
+        units = [(s, sg.vertices) for s in toy_corpus[:3] for sg in sentence_subgraphs(s).all()]
+        stacked = encoded(units, provider, emb)
+        alone = [encoded([unit], provider, emb) for unit in units]
         np.testing.assert_array_equal(stacked, np.concatenate(alone))
 
     def test_fallback_provider_deterministic(self, toy_corpus):
@@ -308,7 +315,7 @@ class TestEncodeTokens:
         provider = HashedEmbeddingProvider(16, seed=0)
         s = toy_corpus[0]
         with pytest.raises(FeatureError):
-            encode_tokens([(s, sentence_subgraphs(s).sdp)], provider, emb)
+            encode_tokens([(s, sentence_subgraphs(s).sdp.vertices)], provider, emb)
 
 
 class TestFileProvider:

@@ -627,6 +627,20 @@ def test_full_model_gradient_check():
     assert err < 1e-4
 
 
+@pytest.mark.parametrize("contextual", [True, False])
+def test_full_model_grads_own_their_memory(contextual):
+    model, corpus, provider = tiny_model(edge_mode="dref+ctef", contextual=contextual)
+    instances = [(s, sentence_subgraphs(s)) for s in corpus[:3]]
+    golds = [model.vocabs.label_index(s.label) for s, _ in instances]
+    nm.cross_entropy(model.forward(instances, provider).logits, golds).backward()
+    params = list(model.parameters().values())
+    assert all(p.grad is not None for p in params)
+    for p in params:
+        for q in params:
+            assert not np.shares_memory(p.grad, q.value)
+            assert q is p or not np.shares_memory(p.grad, q.grad)
+
+
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     model, corpus, provider = tiny_model(edge_mode="dref+ctef")
     s = corpus[0]
@@ -652,11 +666,51 @@ def test_malformed_checkpoint_names_path(tmp_path):
     bad = tmp_path / "bad.ckpt"
     # cut inside the last byte of every section, and right after every section but the last
     cuts = [end - 1 for end in ends] + ends[:-1]
-    for blob_bad in [blob[:cut] for cut in cuts] + [blob + b"\0"]:
+    # one flipped bit in the first and last byte of every parameter
+    flips = [at for lo, hi in zip(ends[2:], ends[3:]) for at in (lo, hi - 1)]
+    flipped = [blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1 :] for at in flips]
+    # the previous format: version 01, no digest in the header
+    header = json.loads(blob[16 : ends[2]])
+    del header["digest"]
+    text = json.dumps(header).encode("utf-8")
+    old_format = b"RGCKPT01" + struct.pack("<Q", len(text)) + text + blob[ends[2] :]
+    for blob_bad in [blob[:cut] for cut in cuts] + [blob + b"\0", old_format] + flipped:
         bad.write_bytes(blob_bad)
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(str(bad))
         assert str(bad) in str(err.value)
+    for blob_bad in flipped:
+        bad.write_bytes(blob_bad)
+        with pytest.raises(CheckpointError, match="digest"):
+            load_checkpoint(str(bad))
+
+
+def test_checkpoint_save_replaces_whole_file(tmp_path, monkeypatch):
+    first, corpus, provider = tiny_model(edge_mode="dref+ctef")
+    second = Model(first.config, first.vocabs, first.dref_table, seed=11)
+    path, fresh = tmp_path / "model.ckpt", tmp_path / "fresh" / "model.ckpt"
+    fresh.parent.mkdir()
+    path.write_bytes(b"x" * 10**6)  # longer than any checkpoint written below
+    save_checkpoint(first, str(path))
+    save_checkpoint(second, str(path))
+    save_checkpoint(second, str(fresh))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "model.ckpt"]
+    assert path.read_bytes() == fresh.read_bytes()
+    s = corpus[0]
+    sgs = sentence_subgraphs(s)
+    assert np.array_equal(
+        load_checkpoint(str(path)).logits(s, sgs, provider).value,
+        second.logits(s, sgs, provider).value,
+    )
+    # a save that fails before its rename leaves the old checkpoint and no temp file
+    def no_space(fd):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("os.fsync", no_space)
+    with pytest.raises(OSError):
+        save_checkpoint(first, str(path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "model.ckpt"]
+    assert path.read_bytes() == fresh.read_bytes()
 
 
 def test_malformed_checkpoint_header_names_path(tmp_path):

@@ -1,5 +1,7 @@
 """Engine tests: op semantics, stability, and gradient fidelity."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,13 @@ def test_shape_errors_name_both_shapes():
     def packed_lstm(x, starts):
         return nm.lstm_sequence(x, *lstm_weights, starts)
 
+    for token_rows in ([0, 4], [[0, 1]], [-1, 0]):
+        with pytest.raises(nm.ShapeMismatch) as err:
+            nm.lstm_sequence(x, *lstm_weights, [0], token_rows=token_rows)
+        assert "(4, 2)" in str(err.value) and str(token_rows) in str(err.value)
+    with pytest.raises(nm.ShapeMismatch) as err:
+        nm.lstm_sequence([x, nm.constant(np.zeros((3, 1)))], *lstm_weights, [0])
+    assert "(4, 2)" in str(err.value) and "(3, 1)" in str(err.value)
     for op in (nm.segment_sum, nm.segment_softmax, packed_lstm):
         for starts in ([1, 3], [0, 2, 2], [0, 3, 1], [0, 4], [], [[0, 2]]):
             with pytest.raises(nm.ShapeMismatch) as err:
@@ -183,9 +192,10 @@ def test_gradient_check_skips_frozen_leaves():
     "concat0", "concat1", "slice0", "slice1", "gather", "sum_all", "sum_axis",
     "mean_all", "mean_axis", "transpose", "reshape", "relu", "leaky", "elu",
     "tanh", "sigmoid", "softmax", "lstm_packed", "lstm_packed_reverse",
+    "lstm_tokens", "lstm_tokens_reverse", "lstm_blocks",
 ])
 def test_op_gradients(case):
-    rng = np.random.default_rng(hash(case) % 2**31)
+    rng = np.random.default_rng(zlib.crc32(case.encode()))  # str hash() varies per process
     a = rand(rng, 3, 4)
     b = rand(rng, 3, 4)
     bias = rand(rng, 4)
@@ -206,6 +216,17 @@ def test_op_gradients(case):
 
     def packed_lstm(reverse):
         return nm.mul(nm.lstm_sequence(*lstm_params, seq_starts, reverse), probe_72)
+
+    # three token rows read by sequences of lengths 2 and 3, rows 0 and 1 twice each
+    token_x, token_rows = rand(rng, 3, 3), [0, 1, 1, 2, 0]
+    token_params = [token_x, w_input, w_hidden, lstm_bias]
+    probe_52 = nm.constant(rng.standard_normal((5, 2)))
+    # the same input as a constant block of two columns and a trainable one
+    fixed_block, free_block = nm.constant(rng.standard_normal((3, 2))), rand(rng, 3, 1)
+
+    def token_lstm(x, reverse):
+        out = nm.lstm_sequence(x, w_input, w_hidden, lstm_bias, [0, 2], reverse, token_rows)
+        return nm.mul(out, probe_52)
 
     builders = {
         "add_same": (lambda: nm.mul(nm.add(a, b), probe), [a, b]),
@@ -237,12 +258,19 @@ def test_op_gradients(case):
         "softmax": (lambda: nm.mul(nm.softmax(a, axis=1), probe), [a]),
         "lstm_packed": (lambda: packed_lstm(False), lstm_params),
         "lstm_packed_reverse": (lambda: packed_lstm(True), lstm_params),
+        "lstm_tokens": (lambda: token_lstm(token_x, False), token_params),
+        "lstm_tokens_reverse": (lambda: token_lstm(token_x, True), token_params),
+        "lstm_blocks": (
+            lambda: token_lstm([fixed_block, free_block], False),
+            [free_block, w_input, w_hidden, lstm_bias],
+        ),
     }
     build, params = builders[case]
     err = nm.gradient_check(lambda: nm.tensor_sum(build()), params)
     assert err < 1e-6, f"{case}: {err}"
     for p in params:  # every parent gets gradient
         assert np.any(p.grad != 0.0), case
+    assert fixed_block.grad is None
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -262,6 +290,33 @@ def test_lstm_sequence_gradients(n, reverse):
     # every parent gets gradient; w_hidden only sees a nonzero state after step one
     for p in (x, w_input, bias) if n == 1 else (x, w_input, w_hidden, bias):
         assert np.any(p.grad != 0.0)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_token_rows_equal_gathered_input(reverse):
+    # reading token rows through the map equals feeding the gathered rows:
+    # the same hidden states bit for bit, the same gradients up to the
+    # order in which duplicate rows are summed
+    rng = np.random.default_rng(9 + int(reverse))
+    x_tok = rng.standard_normal((4, 3))
+    token_rows, starts = np.array([0, 1, 1, 2, 0, 3, 2]), [0, 3, 4]
+    weights = [rand(rng, 3, 8), rand(rng, 2, 8), rand(rng, 1, 8)]
+    probe = nm.constant(rng.standard_normal((7, 2)))
+
+    def run(x, rows):
+        nm.zero_grads(weights)
+        out = nm.lstm_sequence(x, *weights, starts, reverse, rows)
+        nm.tensor_sum(nm.mul(out, probe)).backward()
+        return out.value, [w.grad for w in weights]
+
+    by_token, gathered = nm.parameter(x_tok), nm.parameter(x_tok[token_rows])
+    out_a, grads_a = run(by_token, token_rows)
+    out_b, grads_b = run(gathered, None)
+    np.testing.assert_array_equal(out_a, out_b)
+    gathered_x_grad = np.zeros_like(x_tok)
+    np.add.at(gathered_x_grad, token_rows, gathered.grad)
+    for a, b in zip([by_token.grad, *grads_a], [gathered_x_grad, *grads_b]):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 def test_segment_ops_match_per_segment_loops():
@@ -379,3 +434,48 @@ def test_accumulation_shared_interior_over_two_backward_calls():
     for root in roots:
         root.backward()
     np.testing.assert_allclose(x.grad, expected, rtol=0, atol=1e-12)
+
+
+def _kept_result_node(a, b):
+    """a + b, whose VJP writes g into a buffer it keeps and returns it to both parents."""
+    kept = np.empty(a.shape)
+
+    def vjp(g):
+        np.multiply(g, 1.0, out=kept)
+        return kept
+
+    return nm.Node(a.value + b.value, (a, b), (vjp, vjp), requires_grad=True)
+
+
+def test_accumulation_kept_vjp_result_to_two_parents():
+    # a fresh-looking base array that the VJP still holds may not become a grad
+    rng = np.random.default_rng(7)
+    a, b = rand(rng, 2, 3), rand(rng, 2, 3)
+    probe = nm.constant(rng.standard_normal((2, 3)))
+    root = nm.tensor_sum(nm.mul(nm.tanh(_kept_result_node(a, b)), probe))
+    expected = _out_of_place_grads(root, [a, b])
+    root.backward()
+    _assert_no_shared_grads(graph_nodes(root))
+    np.testing.assert_allclose(a.grad, expected[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(b.grad, expected[1], rtol=0, atol=1e-12)
+
+
+def test_accumulation_kept_vjp_result_over_two_backward_calls():
+    # the second call rewrites the kept buffer; grads of the first must not change
+    rng = np.random.default_rng(8)
+    a, b = rand(rng, 2, 3), rand(rng, 2, 3)
+    node = _kept_result_node(a, b)
+    probes = [nm.constant(rng.standard_normal((2, 3))) for _ in range(2)]
+    roots = [nm.tensor_sum(nm.mul(nm.tanh(node), probe)) for probe in probes]
+    firsts = []
+    for root in roots:
+        expected = _out_of_place_grads(root, [a, b])
+        nm.zero_grads([a, b])
+        root.backward()
+        _assert_no_shared_grads(graph_nodes(root))
+        np.testing.assert_allclose(a.grad, expected[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.grad, expected[1], rtol=0, atol=1e-12)
+        firsts.append((a.grad, b.grad, expected))
+    first_a, first_b, first_expected = firsts[0]
+    np.testing.assert_allclose(first_a, first_expected[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(first_b, first_expected[1], rtol=0, atol=1e-12)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from relgat import numerics as nm
+from relgat import train_eval
 from relgat.corpus import RELATION_BASES, RelationLabel, all_labels, parse_conllu_annotated
 from relgat.features import FileEmbeddingProvider, HashedEmbeddingProvider
 from relgat.model import ModelConfig
@@ -146,6 +147,20 @@ class TestTraining:
         _, log = train(toy_corpus, cfg, tc)
         # 18 training sentences in batches of 5 -> 3 steps end inside epoch 1
         assert len(log.records) == 1
+
+    def test_subgraphs_derived_once_per_sentence(self, toy_corpus, monkeypatch):
+        # the per-epoch dev evaluation reuses the sub-graphs train() derived
+        calls = []
+        derive = train_eval.sentence_subgraphs
+
+        def counted(sentence, order=0):
+            calls.append(sentence)
+            return derive(sentence, order)
+
+        monkeypatch.setattr(train_eval, "sentence_subgraphs", counted)
+        _, log = train(toy_corpus, ModelConfig(**TINY), TrainerConfig(epochs=3, seed=1))
+        assert len(log.records) == 3
+        assert len(calls) == len(toy_corpus)
 
     def test_divergence_reported_with_position(self, toy_corpus):
         bad_lines = []
