@@ -16,9 +16,9 @@ import typing
 from dataclasses import dataclass, fields
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .corpus import build_vocabs, parse_conllu_annotated
+from .corpus import CorpusError, build_vocabs, parse_conllu_annotated
 from .features import EDGE_MODES, FileEmbeddingProvider, HashedEmbeddingProvider, build_dref_table
-from .graph import subgraph_size_histograms
+from .graph import sentence_subgraphs, subgraph_size_histograms
 from .model import GRAPH_LAYERS, GRAPH_MODES, ConfigError, ModelConfig
 from .train_eval import (
     SpanBuckets,
@@ -127,13 +127,21 @@ class RunConfig:
         )
 
 
+def _parse_corpus(text: str, source: str):
+    """Annotated CoNLL-U sentences; a CorpusError names ``source`` before its position."""
+    try:
+        return parse_conllu_annotated(text)
+    except CorpusError as exc:
+        raise CorpusError(f"{source}: {exc}") from None
+
+
 def _load_corpus(path: str | None, what: str):
     if not path:
         raise UsageError(f"missing {what} corpus path")
     if not os.path.exists(path):
         raise UsageError(f"{what} corpus not found: {path}")
     with open(path, encoding="utf-8") as f:
-        return parse_conllu_annotated(f.read())
+        return _parse_corpus(f.read(), path)
 
 
 def _make_provider(run: RunConfig):
@@ -264,10 +272,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
             raise UsageError(f"input not found: {args.input}")
         with open(args.input, encoding="utf-8") as f:
             text = f.read()
-    sentences = parse_conllu_annotated(text)
+    sentences = _parse_corpus(text, "<stdin>" if args.input == "-" else args.input)
     provider = _provider_for_checkpoint(model, args.embeddings)
-    from .graph import sentence_subgraphs
-
     for sentence in sentences:
         sgs = sentence_subgraphs(sentence, model.config.expansion_order)
         index = model.predict_index(sentence, sgs, provider)

@@ -380,6 +380,8 @@ def _parse_conllu_block(block: list[tuple[int, str]], position: int) -> Sentence
             start, end = int(parts[0]), int(parts[1])
         except ValueError:
             raise CorpusError(f"{where}: malformed {name} comment") from None
+        if start > end:
+            raise CorpusError(f"{where}: {name} span {start}..{end} is reversed")
         spans[name] = EntitySpan(start, end, entity_head_token(tokens, start, end))
 
     label = None
@@ -511,10 +513,6 @@ class Vocabs:
         return RelationLabel.parse(self.label.symbols()[index])
 
 
-def fixed_label_vocab() -> Vocab:
-    return Vocab.from_symbols(all_labels(), has_unk=False)
-
-
 def build_vocabs(train: list[Sentence]) -> Vocabs:
     """Collect pos/deprel/ner vocabularies from the training split.
 
@@ -532,4 +530,5 @@ def build_vocabs(train: list[Sentence]) -> Vocabs:
                 deprel.add(t.deprel)
             if t.ner is not None:
                 ner.add(t.ner)
-    return Vocabs(pos.freeze(), deprel.freeze(), ner.freeze(), fixed_label_vocab())
+    labels = Vocab.from_symbols(all_labels(), has_unk=False)
+    return Vocabs(pos.freeze(), deprel.freeze(), ner.freeze(), labels)

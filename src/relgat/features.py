@@ -91,8 +91,9 @@ class FileEmbeddingProvider(EmbeddingProvider):
     """Precomputed vectors keyed by (instance id, token index).
 
     File format: one record per token,
-    ``instance_id <TAB> token_index <TAB> v1 v2 ... vD`` with
-    space-separated decimals.
+    ``instance_id <TAB> token_index <TAB> v1 v2 ... vD`` with an integer
+    token index and D space-separated finite decimals. A malformed record
+    raises FeatureError naming its line.
     """
 
     def __init__(self, text: str, dim: int = 768):
@@ -101,20 +102,32 @@ class FileEmbeddingProvider(EmbeddingProvider):
         for lineno, line in enumerate(text.split("\n"), start=1):
             if not line.strip():
                 continue
+            where = f"embedding file line {lineno}"
             parts = line.split("\t")
             if len(parts) != 3:
-                raise FeatureError(f"embedding file line {lineno}: expected 3 tab-separated fields")
-            vec = np.array([float(x) for x in parts[2].split()], dtype=np.float64)
+                raise FeatureError(f"{where}: expected 3 tab-separated fields")
+            try:
+                index = int(parts[1])
+            except ValueError:
+                raise FeatureError(f"{where}: token index {parts[1]!r} is not an integer") from None
+            try:
+                vec = np.array([float(x) for x in parts[2].split()], dtype=np.float64)
+            except ValueError:
+                raise FeatureError(f"{where}: vector values {parts[2]!r} are not all numbers") from None
             if vec.shape[0] != dim:
-                raise FeatureError(
-                    f"embedding file line {lineno}: expected {dim} values, got {vec.shape[0]}"
-                )
-            self._table[(parts[0], int(parts[1]))] = vec
+                raise FeatureError(f"{where}: expected {dim} values, got {vec.shape[0]}")
+            if not np.all(np.isfinite(vec)):
+                raise FeatureError(f"{where}: non-finite vector value")
+            self._table[(parts[0], index)] = vec
 
     @classmethod
     def from_path(cls, path: str, dim: int = 768) -> "FileEmbeddingProvider":
         with open(path, encoding="utf-8") as f:
-            return cls(f.read(), dim)
+            text = f.read()
+        try:
+            return cls(text, dim)
+        except FeatureError as exc:
+            raise FeatureError(f"{path}: {exc}") from None
 
     def vectors(self, sentence: Sentence) -> np.ndarray:
         key = str(sentence.instance_id)

@@ -3,8 +3,10 @@
 A parsed sentence yields an undirected tree over its tokens. Three
 sub-graphs are cut out of it: the shortest path between the two entity
 head tokens (optionally grown by one or two hops for the graph-size
-sweep) and one first-order neighborhood graph per entity. Edge
-direction is dropped for message passing but kept in a mask.
+sweep) and one first-order neighborhood graph per entity. Message
+passing is undirected, so a sub-graph keeps its edges only as a
+symmetric adjacency matrix; the dref edge features read an edge's
+orientation from the token heads.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "shortest_dependency_path",
     "derive_subgraphs",
     "sentence_subgraphs",
-    "adjacency_matrix",
     "subgraph_size_histograms",
 ]
 
@@ -85,16 +86,13 @@ class DependencyGraph:
 class SubGraph:
     """An induced sub-graph with vertices in ascending sentence order.
 
-    ``edges`` are pairs of local vertex positions (a < b). ``adjacency``
-    is the symmetric 0/1 matrix over local positions; ``directed_mask``
-    marks the original head-to-dependent orientation of each edge.
+    ``adjacency`` is the symmetric 0/1 matrix over local vertex positions:
+    entry (a, b) is 1 when the tokens at a and b share a tree edge.
     """
 
     kind: str
     vertices: list[int]
-    edges: list[tuple[int, int]]
     adjacency: np.ndarray = field(repr=False)
-    directed_mask: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -143,17 +141,11 @@ def _induced_subgraph(g: DependencyGraph, kind: str, vertex_set: set[int]) -> Su
     local = {v: i for i, v in enumerate(vertices)}
     size = len(vertices)
     adjacency = np.zeros((size, size), dtype=np.int64)
-    directed = np.zeros((size, size), dtype=np.int64)
-    edges = []
     for child, head in enumerate(g.heads):
-        if head is None or child not in local or head not in local:
-            continue
-        a, b = local[head], local[child]
-        edges.append((min(a, b), max(a, b)))
-        adjacency[a, b] = adjacency[b, a] = 1
-        directed[a, b] = 1  # head -> dependent
-    edges.sort()
-    return SubGraph(kind, vertices, edges, adjacency, directed)
+        if head is not None and child in local and head in local:
+            a, b = local[head], local[child]
+            adjacency[a, b] = adjacency[b, a] = 1
+    return SubGraph(kind, vertices, adjacency)
 
 
 def _expand(g: DependencyGraph, seed: set[int], hops: int) -> set[int]:
@@ -198,11 +190,6 @@ def sentence_subgraphs(sentence: Sentence, expansion_order: int = 0) -> SubGraph
     return derive_subgraphs(
         g, sentence.e1.head_token, sentence.e2.head_token, expansion_order
     )
-
-
-def adjacency_matrix(sg: SubGraph) -> np.ndarray:
-    """Symmetric 0/1 adjacency in ascending-sentence-position vertex order."""
-    return sg.adjacency.copy()
 
 
 def subgraph_size_histograms(

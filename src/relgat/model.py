@@ -48,12 +48,15 @@ scheme):
                    gathered e1/e2 rows of its path graph: (B, d_g)
 
 so the autodiff graph has the same nodes whatever B is, and a single
-instance is a batch of one.
+instance is a batch of one. Besides the logits, a forward hands back the
+diagnostics this layout already holds, as flat arrays: the pooling
+weight of every vertex row, every head's attention weight of every pair
+row, and the vertex and pair starts that cut them by unit and by center.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -88,6 +91,7 @@ __all__ = [
 
 GRAPH_LAYERS = ("gat", "gcn")
 GRAPH_MODES = ("multi", "single")
+SIZE_FIELDS = ("d_ctx", "d_f", "d_wt", "d_lstm", "d_g", "heads", "d_e")
 NUM_LABELS = 19
 LEAKY_SLOPE = 0.2
 
@@ -114,6 +118,9 @@ class ModelConfig:
     dref_scale_by_ratio: bool = False
 
     def __post_init__(self):
+        for name in SIZE_FIELDS:
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.graph_layer not in GRAPH_LAYERS:
             raise ConfigError(f"graph_layer must be one of {GRAPH_LAYERS}, got {self.graph_layer!r}")
         if self.graph_depth < 1:
@@ -246,20 +253,20 @@ def gat_vertex_update(
     pairs: np.ndarray,
     heads: list[GatHead],
     efeat: nm.Node | None = None,
-) -> tuple[nm.Node, list[list[np.ndarray]]]:
+) -> tuple[nm.Node, list[np.ndarray]]:
     """Multi-head attention update; heads concatenated to width K*m.
 
-    Also returns the attention rows as plain arrays (head-major, one row
-    per vertex) for diagnostics.
+    Also returns each head's attention weights as a plain (P,) array in
+    pair order, for diagnostics.
     """
     outputs = []
-    attention: list[list[np.ndarray]] = []
+    attention: list[np.ndarray] = []
     for head in heads:
         wh = nm.matmul(h, head.w)
         alpha = gat_attention(wh, starts, pairs, head.a, efeat)
         messages = nm.mul(nm.gather_rows(wh, pairs[:, 1]), alpha)
         outputs.append(nm.elu(nm.segment_sum(messages, starts)))
-        attention.append(np.split(alpha.value[:, 0], starts[1:]))
+        attention.append(alpha.value[:, 0])
     return nm.concat(outputs, axis=1), attention
 
 
@@ -312,13 +319,19 @@ def compose_sentence(
 
 @dataclass
 class ForwardDetail:
-    """Batch logits plus per-instance attention diagnostics from one forward pass."""
+    """Batch logits plus the diagnostics of one forward pass, in its layout.
+
+    Unit u is sub-graph u % U of instance u // U (U = 3 in multi-graph
+    mode, path graph first, else 1) and owns the vertex rows from
+    ``vertex_starts[u]`` up to the next unit's start; vertex i owns the
+    pair rows from ``pair_starts[i]`` up to the next vertex's start.
+    """
 
     logits: nm.Node  # (B, NUM_LABELS)
-    # per instance: kind -> [head][vertex] attention weights (graph layer), empty for gcn
-    attention: list[dict[str, list[list[np.ndarray]]]] = field(default_factory=list)
-    # per instance: kind -> pooling distribution over vertices
-    pooling: list[dict[str, np.ndarray]] = field(default_factory=list)
+    pooling: np.ndarray  # (n,) pooling weight of every vertex row; each unit's sum to 1
+    attention: list[np.ndarray]  # (P,) per head, layer by layer; empty for gcn
+    vertex_starts: np.ndarray  # (G,) first vertex row of every unit
+    pair_starts: np.ndarray  # (n,) first pair row of every center vertex
 
 
 class Model:
@@ -422,8 +435,7 @@ class Model:
         units = [
             (sentence, sg) for (sentence, _), graphs in zip(instances, graph_sets) for sg in graphs
         ]
-        bounds = np.cumsum([0] + [len(sg) for _, sg in units])
-        vertex_starts = bounds[:-1]
+        vertex_starts = np.cumsum([0] + [len(sg) for _, sg in units[:-1]])
         local_pairs, pair_starts, pairs = [], [], []
         offset = 0
         for (_, sg), first in zip(units, vertex_starts):
@@ -459,32 +471,8 @@ class Model:
             pooled, np.arange(0, len(units), per_instance),
             nm.gather_rows(h, e1_rows), nm.gather_rows(h, e2_rows),
         )
-        detail = ForwardDetail(nm.add(nm.matmul(v, self.cls_w), self.cls_b))
-        for b in range(len(instances)):
-            attention_by_kind, pooling_by_kind = {}, {}
-            for u in range(b * per_instance, (b + 1) * per_instance):
-                lo, hi = bounds[u], bounds[u + 1]
-                kind = units[u][1].kind
-                attention_by_kind[kind] = [rows[lo:hi] for rows in attention]
-                pooling_by_kind[kind] = alpha.value[lo:hi, 0].copy()
-            detail.attention.append(attention_by_kind)
-            detail.pooling.append(pooling_by_kind)
-        return detail
-
-    # -- one instance: a batch of one ------------------------------------------
-
-    def logits(
-        self, sentence: Sentence, sgs: SubGraphSet, provider: EmbeddingProvider
-    ) -> nm.Node:
-        return nm.reshape(self.forward([(sentence, sgs)], provider).logits, (NUM_LABELS,))
-
-    def loss(
-        self, sentence: Sentence, sgs: SubGraphSet, provider: EmbeddingProvider
-    ) -> nm.Node:
-        if sentence.label is None:
-            raise ValueError(f"instance {sentence.instance_id}: no gold label")
-        label = self.vocabs.label_index(sentence.label)
-        return nm.cross_entropy(self.forward([(sentence, sgs)], provider).logits, [label])
+        logits = nm.add(nm.matmul(v, self.cls_w), self.cls_b)
+        return ForwardDetail(logits, alpha.value[:, 0], attention, vertex_starts, pair_starts)
 
     def predict_index(
         self, sentence: Sentence, sgs: SubGraphSet, provider: EmbeddingProvider

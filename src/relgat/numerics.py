@@ -45,9 +45,9 @@ gradients still in flight, and two backward calls through a shared
 interior node each pass their own gradient on once. Accumulation is in
 place, and a node's first gradient contribution is adopted or copied: a
 freshly allocated float64 array that nothing else references becomes the
-node's ``grad`` as it is; anything else is copied, because pass-through
-VJPs (``add``, ``concat``, ``reshape``) return the incoming gradient or a
-view of it and a VJP may keep the array it returns. Every later
+node's ``grad`` as it is; anything else is copied, because the
+pass-through VJPs of ``add`` and ``concat`` return the incoming gradient
+or a view of it and a VJP may keep the array it returns. Every later
 contribution is added into that array with ``+=``. No two nodes'
 ``grad`` arrays ever share memory, with each other or with a value.
 """
@@ -69,15 +69,10 @@ __all__ = [
     "concat",
     "slice_axis",
     "gather_rows",
-    "tensor_sum",
-    "mean",
-    "transpose",
-    "reshape",
     "relu",
     "leaky_relu",
     "elu",
     "tanh",
-    "sigmoid",
     "softmax",
     "segment_sum",
     "segment_softmax",
@@ -341,49 +336,6 @@ def gather_rows(x: Node, indices) -> Node:
     return _node(x.value[idx], (x,), (vjp,))
 
 
-def tensor_sum(x: Node, axis: int | None = None) -> Node:
-    if axis is None:
-        return _node(
-            np.sum(x.value),
-            (x,),
-            (lambda g: np.broadcast_to(g, x.shape).copy(),),
-        )
-
-    def vjp(g):
-        return np.broadcast_to(np.expand_dims(g, axis), x.shape).copy()
-
-    return _node(np.sum(x.value, axis=axis), (x,), (vjp,))
-
-
-def mean(x: Node, axis: int | None = None) -> Node:
-    count = x.value.size if axis is None else x.shape[axis]
-    if axis is None:
-        return _node(
-            np.mean(x.value),
-            (x,),
-            (lambda g: np.broadcast_to(g / count, x.shape).copy(),),
-        )
-
-    def vjp(g):
-        return np.broadcast_to(np.expand_dims(g / count, axis), x.shape).copy()
-
-    return _node(np.mean(x.value, axis=axis), (x,), (vjp,))
-
-
-def transpose(x: Node) -> Node:
-    if x.value.ndim != 2:
-        raise ShapeMismatch(f"transpose: expected a matrix, got shape {x.shape}")
-    return _node(x.value.T.copy(), (x,), (lambda g: g.T.copy(),))
-
-
-def reshape(x: Node, shape) -> Node:
-    return _node(
-        x.value.reshape(shape).copy(),
-        (x,),
-        (lambda g: g.reshape(x.shape),),
-    )
-
-
 def relu(x: Node) -> Node:
     mask = x.value > 0
     return _node(np.where(mask, x.value, 0.0), (x,), (lambda g: g * mask,))
@@ -410,11 +362,6 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     # Split by sign to avoid overflow in exp for large |v|.
     e = np.exp(-np.abs(v))
     return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def sigmoid(x: Node) -> Node:
-    y = _sigmoid(x.value)
-    return _node(y, (x,), (lambda g: g * y * (1.0 - y),))
 
 
 def softmax(x: Node, axis: int) -> Node:

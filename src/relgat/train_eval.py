@@ -217,10 +217,6 @@ def dev_split(n: int, fraction: float, seed: int) -> tuple[list[int], list[int]]
     return _dev_split(n, fraction, np.random.default_rng(seed))
 
 
-def _subgraph_cache(sentences: list[Sentence], order: int) -> list[SubGraphSet]:
-    return [sentence_subgraphs(s, order) for s in sentences]
-
-
 def train(
     sentences: list[Sentence],
     model_config: ModelConfig,
@@ -231,10 +227,14 @@ def train(
 
     Deterministic for a fixed seed: the dev split, parameter init and
     per-epoch shuffles all come from one seeded generator consumed in a
-    fixed order. Raises TrainingDiverged on a non-finite loss.
+    fixed order. Raises ValueError on a sentence without a gold label and
+    TrainingDiverged on a non-finite loss.
     """
     if len(sentences) < 2:
         raise ValueError("training needs at least two sentences")
+    for s in sentences:
+        if s.label is None:
+            raise ValueError(f"instance {s.instance_id}: no gold label to train on")
     if provider is None:
         provider = HashedEmbeddingProvider(model_config.d_ctx, seed=0)
 
@@ -247,7 +247,7 @@ def train(
     model = Model(model_config, vocabs, dref, seed=model_seed)
     params = list(model.parameters().values())
 
-    graphs = _subgraph_cache(sentences, model_config.expansion_order)
+    graphs = [sentence_subgraphs(s, model_config.expansion_order) for s in sentences]
     dev_sentences = [sentences[i] for i in dev_idx]
     dev_graphs = [graphs[i] for i in dev_idx]
 
@@ -332,9 +332,8 @@ def train(
 
 
 def evaluate(model: Model, sentences: list[Sentence], provider: EmbeddingProvider) -> EvalReport:
-    return _evaluate_graphs(
-        model, sentences, _subgraph_cache(sentences, model.config.expansion_order), provider
-    )
+    graphs = [sentence_subgraphs(s, model.config.expansion_order) for s in sentences]
+    return _evaluate_graphs(model, sentences, graphs, provider)
 
 
 def _evaluate_graphs(
@@ -390,10 +389,6 @@ class SpanBuckets:
         mu = float(np.mean(ks))
         sigma = float(np.std(ks))
         return cls(low=mu - sigma, high=mu + sigma, mean=mu, std=sigma)
-
-    @classmethod
-    def fixed(cls, low: float, high: float) -> "SpanBuckets":
-        return cls(low=low, high=high)
 
     def bucket(self, k: int) -> str:
         if k <= self.low:

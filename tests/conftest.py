@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from relgat import numerics as nm
 from relgat.corpus import parse_conllu_annotated
 
 # Property tests draw from a fixed seed with no example database and no
@@ -139,7 +140,13 @@ def build_structure_corpus(n: int, seed: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# Random trees
+# Autodiff graphs and random trees
+
+
+def total(x):
+    """The sum of every entry of a matrix node, as a (1, 1) node: ones @ x @ ones."""
+    rows, cols = x.shape
+    return nm.matmul(nm.matmul(nm.constant(np.ones((1, rows))), x), nm.constant(np.ones((cols, 1))))
 
 
 def graph_nodes(*roots):

@@ -85,6 +85,22 @@ class TestTrain:
                   "--edge-mode", "bogus"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("flag,field,value", [
+        ("--heads", "heads", "0"), ("--d-lstm", "d_lstm", "-3"), ("--d-e", "d_e", "0"),
+    ])
+    def test_non_positive_size_exits_2(self, corpus_file, tmp_path, capsys, flag, field, value):
+        code = main(["train", "--train", corpus_file, "--out-dir", str(tmp_path / "x"),
+                     *TINY_FLAGS, flag, value])
+        assert code == 2
+        assert f"{field} must be positive" in capsys.readouterr().err
+
+    def test_unlabeled_training_corpus_names_instance(self, tmp_path, capsys):
+        predict_file = str(REPO_ROOT / "data" / "toy_predict.conllu")
+        code = main(["train", "--train", predict_file, "--out-dir", str(tmp_path / "x"), *TINY_FLAGS])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "instance " in err and "no gold label" in err
+
     def test_config_file_with_flag_override(self, tmp_path, corpus_file):
         config = tmp_path / "run.cfg"
         config.write_text(
@@ -233,6 +249,12 @@ class TestStats:
         payload = json.loads(capsys.readouterr().out)
         assert payload["sentences"] == 20
         assert payload["subgraph_sizes"]["sdp"] == {"3": 20}
+
+    def test_malformed_corpus_error_names_file_and_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.conllu"
+        bad.write_text("# e1 = 0 0\n1\tword\t_\tNOUN\t_\t_\t0\troot\t_\n", encoding="utf-8")
+        assert main(["stats", "--data", str(bad)]) == 1
+        assert f"error: {bad}: line 2: expected 10 tab-separated columns" in capsys.readouterr().err
 
     def test_expansion_order_flag(self, corpus_file, capsys):
         assert main(["stats", "--data", corpus_file, "--expansion-order", "1"]) == 0

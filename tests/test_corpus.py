@@ -126,6 +126,15 @@ class TestConlluFormat:
             parse_conllu_annotated(text)
         assert "e2" in str(err.value)
 
+    @pytest.mark.parametrize("name,comment", [("e1", "# e1 = 1 1"), ("e2", "# e2 = 4 4")])
+    def test_reversed_entity_comment_names_instance(self, name, comment):
+        assert comment in POLLEN_CONLLU
+        text = POLLEN_CONLLU.replace(comment, f"# {name} = 3 1")
+        with pytest.raises(CorpusError) as err:
+            parse_conllu_annotated(text)
+        assert "instance 1" in str(err.value)
+        assert f"{name} span 3..1 is reversed" in str(err.value)
+
     def test_single_token_sentence_rejected(self):
         text = "# e1 = 0 0\n# e2 = 0 0\n1\tword\t_\tNOUN\t_\t_\t0\troot\t_\t_\n"
         with pytest.raises(CorpusError):

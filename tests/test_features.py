@@ -98,8 +98,7 @@ def ctef_flags(sentence, sg):
 class TestAttentionPairs:
     def test_closed_neighborhoods_grouped_by_center(self):
         adjacency = np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
-        edges = [(0, 1), (0, 2), (1, 3)]
-        sg = SubGraph("sdp", [0, 1, 2, 3], edges, adjacency, np.zeros_like(adjacency))
+        sg = SubGraph("sdp", [0, 1, 2, 3], adjacency)
         starts, pairs = attention_pairs(sg)
         assert pairs.tolist() == [
             [0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 3], [2, 0], [2, 2], [3, 1], [3, 3],
@@ -165,13 +164,7 @@ class TestDrefAssignment:
     def test_non_tree_edge_rejected(self, pollen_sentence):
         table = build_dref_table([pollen_sentence], d_e=4)
         # claim an edge between 'The'(0) and 'causes'(2), absent from the parse
-        fake = SubGraph(
-            "sdp",
-            [0, 2],
-            [(0, 1)],
-            np.array([[0, 1], [1, 0]]),
-            np.zeros((2, 2), dtype=np.int64),
-        )
+        fake = SubGraph("sdp", [0, 2], np.array([[0, 1], [1, 0]]))
         _, pairs = attention_pairs(fake)
         with pytest.raises(FeatureError) as err:
             dref_edge_features(fake, pollen_sentence, pairs, table)
@@ -345,3 +338,25 @@ class TestFileProvider:
     def test_wrong_width_rejected(self):
         with pytest.raises(FeatureError):
             FileEmbeddingProvider("0\t0\t1.0 2.0\n", dim=3)
+
+    @pytest.mark.parametrize("bad_line", [
+        "0\t1\t1.0 abc 3.0",  # non-numeric value
+        "0\t1\t1.0 2.0 3,5",  # decimal comma
+        "0\tx\t1.0 2.0 3.0",  # non-numeric token index
+        "0\t1.5\t1.0 2.0 3.0",  # fractional token index
+        "0\t1\t1.0 nan 3.0",
+        "0\t1\tinf 2.0 3.0",
+        "0\t1\t1.0 2.0 -1e400",  # overflows to -inf
+        "0\t1\t1.0 2.0",  # too few values
+        "0\t1",  # too few fields
+    ])
+    def test_malformed_line_names_its_line(self, bad_line, tmp_path):
+        text = "0\t0\t0.5 0.25 1e-3\n\n" + bad_line + "\n"
+        with pytest.raises(FeatureError) as err:
+            FileEmbeddingProvider(text, dim=3)
+        assert "line 3" in str(err.value)
+        path = tmp_path / "vectors.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FeatureError) as err:
+            FileEmbeddingProvider.from_path(str(path), dim=3)
+        assert str(err.value).startswith(f"{path}: ") and "line 3" in str(err.value)

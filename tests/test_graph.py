@@ -7,7 +7,6 @@ from relgat.corpus import parse_conllu_annotated
 from relgat.graph import (
     DependencyGraph,
     GraphError,
-    adjacency_matrix,
     derive_subgraphs,
     sentence_subgraphs,
     shortest_dependency_path,
@@ -93,7 +92,7 @@ class TestDeriveSubgraphs:
         g = DependencyGraph([None, 0, 1])
         sgs = derive_subgraphs(g, 0, 1)
         assert sgs.sdp.vertices == [0, 1]
-        assert sgs.sdp.edges == [(0, 1)]
+        assert sgs.sdp.adjacency.tolist() == [[0, 1], [1, 0]]
 
     def test_same_entity_rejected(self):
         g = DependencyGraph([None, 0])
@@ -137,7 +136,7 @@ class TestDeriveSubgraphs:
             sgs = derive_subgraphs(g, u, v, expansion_order=1)
             for sg in sgs.all():
                 globalized = {
-                    (sg.vertices[a], sg.vertices[b]) for a, b in sg.edges
+                    (sg.vertices[a], sg.vertices[b]) for a, b in np.argwhere(np.triu(sg.adjacency))
                 }
                 assert globalized <= tree_edges
 
@@ -146,20 +145,20 @@ class TestAdjacency:
     def test_single_edge(self):
         g = DependencyGraph([None, 0])
         sgs = derive_subgraphs(g, 0, 1)
-        assert adjacency_matrix(sgs.sdp).tolist() == [[0, 1], [1, 0]]
+        assert sgs.sdp.adjacency.tolist() == [[0, 1], [1, 0]]
 
     def test_single_vertex(self):
         # e1 neighborhood of a leaf whose only neighbor is the other entity
         g = DependencyGraph([None, 0])
         sgs = derive_subgraphs(g, 0, 1)
-        assert adjacency_matrix(sgs.e1).shape == (2, 2)
+        assert sgs.e1.adjacency.shape == (2, 2)
 
     def test_worked_example_e2_matrix(self):
         (s,) = parse_conllu_annotated(FIG_EXAMPLE_CONLLU)
         sgs = sentence_subgraphs(s)
         # vertices ascending: from(2), the(3), surge(4); edges from-surge, the-surge
         assert sgs.e2.vertices == [2, 3, 4]
-        assert adjacency_matrix(sgs.e2).tolist() == [[0, 0, 1], [0, 0, 1], [1, 1, 0]]
+        assert sgs.e2.adjacency.tolist() == [[0, 0, 1], [0, 0, 1], [1, 1, 0]]
 
     def test_symmetric_zero_diagonal_consistent_with_edges(self):
         rng = np.random.default_rng(37)
@@ -169,18 +168,13 @@ class TestAdjacency:
             u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
             for sg in derive_subgraphs(g, u, v, 1).all():
                 a = sg.adjacency
+                inside = set(sg.vertices)
+                tree_edges_inside = sum(
+                    1 for c, h in enumerate(g.heads) if h is not None and {c, h} <= inside
+                )
                 assert np.array_equal(a, a.T)
                 assert np.all(np.diag(a) == 0)
-                assert a.sum() == 2 * len(sg.edges)
-
-    def test_directed_mask_marks_head_to_dependent(self):
-        (s,) = parse_conllu_annotated(FIG_EXAMPLE_CONLLU)
-        sgs = sentence_subgraphs(s)
-        sdp = sgs.sdp  # ridges(0) uprises(1) from(2) surge(4) -> local 0,1,2,3
-        mask = sdp.directed_mask
-        assert mask[1, 0] == 1 and mask[0, 1] == 0  # uprises -> ridges
-        assert mask[1, 2] == 1  # uprises -> from
-        assert mask[2, 3] == 1  # from -> surge
+                assert a.sum() == 2 * tree_edges_inside
 
 
 def test_size_histograms(toy_corpus):

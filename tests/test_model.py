@@ -30,7 +30,7 @@ from relgat.model import (
     gcn_vertex_update,
     pool_graph,
 )
-from conftest import build_structure_corpus, build_toy_corpus, graph_nodes
+from conftest import build_structure_corpus, build_toy_corpus, graph_nodes, total
 
 TINY = dict(d_ctx=6, d_f=3, d_wt=2, d_lstm=4, d_g=6, heads=2, d_e=3)
 
@@ -42,9 +42,39 @@ def attention_rows(alpha, starts):
 
 def make_subgraph(adjacency, kind="sdp"):
     adjacency = np.asarray(adjacency)
-    n = adjacency.shape[0]
-    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if adjacency[a, b]]
-    return SubGraph(kind, list(range(n)), edges, adjacency, np.zeros_like(adjacency))
+    return SubGraph(kind, list(range(adjacency.shape[0])), adjacency)
+
+
+def logits_of(model, sentence, sgs, provider):
+    """The (19,) logits of one instance, run as a batch of one."""
+    return model.forward([(sentence, sgs)], provider).logits.value[0]
+
+
+def instance_loss(model, sentence, sgs, provider):
+    """Cross-entropy of one instance against its gold label, run as a batch of one."""
+    label = model.vocabs.label_index(sentence.label)
+    return nm.cross_entropy(model.forward([(sentence, sgs)], provider).logits, [label])
+
+
+def instance_layout(detail, b, units):
+    """Instance b's cut of a forward's layout diagnostics, with its row offsets removed.
+
+    Returns its units' vertex starts, its centers' pair starts, its pooling
+    weights and, per head, its attention weights; ``units`` is the number
+    of units per instance.
+    """
+    vertex_starts, pair_starts = detail.vertex_starts, detail.pair_starts
+    lo = vertex_starts[b * units]
+    end = (b + 1) * units
+    hi = vertex_starts[end] if end < len(vertex_starts) else len(detail.pooling)
+    pair_lo = pair_starts[lo]
+    pair_hi = pair_starts[hi] if hi < len(pair_starts) else None
+    return (
+        vertex_starts[b * units : end] - lo,
+        pair_starts[lo:hi] - pair_lo,
+        detail.pooling[lo:hi],
+        [alpha[pair_lo:pair_hi] for alpha in detail.attention],
+    )
 
 
 def tiny_model(edge_mode="none", **overrides):
@@ -70,6 +100,14 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(expansion_order=5)
     assert ModelConfig().head_dim == 64
+
+
+@pytest.mark.parametrize("field", ["d_ctx", "d_f", "d_wt", "d_lstm", "d_g", "heads", "d_e"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_config_rejects_non_positive_sizes(field, value):
+    with pytest.raises(ConfigError) as err:
+        ModelConfig(**{**TINY, field: value})
+    assert field in str(err.value) and str(value) in str(err.value)
 
 
 def test_model_requires_table_for_dref():
@@ -112,7 +150,7 @@ def test_bilstm_gradient_matches_finite_differences():
     probe = nm.constant(rng.standard_normal((3, 4)))
     params = [x, *fwd.parameters("f").values(), *bwd.parameters("b").values()]
     err = nm.gradient_check(
-        lambda: nm.tensor_sum(nm.mul(bilstm_encode(x, [0], fwd, bwd), probe)), params
+        lambda: total(nm.mul(bilstm_encode(x, [0], fwd, bwd), probe)), params
     )
     assert err < 1e-4
 
@@ -257,8 +295,9 @@ def test_edge_mode_none_equals_zeroed_edge_slot_bitwise():
     out_edges, att_edges = gat_vertex_update(h, starts, pairs, [with_edges], efeat)
     out_plain, att_plain = gat_vertex_update(h, starts, pairs, [plain], None)
     assert np.array_equal(out_edges.value, out_plain.value)
-    for a, b in zip(att_edges[0], att_plain[0]):
-        assert np.array_equal(a, b)
+    assert len(att_edges) == len(att_plain) == 1
+    assert att_edges[0].shape == (len(pairs),)
+    assert np.array_equal(att_edges[0], att_plain[0])
 
 
 def test_single_vertex_update_is_elu_of_transform():
@@ -427,7 +466,7 @@ def test_zeroed_classifier_gives_uniform_distribution(pollen_sentence):
     sgs = sentence_subgraphs(s)
     detail = model.forward([(s, sgs)], provider)
     np.testing.assert_array_equal(detail.logits.value, np.zeros((1, 19)))
-    loss = model.loss(s, sgs, provider)
+    loss = instance_loss(model, s, sgs, provider)
     assert loss.item() == pytest.approx(np.log(19.0), abs=1e-12)
 
 
@@ -435,16 +474,18 @@ def test_identical_sentences_identical_logits():
     model, corpus, provider = tiny_model(edge_mode="dref+ctef")
     s = corpus[0]
     sgs = sentence_subgraphs(s)
-    a = model.logits(s, sgs, provider).value
-    b = model.logits(s, sgs, provider).value
+    a = logits_of(model, s, sgs, provider)
+    b = logits_of(model, s, sgs, provider)
     assert np.array_equal(a, b)
 
 
 def test_single_mode_uses_only_path_graph():
     model, corpus, provider = tiny_model(graph_mode="single")
     s = corpus[0]
-    detail = model.forward([(s, sentence_subgraphs(s))], provider)
-    assert set(detail.pooling[0]) == {"sdp"}
+    sgs = sentence_subgraphs(s)
+    detail = model.forward([(s, sgs)], provider)
+    assert detail.vertex_starts.tolist() == [0]
+    assert detail.pooling.shape == (len(sgs.sdp),)
 
 
 @pytest.mark.parametrize("edge_mode", ["none", "dref", "ctef", "dref+ctef"])
@@ -453,7 +494,7 @@ def test_forward_matches_numpy_oracle(edge_mode, graph_layer):
     model, corpus, provider = tiny_model(edge_mode=edge_mode, graph_layer=graph_layer)
     for s in corpus[:2] + corpus[12:14]:
         sgs = sentence_subgraphs(s)
-        got = model.logits(s, sgs, provider).value
+        got = logits_of(model, s, sgs, provider)
         want = numpy_oracle_forward(model, s, sgs, provider)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -463,7 +504,7 @@ def test_forward_oracle_depth_two(graph_layer):
     model, corpus, provider = tiny_model(edge_mode="dref", graph_layer=graph_layer, graph_depth=2)
     s = corpus[0]
     sgs = sentence_subgraphs(s)
-    got = model.logits(s, sgs, provider).value
+    got = logits_of(model, s, sgs, provider)
     want = numpy_oracle_forward(model, s, sgs, provider)
     np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -472,7 +513,7 @@ def test_forward_oracle_non_contextual():
     model, corpus, provider = tiny_model(edge_mode="ctef", contextual=False)
     s = corpus[3]
     sgs = sentence_subgraphs(s)
-    got = model.logits(s, sgs, provider).value
+    got = logits_of(model, s, sgs, provider)
     want = numpy_oracle_forward(model, s, sgs, provider)
     np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -481,7 +522,7 @@ def test_forward_oracle_ratio_scaled_edges():
     model, corpus, provider = tiny_model(edge_mode="dref", dref_scale_by_ratio=True)
     s = corpus[0]
     sgs = sentence_subgraphs(s)
-    got = model.logits(s, sgs, provider).value
+    got = logits_of(model, s, sgs, provider)
     want = numpy_oracle_forward(model, s, sgs, provider)
     np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -496,7 +537,7 @@ def test_forward_oracle_three_token_sentence():
     (s,) = parse_conllu_annotated(text)
     model, _, provider = tiny_model(edge_mode="dref+ctef")
     sgs = sentence_subgraphs(s)
-    got = model.logits(s, sgs, provider).value
+    got = logits_of(model, s, sgs, provider)
     want = numpy_oracle_forward(model, s, sgs, provider)
     np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -508,27 +549,17 @@ def test_logits_invariant_to_internal_vertex_ordering():
     model, corpus, provider = tiny_model(edge_mode="dref+ctef", contextual=False)
     s = corpus[0]
     sgs = sentence_subgraphs(s)
-    reference = model.logits(s, sgs, provider).value
+    reference = logits_of(model, s, sgs, provider)
 
     def shuffled(sg):
         perm = rng.permutation(len(sg))
-        inverse = {int(p): i for i, p in enumerate(perm)}
         vertices = [sg.vertices[p] for p in perm]
-        edges = sorted(
-            (min(inverse[a], inverse[b]), max(inverse[a], inverse[b])) for a, b in sg.edges
-        )
-        return SubGraph(
-            sg.kind,
-            vertices,
-            edges,
-            sg.adjacency[np.ix_(perm, perm)],
-            sg.directed_mask[np.ix_(perm, perm)],
-        )
+        return SubGraph(sg.kind, vertices, sg.adjacency[np.ix_(perm, perm)])
 
     from relgat.graph import SubGraphSet
 
     scrambled = SubGraphSet(shuffled(sgs.sdp), shuffled(sgs.e1), shuffled(sgs.e2))
-    np.testing.assert_allclose(model.logits(s, scrambled, provider).value, reference, atol=1e-10)
+    np.testing.assert_allclose(logits_of(model, s, scrambled, provider), reference, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -553,18 +584,22 @@ def test_batched_logits_equal_batch_of_one(graph_layer, graph_mode, edge_mode, g
         graph_layer=graph_layer, graph_mode=graph_mode, edge_mode=edge_mode,
         graph_depth=graph_depth, expansion_order=1,
     )
+    units = 3 if graph_mode == "multi" else 1
     batched = model.forward(instances, provider)
     assert batched.logits.shape == (len(instances), 19)
+    assert len(batched.vertex_starts) == units * len(instances)
+    assert len(batched.attention) == (graph_depth * model.config.heads if graph_layer == "gat" else 0)
     for b, instance in enumerate(instances):
         one = model.forward([instance], provider)
         np.testing.assert_allclose(batched.logits.value[b], one.logits.value[0], rtol=0, atol=1e-12)
-        assert batched.pooling[b].keys() == one.pooling[0].keys()
-        for kind, alpha in one.pooling[0].items():
-            np.testing.assert_allclose(batched.pooling[b][kind], alpha, rtol=0, atol=1e-12)
-            for got, want in zip(batched.attention[b][kind], one.attention[0][kind]):
-                assert len(got) == len(want)
-                for got_row, want_row in zip(got, want):
-                    np.testing.assert_allclose(got_row, want_row, rtol=0, atol=1e-12)
+        got, want = instance_layout(batched, b, units), instance_layout(one, 0, units)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_allclose(got[2], want[2], rtol=0, atol=1e-12)
+        assert len(got[3]) == len(want[3])
+        for got_head, want_head in zip(got[3], want[3]):
+            assert got_head.shape == want_head.shape
+            np.testing.assert_allclose(got_head, want_head, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("graph_layer", ["gat", "gcn"])
@@ -579,7 +614,7 @@ def test_batch_mean_loss_gradient_is_mean_of_instance_gradients(graph_layer):
     total = {n: np.zeros_like(p.value) for n, p in params.items()}
     for sentence, sgs in instances:
         nm.zero_grads(params.values())
-        model.loss(sentence, sgs, provider).backward()
+        instance_loss(model, sentence, sgs, provider).backward()
         for n, p in params.items():
             if p.grad is not None:
                 total[n] += p.grad
@@ -614,7 +649,7 @@ def test_depth_two_gradient_check():
     s = corpus[0]
     sgs = sentence_subgraphs(s)
     gat_params = [p for n, p in model.parameters().items() if n.startswith("gat.")]
-    err = nm.gradient_check(lambda: model.loss(s, sgs, provider), gat_params)
+    err = nm.gradient_check(lambda: instance_loss(model, s, sgs, provider), gat_params)
     assert err < 1e-4
 
 
@@ -623,7 +658,7 @@ def test_full_model_gradient_check():
     s = corpus[0]
     sgs = sentence_subgraphs(s)
     params = list(model.parameters().values())
-    err = nm.gradient_check(lambda: model.loss(s, sgs, provider), params)
+    err = nm.gradient_check(lambda: instance_loss(model, s, sgs, provider), params)
     assert err < 1e-4
 
 
@@ -645,11 +680,11 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     model, corpus, provider = tiny_model(edge_mode="dref+ctef")
     s = corpus[0]
     sgs = sentence_subgraphs(s)
-    before = model.logits(s, sgs, provider).value
+    before = logits_of(model, s, sgs, provider)
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(model, path)
     clone = load_checkpoint(path)
-    after = clone.logits(s, sgs, provider).value
+    after = logits_of(clone, s, sgs, provider)
     assert np.array_equal(before, after)
 
 
@@ -699,8 +734,8 @@ def test_checkpoint_save_replaces_whole_file(tmp_path, monkeypatch):
     s = corpus[0]
     sgs = sentence_subgraphs(s)
     assert np.array_equal(
-        load_checkpoint(str(path)).logits(s, sgs, provider).value,
-        second.logits(s, sgs, provider).value,
+        logits_of(load_checkpoint(str(path)), s, sgs, provider),
+        logits_of(second, s, sgs, provider),
     )
     # a save that fails before its rename leaves the old checkpoint and no temp file
     def no_space(fd):

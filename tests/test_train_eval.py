@@ -8,7 +8,7 @@ import pytest
 from relgat import numerics as nm
 from relgat import train_eval
 from relgat.corpus import RELATION_BASES, RelationLabel, all_labels, parse_conllu_annotated
-from relgat.features import FileEmbeddingProvider, HashedEmbeddingProvider
+from relgat.features import EmbeddingProvider, HashedEmbeddingProvider
 from relgat.model import ModelConfig
 from relgat.train_eval import (
     SpanBuckets,
@@ -163,15 +163,28 @@ class TestTraining:
         assert len(calls) == len(toy_corpus)
 
     def test_divergence_reported_with_position(self, toy_corpus):
-        bad_lines = []
-        for s in toy_corpus:
-            for t in s.tokens:
-                bad_lines.append(f"{s.instance_id}\t{t.index}\t" + " ".join(["nan"] * 6))
-        provider = FileEmbeddingProvider("\n".join(bad_lines) + "\n", dim=6)
+        class NanProvider(EmbeddingProvider):
+            dim = 6
+
+            def vectors(self, sentence):
+                return np.full((len(sentence), self.dim), np.nan)
+
+        provider = NanProvider()
         cfg = ModelConfig(**TINY)
         with pytest.raises(TrainingDiverged) as err:
             train(toy_corpus, cfg, TrainerConfig(epochs=1, seed=1), provider)
         assert "epoch 1" in str(err.value)
+
+    def test_unlabeled_sentence_rejected_before_setup(self, toy_corpus, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("train() built its vocabularies before checking labels")
+
+        monkeypatch.setattr(train_eval, "build_vocabs", unreachable)
+        toy_corpus[3].label = None
+        with pytest.raises(ValueError) as err:
+            train(toy_corpus, ModelConfig(**TINY), TrainerConfig(epochs=1, seed=1))
+        assert f"instance {toy_corpus[3].instance_id}" in str(err.value)
+        assert "label" in str(err.value)
 
     def test_small_toy_overfits_quickly(self, toy_corpus):
         cfg = ModelConfig(**TINY)
@@ -227,7 +240,7 @@ class TestSpanBuckets:
     def test_literal_thresholds_can_empty_short_bucket(self, toy_corpus):
         cfg = ModelConfig(**TINY)
         model, _ = train(toy_corpus, cfg, TrainerConfig(epochs=1, seed=1))
-        buckets = SpanBuckets.fixed(low=3 - 9, high=3 + 9)
+        buckets = SpanBuckets(low=3 - 9, high=3 + 9)
         out = span_bucket_eval(model, toy_corpus, buckets, HashedEmbeddingProvider(cfg.d_ctx, 0))
         assert out["buckets"]["short"]["empty"] is True
         assert out["buckets"]["short"]["report"] is None
