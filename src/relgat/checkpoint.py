@@ -1,18 +1,20 @@
 """Deterministic binary model checkpoints.
 
-Layout: an 8-byte magic (which carries the format version), a little-
-endian uint64 header length, a UTF-8 JSON header, then the raw float64
-little-endian bytes of every parameter in header order. The header holds
-the model config, the vocabularies, the dependency-triple statistics,
-the parameter shapes and a blake2b digest of the parameter bytes, so a
-load rebuilds the exact model; outputs are byte-identical across runs
-because nothing time- or path-dependent is written. A save writes a
-temporary file beside the target and renames it over the target, so the
-path holds either the old checkpoint or the new one, never a partial
-file. A load rejects a file of another format version, one that is cut
-short, carries bytes past the last parameter, has a header that is
-unreadable or does not describe a model, or whose parameter bytes do not
-match the recorded digest, with a CheckpointError naming the path.
+Layout (format version 03): an 8-byte magic (which carries the format
+version), a little-endian uint64 header length, a UTF-8 JSON header,
+then the raw little-endian bytes of every parameter in header order, in
+the model's dtype (``<f4`` for float32, ``<f8`` for float64). The header
+holds the model config, the vocabularies, the dependency-triple
+statistics, the dtype, the parameter shapes and a blake2b digest of the
+parameter bytes, so a load rebuilds the exact model in its dtype;
+outputs are byte-identical across runs because nothing time- or
+path-dependent is written. A save writes a temporary file beside the
+target and renames it over the target, so the path holds either the old
+checkpoint or the new one, never a partial file. A load rejects a file
+of another format version, one that is cut short, carries bytes past the
+last parameter, has a header that is unreadable or does not describe a
+model, or whose parameter bytes do not match the recorded digest, with a
+CheckpointError naming the path.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .model import Model, ModelConfig
 
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
 
-MAGIC = b"RGCKPT02"  # the last two bytes are the format version
+MAGIC = b"RGCKPT03"  # the last two bytes are the format version
 
 
 def _digest(chunks) -> str:
@@ -63,7 +65,8 @@ def _dref_payload(table: DrefTable | None) -> dict | None:
 
 def save_checkpoint(model: Model, path: str, embedding: dict | None = None) -> None:
     params = model.parameters()
-    payload = [np.ascontiguousarray(p.value, dtype="<f8") for p in params.values()]
+    stored = model.dtype.newbyteorder("<")
+    payload = [np.ascontiguousarray(p.value, dtype=stored) for p in params.values()]
     header = {
         "config": model.config.to_dict(),
         "vocabs": {
@@ -74,6 +77,7 @@ def save_checkpoint(model: Model, path: str, embedding: dict | None = None) -> N
         },
         "dref": _dref_payload(model.dref_table),
         "embedding": embedding or {"kind": "hashed", "dim": model.config.d_ctx, "seed": 0},
+        "dtype": model.dtype.name,
         "params": [{"name": n, "shape": list(p.value.shape)} for n, p in params.items()],
         "digest": _digest(payload),
     }
@@ -122,6 +126,7 @@ def load_checkpoint(path: str) -> Model:
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from None
     params = model.parameters()
+    stored = model.dtype.newbyteorder("<")
     if [name for name, _ in recorded] != list(params):
         raise CheckpointError(f"{path}: parameter set does not match config")
     for name, shape in recorded:
@@ -131,11 +136,12 @@ def load_checkpoint(path: str) -> Model:
                 f"{path}: shape mismatch for {name}: {shape} vs {tuple(node.value.shape)}"
             )
         count = int(np.prod(shape)) if shape else 1
-        if len(blob) < offset + count * 8:
+        size = count * stored.itemsize
+        if len(blob) < offset + size:
             raise CheckpointError(f"{path}: truncated in parameter {name}")
-        data = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        offset += count * 8
-        node.value = data.reshape(shape).astype(np.float64)
+        data = np.frombuffer(blob, dtype=stored, count=count, offset=offset)
+        offset += size
+        node.value = data.reshape(shape).astype(model.dtype)
     if offset != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - offset} bytes after the last parameter")
     if _digest([memoryview(blob)[payload_start:]]) != digest:
@@ -162,7 +168,7 @@ def _model_from_header(header) -> tuple[Model, list[tuple[str, tuple[int, ...]]]
         dp = header["dref"]
         counts = {tuple(t): c for t, c in zip(dp["triples"], dp["counts"])}
         dref = DrefTable(counts, dp["total"], dp["d_e"])
-    model = Model(config, vocabs, dref, seed=0)
+    model = Model(config, vocabs, dref, seed=0, dtype=np.dtype(header["dtype"]))
     model.embedding_info = header["embedding"]  # type: ignore[attr-defined]
     recorded = [(r["name"], tuple(r["shape"])) for r in header["params"]]
     return model, recorded

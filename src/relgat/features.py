@@ -93,11 +93,14 @@ class FileEmbeddingProvider(EmbeddingProvider):
     File format: one record per token,
     ``instance_id <TAB> token_index <TAB> v1 v2 ... vD`` with an integer
     token index and D space-separated finite decimals. A malformed record
-    raises FeatureError naming its line.
+    raises FeatureError naming its line, and a token without a vector one
+    naming the instance and token; both start with the file's path when
+    the provider was read with ``from_path``.
     """
 
     def __init__(self, text: str, dim: int = 768):
         self.dim = dim
+        self.path: str | None = None
         self._table: dict[tuple[str, int], np.ndarray] = {}
         for lineno, line in enumerate(text.split("\n"), start=1):
             if not line.strip():
@@ -125,9 +128,11 @@ class FileEmbeddingProvider(EmbeddingProvider):
         with open(path, encoding="utf-8") as f:
             text = f.read()
         try:
-            return cls(text, dim)
+            provider = cls(text, dim)
         except FeatureError as exc:
             raise FeatureError(f"{path}: {exc}") from None
+        provider.path = path
+        return provider
 
     def vectors(self, sentence: Sentence) -> np.ndarray:
         key = str(sentence.instance_id)
@@ -135,8 +140,9 @@ class FileEmbeddingProvider(EmbeddingProvider):
         for t in sentence.tokens:
             vec = self._table.get((key, t.index))
             if vec is None:
+                where = f"{self.path}: " if self.path else ""
                 raise FeatureError(
-                    f"no precomputed vector for instance {sentence.instance_id} token {t.index}"
+                    f"{where}no precomputed vector for instance {sentence.instance_id} token {t.index}"
                 )
             rows.append(vec)
         return np.stack(rows)
@@ -147,7 +153,7 @@ class FileEmbeddingProvider(EmbeddingProvider):
 
 
 class FeatureEmbeddings:
-    """Trainable POS/deprel/NER/word-type tables sized from the vocabularies."""
+    """Trainable POS/deprel/NER/word-type tables sized from the vocabularies, in ``dtype``."""
 
     def __init__(
         self,
@@ -156,6 +162,7 @@ class FeatureEmbeddings:
         d_f: int = 40,
         d_wt: int = 10,
         rng: np.random.Generator | None = None,
+        dtype=np.float64,
     ):
         if not (vocabs.pos.frozen and vocabs.deprel.frozen and vocabs.ner.frozen):
             raise FeatureError("vocabularies must be frozen before building embeddings")
@@ -164,10 +171,11 @@ class FeatureEmbeddings:
         self.d_ctx = d_ctx
         self.d_f = d_f
         self.d_wt = d_wt
-        self.pos = nm.parameter(nm.uniform_init(rng, (len(vocabs.pos), d_f), d_f))
-        self.deprel = nm.parameter(nm.uniform_init(rng, (len(vocabs.deprel), d_f), d_f))
-        self.ner = nm.parameter(nm.uniform_init(rng, (len(vocabs.ner), d_f), d_f))
-        self.word_type = nm.parameter(nm.uniform_init(rng, (2, d_wt), d_wt))
+        self.dtype = np.dtype(dtype)
+        self.pos = nm.parameter(nm.uniform_init(rng, (len(vocabs.pos), d_f), d_f, dtype))
+        self.deprel = nm.parameter(nm.uniform_init(rng, (len(vocabs.deprel), d_f), d_f, dtype))
+        self.ner = nm.parameter(nm.uniform_init(rng, (len(vocabs.ner), d_f), d_f, dtype))
+        self.word_type = nm.parameter(nm.uniform_init(rng, (2, d_wt), d_wt, dtype))
 
     @property
     def input_dim(self) -> int:
@@ -194,6 +202,8 @@ def encode_tokens(
     The blocks are the contextual vectors, a constant (T, d_ctx), and the
     trainable [pos ; deprel ; ner ; word-type] features, (T, 3*d_f + d_wt):
     side by side, the d_ctx + 3*d_f + d_wt input columns of every token.
+    Both are in the embeddings' dtype: the provider's vectors are cast
+    once, here.
     """
     ctx, tokens, word_type = [], [], []
     for sentence, indices in sentences:
@@ -205,7 +215,7 @@ def encode_tokens(
         word_type.extend(1 if sentence.entity_token(i) else 0 for i in indices)
     vocabs = emb.vocabs
     return [
-        nm.constant(np.concatenate(ctx)),
+        nm.constant(np.concatenate(ctx, dtype=emb.dtype)),
         nm.concat([
             nm.gather_rows(emb.pos, [vocabs.pos.index(t.pos) for t in tokens]),
             nm.gather_rows(emb.deprel, [vocabs.deprel.index(t.deprel) for t in tokens]),
@@ -345,6 +355,7 @@ def edge_features(
     table: DrefTable | None = None,
     dref_embed: nm.Node | None = None,
     scale_by_ratio: bool = False,
+    dtype=np.float64,
 ) -> nm.Node | None:
     """The (P, d_e) feature rows of every unit's pairs, stacked, or None when the mode has none.
 
@@ -352,7 +363,8 @@ def edge_features(
     (sentence, sub-graph) pair. dref gathers each pair's row of
     ``dref_embed``, optionally scaled by the triple's frequency ratio;
     ctef is an all-ones row where the attended-from vertex is an entity
-    token and zeros elsewhere; the combined mode sums both.
+    token and zeros elsewhere; the combined mode sums both. The ratios and
+    flags are constants of ``dtype``, which is that of ``dref_embed``.
     """
     if mode not in EDGE_MODES:
         raise FeatureError(f"unknown edge mode {mode!r}")
@@ -364,11 +376,11 @@ def edge_features(
         node = nm.gather_rows(dref_embed, np.concatenate([rows for rows, _ in looked_up]))
         if scale_by_ratio:
             ratios = np.concatenate([ratios for _, ratios in looked_up])
-            node = nm.mul(node, nm.constant(ratios[:, None]))
+            node = nm.mul(node, nm.constant(ratios[:, None].astype(dtype)))
     if "ctef" in mode:
         flags = np.concatenate(
             [ctef_edge_features(sg, s.e1, s.e2, p) for (s, sg), p in zip(units, pairs)]
         )
-        ctef = nm.constant(np.repeat(flags[:, None], d_e, axis=1))
+        ctef = nm.constant(np.repeat(flags[:, None].astype(dtype), d_e, axis=1))
         node = ctef if node is None else nm.add(node, ctef)
     return node

@@ -52,6 +52,12 @@ instance is a batch of one. Besides the logits, a forward hands back the
 diagnostics this layout already holds, as flat arrays: the pooling
 weight of every vertex row, every head's attention weight of every pair
 row, and the vertex and pair starts that cut them by unit and by center.
+
+The model's value dtype is a constructor argument, float32 by default:
+parameters, every constant a forward builds, activations and gradients
+all share it. Parameters are drawn in float64 and rounded
+(``uniform_init``), so a float32 model is its float64 twin rounded;
+gradient checks and the numpy oracles build float64 models.
 """
 
 from __future__ import annotations
@@ -157,10 +163,11 @@ class ModelConfig:
 class LstmParams:
     """One LSTM direction: stacked gate matrices in (input, forget, cell, output) order."""
 
-    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
-        self.w_input = nm.parameter(nm.uniform_init(rng, (input_dim, 4 * hidden_dim), input_dim))
-        self.w_hidden = nm.parameter(nm.uniform_init(rng, (hidden_dim, 4 * hidden_dim), hidden_dim))
-        self.bias = nm.parameter(np.zeros((1, 4 * hidden_dim)))
+    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator, dtype=np.float64):
+        gates = 4 * hidden_dim
+        self.w_input = nm.parameter(nm.uniform_init(rng, (input_dim, gates), input_dim, dtype))
+        self.w_hidden = nm.parameter(nm.uniform_init(rng, (hidden_dim, gates), hidden_dim, dtype))
+        self.bias = nm.parameter(np.zeros((1, gates), dtype))
 
     def parameters(self, prefix: str) -> dict[str, nm.Node]:
         return {
@@ -173,11 +180,13 @@ class LstmParams:
 class GatHead:
     """One attention head: shared transform W and attention vector a."""
 
-    def __init__(self, in_dim: int, out_dim: int, edge_dim: int, rng: np.random.Generator):
+    def __init__(
+        self, in_dim: int, out_dim: int, edge_dim: int, rng: np.random.Generator, dtype=np.float64
+    ):
         self.out_dim = out_dim
-        self.w = nm.parameter(nm.uniform_init(rng, (in_dim, out_dim), in_dim))
+        self.w = nm.parameter(nm.uniform_init(rng, (in_dim, out_dim), in_dim, dtype))
         attn_len = 2 * out_dim + edge_dim
-        self.a = nm.parameter(nm.uniform_init(rng, (attn_len, 1), attn_len))
+        self.a = nm.parameter(nm.uniform_init(rng, (attn_len, 1), attn_len, dtype))
 
     def parameters(self, prefix: str) -> dict[str, nm.Node]:
         return {f"{prefix}.w": self.w, f"{prefix}.a": self.a}
@@ -193,8 +202,10 @@ def bilstm_encode(
     """Concatenated forward/backward hidden states of the sequences at ``starts``.
 
     ``x`` and ``token_rows`` are the token input of ``nm.lstm_sequence``:
-    one row per layout row, or by default one per row of ``x``.
+    one row per layout row, or by default one per row of ``x``. Column
+    blocks are concatenated once, for both directions.
     """
+    x = nm.column_blocks(x)
     fwd = nm.lstm_sequence(
         x, forward.w_input, forward.w_hidden, forward.bias, starts, False, token_rows
     )
@@ -280,10 +291,11 @@ def gcn_vertex_update(
     """Symmetric degree-normalized aggregation over [h_j | e_ij], self-loops in.
 
     out_i = relu(sum_j (deg_i * deg_j)^-1/2 * W_g [h_j | e_ij]) where the
-    degree counts the self-loop.
+    degree counts the self-loop. The normalisation is a constant in the
+    dtype of ``h``.
     """
     degree = np.diff(starts, append=len(pairs))
-    norm = 1.0 / np.sqrt(degree[pairs[:, 0]] * degree[pairs[:, 1]])
+    norm = (1.0 / np.sqrt(degree[pairs[:, 0]] * degree[pairs[:, 1]])).astype(h.value.dtype)
     messages_in = nm.gather_rows(h, pairs[:, 1])
     if efeat is not None:
         messages_in = nm.concat([messages_in, efeat], axis=1)
@@ -335,7 +347,13 @@ class ForwardDetail:
 
 
 class Model:
-    """Parameter container plus the forward pass over a sub-graph set."""
+    """Parameter container plus the forward pass over a sub-graph set.
+
+    ``dtype`` (float32 or float64) is the dtype of every parameter,
+    activation and gradient.
+    """
+
+    DTYPES = (np.float32, np.float64)
 
     def __init__(
         self,
@@ -343,7 +361,11 @@ class Model:
         vocabs: Vocabs,
         dref: DrefTable | None = None,
         seed: int = 0,
+        dtype=np.float32,
     ):
+        dtype = np.dtype(dtype)
+        if dtype not in self.DTYPES:
+            raise ConfigError(f"dtype must be float32 or float64, got {dtype}")
         if config.uses_dref and dref is None:
             raise ConfigError(f"edge_mode {config.edge_mode!r} needs a dependency-triple table")
         if dref is not None and dref.d_e != config.d_e:
@@ -351,30 +373,33 @@ class Model:
         self.config = config
         self.vocabs = vocabs
         self.dref_table = dref if config.uses_dref else None
+        self.dtype = dtype
 
         rng = np.random.default_rng(seed)
-        self.embeddings = FeatureEmbeddings(vocabs, config.d_ctx, config.d_f, config.d_wt, rng)
+        self.embeddings = FeatureEmbeddings(
+            vocabs, config.d_ctx, config.d_f, config.d_wt, rng, dtype
+        )
         self._params: dict[str, nm.Node] = dict(self.embeddings.parameters())
 
         self.dref_embed: nm.Node | None = None
         if self.dref_table is not None:
             self.dref_embed = nm.parameter(
-                nm.uniform_init(rng, (self.dref_table.num_rows, config.d_e), config.d_e)
+                nm.uniform_init(rng, (self.dref_table.num_rows, config.d_e), config.d_e, dtype)
             )
             self._params["edge.dref"] = self.dref_embed
 
         in_dim = self.embeddings.input_dim
         ctx_out = 2 * config.d_lstm
         if config.contextual:
-            self.lstm_fwd = LstmParams(in_dim, config.d_lstm, rng)
-            self.lstm_bwd = LstmParams(in_dim, config.d_lstm, rng)
+            self.lstm_fwd = LstmParams(in_dim, config.d_lstm, rng, dtype)
+            self.lstm_bwd = LstmParams(in_dim, config.d_lstm, rng, dtype)
             self._params.update(self.lstm_fwd.parameters("lstm_fwd"))
             self._params.update(self.lstm_bwd.parameters("lstm_bwd"))
             self.proj_w = self.proj_b = None
         else:
             self.lstm_fwd = self.lstm_bwd = None
-            self.proj_w = nm.parameter(nm.uniform_init(rng, (in_dim, ctx_out), in_dim))
-            self.proj_b = nm.parameter(np.zeros((1, ctx_out)))
+            self.proj_w = nm.parameter(nm.uniform_init(rng, (in_dim, ctx_out), in_dim, dtype))
+            self.proj_b = nm.parameter(np.zeros((1, ctx_out), dtype))
             self._params["proj.w"] = self.proj_w
             self._params["proj.b"] = self.proj_b
 
@@ -383,7 +408,9 @@ class Model:
             self.gat_layers = []
             for l in range(config.graph_depth):
                 in_dim = ctx_out if l == 0 else config.d_g
-                heads = [GatHead(in_dim, config.head_dim, edge_dim, rng) for _ in range(config.heads)]
+                heads = [
+                    GatHead(in_dim, config.head_dim, edge_dim, rng, dtype) for _ in range(config.heads)
+                ]
                 for k, head in enumerate(heads):
                     self._params.update(head.parameters(f"gat.l{l}.head{k}"))
                 self.gat_layers.append(heads)
@@ -393,13 +420,13 @@ class Model:
             self.gcn_layers = []
             for l in range(config.graph_depth):
                 in_dim = (ctx_out if l == 0 else config.d_g) + edge_dim
-                w = nm.parameter(nm.uniform_init(rng, (in_dim, config.d_g), in_dim))
+                w = nm.parameter(nm.uniform_init(rng, (in_dim, config.d_g), in_dim, dtype))
                 self._params[f"gcn.l{l}.w"] = w
                 self.gcn_layers.append(w)
 
-        self.pool_w = nm.parameter(nm.uniform_init(rng, (config.d_g, 1), config.d_g))
-        self.cls_w = nm.parameter(nm.uniform_init(rng, (config.d_g, NUM_LABELS), config.d_g))
-        self.cls_b = nm.parameter(np.zeros(NUM_LABELS))
+        self.pool_w = nm.parameter(nm.uniform_init(rng, (config.d_g, 1), config.d_g, dtype))
+        self.cls_w = nm.parameter(nm.uniform_init(rng, (config.d_g, NUM_LABELS), config.d_g, dtype))
+        self.cls_b = nm.parameter(np.zeros(NUM_LABELS, dtype))
         self._params["pool.w"] = self.pool_w
         self._params["cls.w"] = self.cls_w
         self._params["cls.b"] = self.cls_b
@@ -452,7 +479,7 @@ class Model:
         h = self._context_encode(x, vertex_starts, token_rows)
         efeat = edge_features(
             units, local_pairs, cfg.edge_mode, cfg.d_e,
-            self.dref_table, self.dref_embed, cfg.dref_scale_by_ratio,
+            self.dref_table, self.dref_embed, cfg.dref_scale_by_ratio, self.dtype,
         )
         attention: list[list[np.ndarray]] = []
         if cfg.graph_layer == "gat":

@@ -1,12 +1,18 @@
-"""Dense float64 autodiff engine (reverse mode).
+"""Dense reverse-mode autodiff engine whose value dtype is given by its inputs.
 
-Values are plain numpy arrays; ``Node`` adds the graph bookkeeping. Each
-operation returns a Node holding its parents and one vector-Jacobian
-closure per parent, and ``Node.backward`` walks the graph once in
-reverse topological order. Broadcasting is deliberately restricted to
-scalar*tensor, row-vector bias addition and an (m, 1) column scaling
-the rows of an (m, n) matrix, so every backward rule stays small enough
-to audit by hand.
+Values are plain numpy arrays; ``Node`` adds the graph bookkeeping. A
+node keeps the floating dtype of the array it is given, and only
+non-float input (ints, bools, lists of numbers) becomes float64; every
+operation computes in its operands' dtype and allocates its buffers and
+gradients in it, so a graph built from float32 leaves stays float32 end
+to end and one built from float64 leaves stays float64. Mixing the two
+promotes to float64, so a caller builds its constants in the dtype of
+its parameters. Each operation returns a Node holding its parents and
+one vector-Jacobian closure per parent, and ``Node.backward`` walks the
+graph once in reverse topological order. Broadcasting is deliberately
+restricted to scalar*tensor, row-vector bias addition and an (m, 1)
+column scaling the rows of an (m, n) matrix, so every backward rule
+stays small enough to audit by hand.
 
 Graph neighborhoods are contiguous row segments: ``segment_sum`` adds
 the rows of each segment (scatter-add) and ``segment_softmax`` normalizes
@@ -27,10 +33,11 @@ step s of the loop updates the k_s sequences still running with one
 rows. Its backward runs one backpropagation-through-time sweep over the
 same steps and yields the gate gradients of every row, sums them per
 token row, and makes each weight gradient one GEMM for the whole call.
-The input may be handed over as column blocks (several nodes whose
-columns, side by side, are the input): each block's gradient is the
-product with its own rows of ``w_input`` only, so a constant block costs
-no gradient GEMM. The graph therefore grows with layers, not with
+The input may be handed over as ``ColumnBlocks`` (several nodes whose
+columns, side by side, are the input, concatenated once so that both
+directions of a BiLSTM read the same matrix): each block's gradient is
+the product with its own rows of ``w_input`` only, so a constant block
+costs no gradient GEMM. The graph therefore grows with layers, not with
 timesteps or sequences.
 
 ``cross_entropy`` scores a (B, C) batch of logits against B labels and
@@ -44,23 +51,31 @@ has been passed to its parents: a batch's backward then holds only the
 gradients still in flight, and two backward calls through a shared
 interior node each pass their own gradient on once. Accumulation is in
 place, and a node's first gradient contribution is adopted or copied: a
-freshly allocated float64 array that nothing else references becomes the
-node's ``grad`` as it is; anything else is copied, because the
-pass-through VJPs of ``add`` and ``concat`` return the incoming gradient
-or a view of it and a VJP may keep the array it returns. Every later
-contribution is added into that array with ``+=``. No two nodes'
-``grad`` arrays ever share memory, with each other or with a value.
+freshly allocated array of the node's own dtype that nothing else
+references becomes the node's ``grad`` as it is; anything else is copied
+into that dtype, because the pass-through VJPs of ``add`` and ``concat``
+return the incoming gradient or a view of it and a VJP may keep the
+array it returns. Every later contribution is added into that array with
+``+=``. No two nodes' ``grad`` arrays ever share memory, with each other
+or with a value.
+
+``gradient_check`` compares against central differences, which only
+resolve the gradient in float64; it refuses parameters of any other
+dtype.
 """
 
 from __future__ import annotations
 
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Node",
     "ShapeMismatch",
+    "ColumnBlocks",
+    "column_blocks",
     "constant",
     "parameter",
     "add",
@@ -98,8 +113,35 @@ class ShapeMismatch(ValueError):
     """Incompatible operand shapes; the message names both shapes."""
 
 
+class ColumnBlocks(NamedTuple):
+    """Nodes with equal row counts whose columns, side by side, form one input matrix.
+
+    ``value`` is that matrix, concatenated once when the blocks are made,
+    so every consumer of the same blocks reads the same array.
+    """
+
+    nodes: tuple[Node, ...]
+    value: np.ndarray
+
+
+def column_blocks(x) -> ColumnBlocks:
+    """``x``, a node or a list of nodes (ColumnBlocks pass through), as ColumnBlocks."""
+    if isinstance(x, ColumnBlocks):
+        return x
+    nodes = (x,) if isinstance(x, Node) else tuple(x)
+    try:
+        value = np.concatenate([b.value for b in nodes], axis=1)
+    except ValueError:  # no blocks, a block that is not a matrix, or unequal row counts
+        value = None
+    if value is None or value.ndim != 2:
+        raise ShapeMismatch(f"column blocks of shapes {[b.shape for b in nodes]}")
+    return ColumnBlocks(nodes, value)
+
+
 class Node:
-    """A float64 array plus reverse-mode bookkeeping.
+    """A floating-point array plus reverse-mode bookkeeping.
+
+    A float array keeps its dtype; anything else becomes float64.
 
     ``parents`` and ``vjps`` are parallel tuples: ``vjps[k](g)`` maps the
     gradient w.r.t. this node to the gradient contribution for
@@ -109,7 +151,8 @@ class Node:
     __slots__ = ("value", "grad", "parents", "vjps", "requires_grad")
 
     def __init__(self, value, parents=(), vjps=(), requires_grad=False):
-        self.value = np.asarray(value, dtype=np.float64)
+        value = np.asarray(value)
+        self.value = value if value.dtype.kind == "f" else value.astype(np.float64)
         self.grad = None
         self.parents = tuple(parents)
         self.vjps = tuple(vjps)
@@ -130,10 +173,11 @@ class Node:
         Only valid for scalar (size-1) outputs. Visits each node exactly
         once; shared subexpressions therefore sum their contributions. A
         node's first contribution is adopted as its gradient when it is a
-        fresh float64 array that nothing else references, and copied
-        otherwise (VJPs may return ``g`` itself, a view of it, or an array
-        they keep); later ones are added into it in place. Interior nodes
-        drop their gradient once it has reached their parents.
+        fresh array of the parent's dtype that nothing else references,
+        and copied into that dtype otherwise (VJPs may return ``g``
+        itself, a view of it, or an array they keep); later ones are added
+        into it in place. Interior nodes drop their gradient once it has
+        reached their parents.
         """
         if self.value.size != 1:
             raise ValueError(f"backward() requires a scalar output, got shape {self.shape}")
@@ -151,13 +195,13 @@ class Node:
                     parent.grad += contribution
                 elif (
                     type(contribution) is np.ndarray
-                    and contribution.dtype == np.float64
+                    and contribution.dtype == parent.value.dtype
                     and contribution.base is None
                     and sys.getrefcount(contribution) == _SOLE_OWNER_REFS
                 ):
                     parent.grad = contribution
                 else:
-                    parent.grad = np.array(contribution, dtype=np.float64)
+                    parent.grad = np.array(contribution, dtype=parent.value.dtype)
             if node.parents:
                 node.grad = None
 
@@ -342,7 +386,7 @@ def relu(x: Node) -> Node:
 
 
 def leaky_relu(x: Node, slope: float = 0.2) -> Node:
-    factor = np.where(x.value > 0, 1.0, slope)
+    factor = np.where(x.value > 0, 1.0, slope).astype(x.value.dtype)
     return _node(x.value * factor, (x,), (lambda g: g * factor,))
 
 
@@ -416,12 +460,14 @@ def lstm_sequence(
 ) -> Node:
     """Hidden states of one LSTM direction over packed sequences, as one node.
 
-    The input is given per token: ``x`` is a (T, k) node, or a list of
-    nodes with T rows each whose columns, side by side, are the k input
-    columns. Row r of the packed layout reads token row ``token_rows[r]``
-    (all T rows in order when None), so a token that several sequences
-    read is projected once: ``x @ w_input + bias`` runs over the T token
-    rows and is gathered to the n layout rows.
+    The input is given per token: ``x`` is a (T, k) node, or
+    ``ColumnBlocks`` (or a list of nodes) with T rows each whose columns,
+    side by side, are the k input columns; a caller that runs several
+    directions over one input makes the blocks once with
+    ``column_blocks``. Row r of the packed layout reads token row
+    ``token_rows[r]`` (all T rows in order when None), so a token that
+    several sequences read is projected once: ``x @ w_input + bias`` runs
+    over the T token rows and is gathered to the n layout rows.
 
     The layout holds S sequences as contiguous, non-empty row segments
     that begin at ``starts`` (the ``segment_sum`` convention). Each is read
@@ -429,20 +475,18 @@ def lstm_sequence(
     Gates are stacked (input, forget, cell, output) along the columns of
     ``w_input`` (k, 4d), ``w_hidden`` (d, 4d) and ``bias`` (4d or 1x4d).
     Row r of the (n, d) result is the hidden state after reading row r;
-    initial hidden and cell states are zero.
+    initial hidden and cell states are zero. Every buffer has the input's
+    dtype.
 
     The sequences are stably sorted longest first, so those still running
     at step s are a prefix of k_s of them. The rows are permuted once into
     step-major order, where step s is a contiguous slice of k_s rows
     updated with one (k_s, d) @ (d, 4d) GEMM, and scattered back once.
     """
-    blocks = [x] if isinstance(x, Node) else list(x)
     try:
-        x_value = np.concatenate([b.value for b in blocks], axis=1)
-    except ValueError:  # no blocks, a block that is not a matrix, or unequal row counts
-        x_value = None
-    if x_value is None or x_value.ndim != 2:
-        raise ShapeMismatch(f"lstm_sequence: input blocks of shapes {[b.shape for b in blocks]}")
+        blocks, x_value = column_blocks(x)
+    except ShapeMismatch as exc:
+        raise ShapeMismatch(f"lstm_sequence: {exc}") from None
     tokens = x_value.shape[0]
     token_rows = np.arange(tokens) if token_rows is None else np.asarray(token_rows, dtype=np.intp)
     out_of_range = token_rows.size > 0 and (token_rows.min() < 0 or token_rows.max() >= tokens)
@@ -473,14 +517,15 @@ def lstm_sequence(
     widths = running.sum(axis=1)  # k_s
     offsets = np.concatenate(([0], np.cumsum(widths)))
     wh = w_hidden.value
+    dtype = x_value.dtype
 
     z_input = (x_value @ w_input.value + bias.value.reshape(-1))[step_tokens]
-    acts = np.empty((n, 4 * d))
-    hidden = np.empty((n, d))  # hidden and cell states after each step
-    cell = np.empty((n, d))
-    hidden_prev = np.zeros((n, d))  # and before it
-    cell_prev = np.zeros((n, d))
-    tanh_cell = np.empty((n, d))
+    acts = np.empty((n, 4 * d), dtype)
+    hidden = np.empty((n, d), dtype)  # hidden and cell states after each step
+    cell = np.empty((n, d), dtype)
+    hidden_prev = np.zeros((n, d), dtype)  # and before it
+    cell_prev = np.zeros((n, d), dtype)
+    tanh_cell = np.empty((n, d), dtype)
     for s, k in enumerate(widths):
         rows = slice(offsets[s], offsets[s] + k)
         z = z_input[rows]
@@ -495,7 +540,7 @@ def lstm_sequence(
         cell[rows] = a[:, d : 2 * d] * cell_prev[rows] + a[:, :d] * a[:, 2 * d : 3 * d]
         tanh_cell[rows] = np.tanh(cell[rows])
         hidden[rows] = a[:, 3 * d :] * tanh_cell[rows]
-    out = np.empty((n, d))
+    out = np.empty((n, d), dtype)
     out[perm] = hidden
 
     cache: dict = {}
@@ -535,10 +580,12 @@ def _sum_rows_by_index(values: np.ndarray, index: np.ndarray, size: int) -> np.n
 
     Row t adds the rows i with index[i] == t in order of i, as
     ``np.add.at`` would, but as one ``bincount`` over the flat entries.
+    bincount adds in float64; the sums come back in the dtype of ``values``.
     """
     width = values.shape[1]
     flat = (index[:, None] * width + np.arange(width)).ravel()
-    return np.bincount(flat, weights=values.ravel(), minlength=size * width).reshape(size, width)
+    sums = np.bincount(flat, weights=values.ravel(), minlength=size * width)
+    return sums.reshape(size, width).astype(values.dtype, copy=False)
 
 
 def _lstm_bptt(g_hidden, acts, cell_prev, tanh_cell, wh, offsets, widths) -> np.ndarray:
@@ -556,8 +603,8 @@ def _lstm_bptt(g_hidden, acts, cell_prev, tanh_cell, wh, offsets, widths) -> np.
     slope[:, 2 * d : 3 * d] = 1.0 - gate_cell * gate_cell
     cell_from_hidden = gate_out * (1.0 - tanh_cell * tanh_cell)
     dz = np.empty_like(acts)
-    dh_next = np.zeros((widths[0], d))
-    dc_next = np.zeros((widths[0], d))
+    dh_next = np.zeros((widths[0], d), acts.dtype)
+    dc_next = np.zeros((widths[0], d), acts.dtype)
     for s in range(len(widths) - 1, -1, -1):
         k = widths[s]
         rows = slice(offsets[s], offsets[s] + k)
@@ -620,10 +667,24 @@ def zero_grads(params) -> None:
         p.grad = None
 
 
-def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    """Uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) initialization."""
+_INIT_BLOCK = 1 << 16  # values drawn per call: a float64 block that stays in cache
+
+
+def uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype=np.float64) -> np.ndarray:
+    """Uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) initialization, rounded to ``dtype``.
+
+    The draws are float64 whatever ``dtype`` is, so a float32 init is the
+    float64 init rounded. They are made a block at a time and written into
+    the result: the generator yields the same sequence as one call for the
+    whole shape, with no full-size float64 temporary.
+    """
     bound = float(np.sqrt(1.0 / fan_in))
-    return rng.uniform(-bound, bound, size=shape)
+    out = np.empty(shape, dtype)
+    flat = out.reshape(-1)
+    for lo in range(0, flat.size, _INIT_BLOCK):
+        size = min(_INIT_BLOCK, flat.size - lo)
+        flat[lo : lo + size] = rng.uniform(-bound, bound, size=size)
+    return out
 
 
 def gradient_check(f, params, h: float = 1e-5) -> float:
@@ -631,9 +692,14 @@ def gradient_check(f, params, h: float = 1e-5) -> float:
 
     ``f`` must be a deterministic zero-argument callable returning a scalar
     Node built from ``params``. Coordinates where both gradients are tiny
-    (< 1e-8) are compared absolutely to avoid 0/0 blowups.
+    (< 1e-8) are compared absolutely to avoid 0/0 blowups. The parameters
+    must be float64: a step of ``h`` in float32 is lost in rounding noise,
+    so any other dtype raises ValueError.
     """
     params = [p for p in params if p.requires_grad]
+    for p in params:
+        if p.value.dtype != np.float64:
+            raise ValueError(f"gradient_check needs float64 parameters, got {p.value.dtype}")
     zero_grads(params)
     out = f()
     if out.value.size != 1:

@@ -57,6 +57,12 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class TrainerConfig:
+    """Training-loop settings; a setting out of range raises ValueError naming it.
+
+    ``epochs=0`` trains nothing and ``learning_rate=0`` steps nowhere, both
+    legal; ``gradient_clip_norm=0`` turns clipping off.
+    """
+
     batch_size: int = 50
     epochs: int = 200
     learning_rate: float = 0.1
@@ -69,6 +75,19 @@ class TrainerConfig:
     stop_at_train_accuracy: float | None = None
 
     def __post_init__(self):
+        # written as "not (in range)" so that NaN is rejected too
+        if not self.epochs >= 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not self.learning_rate >= 0:
+            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not self.gradient_clip_norm >= 0:
+            raise ValueError(
+                f"gradient_clip_norm must be >= 0 (0 turns clipping off), got {self.gradient_clip_norm}"
+            )
+        if not 0 < self.lr_decay <= 1:
+            raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
+        if self.decay_patience < 1:
+            raise ValueError(f"decay_patience must be >= 1, got {self.decay_patience}")
         if not 0 < self.dev_fraction < 1:
             raise ValueError(f"dev_fraction must be in (0, 1), got {self.dev_fraction}")
         if self.batch_size < 1:
@@ -190,8 +209,8 @@ def score_predictions(
 def clip_gradients(params, max_norm: float) -> float:
     """Scale all gradients so their global norm is at most max_norm.
 
-    Pure rescaling: the aggregate gradient direction is unchanged.
-    Returns the pre-clip norm.
+    Pure rescaling: the aggregate gradient direction is unchanged; a
+    max_norm of 0 leaves them as they are. Returns the pre-clip norm.
     """
     total = 0.0
     for p in params:

@@ -136,7 +136,7 @@ def test_03_attention_and_pooling_normalization():
                 graph_mode="multi" if trial % 2 else "single",
             )
             dref = build_dref_table([sentence], config.d_e) if config.uses_dref else None
-            model = Model(config, vocabs, dref, seed=trial)
+            model = Model(config, vocabs, dref, seed=trial, dtype=np.float64)
             provider = HashedEmbeddingProvider(config.d_ctx, seed=trial)
             sgs = sentence_subgraphs(sentence)
             detail = model.forward([(sentence, sgs)], provider)
@@ -173,7 +173,7 @@ def test_04_full_model_gradient_fidelity():
                              edge_mode="dref+ctef")
         vocabs = build_vocabs([s])
         dref = build_dref_table([s], config.d_e)
-        model = Model(config, vocabs, dref, seed=11)
+        model = Model(config, vocabs, dref, seed=11, dtype=np.float64)
         provider = HashedEmbeddingProvider(config.d_ctx, seed=0)
         sgs = sentence_subgraphs(s)
         label = vocabs.label_index(s.label)

@@ -94,6 +94,27 @@ class TestTrain:
         assert code == 2
         assert f"{field} must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,field,value", [
+        ("--epochs", "epochs", "-1"), ("--learning-rate", "learning_rate", "-1"),
+        ("--gradient-clip-norm", "gradient_clip_norm", "-5"), ("--lr-decay", "lr_decay", "7"),
+        ("--decay-patience", "decay_patience", "0"),
+    ])
+    def test_nonsense_trainer_setting_exits_2(self, corpus_file, tmp_path, capsys, flag, field, value):
+        out = tmp_path / "x"
+        code = main(["train", "--train", corpus_file, "--out-dir", str(out), *TINY_FLAGS, flag, value])
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_vector_error_names_embeddings_file(self, tmp_path, corpus_file, capsys):
+        vectors = tmp_path / "v.tsv"
+        vectors.write_text("0\t0\t" + " ".join(["0.5"] * 6) + "\n", encoding="utf-8")
+        code = main(["train", "--train", corpus_file, "--out-dir", str(tmp_path / "x"),
+                     "--embeddings", str(vectors), *TINY_FLAGS])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {vectors}: no precomputed vector for instance" in err
+
     def test_unlabeled_training_corpus_names_instance(self, tmp_path, capsys):
         predict_file = str(REPO_ROOT / "data" / "toy_predict.conllu")
         code = main(["train", "--train", predict_file, "--out-dir", str(tmp_path / "x"), *TINY_FLAGS])

@@ -335,6 +335,15 @@ class TestFileProvider:
         assert str(pollen_sentence.instance_id) in str(err.value)
         assert "token 4" in str(err.value)
 
+    def test_missing_vector_error_starts_with_path(self, pollen_sentence, tmp_path):
+        path = tmp_path / "v.tsv"
+        path.write_text(self.make_text(pollen_sentence, 6).split("\n")[0] + "\n", encoding="utf-8")
+        provider = FileEmbeddingProvider.from_path(str(path), dim=6)
+        with pytest.raises(FeatureError) as err:
+            provider.vectors(pollen_sentence)
+        assert str(err.value).startswith(f"{path}: no precomputed vector for instance")
+        assert "token 1" in str(err.value)
+
     def test_wrong_width_rejected(self):
         with pytest.raises(FeatureError):
             FileEmbeddingProvider("0\t0\t1.0 2.0\n", dim=3)

@@ -83,7 +83,7 @@ def tiny_model(edge_mode="none", **overrides):
     vocabs = build_vocabs(corpus)
     dref = build_dref_table(corpus, config.d_e) if config.uses_dref else None
     provider = HashedEmbeddingProvider(config.d_ctx, seed=0)
-    return Model(config, vocabs, dref, seed=3), corpus, provider
+    return Model(config, vocabs, dref, seed=3, dtype=np.float64), corpus, provider
 
 
 # ---------------------------------------------------------------------------
@@ -566,12 +566,12 @@ def test_logits_invariant_to_internal_vertex_ordering():
 # Batched forward
 
 
-def structure_model(**overrides):
+def structure_model(dtype=np.float64, **overrides):
     corpus = build_structure_corpus(10, seed=5)
     config = ModelConfig(**{**TINY, **overrides})
     dref = build_dref_table(corpus, config.d_e) if config.uses_dref else None
     provider = HashedEmbeddingProvider(config.d_ctx, seed=0)
-    model = Model(config, build_vocabs(corpus), dref, seed=9)
+    model = Model(config, build_vocabs(corpus), dref, seed=9, dtype=dtype)
     return model, [(s, sentence_subgraphs(s, config.expansion_order)) for s in corpus], provider
 
 
@@ -704,12 +704,15 @@ def test_malformed_checkpoint_names_path(tmp_path):
     # one flipped bit in the first and last byte of every parameter
     flips = [at for lo, hi in zip(ends[2:], ends[3:]) for at in (lo, hi - 1)]
     flipped = [blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1 :] for at in flips]
-    # the previous format: version 01, no digest in the header
+    # the previous formats: version 02 (no dtype in the header) and 01 (no digest either)
     header = json.loads(blob[16 : ends[2]])
+    del header["dtype"]
+    text = json.dumps(header).encode("utf-8")
+    version_02 = b"RGCKPT02" + struct.pack("<Q", len(text)) + text + blob[ends[2] :]
     del header["digest"]
     text = json.dumps(header).encode("utf-8")
     old_format = b"RGCKPT01" + struct.pack("<Q", len(text)) + text + blob[ends[2] :]
-    for blob_bad in [blob[:cut] for cut in cuts] + [blob + b"\0", old_format] + flipped:
+    for blob_bad in [blob[:cut] for cut in cuts] + [blob + b"\0", version_02, old_format] + flipped:
         bad.write_bytes(blob_bad)
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(str(bad))
@@ -722,7 +725,7 @@ def test_malformed_checkpoint_names_path(tmp_path):
 
 def test_checkpoint_save_replaces_whole_file(tmp_path, monkeypatch):
     first, corpus, provider = tiny_model(edge_mode="dref+ctef")
-    second = Model(first.config, first.vocabs, first.dref_table, seed=11)
+    second = Model(first.config, first.vocabs, first.dref_table, seed=11, dtype=np.float64)
     path, fresh = tmp_path / "model.ckpt", tmp_path / "fresh" / "model.ckpt"
     fresh.parent.mkdir()
     path.write_bytes(b"x" * 10**6)  # longer than any checkpoint written below
@@ -746,6 +749,80 @@ def test_checkpoint_save_replaces_whole_file(tmp_path, monkeypatch):
         save_checkpoint(first, str(path))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "model.ckpt"]
     assert path.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("contextual", [True, False])
+@pytest.mark.parametrize("edge_mode", ["none", "dref", "ctef", "dref+ctef"])
+@pytest.mark.parametrize("graph_layer", ["gat", "gcn"])
+def test_float32_model_stays_float32(graph_layer, edge_mode, contextual):
+    # every node value, every VJP result and every parameter gradient of a
+    # forward and backward is float32
+    model, instances, provider = structure_model(
+        graph_layer=graph_layer, edge_mode=edge_mode, contextual=contextual,
+        dref_scale_by_ratio=True, dtype=np.float32,
+    )
+    golds = [model.vocabs.label_index(s.label) for s, _ in instances]
+    loss = nm.cross_entropy(model.forward(instances, provider).logits, golds)
+    results = []
+
+    def recording(vjp):
+        def wrapped(g):
+            out = vjp(g)
+            results.append(np.asarray(out).dtype)
+            return out
+        return wrapped
+
+    nodes = graph_nodes(loss)
+    for node in nodes:
+        assert node.value.dtype == np.float32, node
+        node.vjps = tuple(recording(vjp) for vjp in node.vjps)
+    loss.backward()
+    assert results and set(results) == {np.dtype(np.float32)}
+    params = model.parameters()
+    assert all(p.grad is not None and p.grad.dtype == np.float32 for p in params.values())
+
+
+@pytest.mark.parametrize("edge_mode", ["none", "dref", "ctef", "dref+ctef"])
+@pytest.mark.parametrize("graph_layer", ["gat", "gcn"])
+def test_float32_logits_match_float64(graph_layer, edge_mode):
+    # the same init rounded to float32 gives the same logits to 1e-5 of the largest
+    cfg = dict(graph_layer=graph_layer, edge_mode=edge_mode, graph_depth=2, expansion_order=1)
+    single, instances, provider = structure_model(**cfg, dtype=np.float32)
+    double, _, _ = structure_model(**cfg)
+    for (name, p), q in zip(single.parameters().items(), double.parameters().values()):
+        assert np.array_equal(p.value, q.value.astype(np.float32)), name
+    got = single.forward(instances, provider).logits.value
+    want = double.forward(instances, provider).logits.value
+    assert got.dtype == np.float32 and want.dtype == np.float64
+    assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+    assert np.array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
+
+
+def test_float32_checkpoint_roundtrip_bitwise(tmp_path):
+    model, instances, provider = structure_model(edge_mode="dref+ctef", dtype=np.float32)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, 8)
+    assert json.loads(blob[16 : 16 + header_len])["dtype"] == "float32"
+    assert len(blob) == 16 + header_len + 4 * sum(p.value.size for p in model.parameters().values())
+    clone = load_checkpoint(str(path))
+    assert clone.dtype == np.float32
+    for (name, p), q in zip(model.parameters().items(), clone.parameters().values()):
+        assert q.value.dtype == np.float32 and np.array_equal(p.value, q.value), name
+    assert np.array_equal(
+        model.forward(instances, provider).logits.value, clone.forward(instances, provider).logits.value
+    )
+
+
+def test_model_dtype_defaults_to_float32():
+    vocabs = build_vocabs(build_toy_corpus())
+    model = Model(ModelConfig(**TINY), vocabs)
+    assert model.dtype == np.float32
+    assert all(p.value.dtype == np.float32 for p in model.parameters().values())
+    for dtype in (np.float16, np.int64):
+        with pytest.raises(ConfigError, match="dtype"):
+            Model(ModelConfig(**TINY), vocabs, dtype=dtype)
 
 
 def test_malformed_checkpoint_header_names_path(tmp_path):

@@ -1,5 +1,6 @@
 """Engine tests: op semantics, stability, and gradient fidelity."""
 
+import weakref
 import zlib
 
 import numpy as np
@@ -178,6 +179,37 @@ def test_gradient_check_analytic_square():
     assert err < 1e-8
 
 
+def test_gradient_check_refuses_float32():
+    x = nm.parameter(np.array([[1.0, 2.0]], dtype=np.float32))
+    with pytest.raises(ValueError, match="float32"):
+        nm.gradient_check(lambda: total(nm.mul(x, x)), [x])
+
+
+def test_node_keeps_float_dtype():
+    for dtype in (np.float32, np.float64):
+        assert nm.constant(np.zeros((2, 2), dtype)).value.dtype == dtype
+    for value in ([1, 2], np.arange(3), np.array([True, False]), 2):
+        assert nm.constant(value).value.dtype == np.float64
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fresh_gradient_adopted_in_its_dtype(dtype):
+    # a VJP's freshly allocated result of the leaf's dtype becomes its grad uncopied
+    w = nm.parameter(np.ones((3, 2), dtype))
+    out = nm.matmul(nm.constant(np.ones((2, 3), dtype)), w)
+    made = []
+    vjp_w = out.vjps[1]
+
+    def recorded(g):
+        result = vjp_w(g)
+        made.append(weakref.ref(result))  # a weak reference leaves the result's owner alone
+        return result
+
+    out.vjps = (out.vjps[0], recorded)
+    nm.cross_entropy(out, [0, 1]).backward()
+    assert made[0]() is w.grad and w.grad.dtype == dtype
+
+
 def test_gradient_check_skips_frozen_leaves():
     x = nm.parameter(np.array([[1.0, 2.0]]))
     frozen = nm.constant(np.array([[3.0, 4.0]]))
@@ -336,6 +368,13 @@ def test_uniform_init_bounds_and_determinism():
     b = nm.uniform_init(np.random.default_rng(3), (50, 50), fan_in=25)
     np.testing.assert_array_equal(a, b)
     assert np.max(np.abs(a)) <= 1.0 / 5.0
+    # drawn block by block, yet the same values as one draw for the whole shape,
+    # and in float32 those values rounded
+    whole = np.random.default_rng(3).uniform(-0.2, 0.2, size=(300, 400))
+    for dtype in (np.float64, np.float32):
+        init = nm.uniform_init(np.random.default_rng(3), (300, 400), fan_in=25, dtype=dtype)
+        assert init.dtype == dtype
+        np.testing.assert_array_equal(init, whole.astype(dtype))
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,15 @@ class TestTraining:
             TrainerConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainerConfig(budget_unit="sample")
+        for field, value in [
+            ("epochs", -1), ("learning_rate", -0.1), ("learning_rate", float("nan")),
+            ("gradient_clip_norm", -5.0), ("lr_decay", 0.0), ("lr_decay", 7.0),
+            ("decay_patience", 0),
+        ]:
+            with pytest.raises(ValueError, match=field):
+                TrainerConfig(**{field: value})
+        # the edges of each range stay legal: no epochs, no step, no clipping, no decay
+        TrainerConfig(epochs=0, learning_rate=0.0, gradient_clip_norm=0.0, lr_decay=1.0, decay_patience=1)
 
     def test_evaluate_requires_labels(self, toy_corpus):
         cfg = ModelConfig(**TINY)
