@@ -1,12 +1,16 @@
 """Deterministic binary model checkpoints.
 
-Layout (format version 03): an 8-byte magic (which carries the format
+Layout (format version 04): an 8-byte magic (which carries the format
 version), a little-endian uint64 header length, a UTF-8 JSON header,
 then the raw little-endian bytes of every parameter in header order, in
 the model's dtype (``<f4`` for float32, ``<f8`` for float64). The header
 holds the model config, the vocabularies, the dependency-triple
-statistics, the dtype, the parameter shapes and a blake2b digest of the
-parameter bytes, so a load rebuilds the exact model in its dtype;
+statistics, the dtype, the parameter names and shapes and a blake2b
+digest of the parameter bytes, so a load rebuilds the exact model in its
+dtype. Version 04 stores each input matrix of the context encoder as its
+two row blocks, ``lstm_fwd.w_ctx``/``.w_feat`` and
+``lstm_bwd.w_ctx``/``.w_feat`` (or ``proj.w_ctx``/``proj.w_feat`` in the
+non-contextual variant), where version 03 had one ``w_input``/``proj.w``;
 outputs are byte-identical across runs because nothing time- or
 path-dependent is written. A save writes a temporary file beside the
 target and renames it over the target, so the path holds either the old
@@ -33,7 +37,7 @@ from .model import Model, ModelConfig
 
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
 
-MAGIC = b"RGCKPT03"  # the last two bytes are the format version
+MAGIC = b"RGCKPT04"  # the last two bytes are the format version
 
 
 def _digest(chunks) -> str:

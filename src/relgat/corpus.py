@@ -289,7 +289,9 @@ def parse_conllu_annotated(text: str) -> list[Sentence]:
     """Parse annotated CoNLL-U blocks into fully parsed sentences.
 
     Uses columns ID, FORM, UPOS, HEAD, DEPREL and MISC (``NER=TYPE`` or
-    ``_``). IDs are converted to 0-based; HEAD 0 becomes None (root).
+    ``_``). IDs are converted to 0-based; HEAD 0 becomes None (root). A
+    block carries each of the ``# id``, ``# e1``, ``# e2`` and ``# label``
+    comments at most once; other comments are free.
     """
     sentences = []
     block: list[tuple[int, str]] = []
@@ -305,15 +307,25 @@ def parse_conllu_annotated(text: str) -> list[Sentence]:
     return sentences
 
 
+UNIQUE_COMMENTS = ("id", "e1", "e2", "label")  # keys a block may carry at most once
+
+
 def _parse_conllu_block(block: list[tuple[int, str]], position: int) -> Sentence:
     comments: dict[str, str] = {}
+    comment_line: dict[str, int] = {}
+    repeated: tuple[str, int] | None = None  # the first repeated unique key and its line
     rows: list[tuple[int, list[str]]] = []
     for lineno, line in block:
         if line.startswith("#"):
             body = line[1:].strip()
             if "=" in body:
                 key, _, value = body.partition("=")
-                comments[key.strip()] = value.strip()
+                key = key.strip()
+                if key in UNIQUE_COMMENTS and key in comment_line:
+                    repeated = repeated or (key, lineno)
+                    continue
+                comments[key] = value.strip()
+                comment_line[key] = lineno
             continue
         cols = line.split("\t")
         if len(cols) != 10:
@@ -327,6 +339,12 @@ def _parse_conllu_block(block: list[tuple[int, str]], position: int) -> Sentence
     if isinstance(instance_id, str) and instance_id.isdigit():
         instance_id = int(instance_id)
     where = f"instance {instance_id}"
+    if repeated is not None:
+        key, lineno = repeated
+        raise CorpusError(
+            f"{where}: repeated '# {key}' comment at line {lineno} "
+            f"(first at line {comment_line[key]})"
+        )
 
     tokens = []
     n = len(rows)

@@ -93,15 +93,17 @@ class FileEmbeddingProvider(EmbeddingProvider):
     File format: one record per token,
     ``instance_id <TAB> token_index <TAB> v1 v2 ... vD`` with an integer
     token index and D space-separated finite decimals. A malformed record
-    raises FeatureError naming its line, and a token without a vector one
-    naming the instance and token; both start with the file's path when
-    the provider was read with ``from_path``.
+    raises FeatureError naming its line, a second record for the same
+    (instance, token) one naming both lines, and a token without a vector
+    one naming the instance and token; all start with the file's path
+    when the provider was read with ``from_path``.
     """
 
     def __init__(self, text: str, dim: int = 768):
         self.dim = dim
         self.path: str | None = None
         self._table: dict[tuple[str, int], np.ndarray] = {}
+        line_of: dict[tuple[str, int], int] = {}
         for lineno, line in enumerate(text.split("\n"), start=1):
             if not line.strip():
                 continue
@@ -121,7 +123,14 @@ class FileEmbeddingProvider(EmbeddingProvider):
                 raise FeatureError(f"{where}: expected {dim} values, got {vec.shape[0]}")
             if not np.all(np.isfinite(vec)):
                 raise FeatureError(f"{where}: non-finite vector value")
-            self._table[(parts[0], index)] = vec
+            key = (parts[0], index)
+            if key in line_of:
+                raise FeatureError(
+                    f"{where}: second vector for instance {parts[0]} token {index} "
+                    f"(first at line {line_of[key]})"
+                )
+            line_of[key] = lineno
+            self._table[key] = vec
 
     @classmethod
     def from_path(cls, path: str, dim: int = 768) -> "FileEmbeddingProvider":

@@ -7,6 +7,12 @@ fixed-length vector by scalar attention. The sentence vector is the sum
 of the pooled graph vectors and the two entity hidden states read from
 the path graph; a linear layer maps it to the 19 relation logits.
 
+Both context encoders start from the same input projection,
+``[ctx | feat] @ [W_ctx ; W_feat] + b`` (``input_projection``), run once
+per distinct token. The two row blocks of each input matrix are separate
+parameters and each column block has its own product, so the constant
+contextual vectors cost no gradient GEMM.
+
 Graph attention per head k with transform W and attention vector a:
 
     score(i, j) = leakyrelu(a . [W h_i | W h_j | e_ij], 0.2)
@@ -35,8 +41,9 @@ scheme):
                    its units' vertices: the rows of the token encoding
                    and of the input projection, so a token that several
                    sub-graphs share is encoded and projected once
-    token_rows     the token row of every vertex row, from which the
-                   BiLSTM (or the non-contextual projection) gathers
+    token_rows     the token row of every vertex row: each BiLSTM
+                   direction gathers its projected gate pre-activations
+                   by it (the non-contextual variant its projection)
     vertex_starts  each unit's first vertex row: the rows of the BiLSTM
                    (one packed sequence per unit) and every graph layer
     pair_starts,   the units' attention pairs, offset by the vertex and
@@ -86,6 +93,8 @@ __all__ = [
     "GatHead",
     "Model",
     "ForwardDetail",
+    "input_weights",
+    "input_projection",
     "bilstm_encode",
     "token_layout",
     "gat_attention",
@@ -160,18 +169,40 @@ class ModelConfig:
 # Layer parameter groups
 
 
-class LstmParams:
-    """One LSTM direction: stacked gate matrices in (input, forget, cell, output) order."""
+def input_weights(
+    rng: np.random.Generator, ctx_dim: int, feat_dim: int, width: int, dtype=np.float64
+) -> tuple[nm.Node, nm.Node]:
+    """The contextual and feature row blocks of one (ctx_dim + feat_dim, width) input matrix.
 
-    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator, dtype=np.float64):
+    Drawn one after the other with the whole matrix's fan-in, so stacked
+    they equal ``uniform_init`` of the whole matrix bit for bit.
+    """
+    fan_in = ctx_dim + feat_dim
+    return (
+        nm.parameter(nm.uniform_init(rng, (ctx_dim, width), fan_in, dtype)),
+        nm.parameter(nm.uniform_init(rng, (feat_dim, width), fan_in, dtype)),
+    )
+
+
+class LstmParams:
+    """One LSTM direction: stacked gate matrices in (input, forget, cell, output) order.
+
+    The input matrix is kept as its rows for the contextual columns
+    (``w_ctx``) and for the trainable feature columns (``w_feat``).
+    """
+
+    def __init__(
+        self, ctx_dim: int, feat_dim: int, hidden_dim: int, rng: np.random.Generator, dtype=np.float64
+    ):
         gates = 4 * hidden_dim
-        self.w_input = nm.parameter(nm.uniform_init(rng, (input_dim, gates), input_dim, dtype))
+        self.w_ctx, self.w_feat = input_weights(rng, ctx_dim, feat_dim, gates, dtype)
         self.w_hidden = nm.parameter(nm.uniform_init(rng, (hidden_dim, gates), hidden_dim, dtype))
         self.bias = nm.parameter(np.zeros((1, gates), dtype))
 
     def parameters(self, prefix: str) -> dict[str, nm.Node]:
         return {
-            f"{prefix}.w_input": self.w_input,
+            f"{prefix}.w_ctx": self.w_ctx,
+            f"{prefix}.w_feat": self.w_feat,
             f"{prefix}.w_hidden": self.w_hidden,
             f"{prefix}.bias": self.bias,
         }
@@ -196,23 +227,34 @@ class GatHead:
 # Layer operations (module level so each is testable in isolation)
 
 
+def input_projection(x: list[nm.Node], w_ctx: nm.Node, w_feat: nm.Node, bias: nm.Node) -> nm.Node:
+    """``[ctx | feat] @ [w_ctx ; w_feat] + bias`` for the two column blocks ``x = [ctx, feat]``.
+
+    One product per block: the constant contextual block needs no
+    gradient, so the backward skips its GEMM.
+    """
+    ctx, feat = x
+    return nm.add(nm.add(nm.matmul(ctx, w_ctx), nm.matmul(feat, w_feat)), bias)
+
+
 def bilstm_encode(
-    x, starts, forward: LstmParams, backward: LstmParams, token_rows=None
+    x: list[nm.Node], starts, forward: LstmParams, backward: LstmParams, token_rows
 ) -> nm.Node:
     """Concatenated forward/backward hidden states of the sequences at ``starts``.
 
-    ``x`` and ``token_rows`` are the token input of ``nm.lstm_sequence``:
-    one row per layout row, or by default one per row of ``x``. Column
-    blocks are concatenated once, for both directions.
+    ``x`` holds the [contextual, feature] column blocks of the distinct
+    tokens. Each direction projects them once per token, gathers the gate
+    pre-activations to the layout rows (layout row r reads token row
+    ``token_rows[r]``) and runs its recurrence over them.
     """
-    x = nm.column_blocks(x)
-    fwd = nm.lstm_sequence(
-        x, forward.w_input, forward.w_hidden, forward.bias, starts, False, token_rows
-    )
-    bwd = nm.lstm_sequence(
-        x, backward.w_input, backward.w_hidden, backward.bias, starts, True, token_rows
-    )
-    return nm.concat([fwd, bwd], axis=1)
+    states = [
+        nm.lstm_sequence(
+            nm.gather_rows(input_projection(x, p.w_ctx, p.w_feat, p.bias), token_rows),
+            p.w_hidden, starts, reverse,
+        )
+        for p, reverse in ((forward, False), (backward, True))
+    ]
+    return nm.concat(states, axis=1)
 
 
 def token_layout(graph_sets: list[list[SubGraph]]) -> tuple[list[list[int]], np.ndarray]:
@@ -388,19 +430,20 @@ class Model:
             )
             self._params["edge.dref"] = self.dref_embed
 
-        in_dim = self.embeddings.input_dim
+        feat_dim = self.embeddings.input_dim - config.d_ctx
         ctx_out = 2 * config.d_lstm
         if config.contextual:
-            self.lstm_fwd = LstmParams(in_dim, config.d_lstm, rng, dtype)
-            self.lstm_bwd = LstmParams(in_dim, config.d_lstm, rng, dtype)
+            self.lstm_fwd = LstmParams(config.d_ctx, feat_dim, config.d_lstm, rng, dtype)
+            self.lstm_bwd = LstmParams(config.d_ctx, feat_dim, config.d_lstm, rng, dtype)
             self._params.update(self.lstm_fwd.parameters("lstm_fwd"))
             self._params.update(self.lstm_bwd.parameters("lstm_bwd"))
-            self.proj_w = self.proj_b = None
+            self.proj_w_ctx = self.proj_w_feat = self.proj_b = None
         else:
             self.lstm_fwd = self.lstm_bwd = None
-            self.proj_w = nm.parameter(nm.uniform_init(rng, (in_dim, ctx_out), in_dim, dtype))
+            self.proj_w_ctx, self.proj_w_feat = input_weights(rng, config.d_ctx, feat_dim, ctx_out, dtype)
             self.proj_b = nm.parameter(np.zeros((1, ctx_out), dtype))
-            self._params["proj.w"] = self.proj_w
+            self._params["proj.w_ctx"] = self.proj_w_ctx
+            self._params["proj.w_feat"] = self.proj_w_feat
             self._params["proj.b"] = self.proj_b
 
         edge_dim = config.d_e if config.edge_mode != "none" else 0
@@ -441,7 +484,7 @@ class Model:
     ) -> nm.Node:
         if self.config.contextual:
             return bilstm_encode(x, starts, self.lstm_fwd, self.lstm_bwd, token_rows)
-        projected = nm.add(nm.matmul(nm.concat(x, axis=1), self.proj_w), self.proj_b)
+        projected = input_projection(x, self.proj_w_ctx, self.proj_w_feat, self.proj_b)
         return nm.gather_rows(projected, token_rows)
 
     def forward(

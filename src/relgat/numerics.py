@@ -15,29 +15,27 @@ column scaling the rows of an (m, n) matrix, so every backward rule
 stays small enough to audit by hand.
 
 Graph neighborhoods are contiguous row segments: ``segment_sum`` adds
-the rows of each segment (scatter-add) and ``segment_softmax`` normalizes
-within each segment, both given the sorted first row of every segment.
-A graph layer is then a fixed handful of nodes whatever the vertex
-count.
+the rows of each segment and ``segment_softmax`` normalizes within each
+segment, both given the sorted first row of every segment. A graph
+layer is then a fixed handful of nodes whatever the vertex count.
+``gather_rows`` selects rows by index, duplicates allowed; its backward
+is the engine's one scatter-add, a single ``bincount`` that sums the
+gradient rows of every index.
 
 Recurrences are fused and packed: ``lstm_sequence`` runs one LSTM
 direction over any number of sequences, laid out as contiguous row
-segments in the same ``starts`` convention, as a single node. Its input
-is given per token: a ``token_rows`` map names the token row each layout
-row reads, so sequences that share tokens (sub-graphs cut from one
-sentence) share their input rows. The forward does the input projection
-``x @ w_input + bias`` as one GEMM over the distinct token rows and
-gathers it to the layout rows; with the sequences sorted longest first,
-step s of the loop updates the k_s sequences still running with one
-``h @ w_hidden`` GEMM, so the loop runs max-length steps, not total
-rows. Its backward runs one backpropagation-through-time sweep over the
-same steps and yields the gate gradients of every row, sums them per
-token row, and makes each weight gradient one GEMM for the whole call.
-The input may be handed over as ``ColumnBlocks`` (several nodes whose
-columns, side by side, are the input, concatenated once so that both
-directions of a BiLSTM read the same matrix): each block's gradient is
-the product with its own rows of ``w_input`` only, so a constant block
-costs no gradient GEMM. The graph therefore grows with layers, not with
+segments in the same ``starts`` convention, as a single node. It is the
+recurrence alone: its input is the (n, 4d) gate pre-activations
+``x @ w_input + bias`` of every layout row, which the caller builds from
+ordinary ops (a projection over distinct tokens and a ``gather_rows`` to
+the layout, say), so input GEMMs and their gradients are the engine's
+usual ``matmul`` and ``requires_grad`` pruning skips a constant input.
+With the sequences sorted longest first, step s of the loop updates the
+k_s sequences still running with one ``h @ w_hidden`` GEMM, so the loop
+runs max-length steps, not total rows. Its backward runs one
+backpropagation-through-time sweep over the same steps, yields the gate
+gradients of every row, and makes the ``w_hidden`` gradient one GEMM for
+the whole call. The graph therefore grows with layers, not with
 timesteps or sequences.
 
 ``cross_entropy`` scores a (B, C) batch of logits against B labels and
@@ -67,15 +65,12 @@ dtype.
 from __future__ import annotations
 
 import sys
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Node",
     "ShapeMismatch",
-    "ColumnBlocks",
-    "column_blocks",
     "constant",
     "parameter",
     "add",
@@ -93,7 +88,6 @@ __all__ = [
     "segment_softmax",
     "lstm_sequence",
     "cross_entropy",
-    "cross_entropy_rows",
     "gradient_check",
     "zero_grads",
     "uniform_init",
@@ -111,31 +105,6 @@ _SOLE_OWNER_REFS = _sole_owner_refs()
 
 class ShapeMismatch(ValueError):
     """Incompatible operand shapes; the message names both shapes."""
-
-
-class ColumnBlocks(NamedTuple):
-    """Nodes with equal row counts whose columns, side by side, form one input matrix.
-
-    ``value`` is that matrix, concatenated once when the blocks are made,
-    so every consumer of the same blocks reads the same array.
-    """
-
-    nodes: tuple[Node, ...]
-    value: np.ndarray
-
-
-def column_blocks(x) -> ColumnBlocks:
-    """``x``, a node or a list of nodes (ColumnBlocks pass through), as ColumnBlocks."""
-    if isinstance(x, ColumnBlocks):
-        return x
-    nodes = (x,) if isinstance(x, Node) else tuple(x)
-    try:
-        value = np.concatenate([b.value for b in nodes], axis=1)
-    except ValueError:  # no blocks, a block that is not a matrix, or unequal row counts
-        value = None
-    if value is None or value.ndim != 2:
-        raise ShapeMismatch(f"column blocks of shapes {[b.shape for b in nodes]}")
-    return ColumnBlocks(nodes, value)
 
 
 class Node:
@@ -371,13 +340,24 @@ def gather_rows(x: Node, indices) -> Node:
     idx = np.asarray(indices, dtype=np.intp)
     if x.value.ndim != 2:
         raise ShapeMismatch(f"gather_rows: expected a matrix, got shape {x.shape}")
+    rows = x.shape[0]
+    # one reduction: a negative index read as unsigned exceeds any row count
+    if idx.ndim != 1 or (idx.size and idx.view(np.uintp).max() >= rows):
+        raise ShapeMismatch(f"gather_rows: indices {idx.tolist()} for rows of shape {x.shape}")
+    return _node(x.value.take(idx, axis=0), (x,), (lambda g: _sum_rows_by_index(g, idx, rows),))
 
-    def vjp(g):
-        out = np.zeros_like(x.value)
-        np.add.at(out, idx, g)
-        return out
 
-    return _node(x.value[idx], (x,), (vjp,))
+def _sum_rows_by_index(values: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
+    """(size, m) sums of the rows of ``values`` (n, m) that share an ``index`` entry.
+
+    Row t adds the rows i with index[i] == t in increasing order of i, as
+    a loop over the rows would, but as one ``bincount`` over the flat entries.
+    bincount adds in float64; the sums come back in the dtype of ``values``.
+    """
+    width = values.shape[1]
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(flat, weights=values.ravel(), minlength=size * width)
+    return sums.reshape(size, width).astype(values.dtype, copy=False)
 
 
 def relu(x: Node) -> Node:
@@ -455,57 +435,31 @@ def segment_softmax(x: Node, starts) -> Node:
     return _node(y, (x,), (vjp,))
 
 
-def lstm_sequence(
-    x, w_input: Node, w_hidden: Node, bias: Node, starts, reverse: bool = False, token_rows=None
-) -> Node:
+def lstm_sequence(z: Node, w_hidden: Node, starts, reverse: bool = False) -> Node:
     """Hidden states of one LSTM direction over packed sequences, as one node.
 
-    The input is given per token: ``x`` is a (T, k) node, or
-    ``ColumnBlocks`` (or a list of nodes) with T rows each whose columns,
-    side by side, are the k input columns; a caller that runs several
-    directions over one input makes the blocks once with
-    ``column_blocks``. Row r of the packed layout reads token row
-    ``token_rows[r]`` (all T rows in order when None), so a token that
-    several sequences read is projected once: ``x @ w_input + bias`` runs
-    over the T token rows and is gathered to the n layout rows.
-
-    The layout holds S sequences as contiguous, non-empty row segments
-    that begin at ``starts`` (the ``segment_sum`` convention). Each is read
-    on its own, first row to last, or last to first with ``reverse``.
-    Gates are stacked (input, forget, cell, output) along the columns of
-    ``w_input`` (k, 4d), ``w_hidden`` (d, 4d) and ``bias`` (4d or 1x4d).
-    Row r of the (n, d) result is the hidden state after reading row r;
-    initial hidden and cell states are zero. Every buffer has the input's
-    dtype.
+    ``z`` (n, 4d) holds the input pre-activations of every layout row,
+    ``x @ w_input + bias`` computed by the caller; this op is the
+    recurrence alone. The layout holds S sequences as contiguous,
+    non-empty row segments that begin at ``starts`` (the ``segment_sum``
+    convention). Each is read on its own, first row to last, or last to
+    first with ``reverse``. Gates are stacked (input, forget, cell,
+    output) along the columns of ``z`` and ``w_hidden`` (d, 4d). Row r of
+    the (n, d) result is the hidden state after reading row r; initial
+    hidden and cell states are zero. Every buffer has the input's dtype.
 
     The sequences are stably sorted longest first, so those still running
     at step s are a prefix of k_s of them. The rows are permuted once into
     step-major order, where step s is a contiguous slice of k_s rows
     updated with one (k_s, d) @ (d, 4d) GEMM, and scattered back once.
     """
-    try:
-        blocks, x_value = column_blocks(x)
-    except ShapeMismatch as exc:
-        raise ShapeMismatch(f"lstm_sequence: {exc}") from None
-    tokens = x_value.shape[0]
-    token_rows = np.arange(tokens) if token_rows is None else np.asarray(token_rows, dtype=np.intp)
-    out_of_range = token_rows.size > 0 and (token_rows.min() < 0 or token_rows.max() >= tokens)
-    if token_rows.ndim != 1 or out_of_range:
-        raise ShapeMismatch(
-            f"lstm_sequence: token rows {token_rows.tolist()} for input of shape {x_value.shape}"
-        )
-    starts, _ = _segment_ids("lstm_sequence", (token_rows.size, x_value.shape[1]), starts)
+    starts, _ = _segment_ids("lstm_sequence", z.shape, starts)
     d = w_hidden.shape[0]
-    if (
-        w_input.shape != (x_value.shape[1], 4 * d)
-        or w_hidden.shape != (d, 4 * d)
-        or bias.value.size != 4 * d
-    ):
+    if z.shape[1] != 4 * d or w_hidden.shape != (d, 4 * d):
         raise ShapeMismatch(
-            f"lstm_sequence: input {x_value.shape} with weights {w_input.shape}, "
-            f"{w_hidden.shape} and bias {bias.shape}"
+            f"lstm_sequence: pre-activations {z.shape} with hidden weights {w_hidden.shape}"
         )
-    n = token_rows.size
+    n = z.shape[0]
     lengths = np.diff(starts, append=n)
     order = np.argsort(-lengths, kind="stable")
     first, lengths = starts[order], lengths[order]
@@ -513,13 +467,12 @@ def lstm_sequence(
     running = step < lengths  # (step, sequence): a prefix of each row is True
     read = first + lengths - 1 - step if reverse else first + step
     perm = read[running]  # step-major position -> layout row
-    step_tokens = token_rows[perm]  # step-major position -> token row
     widths = running.sum(axis=1)  # k_s
     offsets = np.concatenate(([0], np.cumsum(widths)))
     wh = w_hidden.value
-    dtype = x_value.dtype
+    dtype = z.value.dtype
 
-    z_input = (x_value @ w_input.value + bias.value.reshape(-1))[step_tokens]
+    z_input = z.value.take(perm, axis=0)
     acts = np.empty((n, 4 * d), dtype)
     hidden = np.empty((n, d), dtype)  # hidden and cell states after each step
     cell = np.empty((n, d), dtype)
@@ -528,15 +481,15 @@ def lstm_sequence(
     tanh_cell = np.empty((n, d), dtype)
     for s, k in enumerate(widths):
         rows = slice(offsets[s], offsets[s] + k)
-        z = z_input[rows]
+        pre = z_input[rows]
         if s:
             last = slice(offsets[s - 1], offsets[s - 1] + k)
             hidden_prev[rows] = hidden[last]
             cell_prev[rows] = cell[last]
-            z = z + hidden_prev[rows] @ wh
+            pre = pre + hidden_prev[rows] @ wh
         a = acts[rows]
-        a[:] = _sigmoid(z)
-        a[:, 2 * d : 3 * d] = np.tanh(z[:, 2 * d : 3 * d])
+        a[:] = _sigmoid(pre)
+        a[:, 2 * d : 3 * d] = np.tanh(pre[:, 2 * d : 3 * d])
         cell[rows] = a[:, d : 2 * d] * cell_prev[rows] + a[:, :d] * a[:, 2 * d : 3 * d]
         tanh_cell[rows] = np.tanh(cell[rows])
         hidden[rows] = a[:, 3 * d :] * tanh_cell[rows]
@@ -546,46 +499,18 @@ def lstm_sequence(
     cache: dict = {}
 
     def gate_grads(g):
-        """d(loss)/d(pre-activation gates), one BPTT sweep per g.
-
-        Returns them (n, 4d) in step-major order and (T, 4d) summed per token row.
-        """
+        """d(loss)/d(pre-activation gates) in step-major order, one BPTT sweep per g."""
         if cache.get("g") is not g:
             cache["g"] = g
-            dz = _lstm_bptt(g[perm], acts, cell_prev, tanh_cell, wh, offsets, widths)
-            cache["dz"] = dz, _sum_rows_by_index(dz, step_tokens, tokens)
+            cache["dz"] = _lstm_bptt(g[perm], acts, cell_prev, tanh_cell, wh, offsets, widths)
         return cache["dz"]
 
-    def block_vjp(lo, hi):
-        return lambda g: gate_grads(g)[1] @ w_input.value[lo:hi].T
+    def z_vjp(g):
+        dz = np.empty_like(acts)
+        dz[perm] = gate_grads(g)
+        return dz
 
-    vjps, lo = [], 0
-    for block in blocks:
-        vjps.append(block_vjp(lo, lo + block.shape[1]))
-        lo += block.shape[1]
-    return _node(
-        out,
-        (*blocks, w_input, w_hidden, bias),
-        (
-            *vjps,
-            lambda g: x_value.T @ gate_grads(g)[1],
-            lambda g: hidden_prev.T @ gate_grads(g)[0],
-            lambda g: gate_grads(g)[0].sum(axis=0).reshape(bias.shape),
-        ),
-    )
-
-
-def _sum_rows_by_index(values: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
-    """(size, m) sums of the rows of ``values`` (n, m) that share an ``index`` entry.
-
-    Row t adds the rows i with index[i] == t in order of i, as
-    ``np.add.at`` would, but as one ``bincount`` over the flat entries.
-    bincount adds in float64; the sums come back in the dtype of ``values``.
-    """
-    width = values.shape[1]
-    flat = (index[:, None] * width + np.arange(width)).ravel()
-    sums = np.bincount(flat, weights=values.ravel(), minlength=size * width)
-    return sums.reshape(size, width).astype(values.dtype, copy=False)
+    return _node(out, (z, w_hidden), (z_vjp, lambda g: hidden_prev.T @ gate_grads(g)))
 
 
 def _lstm_bptt(g_hidden, acts, cell_prev, tanh_cell, wh, offsets, widths) -> np.ndarray:
@@ -624,29 +549,10 @@ def _lstm_bptt(g_hidden, acts, cell_prev, tanh_cell, wh, offsets, widths) -> np.
 def cross_entropy(logits: Node, labels) -> Node:
     """Mean negative log-likelihood of ``labels`` under the row softmaxes of ``logits``.
 
-    ``logits`` is (B, C) with one label per row. The gradient of row b is
+    ``logits`` is (B, C) with one label per row; row b's loss is
+    logsumexp(logits[b]) - logits[b, labels[b]] and its gradient is
     (softmax(logits[b]) - onehot(labels[b])) / B.
     """
-    labels = np.asarray(labels, dtype=np.intp)
-    losses, soft = _cross_entropy_rows(logits, labels)
-    rows = np.arange(len(losses))
-
-    def vjp(g):
-        out = soft.copy()
-        out[rows, labels] -= 1.0
-        out *= g.reshape(()) / len(losses)
-        return out
-
-    return _node(np.mean(losses), (logits,), (vjp,))
-
-
-def cross_entropy_rows(logits: Node, labels) -> np.ndarray:
-    """Per-row negative log-likelihoods, (B,), of the mean ``cross_entropy`` takes."""
-    return _cross_entropy_rows(logits, labels)[0]
-
-
-def _cross_entropy_rows(logits: Node, labels) -> tuple[np.ndarray, np.ndarray]:
-    """Row losses logsumexp(v) - v[label] and row softmaxes, after validation."""
     v = logits.value
     labels = np.asarray(labels, dtype=np.intp)
     if v.ndim != 2 or labels.shape != (v.shape[0],) or v.shape[0] == 0:
@@ -659,7 +565,15 @@ def _cross_entropy_rows(logits: Node, labels) -> tuple[np.ndarray, np.ndarray]:
     e = np.exp(v - m)
     total = np.sum(e, axis=1, keepdims=True)
     rows = np.arange(v.shape[0])
-    return (m + np.log(total))[:, 0] - v[rows, labels], e / total
+    losses = (m + np.log(total))[:, 0] - v[rows, labels]
+
+    def vjp(g):
+        out = e / total
+        out[rows, labels] -= 1.0
+        out *= g.reshape(()) / len(losses)
+        return out
+
+    return _node(np.mean(losses), (logits,), (vjp,))
 
 
 def zero_grads(params) -> None:

@@ -284,21 +284,22 @@ def train(
         epoch += 1
         order = list(train_idx)
         rng.shuffle(order)
-        losses: list[float] = []
-        correct = 0
+        loss_sum = 0.0
+        seen = correct = 0
         for start in range(0, len(order), trainer_config.batch_size):
             batch = order[start : start + trainer_config.batch_size]
             nm.zero_grads(params)
             detail = model.forward([(sentences[i], graphs[i]) for i in batch], provider)
             golds = [model.vocabs.label_index(sentences[i].label) for i in batch]
-            batch_losses = nm.cross_entropy_rows(detail.logits, golds)
-            if not np.all(np.isfinite(batch_losses)):
+            loss = nm.cross_entropy(detail.logits, golds)
+            if not np.isfinite(loss.item()):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch starting at item {start}"
                 )
-            losses.extend(batch_losses.tolist())
+            loss_sum += loss.item() * len(batch)  # the batch mean, weighted by its size
+            seen += len(batch)
             correct += int(np.sum(np.argmax(detail.logits.value, axis=1) == golds))
-            nm.cross_entropy(detail.logits, golds).backward()
+            loss.backward()
             clip_gradients(params, trainer_config.gradient_clip_norm)
             for p in params:
                 if p.grad is not None:
@@ -313,8 +314,8 @@ def train(
         record = EpochRecord(
             epoch=epoch,
             learning_rate=lr,
-            train_loss=float(np.mean(losses)) if losses else 0.0,
-            train_accuracy=correct / len(losses) if losses else 0.0,
+            train_loss=loss_sum / seen if seen else 0.0,
+            train_accuracy=correct / seen if seen else 0.0,
             dev_macro_f1=dev_report.macro_f1,
         )
         log.records.append(record)

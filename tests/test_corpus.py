@@ -135,6 +135,21 @@ class TestConlluFormat:
         assert "instance 1" in str(err.value)
         assert f"{name} span 3..1 is reversed" in str(err.value)
 
+    @pytest.mark.parametrize("key,value,first", [
+        ("id", "9", 1), ("e1", "2 2", 2), ("e2", "5 5", 3), ("label", "Other", 4),
+    ])
+    def test_repeated_comment_names_instance_and_line(self, key, value, first):
+        # a second value at line 5, after the block's four comments
+        text = POLLEN_CONLLU.replace("1\tThe", f"# {key} = {value}\n1\tThe", 1)
+        with pytest.raises(CorpusError) as err:
+            parse_conllu_annotated(text)
+        assert str(err.value) == f"instance 1: repeated '# {key}' comment at line 5 (first at line {first})"
+
+    def test_other_comments_may_repeat(self):
+        text = POLLEN_CONLLU.replace("1\tThe", "# text = a\n# text = b\n1\tThe", 1)
+        (s,) = parse_conllu_annotated(text)
+        assert (s.instance_id, s.e1.start, s.e2.start) == (1, 1, 4)
+
     def test_single_token_sentence_rejected(self):
         text = "# e1 = 0 0\n# e2 = 0 0\n1\tword\t_\tNOUN\t_\t_\t0\troot\t_\t_\n"
         with pytest.raises(CorpusError):

@@ -344,6 +344,19 @@ class TestFileProvider:
         assert str(err.value).startswith(f"{path}: no precomputed vector for instance")
         assert "token 1" in str(err.value)
 
+    def test_second_record_for_a_token_names_both_lines(self, tmp_path):
+        text = "7\t0\t1 2\n7\t1\t5 6\n\n7\t0\t3 4\n"
+        with pytest.raises(FeatureError) as err:
+            FileEmbeddingProvider(text, dim=2)
+        message = "embedding file line 4: second vector for instance 7 token 0 (first at line 1)"
+        assert str(err.value) == message
+        path = tmp_path / "vectors.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FeatureError) as err:
+            FileEmbeddingProvider.from_path(str(path), dim=2)
+        assert str(err.value) == f"{path}: {message}"
+        FileEmbeddingProvider("7\t0\t1 2\n8\t0\t3 4\n", dim=2)  # another instance's token 0
+
     def test_wrong_width_rejected(self):
         with pytest.raises(FeatureError):
             FileEmbeddingProvider("0\t0\t1.0 2.0\n", dim=3)

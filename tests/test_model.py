@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from relgat import model as model_module
 from relgat import numerics as nm
 from relgat.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from relgat.corpus import build_vocabs, parse_conllu_annotated
@@ -15,6 +16,7 @@ from relgat.features import (
     build_dref_table,
     ctef_edge_features,
     dref_edge_features,
+    encode_tokens,
 )
 from relgat.graph import SubGraph, sentence_subgraphs
 from relgat.model import (
@@ -25,6 +27,7 @@ from relgat.model import (
     ModelConfig,
     bilstm_encode,
     compose_sentence,
+    input_weights,
     gat_attention,
     gat_vertex_update,
     gcn_vertex_update,
@@ -121,10 +124,25 @@ def test_model_requires_table_for_dref():
 # BiLSTM
 
 
+def token_blocks(x, ctx_dim, make=nm.constant):
+    """The rows of ``x`` as the [contextual, feature] column blocks the context encoders read."""
+    return [make(x[:, :ctx_dim].copy()), make(x[:, ctx_dim:].copy())]
+
+
+def bilstm(x, starts, fwd, bwd, ctx_dim=2):
+    """``bilstm_encode`` over the rows of ``x``, one token per layout row."""
+    return bilstm_encode(token_blocks(x, ctx_dim), starts, fwd, bwd, np.arange(len(x)))
+
+
+def joined_input(lstm):
+    """The direction's whole input matrix, its two row blocks stacked."""
+    return np.vstack([lstm.w_ctx.value, lstm.w_feat.value])
+
+
 def test_bilstm_single_token_shape():
     rng = np.random.default_rng(0)
-    fwd, bwd = LstmParams(5, 4, rng), LstmParams(5, 4, rng)
-    out = bilstm_encode(nm.constant(rng.standard_normal((1, 5))), [0], fwd, bwd)
+    fwd, bwd = LstmParams(2, 3, 4, rng), LstmParams(2, 3, 4, rng)
+    out = bilstm(rng.standard_normal((1, 5)), [0], fwd, bwd)
     assert out.shape == (1, 8)
 
 
@@ -132,64 +150,130 @@ def test_bilstm_reversal_swaps_directions():
     # with tied weights, the backward pass over x equals the forward pass
     # over reversed x, read in reverse
     rng = np.random.default_rng(1)
-    fwd = LstmParams(5, 4, rng)
-    bwd = LstmParams(5, 4, rng)
+    fwd = LstmParams(2, 3, 4, rng)
+    bwd = LstmParams(2, 3, 4, rng)
     for a, b in zip(fwd.parameters("f").values(), bwd.parameters("b").values()):
         b.value = a.value.copy()
     x = rng.standard_normal((6, 5))
-    out = bilstm_encode(nm.constant(x), [0], fwd, bwd).value
-    out_rev = bilstm_encode(nm.constant(x[::-1].copy()), [0], fwd, bwd).value
+    out = bilstm(x, [0], fwd, bwd).value
+    out_rev = bilstm(x[::-1].copy(), [0], fwd, bwd).value
     np.testing.assert_allclose(out[:, :4], out_rev[::-1, 4:], atol=1e-12)
     np.testing.assert_allclose(out[:, 4:], out_rev[::-1, :4], atol=1e-12)
 
 
 def test_bilstm_gradient_matches_finite_differences():
+    # two sequences that read token rows 0 and 1 twice each
     rng = np.random.default_rng(2)
-    fwd, bwd = LstmParams(3, 2, rng), LstmParams(3, 2, rng)
-    x = nm.parameter(rng.standard_normal((3, 3)))
-    probe = nm.constant(rng.standard_normal((3, 4)))
-    params = [x, *fwd.parameters("f").values(), *bwd.parameters("b").values()]
+    fwd, bwd = LstmParams(1, 2, 2, rng), LstmParams(1, 2, 2, rng)
+    x = token_blocks(rng.standard_normal((3, 3)), 1, nm.parameter)
+    probe = nm.constant(rng.standard_normal((5, 4)))
+    params = [*x, *fwd.parameters("f").values(), *bwd.parameters("b").values()]
     err = nm.gradient_check(
-        lambda: total(nm.mul(bilstm_encode(x, [0], fwd, bwd), probe)), params
+        lambda: total(nm.mul(bilstm_encode(x, [0, 3], fwd, bwd, [0, 1, 2, 1, 0]), probe)), params
     )
     assert err < 1e-4
 
 
 def test_bilstm_matches_numpy_oracle():
     rng = np.random.default_rng(4)
-    fwd, bwd = LstmParams(5, 4, rng), LstmParams(5, 4, rng)
+    fwd, bwd = LstmParams(2, 3, 4, rng), LstmParams(2, 3, 4, rng)
     for p in (fwd.bias, bwd.bias):
         p.value = rng.standard_normal(p.shape)
     # one sequence at a time, then several packed, unsorted and with ties and length 1
     for lengths in ((1,), (2,), (7,), (3, 1, 7, 2, 7), (1, 1), (4, 6, 5)):
         x = rng.standard_normal((sum(lengths), 5))
         starts = np.cumsum((0,) + lengths[:-1])
-        out = bilstm_encode(nm.constant(x), starts, fwd, bwd).value
+        out = bilstm(x, starts, fwd, bwd).value
         expected = np.concatenate([
             np.concatenate([
-                _lstm_direction_np(seq, fwd.w_input.value, fwd.w_hidden.value, fwd.bias.value, False),
-                _lstm_direction_np(seq, bwd.w_input.value, bwd.w_hidden.value, bwd.bias.value, True),
+                _lstm_direction_np(seq, joined_input(fwd), fwd.w_hidden.value, fwd.bias.value, False),
+                _lstm_direction_np(seq, joined_input(bwd), bwd.w_hidden.value, bwd.bias.value, True),
             ], axis=1)
             for seq in np.split(x, starts[1:])
         ])
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
 
+def test_bilstm_token_rows_equal_gathered_tokens():
+    # reading distinct tokens through token rows equals encoding every layout row
+    rng = np.random.default_rng(6)
+    fwd, bwd = LstmParams(2, 3, 4, rng), LstmParams(2, 3, 4, rng)
+    x_tok = rng.standard_normal((4, 5))
+    token_rows, starts = np.array([0, 1, 1, 2, 0, 3, 2]), [0, 3, 4]
+    by_token = bilstm_encode(token_blocks(x_tok, 2), starts, fwd, bwd, token_rows).value
+    per_row = bilstm(x_tok[token_rows], starts, fwd, bwd).value
+    np.testing.assert_allclose(by_token, per_row, rtol=0, atol=1e-12)
+
+
+def test_input_weights_are_one_draw_split_by_rows():
+    # the two row blocks stacked are the draw of the whole input matrix, bit for bit
+    for seed in range(20):
+        dims = np.random.default_rng(1000 + seed).integers(1, 40, size=3)
+        ctx_dim, feat_dim, width = (int(v) for v in dims)
+        k = ctx_dim + feat_dim
+        for dtype in (np.float64, np.float32):
+            w_ctx, w_feat = input_weights(np.random.default_rng(seed), ctx_dim, feat_dim, width, dtype)
+            whole = nm.uniform_init(np.random.default_rng(seed), (k, width), k, dtype)
+            assert w_ctx.value.dtype == dtype and w_feat.value.dtype == dtype
+            assert np.array_equal(np.vstack([w_ctx.value, w_feat.value]), whole)
+            lstm = LstmParams(ctx_dim, feat_dim, width, np.random.default_rng(seed), dtype)
+            gates = nm.uniform_init(np.random.default_rng(seed), (k, 4 * width), k, dtype)
+            assert np.array_equal(joined_input(lstm), gates)
+
+
+@pytest.mark.parametrize("contextual", [True, False])
+def test_constant_context_block_gets_no_gradient_product(contextual):
+    # the input projection multiplies the constant contextual block by its own
+    # rows of the input matrix, so the backward never calls that block's VJP
+    # and never forms a gradient as wide as the joined input
+    model, corpus, provider = tiny_model(edge_mode="dref+ctef", contextual=contextual)
+    encoded = []
+
+    def recording_encode(*args):
+        encoded.append(encode_tokens(*args))
+        return encoded[-1]
+
+    instances = [(s, sentence_subgraphs(s)) for s in corpus[:3]]
+    golds = [model.vocabs.label_index(s.label) for s, _ in instances]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model_module, "encode_tokens", recording_encode)
+        loss = nm.cross_entropy(model.forward(instances, provider).logits, golds)
+    (ctx, feat), = encoded
+    called, widths = [], set()
+
+    def recording(vjp, parent):
+        def wrapped(g):
+            called.append(parent)
+            out = vjp(g)
+            widths.add(np.shape(out)[1:])
+            return out
+        return wrapped
+
+    for node in graph_nodes(loss):
+        node.vjps = tuple(recording(v, p) for v, p in zip(node.vjps, node.parents))
+    loss.backward()
+    assert not ctx.requires_grad and ctx.grad is None
+    assert not any(p is ctx for p in called)
+    assert any(p is feat for p in called)
+    assert (feat.shape[1],) in widths and (ctx.shape[1] + feat.shape[1],) not in widths
+
+
 def test_bilstm_graph_size_independent_of_length():
     rng = np.random.default_rng(5)
-    fwd, bwd = LstmParams(3, 2, rng), LstmParams(3, 2, rng)
+    fwd, bwd = LstmParams(1, 2, 2, rng), LstmParams(1, 2, 2, rng)
 
     def graph_size(n):
-        return len(graph_nodes(bilstm_encode(nm.parameter(rng.standard_normal((n, 3))), [0], fwd, bwd)))
+        x = token_blocks(rng.standard_normal((n, 3)), 1, nm.parameter)
+        return len(graph_nodes(bilstm_encode(x, [0], fwd, bwd, np.arange(n))))
 
     assert graph_size(3) == graph_size(30)
 
 
 def test_bilstm_rejects_empty_sequence():
     rng = np.random.default_rng(3)
-    fwd, bwd = LstmParams(3, 2, rng), LstmParams(3, 2, rng)
+    fwd, bwd = LstmParams(1, 2, 2, rng), LstmParams(1, 2, 2, rng)
     with pytest.raises(ValueError):
-        bilstm_encode(nm.constant(np.zeros((0, 3))), [0], fwd, bwd)
+        bilstm(np.zeros((0, 3)), [0], fwd, bwd, ctx_dim=1)
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +772,22 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert np.array_equal(before, after)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_noncontextual_checkpoint_roundtrip_bitwise(tmp_path, dtype):
+    model, instances, provider = structure_model(edge_mode="dref", contextual=False, dtype=dtype)
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(model, path)
+    clone = load_checkpoint(path)
+    assert [n for n in clone.parameters() if n.startswith("proj.")] == [
+        "proj.w_ctx", "proj.w_feat", "proj.b"
+    ]
+    for (name, p), q in zip(model.parameters().items(), clone.parameters().values()):
+        assert q.value.dtype == dtype and np.array_equal(p.value, q.value), name
+    assert np.array_equal(
+        model.forward(instances, provider).logits.value, clone.forward(instances, provider).logits.value
+    )
+
+
 def test_malformed_checkpoint_names_path(tmp_path):
     model, _, _ = tiny_model(edge_mode="dref+ctef")
     path = tmp_path / "model.ckpt"
@@ -704,7 +804,9 @@ def test_malformed_checkpoint_names_path(tmp_path):
     # one flipped bit in the first and last byte of every parameter
     flips = [at for lo, hi in zip(ends[2:], ends[3:]) for at in (lo, hi - 1)]
     flipped = [blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1 :] for at in flips]
-    # the previous formats: version 02 (no dtype in the header) and 01 (no digest either)
+    # the previous formats: version 03 (one input matrix per encoder), 02 (no dtype
+    # in the header) and 01 (no digest either)
+    version_03 = b"RGCKPT03" + blob[8:]
     header = json.loads(blob[16 : ends[2]])
     del header["dtype"]
     text = json.dumps(header).encode("utf-8")
@@ -712,7 +814,7 @@ def test_malformed_checkpoint_names_path(tmp_path):
     del header["digest"]
     text = json.dumps(header).encode("utf-8")
     old_format = b"RGCKPT01" + struct.pack("<Q", len(text)) + text + blob[ends[2] :]
-    for blob_bad in [blob[:cut] for cut in cuts] + [blob + b"\0", version_02, old_format] + flipped:
+    for blob_bad in [blob[:cut] for cut in cuts] + [blob + b"\0", version_03, version_02, old_format] + flipped:
         bad.write_bytes(blob_bad)
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(str(bad))
@@ -804,7 +906,13 @@ def test_float32_checkpoint_roundtrip_bitwise(tmp_path):
     save_checkpoint(model, str(path))
     blob = path.read_bytes()
     (header_len,) = struct.unpack_from("<Q", blob, 8)
-    assert json.loads(blob[16 : 16 + header_len])["dtype"] == "float32"
+    header = json.loads(blob[16 : 16 + header_len])
+    assert blob[:8] == b"RGCKPT04" and header["dtype"] == "float32"
+    names = [r["name"] for r in header["params"]]
+    for lstm in ("lstm_fwd", "lstm_bwd"):
+        assert [n for n in names if n.startswith(lstm)] == [
+            f"{lstm}.w_ctx", f"{lstm}.w_feat", f"{lstm}.w_hidden", f"{lstm}.bias"
+        ]
     assert len(blob) == 16 + header_len + 4 * sum(p.value.size for p in model.parameters().values())
     clone = load_checkpoint(str(path))
     assert clone.dtype == np.float32
@@ -889,10 +997,14 @@ def numpy_oracle_forward(model, sentence, sgs, provider):
 
     def context(x):
         if cfg.contextual:
-            f = _lstm_direction_np(x, p["lstm_fwd.w_input"], p["lstm_fwd.w_hidden"], p["lstm_fwd.bias"], False)
-            b = _lstm_direction_np(x, p["lstm_bwd.w_input"], p["lstm_bwd.w_hidden"], p["lstm_bwd.bias"], True)
-            return np.concatenate([f, b], axis=1)
-        return x @ p["proj.w"] + p["proj.b"].reshape(-1)
+            directions = []
+            for name, reverse in (("lstm_fwd", False), ("lstm_bwd", True)):
+                w_input = np.vstack([p[f"{name}.w_ctx"], p[f"{name}.w_feat"]])
+                directions.append(
+                    _lstm_direction_np(x, w_input, p[f"{name}.w_hidden"], p[f"{name}.bias"], reverse)
+                )
+            return np.concatenate(directions, axis=1)
+        return x @ np.vstack([p["proj.w_ctx"], p["proj.w_feat"]]) + p["proj.b"].reshape(-1)
 
     def edge_vec(feats, i, j):
         if feats is None:

@@ -36,25 +36,23 @@ def test_shape_errors_name_both_shapes():
     with pytest.raises(nm.ShapeMismatch) as err:
         nm.add(nm.constant(np.zeros((2, 3))), nm.constant(np.zeros((3, 2))))
     assert "(2, 3)" in str(err.value) and "(3, 2)" in str(err.value)
+    w_hidden = nm.constant(np.zeros((2, 8)))
+    for z_shape in ((2, 6), (2, 9)):
+        with pytest.raises(nm.ShapeMismatch) as err:
+            nm.lstm_sequence(nm.constant(np.zeros(z_shape)), w_hidden, [0])
+        assert str(z_shape) in str(err.value) and "(2, 8)" in str(err.value)
     with pytest.raises(nm.ShapeMismatch) as err:
-        nm.lstm_sequence(
-            nm.constant(np.zeros((2, 3))), nm.constant(np.zeros((4, 8))),
-            nm.constant(np.zeros((2, 8))), nm.constant(np.zeros((1, 8))), [0],
-        )
-    assert "(2, 3)" in str(err.value) and "(4, 8)" in str(err.value)
-    lstm_weights = [nm.constant(np.zeros(shape)) for shape in ((2, 8), (2, 8), (1, 8))]
+        nm.lstm_sequence(nm.constant(np.zeros((2, 8))), nm.constant(np.zeros((2, 6))), [0])
+    assert "(2, 8)" in str(err.value) and "(2, 6)" in str(err.value)
     x = nm.constant(np.zeros((4, 2)))
 
     def packed_lstm(x, starts):
-        return nm.lstm_sequence(x, *lstm_weights, starts)
+        return nm.lstm_sequence(x, w_hidden, starts)
 
-    for token_rows in ([0, 4], [[0, 1]], [-1, 0]):
+    for indices in ([0, 4], [[0, 1]], [-1, 0], [[0], [1]]):
         with pytest.raises(nm.ShapeMismatch) as err:
-            nm.lstm_sequence(x, *lstm_weights, [0], token_rows=token_rows)
-        assert "(4, 2)" in str(err.value) and str(token_rows) in str(err.value)
-    with pytest.raises(nm.ShapeMismatch) as err:
-        nm.lstm_sequence([x, nm.constant(np.zeros((3, 1)))], *lstm_weights, [0])
-    assert "(4, 2)" in str(err.value) and "(3, 1)" in str(err.value)
+            nm.gather_rows(x, indices)
+        assert "(4, 2)" in str(err.value) and str(indices) in str(err.value)
     for op in (nm.segment_sum, nm.segment_softmax, packed_lstm):
         for starts in ([1, 3], [0, 2, 2], [0, 3, 1], [0, 4], [], [[0, 2]]):
             with pytest.raises(nm.ShapeMismatch) as err:
@@ -159,10 +157,13 @@ def test_cross_entropy_is_mean_of_rows():
     rng = np.random.default_rng(13)
     values = rng.standard_normal((5, 19)) * 10
     labels = [3, 0, 18, 3, 9]
-    rows = nm.cross_entropy_rows(nm.constant(values), labels)
-    for b, label in enumerate(labels):
-        single = nm.cross_entropy(nm.constant(values[b : b + 1]), [label]).item()
-        assert rows[b] == pytest.approx(single, abs=1e-12)
+    rows = np.array([
+        nm.cross_entropy(nm.constant(values[b : b + 1]), [label]).item()
+        for b, label in enumerate(labels)
+    ])
+    for row, v, label in zip(rows, values, labels):
+        top = v.max()
+        assert row == pytest.approx(top + np.log(np.sum(np.exp(v - top))) - v[label], abs=1e-12)
     assert nm.cross_entropy(nm.constant(values), labels).item() == pytest.approx(rows.mean(), abs=1e-12)
 
 
@@ -238,24 +239,26 @@ def test_op_gradients(case):
     probe_32 = nm.constant(rng.standard_normal((3, 2)))
     probe_44 = nm.constant(rng.standard_normal((4, 4)))
     probe_24 = nm.constant(rng.standard_normal((2, 4)))
-    # packed sequences of lengths 1, 4 and 2
-    seq_x, seq_starts = rand(rng, 7, 3), [0, 1, 5]
+    # pre-activations of packed sequences of lengths 1, 4 and 2
+    seq_z, seq_starts = rand(rng, 7, 8), [0, 1, 5]
     w_input, w_hidden, lstm_bias = rand(rng, 3, 8), rand(rng, 2, 8), rand(rng, 1, 8)
-    lstm_params = [seq_x, w_input, w_hidden, lstm_bias]
+    lstm_params = [seq_z, w_hidden]
     probe_72 = nm.constant(rng.standard_normal((7, 2)))
 
     def packed_lstm(reverse):
-        return nm.mul(nm.lstm_sequence(*lstm_params, seq_starts, reverse), probe_72)
+        return nm.mul(nm.lstm_sequence(seq_z, w_hidden, seq_starts, reverse), probe_72)
 
     # three token rows read by sequences of lengths 2 and 3, rows 0 and 1 twice each
     token_x, token_rows = rand(rng, 3, 3), [0, 1, 1, 2, 0]
     token_params = [token_x, w_input, w_hidden, lstm_bias]
     probe_52 = nm.constant(rng.standard_normal((5, 2)))
-    # the same input as a constant block of two columns and a trainable one
+    # the same input as a constant block of two columns and a trainable one,
+    # each with its own rows of the input matrix
     fixed_block, free_block = nm.constant(rng.standard_normal((3, 2))), rand(rng, 3, 1)
+    w_fixed, w_free = rand(rng, 2, 8), rand(rng, 1, 8)
 
-    def token_lstm(x, reverse):
-        out = nm.lstm_sequence(x, w_input, w_hidden, lstm_bias, [0, 2], reverse, token_rows)
+    def token_lstm(z, reverse):
+        out = nm.lstm_sequence(nm.gather_rows(nm.add(z, lstm_bias), token_rows), w_hidden, [0, 2], reverse)
         return nm.mul(out, probe_52)
 
     builders = {
@@ -281,11 +284,15 @@ def test_op_gradients(case):
         "softmax": (lambda: nm.mul(nm.softmax(a, axis=1), probe), [a]),
         "lstm_packed": (lambda: packed_lstm(False), lstm_params),
         "lstm_packed_reverse": (lambda: packed_lstm(True), lstm_params),
-        "lstm_tokens": (lambda: token_lstm(token_x, False), token_params),
-        "lstm_tokens_reverse": (lambda: token_lstm(token_x, True), token_params),
+        "lstm_tokens": (lambda: token_lstm(nm.matmul(token_x, w_input), False), token_params),
+        "lstm_tokens_reverse": (
+            lambda: token_lstm(nm.matmul(token_x, w_input), True), token_params
+        ),
         "lstm_blocks": (
-            lambda: token_lstm([fixed_block, free_block], False),
-            [free_block, w_input, w_hidden, lstm_bias],
+            lambda: token_lstm(
+                nm.add(nm.matmul(fixed_block, w_fixed), nm.matmul(free_block, w_free)), False
+            ),
+            [free_block, w_free, w_fixed, w_hidden, lstm_bias],
         ),
     }
     build, params = builders[case]
@@ -305,10 +312,14 @@ def test_lstm_sequence_gradients(n, reverse):
     w_hidden = rand(rng, 2, 8)
     bias = rand(rng, 1, 8)
     probe = nm.constant(rng.standard_normal((n, 2)))
-    err = nm.gradient_check(
-        lambda: total(nm.mul(nm.lstm_sequence(x, w_input, w_hidden, bias, [0], reverse), probe)),
-        [x, w_input, w_hidden, bias],
-    )
+
+    def lstm():
+        z = nm.add(nm.matmul(x, w_input), bias)
+        return nm.mul(nm.lstm_sequence(z, w_hidden, [0], reverse), probe)
+
+    err = nm.gradient_check(lambda: total(lstm()), [x, w_input, w_hidden, bias])
+    z = nm.constant(np.zeros((n, 8)))
+    assert nm.lstm_sequence(z, w_hidden, [0], reverse).parents == (z, w_hidden)
     assert err < 1e-6
     # every parent gets gradient; w_hidden only sees a nonzero state after step one
     for p in (x, w_input, bias) if n == 1 else (x, w_input, w_hidden, bias):
@@ -317,29 +328,29 @@ def test_lstm_sequence_gradients(n, reverse):
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_lstm_token_rows_equal_gathered_input(reverse):
-    # reading token rows through the map equals feeding the gathered rows:
-    # the same hidden states bit for bit, the same gradients up to the
-    # order in which duplicate rows are summed
+    # gathering token rows into the layout equals feeding the gathered
+    # rows: the same hidden states and the same gradients, bit for bit,
+    # duplicate rows summed in layout order
     rng = np.random.default_rng(9 + int(reverse))
-    x_tok = rng.standard_normal((4, 3))
+    z_tok = rng.standard_normal((4, 8))
     token_rows, starts = np.array([0, 1, 1, 2, 0, 3, 2]), [0, 3, 4]
-    weights = [rand(rng, 3, 8), rand(rng, 2, 8), rand(rng, 1, 8)]
+    w_hidden = rand(rng, 2, 8)
     probe = nm.constant(rng.standard_normal((7, 2)))
 
-    def run(x, rows):
-        nm.zero_grads(weights)
-        out = nm.lstm_sequence(x, *weights, starts, reverse, rows)
+    def run(z):
+        nm.zero_grads([w_hidden])
+        out = nm.lstm_sequence(z, w_hidden, starts, reverse)
         total(nm.mul(out, probe)).backward()
-        return out.value, [w.grad for w in weights]
+        return out.value, w_hidden.grad
 
-    by_token, gathered = nm.parameter(x_tok), nm.parameter(x_tok[token_rows])
-    out_a, grads_a = run(by_token, token_rows)
-    out_b, grads_b = run(gathered, None)
+    by_token, gathered = nm.parameter(z_tok), nm.parameter(z_tok[token_rows])
+    out_a, grad_a = run(nm.gather_rows(by_token, token_rows))
+    out_b, grad_b = run(gathered)
     np.testing.assert_array_equal(out_a, out_b)
-    gathered_x_grad = np.zeros_like(x_tok)
-    np.add.at(gathered_x_grad, token_rows, gathered.grad)
-    for a, b in zip([by_token.grad, *grads_a], [gathered_x_grad, *grads_b]):
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(grad_a, grad_b)
+    gathered_z_grad = np.zeros_like(z_tok)
+    np.add.at(gathered_z_grad, token_rows, gathered.grad)
+    np.testing.assert_array_equal(by_token.grad, gathered_z_grad)
 
 
 def test_segment_ops_match_per_segment_loops():
@@ -361,6 +372,30 @@ def test_gather_rows_accumulates_duplicates():
     total(nm.gather_rows(x, [1, 1, 1])).backward()
     np.testing.assert_array_equal(x.grad[1], [3.0, 3.0, 3.0])
     np.testing.assert_array_equal(x.grad[0], [0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gather_rows_backward_matches_add_at(dtype):
+    # the scatter-add sums duplicates in index order, as np.add.at does:
+    # bit for bit in float64, and in float32 within one rounding of the sum
+    rng = np.random.default_rng(17)
+    index = rng.integers(0, 6, size=40)
+    index[:5] = 3  # duplicates, and row 5 read by none on some draws
+    x = nm.parameter(rng.standard_normal((7, 5)).astype(dtype))
+    g = (rng.standard_normal((40, 5)) * 10.0 ** rng.integers(-8, 9, size=(40, 1))).astype(dtype)
+    out = nm.gather_rows(x, index)
+    np.testing.assert_array_equal(out.value, x.value[index])
+    got = out.vjps[0](g)
+    want = np.zeros((7, 5), np.float64)
+    np.add.at(want, index, g.astype(np.float64))
+    assert got.dtype == dtype
+    if dtype == np.float64:
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_array_equal(got, want.astype(np.float32))
+    empty = nm.gather_rows(x, np.array([], dtype=int))
+    assert empty.shape == (0, 5)
+    np.testing.assert_array_equal(empty.vjps[0](np.zeros((0, 5), dtype)), np.zeros((7, 5)))
 
 
 def test_uniform_init_bounds_and_determinism():

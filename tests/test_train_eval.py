@@ -1,5 +1,6 @@
 """Training loop, official-style scorer, span buckets, ablation rows."""
 
+import functools
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,7 @@ from relgat import numerics as nm
 from relgat import train_eval
 from relgat.corpus import RELATION_BASES, RelationLabel, all_labels, parse_conllu_annotated
 from relgat.features import EmbeddingProvider, HashedEmbeddingProvider
-from relgat.model import ModelConfig
+from relgat.model import Model, ModelConfig
 from relgat.train_eval import (
     SpanBuckets,
     TrainerConfig,
@@ -147,6 +148,29 @@ class TestTraining:
         _, log = train(toy_corpus, cfg, tc)
         # 18 training sentences in batches of 5 -> 3 steps end inside epoch 1
         assert len(log.records) == 1
+
+    def test_train_loss_is_mean_of_row_losses(self, toy_corpus, monkeypatch):
+        # train() weights each batch's mean loss by its size: with 18 training
+        # sentences in batches of 5, 5, 5 and 3 the epoch loss is still the
+        # mean of the per-row losses, to rounding in a float64 model
+        batches = []
+        loss_of = nm.cross_entropy
+
+        def recorded(logits, labels):
+            batches.append((logits.value.copy(), list(labels)))
+            return loss_of(logits, labels)
+
+        monkeypatch.setattr(nm, "cross_entropy", recorded)
+        monkeypatch.setattr(train_eval, "Model", functools.partial(Model, dtype=np.float64))
+        _, log = train(toy_corpus, ModelConfig(**TINY), TrainerConfig(epochs=2, batch_size=5, seed=4))
+        assert [len(labels) for _, labels in batches] == [5, 5, 5, 3] * 2
+        for epoch, record in enumerate(log.records):
+            rows = [
+                loss_of(nm.constant(logits[b : b + 1]), [label]).item()
+                for logits, labels in batches[4 * epoch : 4 * epoch + 4]
+                for b, label in enumerate(labels)
+            ]
+            assert record.train_loss == pytest.approx(np.mean(rows), rel=1e-12, abs=0)
 
     def test_subgraphs_derived_once_per_sentence(self, toy_corpus, monkeypatch):
         # the per-epoch dev evaluation reuses the sub-graphs train() derived
