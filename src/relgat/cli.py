@@ -9,6 +9,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -23,6 +24,7 @@ from .model import GRAPH_LAYERS, GRAPH_MODES, ConfigError, ModelConfig
 from .train_eval import (
     SpanBuckets,
     TrainerConfig,
+    _predict_labels,
     dev_split,
     entity_distance,
     evaluate,
@@ -127,12 +129,19 @@ class RunConfig:
         )
 
 
-def _parse_corpus(text: str, source: str):
-    """Annotated CoNLL-U sentences; a CorpusError names ``source`` before its position."""
+@contextlib.contextmanager
+def _naming(source: str):
+    """Put ``source`` in front of a CorpusError raised in the block."""
     try:
-        return parse_conllu_annotated(text)
+        yield
     except CorpusError as exc:
         raise CorpusError(f"{source}: {exc}") from None
+
+
+def _parse_corpus(text: str, source: str):
+    """Annotated CoNLL-U sentences; a CorpusError names ``source`` before its position."""
+    with _naming(source):
+        return parse_conllu_annotated(text)
 
 
 def _load_corpus(path: str | None, what: str):
@@ -141,7 +150,10 @@ def _load_corpus(path: str | None, what: str):
     if not os.path.exists(path):
         raise UsageError(f"{what} corpus not found: {path}")
     with open(path, encoding="utf-8") as f:
-        return _parse_corpus(f.read(), path)
+        sentences = _parse_corpus(f.read(), path)
+    if not sentences:
+        raise CorpusError(f"{path}: empty corpus")
+    return sentences
 
 
 def _make_provider(run: RunConfig):
@@ -226,15 +238,18 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     run = RunConfig.merge(args)
     sentences = _load_corpus(run.train, "train")
+    test = _load_corpus(run.test, "test") if run.test else None
     out = _ensure_out_dir(run)
     provider, embedding_info = _make_provider(run)
-    model, log = train(sentences, run.model, run.trainer, provider)
-    if run.test:
-        final = evaluate(model, _load_corpus(run.test, "test"), provider)
-    else:
+    with _naming(run.train):
+        model, log = train(sentences, run.model, run.trainer, provider)
+    if test is None:
         # no test set given: the final report scores the held-out dev split
         _, dev_idx = dev_split(len(sentences), run.trainer.dev_fraction, run.trainer.seed)
         final = evaluate(model, [sentences[i] for i in dev_idx], provider)
+    else:
+        with _naming(run.test):
+            final = evaluate(model, test, provider)
     checkpoint_path = os.path.join(out, "model.ckpt")
     save_checkpoint(model, checkpoint_path, embedding_info)
     with open(os.path.join(out, "metrics.json"), "w", encoding="utf-8", newline="\n") as f:
@@ -250,7 +265,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     model = load_checkpoint(args.checkpoint)
     sentences = _load_corpus(args.test, "test")
     provider = _provider_for_checkpoint(model, args.embeddings)
-    report = evaluate(model, sentences, provider)
+    with _naming(args.test):
+        report = evaluate(model, sentences, provider)
     payload = report.to_dict()
     if args.span_buckets:
         buckets = SpanBuckets.from_sentences(sentences)
@@ -274,10 +290,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
             text = f.read()
     sentences = _parse_corpus(text, "<stdin>" if args.input == "-" else args.input)
     provider = _provider_for_checkpoint(model, args.embeddings)
-    for sentence in sentences:
-        sgs = sentence_subgraphs(sentence, model.config.expansion_order)
-        index = model.predict_index(sentence, sgs, provider)
-        print(str(model.vocabs.label_at(index)))
+    graphs = [sentence_subgraphs(s, model.config.expansion_order) for s in sentences]
+    for label in _predict_labels(model, sentences, graphs, provider):
+        print(str(label))
     return 0
 
 

@@ -13,14 +13,16 @@ per distinct token. The two row blocks of each input matrix are separate
 parameters and each column block has its own product, so the constant
 contextual vectors cost no gradient GEMM.
 
-Graph attention per head k with transform W and attention vector a:
+Graph attention per head k with transform W_k and attention vector a_k:
 
-    score(i, j) = leakyrelu(a . [W h_i | W h_j | e_ij], 0.2)
+    score(i, j) = leakyrelu(a_k . [W_k h_i | W_k h_j | e_ij], 0.2)
     alpha_i     = softmax over j in N(i) + {i}
-    out_i       = elu(sum_j alpha_ij W h_j)
+    out_i       = elu(sum_j alpha_ij W_k h_j)
 
-Heads are concatenated to width d_g. The GCN variant replaces attention
-with symmetric degree normalization over [h_j | e_ij].
+Heads are concatenated to width d_g: W_k is column block k of one
+(in, d_g) transform, and a layer's scores, softmaxes and messages are
+(P, heads) and (P, d_g) arrays that serve every head at once. The GCN
+variant replaces attention with symmetric degree normalization over [h_j | e_ij].
 
 Both layers run over the flat pair layout of ``attention_pairs``: one
 (center i, neighbor j) row per attention pair, grouped by center, with
@@ -29,7 +31,7 @@ edge features are computed for all pairs at once; ``segment_softmax``
 normalizes the scores within each center's segment and ``segment_sum``
 adds each center's weighted messages (the segment-softmax / scatter-add
 formulation of PyG's GATConv). A layer is thus a fixed number of
-autodiff nodes, independent of the vertex count.
+autodiff nodes, independent of the vertex count and of the heads.
 
 A forward pass takes a batch of instances and runs it as one segment
 layout, the disjoint union of all their sub-graphs (PyG's mini-batching
@@ -57,8 +59,8 @@ scheme):
 so the autodiff graph has the same nodes whatever B is, and a single
 instance is a batch of one. Besides the logits, a forward hands back the
 diagnostics this layout already holds, as flat arrays: the pooling
-weight of every vertex row, every head's attention weight of every pair
-row, and the vertex and pair starts that cut them by unit and by center.
+weight of every vertex row, each layer's (P, heads) attention weights,
+and the vertex and pair starts that cut them by unit and by center.
 
 The model's value dtype is a constructor argument, float32 by default:
 parameters, every constant a forward builds, activations and gradients
@@ -90,7 +92,7 @@ __all__ = [
     "ModelConfig",
     "ConfigError",
     "LstmParams",
-    "GatHead",
+    "GatLayer",
     "Model",
     "ForwardDetail",
     "input_weights",
@@ -208,19 +210,32 @@ class LstmParams:
         }
 
 
-class GatHead:
-    """One attention head: shared transform W and attention vector a."""
+class GatLayer:
+    """Multi-head attention parameters, heads stacked: head k owns rows or columns k*m to (k+1)*m.
 
-    def __init__(
-        self, in_dim: int, out_dim: int, edge_dim: int, rng: np.random.Generator, dtype=np.float64
-    ):
-        self.out_dim = out_dim
-        self.w = nm.parameter(nm.uniform_init(rng, (in_dim, out_dim), in_dim, dtype))
-        attn_len = 2 * out_dim + edge_dim
-        self.a = nm.parameter(nm.uniform_init(rng, (attn_len, 1), attn_len, dtype))
+    ``w`` (in, heads*m) is the transform, ``a_center`` and ``a_neighbor``
+    (heads*m, 1) the attention vectors, ``a_edge`` (d_e, heads) one edge
+    column per head (only with edge features), and the constant
+    ``head_mask`` (heads*m, heads) is 1 where a row belongs to head k.
+    Draws run head by head, transform then [center | neighbor | edge], so
+    per-head parameters drawn from the same generator, stacked, equal them.
+    """
+
+    def __init__(self, in_dim, heads, head_dim, edge_dim, rng: np.random.Generator, dtype=np.float64):
+        m, attn_len = head_dim, 2 * head_dim + edge_dim
+        w, a = [], []
+        for _ in range(heads):
+            w.append(nm.uniform_init(rng, (in_dim, m), in_dim, dtype))
+            a.append(nm.uniform_init(rng, (attn_len,), attn_len, dtype))
+        a = np.stack(a, axis=1)  # (attn_len, heads): head k's vector in column k
+        self.w = nm.parameter(np.hstack(w))
+        self.a_center = nm.parameter(a[:m].T.reshape(-1, 1))
+        self.a_neighbor = nm.parameter(a[m : 2 * m].T.reshape(-1, 1))
+        self.a_edge = nm.parameter(a[2 * m :].copy()) if edge_dim else None
+        self.head_mask = np.repeat(np.eye(heads, dtype=dtype), m, axis=0)
 
     def parameters(self, prefix: str) -> dict[str, nm.Node]:
-        return {f"{prefix}.w": self.w, f"{prefix}.a": self.a}
+        return {f"{prefix}.{name}": p for name, p in vars(self).items() if isinstance(p, nm.Node)}
 
 
 # ---------------------------------------------------------------------------
@@ -277,50 +292,38 @@ def token_layout(graph_sets: list[list[SubGraph]]) -> tuple[list[list[int]], np.
 
 
 def gat_attention(
-    wh: nm.Node,
-    starts: np.ndarray,
-    pairs: np.ndarray,
-    a: nm.Node,
-    efeat: nm.Node | None = None,
-    slope: float = LEAKY_SLOPE,
+    wh: nm.Node, starts, pairs, layer: GatLayer, efeat: nm.Node | None = None
 ) -> nm.Node:
-    """Attention weights as one (P, 1) column, softmax-normalized per center segment.
+    """Attention weights as a (P, heads) node, softmax-normalized per center segment.
 
-    The score a . [W h_i | W h_j | e_ij] is split by block: each vertex's
-    center and neighbor terms are computed once, (n, 1) each, and
-    gathered per pair, and the edge block is a separate product, so the
-    edge-free variant is the vertex blocks alone.
+    The score a_k . [W_k h_i | W_k h_j | e_ij] is split by block: the
+    center vector masked to one column per head gives every vertex's
+    center terms as one (n, heads) product, likewise the neighbor terms,
+    gathered per pair; the edge block is a separate (P, heads) product.
     """
-    m = wh.shape[1]
-    as_center = nm.matmul(wh, nm.slice_axis(a, 0, 0, m))
-    as_neighbor = nm.matmul(wh, nm.slice_axis(a, 0, m, 2 * m))
+    mask = nm.constant(layer.head_mask)
+    as_center = nm.matmul(wh, nm.mul(mask, layer.a_center))
+    as_neighbor = nm.matmul(wh, nm.mul(mask, layer.a_neighbor))
     scores = nm.add(nm.gather_rows(as_center, pairs[:, 0]), nm.gather_rows(as_neighbor, pairs[:, 1]))
     if efeat is not None:
-        scores = nm.add(scores, nm.matmul(efeat, nm.slice_axis(a, 0, 2 * m, a.shape[0])))
-    return nm.segment_softmax(nm.leaky_relu(scores, slope), starts)
+        scores = nm.add(scores, nm.matmul(efeat, layer.a_edge))
+    return nm.segment_softmax(nm.leaky_relu(scores, LEAKY_SLOPE), starts)
 
 
 def gat_vertex_update(
-    h: nm.Node,
-    starts: np.ndarray,
-    pairs: np.ndarray,
-    heads: list[GatHead],
-    efeat: nm.Node | None = None,
-) -> tuple[nm.Node, list[np.ndarray]]:
-    """Multi-head attention update; heads concatenated to width K*m.
+    h: nm.Node, starts, pairs, layer: GatLayer, efeat: nm.Node | None = None
+) -> tuple[nm.Node, np.ndarray]:
+    """Multi-head attention update of width heads*m, head k in column block k.
 
-    Also returns each head's attention weights as a plain (P,) array in
-    pair order, for diagnostics.
+    Each head's weights are spread over its columns (``alpha @ head_mask.T``)
+    to scale the messages, so all heads share one ``segment_sum`` and one
+    ``elu``. Also returns the (P, heads) attention weights as a plain array.
     """
-    outputs = []
-    attention: list[np.ndarray] = []
-    for head in heads:
-        wh = nm.matmul(h, head.w)
-        alpha = gat_attention(wh, starts, pairs, head.a, efeat)
-        messages = nm.mul(nm.gather_rows(wh, pairs[:, 1]), alpha)
-        outputs.append(nm.elu(nm.segment_sum(messages, starts)))
-        attention.append(alpha.value[:, 0])
-    return nm.concat(outputs, axis=1), attention
+    wh = nm.matmul(h, layer.w)
+    alpha = gat_attention(wh, starts, pairs, layer, efeat)
+    spread = nm.matmul(alpha, nm.constant(layer.head_mask.T))
+    messages = nm.mul(nm.gather_rows(wh, pairs[:, 1]), spread)
+    return nm.elu(nm.segment_sum(messages, starts)), alpha.value
 
 
 def gcn_vertex_update(
@@ -383,7 +386,7 @@ class ForwardDetail:
 
     logits: nm.Node  # (B, NUM_LABELS)
     pooling: np.ndarray  # (n,) pooling weight of every vertex row; each unit's sum to 1
-    attention: list[np.ndarray]  # (P,) per head, layer by layer; empty for gcn
+    attention: list[np.ndarray]  # (P, heads) per layer, one column per head; empty for gcn
     vertex_starts: np.ndarray  # (G,) first vertex row of every unit
     pair_starts: np.ndarray  # (n,) first pair row of every center vertex
 
@@ -451,12 +454,9 @@ class Model:
             self.gat_layers = []
             for l in range(config.graph_depth):
                 in_dim = ctx_out if l == 0 else config.d_g
-                heads = [
-                    GatHead(in_dim, config.head_dim, edge_dim, rng, dtype) for _ in range(config.heads)
-                ]
-                for k, head in enumerate(heads):
-                    self._params.update(head.parameters(f"gat.l{l}.head{k}"))
-                self.gat_layers.append(heads)
+                layer = GatLayer(in_dim, config.heads, config.head_dim, edge_dim, rng, dtype)
+                self._params.update(layer.parameters(f"gat.l{l}"))
+                self.gat_layers.append(layer)
             self.gcn_layers = None
         else:
             self.gat_layers = None
@@ -524,11 +524,11 @@ class Model:
             units, local_pairs, cfg.edge_mode, cfg.d_e,
             self.dref_table, self.dref_embed, cfg.dref_scale_by_ratio, self.dtype,
         )
-        attention: list[list[np.ndarray]] = []
+        attention: list[np.ndarray] = []
         if cfg.graph_layer == "gat":
-            for heads in self.gat_layers:
-                h, layer_attention = gat_vertex_update(h, pair_starts, pairs, heads, efeat)
-                attention.extend(layer_attention)
+            for layer in self.gat_layers:
+                h, layer_attention = gat_vertex_update(h, pair_starts, pairs, layer, efeat)
+                attention.append(layer_attention)
         else:
             for w in self.gcn_layers:
                 h = gcn_vertex_update(h, pair_starts, pairs, w, efeat)

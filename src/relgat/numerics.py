@@ -77,7 +77,6 @@ __all__ = [
     "mul",
     "matmul",
     "concat",
-    "slice_axis",
     "gather_rows",
     "relu",
     "leaky_relu",
@@ -173,15 +172,6 @@ class Node:
                     parent.grad = np.array(contribution, dtype=parent.value.dtype)
             if node.parents:
                 node.grad = None
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Node(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -319,20 +309,6 @@ def concat(nodes, axis: int) -> Node:
         vjps.append(lambda g, ix=tuple(index): g[ix])
         offset += width
     return _node(value, tuple(nodes), tuple(vjps))
-
-
-def slice_axis(x: Node, axis: int, start: int, stop: int) -> Node:
-    """Contiguous slice [start:stop) along one axis."""
-    index = [slice(None)] * x.value.ndim
-    index[axis] = slice(start, stop)
-    index = tuple(index)
-
-    def vjp(g):
-        out = np.zeros_like(x.value)
-        out[index] = g
-        return out
-
-    return _node(x.value[index].copy(), (x,), (vjp,))
 
 
 def gather_rows(x: Node, indices) -> Node:

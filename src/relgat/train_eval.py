@@ -19,6 +19,7 @@ import numpy as np
 from . import numerics as nm
 from .corpus import (
     RELATION_BASES,
+    CorpusError,
     RelationLabel,
     Sentence,
     all_labels,
@@ -246,14 +247,14 @@ def train(
 
     Deterministic for a fixed seed: the dev split, parameter init and
     per-epoch shuffles all come from one seeded generator consumed in a
-    fixed order. Raises ValueError on a sentence without a gold label and
-    TrainingDiverged on a non-finite loss.
+    fixed order. Raises CorpusError on fewer than two sentences or one
+    without a gold label, and TrainingDiverged on a non-finite loss.
     """
     if len(sentences) < 2:
-        raise ValueError("training needs at least two sentences")
+        raise CorpusError("training needs at least two sentences")
     for s in sentences:
         if s.label is None:
-            raise ValueError(f"instance {s.instance_id}: no gold label to train on")
+            raise CorpusError(f"instance {s.instance_id}: no gold label to train on")
     if provider is None:
         provider = HashedEmbeddingProvider(model_config.d_ctx, seed=0)
 
@@ -363,17 +364,21 @@ def _evaluate_graphs(
     provider: EmbeddingProvider,
 ) -> EvalReport:
     """``evaluate`` over sentences whose sub-graph sets are already derived."""
-    if not sentences:
-        return score_predictions([], [])
     for s in sentences:
         if s.label is None:
-            raise ValueError(f"instance {s.instance_id}: no gold label to score against")
+            raise CorpusError(f"instance {s.instance_id}: no gold label to score against")
+    preds = _predict_labels(model, sentences, graphs, provider)
+    return score_predictions([s.label for s in sentences], preds)
+
+
+def _predict_labels(model: Model, sentences, graphs, provider) -> list[RelationLabel]:
+    """The predicted label of every sentence, ``EVAL_CHUNK`` sentences per forward."""
     instances = list(zip(sentences, graphs))
-    preds = []
+    labels = []
     for start in range(0, len(instances), EVAL_CHUNK):
         logits = model.forward(instances[start : start + EVAL_CHUNK], provider).logits.value
-        preds.extend(model.vocabs.label_at(int(i)) for i in np.argmax(logits, axis=1))
-    return score_predictions([s.label for s in sentences], preds)
+        labels.extend(model.vocabs.label_at(int(i)) for i in np.argmax(logits, axis=1))
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +397,8 @@ class SpanBuckets:
     """Thresholds splitting an evaluation set by entity distance.
 
     short: k <= low; long: k >= high; medium in between. By default the
-    thresholds are mean +/- std of the distances in the data; literal
-    thresholds may make a bucket empty, which is reported, not an error.
+    thresholds are mean +/- std of the distances in the (non-empty) data;
+    literal thresholds may make a bucket empty, which is reported.
     """
 
     low: float
@@ -405,6 +410,8 @@ class SpanBuckets:
 
     @classmethod
     def from_sentences(cls, sentences: list[Sentence]) -> "SpanBuckets":
+        if not sentences:
+            raise ValueError("span buckets need at least one sentence")
         ks = np.array([entity_distance(s) for s in sentences], dtype=np.float64)
         mu = float(np.mean(ks))
         sigma = float(np.std(ks))

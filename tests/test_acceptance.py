@@ -32,7 +32,7 @@ from relgat.graph import (
     shortest_dependency_path,
 )
 from relgat.model import (
-    GatHead,
+    GatLayer,
     Model,
     ModelConfig,
     compose_sentence,
@@ -141,10 +141,10 @@ def test_03_attention_and_pooling_normalization():
             sgs = sentence_subgraphs(sentence)
             detail = model.forward([(sentence, sgs)], provider)
             # every center's attention segment and every unit's pooling segment
-            for alpha in detail.attention:
+            for alpha in detail.attention:  # (P, heads) per layer
                 sums = np.add.reduceat(alpha, detail.pair_starts)
                 assert np.all(np.abs(sums - 1.0) < 1e-9)
-                checked_rows += len(sums)
+                checked_rows += sums.size
             sums = np.add.reduceat(detail.pooling, detail.vertex_starts)
             assert np.all(np.abs(sums - 1.0) < 1e-9)
             checked_rows += len(sums)
@@ -264,29 +264,29 @@ def test_08_reduction_identities():
         rng = np.random.default_rng(303)
 
         # multi-head with one head equals the plain single-head update bitwise
-        head = GatHead(4, 6, 0, rng)
+        layer = GatLayer(4, 1, 6, 0, rng)
         adjacency = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
         from test_model import make_subgraph
 
         sg = make_subgraph(adjacency)
         starts, pairs = attention_pairs(sg)
         h = nm.constant(rng.standard_normal((3, 4)))
-        multi, _ = gat_vertex_update(h, starts, pairs, [head])
-        wh = nm.matmul(h, head.w)
-        alpha = gat_attention(wh, starts, pairs, head.a)
+        multi, _ = gat_vertex_update(h, starts, pairs, layer)
+        wh = nm.matmul(h, layer.w)
+        alpha = gat_attention(wh, starts, pairs, layer)
         single = nm.elu(nm.segment_sum(nm.mul(nm.gather_rows(wh, pairs[:, 1]), alpha), starts))
         assert np.array_equal(multi.value, single.value)
 
-        # zeroing the edge slots of the attention vector equals deleting the block
+        # zeroing the edge columns of the attention vectors equals deleting the block
         d_e = 3
-        with_edges = GatHead(4, 6, d_e, rng)
-        with_edges.a.value[12:] = 0.0
-        plain = GatHead(4, 6, 0, rng)
-        plain.w.value = with_edges.w.value.copy()
-        plain.a.value = with_edges.a.value[:12].copy()
+        with_edges = GatLayer(4, 2, 3, d_e, rng)
+        with_edges.a_edge.value[:] = 0.0
+        plain = GatLayer(4, 2, 3, 0, rng)
+        for name in ("w", "a_center", "a_neighbor"):
+            getattr(plain, name).value = getattr(with_edges, name).value.copy()
         efeat = nm.constant(rng.standard_normal((len(pairs), d_e)))
-        out_e, _ = gat_vertex_update(h, starts, pairs, [with_edges], efeat)
-        out_p, _ = gat_vertex_update(h, starts, pairs, [plain], None)
+        out_e, _ = gat_vertex_update(h, starts, pairs, with_edges, efeat)
+        out_p, _ = gat_vertex_update(h, starts, pairs, plain, None)
         assert np.array_equal(out_e.value, out_p.value)
 
         # single-graph composition is entity states plus the one pooled vector

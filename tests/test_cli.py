@@ -8,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from relgat.cli import _read_config_file, main
+from relgat.checkpoint import load_checkpoint
+from relgat.cli import _provider_for_checkpoint, _read_config_file, main
 from relgat.corpus import parse_conllu_annotated, to_conllu
+from relgat.graph import sentence_subgraphs
 from relgat.model import ModelConfig
-from relgat.train_eval import TrainerConfig
-from conftest import build_toy_corpus
+from relgat.train_eval import EVAL_CHUNK, TrainerConfig
+from conftest import build_structure_corpus, build_toy_corpus
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -120,7 +122,14 @@ class TestTrain:
         code = main(["train", "--train", predict_file, "--out-dir", str(tmp_path / "x"), *TINY_FLAGS])
         assert code == 1
         err = capsys.readouterr().err
-        assert "instance " in err and "no gold label" in err
+        assert f"error: {predict_file}: instance " in err and "no gold label to train on" in err
+
+    def test_single_sentence_corpus_error_names_file(self, tmp_path, capsys):
+        one = tmp_path / "one.conllu"
+        one.write_text(to_conllu(build_toy_corpus()[0]), encoding="utf-8")
+        code = main(["train", "--train", str(one), "--out-dir", str(tmp_path / "x"), *TINY_FLAGS])
+        assert code == 1
+        assert f"error: {one}: training needs at least two sentences" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path, corpus_file):
         config = tmp_path / "run.cfg"
@@ -155,6 +164,20 @@ class TestTrain:
         ck_a = open(os.path.join(out_a, "model.ckpt"), "rb").read()
         ck_b = open(os.path.join(out_b, "model.ckpt"), "rb").read()
         assert ck_a == ck_b
+
+
+@pytest.mark.parametrize("command", [
+    ["prepare", "--out-dir", "OUT", "--train"],
+    ["train", "--out-dir", "OUT", *TINY_FLAGS, "--train"],
+    ["stats", "--data"],
+])
+def test_empty_corpus_exits_1_naming_file(tmp_path, capsys, command):
+    empty = tmp_path / "empty.conllu"
+    empty.write_text("", encoding="utf-8")
+    argv = [str(tmp_path / "out") if arg == "OUT" else arg for arg in command]
+    assert main([*argv, str(empty)]) == 1
+    assert capsys.readouterr().err == f"error: {empty}: empty corpus\n"
+    assert not (tmp_path / "out").exists()
 
 
 def _typed_config_fields():
@@ -196,6 +219,26 @@ class TestEval:
         sizes = {k: v["size"] for k, v in report["span_buckets"]["buckets"].items()}
         assert sum(sizes.values()) == 20
 
+    @pytest.mark.parametrize("extra", [[], ["--span-buckets"]])
+    def test_empty_test_corpus_fails_naming_file(self, tmp_path, corpus_file, capsys, extra):
+        out = run_train(tmp_path, corpus_file)
+        empty = tmp_path / "empty.conllu"
+        empty.write_text("", encoding="utf-8")
+        capsys.readouterr()  # drop the training banner
+        code = main(["eval", "--checkpoint", os.path.join(out, "model.ckpt"), "--test", str(empty), *extra])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {empty}: empty corpus\n"
+
+    def test_unlabeled_test_corpus_error_names_file(self, tmp_path, corpus_file, capsys):
+        out = run_train(tmp_path, corpus_file)
+        predict_file = str(REPO_ROOT / "data" / "toy_predict.conllu")
+        code = main(["eval", "--checkpoint", os.path.join(out, "model.ckpt"), "--test", predict_file])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {predict_file}: instance " in err and "no gold label to score against" in err
+
     def test_missing_checkpoint_exits_2(self, corpus_file, capsys):
         assert main(["eval", "--checkpoint", "/no/model.ckpt", "--test", corpus_file]) == 2
         assert "/no/model.ckpt" in capsys.readouterr().err
@@ -213,6 +256,30 @@ class TestPredict:
         lines = [l for l in capsys.readouterr().out.split("\n") if l]
         assert len(lines) == 1
         assert lines[0] == "Other" or "(" in lines[0]
+
+    @pytest.mark.parametrize("source", ["toy_predict", "structure"])
+    def test_labels_equal_per_sentence_predictions(self, tmp_path, corpus_file, capsys, source):
+        # batched prediction prints what one forward per sentence predicts
+        out = run_train(tmp_path, corpus_file)
+        if source == "toy_predict":
+            input_path = REPO_ROOT / "data" / "toy_predict.conllu"
+        else:
+            input_path = tmp_path / "many.conllu"
+            many = build_structure_corpus(EVAL_CHUNK + 13, seed=8)
+            input_path.write_text("".join(to_conllu(s) for s in many), encoding="utf-8")
+        capsys.readouterr()  # drop the training banner
+        checkpoint = os.path.join(out, "model.ckpt")
+        assert main(["predict", "--checkpoint", checkpoint, "--input", str(input_path)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        model = load_checkpoint(checkpoint)
+        provider = _provider_for_checkpoint(model, None)
+        sentences = parse_conllu_annotated(input_path.read_text(encoding="utf-8"))
+        expected = [
+            str(model.vocabs.label_at(model.predict_index(s, sentence_subgraphs(s), provider)))
+            for s in sentences
+        ]
+        assert len(sentences) == (2 if source == "toy_predict" else EVAL_CHUNK + 13)
+        assert printed == expected
 
     def test_empty_input_empty_output(self, tmp_path, corpus_file, capsys):
         out = run_train(tmp_path, corpus_file)

@@ -21,7 +21,7 @@ from relgat.features import (
 from relgat.graph import SubGraph, sentence_subgraphs
 from relgat.model import (
     ConfigError,
-    GatHead,
+    GatLayer,
     LstmParams,
     Model,
     ModelConfig,
@@ -39,8 +39,33 @@ TINY = dict(d_ctx=6, d_f=3, d_wt=2, d_lstm=4, d_g=6, heads=2, d_e=3)
 
 
 def attention_rows(alpha, starts):
-    """Per-vertex attention rows of a (P, 1) attention column."""
-    return np.split(alpha.value[:, 0], starts[1:])
+    """Per-vertex (degree, heads) attention blocks of a (P, heads) attention node."""
+    return np.split(alpha.value, starts[1:])
+
+
+def head_params(layer, k):
+    """Head k's transform (in, m) and whole attention vector [center | neighbor | edge]."""
+    m = layer.w.shape[1] // layer.head_mask.shape[1]
+    block = slice(k * m, (k + 1) * m)
+    a = [layer.a_center.value[block, 0], layer.a_neighbor.value[block, 0]]
+    if layer.a_edge is not None:
+        a.append(layer.a_edge.value[:, k])
+    return layer.w.value[:, block], np.concatenate(a)
+
+
+def single_head_layers(layer):
+    """One single-head layer per head of ``layer``, holding that head's parameters."""
+    m = layer.w.shape[1] // layer.head_mask.shape[1]
+    edge_dim = 0 if layer.a_edge is None else layer.a_edge.shape[0]
+    out = []
+    for k in range(layer.head_mask.shape[1]):
+        one = GatLayer(layer.w.shape[0], 1, m, edge_dim, np.random.default_rng(0), layer.w.value.dtype)
+        w, a = head_params(layer, k)
+        one.w.value, one.a_center.value, one.a_neighbor.value = w.copy(), a[:m, None], a[m : 2 * m, None]
+        if edge_dim:
+            one.a_edge.value = a[2 * m :, None]
+        out.append(one)
+    return out
 
 
 def make_subgraph(adjacency, kind="sdp"):
@@ -63,8 +88,8 @@ def instance_layout(detail, b, units):
     """Instance b's cut of a forward's layout diagnostics, with its row offsets removed.
 
     Returns its units' vertex starts, its centers' pair starts, its pooling
-    weights and, per head, its attention weights; ``units`` is the number
-    of units per instance.
+    weights and, per layer, its (pairs, heads) attention weights; ``units``
+    is the number of units per instance.
     """
     vertex_starts, pair_starts = detail.vertex_starts, detail.pair_starts
     lo = vertex_starts[b * units]
@@ -282,116 +307,159 @@ def test_bilstm_rejects_empty_sequence():
 
 def test_isolated_vertex_attends_to_itself():
     rng = np.random.default_rng(4)
-    head = GatHead(3, 2, 0, rng)
+    layer = GatLayer(3, 2, 2, 0, rng)
     sg = make_subgraph([[0]])
     starts, pairs = attention_pairs(sg)
-    wh = nm.matmul(nm.constant(rng.standard_normal((1, 3))), head.w)
-    alpha = gat_attention(wh, starts, pairs, head.a)
-    assert alpha.value.tolist() == [[1.0]]
+    wh = nm.matmul(nm.constant(rng.standard_normal((1, 3))), layer.w)
+    alpha = gat_attention(wh, starts, pairs, layer)
+    assert alpha.value.tolist() == [[1.0, 1.0]]
 
 
 def test_zeroed_attention_vector_gives_uniform_weights():
     rng = np.random.default_rng(5)
-    head = GatHead(3, 2, 0, rng)
-    head.a.value = np.zeros_like(head.a.value)
+    layer = GatLayer(3, 2, 2, 0, rng)
+    layer.a_center.value = np.zeros_like(layer.a_center.value)
+    layer.a_neighbor.value = np.zeros_like(layer.a_neighbor.value)
     sg = make_subgraph([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
     starts, pairs = attention_pairs(sg)
-    wh = nm.matmul(nm.constant(rng.standard_normal((3, 3))), head.w)
-    alphas = attention_rows(gat_attention(wh, starts, pairs, head.a), starts)
-    np.testing.assert_allclose(alphas[0], np.full(3, 1 / 3), atol=1e-15)
-    np.testing.assert_allclose(alphas[1], np.full(2, 1 / 2), atol=1e-15)
+    wh = nm.matmul(nm.constant(rng.standard_normal((3, 3))), layer.w)
+    alphas = attention_rows(gat_attention(wh, starts, pairs, layer), starts)
+    np.testing.assert_allclose(alphas[0], np.full((3, 2), 1 / 3), atol=1e-15)
+    np.testing.assert_allclose(alphas[1], np.full((2, 2), 1 / 2), atol=1e-15)
 
 
 def test_attention_matches_straight_line_recomputation():
     rng = np.random.default_rng(6)
-    d_in, m, d_e = 4, 3, 2
-    head = GatHead(d_in, m, d_e, rng)
+    d_in, m, d_e, heads = 4, 3, 2, 2
+    layer = GatLayer(d_in, heads, m, d_e, rng)
     sg = make_subgraph([[0, 1, 0], [1, 0, 1], [0, 1, 0]])  # path graph
     starts, pairs = attention_pairs(sg)
     h = rng.standard_normal((3, d_in))
     efeat_rows = rng.standard_normal((len(pairs), d_e))
-    wh = nm.matmul(nm.constant(h), head.w)
-    alphas = attention_rows(gat_attention(wh, starts, pairs, head.a, nm.constant(efeat_rows)), starts)
+    wh = nm.matmul(nm.constant(h), layer.w)
+    alphas = attention_rows(gat_attention(wh, starts, pairs, layer, nm.constant(efeat_rows)), starts)
 
-    wh_np = h @ head.w.value
-    a = head.a.value.reshape(-1)
     by_pair = {(i, j): e for (i, j), e in zip(pairs.tolist(), efeat_rows)}
-    for i, around in enumerate([[0, 1], [0, 1, 2], [1, 2]]):
-        scores = []
-        for j in around:
-            z = np.concatenate([wh_np[i], wh_np[j], by_pair[(i, j)]]) @ a
-            scores.append(z if z > 0 else 0.2 * z)
-        scores = np.array(scores)
-        expected = np.exp(scores) / np.exp(scores).sum()
-        np.testing.assert_allclose(alphas[i], expected, atol=1e-12)
+    for k in range(heads):
+        w, a = head_params(layer, k)
+        wh_np = h @ w
+        for i, around in enumerate([[0, 1], [0, 1, 2], [1, 2]]):
+            scores = []
+            for j in around:
+                z = np.concatenate([wh_np[i], wh_np[j], by_pair[(i, j)]]) @ a
+                scores.append(z if z > 0 else 0.2 * z)
+            scores = np.array(scores)
+            expected = np.exp(scores) / np.exp(scores).sum()
+            np.testing.assert_allclose(alphas[i][:, k], expected, atol=1e-12)
 
 
 def test_attention_rows_sum_to_one():
     rng = np.random.default_rng(7)
-    head = GatHead(4, 3, 0, rng)
+    layer = GatLayer(4, 3, 3, 0, rng)
     sg = make_subgraph([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
     starts, pairs = attention_pairs(sg)
-    wh = nm.matmul(nm.constant(rng.standard_normal((4, 4)) * 10), head.w)
-    rows = attention_rows(gat_attention(wh, starts, pairs, head.a), starts)
+    wh = nm.matmul(nm.constant(rng.standard_normal((4, 4)) * 10), layer.w)
+    rows = attention_rows(gat_attention(wh, starts, pairs, layer), starts)
     assert len(rows) == 4
     for row in rows:
-        assert abs(row.sum() - 1.0) < 1e-9
+        assert np.all(np.abs(row.sum(axis=0) - 1.0) < 1e-9)
 
 
 def test_multi_head_output_dimension_default_config():
     rng = np.random.default_rng(8)
     cfg = ModelConfig()
-    heads = [GatHead(2 * cfg.d_lstm, cfg.head_dim, 0, rng) for _ in range(cfg.heads)]
+    layer = GatLayer(2 * cfg.d_lstm, cfg.heads, cfg.head_dim, 0, rng)
     sg = make_subgraph([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
     starts, pairs = attention_pairs(sg)
-    out, _ = gat_vertex_update(nm.constant(rng.standard_normal((3, 512))), starts, pairs, heads)
+    out, attention = gat_vertex_update(nm.constant(rng.standard_normal((3, 512))), starts, pairs, layer)
     assert out.shape == (3, 256)
+    assert attention.shape == (len(pairs), cfg.heads)
 
 
 def test_single_head_reduction_is_bitwise():
     rng = np.random.default_rng(9)
-    head = GatHead(4, 6, 0, rng)
+    layer = GatLayer(4, 1, 6, 0, rng)
     sg = make_subgraph([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
     starts, pairs = attention_pairs(sg)
     h = nm.constant(rng.standard_normal((3, 4)))
-    multi, _ = gat_vertex_update(h, starts, pairs, [head])
+    multi, _ = gat_vertex_update(h, starts, pairs, layer)
 
-    # plain single-head update, no multi-head concatenation machinery
-    wh = nm.matmul(h, head.w)
-    alpha = gat_attention(wh, starts, pairs, head.a)
+    # plain single-head update: the (P, 1) attention column scales the messages
+    wh = nm.matmul(h, layer.w)
+    scores = nm.add(
+        nm.gather_rows(nm.matmul(wh, layer.a_center), pairs[:, 0]),
+        nm.gather_rows(nm.matmul(wh, layer.a_neighbor), pairs[:, 1]),
+    )
+    alpha = nm.segment_softmax(nm.leaky_relu(scores, 0.2), starts)
     single = nm.elu(nm.segment_sum(nm.mul(nm.gather_rows(wh, pairs[:, 1]), alpha), starts))
     assert np.array_equal(multi.value, single.value)
+
+
+@pytest.mark.parametrize("edge_dim", [0, 2])
+def test_heads_equal_single_head_layers_concatenated(edge_dim):
+    # a K-head layer is its K heads run as separate layers, outputs concatenated
+    rng = np.random.default_rng(42)
+    layer = GatLayer(4, 3, 2, edge_dim, rng)
+    sg = make_subgraph([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
+    starts, pairs = attention_pairs(sg)
+    h = nm.constant(rng.standard_normal((4, 4)))
+    efeat = nm.constant(rng.standard_normal((len(pairs), edge_dim))) if edge_dim else None
+    out, attention = gat_vertex_update(h, starts, pairs, layer, efeat)
+    heads = [gat_vertex_update(h, starts, pairs, one, efeat) for one in single_head_layers(layer)]
+    np.testing.assert_allclose(out.value, np.hstack([o.value for o, _ in heads]), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(attention, np.hstack([a for _, a in heads]), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("edge_dim", [0, 3])
+def test_gat_layer_parameters_are_per_head_draws_stacked(edge_dim):
+    # drawn head by head (transform, then the whole attention vector), so the
+    # per-head parameters of the same generator, stacked, equal them bit for bit
+    in_dim, heads, m = 5, 4, 3
+    attn_len = 2 * m + edge_dim
+    for dtype in (np.float64, np.float32):
+        rng = np.random.default_rng(17)
+        per_head = [
+            (nm.uniform_init(rng, (in_dim, m), in_dim, dtype),
+             nm.uniform_init(rng, (attn_len, 1), attn_len, dtype)[:, 0])
+            for _ in range(heads)
+        ]
+        layer = GatLayer(in_dim, heads, m, edge_dim, np.random.default_rng(17), dtype)
+        for k, (w, a) in enumerate(per_head):
+            got_w, got_a = head_params(layer, k)
+            assert got_w.dtype == dtype and np.array_equal(got_w, w)
+            assert got_a.dtype == dtype and np.array_equal(got_a, a)
+        names = ["g.w", "g.a_center", "g.a_neighbor"] + (["g.a_edge"] if edge_dim else [])
+        assert list(layer.parameters("g")) == names
 
 
 def test_edge_mode_none_equals_zeroed_edge_slot_bitwise():
     rng = np.random.default_rng(10)
     d_in, m, d_e = 4, 3, 2
-    with_edges = GatHead(d_in, m, d_e, rng)
-    with_edges.a.value[2 * m :] = 0.0
-    plain = GatHead(d_in, m, 0, np.random.default_rng(99))
-    plain.w.value = with_edges.w.value.copy()
-    plain.a.value = with_edges.a.value[: 2 * m].copy()
+    with_edges = GatLayer(d_in, 2, m, d_e, rng)
+    with_edges.a_edge.value[:] = 0.0
+    plain = GatLayer(d_in, 2, m, 0, np.random.default_rng(99))
+    for name in ("w", "a_center", "a_neighbor"):
+        getattr(plain, name).value = getattr(with_edges, name).value.copy()
 
     sg = make_subgraph([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
     starts, pairs = attention_pairs(sg)
     h = nm.constant(rng.standard_normal((3, d_in)))
     efeat = nm.constant(rng.standard_normal((len(pairs), d_e)))
-    out_edges, att_edges = gat_vertex_update(h, starts, pairs, [with_edges], efeat)
-    out_plain, att_plain = gat_vertex_update(h, starts, pairs, [plain], None)
+    out_edges, att_edges = gat_vertex_update(h, starts, pairs, with_edges, efeat)
+    out_plain, att_plain = gat_vertex_update(h, starts, pairs, plain, None)
     assert np.array_equal(out_edges.value, out_plain.value)
-    assert len(att_edges) == len(att_plain) == 1
-    assert att_edges[0].shape == (len(pairs),)
-    assert np.array_equal(att_edges[0], att_plain[0])
+    assert att_edges.shape == att_plain.shape == (len(pairs), 2)
+    assert np.array_equal(att_edges, att_plain)
 
 
 def test_single_vertex_update_is_elu_of_transform():
     rng = np.random.default_rng(41)
-    heads = [GatHead(4, 3, 0, rng) for _ in range(2)]
+    layer = GatLayer(4, 2, 3, 0, rng)
     sg = make_subgraph([[0]])
     starts, pairs = attention_pairs(sg)
     h = rng.standard_normal((1, 4))
-    out, _ = gat_vertex_update(nm.constant(h), starts, pairs, heads)
-    expected = np.concatenate([(h @ hd.w.value) for hd in heads], axis=1)
+    out, _ = gat_vertex_update(nm.constant(h), starts, pairs, layer)
+    expected = h @ layer.w.value
     expected = np.where(expected > 0, expected, np.expm1(expected))
     np.testing.assert_allclose(out.value, expected, atol=1e-12)
 
@@ -406,17 +474,17 @@ def test_parameters_registered_exactly_once():
 
 def test_gat_permutation_equivariance():
     rng = np.random.default_rng(11)
-    head = GatHead(4, 3, 0, rng)
+    layer = GatLayer(4, 2, 3, 0, rng)
     adjacency = np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
     h = rng.standard_normal((4, 4))
     perm = np.array([2, 0, 3, 1])
 
     starts, pairs = attention_pairs(make_subgraph(adjacency))
-    out, _ = gat_vertex_update(nm.constant(h), starts, pairs, [head])
+    out, _ = gat_vertex_update(nm.constant(h), starts, pairs, layer)
 
     permuted_adj = adjacency[np.ix_(perm, perm)]
     starts_p, pairs_p = attention_pairs(make_subgraph(permuted_adj))
-    out_p, _ = gat_vertex_update(nm.constant(h[perm]), starts_p, pairs_p, [head])
+    out_p, _ = gat_vertex_update(nm.constant(h[perm]), starts_p, pairs_p, layer)
     np.testing.assert_allclose(out_p.value, out.value[perm], atol=1e-12)
 
 
@@ -462,20 +530,22 @@ def test_gcn_permutation_equivariance():
 
 
 def test_graph_layer_size_independent_of_vertex_count():
+    # nor does a GAT layer's node count change with its number of heads
     rng = np.random.default_rng(19)
-    heads = [GatHead(3, 2, 2, rng) for _ in range(2)]
     w_gcn = nm.parameter(rng.standard_normal((5, 4)))
 
-    def graph_sizes(n):
+    def graph_sizes(n, heads):
+        layer = GatLayer(3, heads, 2, 2, rng)
         adjacency = np.eye(n, k=1, dtype=np.int64) + np.eye(n, k=-1, dtype=np.int64)  # path graph
         starts, pairs = attention_pairs(make_subgraph(adjacency))
         h = nm.parameter(rng.standard_normal((n, 3)))
         efeat = nm.parameter(rng.standard_normal((len(pairs), 2)))
-        gat, _ = gat_vertex_update(h, starts, pairs, heads, efeat)
+        gat, _ = gat_vertex_update(h, starts, pairs, layer, efeat)
         gcn = gcn_vertex_update(h, starts, pairs, w_gcn, efeat)
         return len(graph_nodes(gat)), len(graph_nodes(gcn))
 
-    assert graph_sizes(3) == graph_sizes(30)
+    sizes = {graph_sizes(n, heads) for n in (3, 30) for heads in (1, 2, 4)}
+    assert len(sizes) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +742,7 @@ def test_batched_logits_equal_batch_of_one(graph_layer, graph_mode, edge_mode, g
     batched = model.forward(instances, provider)
     assert batched.logits.shape == (len(instances), 19)
     assert len(batched.vertex_starts) == units * len(instances)
-    assert len(batched.attention) == (graph_depth * model.config.heads if graph_layer == "gat" else 0)
+    assert len(batched.attention) == (graph_depth if graph_layer == "gat" else 0)
     for b, instance in enumerate(instances):
         one = model.forward([instance], provider)
         np.testing.assert_allclose(batched.logits.value[b], one.logits.value[0], rtol=0, atol=1e-12)
@@ -681,9 +751,10 @@ def test_batched_logits_equal_batch_of_one(graph_layer, graph_mode, edge_mode, g
         np.testing.assert_array_equal(got[1], want[1])
         np.testing.assert_allclose(got[2], want[2], rtol=0, atol=1e-12)
         assert len(got[3]) == len(want[3])
-        for got_head, want_head in zip(got[3], want[3]):
-            assert got_head.shape == want_head.shape
-            np.testing.assert_allclose(got_head, want_head, rtol=0, atol=1e-12)
+        for got_layer, want_layer in zip(got[3], want[3]):
+            assert got_layer.shape == want_layer.shape
+            assert want_layer.shape[1] == model.config.heads
+            np.testing.assert_allclose(got_layer, want_layer, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("graph_layer", ["gat", "gcn"])
@@ -804,8 +875,9 @@ def test_malformed_checkpoint_names_path(tmp_path):
     # one flipped bit in the first and last byte of every parameter
     flips = [at for lo, hi in zip(ends[2:], ends[3:]) for at in (lo, hi - 1)]
     flipped = [blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1 :] for at in flips]
-    # the previous formats: version 03 (one input matrix per encoder), 02 (no dtype
-    # in the header) and 01 (no digest either)
+    # the previous formats: version 04 (one w and a per GAT head), 03 (one input
+    # matrix per encoder), 02 (no dtype in the header) and 01 (no digest either)
+    version_04 = b"RGCKPT04" + blob[8:]
     version_03 = b"RGCKPT03" + blob[8:]
     header = json.loads(blob[16 : ends[2]])
     del header["dtype"]
@@ -814,7 +886,7 @@ def test_malformed_checkpoint_names_path(tmp_path):
     del header["digest"]
     text = json.dumps(header).encode("utf-8")
     old_format = b"RGCKPT01" + struct.pack("<Q", len(text)) + text + blob[ends[2] :]
-    for blob_bad in [blob[:cut] for cut in cuts] + [blob + b"\0", version_03, version_02, old_format] + flipped:
+    for blob_bad in [blob[:cut] for cut in cuts] + [blob + b"\0", version_04, version_03, version_02, old_format] + flipped:
         bad.write_bytes(blob_bad)
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(str(bad))
@@ -907,8 +979,11 @@ def test_float32_checkpoint_roundtrip_bitwise(tmp_path):
     blob = path.read_bytes()
     (header_len,) = struct.unpack_from("<Q", blob, 8)
     header = json.loads(blob[16 : 16 + header_len])
-    assert blob[:8] == b"RGCKPT04" and header["dtype"] == "float32"
+    assert blob[:8] == b"RGCKPT05" and header["dtype"] == "float32"
     names = [r["name"] for r in header["params"]]
+    assert [n for n in names if n.startswith("gat.")] == [
+        "gat.l0.w", "gat.l0.a_center", "gat.l0.a_neighbor", "gat.l0.a_edge"
+    ]
     for lstm in ("lstm_fwd", "lstm_bwd"):
         assert [n for n in names if n.startswith(lstm)] == [
             f"{lstm}.w_ctx", f"{lstm}.w_feat", f"{lstm}.w_hidden", f"{lstm}.bias"
@@ -1033,8 +1108,15 @@ def numpy_oracle_forward(model, sentence, sgs, provider):
                 out[i] = np.maximum(acc, 0.0)
             return out
         head_outs = []
+        m = cfg.head_dim
         for k in range(cfg.heads):
-            w, a = p[f"gat.l{layer}.head{k}.w"], p[f"gat.l{layer}.head{k}.a"].reshape(-1)
+            # head k's slice of the stacked parameters
+            block = slice(k * m, (k + 1) * m)
+            w = p[f"gat.l{layer}.w"][:, block]
+            a = [p[f"gat.l{layer}.a_center"][block, 0], p[f"gat.l{layer}.a_neighbor"][block, 0]]
+            if feats is not None:
+                a.append(p[f"gat.l{layer}.a_edge"][:, k])
+            a = np.concatenate(a)
             wh = h @ w
             rows = np.zeros((len(nbrs), cfg.head_dim))
             for i, around in enumerate(nbrs):

@@ -222,7 +222,7 @@ def test_gradient_check_skips_frozen_leaves():
 @pytest.mark.parametrize("case", [
     "add_same", "add_bias", "add_scalar", "mul_same", "mul_scalar", "mul_column",
     "mul_column_left", "segment_sum", "segment_softmax", "matmul",
-    "concat0", "concat1", "slice0", "slice1", "gather", "relu", "leaky", "elu",
+    "concat0", "concat1", "gather", "relu", "leaky", "elu",
     "tanh", "softmax", "lstm_packed", "lstm_packed_reverse",
     "lstm_tokens", "lstm_tokens_reverse", "lstm_blocks",
 ])
@@ -274,8 +274,6 @@ def test_op_gradients(case):
         "matmul": (lambda: nm.mul(nm.matmul(a, w), probe_32), [a, w]),
         "concat0": (lambda: nm.mul(nm.concat([a, b], 0), nm.constant(np.ones((6, 4)))), [a, b]),
         "concat1": (lambda: nm.mul(nm.concat([a, b], 1), nm.constant(np.ones((3, 8)))), [a, b]),
-        "slice0": (lambda: nm.mul(nm.slice_axis(a, 0, 1, 3), nm.constant(np.ones((2, 4)))), [a]),
-        "slice1": (lambda: nm.mul(nm.slice_axis(a, 1, 0, 2), nm.constant(np.ones((3, 2)))), [a]),
         "gather": (lambda: nm.mul(nm.gather_rows(a, [0, 2, 2, 1]), probe_44), [a]),
         "relu": (lambda: nm.mul(nm.relu(a), probe), [a]),
         "leaky": (lambda: nm.mul(nm.leaky_relu(a), probe), [a]),

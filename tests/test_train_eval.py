@@ -302,6 +302,10 @@ class TestSpanBuckets:
         buckets = SpanBuckets.from_sentences(only)
         assert buckets.bucket(entity_distance(only[0])) == "short"
 
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="at least one sentence"):
+            SpanBuckets.from_sentences([])
+
     def test_entity_distance(self, toy_corpus):
         # the <n1> verb the <n2>: two tokens sit strictly between the spans
         assert entity_distance(toy_corpus[0]) == 2
