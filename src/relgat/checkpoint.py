@@ -1,18 +1,21 @@
 """Deterministic binary model checkpoints.
 
-Layout (format version 05): an 8-byte magic (which carries the format
+Layout (format version 06): an 8-byte magic (which carries the format
 version), a little-endian uint64 header length, a UTF-8 JSON header,
 then the raw little-endian bytes of every parameter in header order, in
 the model's dtype (``<f4`` for float32, ``<f8`` for float64). The header
 holds the model config, the vocabularies, the dependency-triple
 statistics, the dtype, the parameter names and shapes and a blake2b
 digest of the parameter bytes, so a load rebuilds the exact model in its
-dtype. Version 05 stores each GAT layer with its heads stacked, as
+dtype. Version 06 stores the BiLSTM as one group, ``lstm.w_ctx``,
+``.w_feat``, ``.w_hidden`` and ``.bias``, with the two directions as
+column blocks, forward first, where version 05 had an ``lstm_fwd`` and
+an ``lstm_bwd`` group. Each GAT layer has its heads stacked, as
 ``gat.l{l}.w``, ``.a_center``, ``.a_neighbor`` and (with edge features)
-``.a_edge``, where version 04 had one ``w`` and ``a`` per head; each
-context-encoder input matrix is kept as its two row blocks (``.w_ctx``,
-``.w_feat``) since version 04. Outputs are byte-identical across runs
-because nothing time- or path-dependent is written. A save writes a temporary file beside the
+``.a_edge``, since version 05; each context-encoder input matrix is kept
+as its two row blocks (``.w_ctx``, ``.w_feat``) since version 04.
+Outputs are byte-identical across runs because nothing time- or
+path-dependent is written. A save writes a temporary file beside the
 target and renames it over the target, so the path holds either the old
 checkpoint or the new one, never a partial file. A load rejects a file
 of another format version, one that is cut short, carries bytes past the
@@ -37,7 +40,7 @@ from .model import Model, ModelConfig
 
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
 
-MAGIC = b"RGCKPT05"  # the last two bytes are the format version
+MAGIC = b"RGCKPT06"  # the last two bytes are the format version
 
 
 def _digest(chunks) -> str:

@@ -11,7 +11,10 @@ Both context encoders start from the same input projection,
 ``[ctx | feat] @ [W_ctx ; W_feat] + b`` (``input_projection``), run once
 per distinct token. The two row blocks of each input matrix are separate
 parameters and each column block has its own product, so the constant
-contextual vectors cost no gradient GEMM.
+contextual vectors cost no gradient GEMM. The BiLSTM keeps its two
+directions as column blocks of one set of matrices, forward first
+(``LstmParams``): one projection gives both directions' gate
+pre-activations and one ``bilstm_sequence`` node runs both recurrences.
 
 Graph attention per head k with transform W_k and attention vector a_k:
 
@@ -43,9 +46,9 @@ scheme):
                    its units' vertices: the rows of the token encoding
                    and of the input projection, so a token that several
                    sub-graphs share is encoded and projected once
-    token_rows     the token row of every vertex row: each BiLSTM
-                   direction gathers its projected gate pre-activations
-                   by it (the non-contextual variant its projection)
+    token_rows     the token row of every vertex row: the BiLSTM
+                   gathers its projected gate pre-activations by it
+                   (the non-contextual variant its projection)
     vertex_starts  each unit's first vertex row: the rows of the BiLSTM
                    (one packed sequence per unit) and every graph layer
     pair_starts,   the units' attention pairs, offset by the vertex and
@@ -187,19 +190,30 @@ def input_weights(
 
 
 class LstmParams:
-    """One LSTM direction: stacked gate matrices in (input, forget, cell, output) order.
+    """Both LSTM directions, each a column block of one matrix: forward columns first.
 
-    The input matrix is kept as its rows for the contextual columns
-    (``w_ctx``) and for the trainable feature columns (``w_feat``).
+    Within a direction the gates are stacked (input, forget, cell,
+    output). The input matrix is kept as its rows for the contextual
+    columns (``w_ctx``) and for the trainable feature columns (``w_feat``).
+    Draws run direction by direction, ``w_ctx``, ``w_feat`` then
+    ``w_hidden``, straight into their column blocks, so the blocks equal
+    one direction's matrices drawn on their own from the same generator.
     """
 
     def __init__(
         self, ctx_dim: int, feat_dim: int, hidden_dim: int, rng: np.random.Generator, dtype=np.float64
     ):
         gates = 4 * hidden_dim
-        self.w_ctx, self.w_feat = input_weights(rng, ctx_dim, feat_dim, gates, dtype)
-        self.w_hidden = nm.parameter(nm.uniform_init(rng, (hidden_dim, gates), hidden_dim, dtype))
-        self.bias = nm.parameter(np.zeros((1, gates), dtype))
+        fan_in = ctx_dim + feat_dim
+        w_ctx, w_feat, w_hidden = (
+            np.empty((rows, 2 * gates), dtype) for rows in (ctx_dim, feat_dim, hidden_dim)
+        )
+        for block in (slice(0, gates), slice(gates, 2 * gates)):
+            for w, fan in ((w_ctx, fan_in), (w_feat, fan_in), (w_hidden, hidden_dim)):
+                nm.uniform_init(rng, (len(w), gates), fan, out=w[:, block])
+        self.w_ctx, self.w_feat = nm.parameter(w_ctx), nm.parameter(w_feat)
+        self.w_hidden = nm.parameter(w_hidden)
+        self.bias = nm.parameter(np.zeros((1, 2 * gates), dtype))
 
     def parameters(self, prefix: str) -> dict[str, nm.Node]:
         return {
@@ -252,24 +266,16 @@ def input_projection(x: list[nm.Node], w_ctx: nm.Node, w_feat: nm.Node, bias: nm
     return nm.add(nm.add(nm.matmul(ctx, w_ctx), nm.matmul(feat, w_feat)), bias)
 
 
-def bilstm_encode(
-    x: list[nm.Node], starts, forward: LstmParams, backward: LstmParams, token_rows
-) -> nm.Node:
+def bilstm_encode(x: list[nm.Node], starts, lstm: LstmParams, token_rows) -> nm.Node:
     """Concatenated forward/backward hidden states of the sequences at ``starts``.
 
     ``x`` holds the [contextual, feature] column blocks of the distinct
-    tokens. Each direction projects them once per token, gathers the gate
-    pre-activations to the layout rows (layout row r reads token row
-    ``token_rows[r]``) and runs its recurrence over them.
+    tokens. Both directions' gate pre-activations come from one
+    projection per token, gathered to the layout rows (layout row r reads
+    token row ``token_rows[r]``), and one recurrence runs both directions.
     """
-    states = [
-        nm.lstm_sequence(
-            nm.gather_rows(input_projection(x, p.w_ctx, p.w_feat, p.bias), token_rows),
-            p.w_hidden, starts, reverse,
-        )
-        for p, reverse in ((forward, False), (backward, True))
-    ]
-    return nm.concat(states, axis=1)
+    z = nm.gather_rows(input_projection(x, lstm.w_ctx, lstm.w_feat, lstm.bias), token_rows)
+    return nm.bilstm_sequence(z, lstm.w_hidden, starts)
 
 
 def token_layout(graph_sets: list[list[SubGraph]]) -> tuple[list[list[int]], np.ndarray]:
@@ -436,13 +442,11 @@ class Model:
         feat_dim = self.embeddings.input_dim - config.d_ctx
         ctx_out = 2 * config.d_lstm
         if config.contextual:
-            self.lstm_fwd = LstmParams(config.d_ctx, feat_dim, config.d_lstm, rng, dtype)
-            self.lstm_bwd = LstmParams(config.d_ctx, feat_dim, config.d_lstm, rng, dtype)
-            self._params.update(self.lstm_fwd.parameters("lstm_fwd"))
-            self._params.update(self.lstm_bwd.parameters("lstm_bwd"))
+            self.lstm = LstmParams(config.d_ctx, feat_dim, config.d_lstm, rng, dtype)
+            self._params.update(self.lstm.parameters("lstm"))
             self.proj_w_ctx = self.proj_w_feat = self.proj_b = None
         else:
-            self.lstm_fwd = self.lstm_bwd = None
+            self.lstm = None
             self.proj_w_ctx, self.proj_w_feat = input_weights(rng, config.d_ctx, feat_dim, ctx_out, dtype)
             self.proj_b = nm.parameter(np.zeros((1, ctx_out), dtype))
             self._params["proj.w_ctx"] = self.proj_w_ctx
@@ -483,7 +487,7 @@ class Model:
         self, x: list[nm.Node], starts: np.ndarray, token_rows: np.ndarray
     ) -> nm.Node:
         if self.config.contextual:
-            return bilstm_encode(x, starts, self.lstm_fwd, self.lstm_bwd, token_rows)
+            return bilstm_encode(x, starts, self.lstm, token_rows)
         projected = input_projection(x, self.proj_w_ctx, self.proj_w_feat, self.proj_b)
         return nm.gather_rows(projected, token_rows)
 

@@ -22,21 +22,23 @@ layer is then a fixed handful of nodes whatever the vertex count.
 is the engine's one scatter-add, a single ``bincount`` that sums the
 gradient rows of every index.
 
-Recurrences are fused and packed: ``lstm_sequence`` runs one LSTM
-direction over any number of sequences, laid out as contiguous row
+Recurrences are fused and packed: ``bilstm_sequence`` runs both LSTM
+directions over any number of sequences, laid out as contiguous row
 segments in the same ``starts`` convention, as a single node. It is the
-recurrence alone: its input is the (n, 4d) gate pre-activations
-``x @ w_input + bias`` of every layout row, which the caller builds from
-ordinary ops (a projection over distinct tokens and a ``gather_rows`` to
-the layout, say), so input GEMMs and their gradients are the engine's
-usual ``matmul`` and ``requires_grad`` pruning skips a constant input.
-With the sequences sorted longest first, step s of the loop updates the
-k_s sequences still running with one ``h @ w_hidden`` GEMM, so the loop
-runs max-length steps, not total rows. Its backward runs one
-backpropagation-through-time sweep over the same steps, yields the gate
-gradients of every row, and makes the ``w_hidden`` gradient one GEMM for
-the whole call. The graph therefore grows with layers, not with
-timesteps or sequences.
+recurrence alone: its input is the (n, 8d) gate pre-activations
+``x @ w_input + bias`` of every layout row, the two directions as column
+blocks, which the caller builds from ordinary ops (a projection over
+distinct tokens and a ``gather_rows`` to the layout, say), so input
+GEMMs and their gradients are the engine's usual ``matmul`` and
+``requires_grad`` pruning skips a constant input. With the sequences
+sorted longest first, step s of the loop updates the k_s sequences still
+running, in both directions at once, with one stacked (2, k_s, d) @
+(2, d, 4d) ``matmul``, so the loop runs max-length steps, not total rows
+or directions. Its backward runs one backpropagation-through-time sweep
+over the same steps for both directions, yields the gate gradients of
+every row, and makes the ``w_hidden`` gradient one stacked GEMM for the
+whole call. The graph therefore grows with layers, not with timesteps,
+sequences or directions.
 
 ``cross_entropy`` scores a (B, C) batch of logits against B labels and
 returns the batch-mean loss, so a minibatch is one forward and one
@@ -85,7 +87,7 @@ __all__ = [
     "softmax",
     "segment_sum",
     "segment_softmax",
-    "lstm_sequence",
+    "bilstm_sequence",
     "cross_entropy",
     "gradient_check",
     "zero_grads",
@@ -358,12 +360,6 @@ def tanh(x: Node) -> Node:
     return _node(y, (x,), (lambda g: g * (1.0 - y * y),))
 
 
-def _sigmoid(v: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp for large |v|.
-    e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def softmax(x: Node, axis: int) -> Node:
     """Stable softmax along one axis (max subtraction before exp)."""
     shifted = x.value - np.max(x.value, axis=axis, keepdims=True)
@@ -411,29 +407,35 @@ def segment_softmax(x: Node, starts) -> Node:
     return _node(y, (x,), (vjp,))
 
 
-def lstm_sequence(z: Node, w_hidden: Node, starts, reverse: bool = False) -> Node:
-    """Hidden states of one LSTM direction over packed sequences, as one node.
+def bilstm_sequence(z: Node, w_hidden: Node, starts) -> Node:
+    """Hidden states of both LSTM directions over packed sequences, as one node.
 
-    ``z`` (n, 4d) holds the input pre-activations of every layout row,
+    ``z`` (n, 8d) holds the input pre-activations of every layout row,
     ``x @ w_input + bias`` computed by the caller; this op is the
-    recurrence alone. The layout holds S sequences as contiguous,
-    non-empty row segments that begin at ``starts`` (the ``segment_sum``
-    convention). Each is read on its own, first row to last, or last to
-    first with ``reverse``. Gates are stacked (input, forget, cell,
-    output) along the columns of ``z`` and ``w_hidden`` (d, 4d). Row r of
-    the (n, d) result is the hidden state after reading row r; initial
-    hidden and cell states are zero. Every buffer has the input's dtype.
+    recurrence alone. Its columns are ``[forward 4d | backward 4d]``, as
+    are those of ``w_hidden`` (d, 8d), and within each direction the gates
+    are stacked (input, forget, cell, output). The layout holds S
+    sequences as contiguous, non-empty row segments that begin at
+    ``starts`` (the ``segment_sum`` convention); the forward direction
+    reads each first row to last, the backward one last to first. Row r
+    of the (n, 2d) result is ``[h_fwd | h_bwd]`` after reading row r;
+    initial hidden and cell states are zero. Every buffer has the input's
+    dtype.
 
     The sequences are stably sorted longest first, so those still running
-    at step s are a prefix of k_s of them. The rows are permuted once into
-    step-major order, where step s is a contiguous slice of k_s rows
-    updated with one (k_s, d) @ (d, 4d) GEMM, and scattered back once.
+    at step s are a prefix of k_s of them in both directions. The rows are
+    permuted once into step-major order, where step s is a contiguous
+    (k_s, 2, ·) block, direction second. It is updated with one ``matmul``
+    of the (2, k_s, d) previous states, read in place from step s-1's
+    rows, with a strided (2, d, 4d) view of ``w_hidden``. All four gates
+    come from one ``tanh`` over the gate block, since sigmoid(x) =
+    tanh(x/2)/2 + 1/2, with constant per-column scale and shift rows.
     """
-    starts, _ = _segment_ids("lstm_sequence", z.shape, starts)
+    starts, _ = _segment_ids("bilstm_sequence", z.shape, starts)
     d = w_hidden.shape[0]
-    if z.shape[1] != 4 * d or w_hidden.shape != (d, 4 * d):
+    if z.shape[1] != 8 * d or w_hidden.shape != (d, 8 * d):
         raise ShapeMismatch(
-            f"lstm_sequence: pre-activations {z.shape} with hidden weights {w_hidden.shape}"
+            f"bilstm_sequence: pre-activations {z.shape} with hidden weights {w_hidden.shape}"
         )
     n = z.shape[0]
     lengths = np.diff(starts, append=n)
@@ -441,85 +443,117 @@ def lstm_sequence(z: Node, w_hidden: Node, starts, reverse: bool = False) -> Nod
     first, lengths = starts[order], lengths[order]
     step = np.arange(lengths[0])[:, None]
     running = step < lengths  # (step, sequence): a prefix of each row is True
-    read = first + lengths - 1 - step if reverse else first + step
-    perm = read[running]  # step-major position -> layout row
+    forward_rows = (first + step)[running]  # step-major position -> layout row
+    backward_rows = (first + lengths - 1 - step)[running]
     widths = running.sum(axis=1)  # k_s
     offsets = np.concatenate(([0], np.cumsum(widths)))
-    wh = w_hidden.value
     dtype = z.value.dtype
+    scale = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype), d)
+    shift = np.repeat(np.array([0.5, 0.5, 0.0, 0.5], dtype), d)
+    wh = w_hidden.value.reshape(d, 2, 4 * d).transpose(1, 0, 2)  # direction k's block
 
-    z_input = z.value.take(perm, axis=0)
-    acts = np.empty((n, 4 * d), dtype)
-    hidden = np.empty((n, d), dtype)  # hidden and cell states after each step
-    cell = np.empty((n, d), dtype)
-    hidden_prev = np.zeros((n, d), dtype)  # and before it
-    cell_prev = np.zeros((n, d), dtype)
-    tanh_cell = np.empty((n, d), dtype)
+    z_input = np.empty((n, 2, 4 * d), dtype)
+    z_input[:, 0] = z.value[forward_rows, : 4 * d]
+    z_input[:, 1] = z.value[backward_rows, 4 * d :]
+    acts = np.empty((n, 2, 4 * d), dtype)
+    gate_in, gate_forget, gate_cell, gate_out = (acts[..., j * d : (j + 1) * d] for j in range(4))
+    hidden = np.empty((n, 2, d), dtype)  # hidden and cell states after each step
+    cell = np.empty((n, 2, d), dtype)
+    tanh_cell = np.empty((n, 2, d), dtype)
     for s, k in enumerate(widths):
         rows = slice(offsets[s], offsets[s] + k)
-        pre = z_input[rows]
+        a = acts[rows]
         if s:
             last = slice(offsets[s - 1], offsets[s - 1] + k)
-            hidden_prev[rows] = hidden[last]
-            cell_prev[rows] = cell[last]
-            pre = pre + hidden_prev[rows] @ wh
-        a = acts[rows]
-        a[:] = _sigmoid(pre)
-        a[:, 2 * d : 3 * d] = np.tanh(pre[:, 2 * d : 3 * d])
-        cell[rows] = a[:, d : 2 * d] * cell_prev[rows] + a[:, :d] * a[:, 2 * d : 3 * d]
-        tanh_cell[rows] = np.tanh(cell[rows])
-        hidden[rows] = a[:, 3 * d :] * tanh_cell[rows]
-    out = np.empty((n, d), dtype)
-    out[perm] = hidden
+            np.matmul(hidden[last].transpose(1, 0, 2), wh, out=a.transpose(1, 0, 2))
+            a += z_input[rows]
+            a *= scale
+        else:
+            np.multiply(z_input[rows], scale, out=a)
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift
+        c = cell[rows]
+        np.multiply(gate_in[rows], gate_cell[rows], out=c)
+        if s:
+            c += gate_forget[rows] * cell[last]
+        np.tanh(c, out=tanh_cell[rows])
+        np.multiply(gate_out[rows], tanh_cell[rows], out=hidden[rows])
+    out = np.empty((n, 2 * d), dtype)
+    out[forward_rows, :d] = hidden[:, 0]
+    out[backward_rows, d:] = hidden[:, 1]
+    # the row of step s-1 that each row of steps 1, 2, ... reads its previous state from
+    prev = np.arange(widths[0], n) - np.repeat(widths[:-1], widths[1:])
 
     cache: dict = {}
 
     def gate_grads(g):
         """d(loss)/d(pre-activation gates) in step-major order, one BPTT sweep per g."""
         if cache.get("g") is not g:
+            g_hidden = np.empty((n, 2, d), dtype)
+            g_hidden[:, 0] = g[forward_rows, :d]
+            g_hidden[:, 1] = g[backward_rows, d:]
             cache["g"] = g
-            cache["dz"] = _lstm_bptt(g[perm], acts, cell_prev, tanh_cell, wh, offsets, widths)
+            cache["dz"] = _bilstm_bptt(g_hidden, acts, cell, tanh_cell, prev, wh, offsets, widths)
         return cache["dz"]
 
     def z_vjp(g):
-        dz = np.empty_like(acts)
-        dz[perm] = gate_grads(g)
-        return dz
+        dz = gate_grads(g)
+        out = np.empty((n, 8 * d), dtype)
+        out[forward_rows, : 4 * d] = dz[:, 0]
+        out[backward_rows, 4 * d :] = dz[:, 1]
+        return out
 
-    return _node(out, (z, w_hidden), (z_vjp, lambda g: hidden_prev.T @ gate_grads(g)))
+    def w_hidden_vjp(g):
+        dz = gate_grads(g)[widths[0] :]  # step 0 reads zero states
+        return np.hstack(np.matmul(hidden[prev].transpose(1, 2, 0), dz.transpose(1, 0, 2)))
+
+    return _node(out, (z, w_hidden), (z_vjp, w_hidden_vjp))
 
 
-def _lstm_bptt(g_hidden, acts, cell_prev, tanh_cell, wh, offsets, widths) -> np.ndarray:
-    """Backpropagation through time for ``lstm_sequence`` (all rows step-major).
+def _bilstm_bptt(g_hidden, acts, cell, tanh_cell, prev, wh, offsets, widths) -> np.ndarray:
+    """Backpropagation through time for ``bilstm_sequence``: (n, 2, 4d) gate gradients.
 
+    All arrays are step-major, direction second. Each gate's gradient is
+    the cell gradient (input, forget and cell gates) or the hidden one
+    (output gate) times a per-row factor computed for all rows up front.
     Carries run over the sorted-sequence prefix: a sequence that ends at
     step s first gets its (zero) carry there, since later steps only wrote
     the narrower prefix of longer sequences.
     """
-    n, d = tanh_cell.shape
-    gate_in, gate_forget = acts[:, :d], acts[:, d : 2 * d]
-    gate_cell, gate_out = acts[:, 2 * d : 3 * d], acts[:, 3 * d :]
-    # Activation derivatives: y(1-y) for sigmoid gates, 1-y^2 for the tanh gate.
-    slope = acts * (1.0 - acts)
-    slope[:, 2 * d : 3 * d] = 1.0 - gate_cell * gate_cell
-    cell_from_hidden = gate_out * (1.0 - tanh_cell * tanh_cell)
-    dz = np.empty_like(acts)
-    dh_next = np.zeros((widths[0], d), acts.dtype)
-    dc_next = np.zeros((widths[0], d), acts.dtype)
+    n, _, d = tanh_cell.shape
+    gates = acts.reshape(n, 2, 4, d)
+    gate_in, gate_forget, gate_cell = gates[:, :, 0], gates[:, :, 1], gates[:, :, 2]
+    factor = np.empty_like(gates)
+    factor[:, :, 0] = gate_cell
+    factor[: widths[0], :, 1] = 0.0
+    factor[widths[0] :, :, 1] = cell[prev]
+    factor[:, :, 2] = gate_in
+    factor[:, :, 3] = tanh_cell
+    # activation derivatives: y(1-y) for the sigmoid gates, 1-y^2 for the tanh gate
+    slope = gates * (1.0 - gates)
+    slope[:, :, 2] = 1.0 - gate_cell * gate_cell
+    factor *= slope
+    cell_from_hidden = gates[:, :, 3] * (1.0 - tanh_cell * tanh_cell)
+    wh_t = wh.transpose(0, 2, 1)
+    dz = np.empty_like(gates)
+    dh_next = np.zeros((widths[0], 2, d), acts.dtype)
+    dc_next = np.zeros((widths[0], 2, d), acts.dtype)
     for s in range(len(widths) - 1, -1, -1):
         k = widths[s]
         rows = slice(offsets[s], offsets[s] + k)
         dh = g_hidden[rows] + dh_next[:k]
-        dc = dh * cell_from_hidden[rows] + dc_next[:k]
+        dc = dh * cell_from_hidden[rows]
+        dc += dc_next[:k]
         block = dz[rows]
-        block[:, :d] = dc * gate_cell[rows]
-        block[:, d : 2 * d] = dc * cell_prev[rows]
-        block[:, 2 * d : 3 * d] = dc * gate_in[rows]
-        block[:, 3 * d :] = dh * tanh_cell[rows]
-        block *= slope[rows]
-        dc_next[:k] = dc * gate_forget[rows]
-        dh_next[:k] = block @ wh.T
-    return dz
+        np.multiply(dc[:, :, None], factor[rows, :, :3], out=block[:, :, :3])
+        np.multiply(dh, factor[rows, :, 3], out=block[:, :, 3])
+        if s:
+            np.multiply(dc, gate_forget[rows], out=dc_next[:k])
+            np.matmul(
+                block.reshape(k, 2, 4 * d).transpose(1, 0, 2), wh_t, out=dh_next[:k].transpose(1, 0, 2)
+            )
+    return dz.reshape(n, 2, 4 * d)
 
 
 def cross_entropy(logits: Node, labels) -> Node:
@@ -560,20 +594,27 @@ def zero_grads(params) -> None:
 _INIT_BLOCK = 1 << 16  # values drawn per call: a float64 block that stays in cache
 
 
-def uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype=np.float64) -> np.ndarray:
+def uniform_init(
+    rng: np.random.Generator, shape, fan_in: int, dtype=np.float64, out: np.ndarray | None = None
+) -> np.ndarray:
     """Uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) initialization, rounded to ``dtype``.
 
     The draws are float64 whatever ``dtype`` is, so a float32 init is the
-    float64 init rounded. They are made a block at a time and written into
-    the result: the generator yields the same sequence as one call for the
-    whole shape, with no full-size float64 temporary.
+    float64 init rounded. They are made a chunk of rows at a time and
+    written into the result: the generator yields the same sequence as one
+    call for the whole shape, with no full-size float64 temporary. Given
+    ``out`` (of ``shape``; a column block of a larger matrix, say), the
+    draws fill it in place, rounded to its dtype, and it is returned.
     """
     bound = float(np.sqrt(1.0 / fan_in))
-    out = np.empty(shape, dtype)
-    flat = out.reshape(-1)
-    for lo in range(0, flat.size, _INIT_BLOCK):
-        size = min(_INIT_BLOCK, flat.size - lo)
-        flat[lo : lo + size] = rng.uniform(-bound, bound, size=size)
+    if out is None:
+        out = np.empty(shape, dtype)
+    elif out.shape != tuple(shape):
+        raise ShapeMismatch(f"uniform_init: shape {tuple(shape)} for a block of shape {out.shape}")
+    rows = max(1, _INIT_BLOCK // max(1, int(np.prod(out.shape[1:]))))
+    for lo in range(0, len(out), rows):
+        chunk = out[lo : lo + rows]
+        chunk[...] = rng.uniform(-bound, bound, size=chunk.shape)
     return out
 
 

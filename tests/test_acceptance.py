@@ -183,7 +183,7 @@ def test_04_full_model_gradient_fidelity():
 
         groups = {
             "embeddings": lambda n: n.startswith("embed."),
-            "bilstm": lambda n: n.startswith("lstm_"),
+            "bilstm": lambda n: n.startswith("lstm."),
             "gat_heads": lambda n: n.startswith("gat."),
             "edge_tables": lambda n: n.startswith("edge."),
             "pooling": lambda n: n.startswith("pool."),

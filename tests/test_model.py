@@ -154,20 +154,22 @@ def token_blocks(x, ctx_dim, make=nm.constant):
     return [make(x[:, :ctx_dim].copy()), make(x[:, ctx_dim:].copy())]
 
 
-def bilstm(x, starts, fwd, bwd, ctx_dim=2):
+def bilstm(x, starts, lstm, ctx_dim=2):
     """``bilstm_encode`` over the rows of ``x``, one token per layout row."""
-    return bilstm_encode(token_blocks(x, ctx_dim), starts, fwd, bwd, np.arange(len(x)))
+    return bilstm_encode(token_blocks(x, ctx_dim), starts, lstm, np.arange(len(x)))
 
 
-def joined_input(lstm):
-    """The direction's whole input matrix, its two row blocks stacked."""
-    return np.vstack([lstm.w_ctx.value, lstm.w_feat.value])
+def direction(lstm, k):
+    """Direction k's (0 forward, 1 backward) whole input matrix, hidden matrix and bias."""
+    block = slice(k * lstm.w_hidden.shape[1] // 2, (k + 1) * lstm.w_hidden.shape[1] // 2)
+    w_input = np.vstack([lstm.w_ctx.value, lstm.w_feat.value])
+    return w_input[:, block], lstm.w_hidden.value[:, block], lstm.bias.value[:, block]
 
 
 def test_bilstm_single_token_shape():
     rng = np.random.default_rng(0)
-    fwd, bwd = LstmParams(2, 3, 4, rng), LstmParams(2, 3, 4, rng)
-    out = bilstm(rng.standard_normal((1, 5)), [0], fwd, bwd)
+    lstm = LstmParams(2, 3, 4, rng)
+    out = bilstm(rng.standard_normal((1, 5)), [0], lstm)
     assert out.shape == (1, 8)
 
 
@@ -175,13 +177,12 @@ def test_bilstm_reversal_swaps_directions():
     # with tied weights, the backward pass over x equals the forward pass
     # over reversed x, read in reverse
     rng = np.random.default_rng(1)
-    fwd = LstmParams(2, 3, 4, rng)
-    bwd = LstmParams(2, 3, 4, rng)
-    for a, b in zip(fwd.parameters("f").values(), bwd.parameters("b").values()):
-        b.value = a.value.copy()
+    lstm = LstmParams(2, 3, 4, rng)
+    for p in lstm.parameters("l").values():
+        p.value[:, 16:] = p.value[:, :16]
     x = rng.standard_normal((6, 5))
-    out = bilstm(x, [0], fwd, bwd).value
-    out_rev = bilstm(x[::-1].copy(), [0], fwd, bwd).value
+    out = bilstm(x, [0], lstm).value
+    out_rev = bilstm(x[::-1].copy(), [0], lstm).value
     np.testing.assert_allclose(out[:, :4], out_rev[::-1, 4:], atol=1e-12)
     np.testing.assert_allclose(out[:, 4:], out_rev[::-1, :4], atol=1e-12)
 
@@ -189,30 +190,29 @@ def test_bilstm_reversal_swaps_directions():
 def test_bilstm_gradient_matches_finite_differences():
     # two sequences that read token rows 0 and 1 twice each
     rng = np.random.default_rng(2)
-    fwd, bwd = LstmParams(1, 2, 2, rng), LstmParams(1, 2, 2, rng)
+    lstm = LstmParams(1, 2, 2, rng)
     x = token_blocks(rng.standard_normal((3, 3)), 1, nm.parameter)
     probe = nm.constant(rng.standard_normal((5, 4)))
-    params = [*x, *fwd.parameters("f").values(), *bwd.parameters("b").values()]
+    params = [*x, *lstm.parameters("l").values()]
     err = nm.gradient_check(
-        lambda: total(nm.mul(bilstm_encode(x, [0, 3], fwd, bwd, [0, 1, 2, 1, 0]), probe)), params
+        lambda: total(nm.mul(bilstm_encode(x, [0, 3], lstm, [0, 1, 2, 1, 0]), probe)), params
     )
     assert err < 1e-4
 
 
 def test_bilstm_matches_numpy_oracle():
     rng = np.random.default_rng(4)
-    fwd, bwd = LstmParams(2, 3, 4, rng), LstmParams(2, 3, 4, rng)
-    for p in (fwd.bias, bwd.bias):
-        p.value = rng.standard_normal(p.shape)
+    lstm = LstmParams(2, 3, 4, rng)
+    lstm.bias.value = rng.standard_normal(lstm.bias.shape)
     # one sequence at a time, then several packed, unsorted and with ties and length 1
     for lengths in ((1,), (2,), (7,), (3, 1, 7, 2, 7), (1, 1), (4, 6, 5)):
         x = rng.standard_normal((sum(lengths), 5))
         starts = np.cumsum((0,) + lengths[:-1])
-        out = bilstm(x, starts, fwd, bwd).value
+        out = bilstm(x, starts, lstm).value
         expected = np.concatenate([
             np.concatenate([
-                _lstm_direction_np(seq, joined_input(fwd), fwd.w_hidden.value, fwd.bias.value, False),
-                _lstm_direction_np(seq, joined_input(bwd), bwd.w_hidden.value, bwd.bias.value, True),
+                _lstm_direction_np(seq, *direction(lstm, 0), False),
+                _lstm_direction_np(seq, *direction(lstm, 1), True),
             ], axis=1)
             for seq in np.split(x, starts[1:])
         ])
@@ -222,11 +222,11 @@ def test_bilstm_matches_numpy_oracle():
 def test_bilstm_token_rows_equal_gathered_tokens():
     # reading distinct tokens through token rows equals encoding every layout row
     rng = np.random.default_rng(6)
-    fwd, bwd = LstmParams(2, 3, 4, rng), LstmParams(2, 3, 4, rng)
+    lstm = LstmParams(2, 3, 4, rng)
     x_tok = rng.standard_normal((4, 5))
     token_rows, starts = np.array([0, 1, 1, 2, 0, 3, 2]), [0, 3, 4]
-    by_token = bilstm_encode(token_blocks(x_tok, 2), starts, fwd, bwd, token_rows).value
-    per_row = bilstm(x_tok[token_rows], starts, fwd, bwd).value
+    by_token = bilstm_encode(token_blocks(x_tok, 2), starts, lstm, token_rows).value
+    per_row = bilstm(x_tok[token_rows], starts, lstm).value
     np.testing.assert_allclose(by_token, per_row, rtol=0, atol=1e-12)
 
 
@@ -243,7 +243,31 @@ def test_input_weights_are_one_draw_split_by_rows():
             assert np.array_equal(np.vstack([w_ctx.value, w_feat.value]), whole)
             lstm = LstmParams(ctx_dim, feat_dim, width, np.random.default_rng(seed), dtype)
             gates = nm.uniform_init(np.random.default_rng(seed), (k, 4 * width), k, dtype)
-            assert np.array_equal(joined_input(lstm), gates)
+            assert np.array_equal(direction(lstm, 0)[0], gates)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_lstm_params_are_direction_draws_side_by_side(dtype):
+    # at the paper's dims, the forward and backward column blocks equal the
+    # two directions drawn one after the other as separate matrices, bit for
+    # bit, and the generator ends at the same point
+    ctx_dim, feat_dim, hidden = 768, 3 * 40 + 10, 256
+    rng = np.random.default_rng(21)
+    per_direction = []
+    for _ in range(2):
+        w_ctx, w_feat = input_weights(rng, ctx_dim, feat_dim, 4 * hidden, dtype)
+        w_hidden = nm.uniform_init(rng, (hidden, 4 * hidden), hidden, dtype)
+        per_direction.append((w_ctx.value, w_feat.value, w_hidden))
+    after = rng.uniform()
+    rng = np.random.default_rng(21)
+    lstm = LstmParams(ctx_dim, feat_dim, hidden, rng, dtype)
+    assert rng.uniform() == after
+    stacked = [np.hstack(blocks) for blocks in zip(*per_direction)]
+    for name, want in zip(("w_ctx", "w_feat", "w_hidden"), stacked):
+        got = getattr(lstm, name).value
+        assert got.dtype == dtype and np.array_equal(got, want), name
+    assert lstm.bias.value.dtype == dtype and not lstm.bias.value.any()
+    assert list(lstm.parameters("lstm")) == ["lstm.w_ctx", "lstm.w_feat", "lstm.w_hidden", "lstm.bias"]
 
 
 @pytest.mark.parametrize("contextual", [True, False])
@@ -285,20 +309,20 @@ def test_constant_context_block_gets_no_gradient_product(contextual):
 
 def test_bilstm_graph_size_independent_of_length():
     rng = np.random.default_rng(5)
-    fwd, bwd = LstmParams(1, 2, 2, rng), LstmParams(1, 2, 2, rng)
+    lstm = LstmParams(1, 2, 2, rng)
 
     def graph_size(n):
         x = token_blocks(rng.standard_normal((n, 3)), 1, nm.parameter)
-        return len(graph_nodes(bilstm_encode(x, [0], fwd, bwd, np.arange(n))))
+        return len(graph_nodes(bilstm_encode(x, [0], lstm, np.arange(n))))
 
     assert graph_size(3) == graph_size(30)
 
 
 def test_bilstm_rejects_empty_sequence():
     rng = np.random.default_rng(3)
-    fwd, bwd = LstmParams(1, 2, 2, rng), LstmParams(1, 2, 2, rng)
+    lstm = LstmParams(1, 2, 2, rng)
     with pytest.raises(ValueError):
-        bilstm(np.zeros((0, 3)), [0], fwd, bwd, ctx_dim=1)
+        bilstm(np.zeros((0, 3)), [0], lstm, ctx_dim=1)
 
 
 # ---------------------------------------------------------------------------
@@ -859,6 +883,30 @@ def test_noncontextual_checkpoint_roundtrip_bitwise(tmp_path, dtype):
     )
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lstm_checkpoint_roundtrip_bitwise(tmp_path, dtype):
+    # one lstm group, both directions as column blocks, back bit for bit
+    model, instances, provider = structure_model(edge_mode="dref+ctef", dtype=dtype)
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(model, path)
+    with open(path, "rb") as f:
+        assert f.read(8) == b"RGCKPT06"
+    clone = load_checkpoint(path)
+    d = model.config.d_lstm
+    shapes = {n: p.shape for n, p in clone.parameters().items() if n.startswith("lstm")}
+    assert shapes == {
+        "lstm.w_ctx": (model.config.d_ctx, 8 * d),
+        "lstm.w_feat": (model.embeddings.input_dim - model.config.d_ctx, 8 * d),
+        "lstm.w_hidden": (d, 8 * d),
+        "lstm.bias": (1, 8 * d),
+    }
+    for (name, p), q in zip(model.parameters().items(), clone.parameters().values()):
+        assert q.value.dtype == dtype and np.array_equal(p.value, q.value), name
+    assert np.array_equal(
+        model.forward(instances, provider).logits.value, clone.forward(instances, provider).logits.value
+    )
+
+
 def test_malformed_checkpoint_names_path(tmp_path):
     model, _, _ = tiny_model(edge_mode="dref+ctef")
     path = tmp_path / "model.ckpt"
@@ -875,8 +923,10 @@ def test_malformed_checkpoint_names_path(tmp_path):
     # one flipped bit in the first and last byte of every parameter
     flips = [at for lo, hi in zip(ends[2:], ends[3:]) for at in (lo, hi - 1)]
     flipped = [blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1 :] for at in flips]
-    # the previous formats: version 04 (one w and a per GAT head), 03 (one input
-    # matrix per encoder), 02 (no dtype in the header) and 01 (no digest either)
+    # the previous formats: version 05 (one parameter group per LSTM direction),
+    # 04 (one w and a per GAT head), 03 (one input matrix per encoder), 02 (no
+    # dtype in the header) and 01 (no digest either)
+    version_05 = b"RGCKPT05" + blob[8:]
     version_04 = b"RGCKPT04" + blob[8:]
     version_03 = b"RGCKPT03" + blob[8:]
     header = json.loads(blob[16 : ends[2]])
@@ -886,7 +936,7 @@ def test_malformed_checkpoint_names_path(tmp_path):
     del header["digest"]
     text = json.dumps(header).encode("utf-8")
     old_format = b"RGCKPT01" + struct.pack("<Q", len(text)) + text + blob[ends[2] :]
-    for blob_bad in [blob[:cut] for cut in cuts] + [blob + b"\0", version_04, version_03, version_02, old_format] + flipped:
+    for blob_bad in [blob[:cut] for cut in cuts] + [blob + b"\0", version_05, version_04, version_03, version_02, old_format] + flipped:
         bad.write_bytes(blob_bad)
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(str(bad))
@@ -979,15 +1029,14 @@ def test_float32_checkpoint_roundtrip_bitwise(tmp_path):
     blob = path.read_bytes()
     (header_len,) = struct.unpack_from("<Q", blob, 8)
     header = json.loads(blob[16 : 16 + header_len])
-    assert blob[:8] == b"RGCKPT05" and header["dtype"] == "float32"
+    assert blob[:8] == b"RGCKPT06" and header["dtype"] == "float32"
     names = [r["name"] for r in header["params"]]
     assert [n for n in names if n.startswith("gat.")] == [
         "gat.l0.w", "gat.l0.a_center", "gat.l0.a_neighbor", "gat.l0.a_edge"
     ]
-    for lstm in ("lstm_fwd", "lstm_bwd"):
-        assert [n for n in names if n.startswith(lstm)] == [
-            f"{lstm}.w_ctx", f"{lstm}.w_feat", f"{lstm}.w_hidden", f"{lstm}.bias"
-        ]
+    assert [n for n in names if n.startswith("lstm")] == [
+        "lstm.w_ctx", "lstm.w_feat", "lstm.w_hidden", "lstm.bias"
+    ]
     assert len(blob) == 16 + header_len + 4 * sum(p.value.size for p in model.parameters().values())
     clone = load_checkpoint(str(path))
     assert clone.dtype == np.float32
@@ -1073,11 +1122,13 @@ def numpy_oracle_forward(model, sentence, sgs, provider):
     def context(x):
         if cfg.contextual:
             directions = []
-            for name, reverse in (("lstm_fwd", False), ("lstm_bwd", True)):
-                w_input = np.vstack([p[f"{name}.w_ctx"], p[f"{name}.w_feat"]])
-                directions.append(
-                    _lstm_direction_np(x, w_input, p[f"{name}.w_hidden"], p[f"{name}.bias"], reverse)
-                )
+            w_input = np.vstack([p["lstm.w_ctx"], p["lstm.w_feat"]])
+            gates = 4 * cfg.d_lstm
+            for k, reverse in ((0, False), (1, True)):
+                block = slice(k * gates, (k + 1) * gates)  # direction k's columns
+                directions.append(_lstm_direction_np(
+                    x, w_input[:, block], p["lstm.w_hidden"][:, block], p["lstm.bias"][:, block], reverse
+                ))
             return np.concatenate(directions, axis=1)
         return x @ np.vstack([p["proj.w_ctx"], p["proj.w_feat"]]) + p["proj.b"].reshape(-1)
 

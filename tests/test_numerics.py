@@ -1,5 +1,6 @@
 """Engine tests: op semantics, stability, and gradient fidelity."""
 
+import warnings
 import weakref
 import zlib
 
@@ -12,6 +13,24 @@ from conftest import graph_nodes, total
 
 def rand(rng, *shape):
     return nm.parameter(rng.standard_normal(shape))
+
+
+def doubled(x, make=nm.parameter):
+    """One direction's draw ``x`` (a Node) as both directions' column blocks."""
+    return make(np.hstack([x.value, x.value]))
+
+
+def one_direction(probe, reverse):
+    """A probe of ``bilstm_sequence`` states that reads one direction's columns.
+
+    ``reverse`` keeps the backward direction's columns, else the forward
+    one's; the other direction's are zero.
+    """
+    d = probe.shape[1] // 2
+    kept = slice(d, None) if reverse else slice(None, d)
+    value = np.zeros_like(probe.value)
+    value[:, kept] = probe.value[:, kept]
+    return nm.constant(value)
 
 
 # ---------------------------------------------------------------------------
@@ -36,18 +55,19 @@ def test_shape_errors_name_both_shapes():
     with pytest.raises(nm.ShapeMismatch) as err:
         nm.add(nm.constant(np.zeros((2, 3))), nm.constant(np.zeros((3, 2))))
     assert "(2, 3)" in str(err.value) and "(3, 2)" in str(err.value)
-    w_hidden = nm.constant(np.zeros((2, 8)))
-    for z_shape in ((2, 6), (2, 9)):
+    w_hidden = nm.constant(np.zeros((2, 16)))
+    for z_shape in ((2, 8), (2, 17)):
         with pytest.raises(nm.ShapeMismatch) as err:
-            nm.lstm_sequence(nm.constant(np.zeros(z_shape)), w_hidden, [0])
-        assert str(z_shape) in str(err.value) and "(2, 8)" in str(err.value)
-    with pytest.raises(nm.ShapeMismatch) as err:
-        nm.lstm_sequence(nm.constant(np.zeros((2, 8))), nm.constant(np.zeros((2, 6))), [0])
-    assert "(2, 8)" in str(err.value) and "(2, 6)" in str(err.value)
+            nm.bilstm_sequence(nm.constant(np.zeros(z_shape)), w_hidden, [0])
+        assert str(z_shape) in str(err.value) and "(2, 16)" in str(err.value)
+    for w_shape in ((2, 8), (4, 16)):
+        with pytest.raises(nm.ShapeMismatch) as err:
+            nm.bilstm_sequence(nm.constant(np.zeros((2, 16))), nm.constant(np.zeros(w_shape)), [0])
+        assert "(2, 16)" in str(err.value) and str(w_shape) in str(err.value)
     x = nm.constant(np.zeros((4, 2)))
 
     def packed_lstm(x, starts):
-        return nm.lstm_sequence(x, w_hidden, starts)
+        return nm.bilstm_sequence(x, w_hidden, starts)
 
     for indices in ([0, 4], [[0, 1]], [-1, 0], [[0], [1]]):
         with pytest.raises(nm.ShapeMismatch) as err:
@@ -71,9 +91,24 @@ def test_nonlinearity_values():
     assert nm.tanh(nm.constant(0.0)).item() == 0.0
     assert nm.elu(nm.constant(2.0)).item() == 2.0
     assert nm.elu(nm.constant(-1.0)).item() == pytest.approx(np.expm1(-1.0))
-    assert nm._sigmoid(np.array(0.0)) == 0.5
-    with np.errstate(over="raise"):
-        np.testing.assert_array_equal(nm._sigmoid(np.array([-800.0, 800.0])), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("dtype, big", [(np.float64, 800.0), (np.float32, 3e38)])
+def test_bilstm_saturated_gates_stay_finite(dtype, big):
+    # pre-activations far past where exp overflows saturate every gate:
+    # the states stay finite and in [-1, 1], and nothing warns
+    rng = np.random.default_rng(8)
+    signs = rng.choice([-1.0, 1.0], size=(6, 16))
+    signs[0] = 1.0  # one row with every gate fully open
+    z = nm.parameter((signs * big).astype(dtype))
+    w_hidden = nm.parameter(rng.standard_normal((2, 16)).astype(dtype))
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        out = nm.bilstm_sequence(z, w_hidden, [0, 2])
+        total(out).backward()
+    assert out.value.dtype == dtype
+    assert np.all(np.isfinite(out.value)) and np.all(np.abs(out.value) <= 1.0)
+    assert np.all(np.isfinite(z.grad)) and np.all(np.isfinite(w_hidden.grad))
 
 
 def test_softmax_symmetry_and_stability():
@@ -225,6 +260,7 @@ def test_gradient_check_skips_frozen_leaves():
     "concat0", "concat1", "gather", "relu", "leaky", "elu",
     "tanh", "softmax", "lstm_packed", "lstm_packed_reverse",
     "lstm_tokens", "lstm_tokens_reverse", "lstm_blocks",
+    "lstm_tied", "lstm_length_one", "lstm_single",
 ])
 def test_op_gradients(case):
     rng = np.random.default_rng(zlib.crc32(case.encode()))  # str hash() varies per process
@@ -239,27 +275,37 @@ def test_op_gradients(case):
     probe_32 = nm.constant(rng.standard_normal((3, 2)))
     probe_44 = nm.constant(rng.standard_normal((4, 4)))
     probe_24 = nm.constant(rng.standard_normal((2, 4)))
-    # pre-activations of packed sequences of lengths 1, 4 and 2
-    seq_z, seq_starts = rand(rng, 7, 8), [0, 1, 5]
-    w_input, w_hidden, lstm_bias = rand(rng, 3, 8), rand(rng, 2, 8), rand(rng, 1, 8)
+    # pre-activations of packed sequences of lengths 1, 4 and 2; each LSTM
+    # array holds one direction's draw in both directions' columns, so a loss
+    # that reads one direction (``one_direction``) is the one-direction case
+    seq_z, seq_starts = doubled(rand(rng, 7, 8)), [0, 1, 5]
+    w_input, w_hidden, lstm_bias = (doubled(rand(rng, *shape)) for shape in ((3, 8), (2, 8), (1, 8)))
     lstm_params = [seq_z, w_hidden]
-    probe_72 = nm.constant(rng.standard_normal((7, 2)))
+    probe_74 = doubled(nm.constant(rng.standard_normal((7, 2))), nm.constant)
 
     def packed_lstm(reverse):
-        return nm.mul(nm.lstm_sequence(seq_z, w_hidden, seq_starts, reverse), probe_72)
+        return nm.mul(nm.bilstm_sequence(seq_z, w_hidden, seq_starts), one_direction(probe_74, reverse))
 
     # three token rows read by sequences of lengths 2 and 3, rows 0 and 1 twice each
     token_x, token_rows = rand(rng, 3, 3), [0, 1, 1, 2, 0]
     token_params = [token_x, w_input, w_hidden, lstm_bias]
-    probe_52 = nm.constant(rng.standard_normal((5, 2)))
+    probe_54 = doubled(nm.constant(rng.standard_normal((5, 2))), nm.constant)
     # the same input as a constant block of two columns and a trainable one,
     # each with its own rows of the input matrix
     fixed_block, free_block = nm.constant(rng.standard_normal((3, 2))), rand(rng, 3, 1)
-    w_fixed, w_free = rand(rng, 2, 8), rand(rng, 1, 8)
+    w_fixed, w_free = doubled(rand(rng, 2, 8)), doubled(rand(rng, 1, 8))
 
     def token_lstm(z, reverse):
-        out = nm.lstm_sequence(nm.gather_rows(nm.add(z, lstm_bias), token_rows), w_hidden, [0, 2], reverse)
-        return nm.mul(out, probe_52)
+        out = nm.bilstm_sequence(nm.gather_rows(nm.add(z, lstm_bias), token_rows), w_hidden, [0, 2])
+        return nm.mul(out, one_direction(probe_54, reverse))
+
+    # both directions with their own weights, read together
+    both_z, both_w_hidden = rand(rng, 7, 16), rand(rng, 2, 16)
+    both_params = [both_z, both_w_hidden]
+
+    def both_lstm(starts):
+        out = nm.bilstm_sequence(both_z, both_w_hidden, starts)
+        return nm.mul(out, nm.constant(np.arange(1.0, 29.0).reshape(7, 4) / 28.0))
 
     builders = {
         "add_same": (lambda: nm.mul(nm.add(a, b), probe), [a, b]),
@@ -292,6 +338,11 @@ def test_op_gradients(case):
             ),
             [free_block, w_free, w_fixed, w_hidden, lstm_bias],
         ),
+        # lengths 1, 2, 2, 2: three tied sequences keep their order
+        "lstm_tied": (lambda: both_lstm([0, 1, 3, 5]), both_params),
+        # every sequence one row long: no step reads a previous state
+        "lstm_length_one": (lambda: both_lstm(list(range(7))), [both_z]),
+        "lstm_single": (lambda: both_lstm([0]), both_params),
     }
     build, params = builders[case]
     err = nm.gradient_check(lambda: total(build()), params)
@@ -304,24 +355,29 @@ def test_op_gradients(case):
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("n", [1, 5])
 def test_lstm_sequence_gradients(n, reverse):
+    # the loss reads one direction's states: the other direction's columns
+    # of every parameter get exactly zero gradient
     rng = np.random.default_rng(7 + n + int(reverse))
     x = rand(rng, n, 3)
-    w_input = rand(rng, 3, 8)
-    w_hidden = rand(rng, 2, 8)
-    bias = rand(rng, 1, 8)
-    probe = nm.constant(rng.standard_normal((n, 2)))
+    w_input = doubled(rand(rng, 3, 8))
+    w_hidden = doubled(rand(rng, 2, 8))
+    bias = doubled(rand(rng, 1, 8))
+    probe = one_direction(doubled(nm.constant(rng.standard_normal((n, 2))), nm.constant), reverse)
 
     def lstm():
         z = nm.add(nm.matmul(x, w_input), bias)
-        return nm.mul(nm.lstm_sequence(z, w_hidden, [0], reverse), probe)
+        return nm.mul(nm.bilstm_sequence(z, w_hidden, [0]), probe)
 
     err = nm.gradient_check(lambda: total(lstm()), [x, w_input, w_hidden, bias])
-    z = nm.constant(np.zeros((n, 8)))
-    assert nm.lstm_sequence(z, w_hidden, [0], reverse).parents == (z, w_hidden)
+    z = nm.constant(np.zeros((n, 16)))
+    assert nm.bilstm_sequence(z, w_hidden, [0]).parents == (z, w_hidden)
     assert err < 1e-6
     # every parent gets gradient; w_hidden only sees a nonzero state after step one
     for p in (x, w_input, bias) if n == 1 else (x, w_input, w_hidden, bias):
         assert np.any(p.grad != 0.0)
+    other = slice(None, 8) if reverse else slice(8, None)
+    for p in (w_input, w_hidden, bias):
+        assert np.all(p.grad[:, other] == 0.0)
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -330,14 +386,14 @@ def test_lstm_token_rows_equal_gathered_input(reverse):
     # rows: the same hidden states and the same gradients, bit for bit,
     # duplicate rows summed in layout order
     rng = np.random.default_rng(9 + int(reverse))
-    z_tok = rng.standard_normal((4, 8))
+    z_tok = rng.standard_normal((4, 16))
     token_rows, starts = np.array([0, 1, 1, 2, 0, 3, 2]), [0, 3, 4]
-    w_hidden = rand(rng, 2, 8)
-    probe = nm.constant(rng.standard_normal((7, 2)))
+    w_hidden = rand(rng, 2, 16)
+    probe = one_direction(nm.constant(rng.standard_normal((7, 4))), reverse)
 
     def run(z):
         nm.zero_grads([w_hidden])
-        out = nm.lstm_sequence(z, w_hidden, starts, reverse)
+        out = nm.bilstm_sequence(z, w_hidden, starts)
         total(nm.mul(out, probe)).backward()
         return out.value, w_hidden.grad
 
@@ -408,6 +464,25 @@ def test_uniform_init_bounds_and_determinism():
         init = nm.uniform_init(np.random.default_rng(3), (300, 400), fan_in=25, dtype=dtype)
         assert init.dtype == dtype
         np.testing.assert_array_equal(init, whole.astype(dtype))
+
+
+def test_uniform_init_fills_a_given_block():
+    # a column block filled in place holds the values of a fresh init from the
+    # same generator state, rounded to the block's dtype, and the generator
+    # ends where it would; the other columns are left alone
+    for dtype in (np.float64, np.float32):
+        whole = np.full((300, 700), 7.0, dtype)
+        block = whole[:, 200:500]
+        rng = np.random.default_rng(4)
+        assert nm.uniform_init(rng, (300, 300), 25, out=block) is block
+        after = rng.uniform()
+        rng = np.random.default_rng(4)
+        np.testing.assert_array_equal(block, nm.uniform_init(rng, (300, 300), 25, dtype))
+        assert rng.uniform() == after
+        assert np.all(whole[:, :200] == 7.0) and np.all(whole[:, 500:] == 7.0)
+    with pytest.raises(nm.ShapeMismatch) as err:
+        nm.uniform_init(np.random.default_rng(4), (3, 4), 25, out=np.empty((4, 3)))
+    assert "(3, 4)" in str(err.value) and "(4, 3)" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
