@@ -9,19 +9,25 @@ a trainable vector on the (POS, POS, deprel) triple of the underlying
 tree edge, with corpus frequency ratios kept alongside. The
 connection-type kind (ctef) marks, per attention direction, whether the
 attended-from vertex is an entity token (all-ones) or not (all-zeros).
-Both are plain arrays aligned with the (center, neighbor) rows that
-``attention_pairs`` lays out.
+
+Both are computed for a whole batch at once, as arrays aligned with the
+(center, neighbor) rows that ``attention_pairs`` lays out from the
+sub-graphs' edge arrays. dref codes every token's POS and deprel once,
+as the ``DrefTable``'s own ints, and looks every pair's triple up with
+one ``searchsorted``; ctef gathers the per-token entity mask that also
+picks the word-type rows.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 from collections.abc import Sequence
 
 import numpy as np
 
 from . import numerics as nm
-from .corpus import EntitySpan, Sentence, Vocabs
+from .corpus import Sentence, Token, Vocabs
 from .graph import SubGraph
 
 __all__ = [
@@ -34,7 +40,7 @@ __all__ = [
     "EDGE_MODES",
     "build_dref_table",
     "dref_edge_features",
-    "ctef_edge_features",
+    "entity_mask",
     "edge_features",
     "attention_pairs",
     "encode_tokens",
@@ -214,14 +220,13 @@ def encode_tokens(
     Both are in the embeddings' dtype: the provider's vectors are cast
     once, here.
     """
-    ctx, tokens, word_type = [], [], []
+    ctx, tokens = [], []
     for sentence, indices in sentences:
         ctx_all = provider.vectors(sentence)
         if ctx_all.shape[1] != emb.d_ctx:
             raise FeatureError(f"provider dimension {ctx_all.shape[1]} != expected {emb.d_ctx}")
         ctx.append(ctx_all[indices])
         tokens.extend(sentence.tokens[i] for i in indices)
-        word_type.extend(1 if sentence.entity_token(i) else 0 for i in indices)
     vocabs = emb.vocabs
     return [
         nm.constant(np.concatenate(ctx, dtype=emb.dtype)),
@@ -229,7 +234,7 @@ def encode_tokens(
             nm.gather_rows(emb.pos, [vocabs.pos.index(t.pos) for t in tokens]),
             nm.gather_rows(emb.deprel, [vocabs.deprel.index(t.deprel) for t in tokens]),
             nm.gather_rows(emb.ner, [vocabs.ner.index(t.ner) for t in tokens]),
-            nm.gather_rows(emb.word_type, word_type),
+            nm.gather_rows(emb.word_type, entity_mask(sentences).astype(np.intp)),
         ], axis=1),
     ]
 
@@ -245,6 +250,12 @@ class DrefTable:
     row 0 is the unseen-triple fallback and row 1 the self-loop row. The
     matrix itself lives in the model; this table only maps triples to
     rows and keeps counts and frequency ratios.
+
+    ``row_for`` and ``ratio_for`` look one triple up by its strings. A
+    batch is looked up by int codes instead: the table numbers its own
+    symbols (``None`` included), ``codes`` gives each token's POS and
+    deprel code (-1 for a symbol it lacks), and ``lookup`` finds coded
+    triples among the sorted keys of its own with one ``searchsorted``.
     """
 
     UNK_ROW = 0
@@ -259,6 +270,13 @@ class DrefTable:
         self.d_e = d_e
         self.ratio = {t: c / total for t, c in self.counts.items()}
         self.row = {t: i + self.RESERVED_ROWS for i, t in enumerate(self.counts)}
+        symbols = list(itertools.chain.from_iterable(self.counts))
+        self._code = {symbol: i for i, symbol in enumerate(dict.fromkeys(symbols))}
+        coded = np.fromiter(map(self._code.__getitem__, symbols), np.intp, len(symbols)).reshape(-1, 3)
+        keys = self._key(*coded.T)
+        order = np.argsort(keys)
+        self._keys, self._rows = keys[order], order + self.RESERVED_ROWS
+        self._ratios = np.fromiter(self.ratio.values(), np.float64, len(keys))[order]
 
     @property
     def num_rows(self) -> int:
@@ -269,6 +287,25 @@ class DrefTable:
 
     def ratio_for(self, triple: tuple[str, str, str]) -> float:
         return self.ratio.get(triple, 1.0)
+
+    def codes(self, tokens: Sequence[Token]) -> tuple[np.ndarray, np.ndarray]:
+        code = self._code.get
+        return (
+            np.array([code(t.pos, -1) for t in tokens], dtype=np.intp),
+            np.array([code(t.deprel, -1) for t in tokens], dtype=np.intp),
+        )
+
+    def _key(self, head_pos, dependent_pos, deprel):
+        n = len(self._code)
+        return (head_pos * n + dependent_pos) * n + deprel
+
+    def lookup(self, head_pos, dependent_pos, deprel) -> tuple[np.ndarray, np.ndarray]:
+        """The rows and ratios of coded triples: UNK_ROW and 1 for one the table lacks."""
+        known = (head_pos >= 0) & (dependent_pos >= 0) & (deprel >= 0)
+        keys = np.where(known, self._key(head_pos, dependent_pos, deprel), -1)
+        at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        found = self._keys[at] == keys
+        return np.where(found, self._rows[at], self.UNK_ROW), np.where(found, self._ratios[at], 1.0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -301,64 +338,82 @@ def build_dref_table(train: list[Sentence], d_e: int = 40) -> DrefTable:
 
 
 # ---------------------------------------------------------------------------
-# Edge features over the attention pairs of a sub-graph
+# The attention pairs of a batch and their edge features
 
 
-def attention_pairs(sg: SubGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Each center's first pair row, and the (P, 2) (center, neighbor) pairs.
+def attention_pairs(
+    graphs: Sequence[SubGraph], vertex_starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pair layout of sub-graphs laid out back to back: pair starts, pairs and dependents.
 
-    Pairs are grouped by center with neighbors ascending and the
-    self-loop included, so the closed neighborhood of vertex i is the
-    contiguous segment of rows from ``starts[i]`` to ``starts[i + 1]``.
+    Graph u owns the vertex rows from ``vertex_starts[u]`` on. Its pairs
+    are every vertex with itself, plus each edge in both orientations,
+    as (center, neighbor) vertex rows; all pairs are sorted by center,
+    then neighbor, so the closed neighborhood of vertex row i is the
+    contiguous run of pairs from ``pair_starts[i]`` to the next start.
+    ``dependents[k]`` is the vertex row of pair k's dependent, -1 for a
+    self-loop.
     """
-    size = len(sg)
-    pairs = np.argwhere(sg.adjacency + np.eye(size))
-    return np.searchsorted(pairs[:, 0], np.arange(size)), pairs
+    rows = int(vertex_starts[-1]) + len(graphs[-1])
+    sizes = [len(sg.edges) for sg in graphs]
+    edges = np.concatenate([sg.edges for sg in graphs]) + np.repeat(vertex_starts, sizes)[:, None]
+    head, dependent = edges[:, 0], edges[:, 1]
+    loops = np.arange(rows)
+    center = np.concatenate([loops, head, dependent])
+    neighbor = np.concatenate([loops, dependent, head])
+    order = np.argsort(center * rows + neighbor)
+    pairs = np.stack([center[order], neighbor[order]], axis=1)
+    dependents = np.concatenate([np.full(rows, -1), dependent, dependent])[order]
+    degree = np.bincount(center, minlength=rows)
+    return np.cumsum(degree) - degree, pairs, dependents
+
+
+def entity_mask(sentences: Sequence[tuple[Sentence, Sequence[int]]]) -> np.ndarray:
+    """Whether each given token lies in an entity span, in ``encode_tokens`` row order."""
+    return np.array([s.entity_token(i) for s, indices in sentences for i in indices], dtype=bool)
 
 
 def dref_edge_features(
-    sg: SubGraph, sentence: Sentence, pairs: np.ndarray, table: DrefTable
+    sentences: Sequence[tuple[Sentence, Sequence[int]]],
+    token_rows: np.ndarray,
+    pairs: np.ndarray,
+    dependents: np.ndarray,
+    table: DrefTable,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The dref embedding row and frequency ratio of every pair, in pair order.
 
-    The lookup key for pair (i, j) is (POS of i, POS of j, deprel of the
-    underlying tree edge); unseen keys map to the fallback row and
-    self-loops to the dedicated self-edge row with ratio 1.
+    ``sentences`` and ``token_rows`` are the token layout of
+    ``encode_tokens``; pairs and dependents are vertex rows. The key for
+    pair (i, j) is (POS of i, POS of j, deprel of the pair's dependent);
+    unseen keys map to the fallback row and self-loops to the self-edge
+    row, both with ratio 1. A pair whose dependent's head is not the
+    other endpoint raises FeatureError naming the two tokens.
     """
+    tokens = [s.tokens[i] for s, indices in sentences for i in indices]
+    edge = dependents >= 0
+    center, neighbor = token_rows[pairs[edge, 0]], token_rows[pairs[edge, 1]]
+    dependent = token_rows[dependents[edge]]
+    other = center + neighbor - dependent
+    index = np.array([t.index for t in tokens])
+    head = np.array([-1 if t.head is None else t.head for t in tokens])
+    wrong = np.flatnonzero(head[dependent] != index[other])
+    if wrong.size:
+        k = wrong[0]
+        raise FeatureError(
+            f"pair ({index[center[k]]},{index[neighbor[k]]}) is not an edge of the dependency tree"
+        )
+    pos, deprel = table.codes(tokens)
     rows = np.full(len(pairs), DrefTable.SELF_ROW, dtype=np.intp)
     ratios = np.ones(len(pairs))
-    for k, (i, j) in enumerate(pairs.tolist()):
-        if i == j:
-            continue
-        u, v = sg.vertices[i], sg.vertices[j]
-        tok_u, tok_v = sentence.tokens[u], sentence.tokens[v]
-        if tok_v.head == u:
-            deprel = tok_v.deprel
-        elif tok_u.head == v:
-            deprel = tok_u.deprel
-        else:
-            raise FeatureError(f"pair ({u},{v}) is not an edge of the dependency tree")
-        triple = (tok_u.pos, tok_v.pos, deprel)
-        rows[k] = table.row_for(triple)
-        ratios[k] = table.ratio_for(triple)
+    rows[edge], ratios[edge] = table.lookup(pos[center], pos[neighbor], deprel[dependent])
     return rows, ratios
 
 
-def ctef_edge_features(
-    sg: SubGraph, e1: EntitySpan, e2: EntitySpan, pairs: np.ndarray
-) -> np.ndarray:
-    """1.0 where the attended-from vertex j of pair (i, j) is an entity token, else 0.0.
-
-    The flag is directional: the two orientations of one undirected edge
-    differ whenever exactly one endpoint is an entity token.
-    """
-    entity = np.array([float(e1.covers(v) or e2.covers(v)) for v in sg.vertices])
-    return entity[pairs[:, 1]]
-
-
 def edge_features(
-    units: list[tuple[Sentence, SubGraph]],
-    pairs: list[np.ndarray],
+    sentences: Sequence[tuple[Sentence, Sequence[int]]],
+    token_rows: np.ndarray,
+    pairs: np.ndarray,
+    dependents: np.ndarray,
     mode: str,
     d_e: int,
     table: DrefTable | None = None,
@@ -366,14 +421,18 @@ def edge_features(
     scale_by_ratio: bool = False,
     dtype=np.float64,
 ) -> nm.Node | None:
-    """The (P, d_e) feature rows of every unit's pairs, stacked, or None when the mode has none.
+    """The (P, d_e) feature rows of a batch's pairs, or None when the mode has none.
 
-    ``pairs[u]`` holds the local ``attention_pairs`` of unit u, a
-    (sentence, sub-graph) pair. dref gathers each pair's row of
-    ``dref_embed``, optionally scaled by the triple's frequency ratio;
-    ctef is an all-ones row where the attended-from vertex is an entity
-    token and zeros elsewhere; the combined mode sums both. The ratios and
-    flags are constants of ``dtype``, which is that of ``dref_embed``.
+    The batch is laid out as in ``Model.forward``: the tokens of
+    ``sentences`` (the ``encode_tokens`` rows), the token row of every
+    vertex row, and the ``attention_pairs`` layout over vertex rows.
+    dref gathers each pair's row of ``dref_embed``, optionally scaled by
+    the triple's frequency ratio; ctef is an all-ones row where the
+    attended-from vertex j of pair (i, j) is an entity token (the mask
+    of the word-type rows) and zeros elsewhere, so the two orientations
+    of an edge differ when one end is an entity; the combined mode sums
+    both. The ratios and flags are constants of ``dtype``, which is that
+    of ``dref_embed``.
     """
     if mode not in EDGE_MODES:
         raise FeatureError(f"unknown edge mode {mode!r}")
@@ -381,15 +440,12 @@ def edge_features(
     if "dref" in mode:
         if table is None or dref_embed is None:
             raise FeatureError(f"edge mode {mode!r} needs a dependency-triple table and embedding")
-        looked_up = [dref_edge_features(sg, s, p, table) for (s, sg), p in zip(units, pairs)]
-        node = nm.gather_rows(dref_embed, np.concatenate([rows for rows, _ in looked_up]))
+        rows, ratios = dref_edge_features(sentences, token_rows, pairs, dependents, table)
+        node = nm.gather_rows(dref_embed, rows)
         if scale_by_ratio:
-            ratios = np.concatenate([ratios for _, ratios in looked_up])
             node = nm.mul(node, nm.constant(ratios[:, None].astype(dtype)))
     if "ctef" in mode:
-        flags = np.concatenate(
-            [ctef_edge_features(sg, s.e1, s.e2, p) for (s, sg), p in zip(units, pairs)]
-        )
+        flags = entity_mask(sentences)[token_rows[pairs[:, 1]]]
         ctef = nm.constant(np.repeat(flags[:, None].astype(dtype), d_e, axis=1))
         node = ctef if node is None else nm.add(node, ctef)
     return node

@@ -3,10 +3,12 @@
 A parsed sentence yields an undirected tree over its tokens. Three
 sub-graphs are cut out of it: the shortest path between the two entity
 head tokens (optionally grown by one or two hops for the graph-size
-sweep) and one first-order neighborhood graph per entity. Message
-passing is undirected, so a sub-graph keeps its edges only as a
-symmetric adjacency matrix; the dref edge features read an edge's
-orientation from the token heads.
+sweep) and one first-order neighborhood graph per entity. A sub-graph
+keeps its edges as an (E, 2) array of local (head, dependent) vertex
+positions, one row per tree edge with both ends inside it (PyG's
+``edge_index``, oriented). Message passing is undirected: the attention
+layout takes every edge in both orientations, and the dref features read
+an edge's orientation from its row.
 """
 
 from __future__ import annotations
@@ -86,13 +88,15 @@ class DependencyGraph:
 class SubGraph:
     """An induced sub-graph with vertices in ascending sentence order.
 
-    ``adjacency`` is the symmetric 0/1 matrix over local vertex positions:
-    entry (a, b) is 1 when the tokens at a and b share a tree edge.
+    ``edges`` is the (E, 2) array of its tree edges over local vertex
+    positions: row (a, b) says that the token at b depends on the token
+    at a. Each tree edge with both ends inside appears once, ordered by
+    dependent.
     """
 
     kind: str
     vertices: list[int]
-    adjacency: np.ndarray = field(repr=False)
+    edges: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -139,13 +143,8 @@ def shortest_dependency_path(g: DependencyGraph, u: int, v: int) -> list[int]:
 def _induced_subgraph(g: DependencyGraph, kind: str, vertex_set: set[int]) -> SubGraph:
     vertices = sorted(vertex_set)
     local = {v: i for i, v in enumerate(vertices)}
-    size = len(vertices)
-    adjacency = np.zeros((size, size), dtype=np.int64)
-    for child, head in enumerate(g.heads):
-        if head is not None and child in local and head in local:
-            a, b = local[head], local[child]
-            adjacency[a, b] = adjacency[b, a] = 1
-    return SubGraph(kind, vertices, adjacency)
+    edges = [(local[g.heads[v]], i) for i, v in enumerate(vertices) if g.heads[v] in local]
+    return SubGraph(kind, vertices, np.array(edges, dtype=np.intp).reshape(-1, 2))
 
 
 def _expand(g: DependencyGraph, seed: set[int], hops: int) -> set[int]:

@@ -38,29 +38,35 @@ autodiff nodes, independent of the vertex count and of the heads.
 
 A forward pass takes a batch of instances and runs it as one segment
 layout, the disjoint union of all their sub-graphs (PyG's mini-batching
-scheme):
+scheme). Everything in it is a plain array built before the first
+parameter is read:
 
-    units          (sentence, sub-graph) for every instance, path graph
-                   first; G = 3B in multi-graph mode, B in single mode
+    units          every instance's sub-graphs, path graph first; G = 3B
+                   in multi-graph mode, B in single mode
     tokens         each instance's distinct tokens, the sorted union of
                    its units' vertices: the rows of the token encoding
                    and of the input projection, so a token that several
                    sub-graphs share is encoded and projected once
     token_rows     the token row of every vertex row: the BiLSTM
                    gathers its projected gate pre-activations by it
-                   (the non-contextual variant its projection)
-    vertex_starts  each unit's first vertex row: the rows of the BiLSTM
-                   (one packed sequence per unit) and every graph layer
-    pair_starts,   the units' attention pairs, offset by the vertex and
-    pairs          pair counts before them, and their edge features as
-                   one (P, d_e) node
-    pooling        segment_softmax and segment_sum over vertex_starts:
-                   one (G, d_g) row per unit
-    sentences      segment_sum over each instance's G/B units plus the
-                   gathered e1/e2 rows of its path graph: (B, d_g)
+                   (the non-contextual variant its projection), and the
+                   edge features read each pair's tokens through it
+    graphs         vertex Segments, one per unit (``vertex_starts``):
+                   the sequences of the BiLSTM and the pooling groups
+    pairs          ``attention_pairs`` over all units at once, from their
+                   edge arrays: (P, 2) (center, neighbor) vertex rows
+                   and each pair's dependent row (-1 for a self-loop);
+                   their edge features are one (P, d_e) node
+    neighborhoods  pair Segments, one per center (``pair_starts``): the
+                   softmax and sum of every graph layer, and its
+                   lengths are the GCN degrees
+    sentences      unit Segments, one per instance: ``segment_sum``
+                   adds each instance's G/B pooled rows, to which the
+                   gathered e1/e2 rows of its path graph are added
 
-so the autodiff graph has the same nodes whatever B is, and a single
-instance is a batch of one. Besides the logits, a forward hands back the
+The three ``Segments`` are validated once each, when built, and every
+op over the same rows shares them. So the autodiff graph has the same
+nodes whatever B is, and a single instance is a batch of one. Besides the logits, a forward hands back the
 diagnostics this layout already holds, as flat arrays: the pooling
 weight of every vertex row, each layer's (P, heads) attention weights,
 and the vertex and pair starts that cut them by unit and by center.
@@ -266,8 +272,8 @@ def input_projection(x: list[nm.Node], w_ctx: nm.Node, w_feat: nm.Node, bias: nm
     return nm.add(nm.add(nm.matmul(ctx, w_ctx), nm.matmul(feat, w_feat)), bias)
 
 
-def bilstm_encode(x: list[nm.Node], starts, lstm: LstmParams, token_rows) -> nm.Node:
-    """Concatenated forward/backward hidden states of the sequences at ``starts``.
+def bilstm_encode(x: list[nm.Node], segments: nm.Segments, lstm: LstmParams, token_rows) -> nm.Node:
+    """Concatenated forward/backward hidden states of the sequences, one per segment.
 
     ``x`` holds the [contextual, feature] column blocks of the distinct
     tokens. Both directions' gate pre-activations come from one
@@ -275,7 +281,7 @@ def bilstm_encode(x: list[nm.Node], starts, lstm: LstmParams, token_rows) -> nm.
     token row ``token_rows[r]``), and one recurrence runs both directions.
     """
     z = nm.gather_rows(input_projection(x, lstm.w_ctx, lstm.w_feat, lstm.bias), token_rows)
-    return nm.bilstm_sequence(z, lstm.w_hidden, starts)
+    return nm.bilstm_sequence(z, lstm.w_hidden, segments)
 
 
 def token_layout(graph_sets: list[list[SubGraph]]) -> tuple[list[list[int]], np.ndarray]:
@@ -298,7 +304,7 @@ def token_layout(graph_sets: list[list[SubGraph]]) -> tuple[list[list[int]], np.
 
 
 def gat_attention(
-    wh: nm.Node, starts, pairs, layer: GatLayer, efeat: nm.Node | None = None
+    wh: nm.Node, neighborhoods: nm.Segments, pairs, layer: GatLayer, efeat: nm.Node | None = None
 ) -> nm.Node:
     """Attention weights as a (P, heads) node, softmax-normalized per center segment.
 
@@ -313,11 +319,11 @@ def gat_attention(
     scores = nm.add(nm.gather_rows(as_center, pairs[:, 0]), nm.gather_rows(as_neighbor, pairs[:, 1]))
     if efeat is not None:
         scores = nm.add(scores, nm.matmul(efeat, layer.a_edge))
-    return nm.segment_softmax(nm.leaky_relu(scores, LEAKY_SLOPE), starts)
+    return nm.segment_softmax(nm.leaky_relu(scores, LEAKY_SLOPE), neighborhoods)
 
 
 def gat_vertex_update(
-    h: nm.Node, starts, pairs, layer: GatLayer, efeat: nm.Node | None = None
+    h: nm.Node, neighborhoods: nm.Segments, pairs, layer: GatLayer, efeat: nm.Node | None = None
 ) -> tuple[nm.Node, np.ndarray]:
     """Multi-head attention update of width heads*m, head k in column block k.
 
@@ -326,15 +332,15 @@ def gat_vertex_update(
     ``elu``. Also returns the (P, heads) attention weights as a plain array.
     """
     wh = nm.matmul(h, layer.w)
-    alpha = gat_attention(wh, starts, pairs, layer, efeat)
+    alpha = gat_attention(wh, neighborhoods, pairs, layer, efeat)
     spread = nm.matmul(alpha, nm.constant(layer.head_mask.T))
     messages = nm.mul(nm.gather_rows(wh, pairs[:, 1]), spread)
-    return nm.elu(nm.segment_sum(messages, starts)), alpha.value
+    return nm.elu(nm.segment_sum(messages, neighborhoods)), alpha.value
 
 
 def gcn_vertex_update(
     h: nm.Node,
-    starts: np.ndarray,
+    neighborhoods: nm.Segments,
     pairs: np.ndarray,
     w_g: nm.Node,
     efeat: nm.Node | None = None,
@@ -342,38 +348,38 @@ def gcn_vertex_update(
     """Symmetric degree-normalized aggregation over [h_j | e_ij], self-loops in.
 
     out_i = relu(sum_j (deg_i * deg_j)^-1/2 * W_g [h_j | e_ij]) where the
-    degree counts the self-loop. The normalisation is a constant in the
-    dtype of ``h``.
+    degree, the length of i's pair segment, counts the self-loop. The
+    normalisation is a constant in the dtype of ``h``.
     """
-    degree = np.diff(starts, append=len(pairs))
+    degree = neighborhoods.lengths
     norm = (1.0 / np.sqrt(degree[pairs[:, 0]] * degree[pairs[:, 1]])).astype(h.value.dtype)
     messages_in = nm.gather_rows(h, pairs[:, 1])
     if efeat is not None:
         messages_in = nm.concat([messages_in, efeat], axis=1)
     messages = nm.matmul(messages_in, w_g)
-    return nm.relu(nm.segment_sum(nm.mul(messages, nm.constant(norm[:, None])), starts))
+    return nm.relu(nm.segment_sum(nm.mul(messages, nm.constant(norm[:, None])), neighborhoods))
 
 
-def pool_graph(vertex_states: nm.Node, starts, w_pool: nm.Node) -> tuple[nm.Node, nm.Node]:
-    """Scalar-attention readout of the graphs whose vertex rows begin at ``starts``.
+def pool_graph(vertex_states: nm.Node, graphs: nm.Segments, w_pool: nm.Node) -> tuple[nm.Node, nm.Node]:
+    """Scalar-attention readout of the graphs, one per segment of vertex rows.
 
     Per graph, weights softmax(tanh(H w)) over its vertices and the
     weighted sum of its rows; returns the (G, d) vectors and the (n, 1)
     weight column.
     """
-    alpha = nm.segment_softmax(nm.tanh(nm.matmul(vertex_states, w_pool)), starts)
-    return nm.segment_sum(nm.mul(vertex_states, alpha), starts), alpha
+    alpha = nm.segment_softmax(nm.tanh(nm.matmul(vertex_states, w_pool)), graphs)
+    return nm.segment_sum(nm.mul(vertex_states, alpha), graphs), alpha
 
 
 def compose_sentence(
-    pooled: nm.Node, starts, e1_state: nm.Node, e2_state: nm.Node
+    pooled: nm.Node, sentences: nm.Segments, e1_state: nm.Node, e2_state: nm.Node
 ) -> nm.Node:
     """Sentence vectors: both entity states plus the sum of each sentence's pooled graph rows.
 
-    ``starts`` gives each sentence's first row of ``pooled``; the entity
+    ``sentences`` cuts the rows of ``pooled`` by sentence; the entity
     states have one row per sentence.
     """
-    return nm.add(nm.add(e1_state, e2_state), nm.segment_sum(pooled, starts))
+    return nm.add(nm.add(e1_state, e2_state), nm.segment_sum(pooled, sentences))
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +490,10 @@ class Model:
     # -- forward --------------------------------------------------------------
 
     def _context_encode(
-        self, x: list[nm.Node], starts: np.ndarray, token_rows: np.ndarray
+        self, x: list[nm.Node], graphs: nm.Segments, token_rows: np.ndarray
     ) -> nm.Node:
         if self.config.contextual:
-            return bilstm_encode(x, starts, self.lstm, token_rows)
+            return bilstm_encode(x, graphs, self.lstm, token_rows)
         projected = input_projection(x, self.proj_w_ctx, self.proj_w_feat, self.proj_b)
         return nm.gather_rows(projected, token_rows)
 
@@ -506,45 +512,36 @@ class Model:
         cfg = self.config
         per_instance = 3 if cfg.graph_mode == "multi" else 1
         graph_sets = [sgs.all() if cfg.graph_mode == "multi" else [sgs.sdp] for _, sgs in instances]
-        units = [
-            (sentence, sg) for (sentence, _), graphs in zip(instances, graph_sets) for sg in graphs
-        ]
-        vertex_starts = np.cumsum([0] + [len(sg) for _, sg in units[:-1]])
-        local_pairs, pair_starts, pairs = [], [], []
-        offset = 0
-        for (_, sg), first in zip(units, vertex_starts):
-            starts_u, pairs_u = attention_pairs(sg)
-            local_pairs.append(pairs_u)
-            pair_starts.append(starts_u + offset)
-            pairs.append(pairs_u + first)
-            offset += len(pairs_u)
-        pair_starts, pairs = np.concatenate(pair_starts), np.concatenate(pairs)
+        units = [sg for graphs in graph_sets for sg in graphs]
+        sizes = [len(sg) for sg in units]
+        vertex_starts = np.cumsum([0] + sizes[:-1])
+        graphs = nm.Segments(vertex_starts, sum(sizes))
+        pair_starts, pairs, dependents = attention_pairs(units, vertex_starts)
+        neighborhoods = nm.Segments(pair_starts, len(pairs))
+        sentences = nm.Segments(np.arange(0, len(units), per_instance), len(units))
 
         tokens, token_rows = token_layout(graph_sets)
         sentence_tokens = [(sentence, t) for (sentence, _), t in zip(instances, tokens)]
         x = encode_tokens(sentence_tokens, provider, self.embeddings)
-        h = self._context_encode(x, vertex_starts, token_rows)
+        h = self._context_encode(x, graphs, token_rows)
         efeat = edge_features(
-            units, local_pairs, cfg.edge_mode, cfg.d_e,
+            sentence_tokens, token_rows, pairs, dependents, cfg.edge_mode, cfg.d_e,
             self.dref_table, self.dref_embed, cfg.dref_scale_by_ratio, self.dtype,
         )
         attention: list[np.ndarray] = []
         if cfg.graph_layer == "gat":
             for layer in self.gat_layers:
-                h, layer_attention = gat_vertex_update(h, pair_starts, pairs, layer, efeat)
+                h, layer_attention = gat_vertex_update(h, neighborhoods, pairs, layer, efeat)
                 attention.append(layer_attention)
         else:
             for w in self.gcn_layers:
-                h = gcn_vertex_update(h, pair_starts, pairs, w, efeat)
-        pooled, alpha = pool_graph(h, vertex_starts, self.pool_w)
+                h = gcn_vertex_update(h, neighborhoods, pairs, w, efeat)
+        pooled, alpha = pool_graph(h, graphs, self.pool_w)
 
         sdp_starts = vertex_starts[::per_instance]
         e1_rows = sdp_starts + [sgs.sdp.local(s.e1.head_token) for s, sgs in instances]
         e2_rows = sdp_starts + [sgs.sdp.local(s.e2.head_token) for s, sgs in instances]
-        v = compose_sentence(
-            pooled, np.arange(0, len(units), per_instance),
-            nm.gather_rows(h, e1_rows), nm.gather_rows(h, e2_rows),
-        )
+        v = compose_sentence(pooled, sentences, nm.gather_rows(h, e1_rows), nm.gather_rows(h, e2_rows))
         logits = nm.add(nm.matmul(v, self.cls_w), self.cls_b)
         return ForwardDetail(logits, alpha.value[:, 0], attention, vertex_starts, pair_starts)
 

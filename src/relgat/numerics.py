@@ -16,29 +16,33 @@ stays small enough to audit by hand.
 
 Graph neighborhoods are contiguous row segments: ``segment_sum`` adds
 the rows of each segment and ``segment_softmax`` normalizes within each
-segment, both given the sorted first row of every segment. A graph
-layer is then a fixed handful of nodes whatever the vertex count.
+segment. Both take a ``Segments``, which holds the first row of every
+segment, the segment lengths and the segment id of every row, checked
+once when it is built; an op only checks that its input has the
+segments' row count. A forward builds one per layout (vertices, pairs,
+instances) and every op over that layout shares it. A graph layer is
+then a fixed handful of nodes whatever the vertex count.
 ``gather_rows`` selects rows by index, duplicates allowed; its backward
 is the engine's one scatter-add, a single ``bincount`` that sums the
 gradient rows of every index.
 
 Recurrences are fused and packed: ``bilstm_sequence`` runs both LSTM
-directions over any number of sequences, laid out as contiguous row
-segments in the same ``starts`` convention, as a single node. It is the
-recurrence alone: its input is the (n, 8d) gate pre-activations
-``x @ w_input + bias`` of every layout row, the two directions as column
-blocks, which the caller builds from ordinary ops (a projection over
-distinct tokens and a ``gather_rows`` to the layout, say), so input
-GEMMs and their gradients are the engine's usual ``matmul`` and
-``requires_grad`` pruning skips a constant input. With the sequences
-sorted longest first, step s of the loop updates the k_s sequences still
-running, in both directions at once, with one stacked (2, k_s, d) @
-(2, d, 4d) ``matmul``, so the loop runs max-length steps, not total rows
-or directions. Its backward runs one backpropagation-through-time sweep
-over the same steps for both directions, yields the gate gradients of
-every row, and makes the ``w_hidden`` gradient one stacked GEMM for the
-whole call. The graph therefore grows with layers, not with timesteps,
-sequences or directions.
+directions over any number of sequences, one per segment of a
+``Segments``, as a single node. It is the recurrence alone: its input is
+the (n, 8d) gate pre-activations ``x @ w_input + bias`` of every layout
+row, the two directions as column blocks, which the caller builds from
+ordinary ops (a projection over distinct tokens and a ``gather_rows`` to
+the layout, say), so input GEMMs and their gradients are the engine's
+usual ``matmul`` and ``requires_grad`` pruning skips a constant input.
+With the sequences sorted longest first, step s of the loop updates the
+k_s sequences still running, in both directions at once, with one
+stacked (2, k_s, d) @ (2, d, 4d) ``matmul``, so the loop runs max-length
+steps, not total rows or directions. Its backward runs one
+backpropagation-through-time sweep over the same steps for both
+directions, yields the gate gradients of every row, and makes the
+``w_hidden`` gradient one stacked GEMM for the whole call. The graph
+therefore grows with layers, not with timesteps, sequences or
+directions.
 
 ``cross_entropy`` scores a (B, C) batch of logits against B labels and
 returns the batch-mean loss, so a minibatch is one forward and one
@@ -85,6 +89,7 @@ __all__ = [
     "elu",
     "tanh",
     "softmax",
+    "Segments",
     "segment_sum",
     "segment_softmax",
     "bilstm_sequence",
@@ -372,32 +377,39 @@ def softmax(x: Node, axis: int) -> Node:
     return _node(y, (x,), (vjp,))
 
 
-def _segment_ids(op: str, shape: tuple, starts) -> tuple[np.ndarray, np.ndarray]:
-    """Validated segment starts and the segment index of every row of a matrix of ``shape``."""
-    starts = np.asarray(starts, dtype=np.intp)
-    if (
-        len(shape) != 2
-        or starts.ndim != 1
-        or starts.size == 0
-        or starts[0] != 0
-        or np.any(np.diff(starts) <= 0)
-        or starts[-1] >= shape[0]
-    ):
-        raise ShapeMismatch(
-            f"{op}: segment starts {starts.tolist()} do not split the rows of shape {shape}"
-        )
-    return starts, np.repeat(np.arange(starts.size), np.diff(starts, append=shape[0]))
+class Segments:
+    """Contiguous, non-empty row segments of a matrix of ``rows`` rows, validated once.
+
+    ``starts`` holds each segment's first row, ascending from 0, ``lengths``
+    its row count and ``ids`` the segment of every row. Starts that do not
+    split the rows raise ShapeMismatch naming them and the row count.
+    """
+
+    def __init__(self, starts, rows: int):
+        starts = np.asarray(starts, dtype=np.intp)
+        if starts.ndim != 1 or not starts.size or starts[0] or np.any(np.diff(starts) <= 0) or starts[-1] >= rows:
+            raise ShapeMismatch(f"segment starts {starts.tolist()} do not split {rows} rows")
+        self.starts, self.rows = starts, rows
+        self.lengths = np.diff(starts, append=rows)
+        self.ids = np.repeat(np.arange(starts.size), self.lengths)
 
 
-def segment_sum(x: Node, starts) -> Node:
-    """Row sums of the contiguous segments of ``x`` (P, n) that begin at ``starts``; (S, n)."""
-    starts, ids = _segment_ids("segment_sum", x.shape, starts)
-    return _node(np.add.reduceat(x.value, starts, axis=0), (x,), (lambda g: g[ids],))
+def _check_rows(op: str, x: Node, segments: Segments) -> None:
+    if x.value.ndim != 2 or x.shape[0] != segments.rows:
+        raise ShapeMismatch(f"{op}: segments of {segments.rows} rows for shape {x.shape}")
 
 
-def segment_softmax(x: Node, starts) -> Node:
-    """Stable softmax down the rows of each contiguous segment of ``x``."""
-    starts, ids = _segment_ids("segment_softmax", x.shape, starts)
+def segment_sum(x: Node, segments: Segments) -> Node:
+    """Row sums of the segments of ``x`` (P, n); (S, n)."""
+    _check_rows("segment_sum", x, segments)
+    ids = segments.ids
+    return _node(np.add.reduceat(x.value, segments.starts, axis=0), (x,), (lambda g: g[ids],))
+
+
+def segment_softmax(x: Node, segments: Segments) -> Node:
+    """Stable softmax down the rows of each segment of ``x``."""
+    _check_rows("segment_softmax", x, segments)
+    starts, ids = segments.starts, segments.ids
     e = np.exp(x.value - np.maximum.reduceat(x.value, starts, axis=0)[ids])
     y = e / np.add.reduceat(e, starts, axis=0)[ids]
 
@@ -407,7 +419,7 @@ def segment_softmax(x: Node, starts) -> Node:
     return _node(y, (x,), (vjp,))
 
 
-def bilstm_sequence(z: Node, w_hidden: Node, starts) -> Node:
+def bilstm_sequence(z: Node, w_hidden: Node, segments: Segments) -> Node:
     """Hidden states of both LSTM directions over packed sequences, as one node.
 
     ``z`` (n, 8d) holds the input pre-activations of every layout row,
@@ -415,8 +427,7 @@ def bilstm_sequence(z: Node, w_hidden: Node, starts) -> Node:
     recurrence alone. Its columns are ``[forward 4d | backward 4d]``, as
     are those of ``w_hidden`` (d, 8d), and within each direction the gates
     are stacked (input, forget, cell, output). The layout holds S
-    sequences as contiguous, non-empty row segments that begin at
-    ``starts`` (the ``segment_sum`` convention); the forward direction
+    sequences, one per row segment of ``segments``; the forward direction
     reads each first row to last, the backward one last to first. Row r
     of the (n, 2d) result is ``[h_fwd | h_bwd]`` after reading row r;
     initial hidden and cell states are zero. Every buffer has the input's
@@ -431,16 +442,15 @@ def bilstm_sequence(z: Node, w_hidden: Node, starts) -> Node:
     come from one ``tanh`` over the gate block, since sigmoid(x) =
     tanh(x/2)/2 + 1/2, with constant per-column scale and shift rows.
     """
-    starts, _ = _segment_ids("bilstm_sequence", z.shape, starts)
+    _check_rows("bilstm_sequence", z, segments)
     d = w_hidden.shape[0]
     if z.shape[1] != 8 * d or w_hidden.shape != (d, 8 * d):
         raise ShapeMismatch(
             f"bilstm_sequence: pre-activations {z.shape} with hidden weights {w_hidden.shape}"
         )
     n = z.shape[0]
-    lengths = np.diff(starts, append=n)
-    order = np.argsort(-lengths, kind="stable")
-    first, lengths = starts[order], lengths[order]
+    order = np.argsort(-segments.lengths, kind="stable")
+    first, lengths = segments.starts[order], segments.lengths[order]
     step = np.arange(lengths[0])[:, None]
     running = step < lengths  # (step, sequence): a prefix of each row is True
     forward_rows = (first + step)[running]  # step-major position -> layout row

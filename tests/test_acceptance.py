@@ -23,7 +23,6 @@ from relgat.corpus import (
 )
 from relgat.features import (
     HashedEmbeddingProvider,
-    attention_pairs,
     build_dref_table,
 )
 from relgat.graph import (
@@ -265,16 +264,14 @@ def test_08_reduction_identities():
 
         # multi-head with one head equals the plain single-head update bitwise
         layer = GatLayer(4, 1, 6, 0, rng)
-        adjacency = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
-        from test_model import make_subgraph
+        from test_model import make_subgraph, pair_layout
 
-        sg = make_subgraph(adjacency)
-        starts, pairs = attention_pairs(sg)
+        neighborhoods, pairs = pair_layout(make_subgraph([[0, 1], [0, 2]], 3))
         h = nm.constant(rng.standard_normal((3, 4)))
-        multi, _ = gat_vertex_update(h, starts, pairs, layer)
+        multi, _ = gat_vertex_update(h, neighborhoods, pairs, layer)
         wh = nm.matmul(h, layer.w)
-        alpha = gat_attention(wh, starts, pairs, layer)
-        single = nm.elu(nm.segment_sum(nm.mul(nm.gather_rows(wh, pairs[:, 1]), alpha), starts))
+        alpha = gat_attention(wh, neighborhoods, pairs, layer)
+        single = nm.elu(nm.segment_sum(nm.mul(nm.gather_rows(wh, pairs[:, 1]), alpha), neighborhoods))
         assert np.array_equal(multi.value, single.value)
 
         # zeroing the edge columns of the attention vectors equals deleting the block
@@ -285,13 +282,13 @@ def test_08_reduction_identities():
         for name in ("w", "a_center", "a_neighbor"):
             getattr(plain, name).value = getattr(with_edges, name).value.copy()
         efeat = nm.constant(rng.standard_normal((len(pairs), d_e)))
-        out_e, _ = gat_vertex_update(h, starts, pairs, with_edges, efeat)
-        out_p, _ = gat_vertex_update(h, starts, pairs, plain, None)
+        out_e, _ = gat_vertex_update(h, neighborhoods, pairs, with_edges, efeat)
+        out_p, _ = gat_vertex_update(h, neighborhoods, pairs, plain, None)
         assert np.array_equal(out_e.value, out_p.value)
 
         # single-graph composition is entity states plus the one pooled vector
         e1, e2, pool = (rng.standard_normal((1, 6)) for _ in range(3))
-        v = compose_sentence(nm.constant(pool), [0], nm.constant(e1), nm.constant(e2))
+        v = compose_sentence(nm.constant(pool), nm.Segments([0], 1), nm.constant(e1), nm.constant(e2))
         assert np.array_equal(v.value, e1 + e2 + pool)
 
 

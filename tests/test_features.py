@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from relgat import numerics as nm
-from relgat.corpus import build_vocabs, parse_conllu_annotated
+from relgat.corpus import Token, build_vocabs, parse_conllu_annotated
 from relgat.features import (
     DrefTable,
     FeatureError,
@@ -15,12 +15,12 @@ from relgat.features import (
     HashedEmbeddingProvider,
     attention_pairs,
     build_dref_table,
-    ctef_edge_features,
     dref_edge_features,
     edge_features,
     encode_tokens,
 )
 from relgat.graph import SubGraph, sentence_subgraphs
+from relgat.model import token_layout
 from conftest import build_structure_corpus, build_toy_corpus, conllu_block
 
 
@@ -68,6 +68,20 @@ class TestDrefTable:
         assert a.row == b.row
         assert a.ratio == b.ratio
 
+    def test_batch_lookup_equals_string_lookup(self):
+        # None is a symbol of its own; a symbol the table lacks falls back to UNK
+        counts = {(None, "NOUN", "dep"): 2, ("NOUN", None, None): 1, ("NOUN", "NOUN", "dep"): 1}
+        table = DrefTable(counts, 4, d_e=2)
+        tokens = [Token(0, "a"), Token(1, "b", pos="NOUN", deprel="dep"), Token(2, "c", pos="X", deprel="amod")]
+        pos, deprel = table.codes(tokens)
+        assert pos[2] == deprel[2] == -1
+        head, dependent = [0, 1, 1, 2, 1, 0], [1, 0, 1, 1, 1, 0]
+        rows, ratios = table.lookup(pos[head], pos[dependent], deprel[dependent])
+        triples = [(tokens[h].pos, tokens[d].pos, tokens[d].deprel) for h, d in zip(head, dependent)]
+        assert rows.tolist() == [table.row_for(t) for t in triples]
+        assert ratios.tolist() == [table.ratio_for(t) for t in triples]
+        assert rows.tolist()[3:5] == [DrefTable.UNK_ROW, table.row[("NOUN", "NOUN", "dep")]]
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(FeatureError):
             build_dref_table([], d_e=4)
@@ -84,26 +98,32 @@ def pair_row(pairs, i, j):
     return k
 
 
+def unit_layout(sentence, sg):
+    """One sub-graph as a batch: its tokens, their token rows, its pairs and their dependents."""
+    _, pairs, dependents = attention_pairs([sg], np.array([0]))
+    return [(sentence, sg.vertices)], np.arange(len(sg)), pairs, dependents
+
+
 def dref_row(sg, sentence, table, i, j):
-    _, pairs = attention_pairs(sg)
-    rows, _ = dref_edge_features(sg, sentence, pairs, table)
-    return rows[pair_row(pairs, i, j)]
+    layout = unit_layout(sentence, sg)
+    rows, _ = dref_edge_features(*layout, table)
+    return rows[pair_row(layout[2], i, j)]
 
 
 def ctef_flags(sentence, sg):
-    _, pairs = attention_pairs(sg)
-    return pairs, ctef_edge_features(sg, sentence.e1, sentence.e2, pairs)
+    layout = unit_layout(sentence, sg)
+    return layout[2], edge_features(*layout, "ctef", 1).value[:, 0]
 
 
 class TestAttentionPairs:
     def test_closed_neighborhoods_grouped_by_center(self):
-        adjacency = np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
-        sg = SubGraph("sdp", [0, 1, 2, 3], adjacency)
-        starts, pairs = attention_pairs(sg)
+        sg = SubGraph("sdp", [0, 1, 2, 3], np.array([[0, 1], [0, 2], [1, 3]]))
+        starts, pairs, dependents = attention_pairs([sg], np.array([0]))
         assert pairs.tolist() == [
             [0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 3], [2, 0], [2, 2], [3, 1], [3, 3],
         ]
         assert starts.tolist() == [0, 3, 6, 8]
+        assert dependents.tolist() == [-1, 1, 2, 1, -1, 3, 2, -1, 3, -1]
 
 
 class TestDrefAssignment:
@@ -135,8 +155,9 @@ class TestDrefAssignment:
         (s,) = triple_sentence()
         table = build_dref_table([s], d_e=4)
         sdp = sentence_subgraphs(s).sdp
-        _, pairs = attention_pairs(sdp)
-        _, ratios = dref_edge_features(sdp, s, pairs, table)
+        layout = unit_layout(s, sdp)
+        pairs = layout[2]
+        _, ratios = dref_edge_features(*layout, table)
         i, j = sdp.local(0), sdp.local(2)
         assert ratios[pair_row(pairs, i, j)] == pytest.approx(2 / 3)
         assert ratios[pair_row(pairs, i, i)] == 1.0
@@ -147,8 +168,9 @@ class TestDrefAssignment:
         rows = [("gleam", "ADJ", 2, "amod"), ("shard", "NOUN", 0, "root"), ("fell", "VERB", 2, "acl")]
         (test_sentence,) = parse_conllu_annotated(conllu_block(0, rows, (0, 0), (2, 2)))
         sgs = sentence_subgraphs(test_sentence)
-        _, pairs = attention_pairs(sgs.sdp)
-        dref_rows, _ = dref_edge_features(sgs.sdp, test_sentence, pairs, table)
+        layout = unit_layout(test_sentence, sgs.sdp)
+        pairs = layout[2]
+        dref_rows, _ = dref_edge_features(*layout, table)
         off_diagonal = dref_rows[pairs[:, 0] != pairs[:, 1]]
         assert off_diagonal.size and np.all(off_diagonal == DrefTable.UNK_ROW)
 
@@ -156,18 +178,17 @@ class TestDrefAssignment:
         table = build_dref_table(toy_corpus, d_e=4)
         s = toy_corpus[0]
         for sg in sentence_subgraphs(s).all():
-            _, pairs = attention_pairs(sg)
-            rows, ratios = dref_edge_features(sg, s, pairs, table)
-            assert rows.shape == ratios.shape == (len(pairs),)
+            layout = unit_layout(s, sg)
+            rows, ratios = dref_edge_features(*layout, table)
+            assert rows.shape == ratios.shape == (len(layout[2]),)
             assert np.all((rows >= 0) & (rows < table.num_rows))
 
     def test_non_tree_edge_rejected(self, pollen_sentence):
         table = build_dref_table([pollen_sentence], d_e=4)
         # claim an edge between 'The'(0) and 'causes'(2), absent from the parse
-        fake = SubGraph("sdp", [0, 2], np.array([[0, 1], [1, 0]]))
-        _, pairs = attention_pairs(fake)
+        fake = SubGraph("sdp", [0, 2], np.array([[0, 1]]))
         with pytest.raises(FeatureError) as err:
-            dref_edge_features(fake, pollen_sentence, pairs, table)
+            dref_edge_features(*unit_layout(pollen_sentence, fake), table)
         assert "not an edge" in str(err.value)
 
 
@@ -207,38 +228,43 @@ class TestCtefAssignment:
 class TestEdgeFeatureDispatch:
     def test_none_mode_returns_none(self, pollen_sentence):
         sdp = sentence_subgraphs(pollen_sentence).sdp
-        _, pairs = attention_pairs(sdp)
-        assert edge_features([(pollen_sentence, sdp)], [pairs], "none", 4) is None
+        assert edge_features(*unit_layout(pollen_sentence, sdp), "none", 4) is None
 
     def test_combined_mode_sums_both(self, pollen_sentence):
         s = pollen_sentence
         table = build_dref_table([s], d_e=4)
         sdp = sentence_subgraphs(s).sdp
-        _, pairs = attention_pairs(sdp)
+        layout = unit_layout(s, sdp)
+        pairs = layout[2]
         values = np.arange(table.num_rows * 4, dtype=np.float64).reshape(-1, 4)
-        node = edge_features([(s, sdp)], [pairs], "dref+ctef", 4, table, nm.constant(values))
+        node = edge_features(*layout, "dref+ctef", 4, table, nm.constant(values))
         assert node.shape == (len(pairs), 4)
         k = pair_row(pairs, 1, 0)
-        rows, _ = dref_edge_features(sdp, s, pairs, table)
+        rows, _ = dref_edge_features(*layout, table)
         np.testing.assert_array_equal(node.value[k], values[rows[k]] + np.ones(4))
 
     def test_units_stack_in_order(self, pollen_sentence, fig_example_sentence):
-        units = [(s, sg) for s in (pollen_sentence, fig_example_sentence)
-                 for sg in sentence_subgraphs(s).all()]
-        table = build_dref_table([s for s, _ in units[::3]], d_e=4)
+        sentences = (pollen_sentence, fig_example_sentence)
+        graph_sets = [sentence_subgraphs(s).all() for s in sentences]
+        units = [(s, sg) for s, graphs in zip(sentences, graph_sets) for sg in graphs]
+        table = build_dref_table(list(sentences), d_e=4)
         values = np.arange(table.num_rows * 4, dtype=np.float64).reshape(-1, 4)
-        pairs = [attention_pairs(sg)[1] for _, sg in units]
-        node = edge_features(units, pairs, "dref+ctef", 4, table, nm.constant(values), True)
-        bounds = np.cumsum([0] + [len(p) for p in pairs])
-        for (s, sg), p, lo, hi in zip(units, pairs, bounds[:-1], bounds[1:]):
-            alone = edge_features([(s, sg)], [p], "dref+ctef", 4, table, nm.constant(values), True)
+        vertex_starts = np.cumsum([0] + [len(sg) for _, sg in units[:-1]])
+        _, pairs, dependents = attention_pairs([sg for _, sg in units], vertex_starts)
+        tokens, token_rows = token_layout(graph_sets)
+        node = edge_features(
+            list(zip(sentences, tokens)), token_rows, pairs, dependents,
+            "dref+ctef", 4, table, nm.constant(values), True,
+        )
+        bounds = np.cumsum([0] + [len(sg) + 2 * len(sg.edges) for _, sg in units])
+        for (s, sg), lo, hi in zip(units, bounds[:-1], bounds[1:]):
+            alone = edge_features(*unit_layout(s, sg), "dref+ctef", 4, table, nm.constant(values), True)
             np.testing.assert_array_equal(node.value[lo:hi], alone.value)
 
     def test_dref_mode_requires_table(self, pollen_sentence):
         sdp = sentence_subgraphs(pollen_sentence).sdp
-        _, pairs = attention_pairs(sdp)
         with pytest.raises(FeatureError):
-            edge_features([(pollen_sentence, sdp)], [pairs], "dref", 4, None)
+            edge_features(*unit_layout(pollen_sentence, sdp), "dref", 4, None)
 
 
 def encoded(sentences, provider, emb):

@@ -1,4 +1,4 @@
-"""Sub-graph derivation: shortest paths, neighborhoods, adjacency."""
+"""Sub-graph derivation: shortest paths, neighborhoods, edge arrays."""
 
 import numpy as np
 import pytest
@@ -92,7 +92,7 @@ class TestDeriveSubgraphs:
         g = DependencyGraph([None, 0, 1])
         sgs = derive_subgraphs(g, 0, 1)
         assert sgs.sdp.vertices == [0, 1]
-        assert sgs.sdp.adjacency.tolist() == [[0, 1], [1, 0]]
+        assert sgs.sdp.edges.tolist() == [[0, 1]]
 
     def test_same_entity_rejected(self):
         g = DependencyGraph([None, 0])
@@ -129,15 +129,11 @@ class TestDeriveSubgraphs:
             n = int(rng.integers(3, 12))
             heads = random_heads(rng, n)
             g = DependencyGraph(heads)
-            tree_edges = {
-                (min(c, h), max(c, h)) for c, h in enumerate(heads) if h is not None
-            }
+            tree_edges = {(h, c) for c, h in enumerate(heads) if h is not None}  # head, dependent
             u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
             sgs = derive_subgraphs(g, u, v, expansion_order=1)
             for sg in sgs.all():
-                globalized = {
-                    (sg.vertices[a], sg.vertices[b]) for a, b in np.argwhere(np.triu(sg.adjacency))
-                }
+                globalized = {(sg.vertices[a], sg.vertices[b]) for a, b in sg.edges.tolist()}
                 assert globalized <= tree_edges
 
 
@@ -145,20 +141,20 @@ class TestAdjacency:
     def test_single_edge(self):
         g = DependencyGraph([None, 0])
         sgs = derive_subgraphs(g, 0, 1)
-        assert sgs.sdp.adjacency.tolist() == [[0, 1], [1, 0]]
+        assert sgs.sdp.edges.tolist() == [[0, 1]]
 
     def test_single_vertex(self):
         # e1 neighborhood of a leaf whose only neighbor is the other entity
         g = DependencyGraph([None, 0])
         sgs = derive_subgraphs(g, 0, 1)
-        assert sgs.e1.adjacency.shape == (2, 2)
+        assert sgs.e1.edges.shape == (1, 2)
 
     def test_worked_example_e2_matrix(self):
         (s,) = parse_conllu_annotated(FIG_EXAMPLE_CONLLU)
         sgs = sentence_subgraphs(s)
-        # vertices ascending: from(2), the(3), surge(4); edges from-surge, the-surge
+        # vertices ascending: from(2), the(3), surge(4); surge depends on from, the on surge
         assert sgs.e2.vertices == [2, 3, 4]
-        assert sgs.e2.adjacency.tolist() == [[0, 0, 1], [0, 0, 1], [1, 1, 0]]
+        assert sgs.e2.edges.tolist() == [[2, 1], [0, 2]]
 
     def test_symmetric_zero_diagonal_consistent_with_edges(self):
         rng = np.random.default_rng(37)
@@ -167,14 +163,15 @@ class TestAdjacency:
             g = DependencyGraph(random_heads(rng, n))
             u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
             for sg in derive_subgraphs(g, u, v, 1).all():
-                a = sg.adjacency
+                e = sg.edges
                 inside = set(sg.vertices)
                 tree_edges_inside = sum(
                     1 for c, h in enumerate(g.heads) if h is not None and {c, h} <= inside
                 )
-                assert np.array_equal(a, a.T)
-                assert np.all(np.diag(a) == 0)
-                assert a.sum() == 2 * tree_edges_inside
+                assert e.shape == (tree_edges_inside, 2) and e.dtype == np.intp
+                assert np.all(e[:, 0] != e[:, 1])
+                assert len({frozenset(edge) for edge in e.tolist()}) == len(e)
+                assert all(g.heads[sg.vertices[b]] == sg.vertices[a] for a, b in e.tolist())
 
 
 def test_size_histograms(toy_corpus):

@@ -11,11 +11,10 @@ from relgat import numerics as nm
 from relgat.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from relgat.corpus import build_vocabs, parse_conllu_annotated
 from relgat.features import (
+    DrefTable,
     HashedEmbeddingProvider,
     attention_pairs,
     build_dref_table,
-    ctef_edge_features,
-    dref_edge_features,
     encode_tokens,
 )
 from relgat.graph import SubGraph, sentence_subgraphs
@@ -38,9 +37,9 @@ from conftest import build_structure_corpus, build_toy_corpus, graph_nodes, tota
 TINY = dict(d_ctx=6, d_f=3, d_wt=2, d_lstm=4, d_g=6, heads=2, d_e=3)
 
 
-def attention_rows(alpha, starts):
+def attention_rows(alpha, neighborhoods):
     """Per-vertex (degree, heads) attention blocks of a (P, heads) attention node."""
-    return np.split(alpha.value, starts[1:])
+    return np.split(alpha.value, neighborhoods.starts[1:])
 
 
 def head_params(layer, k):
@@ -68,9 +67,20 @@ def single_head_layers(layer):
     return out
 
 
-def make_subgraph(adjacency, kind="sdp"):
-    adjacency = np.asarray(adjacency)
-    return SubGraph(kind, list(range(adjacency.shape[0])), adjacency)
+def make_subgraph(edges, n, kind="sdp"):
+    """A sub-graph over local vertices 0..n-1 with the given (head, dependent) edges."""
+    return SubGraph(kind, list(range(n)), np.array(edges, dtype=np.intp).reshape(-1, 2))
+
+
+def pair_layout(sg):
+    """The pair segments and the (P, 2) attention pairs of one sub-graph."""
+    starts, pairs, _ = attention_pairs([sg], np.array([0]))
+    return nm.Segments(starts, len(pairs)), pairs
+
+
+def permuted(edges, perm):
+    """``edges`` with vertex perm[i] renumbered i."""
+    return np.argsort(perm)[np.asarray(edges)]
 
 
 def logits_of(model, sentence, sgs, provider):
@@ -156,7 +166,7 @@ def token_blocks(x, ctx_dim, make=nm.constant):
 
 def bilstm(x, starts, lstm, ctx_dim=2):
     """``bilstm_encode`` over the rows of ``x``, one token per layout row."""
-    return bilstm_encode(token_blocks(x, ctx_dim), starts, lstm, np.arange(len(x)))
+    return bilstm_encode(token_blocks(x, ctx_dim), nm.Segments(starts, len(x)), lstm, np.arange(len(x)))
 
 
 def direction(lstm, k):
@@ -195,7 +205,8 @@ def test_bilstm_gradient_matches_finite_differences():
     probe = nm.constant(rng.standard_normal((5, 4)))
     params = [*x, *lstm.parameters("l").values()]
     err = nm.gradient_check(
-        lambda: total(nm.mul(bilstm_encode(x, [0, 3], lstm, [0, 1, 2, 1, 0]), probe)), params
+        lambda: total(nm.mul(bilstm_encode(x, nm.Segments([0, 3], 5), lstm, [0, 1, 2, 1, 0]), probe)),
+        params,
     )
     assert err < 1e-4
 
@@ -225,7 +236,7 @@ def test_bilstm_token_rows_equal_gathered_tokens():
     lstm = LstmParams(2, 3, 4, rng)
     x_tok = rng.standard_normal((4, 5))
     token_rows, starts = np.array([0, 1, 1, 2, 0, 3, 2]), [0, 3, 4]
-    by_token = bilstm_encode(token_blocks(x_tok, 2), starts, lstm, token_rows).value
+    by_token = bilstm_encode(token_blocks(x_tok, 2), nm.Segments(starts, 7), lstm, token_rows).value
     per_row = bilstm(x_tok[token_rows], starts, lstm).value
     np.testing.assert_allclose(by_token, per_row, rtol=0, atol=1e-12)
 
@@ -313,7 +324,7 @@ def test_bilstm_graph_size_independent_of_length():
 
     def graph_size(n):
         x = token_blocks(rng.standard_normal((n, 3)), 1, nm.parameter)
-        return len(graph_nodes(bilstm_encode(x, [0], lstm, np.arange(n))))
+        return len(graph_nodes(bilstm_encode(x, nm.Segments([0], n), lstm, np.arange(n))))
 
     assert graph_size(3) == graph_size(30)
 
@@ -332,10 +343,10 @@ def test_bilstm_rejects_empty_sequence():
 def test_isolated_vertex_attends_to_itself():
     rng = np.random.default_rng(4)
     layer = GatLayer(3, 2, 2, 0, rng)
-    sg = make_subgraph([[0]])
-    starts, pairs = attention_pairs(sg)
+    sg = make_subgraph([], 1)
+    neighborhoods, pairs = pair_layout(sg)
     wh = nm.matmul(nm.constant(rng.standard_normal((1, 3))), layer.w)
-    alpha = gat_attention(wh, starts, pairs, layer)
+    alpha = gat_attention(wh, neighborhoods, pairs, layer)
     assert alpha.value.tolist() == [[1.0, 1.0]]
 
 
@@ -344,10 +355,10 @@ def test_zeroed_attention_vector_gives_uniform_weights():
     layer = GatLayer(3, 2, 2, 0, rng)
     layer.a_center.value = np.zeros_like(layer.a_center.value)
     layer.a_neighbor.value = np.zeros_like(layer.a_neighbor.value)
-    sg = make_subgraph([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
-    starts, pairs = attention_pairs(sg)
+    sg = make_subgraph([[0, 1], [0, 2]], 3)
+    neighborhoods, pairs = pair_layout(sg)
     wh = nm.matmul(nm.constant(rng.standard_normal((3, 3))), layer.w)
-    alphas = attention_rows(gat_attention(wh, starts, pairs, layer), starts)
+    alphas = attention_rows(gat_attention(wh, neighborhoods, pairs, layer), neighborhoods)
     np.testing.assert_allclose(alphas[0], np.full((3, 2), 1 / 3), atol=1e-15)
     np.testing.assert_allclose(alphas[1], np.full((2, 2), 1 / 2), atol=1e-15)
 
@@ -356,12 +367,12 @@ def test_attention_matches_straight_line_recomputation():
     rng = np.random.default_rng(6)
     d_in, m, d_e, heads = 4, 3, 2, 2
     layer = GatLayer(d_in, heads, m, d_e, rng)
-    sg = make_subgraph([[0, 1, 0], [1, 0, 1], [0, 1, 0]])  # path graph
-    starts, pairs = attention_pairs(sg)
+    sg = make_subgraph([[0, 1], [1, 2]], 3)  # path graph
+    neighborhoods, pairs = pair_layout(sg)
     h = rng.standard_normal((3, d_in))
     efeat_rows = rng.standard_normal((len(pairs), d_e))
     wh = nm.matmul(nm.constant(h), layer.w)
-    alphas = attention_rows(gat_attention(wh, starts, pairs, layer, nm.constant(efeat_rows)), starts)
+    alphas = attention_rows(gat_attention(wh, neighborhoods, pairs, layer, nm.constant(efeat_rows)), neighborhoods)
 
     by_pair = {(i, j): e for (i, j), e in zip(pairs.tolist(), efeat_rows)}
     for k in range(heads):
@@ -380,10 +391,10 @@ def test_attention_matches_straight_line_recomputation():
 def test_attention_rows_sum_to_one():
     rng = np.random.default_rng(7)
     layer = GatLayer(4, 3, 3, 0, rng)
-    sg = make_subgraph([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
-    starts, pairs = attention_pairs(sg)
+    sg = make_subgraph([[0, 1], [0, 2], [1, 3]], 4)
+    neighborhoods, pairs = pair_layout(sg)
     wh = nm.matmul(nm.constant(rng.standard_normal((4, 4)) * 10), layer.w)
-    rows = attention_rows(gat_attention(wh, starts, pairs, layer), starts)
+    rows = attention_rows(gat_attention(wh, neighborhoods, pairs, layer), neighborhoods)
     assert len(rows) == 4
     for row in rows:
         assert np.all(np.abs(row.sum(axis=0) - 1.0) < 1e-9)
@@ -393,9 +404,9 @@ def test_multi_head_output_dimension_default_config():
     rng = np.random.default_rng(8)
     cfg = ModelConfig()
     layer = GatLayer(2 * cfg.d_lstm, cfg.heads, cfg.head_dim, 0, rng)
-    sg = make_subgraph([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-    starts, pairs = attention_pairs(sg)
-    out, attention = gat_vertex_update(nm.constant(rng.standard_normal((3, 512))), starts, pairs, layer)
+    sg = make_subgraph([[0, 1], [1, 2]], 3)
+    neighborhoods, pairs = pair_layout(sg)
+    out, attention = gat_vertex_update(nm.constant(rng.standard_normal((3, 512))), neighborhoods, pairs, layer)
     assert out.shape == (3, 256)
     assert attention.shape == (len(pairs), cfg.heads)
 
@@ -403,10 +414,10 @@ def test_multi_head_output_dimension_default_config():
 def test_single_head_reduction_is_bitwise():
     rng = np.random.default_rng(9)
     layer = GatLayer(4, 1, 6, 0, rng)
-    sg = make_subgraph([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
-    starts, pairs = attention_pairs(sg)
+    sg = make_subgraph([[0, 1], [0, 2]], 3)
+    neighborhoods, pairs = pair_layout(sg)
     h = nm.constant(rng.standard_normal((3, 4)))
-    multi, _ = gat_vertex_update(h, starts, pairs, layer)
+    multi, _ = gat_vertex_update(h, neighborhoods, pairs, layer)
 
     # plain single-head update: the (P, 1) attention column scales the messages
     wh = nm.matmul(h, layer.w)
@@ -414,8 +425,8 @@ def test_single_head_reduction_is_bitwise():
         nm.gather_rows(nm.matmul(wh, layer.a_center), pairs[:, 0]),
         nm.gather_rows(nm.matmul(wh, layer.a_neighbor), pairs[:, 1]),
     )
-    alpha = nm.segment_softmax(nm.leaky_relu(scores, 0.2), starts)
-    single = nm.elu(nm.segment_sum(nm.mul(nm.gather_rows(wh, pairs[:, 1]), alpha), starts))
+    alpha = nm.segment_softmax(nm.leaky_relu(scores, 0.2), neighborhoods)
+    single = nm.elu(nm.segment_sum(nm.mul(nm.gather_rows(wh, pairs[:, 1]), alpha), neighborhoods))
     assert np.array_equal(multi.value, single.value)
 
 
@@ -424,12 +435,12 @@ def test_heads_equal_single_head_layers_concatenated(edge_dim):
     # a K-head layer is its K heads run as separate layers, outputs concatenated
     rng = np.random.default_rng(42)
     layer = GatLayer(4, 3, 2, edge_dim, rng)
-    sg = make_subgraph([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
-    starts, pairs = attention_pairs(sg)
+    sg = make_subgraph([[0, 1], [0, 2], [1, 3]], 4)
+    neighborhoods, pairs = pair_layout(sg)
     h = nm.constant(rng.standard_normal((4, 4)))
     efeat = nm.constant(rng.standard_normal((len(pairs), edge_dim))) if edge_dim else None
-    out, attention = gat_vertex_update(h, starts, pairs, layer, efeat)
-    heads = [gat_vertex_update(h, starts, pairs, one, efeat) for one in single_head_layers(layer)]
+    out, attention = gat_vertex_update(h, neighborhoods, pairs, layer, efeat)
+    heads = [gat_vertex_update(h, neighborhoods, pairs, one, efeat) for one in single_head_layers(layer)]
     np.testing.assert_allclose(out.value, np.hstack([o.value for o, _ in heads]), rtol=0, atol=1e-12)
     np.testing.assert_allclose(attention, np.hstack([a for _, a in heads]), rtol=0, atol=1e-12)
 
@@ -465,12 +476,12 @@ def test_edge_mode_none_equals_zeroed_edge_slot_bitwise():
     for name in ("w", "a_center", "a_neighbor"):
         getattr(plain, name).value = getattr(with_edges, name).value.copy()
 
-    sg = make_subgraph([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    starts, pairs = attention_pairs(sg)
+    sg = make_subgraph([[0, 1], [0, 2], [1, 2]], 3)
+    neighborhoods, pairs = pair_layout(sg)
     h = nm.constant(rng.standard_normal((3, d_in)))
     efeat = nm.constant(rng.standard_normal((len(pairs), d_e)))
-    out_edges, att_edges = gat_vertex_update(h, starts, pairs, with_edges, efeat)
-    out_plain, att_plain = gat_vertex_update(h, starts, pairs, plain, None)
+    out_edges, att_edges = gat_vertex_update(h, neighborhoods, pairs, with_edges, efeat)
+    out_plain, att_plain = gat_vertex_update(h, neighborhoods, pairs, plain, None)
     assert np.array_equal(out_edges.value, out_plain.value)
     assert att_edges.shape == att_plain.shape == (len(pairs), 2)
     assert np.array_equal(att_edges, att_plain)
@@ -479,10 +490,10 @@ def test_edge_mode_none_equals_zeroed_edge_slot_bitwise():
 def test_single_vertex_update_is_elu_of_transform():
     rng = np.random.default_rng(41)
     layer = GatLayer(4, 2, 3, 0, rng)
-    sg = make_subgraph([[0]])
-    starts, pairs = attention_pairs(sg)
+    sg = make_subgraph([], 1)
+    neighborhoods, pairs = pair_layout(sg)
     h = rng.standard_normal((1, 4))
-    out, _ = gat_vertex_update(nm.constant(h), starts, pairs, layer)
+    out, _ = gat_vertex_update(nm.constant(h), neighborhoods, pairs, layer)
     expected = h @ layer.w.value
     expected = np.where(expected > 0, expected, np.expm1(expected))
     np.testing.assert_allclose(out.value, expected, atol=1e-12)
@@ -499,16 +510,15 @@ def test_parameters_registered_exactly_once():
 def test_gat_permutation_equivariance():
     rng = np.random.default_rng(11)
     layer = GatLayer(4, 2, 3, 0, rng)
-    adjacency = np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
+    edges = [[0, 1], [0, 2], [1, 3]]
     h = rng.standard_normal((4, 4))
     perm = np.array([2, 0, 3, 1])
 
-    starts, pairs = attention_pairs(make_subgraph(adjacency))
-    out, _ = gat_vertex_update(nm.constant(h), starts, pairs, layer)
+    neighborhoods, pairs = pair_layout(make_subgraph(edges, 4))
+    out, _ = gat_vertex_update(nm.constant(h), neighborhoods, pairs, layer)
 
-    permuted_adj = adjacency[np.ix_(perm, perm)]
-    starts_p, pairs_p = attention_pairs(make_subgraph(permuted_adj))
-    out_p, _ = gat_vertex_update(nm.constant(h[perm]), starts_p, pairs_p, layer)
+    neighborhoods_p, pairs_p = pair_layout(make_subgraph(permuted(edges, perm), 4))
+    out_p, _ = gat_vertex_update(nm.constant(h[perm]), neighborhoods_p, pairs_p, layer)
     np.testing.assert_allclose(out_p.value, out.value[perm], atol=1e-12)
 
 
@@ -519,10 +529,10 @@ def test_gat_permutation_equivariance():
 def test_gcn_three_cycle_hand_computation():
     # identity transform, no edge features: each vertex averages its
     # closed neighborhood (all degrees are 3 with the self-loop)
-    sg = make_subgraph([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    starts, pairs = attention_pairs(sg)
+    sg = make_subgraph([[0, 1], [0, 2], [1, 2]], 3)
+    neighborhoods, pairs = pair_layout(sg)
     h = np.array([[3.0, -6.0], [0.0, 3.0], [6.0, 0.0]])
-    out = gcn_vertex_update(nm.constant(h), starts, pairs, nm.constant(np.eye(2)))
+    out = gcn_vertex_update(nm.constant(h), neighborhoods, pairs, nm.constant(np.eye(2)))
     expected = np.maximum(h.mean(axis=0), 0.0)
     np.testing.assert_allclose(out.value, np.tile(expected, (3, 1)), atol=1e-12)
 
@@ -530,11 +540,11 @@ def test_gcn_three_cycle_hand_computation():
 def test_gcn_self_loop_only_vertex():
     rng = np.random.default_rng(12)
     w = nm.constant(rng.standard_normal((5, 3)))
-    sg = make_subgraph([[0]])
-    starts, pairs = attention_pairs(sg)
+    sg = make_subgraph([], 1)
+    neighborhoods, pairs = pair_layout(sg)
     h = rng.standard_normal((1, 3))
     e = rng.standard_normal((1, 2))
-    out = gcn_vertex_update(nm.constant(h), starts, pairs, w, nm.constant(e))
+    out = gcn_vertex_update(nm.constant(h), neighborhoods, pairs, w, nm.constant(e))
     expected = np.maximum(np.concatenate([h[0], e[0]]) @ w.value, 0.0)
     np.testing.assert_allclose(out.value.reshape(-1), expected, atol=1e-12)
 
@@ -542,14 +552,14 @@ def test_gcn_self_loop_only_vertex():
 def test_gcn_permutation_equivariance():
     rng = np.random.default_rng(13)
     w = nm.constant(rng.standard_normal((4, 3)))
-    adjacency = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
+    edges = [[0, 1], [1, 2], [0, 3]]
     h = rng.standard_normal((4, 4))
     perm = np.array([3, 1, 0, 2])
 
-    starts, pairs = attention_pairs(make_subgraph(adjacency))
-    out = gcn_vertex_update(nm.constant(h), starts, pairs, w)
-    starts_p, pairs_p = attention_pairs(make_subgraph(adjacency[np.ix_(perm, perm)]))
-    out_p = gcn_vertex_update(nm.constant(h[perm]), starts_p, pairs_p, w)
+    neighborhoods, pairs = pair_layout(make_subgraph(edges, 4))
+    out = gcn_vertex_update(nm.constant(h), neighborhoods, pairs, w)
+    neighborhoods_p, pairs_p = pair_layout(make_subgraph(permuted(edges, perm), 4))
+    out_p = gcn_vertex_update(nm.constant(h[perm]), neighborhoods_p, pairs_p, w)
     np.testing.assert_allclose(out_p.value, out.value[perm], atol=1e-12)
 
 
@@ -560,12 +570,12 @@ def test_graph_layer_size_independent_of_vertex_count():
 
     def graph_sizes(n, heads):
         layer = GatLayer(3, heads, 2, 2, rng)
-        adjacency = np.eye(n, k=1, dtype=np.int64) + np.eye(n, k=-1, dtype=np.int64)  # path graph
-        starts, pairs = attention_pairs(make_subgraph(adjacency))
+        path = [[i, i + 1] for i in range(n - 1)]
+        neighborhoods, pairs = pair_layout(make_subgraph(path, n))
         h = nm.parameter(rng.standard_normal((n, 3)))
         efeat = nm.parameter(rng.standard_normal((len(pairs), 2)))
-        gat, _ = gat_vertex_update(h, starts, pairs, layer, efeat)
-        gcn = gcn_vertex_update(h, starts, pairs, w_gcn, efeat)
+        gat, _ = gat_vertex_update(h, neighborhoods, pairs, layer, efeat)
+        gcn = gcn_vertex_update(h, neighborhoods, pairs, w_gcn, efeat)
         return len(graph_nodes(gat)), len(graph_nodes(gcn))
 
     sizes = {graph_sizes(n, heads) for n in (3, 30) for heads in (1, 2, 4)}
@@ -579,7 +589,7 @@ def test_graph_layer_size_independent_of_vertex_count():
 def test_pool_single_vertex_is_identity():
     rng = np.random.default_rng(14)
     h = rng.standard_normal((1, 5))
-    v, alpha = pool_graph(nm.constant(h), [0], nm.constant(rng.standard_normal((5, 1))))
+    v, alpha = pool_graph(nm.constant(h), nm.Segments([0], 1), nm.constant(rng.standard_normal((5, 1))))
     np.testing.assert_array_equal(v.value, h)
     assert alpha.value.tolist() == [[1.0]]
 
@@ -588,7 +598,7 @@ def test_pool_identical_states_average():
     rng = np.random.default_rng(15)
     row = rng.standard_normal(5)
     h = np.stack([row, row])
-    v, alpha = pool_graph(nm.constant(h), [0], nm.constant(rng.standard_normal((5, 1))))
+    v, alpha = pool_graph(nm.constant(h), nm.Segments([0], 2), nm.constant(rng.standard_normal((5, 1))))
     np.testing.assert_allclose(alpha.value, [[0.5], [0.5]], atol=1e-15)
     np.testing.assert_allclose(v.value.reshape(-1), row, atol=1e-15)
 
@@ -597,7 +607,7 @@ def test_pool_matches_recomputation():
     rng = np.random.default_rng(16)
     h = rng.standard_normal((4, 5))
     w = rng.standard_normal((5, 1))
-    v, alpha = pool_graph(nm.constant(h), [0], nm.constant(w))
+    v, alpha = pool_graph(nm.constant(h), nm.Segments([0], 4), nm.constant(w))
     u = np.tanh(h @ w).reshape(-1)
     expected_alpha = np.exp(u) / np.exp(u).sum()
     np.testing.assert_allclose(alpha.value.reshape(-1), expected_alpha, atol=1e-12)
@@ -608,19 +618,19 @@ def test_pool_distribution_sums_to_one():
     rng = np.random.default_rng(17)
     for _ in range(20):
         h = rng.standard_normal((int(rng.integers(1, 7)), 4)) * rng.uniform(0.1, 20)
-        _, alpha = pool_graph(nm.constant(h), [0], nm.constant(rng.standard_normal((4, 1))))
+        _, alpha = pool_graph(nm.constant(h), nm.Segments([0], len(h)), nm.constant(rng.standard_normal((4, 1))))
         assert abs(alpha.value.sum() - 1.0) < 1e-9
 
 
 def test_compose_zero_inputs_give_zero():
     zero = nm.constant(np.zeros((1, 4)))
-    v = compose_sentence(nm.constant(np.zeros((3, 4))), [0], zero, zero)
+    v = compose_sentence(nm.constant(np.zeros((3, 4))), nm.Segments([0], 3), zero, zero)
     np.testing.assert_array_equal(v.value, np.zeros((1, 4)))
 
 
 def test_compose_unit_basis_sums():
     rows = [np.eye(5)[i : i + 1] for i in range(5)]
-    v = compose_sentence(nm.constant(np.concatenate(rows[2:])), [0],
+    v = compose_sentence(nm.constant(np.concatenate(rows[2:])), nm.Segments([0], 3),
                          nm.constant(rows[0]), nm.constant(rows[1]))
     np.testing.assert_array_equal(v.value, np.ones((1, 5)))
 
@@ -628,7 +638,7 @@ def test_compose_unit_basis_sums():
 def test_compose_single_graph_reduction():
     rng = np.random.default_rng(18)
     e1, e2, pool = (rng.standard_normal((1, 4)) for _ in range(3))
-    v = compose_sentence(nm.constant(pool), [0], nm.constant(e1), nm.constant(e2))
+    v = compose_sentence(nm.constant(pool), nm.Segments([0], 1), nm.constant(e1), nm.constant(e2))
     np.testing.assert_array_equal(v.value, e1 + e2 + pool)
 
 
@@ -732,7 +742,7 @@ def test_logits_invariant_to_internal_vertex_ordering():
     def shuffled(sg):
         perm = rng.permutation(len(sg))
         vertices = [sg.vertices[p] for p in perm]
-        return SubGraph(sg.kind, vertices, sg.adjacency[np.ix_(perm, perm)])
+        return SubGraph(sg.kind, vertices, permuted(sg.edges, perm))
 
     from relgat.graph import SubGraphSet
 
@@ -779,6 +789,30 @@ def test_batched_logits_equal_batch_of_one(graph_layer, graph_mode, edge_mode, g
             assert got_layer.shape == want_layer.shape
             assert want_layer.shape[1] == model.config.heads
             np.testing.assert_allclose(got_layer, want_layer, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("graph_depth", [1, 2])
+@pytest.mark.parametrize("graph_layer", ["gat", "gcn"])
+def test_forward_validates_three_segments(graph_layer, graph_depth, monkeypatch):
+    # vertex, pair and instance segments are each built (and validated) once
+    # per forward, however many layers and ops read them
+    model, instances, provider = structure_model(
+        graph_layer=graph_layer, graph_depth=graph_depth, edge_mode="dref+ctef"
+    )
+    built = []
+    original = nm.Segments.__init__
+
+    def counting(self, starts, rows):
+        built.append(rows)
+        original(self, starts, rows)
+
+    monkeypatch.setattr(nm.Segments, "__init__", counting)
+    for batch in (instances[:4], instances[:1]):
+        built.clear()
+        model.forward(batch, provider)
+        graphs = [sg for _, sgs in batch for sg in sgs.all()]
+        pairs = sum(len(sg) + 2 * len(sg.edges) for sg in graphs)
+        assert built == [sum(map(len, graphs)), pairs, len(graphs)]
 
 
 @pytest.mark.parametrize("graph_layer", ["gat", "gcn"])
@@ -1132,21 +1166,26 @@ def numpy_oracle_forward(model, sentence, sgs, provider):
             return np.concatenate(directions, axis=1)
         return x @ np.vstack([p["proj.w_ctx"], p["proj.w_feat"]]) + p["proj.b"].reshape(-1)
 
-    def edge_vec(feats, i, j):
-        if feats is None:
+    def edge_vec(sg, i, j):
+        """The edge feature of pair (i, j), from the tokens' strings and heads."""
+        if cfg.edge_mode == "none":
             return None
-        k = feats["index"][(i, j)]
+        u, v = sg.vertices[i], sg.vertices[j]
         vec = np.zeros(cfg.d_e)
-        if "dref_row" in feats:
-            row = p["edge.dref"][feats["dref_row"][k]].copy()
-            if cfg.dref_scale_by_ratio:
-                row *= feats["dref_ratio"][k]
-            vec += row
-        if "entity_source" in feats and feats["entity_source"][k]:
+        if "dref" in cfg.edge_mode:
+            if u == v:
+                row, ratio = DrefTable.SELF_ROW, 1.0
+            else:
+                tok_u, tok_v = sentence.tokens[u], sentence.tokens[v]
+                deprel = tok_v.deprel if tok_v.head == u else tok_u.deprel
+                triple = (tok_u.pos, tok_v.pos, deprel)
+                row, ratio = model.dref_table.row_for(triple), model.dref_table.ratio_for(triple)
+            vec += p["edge.dref"][row] * (ratio if cfg.dref_scale_by_ratio else 1.0)
+        if "ctef" in cfg.edge_mode and sentence.entity_token(v):
             vec += np.ones(cfg.d_e)
         return vec
 
-    def one_layer(h, layer, nbrs, feats):
+    def one_layer(h, layer, nbrs, sg):
         if cfg.graph_layer == "gcn":
             w = p[f"gcn.l{layer}.w"]
             deg = np.array([len(a) for a in nbrs], dtype=np.float64)
@@ -1154,7 +1193,7 @@ def numpy_oracle_forward(model, sentence, sgs, provider):
             for i, around in enumerate(nbrs):
                 acc = np.zeros(cfg.d_g)
                 for j in around:
-                    feat = h[j] if feats is None else np.concatenate([h[j], edge_vec(feats, i, j)])
+                    feat = h[j] if cfg.edge_mode == "none" else np.concatenate([h[j], edge_vec(sg, i, j)])
                     acc += (feat @ w) / np.sqrt(deg[i] * deg[j])
                 out[i] = np.maximum(acc, 0.0)
             return out
@@ -1165,7 +1204,7 @@ def numpy_oracle_forward(model, sentence, sgs, provider):
             block = slice(k * m, (k + 1) * m)
             w = p[f"gat.l{layer}.w"][:, block]
             a = [p[f"gat.l{layer}.a_center"][block, 0], p[f"gat.l{layer}.a_neighbor"][block, 0]]
-            if feats is not None:
+            if cfg.edge_mode != "none":
                 a.append(p[f"gat.l{layer}.a_edge"][:, k])
             a = np.concatenate(a)
             wh = h @ w
@@ -1174,8 +1213,8 @@ def numpy_oracle_forward(model, sentence, sgs, provider):
                 scores = []
                 for j in around:
                     feats_ij = [wh[i], wh[j]]
-                    if feats is not None:
-                        feats_ij.append(edge_vec(feats, i, j))
+                    if cfg.edge_mode != "none":
+                        feats_ij.append(edge_vec(sg, i, j))
                     z = np.concatenate(feats_ij) @ a
                     scores.append(z if z > 0 else 0.2 * z)
                 scores = np.array(scores)
@@ -1186,26 +1225,15 @@ def numpy_oracle_forward(model, sentence, sgs, provider):
             head_outs.append(rows)
         return np.concatenate(head_outs, axis=1)
 
-    def pair_features(sg, pairs):
-        """Per-pair feature arrays, plus each (i, j)'s position in them."""
-        if cfg.edge_mode == "none":
-            return None
-        feats = {"index": {(i, j): k for k, (i, j) in enumerate(pairs.tolist())}}
-        if "dref" in cfg.edge_mode:
-            feats["dref_row"], feats["dref_ratio"] = dref_edge_features(
-                sg, sentence, pairs, model.dref_table
-            )
-        if "ctef" in cfg.edge_mode:
-            feats["entity_source"] = ctef_edge_features(sg, sentence.e1, sentence.e2, pairs)
-        return feats
-
     def graph_layer(h, sg):
-        # closed neighborhoods straight from the adjacency matrix, self included
-        nbrs = [sorted(set(np.nonzero(sg.adjacency[i])[0].tolist()) | {i}) for i in range(len(sg))]
-        _, pairs = attention_pairs(sg)
-        feats = pair_features(sg, pairs)
+        # closed neighborhoods straight from the token heads, self included
+        tokens = sentence.tokens
+        nbrs = [
+            [a for a, w in enumerate(sg.vertices) if w == v or tokens[w].head == v or tokens[v].head == w]
+            for v in sg.vertices
+        ]
         for layer in range(cfg.graph_depth):
-            h = one_layer(h, layer, nbrs, feats)
+            h = one_layer(h, layer, nbrs, sg)
         return h
 
     def pool(states):

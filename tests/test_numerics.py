@@ -58,28 +58,32 @@ def test_shape_errors_name_both_shapes():
     w_hidden = nm.constant(np.zeros((2, 16)))
     for z_shape in ((2, 8), (2, 17)):
         with pytest.raises(nm.ShapeMismatch) as err:
-            nm.bilstm_sequence(nm.constant(np.zeros(z_shape)), w_hidden, [0])
+            nm.bilstm_sequence(nm.constant(np.zeros(z_shape)), w_hidden, nm.Segments([0], 2))
         assert str(z_shape) in str(err.value) and "(2, 16)" in str(err.value)
     for w_shape in ((2, 8), (4, 16)):
         with pytest.raises(nm.ShapeMismatch) as err:
-            nm.bilstm_sequence(nm.constant(np.zeros((2, 16))), nm.constant(np.zeros(w_shape)), [0])
+            nm.bilstm_sequence(nm.constant(np.zeros((2, 16))), nm.constant(np.zeros(w_shape)), nm.Segments([0], 2))
         assert "(2, 16)" in str(err.value) and str(w_shape) in str(err.value)
     x = nm.constant(np.zeros((4, 2)))
 
-    def packed_lstm(x, starts):
-        return nm.bilstm_sequence(x, w_hidden, starts)
+    def packed_lstm(x, segments):
+        return nm.bilstm_sequence(x, w_hidden, segments)
 
     for indices in ([0, 4], [[0, 1]], [-1, 0], [[0], [1]]):
         with pytest.raises(nm.ShapeMismatch) as err:
             nm.gather_rows(x, indices)
         assert "(4, 2)" in str(err.value) and str(indices) in str(err.value)
+    for starts in ([1, 3], [0, 2, 2], [0, 3, 1], [0, 4], [], [[0, 2]]):
+        with pytest.raises(nm.ShapeMismatch) as err:
+            nm.Segments(starts, 4)
+        assert "4 rows" in str(err.value) and str(starts) in str(err.value)
     for op in (nm.segment_sum, nm.segment_softmax, packed_lstm):
-        for starts in ([1, 3], [0, 2, 2], [0, 3, 1], [0, 4], [], [[0, 2]]):
+        for rows in (3, 5):
             with pytest.raises(nm.ShapeMismatch) as err:
-                op(x, starts)
-            assert "(4, 2)" in str(err.value) and str(starts) in str(err.value)
+                op(x, nm.Segments([0, 2], rows))
+            assert "(4, 2)" in str(err.value) and f"{rows} rows" in str(err.value)
         with pytest.raises(nm.ShapeMismatch):
-            op(nm.constant(np.zeros(4)), [0, 2])
+            op(nm.constant(np.zeros(4)), nm.Segments([0, 2], 4))
     with pytest.raises(nm.ShapeMismatch) as err:
         nm.mul(nm.constant(np.zeros((3, 4))), nm.constant(np.zeros((2, 1))))
     assert "(3, 4)" in str(err.value) and "(2, 1)" in str(err.value)
@@ -104,7 +108,7 @@ def test_bilstm_saturated_gates_stay_finite(dtype, big):
     w_hidden = nm.parameter(rng.standard_normal((2, 16)).astype(dtype))
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        out = nm.bilstm_sequence(z, w_hidden, [0, 2])
+        out = nm.bilstm_sequence(z, w_hidden, nm.Segments([0, 2], 6))
         total(out).backward()
     assert out.value.dtype == dtype
     assert np.all(np.isfinite(out.value)) and np.all(np.abs(out.value) <= 1.0)
@@ -270,7 +274,7 @@ def test_op_gradients(case):
     scalar = rand(rng, 1, 1)
     w = rand(rng, 4, 2)
     column = rand(rng, 3, 1)
-    starts = [0, 1]  # segments of rows {0} and {1, 2}
+    segments = nm.Segments([0, 1], 3)  # rows {0} and {1, 2}
     probe = nm.constant(rng.standard_normal((3, 4)))
     probe_32 = nm.constant(rng.standard_normal((3, 2)))
     probe_44 = nm.constant(rng.standard_normal((4, 4)))
@@ -278,13 +282,13 @@ def test_op_gradients(case):
     # pre-activations of packed sequences of lengths 1, 4 and 2; each LSTM
     # array holds one direction's draw in both directions' columns, so a loss
     # that reads one direction (``one_direction``) is the one-direction case
-    seq_z, seq_starts = doubled(rand(rng, 7, 8)), [0, 1, 5]
+    seq_z, seq_segments = doubled(rand(rng, 7, 8)), nm.Segments([0, 1, 5], 7)
     w_input, w_hidden, lstm_bias = (doubled(rand(rng, *shape)) for shape in ((3, 8), (2, 8), (1, 8)))
     lstm_params = [seq_z, w_hidden]
     probe_74 = doubled(nm.constant(rng.standard_normal((7, 2))), nm.constant)
 
     def packed_lstm(reverse):
-        return nm.mul(nm.bilstm_sequence(seq_z, w_hidden, seq_starts), one_direction(probe_74, reverse))
+        return nm.mul(nm.bilstm_sequence(seq_z, w_hidden, seq_segments), one_direction(probe_74, reverse))
 
     # three token rows read by sequences of lengths 2 and 3, rows 0 and 1 twice each
     token_x, token_rows = rand(rng, 3, 3), [0, 1, 1, 2, 0]
@@ -296,7 +300,9 @@ def test_op_gradients(case):
     w_fixed, w_free = doubled(rand(rng, 2, 8)), doubled(rand(rng, 1, 8))
 
     def token_lstm(z, reverse):
-        out = nm.bilstm_sequence(nm.gather_rows(nm.add(z, lstm_bias), token_rows), w_hidden, [0, 2])
+        out = nm.bilstm_sequence(
+            nm.gather_rows(nm.add(z, lstm_bias), token_rows), w_hidden, nm.Segments([0, 2], 5)
+        )
         return nm.mul(out, one_direction(probe_54, reverse))
 
     # both directions with their own weights, read together
@@ -304,7 +310,7 @@ def test_op_gradients(case):
     both_params = [both_z, both_w_hidden]
 
     def both_lstm(starts):
-        out = nm.bilstm_sequence(both_z, both_w_hidden, starts)
+        out = nm.bilstm_sequence(both_z, both_w_hidden, nm.Segments(starts, 7))
         return nm.mul(out, nm.constant(np.arange(1.0, 29.0).reshape(7, 4) / 28.0))
 
     builders = {
@@ -315,8 +321,8 @@ def test_op_gradients(case):
         "mul_scalar": (lambda: nm.mul(nm.mul(a, scalar), probe), [a, scalar]),
         "mul_column": (lambda: nm.mul(nm.mul(a, column), probe), [a, column]),
         "mul_column_left": (lambda: nm.mul(nm.mul(column, a), probe), [a, column]),
-        "segment_sum": (lambda: nm.mul(nm.segment_sum(a, starts), probe_24), [a]),
-        "segment_softmax": (lambda: nm.mul(nm.segment_softmax(a, starts), probe), [a]),
+        "segment_sum": (lambda: nm.mul(nm.segment_sum(a, segments), probe_24), [a]),
+        "segment_softmax": (lambda: nm.mul(nm.segment_softmax(a, segments), probe), [a]),
         "matmul": (lambda: nm.mul(nm.matmul(a, w), probe_32), [a, w]),
         "concat0": (lambda: nm.mul(nm.concat([a, b], 0), nm.constant(np.ones((6, 4)))), [a, b]),
         "concat1": (lambda: nm.mul(nm.concat([a, b], 1), nm.constant(np.ones((3, 8)))), [a, b]),
@@ -366,11 +372,11 @@ def test_lstm_sequence_gradients(n, reverse):
 
     def lstm():
         z = nm.add(nm.matmul(x, w_input), bias)
-        return nm.mul(nm.bilstm_sequence(z, w_hidden, [0]), probe)
+        return nm.mul(nm.bilstm_sequence(z, w_hidden, nm.Segments([0], n)), probe)
 
     err = nm.gradient_check(lambda: total(lstm()), [x, w_input, w_hidden, bias])
     z = nm.constant(np.zeros((n, 16)))
-    assert nm.bilstm_sequence(z, w_hidden, [0]).parents == (z, w_hidden)
+    assert nm.bilstm_sequence(z, w_hidden, nm.Segments([0], n)).parents == (z, w_hidden)
     assert err < 1e-6
     # every parent gets gradient; w_hidden only sees a nonzero state after step one
     for p in (x, w_input, bias) if n == 1 else (x, w_input, w_hidden, bias):
@@ -393,7 +399,7 @@ def test_lstm_token_rows_equal_gathered_input(reverse):
 
     def run(z):
         nm.zero_grads([w_hidden])
-        out = nm.bilstm_sequence(z, w_hidden, starts)
+        out = nm.bilstm_sequence(z, w_hidden, nm.Segments(starts, 7))
         total(nm.mul(out, probe)).backward()
         return out.value, w_hidden.grad
 
@@ -412,8 +418,9 @@ def test_segment_ops_match_per_segment_loops():
     x = rng.standard_normal((6, 3)) * 30
     starts = [0, 1, 4]
     bounds = [(0, 1), (1, 4), (4, 6)]
-    summed = nm.segment_sum(nm.constant(x), starts).value
-    soft = nm.segment_softmax(nm.constant(x), starts).value
+    segments = nm.Segments(starts, 6)
+    summed = nm.segment_sum(nm.constant(x), segments).value
+    soft = nm.segment_softmax(nm.constant(x), segments).value
     for k, (lo, hi) in enumerate(bounds):
         np.testing.assert_allclose(summed[k], x[lo:hi].sum(axis=0), rtol=0, atol=1e-12)
         np.testing.assert_allclose(

@@ -1,13 +1,19 @@
-"""Property tests: sub-graph invariants and the token map on random dependency trees."""
+"""Property tests: sub-graph invariants, the token map and the batched pair layout on random trees."""
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from relgat.corpus import parse_conllu_annotated
+from relgat.features import DrefTable, attention_pairs, build_dref_table, dref_edge_features, edge_features
 from relgat.graph import sentence_subgraphs
 from relgat.model import token_layout
 from conftest import brute_force_path, conllu_block
+
+# Small alphabets, so that triples repeat within and across sentences and
+# an edge's reversed orientation is often a triple of its own.
+POS = ("NOUN", "VERB", "ADP")
+DEPRELS = ("nsubj", "obj", "dep")
 
 
 @st.composite
@@ -26,7 +32,8 @@ def tree_sentences(draw, max_tokens: int = 12):
     if draw(st.booleans()):
         spans.reverse()
     rows = [
-        (f"w{i}", "NOUN", 0 if head is None else head + 1, "root" if head is None else "dep")
+        (f"w{i}", draw(st.sampled_from(POS)), 0 if head is None else head + 1,
+         "root" if head is None else draw(st.sampled_from(DEPRELS)))
         for i, head in enumerate(heads)
     ]
     (sentence,) = parse_conllu_annotated(conllu_block(0, rows, *spans))
@@ -34,10 +41,10 @@ def tree_sentences(draw, max_tokens: int = 12):
 
 
 def tree_edges(heads, vertices):
-    """The tree edges with both ends in ``vertices``, as (smaller, larger) pairs."""
+    """The tree edges with both ends in ``vertices``, as (head, dependent) pairs."""
     inside = set(vertices)
     return {
-        (min(child, head), max(child, head))
+        (head, child)
         for child, head in enumerate(heads)
         if head is not None and child in inside and head in inside
     }
@@ -55,7 +62,8 @@ def test_path_graph_is_the_tree_path_between_entity_heads(drawn):
     sdp = sentence_subgraphs(sentence).sdp
     path = brute_force_path(heads, sentence.e1.head_token, sentence.e2.head_token)
     assert sdp.vertices == sorted(path)
-    assert tree_edges(heads, sdp.vertices) == {(min(a, b), max(a, b)) for a, b in zip(path, path[1:])}
+    undirected = {(min(a, b), max(a, b)) for a, b in tree_edges(heads, sdp.vertices)}
+    assert undirected == {(min(a, b), max(a, b)) for a, b in zip(path, path[1:])}
 
 
 @given(tree_sentences())
@@ -71,13 +79,10 @@ def test_entity_graph_is_entity_plus_tree_neighbours(drawn):
 def test_induced_edges_are_the_tree_edges_inside(drawn, order):
     sentence, heads = drawn
     for sg in sentence_subgraphs(sentence, order).all():
-        local = np.argwhere(np.triu(sg.adjacency)).tolist()
-        edges = {(sg.vertices[a], sg.vertices[b]) for a, b in local}
-        assert edges == tree_edges(heads, sg.vertices)
-        assert len(edges) == len(local)
-        assert np.array_equal(sg.adjacency, sg.adjacency.T)
-        assert set(np.unique(sg.adjacency).tolist()) <= {0, 1}
-        assert not np.any(np.diag(sg.adjacency))
+        assert sg.edges.ndim == 2 and sg.edges.shape[1] == 2
+        edges = [(sg.vertices[a], sg.vertices[b]) for a, b in sg.edges.tolist()]
+        assert set(edges) == tree_edges(heads, sg.vertices)
+        assert len(edges) == len(set(edges))
 
 
 @given(st.lists(tree_sentences(), min_size=1, max_size=3), st.integers(0, 2), st.booleans())
@@ -92,3 +97,72 @@ def test_token_rows_name_the_same_sentence_token(batch, order, multi):
     assert [token_of_row[r] for r in token_rows] == unit_rows
     for distinct, graphs in zip(tokens, graph_sets):
         assert distinct == sorted({v for sg in graphs for v in sg.vertices})
+
+
+def batch_layout(batch, order, multi):
+    """A batch laid out as ``Model.forward`` does, plus the (sentence, token) of every vertex row."""
+    sentences = [sentence for sentence, _ in batch]
+    graph_sets = [
+        sgs.all() if multi else [sgs.sdp] for sgs in (sentence_subgraphs(s, order) for s in sentences)
+    ]
+    units = [sg for graphs in graph_sets for sg in graphs]
+    vertex_starts = np.cumsum([0] + [len(sg) for sg in units[:-1]])
+    tokens, token_rows = token_layout(graph_sets)
+    vertex_tokens = [
+        (s, v) for s, graphs in zip(sentences, graph_sets) for sg in graphs for v in sg.vertices
+    ]
+    return units, vertex_starts, list(zip(sentences, tokens)), token_rows, vertex_tokens
+
+
+batches = st.lists(tree_sentences(), min_size=1, max_size=3)
+
+
+@given(batches, st.integers(0, 2), st.booleans())
+def test_batched_pairs_equal_per_unit_dense_reference(batch, order, multi):
+    units, vertex_starts, _, _, _ = batch_layout(batch, order, multi)
+    pair_starts, pairs, dependents = attention_pairs(units, vertex_starts)
+    want_starts, want_pairs, want_dependents = [], [], []
+    for sg, first in zip(units, vertex_starts):
+        n = len(sg)
+        adjacency = np.zeros((n, n), dtype=np.int64)
+        adjacency[sg.edges[:, 0], sg.edges[:, 1]] = adjacency[sg.edges[:, 1], sg.edges[:, 0]] = 1
+        local = np.argwhere(adjacency + np.eye(n))
+        heads_of = {b: a for a, b in sg.edges.tolist()}
+        want_starts.append(np.searchsorted(local[:, 0], np.arange(n)) + sum(map(len, want_pairs)))
+        want_pairs.append(local + first)
+        want_dependents += [-1 if i == j else first + (j if heads_of.get(j) == i else i) for i, j in local]
+    np.testing.assert_array_equal(pair_starts, np.concatenate(want_starts))
+    np.testing.assert_array_equal(pairs, np.concatenate(want_pairs))
+    np.testing.assert_array_equal(dependents, want_dependents)
+
+
+@given(batches, st.integers(0, 2), st.booleans(), st.integers(1, 3))
+def test_dref_rows_and_ratios_equal_string_keyed_lookup(batch, order, multi, counted):
+    # the table counts only some sentences, so unseen triples occur too
+    table = build_dref_table([s for s, _ in batch[:counted]], d_e=2)
+    units, vertex_starts, sentence_tokens, token_rows, vertex_tokens = batch_layout(batch, order, multi)
+    _, pairs, dependents = attention_pairs(units, vertex_starts)
+    rows, ratios = dref_edge_features(sentence_tokens, token_rows, pairs, dependents, table)
+    want_rows, want_ratios = [], []
+    for i, j in pairs.tolist():
+        (s, u), (_, v) = vertex_tokens[i], vertex_tokens[j]
+        if u == v:
+            want_rows.append(DrefTable.SELF_ROW)
+            want_ratios.append(1.0)
+            continue
+        tok_u, tok_v = s.tokens[u], s.tokens[v]
+        dependent = tok_v if tok_v.head == u else tok_u
+        triple = (tok_u.pos, tok_v.pos, dependent.deprel)
+        want_rows.append(table.row_for(triple))
+        want_ratios.append(table.ratio_for(triple))
+    assert rows.tolist() == want_rows
+    assert ratios.tolist() == want_ratios
+
+
+@given(batches, st.integers(0, 2), st.booleans())
+def test_ctef_flags_the_entity_tokens_attended_from(batch, order, multi):
+    units, vertex_starts, sentence_tokens, token_rows, vertex_tokens = batch_layout(batch, order, multi)
+    _, pairs, dependents = attention_pairs(units, vertex_starts)
+    flags = edge_features(sentence_tokens, token_rows, pairs, dependents, "ctef", 1).value[:, 0]
+    want = [float(s.entity_token(v)) for s, v in (vertex_tokens[j] for j in pairs[:, 1])]
+    assert flags.tolist() == want
