@@ -10,16 +10,16 @@ tree edge, with corpus frequency ratios kept alongside. The
 connection-type kind (ctef) marks, per attention direction, whether the
 attended-from vertex is an entity token (all-ones) or not (all-zeros).
 
-Both are computed for a whole batch at once, as arrays aligned with the
-(center, neighbor) rows that ``attention_pairs`` lays out from the
-sub-graphs' edge arrays. dref codes every token's POS and deprel once,
-as the ``DrefTable``'s own ints, and looks every pair's triple up with
-one ``searchsorted``; ctef gathers the per-token entity mask that also
-picks the word-type rows.
+Both are arrays over a whole batch, aligned with the (center, neighbor)
+rows that ``attention_pairs`` lays out from the sub-graphs' edge arrays:
+dref looks every pair's triple up by the ``DrefTable``'s int codes, and
+ctef gathers the per-token entity mask of the word-type rows.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import hashlib
 import itertools
 from collections.abc import Sequence
@@ -27,7 +27,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import numerics as nm
-from .corpus import Sentence, Token, Vocabs
+from .corpus import Sentence, Vocabs
 from .graph import SubGraph
 
 __all__ = [
@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 EDGE_MODES = ("none", "dref", "ctef", "dref+ctef")
+
+# Each sentence of a batch with the indices of its tokens to encode, in row order.
+TokenLayout = Sequence[tuple[Sentence, Sequence[int]]]
 
 
 class FeatureError(ValueError):
@@ -205,11 +208,7 @@ class FeatureEmbeddings:
         }
 
 
-def encode_tokens(
-    sentences: list[tuple[Sentence, Sequence[int]]],
-    provider: EmbeddingProvider,
-    emb: FeatureEmbeddings,
-) -> list[nm.Node]:
+def encode_tokens(sentences: TokenLayout, provider: EmbeddingProvider, emb: FeatureEmbeddings) -> list[nm.Node]:
     """Input rows of the given tokens of each sentence, as two column blocks.
 
     ``sentences`` pairs each sentence with the indices of the tokens to
@@ -251,11 +250,11 @@ class DrefTable:
     matrix itself lives in the model; this table only maps triples to
     rows and keeps counts and frequency ratios.
 
-    ``row_for`` and ``ratio_for`` look one triple up by its strings. A
-    batch is looked up by int codes instead: the table numbers its own
-    symbols (``None`` included), ``codes`` gives each token's POS and
-    deprel code (-1 for a symbol it lacks), and ``lookup`` finds coded
-    triples among the sorted keys of its own with one ``searchsorted``.
+    A batch is looked up by int codes: the table numbers its own symbols
+    (``None`` included), ``codes`` gives a symbol's code (-1 for one it
+    lacks), and ``lookup`` finds coded triples among its sorted keys with
+    one ``searchsorted``. ``row_for`` and ``ratio_for`` look one triple up
+    by its strings, through dicts built on first use.
     """
 
     UNK_ROW = 0
@@ -268,15 +267,22 @@ class DrefTable:
         self.counts = dict(counts)
         self.total = total
         self.d_e = d_e
-        self.ratio = {t: c / total for t, c in self.counts.items()}
-        self.row = {t: i + self.RESERVED_ROWS for i, t in enumerate(self.counts)}
-        symbols = list(itertools.chain.from_iterable(self.counts))
-        self._code = {symbol: i for i, symbol in enumerate(dict.fromkeys(symbols))}
-        coded = np.fromiter(map(self._code.__getitem__, symbols), np.intp, len(symbols)).reshape(-1, 3)
-        keys = self._key(*coded.T)
+        code = collections.defaultdict(itertools.count().__next__)  # numbers a symbol at first sight
+        symbols = itertools.chain.from_iterable(self.counts)
+        coded = np.fromiter(map(code.__getitem__, symbols), np.intp, 3 * len(self.counts))
+        self._code = dict(code)
+        keys = self._key(*coded.reshape(-1, 3).T)
         order = np.argsort(keys)
         self._keys, self._rows = keys[order], order + self.RESERVED_ROWS
-        self._ratios = np.fromiter(self.ratio.values(), np.float64, len(keys))[order]
+        self._ratios = (np.fromiter(self.counts.values(), np.float64, len(keys)) / total)[order]
+
+    @functools.cached_property
+    def ratio(self) -> dict[tuple[str, str, str], float]:
+        return {t: c / self.total for t, c in self.counts.items()}
+
+    @functools.cached_property
+    def row(self) -> dict[tuple[str, str, str], int]:
+        return {t: i + self.RESERVED_ROWS for i, t in enumerate(self.counts)}
 
     @property
     def num_rows(self) -> int:
@@ -288,12 +294,8 @@ class DrefTable:
     def ratio_for(self, triple: tuple[str, str, str]) -> float:
         return self.ratio.get(triple, 1.0)
 
-    def codes(self, tokens: Sequence[Token]) -> tuple[np.ndarray, np.ndarray]:
-        code = self._code.get
-        return (
-            np.array([code(t.pos, -1) for t in tokens], dtype=np.intp),
-            np.array([code(t.deprel, -1) for t in tokens], dtype=np.intp),
-        )
+    def codes(self, symbols) -> np.ndarray:
+        return np.array([self._code.get(s, -1) for s in symbols], dtype=np.intp)
 
     def _key(self, head_pos, dependent_pos, deprel):
         n = len(self._code)
@@ -308,10 +310,7 @@ class DrefTable:
         return np.where(found, self._rows[at], self.UNK_ROW), np.where(found, self._ratios[at], 1.0)
 
     def to_json_dict(self) -> dict:
-        return {
-            "|".join(t): {"count": c, "ratio": self.ratio[t]}
-            for t, c in self.counts.items()
-        }
+        return {"|".join(t): {"count": c, "ratio": c / self.total} for t, c in self.counts.items()}
 
 
 def build_dref_table(train: list[Sentence], d_e: int = 40) -> DrefTable:
@@ -341,68 +340,54 @@ def build_dref_table(train: list[Sentence], d_e: int = 40) -> DrefTable:
 # The attention pairs of a batch and their edge features
 
 
-def attention_pairs(
-    graphs: Sequence[SubGraph], vertex_starts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pair layout of sub-graphs laid out back to back: pair starts, pairs and dependents.
+def attention_pairs(graphs: Sequence[SubGraph], vertex_starts: np.ndarray):
+    """Pair starts, (P, 2) pairs and dependents of sub-graphs laid out back to back.
 
     Graph u owns the vertex rows from ``vertex_starts[u]`` on. Its pairs
-    are every vertex with itself, plus each edge in both orientations,
-    as (center, neighbor) vertex rows; all pairs are sorted by center,
-    then neighbor, so the closed neighborhood of vertex row i is the
-    contiguous run of pairs from ``pair_starts[i]`` to the next start.
-    ``dependents[k]`` is the vertex row of pair k's dependent, -1 for a
-    self-loop.
+    are each vertex with itself and each edge in both orientations, as
+    (center, neighbor) vertex rows, sorted by center, then neighbor: the
+    closed neighborhood of vertex row i runs from ``pair_starts[i]`` to
+    the next start. ``dependents[k]`` is the vertex row of pair k's
+    dependent, -1 for a self-loop.
     """
     rows = int(vertex_starts[-1]) + len(graphs[-1])
-    sizes = [len(sg.edges) for sg in graphs]
-    edges = np.concatenate([sg.edges for sg in graphs]) + np.repeat(vertex_starts, sizes)[:, None]
-    head, dependent = edges[:, 0], edges[:, 1]
+    offsets = np.repeat(vertex_starts, [len(sg.edges) for sg in graphs])[:, None]
+    head, dependent = (np.concatenate([sg.edges for sg in graphs]) + offsets).T
     loops = np.arange(rows)
-    center = np.concatenate([loops, head, dependent])
-    neighbor = np.concatenate([loops, dependent, head])
+    center, neighbor = np.concatenate([loops, head, dependent]), np.concatenate([loops, dependent, head])
     order = np.argsort(center * rows + neighbor)
-    pairs = np.stack([center[order], neighbor[order]], axis=1)
-    dependents = np.concatenate([np.full(rows, -1), dependent, dependent])[order]
     degree = np.bincount(center, minlength=rows)
-    return np.cumsum(degree) - degree, pairs, dependents
+    dependents = np.concatenate([np.full(rows, -1), dependent, dependent])[order]
+    return np.cumsum(degree) - degree, np.stack([center[order], neighbor[order]], axis=1), dependents
 
 
-def entity_mask(sentences: Sequence[tuple[Sentence, Sequence[int]]]) -> np.ndarray:
+def entity_mask(sentences: TokenLayout) -> np.ndarray:
     """Whether each given token lies in an entity span, in ``encode_tokens`` row order."""
-    return np.array([s.entity_token(i) for s, indices in sentences for i in indices], dtype=bool)
+    index = np.fromiter(itertools.chain.from_iterable(indices for _, indices in sentences), np.intp)
+    spans = [(s.e1.start, s.e1.end, s.e2.start, s.e2.end) for s, _ in sentences]
+    a0, a1, b0, b1 = np.repeat(spans, [len(indices) for _, indices in sentences], axis=0).T
+    return ((a0 <= index) & (index <= a1)) | ((b0 <= index) & (index <= b1))
 
 
-def dref_edge_features(
-    sentences: Sequence[tuple[Sentence, Sequence[int]]],
-    token_rows: np.ndarray,
-    pairs: np.ndarray,
-    dependents: np.ndarray,
-    table: DrefTable,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The dref embedding row and frequency ratio of every pair, in pair order.
+def dref_edge_features(sentences: TokenLayout, token_rows, pairs, dependents, table: DrefTable):
+    """The dref embedding row and frequency ratio of every pair, as in ``edge_features``.
 
-    ``sentences`` and ``token_rows`` are the token layout of
-    ``encode_tokens``; pairs and dependents are vertex rows. The key for
-    pair (i, j) is (POS of i, POS of j, deprel of the pair's dependent);
-    unseen keys map to the fallback row and self-loops to the self-edge
-    row, both with ratio 1. A pair whose dependent's head is not the
-    other endpoint raises FeatureError naming the two tokens.
+    The key for pair (i, j) is (POS of i, POS of j, deprel of the pair's
+    dependent); unseen keys map to the fallback row and self-loops to the
+    self-edge row, both with ratio 1. A pair whose dependent's head is
+    not the other endpoint raises FeatureError naming the two tokens.
     """
     tokens = [s.tokens[i] for s, indices in sentences for i in indices]
     edge = dependents >= 0
     center, neighbor = token_rows[pairs[edge, 0]], token_rows[pairs[edge, 1]]
     dependent = token_rows[dependents[edge]]
-    other = center + neighbor - dependent
     index = np.array([t.index for t in tokens])
     head = np.array([-1 if t.head is None else t.head for t in tokens])
-    wrong = np.flatnonzero(head[dependent] != index[other])
+    wrong = np.flatnonzero(head[dependent] != index[center + neighbor - dependent])
     if wrong.size:
-        k = wrong[0]
-        raise FeatureError(
-            f"pair ({index[center[k]]},{index[neighbor[k]]}) is not an edge of the dependency tree"
-        )
-    pos, deprel = table.codes(tokens)
+        u, v = index[center[wrong[0]]], index[neighbor[wrong[0]]]
+        raise FeatureError(f"pair ({u},{v}) is not an edge of the dependency tree")
+    pos, deprel = table.codes(t.pos for t in tokens), table.codes(t.deprel for t in tokens)
     rows = np.full(len(pairs), DrefTable.SELF_ROW, dtype=np.intp)
     ratios = np.ones(len(pairs))
     rows[edge], ratios[edge] = table.lookup(pos[center], pos[neighbor], deprel[dependent])
@@ -410,29 +395,20 @@ def dref_edge_features(
 
 
 def edge_features(
-    sentences: Sequence[tuple[Sentence, Sequence[int]]],
-    token_rows: np.ndarray,
-    pairs: np.ndarray,
-    dependents: np.ndarray,
-    mode: str,
-    d_e: int,
-    table: DrefTable | None = None,
-    dref_embed: nm.Node | None = None,
-    scale_by_ratio: bool = False,
-    dtype=np.float64,
+    sentences: TokenLayout, token_rows: np.ndarray, pairs: np.ndarray, dependents: np.ndarray,
+    mode: str, d_e: int, table: DrefTable | None = None, dref_embed: nm.Node | None = None,
+    scale_by_ratio: bool = False, dtype=np.float64,
 ) -> nm.Node | None:
     """The (P, d_e) feature rows of a batch's pairs, or None when the mode has none.
 
-    The batch is laid out as in ``Model.forward``: the tokens of
-    ``sentences`` (the ``encode_tokens`` rows), the token row of every
-    vertex row, and the ``attention_pairs`` layout over vertex rows.
-    dref gathers each pair's row of ``dref_embed``, optionally scaled by
-    the triple's frequency ratio; ctef is an all-ones row where the
-    attended-from vertex j of pair (i, j) is an entity token (the mask
-    of the word-type rows) and zeros elsewhere, so the two orientations
-    of an edge differ when one end is an entity; the combined mode sums
-    both. The ratios and flags are constants of ``dtype``, which is that
-    of ``dref_embed``.
+    The batch is laid out as in ``Model.forward``: the ``encode_tokens``
+    rows of ``sentences``, the token row of every vertex row, and the
+    ``attention_pairs`` pairs and dependents over vertex rows. dref
+    gathers each pair's row of ``dref_embed``, optionally scaled by the
+    triple's frequency ratio; ctef is an all-ones row where the
+    attended-from vertex j of pair (i, j) is an entity token (the mask of
+    the word-type rows) and zeros elsewhere; the combined mode sums both.
+    The ratios and flags are constants of ``dtype``, that of ``dref_embed``.
     """
     if mode not in EDGE_MODES:
         raise FeatureError(f"unknown edge mode {mode!r}")

@@ -13,7 +13,7 @@ an edge's orientation from its row.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,19 +63,15 @@ class DependencyGraph:
             adj.sort()
         if edges != self.n - 1:
             raise GraphError(f"expected {self.n - 1} edges for a tree, found {edges}")
-        if self._reachable_from(0) != self.n:
+        if len(_expand(self, {0}, self.n)) != self.n:
             raise GraphError("dependency graph is not connected")
 
-    def _reachable_from(self, start: int) -> int:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in self.neighbors[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen)
+    def up_from(self, vertex: int) -> list[int]:
+        """The vertex and its heads up to the root."""
+        chain = [vertex]
+        while self.heads[chain[-1]] is not None:
+            chain.append(self.heads[chain[-1]])
+        return chain
 
     @classmethod
     def from_sentence(cls, sentence: Sentence) -> "DependencyGraph":
@@ -116,28 +112,13 @@ class SubGraphSet:
 
 
 def shortest_dependency_path(g: DependencyGraph, u: int, v: int) -> list[int]:
-    """The unique tree path from u to v, endpoints included."""
+    """The unique tree path from u to v, endpoints included: up to their lowest common head, down to v."""
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise GraphError(f"path endpoints {u},{v} out of range for {g.n} vertices")
-    if u == v:
-        return [u]
-    parent = {u: None}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        if x == v:
-            break
-        for y in g.neighbors[x]:
-            if y not in parent:
-                parent[y] = x
-                queue.append(y)
-    if v not in parent:
-        raise GraphError(f"no path between {u} and {v} (disconnected input)")
-    path = [v]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+    up_u, up_v = g.up_from(u), g.up_from(v)
+    on_v = set(up_v)
+    top = next(x for x in up_u if x in on_v)
+    return up_u[: up_u.index(top) + 1] + up_v[: up_v.index(top)][::-1]
 
 
 def _induced_subgraph(g: DependencyGraph, kind: str, vertex_set: set[int]) -> SubGraph:
@@ -149,22 +130,14 @@ def _induced_subgraph(g: DependencyGraph, kind: str, vertex_set: set[int]) -> Su
 
 def _expand(g: DependencyGraph, seed: set[int], hops: int) -> set[int]:
     """All vertices within undirected distance ``hops`` of the seed set."""
-    result = set(seed)
-    frontier = set(seed)
-    for _ in range(hops):
-        nxt = set()
-        for u in frontier:
-            for v in g.neighbors[u]:
-                if v not in result:
-                    nxt.add(v)
-        result |= nxt
-        frontier = nxt
+    result = frontier = set(seed)
+    while hops and frontier:
+        frontier = {v for u in frontier for v in g.neighbors[u]} - result
+        result, hops = result | frontier, hops - 1
     return result
 
 
-def derive_subgraphs(
-    g: DependencyGraph, e1: int, e2: int, expansion_order: int = 0
-) -> SubGraphSet:
+def derive_subgraphs(g: DependencyGraph, e1: int, e2: int, expansion_order: int = 0) -> SubGraphSet:
     """Cut the three per-sentence sub-graphs out of the dependency tree.
 
     The path graph holds the shortest path between the entity vertices,
@@ -186,9 +159,7 @@ def derive_subgraphs(
 
 def sentence_subgraphs(sentence: Sentence, expansion_order: int = 0) -> SubGraphSet:
     g = DependencyGraph.from_sentence(sentence)
-    return derive_subgraphs(
-        g, sentence.e1.head_token, sentence.e2.head_token, expansion_order
-    )
+    return derive_subgraphs(g, sentence.e1.head_token, sentence.e2.head_token, expansion_order)
 
 
 def subgraph_size_histograms(

@@ -38,8 +38,7 @@ autodiff nodes, independent of the vertex count and of the heads.
 
 A forward pass takes a batch of instances and runs it as one segment
 layout, the disjoint union of all their sub-graphs (PyG's mini-batching
-scheme). Everything in it is a plain array built before the first
-parameter is read:
+scheme), built as plain arrays before any parameter is read:
 
     units          every instance's sub-graphs, path graph first; G = 3B
                    in multi-graph mode, B in single mode
@@ -47,29 +46,26 @@ parameter is read:
                    its units' vertices: the rows of the token encoding
                    and of the input projection, so a token that several
                    sub-graphs share is encoded and projected once
-    token_rows     the token row of every vertex row: the BiLSTM
-                   gathers its projected gate pre-activations by it
-                   (the non-contextual variant its projection), and the
-                   edge features read each pair's tokens through it
-    graphs         vertex Segments, one per unit (``vertex_starts``):
-                   the sequences of the BiLSTM and the pooling groups
-    pairs          ``attention_pairs`` over all units at once, from their
-                   edge arrays: (P, 2) (center, neighbor) vertex rows
-                   and each pair's dependent row (-1 for a self-loop);
-                   their edge features are one (P, d_e) node
-    neighborhoods  pair Segments, one per center (``pair_starts``): the
-                   softmax and sum of every graph layer, and its
-                   lengths are the GCN degrees
-    sentences      unit Segments, one per instance: ``segment_sum``
-                   adds each instance's G/B pooled rows, to which the
-                   gathered e1/e2 rows of its path graph are added
+    token_rows     the token row of every vertex row, by which the
+                   BiLSTM gathers its gate pre-activations (the
+                   non-contextual variant its projection) and the edge
+                   features read each pair's tokens
+    graphs         vertex Segments, one per unit: the BiLSTM sequences
+                   and the pooling groups
+    pairs          ``attention_pairs`` of all units from their edge
+                   arrays: (P, 2) (center, neighbor) vertex rows and each
+                   pair's dependent row; edge features are (P, d_e)
+    neighborhoods  pair Segments, one per center: every graph layer's
+                   softmax and sum; their lengths are the GCN degrees
+    sentences      unit Segments, one per instance: its pooled rows are
+                   summed and its path graph's e1/e2 rows added
 
-The three ``Segments`` are validated once each, when built, and every
-op over the same rows shares them. So the autodiff graph has the same
-nodes whatever B is, and a single instance is a batch of one. Besides the logits, a forward hands back the
-diagnostics this layout already holds, as flat arrays: the pooling
-weight of every vertex row, each layer's (P, heads) attention weights,
-and the vertex and pair starts that cut them by unit and by center.
+Each ``Segments`` is validated once, when built. The autodiff graph has
+the same nodes whatever B is, and a single instance is a batch of one.
+Besides the logits, a forward hands back the diagnostics this layout
+already holds, as flat arrays: the pooling weight of every vertex row,
+each layer's (P, heads) attention weights, and the vertex and pair
+starts that cut them by unit and by center.
 
 The model's value dtype is a constructor argument, float32 by default:
 parameters, every constant a forward builds, activations and gradients
@@ -80,6 +76,7 @@ gradient checks and the numpy oracles build float64 models.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -290,17 +287,16 @@ def token_layout(graph_sets: list[list[SubGraph]]) -> tuple[list[list[int]], np.
     ``graph_sets[b]`` holds instance b's units. Its tokens are the sorted
     union of their vertices; token rows number them instance by instance,
     and the returned map gives, for each vertex of each unit in order,
-    the row of the same sentence token.
+    the row of the same sentence token. One ``np.unique`` over
+    (instance, vertex) keys finds both.
     """
-    tokens, rows = [], []
-    offset = 0
-    for graphs in graph_sets:
-        distinct = sorted({v for sg in graphs for v in sg.vertices})
-        row_of = {v: r for r, v in enumerate(distinct, start=offset)}
-        rows.extend(row_of[v] for sg in graphs for v in sg.vertices)
-        tokens.append(distinct)
-        offset += len(distinct)
-    return tokens, np.array(rows, dtype=np.intp)
+    sizes = [sum(map(len, graphs)) for graphs in graph_sets]
+    vertices = np.fromiter(itertools.chain.from_iterable(sg.vertices for gs in graph_sets for sg in gs), np.intp)
+    width = int(vertices.max()) + 1
+    keys, token_rows = np.unique(np.repeat(np.arange(len(sizes)) * width, sizes) + vertices, return_inverse=True)
+    instance, tokens = np.divmod(keys, width)
+    bounds = np.searchsorted(instance, np.arange(len(sizes) + 1))
+    return [tokens[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])], token_rows
 
 
 def gat_attention(
@@ -339,11 +335,7 @@ def gat_vertex_update(
 
 
 def gcn_vertex_update(
-    h: nm.Node,
-    neighborhoods: nm.Segments,
-    pairs: np.ndarray,
-    w_g: nm.Node,
-    efeat: nm.Node | None = None,
+    h: nm.Node, neighborhoods: nm.Segments, pairs: np.ndarray, w_g: nm.Node, efeat: nm.Node | None = None
 ) -> nm.Node:
     """Symmetric degree-normalized aggregation over [h_j | e_ij], self-loops in.
 

@@ -16,12 +16,9 @@ stays small enough to audit by hand.
 
 Graph neighborhoods are contiguous row segments: ``segment_sum`` adds
 the rows of each segment and ``segment_softmax`` normalizes within each
-segment. Both take a ``Segments``, which holds the first row of every
-segment, the segment lengths and the segment id of every row, checked
-once when it is built; an op only checks that its input has the
-segments' row count. A forward builds one per layout (vertices, pairs,
-instances) and every op over that layout shares it. A graph layer is
-then a fixed handful of nodes whatever the vertex count.
+segment of a ``Segments``: the segments' starts, lengths and row ids,
+validated once when built and shared by every op over the same rows. A
+graph layer is then a fixed handful of nodes whatever the vertex count.
 ``gather_rows`` selects rows by index, duplicates allowed; its backward
 is the engine's one scatter-add, a single ``bincount`` that sums the
 gradient rows of every index.
@@ -387,11 +384,12 @@ class Segments:
 
     def __init__(self, starts, rows: int):
         starts = np.asarray(starts, dtype=np.intp)
-        if starts.ndim != 1 or not starts.size or starts[0] or np.any(np.diff(starts) <= 0) or starts[-1] >= rows:
+        valid = starts.ndim == 1 and starts.size and starts[0] == 0
+        lengths = np.concatenate((starts[1:], [rows])) - starts if valid else None
+        if not valid or lengths.min() <= 0:
             raise ShapeMismatch(f"segment starts {starts.tolist()} do not split {rows} rows")
-        self.starts, self.rows = starts, rows
-        self.lengths = np.diff(starts, append=rows)
-        self.ids = np.repeat(np.arange(starts.size), self.lengths)
+        self.starts, self.rows, self.lengths = starts, rows, lengths
+        self.ids = np.repeat(np.arange(starts.size), lengths)
 
 
 def _check_rows(op: str, x: Node, segments: Segments) -> None:

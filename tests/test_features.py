@@ -73,7 +73,7 @@ class TestDrefTable:
         counts = {(None, "NOUN", "dep"): 2, ("NOUN", None, None): 1, ("NOUN", "NOUN", "dep"): 1}
         table = DrefTable(counts, 4, d_e=2)
         tokens = [Token(0, "a"), Token(1, "b", pos="NOUN", deprel="dep"), Token(2, "c", pos="X", deprel="amod")]
-        pos, deprel = table.codes(tokens)
+        pos, deprel = table.codes(t.pos for t in tokens), table.codes(t.deprel for t in tokens)
         assert pos[2] == deprel[2] == -1
         head, dependent = [0, 1, 1, 2, 1, 0], [1, 0, 1, 1, 1, 0]
         rows, ratios = table.lookup(pos[head], pos[dependent], deprel[dependent])
