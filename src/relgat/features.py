@@ -250,11 +250,10 @@ class DrefTable:
     matrix itself lives in the model; this table only maps triples to
     rows and keeps counts and frequency ratios.
 
-    A batch is looked up by int codes: the table numbers its own symbols
-    (``None`` included), ``codes`` gives a symbol's code (-1 for one it
-    lacks), and ``lookup`` finds coded triples among its sorted keys with
-    one ``searchsorted``. ``row_for`` and ``ratio_for`` look one triple up
-    by its strings, through dicts built on first use.
+    A batch is looked up by the table's own int codes of its symbols
+    (``None`` included; -1 for one it lacks) with one ``searchsorted``
+    over its sorted triple keys; ``row_for`` and ``ratio_for`` look one
+    triple up by its strings, through dicts built on first use.
     """
 
     UNK_ROW = 0
@@ -297,20 +296,23 @@ class DrefTable:
     def codes(self, symbols) -> np.ndarray:
         return np.array([self._code.get(s, -1) for s in symbols], dtype=np.intp)
 
-    def _key(self, head_pos, dependent_pos, deprel):
+    def _key(self, pos_i, pos_j, deprel):
         n = len(self._code)
-        return (head_pos * n + dependent_pos) * n + deprel
+        return (pos_i * n + pos_j) * n + deprel
 
-    def lookup(self, head_pos, dependent_pos, deprel) -> tuple[np.ndarray, np.ndarray]:
-        """The rows and ratios of coded triples: UNK_ROW and 1 for one the table lacks."""
-        known = (head_pos >= 0) & (dependent_pos >= 0) & (deprel >= 0)
-        keys = np.where(known, self._key(head_pos, dependent_pos, deprel), -1)
+    def lookup(self, pos_i, pos_j, deprel) -> tuple[np.ndarray, np.ndarray]:
+        """The rows and ratios of coded (POS, POS, deprel) triples: UNK_ROW and 1 for one the table lacks."""
+        known = (pos_i >= 0) & (pos_j >= 0) & (deprel >= 0)
+        keys = np.where(known, self._key(pos_i, pos_j, deprel), -1)
         at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
         found = self._keys[at] == keys
         return np.where(found, self._rows[at], self.UNK_ROW), np.where(found, self._ratios[at], 1.0)
 
     def to_json_dict(self) -> dict:
-        return {"|".join(t): {"count": c, "ratio": c / self.total} for t, c in self.counts.items()}
+        return {
+            "|".join(t): {"count": c, "ratio": c / self.total}
+            for t, c in self.counts.items()
+        }
 
 
 def build_dref_table(train: list[Sentence], d_e: int = 40) -> DrefTable:
@@ -343,12 +345,11 @@ def build_dref_table(train: list[Sentence], d_e: int = 40) -> DrefTable:
 def attention_pairs(graphs: Sequence[SubGraph], vertex_starts: np.ndarray):
     """Pair starts, (P, 2) pairs and dependents of sub-graphs laid out back to back.
 
-    Graph u owns the vertex rows from ``vertex_starts[u]`` on. Its pairs
-    are each vertex with itself and each edge in both orientations, as
-    (center, neighbor) vertex rows, sorted by center, then neighbor: the
-    closed neighborhood of vertex row i runs from ``pair_starts[i]`` to
-    the next start. ``dependents[k]`` is the vertex row of pair k's
-    dependent, -1 for a self-loop.
+    Graph u owns the vertex rows from ``vertex_starts[u]`` on. Its pairs,
+    each vertex with itself and each edge both ways, are (center,
+    neighbor) vertex rows sorted by center, then neighbor, from
+    ``pair_starts[i]`` for center i; ``dependents`` holds the vertex row
+    of each pair's dependent, -1 for a self-loop.
     """
     rows = int(vertex_starts[-1]) + len(graphs[-1])
     offsets = np.repeat(vertex_starts, [len(sg.edges) for sg in graphs])[:, None]

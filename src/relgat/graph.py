@@ -137,7 +137,9 @@ def _expand(g: DependencyGraph, seed: set[int], hops: int) -> set[int]:
     return result
 
 
-def derive_subgraphs(g: DependencyGraph, e1: int, e2: int, expansion_order: int = 0) -> SubGraphSet:
+def derive_subgraphs(
+    g: DependencyGraph, e1: int, e2: int, expansion_order: int = 0
+) -> SubGraphSet:
     """Cut the three per-sentence sub-graphs out of the dependency tree.
 
     The path graph holds the shortest path between the entity vertices,
@@ -159,7 +161,9 @@ def derive_subgraphs(g: DependencyGraph, e1: int, e2: int, expansion_order: int 
 
 def sentence_subgraphs(sentence: Sentence, expansion_order: int = 0) -> SubGraphSet:
     g = DependencyGraph.from_sentence(sentence)
-    return derive_subgraphs(g, sentence.e1.head_token, sentence.e2.head_token, expansion_order)
+    return derive_subgraphs(
+        g, sentence.e1.head_token, sentence.e2.head_token, expansion_order
+    )
 
 
 def subgraph_size_histograms(

@@ -481,9 +481,7 @@ class Model:
 
     # -- forward --------------------------------------------------------------
 
-    def _context_encode(
-        self, x: list[nm.Node], graphs: nm.Segments, token_rows: np.ndarray
-    ) -> nm.Node:
+    def _context_encode(self, x: list[nm.Node], graphs: nm.Segments, token_rows: np.ndarray) -> nm.Node:
         if self.config.contextual:
             return bilstm_encode(x, graphs, self.lstm, token_rows)
         projected = input_projection(x, self.proj_w_ctx, self.proj_w_feat, self.proj_b)

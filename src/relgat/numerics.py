@@ -375,11 +375,9 @@ def softmax(x: Node, axis: int) -> Node:
 
 
 class Segments:
-    """Contiguous, non-empty row segments of a matrix of ``rows`` rows, validated once.
+    """Contiguous, non-empty row segments of ``rows`` rows: ``starts``, ``lengths`` and row ``ids``.
 
-    ``starts`` holds each segment's first row, ascending from 0, ``lengths``
-    its row count and ``ids`` the segment of every row. Starts that do not
-    split the rows raise ShapeMismatch naming them and the row count.
+    Starts that do not split the rows raise ShapeMismatch naming them and the row count.
     """
 
     def __init__(self, starts, rows: int):
