@@ -9,11 +9,8 @@ a trainable vector on the (POS, POS, deprel) triple of the underlying
 tree edge, with corpus frequency ratios kept alongside. The
 connection-type kind (ctef) marks, per attention direction, whether the
 attended-from vertex is an entity token (all-ones) or not (all-zeros).
-
 Both are arrays over a whole batch, aligned with the (center, neighbor)
-rows that ``attention_pairs`` lays out from the sub-graphs' edge arrays:
-dref looks every pair's triple up by the ``DrefTable``'s int codes, and
-ctef gathers the per-token entity mask of the word-type rows.
+rows that ``attention_pairs`` lays out from the sub-graphs' edge arrays.
 """
 
 from __future__ import annotations

@@ -4,16 +4,14 @@ A parsed sentence yields an undirected tree over its tokens. Three
 sub-graphs are cut out of it: the shortest path between the two entity
 head tokens (optionally grown by one or two hops for the graph-size
 sweep) and one first-order neighborhood graph per entity. A sub-graph
-keeps its edges as an (E, 2) array of local (head, dependent) vertex
-positions, one row per tree edge with both ends inside it (PyG's
-``edge_index``, oriented). Message passing is undirected: the attention
-layout takes every edge in both orientations, and the dref features read
-an edge's orientation from its row.
+keeps its tree edges as (head, dependent) rows of local positions (PyG's
+``edge_index``); the attention layout takes each edge both ways, and the
+dref features read its orientation from the row.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +61,13 @@ class DependencyGraph:
             adj.sort()
         if edges != self.n - 1:
             raise GraphError(f"expected {self.n - 1} edges for a tree, found {edges}")
-        if len(_expand(self, {0}, self.n)) != self.n:
+        seen, queue = {0}, deque([0])
+        while queue:
+            for v in self.neighbors[queue.popleft()]:
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        if len(seen) != self.n:
             raise GraphError("dependency graph is not connected")
 
     def up_from(self, vertex: int) -> list[int]:
@@ -84,10 +88,9 @@ class DependencyGraph:
 class SubGraph:
     """An induced sub-graph with vertices in ascending sentence order.
 
-    ``edges`` is the (E, 2) array of its tree edges over local vertex
-    positions: row (a, b) says that the token at b depends on the token
-    at a. Each tree edge with both ends inside appears once, ordered by
-    dependent.
+    ``edges`` holds each tree edge with both ends inside once, as an (E, 2)
+    row (a, b) of local positions, ordered by b: the token at b depends on
+    the token at a.
     """
 
     kind: str
@@ -132,8 +135,9 @@ def _expand(g: DependencyGraph, seed: set[int], hops: int) -> set[int]:
     """All vertices within undirected distance ``hops`` of the seed set."""
     result = frontier = set(seed)
     while hops and frontier:
-        frontier = {v for u in frontier for v in g.neighbors[u]} - result
-        result, hops = result | frontier, hops - 1
+        frontier = {v for u in frontier for v in g.neighbors[u] if v not in result}
+        result |= frontier
+        hops -= 1
     return result
 
 

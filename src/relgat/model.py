@@ -287,8 +287,7 @@ def token_layout(graph_sets: list[list[SubGraph]]) -> tuple[list[list[int]], np.
     ``graph_sets[b]`` holds instance b's units. Its tokens are the sorted
     union of their vertices; token rows number them instance by instance,
     and the returned map gives, for each vertex of each unit in order,
-    the row of the same sentence token. One ``np.unique`` over
-    (instance, vertex) keys finds both.
+    the row of the same sentence token.
     """
     sizes = [sum(map(len, graphs)) for graphs in graph_sets]
     vertices = np.fromiter(itertools.chain.from_iterable(sg.vertices for gs in graph_sets for sg in gs), np.intp)
