@@ -361,10 +361,7 @@ def attention_pairs(graphs: Sequence[SubGraph], vertex_starts: np.ndarray):
 
 def entity_mask(sentences: TokenLayout) -> np.ndarray:
     """Whether each given token lies in an entity span, in ``encode_tokens`` row order."""
-    index = np.fromiter(itertools.chain.from_iterable(indices for _, indices in sentences), np.intp)
-    spans = [(s.e1.start, s.e1.end, s.e2.start, s.e2.end) for s, _ in sentences]
-    a0, a1, b0, b1 = np.repeat(spans, [len(indices) for _, indices in sentences], axis=0).T
-    return ((a0 <= index) & (index <= a1)) | ((b0 <= index) & (index <= b1))
+    return np.array([s.entity_token(i) for s, indices in sentences for i in indices], dtype=bool)
 
 
 def dref_edge_features(sentences: TokenLayout, token_rows, pairs, dependents, table: DrefTable):

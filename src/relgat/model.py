@@ -76,7 +76,6 @@ gradient checks and the numpy oracles build float64 models.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -289,13 +288,15 @@ def token_layout(graph_sets: list[list[SubGraph]]) -> tuple[list[list[int]], np.
     and the returned map gives, for each vertex of each unit in order,
     the row of the same sentence token.
     """
-    sizes = [sum(map(len, graphs)) for graphs in graph_sets]
-    vertices = np.fromiter(itertools.chain.from_iterable(sg.vertices for gs in graph_sets for sg in gs), np.intp)
-    width = int(vertices.max()) + 1
-    keys, token_rows = np.unique(np.repeat(np.arange(len(sizes)) * width, sizes) + vertices, return_inverse=True)
-    instance, tokens = np.divmod(keys, width)
-    bounds = np.searchsorted(instance, np.arange(len(sizes) + 1))
-    return [tokens[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])], token_rows
+    tokens, rows = [], []
+    offset = 0
+    for graphs in graph_sets:
+        distinct = sorted({v for sg in graphs for v in sg.vertices})
+        row_of = {v: r for r, v in enumerate(distinct, start=offset)}
+        rows.extend(row_of[v] for sg in graphs for v in sg.vertices)
+        tokens.append(distinct)
+        offset += len(distinct)
+    return tokens, np.array(rows, dtype=np.intp)
 
 
 def gat_attention(
