@@ -6,6 +6,11 @@ a relation line; it has no syntactic annotation. The annotated CoNLL-U
 format is the canonical path: a 10-column body plus ``# e1 = START END``,
 ``# e2 = START END`` and optional ``# label = ...`` / ``# id = ...``
 comments, with NER types carried in MISC as ``NER=TYPE``.
+
+The rule that a parse's heads form one rooted tree is stated once, in
+``tree_error``. ``Sentence.validate``, which both parsers call, applies
+it; the CoNLL-U parser itself checks only what names a line (integer
+ID and HEAD, contiguous IDs, HEAD in 0..n).
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ __all__ = [
     "to_conllu",
     "build_vocabs",
     "entity_head_token",
+    "tree_error",
 ]
 
 RELATION_BASES = (
@@ -154,14 +160,42 @@ class Sentence:
         if self.e1.start <= self.e2.end and self.e2.start <= self.e1.end:
             raise CorpusError(f"{where}: overlapping entity spans")
         if self.parsed:
-            roots = [t.index for t in self.tokens if t.head is None]
-            if len(roots) != 1:
-                raise CorpusError(f"{where}: expected one root, found {len(roots)}")
-            for t in self.tokens:
-                if t.head is not None and not 0 <= t.head < n:
-                    raise CorpusError(f"{where}: token {t.index} head {t.head} out of range")
-                if t.head == t.index:
-                    raise CorpusError(f"{where}: token {t.index} is its own head")
+            problem = tree_error([t.head for t in self.tokens])
+            if problem is not None:
+                raise CorpusError(f"{where}: {problem}")
+
+
+def tree_error(heads: list[int | None]) -> str | None:
+    """What keeps ``heads`` from forming one rooted tree, or None if nothing.
+
+    ``heads[i]`` is token i's head and None marks the root. The rule:
+    exactly one root, every other head a token in range other than the
+    token itself, and no cycle, so that following heads from any token
+    reaches the root. ``Sentence.validate`` and ``DependencyGraph`` both
+    apply it. O(n): each walk stops at the first token an earlier walk
+    reached, and every earlier walk reached the root.
+    """
+    n = len(heads)
+    roots = [i for i, h in enumerate(heads) if h is None]
+    if not roots:
+        return "no root token"
+    if len(roots) > 1:
+        return f"multiple roots (tokens {', '.join(map(str, roots))})"
+    for i, h in enumerate(heads):
+        if h is not None and not 0 <= h < n:
+            return f"token {i} head {h} out of range"
+        if h == i:
+            return f"token {i} is its own head"
+    walk_of = [0] * n  # 1 + the start of the walk that first reached each token
+    walk_of[roots[0]] = -1
+    for start in range(n):
+        v = start
+        while not walk_of[v]:
+            walk_of[v] = start + 1
+            v = heads[v]
+        if walk_of[v] == start + 1:  # the walk came back to itself
+            return f"head cycle involving token {v}"
+    return None
 
 
 def entity_head_token(tokens: list[Token], start: int, end: int) -> int:
@@ -350,7 +384,6 @@ def _parse_conllu_block(block: list[tuple[int, str]], position: int) -> Sentence
     n = len(rows)
     if n < 2:
         raise CorpusError(f"{where}: single-token sentences are rejected")
-    root_count = 0
     for expected, (lineno, cols) in enumerate(rows, start=1):
         try:
             token_id = int(cols[0])
@@ -361,10 +394,6 @@ def _parse_conllu_block(block: list[tuple[int, str]], position: int) -> Sentence
             raise CorpusError(f"{where}: non-contiguous token IDs at line {lineno}")
         if not 0 <= head <= n:
             raise CorpusError(f"{where}: HEAD {head} out of range at line {lineno}")
-        if head == token_id:
-            raise CorpusError(f"{where}: token {token_id} is its own head")
-        if head == 0:
-            root_count += 1
         misc = cols[9]
         ner = None
         if misc != "_":
@@ -381,11 +410,6 @@ def _parse_conllu_block(block: list[tuple[int, str]], position: int) -> Sentence
                 head=None if head == 0 else head - 1,
             )
         )
-    if root_count == 0:
-        raise CorpusError(f"{where}: no root token")
-    if root_count > 1:
-        raise CorpusError(f"{where}: multiple roots")
-    _check_tree(tokens, where)
 
     spans = {}
     for name in ("e1", "e2"):
@@ -412,19 +436,6 @@ def _parse_conllu_block(block: list[tuple[int, str]], position: int) -> Sentence
     sentence = Sentence(tokens, spans["e1"], spans["e2"], label, instance_id)
     sentence.validate()
     return sentence
-
-
-def _check_tree(tokens: list[Token], where: str) -> None:
-    """Reject head cycles: every token must reach the root in <= n steps."""
-    n = len(tokens)
-    for t in tokens:
-        steps = 0
-        head = t.head
-        while head is not None:
-            head = tokens[head].head
-            steps += 1
-            if steps > n:
-                raise CorpusError(f"{where}: head cycle involving token {t.index}")
 
 
 def to_conllu(sentence: Sentence) -> str:

@@ -7,16 +7,21 @@ sweep) and one first-order neighborhood graph per entity. A sub-graph
 keeps its tree edges as (head, dependent) rows of local positions (PyG's
 ``edge_index``); the attention layout takes each edge both ways, and the
 dref features read its orientation from the row.
+
+``DependencyGraph`` accepts only heads that form one rooted tree, by
+``corpus.tree_error``, the same rule ``Sentence.validate`` applies to
+parsed input. It checks on every construction, so a hand-built sentence
+that never went through a parser cannot loop ``up_from``.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Sentence
+from .corpus import Sentence, tree_error
 
 __all__ = [
     "GraphError",
@@ -45,30 +50,18 @@ class DependencyGraph:
     """Undirected view of a dependency tree, with the head relation kept."""
 
     def __init__(self, heads: list[int | None]):
+        problem = tree_error(heads)
+        if problem is not None:
+            raise GraphError(problem)
         self.n = len(heads)
         self.heads = list(heads)
         self.neighbors: list[list[int]] = [[] for _ in range(self.n)]
-        edges = 0
         for child, head in enumerate(heads):
-            if head is None:
-                continue
-            if not 0 <= head < self.n or head == child:
-                raise GraphError(f"invalid head {head} for vertex {child}")
-            self.neighbors[child].append(head)
-            self.neighbors[head].append(child)
-            edges += 1
+            if head is not None:
+                self.neighbors[child].append(head)
+                self.neighbors[head].append(child)
         for adj in self.neighbors:
             adj.sort()
-        if edges != self.n - 1:
-            raise GraphError(f"expected {self.n - 1} edges for a tree, found {edges}")
-        seen, queue = {0}, deque([0])
-        while queue:
-            for v in self.neighbors[queue.popleft()]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        if len(seen) != self.n:
-            raise GraphError("dependency graph is not connected")
 
     def up_from(self, vertex: int) -> list[int]:
         """The vertex and its heads up to the root."""

@@ -6,7 +6,10 @@ import pytest
 
 from relgat.corpus import (
     CorpusError,
+    EntitySpan,
     RelationLabel,
+    Sentence,
+    Token,
     Vocab,
     all_labels,
     build_vocabs,
@@ -159,6 +162,17 @@ class TestConlluFormat:
         rows = [("a", "X", 3, "dep"), ("b", "X", 1, "dep"), ("c", "X", 2, "dep"), ("r", "X", 0, "root")]
         with pytest.raises(CorpusError):
             parse_conllu_annotated(conllu_block(0, rows, (0, 0), (1, 1)))
+
+    def test_hand_built_head_cycle_fails_validate(self):
+        # 0 -> 2 -> 1 -> 0 under the root 3: one root, every head in range
+        heads = [2, 0, 1, None]
+        tokens = [Token(i, w, "X", "_", "dep", h) for i, (w, h) in enumerate(zip("abcr", heads))]
+        sentence = Sentence(tokens, EntitySpan(0, 0), EntitySpan(3, 3), instance_id=8)
+        with pytest.raises(CorpusError) as err:
+            sentence.validate()
+        message = str(err.value)
+        assert message.startswith("instance 8: head cycle involving token ")
+        assert int(message.rsplit(" ", 1)[1]) in (0, 1, 2)
 
     def test_ner_parsed_from_misc(self):
         (s,) = parse_conllu_annotated(POLLEN_CONLLU)

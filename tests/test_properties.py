@@ -1,12 +1,21 @@
-"""Property tests: sub-graph invariants, the token map and the batched pair layout on random trees."""
+"""Property tests: the tree rule, sub-graph invariants, the token map and the batched pair layout."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relgat.corpus import parse_conllu_annotated
+from relgat.corpus import (
+    CorpusError,
+    EntitySpan,
+    Sentence,
+    Token,
+    parse_conllu_annotated,
+    to_conllu,
+    tree_error,
+)
 from relgat.features import DrefTable, attention_pairs, build_dref_table, dref_edge_features, edge_features
-from relgat.graph import sentence_subgraphs
+from relgat.graph import DependencyGraph, GraphError, sentence_subgraphs
 from relgat.model import token_layout
 from conftest import brute_force_path, conllu_block
 
@@ -166,3 +175,72 @@ def test_ctef_flags_the_entity_tokens_attended_from(batch, order, multi):
     flags = edge_features(sentence_tokens, token_rows, pairs, dependents, "ctef", 1).value[:, 0]
     want = [float(s.entity_token(v)) for s, v in (vertex_tokens[j] for j in pairs[:, 1])]
     assert flags.tolist() == want
+
+
+@st.composite
+def head_lists(draw):
+    """Heads of 2..8 tokens: one root and any other heads, or a tree with up to two heads redrawn.
+
+    The first kind is mostly cycles (no token heads itself there). A
+    redrawn head becomes None (a second root), the token itself, out of
+    range, or any token (no root left when it is the root's, a cycle
+    when it is a descendant). -1 is not drawn: CoNLL-U writes it as
+    HEAD 0, the root.
+    """
+    n = draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        heads = [(v + draw(st.integers(1, n - 1))) % n for v in range(n)]
+        heads[draw(st.integers(0, n - 1))] = None
+        return heads
+    order = draw(st.permutations(range(n)))  # order[0] is the root
+    heads = [None] * n
+    for i in range(1, n):
+        heads[order[i]] = order[draw(st.integers(0, i - 1))]
+    for kind in draw(st.lists(st.sampled_from(["root", "self", "range", "token"]), max_size=2)):
+        v = draw(st.integers(0, n - 1))
+        if kind == "root":
+            heads[v] = None
+        elif kind == "self":
+            heads[v] = v
+        elif kind == "range":
+            heads[v] = draw(st.sampled_from([-2, n]))
+        else:
+            heads[v] = draw(st.integers(0, n - 1))
+    return heads
+
+
+def is_rooted_tree(heads):
+    """Brute force: from every token, following heads reaches the single root within n steps."""
+    n = len(heads)
+    roots = [i for i, h in enumerate(heads) if h is None]
+    if len(roots) != 1:
+        return False
+    for v in range(n):
+        for _ in range(n):
+            if v == roots[0] or not 0 <= v < n:
+                break
+            v = heads[v]
+        if v != roots[0]:
+            return False
+    return True
+
+
+@given(head_lists())
+def test_every_tree_check_accepts_exactly_the_rooted_trees(heads):
+    n = len(heads)
+    tokens = [Token(i, f"w{i}", "X", "_", "root" if h is None else "dep", h) for i, h in enumerate(heads)]
+    sentence = Sentence(tokens, EntitySpan(0, 0), EntitySpan(n - 1, n - 1), instance_id=5)
+    if is_rooted_tree(heads):
+        assert tree_error(heads) is None
+        sentence.validate()
+        assert DependencyGraph(heads).heads == heads
+        (parsed,) = parse_conllu_annotated(to_conllu(sentence))
+        assert [t.head for t in parsed.tokens] == heads
+    else:
+        assert tree_error(heads) is not None
+        with pytest.raises(CorpusError, match="^instance 5: "):
+            sentence.validate()
+        with pytest.raises(GraphError):
+            DependencyGraph(heads)
+        with pytest.raises(CorpusError, match="^instance 5: "):
+            parse_conllu_annotated(to_conllu(sentence))
