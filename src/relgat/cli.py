@@ -1,9 +1,10 @@
 """Command-line entry point: prepare, train, eval, predict, stats.
 
 Settings come from an optional key=value config file overridden by
-flags. Exit codes: 0 success, 1 runtime failure, 2 usage or config
-error. All JSON outputs are UTF-8 with sorted keys so reruns are
-byte-identical.
+flags. Every config key is also a ``--key-name`` flag, whose value is
+parsed and checked exactly like the file's. Exit codes: 0 success, 1
+runtime failure, 2 usage or config error. All JSON outputs are UTF-8
+with sorted keys so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass, fields
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import CorpusError, build_vocabs, parse_conllu_annotated
-from .features import EDGE_MODES, FileEmbeddingProvider, HashedEmbeddingProvider, build_dref_table
+from .features import FileEmbeddingProvider, HashedEmbeddingProvider, build_dref_table
 from .graph import sentence_subgraphs, subgraph_size_histograms
-from .model import GRAPH_LAYERS, GRAPH_MODES, ConfigError, ModelConfig
+from .model import ConfigError, ModelConfig
 from .train_eval import (
     SpanBuckets,
     TrainerConfig,
@@ -56,17 +57,18 @@ _BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": Fals
 
 
 def _parse_value(key: str, raw: str):
+    """A flag's or config file's string value as its key's type; the error names the key."""
     kind = _KEY_TYPES[key]
     if kind is bool:
         low = raw.strip().lower()
         if low not in _BOOL_STRINGS:
-            raise UsageError(f"config key {key}: expected a boolean, got {raw!r}")
+            raise UsageError(f"{key}: expected a boolean, got {raw!r}")
         return _BOOL_STRINGS[low]
     if kind in (int, float):
         try:
             return kind(raw)
         except ValueError:
-            raise UsageError(f"config key {key}: bad value {raw!r}") from None
+            raise UsageError(f"{key}: expected {kind.__name__}, got {raw!r}") from None
     return raw.strip()
 
 
@@ -101,32 +103,22 @@ class RunConfig:
 
     @classmethod
     def merge(cls, args: argparse.Namespace) -> "RunConfig":
-        file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
+        """Config-file values overridden by flags, both parsed by ``_parse_value``.
 
-        def pick(key, fallback):
-            flag = getattr(args, key, None)
-            if flag is not None:
-                return flag
-            return file_values.get(key, fallback)
-
+        The config dataclasses' own checks are the only range checks.
+        """
+        values = _read_config_file(args.config) if args.config else {}
+        for key in _KEY_TYPES:
+            raw = getattr(args, key, None)
+            if raw is not None:
+                values[key] = _parse_value(key, raw)
         try:
-            model = ModelConfig(
-                **{k: pick(k, getattr(ModelConfig(), k)) for k in _MODEL_KEYS}
-            )
-            trainer = TrainerConfig(
-                **{k: pick(k, getattr(TrainerConfig(), k)) for k in _TRAINER_KEYS}
-            )
+            model = ModelConfig(**{k: values[k] for k in _MODEL_KEYS if k in values})
+            trainer = TrainerConfig(**{k: values[k] for k in _TRAINER_KEYS if k in values})
         except (ConfigError, ValueError) as exc:
             raise UsageError(str(exc)) from None
-        return cls(
-            model=model,
-            trainer=trainer,
-            train=pick("train", None),
-            test=pick("test", None),
-            embeddings=pick("embeddings", None),
-            out_dir=pick("out_dir", None),
-            embedding_seed=pick("embedding_seed", 0),
-        )
+        paths = {k: values.get(k) for k in _PATH_KEYS}
+        return cls(model, trainer, **paths, embedding_seed=values.get("embedding_seed", 0))
 
 
 @contextlib.contextmanager
@@ -156,28 +148,26 @@ def _load_corpus(path: str | None, what: str):
     return sentences
 
 
+def _provider(embeddings: str | None, dim: int, seed: int):
+    """Vectors from the ``embeddings`` file if one is given, else hashed ones."""
+    if embeddings:
+        if not os.path.exists(embeddings):
+            raise UsageError(f"embeddings file not found: {embeddings}")
+        return FileEmbeddingProvider.from_path(embeddings, dim)
+    return HashedEmbeddingProvider(dim, seed)
+
+
 def _make_provider(run: RunConfig):
-    if run.embeddings:
-        if not os.path.exists(run.embeddings):
-            raise UsageError(f"embeddings file not found: {run.embeddings}")
-        return FileEmbeddingProvider.from_path(run.embeddings, run.model.d_ctx), {
-            "kind": "file",
-            "dim": run.model.d_ctx,
-        }
-    info = {"kind": "hashed", "dim": run.model.d_ctx, "seed": run.embedding_seed}
-    return HashedEmbeddingProvider(run.model.d_ctx, run.embedding_seed), info
+    dim, seed = run.model.d_ctx, run.embedding_seed
+    info = {"kind": "file", "dim": dim} if run.embeddings else {"kind": "hashed", "dim": dim, "seed": seed}
+    return _provider(run.embeddings, dim, seed), info
 
 
 def _provider_for_checkpoint(model, embeddings_path: str | None):
     info = getattr(model, "embedding_info", None) or {}
-    dim = info.get("dim", model.config.d_ctx)
-    if embeddings_path:
-        if not os.path.exists(embeddings_path):
-            raise UsageError(f"embeddings file not found: {embeddings_path}")
-        return FileEmbeddingProvider.from_path(embeddings_path, dim)
-    if info.get("kind") == "file":
+    if not embeddings_path and info.get("kind") == "file":
         raise UsageError("checkpoint was trained on file embeddings; pass --embeddings")
-    return HashedEmbeddingProvider(dim, info.get("seed", 0))
+    return _provider(embeddings_path, info.get("dim", model.config.d_ctx), info.get("seed", 0))
 
 
 def _write_json(path: str, payload) -> None:
@@ -316,40 +306,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
 # Argument plumbing
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d-ctx", dest="d_ctx", type=int)
-    p.add_argument("--d-f", dest="d_f", type=int)
-    p.add_argument("--d-wt", dest="d_wt", type=int)
-    p.add_argument("--d-lstm", dest="d_lstm", type=int)
-    p.add_argument("--d-g", dest="d_g", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--d-e", dest="d_e", type=int)
-    p.add_argument("--graph-layer", dest="graph_layer", choices=GRAPH_LAYERS)
-    p.add_argument("--graph-depth", dest="graph_depth", type=int)
-    p.add_argument("--contextual", type=_bool_flag)
-    p.add_argument("--graph-mode", dest="graph_mode", choices=GRAPH_MODES)
-    p.add_argument("--edge-mode", dest="edge_mode", choices=EDGE_MODES)
-    p.add_argument("--expansion-order", dest="expansion_order", type=int, choices=[0, 1, 2])
-    p.add_argument("--dref-scale-by-ratio", dest="dref_scale_by_ratio", type=_bool_flag)
-
-
-def _add_trainer_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--lr-decay", dest="lr_decay", type=float)
-    p.add_argument("--decay-patience", dest="decay_patience", type=int)
-    p.add_argument("--dev-fraction", dest="dev_fraction", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--gradient-clip-norm", dest="gradient_clip_norm", type=float)
-    p.add_argument("--budget-unit", dest="budget_unit", choices=["epoch", "step"])
-
-
-def _bool_flag(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low not in _BOOL_STRINGS:
-        raise argparse.ArgumentTypeError(f"expected a boolean, got {raw!r}")
-    return _BOOL_STRINGS[low]
+def _add_key_flags(p: argparse.ArgumentParser, keys) -> None:
+    """One ``--key-name`` flag per config key, kept as a string for ``RunConfig.merge``."""
+    for key in keys:
+        p.add_argument("--" + key.replace("_", "-"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,21 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prepare", help="write dref.json, vocabs.json and stats.json for a corpus")
     p.add_argument("--config")
-    p.add_argument("--train")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--d-e", dest="d_e", type=int)
-    p.add_argument("--expansion-order", dest="expansion_order", type=int, choices=[0, 1, 2])
+    _add_key_flags(p, ("train", "out_dir", "d_e", "expansion_order"))
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train", help="train a model and write checkpoint + metrics JSON")
     p.add_argument("--config")
-    p.add_argument("--train")
-    p.add_argument("--test")
-    p.add_argument("--embeddings")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--embedding-seed", dest="embedding_seed", type=int)
-    _add_model_flags(p)
-    _add_trainer_flags(p)
+    _add_key_flags(p, _KEY_TYPES)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint on a test corpus")

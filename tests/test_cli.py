@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from relgat.checkpoint import load_checkpoint
-from relgat.cli import _provider_for_checkpoint, _read_config_file, main
+from relgat.cli import RunConfig, _provider_for_checkpoint, _read_config_file, build_parser, main
 from relgat.corpus import parse_conllu_annotated, to_conllu
 from relgat.graph import sentence_subgraphs
 from relgat.model import ModelConfig
@@ -82,10 +82,8 @@ class TestTrain:
         assert metrics["config"]["model"]["expansion_order"] == 1
 
     def test_invalid_edge_mode_usage_error(self, corpus_file, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            main(["train", "--train", corpus_file, "--out-dir", str(tmp_path / "x"),
-                  "--edge-mode", "bogus"])
-        assert err.value.code == 2
+        assert main(["train", "--train", corpus_file, "--out-dir", str(tmp_path / "x"),
+                     "--edge-mode", "bogus"]) == 2
 
     @pytest.mark.parametrize("flag,field,value", [
         ("--heads", "heads", "0"), ("--d-lstm", "d_lstm", "-3"), ("--d-e", "d_e", "0"),
@@ -195,6 +193,36 @@ def test_config_file_value_parses_to_field_type(tmp_path, key, kind):
     config.write_text(f"{key} = {raw}\n", encoding="utf-8")
     value = _read_config_file(str(config))[key]
     assert type(value) is kind and value == expected
+
+
+@pytest.mark.parametrize("key,kind", list(_typed_config_fields()))
+def test_flag_value_parses_like_config_file_value(tmp_path, key, kind):
+    raw = "2" if key == "expansion_order" else {bool: "no", int: "8", float: "0.25"}[kind]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {raw}\n", encoding="utf-8")
+    parser = build_parser()
+    from_file = RunConfig.merge(parser.parse_args(["train", "--config", str(config)]))
+    from_flag = RunConfig.merge(parser.parse_args(["train", "--" + key.replace("_", "-"), raw]))
+    assert from_flag == from_file
+
+
+@pytest.mark.parametrize("key,value", [
+    ("graph_layer", "gin"), ("graph_mode", "double"), ("edge_mode", "bogus"),
+    ("expansion_order", "3"), ("budget_unit", "minute"), ("heads", "two"), ("contextual", "maybe"),
+])
+def test_bad_setting_fails_alike_from_flag_and_config_file(tmp_path, corpus_file, capsys, key, value):
+    out = tmp_path / "x"
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"{key} = {value}\n", encoding="utf-8")
+    base = ["train", "--train", corpus_file, "--out-dir", str(out)]
+    assert main([*base, "--" + key.replace("_", "-"), value]) == 2
+    from_flag = capsys.readouterr().err
+    assert main([*base, "--config", str(config)]) == 2
+    from_file = capsys.readouterr().err
+    assert from_flag == from_file
+    assert from_flag.startswith(f"error: {key}")
+    assert from_flag.count("\n") == 1
+    assert not out.exists()
 
 
 class TestEval:
