@@ -219,28 +219,14 @@ def _node(value, parents, vjps) -> Node:
     return Node(value, parents, vjps, requires_grad=requires)
 
 
-def _is_scalar(x: Node) -> bool:
-    return x.value.size == 1
-
-
 def add(a: Node, b: Node) -> Node:
     """Elementwise addition.
 
-    Beyond same-shape operands, two broadcast forms are supported: a
-    scalar added to a tensor, and a row vector of shape (n,) or (1, n)
-    added to an (m, n) matrix (bias addition).
+    Beyond same-shape operands, ``b`` may be a row vector of shape (n,)
+    or (1, n) added to an (m, n) matrix ``a`` (bias addition).
     """
-    # Normalize so any scalar/row-vector operand sits on the right.
-    if a.value.size < b.value.size:
-        a, b = b, a
     if a.shape == b.shape:
         return _node(a.value + b.value, (a, b), (lambda g: g, lambda g: g))
-    if _is_scalar(b):
-        return _node(
-            a.value + b.value,
-            (a, b),
-            (lambda g: g, lambda g: np.sum(g).reshape(b.shape)),
-        )
     if a.value.ndim == 2 and b.value.ndim in (1, 2):
         rows = b.value.reshape(-1)
         if a.shape[1] == rows.shape[0] and (b.value.ndim == 1 or b.shape[0] == 1):
@@ -255,8 +241,8 @@ def add(a: Node, b: Node) -> Node:
 def mul(a: Node, b: Node) -> Node:
     """Elementwise product.
 
-    Beyond same-shape operands, either operand may be a scalar, or an
-    (m, 1) column that scales the rows of an (m, n) matrix.
+    Beyond same-shape operands, ``b`` may be an (m, 1) column that
+    scales the rows of an (m, n) matrix ``a``.
     """
     if a.shape == b.shape:
         return _node(
@@ -264,20 +250,6 @@ def mul(a: Node, b: Node) -> Node:
             (a, b),
             (lambda g: g * b.value, lambda g: g * a.value),
         )
-    if _is_scalar(b) or _is_scalar(a):
-        if _is_scalar(a):
-            a, b = b, a
-        return _node(
-            a.value * b.value,
-            (a, b),
-            (
-                lambda g: g * b.value.reshape(()),
-                lambda g: np.sum(g * a.value).reshape(b.shape),
-            ),
-        )
-    # Normalize so an (m, 1) column operand sits on the right.
-    if a.value.ndim == 2 and a.shape[1] == 1:
-        a, b = b, a
     if a.value.ndim == 2 and b.shape == (a.shape[0], 1):
         return _node(
             a.value * b.value,
