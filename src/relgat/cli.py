@@ -21,7 +21,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import CorpusError, build_vocabs, parse_conllu_annotated
 from .features import FileEmbeddingProvider, HashedEmbeddingProvider, build_dref_table
 from .graph import sentence_subgraphs, subgraph_size_histograms
-from .model import ConfigError, ModelConfig
+from .model import ModelConfig
 from .train_eval import (
     SpanBuckets,
     TrainerConfig,
@@ -115,7 +115,7 @@ class RunConfig:
         try:
             model = ModelConfig(**{k: values[k] for k in _MODEL_KEYS if k in values})
             trainer = TrainerConfig(**{k: values[k] for k in _TRAINER_KEYS if k in values})
-        except (ConfigError, ValueError) as exc:
+        except ValueError as exc:  # ModelConfig's ConfigError is one too
             raise UsageError(str(exc)) from None
         paths = {k: values.get(k) for k in _PATH_KEYS}
         return cls(model, trainer, **paths, embedding_seed=values.get("embedding_seed", 0))
