@@ -439,7 +439,15 @@ def _parse_conllu_block(block: list[tuple[int, str]], position: int) -> Sentence
 
 
 def to_conllu(sentence: Sentence) -> str:
-    """Render one sentence as an annotated CoNLL-U block."""
+    """Render one sentence as an annotated CoNLL-U block.
+
+    A head outside the sentence raises CorpusError naming the instance and
+    the token: written as is, a head of -1 would read back as the root.
+    """
+    n = len(sentence.tokens)
+    for t in sentence.tokens:
+        if t.head is not None and not 0 <= t.head < n:
+            raise CorpusError(f"instance {sentence.instance_id}: token {t.index} head {t.head} out of range")
     lines = []
     if sentence.instance_id is not None:
         lines.append(f"# id = {sentence.instance_id}")

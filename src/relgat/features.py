@@ -90,7 +90,7 @@ class HashedEmbeddingProvider(EmbeddingProvider):
         return cached
 
     def vectors(self, sentence: Sentence) -> np.ndarray:
-        return np.stack([self._vector(t.surface) for t in sentence.tokens])
+        return np.array([self._vector(t.surface) for t in sentence.tokens])
 
 
 class FileEmbeddingProvider(EmbeddingProvider):
@@ -160,7 +160,7 @@ class FileEmbeddingProvider(EmbeddingProvider):
                     f"{where}no precomputed vector for instance {sentence.instance_id} token {t.index}"
                 )
             rows.append(vec)
-        return np.stack(rows)
+        return np.array(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +360,17 @@ def attention_pairs(graphs: Sequence[SubGraph], vertex_starts: np.ndarray):
 
 
 def entity_mask(sentences: TokenLayout) -> np.ndarray:
-    """Whether each given token lies in an entity span, in ``encode_tokens`` row order."""
-    return np.array([s.entity_token(i) for s, indices in sentences for i in indices], dtype=bool)
+    """Whether each given token lies in an entity span, in ``encode_tokens`` row order.
+
+    Each sentence's span bounds are read once and its indices compared
+    with them in plain Python: numpy's fixed cost per call would make the
+    one-sentence forwards of the predict path slower than this loop.
+    """
+    flags = []
+    for s, indices in sentences:
+        e1_start, e1_end, e2_start, e2_end = s.e1.start, s.e1.end, s.e2.start, s.e2.end
+        flags.extend([e1_start <= i <= e1_end or e2_start <= i <= e2_end for i in indices])
+    return np.array(flags, dtype=bool)
 
 
 def dref_edge_features(sentences: TokenLayout, token_rows, pairs, dependents, table: DrefTable):

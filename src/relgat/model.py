@@ -538,4 +538,5 @@ class Model:
     def predict_index(
         self, sentence: Sentence, sgs: SubGraphSet, provider: EmbeddingProvider
     ) -> int:
-        return int(np.argmax(self.forward([(sentence, sgs)], provider).logits.value[0]))
+        with nm.no_grad():
+            return int(np.argmax(self.forward([(sentence, sgs)], provider).logits.value[0]))

@@ -60,6 +60,16 @@ array it returns. Every later contribution is added into that array with
 ``+=``. No two nodes' ``grad`` arrays ever share memory, with each other
 or with a value.
 
+Inside ``no_grad()`` nothing is built for a backward, in the spirit of
+``torch.no_grad``. One rule in ``_node`` serves every op: a result keeps
+its parents and VJP closures only when grads are on and some parent
+requires grad; otherwise it is a plain value node, as a constant is. A
+forward under ``no_grad`` thus holds no closures, and each intermediate
+is freed once nothing reads it; a training graph loses only nodes that
+no backward visits. ``bilstm_sequence`` also skips its backward state
+there. ``backward`` on a node that does not require grad raises
+ValueError instead of leaving every gradient untouched.
+
 ``gradient_check`` compares against central differences, which only
 resolve the gradient in float64; it refuses parameters of any other
 dtype.
@@ -67,6 +77,7 @@ dtype.
 
 from __future__ import annotations
 
+import contextlib
 import sys
 
 import numpy as np
@@ -74,6 +85,7 @@ import numpy as np
 __all__ = [
     "Node",
     "ShapeMismatch",
+    "no_grad",
     "constant",
     "parameter",
     "add",
@@ -104,6 +116,22 @@ def _sole_owner_refs() -> int:
 
 
 _SOLE_OWNER_REFS = _sole_owner_refs()
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no autodiff graph inside the block: every op returns a plain value node.
+
+    Blocks nest; on leaving one, the mode in force before it returns,
+    also when the block raises.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class ShapeMismatch(ValueError):
@@ -153,6 +181,8 @@ class Node:
         """
         if self.value.size != 1:
             raise ValueError(f"backward() requires a scalar output, got shape {self.shape}")
+        if not self.requires_grad:
+            raise ValueError("backward() needs a node that requires grad, not one of constants or built under no_grad")
         order = _toposort(self)
         self.grad = np.ones_like(self.value)
         for node in order:
@@ -214,9 +244,15 @@ def parameter(value) -> Node:
     return Node(value, requires_grad=True)
 
 
+def _tracked(parents) -> bool:
+    """Whether an op over ``parents`` enters the graph: grads on and some parent requires grad."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _node(value, parents, vjps) -> Node:
-    requires = any(p.requires_grad for p in parents)
-    return Node(value, parents, vjps, requires_grad=requires)
+    if _tracked(parents):
+        return Node(value, parents, vjps, requires_grad=True)
+    return Node(value)
 
 
 def add(a: Node, b: Node) -> Node:
@@ -460,6 +496,8 @@ def bilstm_sequence(z: Node, w_hidden: Node, segments: Segments) -> Node:
     out = np.empty((n, 2 * d), dtype)
     out[forward_rows, :d] = hidden[:, 0]
     out[backward_rows, d:] = hidden[:, 1]
+    if not _tracked((z, w_hidden)):
+        return Node(out)
     # the row of step s-1 that each row of steps 1, 2, ... reads its previous state from
     prev = np.arange(widths[0], n) - np.repeat(widths[:-1], widths[1:])
 

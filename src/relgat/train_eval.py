@@ -50,6 +50,12 @@ __all__ = [
 
 
 EVAL_CHUNK = 32  # sentences per batched forward in evaluation
+_LABELS = all_labels()
+_LABEL_INDEX = {name: i for i, name in enumerate(_LABELS)}
+# (9, 19): 1 where a label (column) has the base of the row
+_BASE_LABELS = np.array(
+    [[RelationLabel.parse(name).base == base for name in _LABELS] for base in RELATION_BASES], dtype=np.intp
+)
 
 
 class TrainingDiverged(RuntimeError):
@@ -162,20 +168,20 @@ def score_predictions(
     """
     if len(golds) != len(preds):
         raise ValueError(f"{len(golds)} golds vs {len(preds)} predictions")
-    label_order = {name: i for i, name in enumerate(all_labels())}
-    confusion = [[0] * len(label_order) for _ in label_order]
-    exact = 0
-    for g, p in zip(golds, preds):
-        confusion[label_order[str(g)]][label_order[str(p)]] += 1
-        if g == p:
-            exact += 1
+    size = len(_LABELS)
+    gold_ids = np.array([_LABEL_INDEX[str(g)] for g in golds], dtype=np.intp)
+    pred_ids = np.array([_LABEL_INDEX[str(p)] for p in preds], dtype=np.intp)
+    confusion = np.bincount(gold_ids * size + pred_ids, minlength=size * size).reshape(size, size)
+    # per base: golds are its rows, predictions its columns, correct ones its diagonal entries
+    counts = zip(
+        (_BASE_LABELS @ confusion.sum(axis=1)).tolist(),
+        (_BASE_LABELS @ confusion.sum(axis=0)).tolist(),
+        (_BASE_LABELS @ confusion.diagonal()).tolist(),
+    )
 
     per_class = {}
     p_sum = r_sum = f_sum = 0.0
-    for base in RELATION_BASES:
-        gold_count = sum(1 for g in golds if g.base == base)
-        pred_count = sum(1 for p in preds if p.base == base)
-        correct = sum(1 for g, p in zip(golds, preds) if g == p and g.base == base)
+    for base, (gold_count, pred_count, correct) in zip(RELATION_BASES, counts):
         precision = correct / pred_count if pred_count else 0.0
         recall = correct / gold_count if gold_count else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
@@ -194,12 +200,12 @@ def score_predictions(
     k = len(RELATION_BASES)
     return EvalReport(
         n=len(golds),
-        accuracy=100.0 * exact / len(golds) if golds else 0.0,
+        accuracy=100.0 * int(confusion.trace()) / len(golds) if golds else 0.0,
         macro_precision=100.0 * p_sum / k,
         macro_recall=100.0 * r_sum / k,
         macro_f1=100.0 * f_sum / k,
         per_class=per_class,
-        confusion=confusion,
+        confusion=confusion.tolist(),
     )
 
 
@@ -372,12 +378,13 @@ def _evaluate_graphs(
 
 
 def _predict_labels(model: Model, sentences, graphs, provider) -> list[RelationLabel]:
-    """The predicted label of every sentence, ``EVAL_CHUNK`` sentences per forward."""
+    """The predicted label of every sentence, ``EVAL_CHUNK`` sentences per no-grad forward."""
     instances = list(zip(sentences, graphs))
     labels = []
-    for start in range(0, len(instances), EVAL_CHUNK):
-        logits = model.forward(instances[start : start + EVAL_CHUNK], provider).logits.value
-        labels.extend(model.vocabs.label_at(int(i)) for i in np.argmax(logits, axis=1))
+    with nm.no_grad():
+        for start in range(0, len(instances), EVAL_CHUNK):
+            logits = model.forward(instances[start : start + EVAL_CHUNK], provider).logits.value
+            labels.extend(model.vocabs.label_at(int(i)) for i in np.argmax(logits, axis=1))
     return labels
 
 

@@ -193,6 +193,15 @@ class TestConlluFormat:
             assert back.label == s.label
             assert [t.pos for t in back.tokens] == [t.pos for t in s.tokens]
 
+    @pytest.mark.parametrize("heads", [[-1, 0], [None, 2], [1, None, -3]])
+    def test_to_conllu_refuses_a_head_outside_the_sentence(self, heads):
+        # written as is, a head of -1 reads back as HEAD 0, the root: [-1, 0] would become a tree
+        tokens = [Token(i, f"w{i}", "X", "_", "dep", h) for i, h in enumerate(heads)]
+        sentence = Sentence(tokens, EntitySpan(0, 0), EntitySpan(1, 1), instance_id=8)
+        bad = next(i for i, h in enumerate(heads) if h is not None and not 0 <= h < len(heads))
+        with pytest.raises(CorpusError, match=f"^instance 8: token {bad} head {heads[bad]} out of range$"):
+            to_conllu(sentence)
+
     def test_entity_head_token_prefers_outside_pointer(self):
         # span covers tokens 1..2; token 1 heads inside the span, token 2 outside
         rows = [

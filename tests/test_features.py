@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from relgat import numerics as nm
-from relgat.corpus import Token, build_vocabs, parse_conllu_annotated
+from relgat.corpus import EntitySpan, Sentence, Token, build_vocabs, parse_conllu_annotated
 from relgat.features import (
     DrefTable,
     FeatureError,
@@ -18,6 +18,7 @@ from relgat.features import (
     dref_edge_features,
     edge_features,
     encode_tokens,
+    entity_mask,
 )
 from relgat.graph import SubGraph, sentence_subgraphs
 from relgat.model import token_layout
@@ -225,6 +226,42 @@ class TestCtefAssignment:
         np.testing.assert_array_equal(before, after)
 
 
+class TestEntityMask:
+    # (tokens, e1, e2): adjacent spans, spans at both sentence ends, one-token spans
+    SPANS = [
+        (6, (1, 2), (3, 4)),
+        (5, (0, 1), (3, 4)),
+        (4, (0, 0), (3, 3)),
+        (3, (1, 1), (2, 2)),
+        (5, (3, 4), (0, 2)),
+        (2, (0, 0), (1, 1)),
+    ]
+
+    @staticmethod
+    def layout(spans, seed=0):
+        """Each sentence with all its tokens in order, then again with a shuffled subset."""
+        rng = np.random.default_rng(seed)
+        out = []
+        for n, e1, e2 in spans:
+            s = Sentence([Token(i, f"w{i}") for i in range(n)], EntitySpan(*e1), EntitySpan(*e2))
+            out.append((s, list(range(n))))
+            out.append((s, rng.permutation(n)[: rng.integers(1, n + 1)].tolist()))
+        return out
+
+    @pytest.mark.parametrize("spans", SPANS)
+    def test_equals_per_token_lookup(self, spans):
+        layout = self.layout([spans])
+        want = [s.entity_token(i) for s, indices in layout for i in indices]
+        got = entity_mask(layout)
+        assert got.dtype == bool and got.tolist() == want
+
+    def test_batch_equals_per_token_lookup(self):
+        layout = self.layout(self.SPANS, seed=4)
+        want = [s.entity_token(i) for s, indices in layout for i in indices]
+        assert entity_mask(layout).tolist() == want
+        assert entity_mask([]).shape == (0,)
+
+
 class TestEdgeFeatureDispatch:
     def test_none_mode_returns_none(self, pollen_sentence):
         sdp = sentence_subgraphs(pollen_sentence).sdp
@@ -360,6 +397,19 @@ class TestFileProvider:
             provider.vectors(pollen_sentence)
         assert str(pollen_sentence.instance_id) in str(err.value)
         assert "token 4" in str(err.value)
+
+    def test_missing_vector_message(self, pollen_sentence):
+        text = self.make_text(pollen_sentence, 6)
+        provider = FileEmbeddingProvider("\n".join(text.split("\n")[:-3]) + "\n", dim=6)
+        with pytest.raises(FeatureError) as err:
+            provider.vectors(pollen_sentence)
+        assert str(err.value) == f"no precomputed vector for instance {pollen_sentence.instance_id} token 4"
+
+    def test_vectors_are_the_file_rows_in_token_order(self, pollen_sentence):
+        text = self.make_text(pollen_sentence, 6)
+        want = [[float(x) for x in line.split("\t")[2].split()] for line in text.split("\n") if line]
+        got = FileEmbeddingProvider(text, dim=6).vectors(pollen_sentence)
+        assert got.dtype == np.float64 and got.tolist() == want
 
     def test_missing_vector_error_starts_with_path(self, pollen_sentence, tmp_path):
         path = tmp_path / "v.tsv"

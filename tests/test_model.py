@@ -1056,6 +1056,44 @@ def test_float32_logits_match_float64(graph_layer, edge_mode):
     assert np.array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("contextual", [True, False])
+@pytest.mark.parametrize("edge_mode", ["none", "dref", "ctef", "dref+ctef"])
+@pytest.mark.parametrize("graph_layer", ["gat", "gcn"])
+def test_no_grad_forward_is_bit_identical(graph_layer, edge_mode, contextual, dtype):
+    model, instances, provider = structure_model(
+        dtype, graph_layer=graph_layer, edge_mode=edge_mode, contextual=contextual,
+        graph_depth=2, expansion_order=1,
+    )
+    tracked = model.forward(instances, provider)
+    with nm.no_grad():
+        plain = model.forward(instances, provider)
+    assert graph_nodes(plain.logits) == [plain.logits] and not plain.logits.requires_grad
+    assert plain.logits.value.dtype == dtype
+    np.testing.assert_array_equal(plain.logits.value, tracked.logits.value)
+    np.testing.assert_array_equal(plain.pooling, tracked.pooling)
+    for got, want in zip(plain.attention, tracked.attention, strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_predict_index_runs_a_no_grad_forward(monkeypatch):
+    model, instances, provider = structure_model(edge_mode="dref+ctef")
+    forward, logits = model.forward, []
+
+    def recording(batch, provider):
+        detail = forward(batch, provider)
+        logits.append(detail.logits)
+        return detail
+
+    monkeypatch.setattr(model, "forward", recording)
+    for sentence, sgs in instances:
+        want = int(np.argmax(forward([(sentence, sgs)], provider).logits.value[0]))
+        assert model.predict_index(sentence, sgs, provider) == want
+    assert len(logits) == len(instances)
+    assert all(graph_nodes(node) == [node] for node in logits)
+    assert all(p.grad is None for p in model.parameters().values())
+
+
 def test_float32_checkpoint_roundtrip_bitwise(tmp_path):
     model, instances, provider = structure_model(edge_mode="dref+ctef", dtype=np.float32)
     path = tmp_path / "model.ckpt"

@@ -157,6 +157,89 @@ def test_diamond_graph_accumulates_shared_gradients():
 
 
 # ---------------------------------------------------------------------------
+# No-grad mode
+
+
+def every_op(leaf):
+    """One result of every op, over fresh seeded leaves made by ``leaf``."""
+    rng = np.random.default_rng(21)
+    x, y = leaf(rng.standard_normal((4, 3))), leaf(rng.standard_normal((4, 3)))
+    row, column = leaf(rng.standard_normal((1, 3))), leaf(rng.standard_normal((4, 1)))
+    w = leaf(rng.standard_normal((3, 2)))
+    z, w_hidden = leaf(rng.standard_normal((4, 16))), leaf(rng.standard_normal((2, 16)))
+    segments = nm.Segments([0, 1], 4)
+    return {
+        "add": nm.add(x, y),
+        "add_row": nm.add(x, row),
+        "mul": nm.mul(x, y),
+        "mul_column": nm.mul(x, column),
+        "matmul": nm.matmul(x, w),
+        "concat": nm.concat([x, y], axis=1),
+        "gather_rows": nm.gather_rows(x, [3, 0, 3]),
+        "relu": nm.relu(x),
+        "leaky_relu": nm.leaky_relu(x),
+        "elu": nm.elu(x),
+        "tanh": nm.tanh(x),
+        "softmax": nm.softmax(x, axis=1),
+        "segment_sum": nm.segment_sum(x, segments),
+        "segment_softmax": nm.segment_softmax(x, segments),
+        "bilstm_sequence": nm.bilstm_sequence(z, w_hidden, segments),
+        "cross_entropy": nm.cross_entropy(x, [0, 2, 1, 1]),
+    }
+
+
+def is_plain(node):
+    return node.parents == () and node.vjps == () and not node.requires_grad
+
+
+def test_no_grad_ops_return_plain_value_nodes():
+    tracked = every_op(nm.parameter)
+    with nm.no_grad():
+        plain = every_op(nm.parameter)
+    for name, node in plain.items():
+        assert is_plain(node), name
+        assert tracked[name].requires_grad and tracked[name].parents, name
+        np.testing.assert_array_equal(node.value, tracked[name].value, err_msg=name)
+
+
+def test_ops_over_constants_build_no_graph():
+    # with grads on, a result none of whose parents requires grad is a plain node too
+    for name, node in every_op(nm.constant).items():
+        assert is_plain(node), name
+    x, c = nm.parameter(np.ones((2, 2))), nm.constant(np.ones((2, 2)))
+    assert nm.mul(c, x).parents == (c, x)
+
+
+def test_no_grad_nests_and_is_restored_after_an_exception():
+    x = nm.parameter(np.ones((2, 2)))
+    with nm.no_grad():
+        with nm.no_grad():
+            assert is_plain(nm.tanh(x))
+        assert is_plain(nm.tanh(x))  # leaving the inner block keeps the outer one's mode
+    assert nm.tanh(x).requires_grad
+    with pytest.raises(RuntimeError, match="inside"):
+        with nm.no_grad():
+            raise RuntimeError("inside")
+    assert nm.tanh(x).requires_grad
+    with nm.no_grad():
+        with pytest.raises(RuntimeError):
+            with nm.no_grad():
+                raise RuntimeError
+        assert is_plain(nm.tanh(x))
+
+
+def test_backward_refuses_a_node_that_requires_no_grad():
+    with pytest.raises(ValueError, match="requires grad"):
+        total(nm.constant(np.ones((2, 3)))).backward()
+    x = nm.parameter(np.arange(6.0).reshape(2, 3))
+    with nm.no_grad():
+        loss = total(x)
+    with pytest.raises(ValueError, match="requires grad"):
+        loss.backward()
+    assert x.grad is None
+
+
+# ---------------------------------------------------------------------------
 # Cross entropy
 
 

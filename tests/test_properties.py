@@ -1,4 +1,4 @@
-"""Property tests: the tree rule, sub-graph invariants, the token map and the batched pair layout."""
+"""Property tests: the tree rule, sub-graph invariants, the token map, the batched pair layout and the scorer."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from relgat.corpus import (
+    RELATION_BASES,
     CorpusError,
     EntitySpan,
+    RelationLabel,
     Sentence,
     Token,
+    all_labels,
     parse_conllu_annotated,
     to_conllu,
     tree_error,
@@ -17,6 +20,7 @@ from relgat.corpus import (
 from relgat.features import DrefTable, attention_pairs, build_dref_table, dref_edge_features, edge_features
 from relgat.graph import DependencyGraph, GraphError, sentence_subgraphs
 from relgat.model import token_layout
+from relgat.train_eval import score_predictions
 from conftest import brute_force_path, conllu_block
 
 # Small alphabets, so that triples repeat within and across sentences and
@@ -184,8 +188,7 @@ def head_lists(draw):
     The first kind is mostly cycles (no token heads itself there). A
     redrawn head becomes None (a second root), the token itself, out of
     range, or any token (no root left when it is the root's, a cycle
-    when it is a descendant). -1 is not drawn: CoNLL-U writes it as
-    HEAD 0, the root.
+    when it is a descendant).
     """
     n = draw(st.integers(2, 8))
     if draw(st.booleans()):
@@ -203,7 +206,7 @@ def head_lists(draw):
         elif kind == "self":
             heads[v] = v
         elif kind == "range":
-            heads[v] = draw(st.sampled_from([-2, n]))
+            heads[v] = draw(st.sampled_from([-2, -1, n]))
         else:
             heads[v] = draw(st.integers(0, n - 1))
     return heads
@@ -244,3 +247,25 @@ def test_every_tree_check_accepts_exactly_the_rooted_trees(heads):
             DependencyGraph(heads)
         with pytest.raises(CorpusError, match="^instance 5: "):
             parse_conllu_annotated(to_conllu(sentence))
+
+
+LABELS = [RelationLabel.parse(name) for name in all_labels()]
+
+
+@given(st.lists(st.tuples(st.sampled_from(LABELS), st.sampled_from(LABELS)), max_size=40))
+def test_scorer_counts_equal_brute_force(pairs):
+    golds, preds = [g for g, _ in pairs], [p for _, p in pairs]
+    report = score_predictions(golds, preds)
+    for base in RELATION_BASES:
+        cell = report.per_class[base]
+        assert cell["gold"] == sum(1 for g in golds if g.base == base)
+        assert cell["predicted"] == sum(1 for p in preds if p.base == base)
+        assert cell["correct"] == sum(1 for g, p in pairs if g == p and g.base == base)
+        assert all(type(cell[key]) is int for key in ("gold", "predicted", "correct"))
+    names = all_labels()
+    for i, row in enumerate(report.confusion):
+        for j, count in enumerate(row):
+            assert type(count) is int
+            assert count == sum(1 for g, p in pairs if str(g) == names[i] and str(p) == names[j])
+    exact = sum(1 for g, p in pairs if g == p)
+    assert report.accuracy == (100.0 * exact / len(pairs) if pairs else 0.0)

@@ -26,7 +26,7 @@ from relgat.train_eval import (
     span_bucket_eval,
     train,
 )
-from conftest import conllu_block
+from conftest import conllu_block, graph_nodes
 
 TINY = dict(d_ctx=6, d_f=3, d_wt=2, d_lstm=4, d_g=6, heads=2, d_e=3)
 
@@ -263,6 +263,27 @@ class TestTraining:
         )
         with pytest.raises(ValueError):
             evaluate(model, stripped, HashedEmbeddingProvider(cfg.d_ctx, 0))
+
+    def test_evaluate_builds_no_graph_and_keeps_gradients(self, toy_corpus, monkeypatch):
+        cfg = ModelConfig(**TINY, edge_mode="dref+ctef")
+        model, _ = train(toy_corpus, cfg, TrainerConfig(epochs=1, seed=1))
+        provider = HashedEmbeddingProvider(cfg.d_ctx, 0)
+        params = model.parameters()
+        grads = {name: np.full(p.shape, 0.5, p.value.dtype) for name, p in params.items()}
+        for name, p in params.items():
+            p.grad = grads[name]
+        forward, logits = model.forward, []
+
+        def recording(batch, provider):
+            detail = forward(batch, provider)
+            logits.append(detail.logits)
+            return detail
+
+        monkeypatch.setattr(model, "forward", recording)
+        evaluate(model, toy_corpus, provider)
+        assert logits and all(graph_nodes(node) == [node] for node in logits)
+        for name, p in params.items():
+            assert p.grad is grads[name] and np.all(p.grad == 0.5), name
 
 
 # ---------------------------------------------------------------------------
