@@ -7,21 +7,20 @@ the model's dtype (``<f4`` for float32, ``<f8`` for float64). The header
 holds the model config, the vocabularies, the dependency-triple
 statistics, the dtype, the parameter names and shapes and a blake2b
 digest of the parameter bytes, so a load rebuilds the exact model in its
-dtype. Version 06 stores the BiLSTM as one group, ``lstm.w_ctx``,
-``.w_feat``, ``.w_hidden`` and ``.bias``, with the two directions as
-column blocks, forward first, where version 05 had an ``lstm_fwd`` and
-an ``lstm_bwd`` group. Each GAT layer has its heads stacked, as
-``gat.l{l}.w``, ``.a_center``, ``.a_neighbor`` and (with edge features)
-``.a_edge``, since version 05; each context-encoder input matrix is kept
-as its two row blocks (``.w_ctx``, ``.w_feat``) since version 04.
-Outputs are byte-identical across runs because nothing time- or
-path-dependent is written. A save writes a temporary file beside the
-target and renames it over the target, so the path holds either the old
-checkpoint or the new one, never a partial file. A load rejects a file
-of another format version, one that is cut short, carries bytes past the
-last parameter, has a header that is unreadable or does not describe a
-model, or whose parameter bytes do not match the recorded digest, with a
-CheckpointError naming the path.
+dtype. Each vocabulary is its symbol list in index order, the UNK first
+when it has one. The BiLSTM is one group, ``lstm.w_ctx``, ``.w_feat``,
+``.w_hidden`` and ``.bias``, with the two directions as column blocks,
+forward first; each GAT layer has its heads stacked, as ``gat.l{l}.w``,
+``.a_center``, ``.a_neighbor`` and (with edge features) ``.a_edge``; and
+each context-encoder input matrix is kept as its two row blocks
+(``.w_ctx``, ``.w_feat``). Outputs are byte-identical across runs
+because nothing time- or path-dependent is written. A save writes a
+temporary file beside the target and renames it over the target, so the
+path holds either the old checkpoint or the new one, never a partial
+file. A load rejects a file of another format version, one that is cut
+short, carries bytes past the last parameter, has a header that is
+unreadable or does not describe a model, or whose parameter bytes do not
+match the recorded digest, with a CheckpointError naming the path.
 """
 
 from __future__ import annotations
@@ -164,12 +163,9 @@ def _model_from_header(header) -> tuple[Model, list[tuple[str, tuple[int, ...]]]
     """
     config = ModelConfig.from_dict(header["config"])
     vp = header["vocabs"]
-    vocabs = Vocabs(
-        pos=Vocab.from_symbols(vp["pos"]["symbols"], vp["pos"]["has_unk"]),
-        deprel=Vocab.from_symbols(vp["deprel"]["symbols"], vp["deprel"]["has_unk"]),
-        ner=Vocab.from_symbols(vp["ner"]["symbols"], vp["ner"]["has_unk"]),
-        label=Vocab.from_symbols(vp["label"]["symbols"], vp["label"]["has_unk"]),
-    )
+    vocabs = Vocabs(**{
+        name: Vocab(vp[name]["symbols"], vp[name]["has_unk"]) for name in ("pos", "deprel", "ner", "label")
+    })
     dref = None
     if header["dref"] is not None:
         dp = header["dref"]

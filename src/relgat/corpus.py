@@ -482,17 +482,20 @@ def to_conllu(sentence: Sentence) -> str:
 
 
 class Vocab:
-    """Injective symbol-to-index map with an optional reserved UNK at 0."""
+    """Injective symbol-to-index map, fixed when built, with an optional reserved UNK at 0.
+
+    ``symbols`` are numbered in order after the UNK, a repeat keeping its
+    first index; ``index`` maps a symbol the map lacks, ``None``
+    included, to the UNK, or raises KeyError when there is none.
+    """
 
     UNK_SYMBOL = "<unk>"
     UNK = 0
 
-    def __init__(self, has_unk: bool = True):
+    def __init__(self, symbols, has_unk: bool = True):
         self.has_unk = has_unk
-        self.frozen = False
-        self._index: dict[str, int] = {}
-        if has_unk:
-            self._index[self.UNK_SYMBOL] = 0
+        head = [self.UNK_SYMBOL] if has_unk else []
+        self._index = {s: i for i, s in enumerate(dict.fromkeys([*head, *symbols]))}
 
     def __len__(self) -> int:
         return len(self._index)
@@ -500,40 +503,16 @@ class Vocab:
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._index
 
-    def add(self, symbol: str) -> int:
-        if symbol in self._index:
-            return self._index[symbol]
-        if self.frozen:
-            raise CorpusError(f"cannot add {symbol!r} to a frozen vocabulary")
-        idx = len(self._index)
-        self._index[symbol] = idx
-        return idx
-
     def index(self, symbol: str | None) -> int:
-        if symbol is not None:
-            idx = self._index.get(symbol)
-            if idx is not None:
-                return idx
-            if not self.frozen:
-                return self.add(symbol)
+        idx = self._index.get(symbol)
+        if idx is not None:
+            return idx
         if self.has_unk:
             return self.UNK
-        raise KeyError(f"{symbol!r} not in a frozen vocabulary without UNK")
-
-    def freeze(self) -> "Vocab":
-        self.frozen = True
-        return self
+        raise KeyError(f"{symbol!r} not in a vocabulary without UNK")
 
     def symbols(self) -> list[str]:
         return list(self._index)
-
-    @classmethod
-    def from_symbols(cls, symbols: list[str], has_unk: bool = True) -> "Vocab":
-        vocab = cls(has_unk=has_unk)
-        for s in symbols:
-            if not (has_unk and s == cls.UNK_SYMBOL):
-                vocab.add(s)
-        return vocab.freeze()
 
 
 @dataclass
@@ -558,14 +537,10 @@ def build_vocabs(train: list[Sentence]) -> Vocabs:
     """
     if not train:
         raise CorpusError("empty corpus")
-    pos, deprel, ner = Vocab(), Vocab(), Vocab()
-    for sentence in train:
-        for t in sentence.tokens:
-            if t.pos is not None:
-                pos.add(t.pos)
-            if t.deprel is not None:
-                deprel.add(t.deprel)
-            if t.ner is not None:
-                ner.add(t.ner)
-    labels = Vocab.from_symbols(all_labels(), has_unk=False)
-    return Vocabs(pos.freeze(), deprel.freeze(), ner.freeze(), labels)
+    tokens = [t for sentence in train for t in sentence.tokens]
+    return Vocabs(
+        Vocab(t.pos for t in tokens if t.pos is not None),
+        Vocab(t.deprel for t in tokens if t.deprel is not None),
+        Vocab(t.ner for t in tokens if t.ner is not None),
+        Vocab(all_labels(), has_unk=False),
+    )

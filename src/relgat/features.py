@@ -1,25 +1,32 @@
 """Token input encodings and the two edge-feature constructions.
 
+A batch's token rows are coded once, by ``code_tokens``: (T,) arrays of
+each row's POS, deprel and NER vocabulary index, its entity flag, its
+position in the sentence and its head. Everything below reads those
+arrays; no symbol is coded anywhere but through the model's ``Vocab``s.
+
 Per-token inputs are the concatenation of a contextual vector (from a
 pluggable provider), three trainable symbol embeddings (POS, deprel,
-NER) and a 2-row word-type embedding flagging entity tokens.
+NER) gathered by the vocabulary indices, and a 2-row word-type
+embedding gathered by the entity flags.
 
 Edge features come in two flavors. The frequency-based kind (dref) keys
 a trainable vector on the (POS, POS, deprel) triple of the underlying
-tree edge, with corpus frequency ratios kept alongside. The
-connection-type kind (ctef) marks, per attention direction, whether the
-attended-from vertex is an entity token (all-ones) or not (all-zeros).
-Both are arrays over a whole batch, aligned with the (center, neighbor)
-rows that ``attention_pairs`` lays out from the sub-graphs' edge arrays.
+tree edge, with corpus frequency ratios kept alongside; a model lays
+the table's rows out by vocabulary indices once, so a pair's row is one
+fancy index. The connection-type kind (ctef) marks, per attention
+direction, whether the attended-from vertex is an entity token
+(all-ones) or not (all-zeros). Both are arrays over a whole batch,
+aligned with the (center, neighbor) rows that ``attention_pairs`` lays
+out from the sub-graphs' edge arrays.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import hashlib
-import itertools
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +44,8 @@ __all__ = [
     "EDGE_MODES",
     "build_dref_table",
     "dref_edge_features",
-    "entity_mask",
+    "TokenCodes",
+    "code_tokens",
     "edge_features",
     "attention_pairs",
     "encode_tokens",
@@ -179,10 +187,7 @@ class FeatureEmbeddings:
         rng: np.random.Generator | None = None,
         dtype=np.float64,
     ):
-        if not (vocabs.pos.frozen and vocabs.deprel.frozen and vocabs.ner.frozen):
-            raise FeatureError("vocabularies must be frozen before building embeddings")
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.vocabs = vocabs
         self.d_ctx = d_ctx
         self.d_f = d_f
         self.d_wt = d_wt
@@ -205,32 +210,68 @@ class FeatureEmbeddings:
         }
 
 
-def encode_tokens(sentences: TokenLayout, provider: EmbeddingProvider, emb: FeatureEmbeddings) -> list[nm.Node]:
+class TokenCodes(NamedTuple):
+    """The coded facts of a batch's token rows: (T,) arrays in ``encode_tokens`` row order."""
+
+    pos: np.ndarray  # vocabulary indices
+    deprel: np.ndarray
+    ner: np.ndarray
+    entity: np.ndarray  # bool: the token lies in an entity span
+    index: np.ndarray  # the token's position in its sentence
+    head: np.ndarray  # its head's position, -1 for the root
+
+
+def code_tokens(sentences: TokenLayout, vocabs: Vocabs) -> TokenCodes:
+    """The vocabulary indices, entity flags, positions and heads of the given tokens.
+
+    Rows follow ``sentences`` as in ``encode_tokens``. Each sentence's
+    span bounds are read once and its indices compared with them in plain
+    Python: numpy's fixed cost per call would make the one-sentence
+    forwards of the predict path slower than this loop.
+    """
+    tokens, index, entity = [], [], []
+    for s, indices in sentences:
+        e1_start, e1_end, e2_start, e2_end = s.e1.start, s.e1.end, s.e2.start, s.e2.end
+        tokens.extend([s.tokens[i] for i in indices])
+        index.extend(indices)
+        entity.extend([e1_start <= i <= e1_end or e2_start <= i <= e2_end for i in indices])
+    pos, deprel, ner = vocabs.pos.index, vocabs.deprel.index, vocabs.ner.index
+    return TokenCodes(
+        np.array([pos(t.pos) for t in tokens], dtype=np.intp),
+        np.array([deprel(t.deprel) for t in tokens], dtype=np.intp),
+        np.array([ner(t.ner) for t in tokens], dtype=np.intp),
+        np.array(entity, dtype=bool),
+        np.array(index, dtype=np.intp),
+        np.array([-1 if t.head is None else t.head for t in tokens], dtype=np.intp),
+    )
+
+
+def encode_tokens(
+    sentences: TokenLayout, codes: TokenCodes, provider: EmbeddingProvider, emb: FeatureEmbeddings
+) -> list[nm.Node]:
     """Input rows of the given tokens of each sentence, as two column blocks.
 
     ``sentences`` pairs each sentence with the indices of the tokens to
     encode; rows follow the pairs in order and, within one, those indices.
-    The blocks are the contextual vectors, a constant (T, d_ctx), and the
-    trainable [pos ; deprel ; ner ; word-type] features, (T, 3*d_f + d_wt):
-    side by side, the d_ctx + 3*d_f + d_wt input columns of every token.
-    Both are in the embeddings' dtype: the provider's vectors are cast
-    once, here.
+    ``codes`` are the rows' ``code_tokens``. The blocks are the contextual
+    vectors, a constant (T, d_ctx), and the trainable [pos ; deprel ; ner ;
+    word-type] features, (T, 3*d_f + d_wt): side by side, the d_ctx +
+    3*d_f + d_wt input columns of every token. Both are in the embeddings'
+    dtype: the provider's vectors are cast once, here.
     """
-    ctx, tokens = [], []
+    ctx = []
     for sentence, indices in sentences:
         ctx_all = provider.vectors(sentence)
         if ctx_all.shape[1] != emb.d_ctx:
             raise FeatureError(f"provider dimension {ctx_all.shape[1]} != expected {emb.d_ctx}")
         ctx.append(ctx_all[indices])
-        tokens.extend(sentence.tokens[i] for i in indices)
-    vocabs = emb.vocabs
     return [
         nm.constant(np.concatenate(ctx, dtype=emb.dtype)),
         nm.concat([
-            nm.gather_rows(emb.pos, [vocabs.pos.index(t.pos) for t in tokens]),
-            nm.gather_rows(emb.deprel, [vocabs.deprel.index(t.deprel) for t in tokens]),
-            nm.gather_rows(emb.ner, [vocabs.ner.index(t.ner) for t in tokens]),
-            nm.gather_rows(emb.word_type, entity_mask(sentences).astype(np.intp)),
+            nm.gather_rows(emb.pos, codes.pos),
+            nm.gather_rows(emb.deprel, codes.deprel),
+            nm.gather_rows(emb.ner, codes.ner),
+            nm.gather_rows(emb.word_type, codes.entity.astype(np.intp)),
         ], axis=1),
     ]
 
@@ -245,12 +286,12 @@ class DrefTable:
     Each observed triple owns one row of a trainable embedding matrix;
     row 0 is the unseen-triple fallback and row 1 the self-loop row. The
     matrix itself lives in the model; this table only maps triples to
-    rows and keeps counts and frequency ratios.
+    rows and keeps counts and frequency ratios, with ``ratios`` holding
+    every row's (1 for the two reserved rows).
 
-    A batch is looked up by the table's own int codes of its symbols
-    (``None`` included; -1 for one it lacks) with one ``searchsorted``
-    over its sorted triple keys; ``row_for`` and ``ratio_for`` look one
-    triple up by its strings, through dicts built on first use.
+    ``rows_by_index`` lays the rows out by vocabulary indices, the codes
+    of ``code_tokens``; ``row_for`` and ``ratio_for`` look one triple up
+    by its strings, through dicts built on first use.
     """
 
     UNK_ROW = 0
@@ -263,14 +304,8 @@ class DrefTable:
         self.counts = dict(counts)
         self.total = total
         self.d_e = d_e
-        code = collections.defaultdict(itertools.count().__next__)  # numbers a symbol at first sight
-        symbols = itertools.chain.from_iterable(self.counts)
-        coded = np.fromiter(map(code.__getitem__, symbols), np.intp, 3 * len(self.counts))
-        self._code = dict(code)
-        keys = self._key(*coded.reshape(-1, 3).T)
-        order = np.argsort(keys)
-        self._keys, self._rows = keys[order], order + self.RESERVED_ROWS
-        self._ratios = (np.fromiter(self.counts.values(), np.float64, len(keys)) / total)[order]
+        observed = np.fromiter(self.counts.values(), np.float64, len(self.counts)) / total
+        self.ratios = np.concatenate([np.ones(self.RESERVED_ROWS), observed])
 
     @functools.cached_property
     def ratio(self) -> dict[tuple[str, str, str], float]:
@@ -290,20 +325,25 @@ class DrefTable:
     def ratio_for(self, triple: tuple[str, str, str]) -> float:
         return self.ratio.get(triple, 1.0)
 
-    def codes(self, symbols) -> np.ndarray:
-        return np.array([self._code.get(s, -1) for s in symbols], dtype=np.intp)
+    def rows_by_index(self, vocabs: Vocabs) -> np.ndarray:
+        """The (|pos|, |pos|, |deprel|) rows of every triple of vocabulary indices, UNK_ROW if unseen.
 
-    def _key(self, pos_i, pos_j, deprel):
-        n = len(self._code)
-        return (pos_i * n + pos_j) * n + deprel
-
-    def lookup(self, pos_i, pos_j, deprel) -> tuple[np.ndarray, np.ndarray]:
-        """The rows and ratios of coded (POS, POS, deprel) triples: UNK_ROW and 1 for one the table lacks."""
-        known = (pos_i >= 0) & (pos_j >= 0) & (deprel >= 0)
-        keys = np.where(known, self._key(pos_i, pos_j, deprel), -1)
-        at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
-        found = self._keys[at] == keys
-        return np.where(found, self._rows[at], self.UNK_ROW), np.where(found, self._ratios[at], 1.0)
+        A triple with a symbol the vocabularies lack raises FeatureError
+        naming it.
+        """
+        pos, deprel = vocabs.pos, vocabs.deprel
+        coded = []
+        for vocab, column in zip((pos, pos, deprel), zip(*self.counts)):
+            # each distinct symbol is looked up once; -1 marks one the vocabulary lacks
+            code = {s: vocab.index(s) if s in vocab else -1 for s in set(column)}
+            coded.append(np.fromiter(map(code.__getitem__, column), np.intp, len(column)))
+        lacking = np.flatnonzero(np.min(coded, axis=0) < 0)
+        if lacking.size:
+            triple = list(self.counts)[lacking[0]]
+            raise FeatureError(f"dependency triple {triple} has a symbol the vocabularies lack")
+        rows = np.full((len(pos), len(pos), len(deprel)), self.UNK_ROW, dtype=np.intp)
+        rows[tuple(coded)] = np.arange(self.RESERVED_ROWS, self.num_rows)
+        return rows
 
     def to_json_dict(self) -> dict:
         return {
@@ -359,73 +399,56 @@ def attention_pairs(graphs: Sequence[SubGraph], vertex_starts: np.ndarray):
     return np.cumsum(degree) - degree, np.stack([center[order], neighbor[order]], axis=1), dependents
 
 
-def entity_mask(sentences: TokenLayout) -> np.ndarray:
-    """Whether each given token lies in an entity span, in ``encode_tokens`` row order.
-
-    Each sentence's span bounds are read once and its indices compared
-    with them in plain Python: numpy's fixed cost per call would make the
-    one-sentence forwards of the predict path slower than this loop.
-    """
-    flags = []
-    for s, indices in sentences:
-        e1_start, e1_end, e2_start, e2_end = s.e1.start, s.e1.end, s.e2.start, s.e2.end
-        flags.extend([e1_start <= i <= e1_end or e2_start <= i <= e2_end for i in indices])
-    return np.array(flags, dtype=bool)
-
-
-def dref_edge_features(sentences: TokenLayout, token_rows, pairs, dependents, table: DrefTable):
-    """The dref embedding row and frequency ratio of every pair, as in ``edge_features``.
+def dref_edge_features(codes: TokenCodes, token_rows, pairs, dependents, dref_rows: np.ndarray) -> np.ndarray:
+    """The dref embedding row of every pair, as in ``edge_features``.
 
     The key for pair (i, j) is (POS of i, POS of j, deprel of the pair's
-    dependent); unseen keys map to the fallback row and self-loops to the
-    self-edge row, both with ratio 1. A pair whose dependent's head is
-    not the other endpoint raises FeatureError naming the two tokens.
+    dependent), read from ``dref_rows`` (``DrefTable.rows_by_index``) by
+    vocabulary indices; unseen keys map to the fallback row and
+    self-loops to the self-edge row. A pair whose dependent's head is not
+    the other endpoint raises FeatureError naming the two tokens.
     """
-    tokens = [s.tokens[i] for s, indices in sentences for i in indices]
     edge = dependents >= 0
     center, neighbor = token_rows[pairs[edge, 0]], token_rows[pairs[edge, 1]]
     dependent = token_rows[dependents[edge]]
-    index = np.array([t.index for t in tokens])
-    head = np.array([-1 if t.head is None else t.head for t in tokens])
-    wrong = np.flatnonzero(head[dependent] != index[center + neighbor - dependent])
+    wrong = np.flatnonzero(codes.head[dependent] != codes.index[center + neighbor - dependent])
     if wrong.size:
-        u, v = index[center[wrong[0]]], index[neighbor[wrong[0]]]
+        u, v = codes.index[center[wrong[0]]], codes.index[neighbor[wrong[0]]]
         raise FeatureError(f"pair ({u},{v}) is not an edge of the dependency tree")
-    pos, deprel = table.codes(t.pos for t in tokens), table.codes(t.deprel for t in tokens)
     rows = np.full(len(pairs), DrefTable.SELF_ROW, dtype=np.intp)
-    ratios = np.ones(len(pairs))
-    rows[edge], ratios[edge] = table.lookup(pos[center], pos[neighbor], deprel[dependent])
-    return rows, ratios
+    rows[edge] = dref_rows[codes.pos[center], codes.pos[neighbor], codes.deprel[dependent]]
+    return rows
 
 
 def edge_features(
-    sentences: TokenLayout, token_rows: np.ndarray, pairs: np.ndarray, dependents: np.ndarray,
-    mode: str, d_e: int, table: DrefTable | None = None, dref_embed: nm.Node | None = None,
-    scale_by_ratio: bool = False, dtype=np.float64,
+    codes: TokenCodes, token_rows: np.ndarray, pairs: np.ndarray, dependents: np.ndarray,
+    mode: str, d_e: int, dref_rows: np.ndarray | None = None, dref_embed: nm.Node | None = None,
+    row_ratios: np.ndarray | None = None, dtype=np.float64,
 ) -> nm.Node | None:
     """The (P, d_e) feature rows of a batch's pairs, or None when the mode has none.
 
-    The batch is laid out as in ``Model.forward``: the ``encode_tokens``
-    rows of ``sentences``, the token row of every vertex row, and the
+    The batch is laid out as in ``Model.forward``: the ``code_tokens`` of
+    its token rows, the token row of every vertex row, and the
     ``attention_pairs`` pairs and dependents over vertex rows. dref
-    gathers each pair's row of ``dref_embed``, optionally scaled by the
-    triple's frequency ratio; ctef is an all-ones row where the
-    attended-from vertex j of pair (i, j) is an entity token (the mask of
-    the word-type rows) and zeros elsewhere; the combined mode sums both.
-    The ratios and flags are constants of ``dtype``, that of ``dref_embed``.
+    gathers each pair's row of ``dref_embed``, scaled by that row's
+    frequency ratio when ``row_ratios`` (``DrefTable.ratios``) is given;
+    ctef is an all-ones row where the attended-from vertex j of pair
+    (i, j) is an entity token and zeros elsewhere; the combined mode sums
+    both. The ratios and flags are constants of ``dtype``, that of
+    ``dref_embed``.
     """
     if mode not in EDGE_MODES:
         raise FeatureError(f"unknown edge mode {mode!r}")
     node = None
     if "dref" in mode:
-        if table is None or dref_embed is None:
+        if dref_rows is None or dref_embed is None:
             raise FeatureError(f"edge mode {mode!r} needs a dependency-triple table and embedding")
-        rows, ratios = dref_edge_features(sentences, token_rows, pairs, dependents, table)
+        rows = dref_edge_features(codes, token_rows, pairs, dependents, dref_rows)
         node = nm.gather_rows(dref_embed, rows)
-        if scale_by_ratio:
-            node = nm.mul(node, nm.constant(ratios[:, None].astype(dtype)))
+        if row_ratios is not None:
+            node = nm.mul(node, nm.constant(row_ratios[rows, None].astype(dtype)))
     if "ctef" in mode:
-        flags = entity_mask(sentences)[token_rows[pairs[:, 1]]]
+        flags = codes.entity[token_rows[pairs[:, 1]]]
         ctef = nm.constant(np.repeat(flags[:, None].astype(dtype), d_e, axis=1))
         node = ctef if node is None else nm.add(node, ctef)
     return node

@@ -46,6 +46,10 @@ scheme), built as plain arrays before any parameter is read:
                    its units' vertices: the rows of the token encoding
                    and of the input projection, so a token that several
                    sub-graphs share is encoded and projected once
+    codes          ``code_tokens`` of the tokens, once: their POS,
+                   deprel and NER vocabulary indices, entity flags,
+                   positions and heads, which the token encoding and the
+                   edge features both read
     token_rows     the token row of every vertex row, by which the
                    BiLSTM gathers its gate pre-activations (the
                    non-contextual variant its projection) and the edge
@@ -88,6 +92,7 @@ from .features import (
     EmbeddingProvider,
     FeatureEmbeddings,
     attention_pairs,
+    code_tokens,
     edge_features,
     encode_tokens,
 )
@@ -114,6 +119,8 @@ __all__ = [
 GRAPH_LAYERS = ("gat", "gcn")
 GRAPH_MODES = ("multi", "single")
 SIZE_FIELDS = ("d_ctx", "d_f", "d_wt", "d_lstm", "d_g", "heads", "d_e")
+INT_FIELDS = (*SIZE_FIELDS, "graph_depth", "expansion_order")
+BOOL_FIELDS = ("contextual", "dref_scale_by_ratio")
 NUM_LABELS = 19
 LEAKY_SLOPE = 0.2
 
@@ -140,6 +147,13 @@ class ModelConfig:
     dref_scale_by_ratio: bool = False
 
     def __post_init__(self):
+        for name in INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in BOOL_FIELDS:
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         for name in SIZE_FIELDS:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
@@ -399,7 +413,9 @@ class Model:
     """Parameter container plus the forward pass over a sub-graph set.
 
     ``dtype`` (float32 or float64) is the dtype of every parameter,
-    activation and gradient.
+    activation and gradient. With dref, the table's rows are laid out by
+    vocabulary indices once, here (``dref_rows``); a table triple with a
+    symbol the vocabularies lack raises FeatureError.
     """
 
     DTYPES = (np.float32, np.float64)
@@ -430,8 +446,10 @@ class Model:
         )
         self._params: dict[str, nm.Node] = dict(self.embeddings.parameters())
 
+        self.dref_rows: np.ndarray | None = None
         self.dref_embed: nm.Node | None = None
         if self.dref_table is not None:
+            self.dref_rows = self.dref_table.rows_by_index(vocabs)
             self.dref_embed = nm.parameter(
                 nm.uniform_init(rng, (self.dref_table.num_rows, config.d_e), config.d_e, dtype)
             )
@@ -512,11 +530,13 @@ class Model:
 
         tokens, token_rows = token_layout(graph_sets)
         sentence_tokens = [(sentence, t) for (sentence, _), t in zip(instances, tokens)]
-        x = encode_tokens(sentence_tokens, provider, self.embeddings)
+        codes = code_tokens(sentence_tokens, self.vocabs)
+        x = encode_tokens(sentence_tokens, codes, provider, self.embeddings)
         h = self._context_encode(x, graphs, token_rows)
+        row_ratios = self.dref_table.ratios if self.dref_table and cfg.dref_scale_by_ratio else None
         efeat = edge_features(
-            sentence_tokens, token_rows, pairs, dependents, cfg.edge_mode, cfg.d_e,
-            self.dref_table, self.dref_embed, cfg.dref_scale_by_ratio, self.dtype,
+            codes, token_rows, pairs, dependents, cfg.edge_mode, cfg.d_e,
+            self.dref_rows, self.dref_embed, row_ratios, self.dtype,
         )
         attention: list[np.ndarray] = []
         if cfg.graph_layer == "gat":

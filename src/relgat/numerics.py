@@ -97,7 +97,6 @@ __all__ = [
     "leaky_relu",
     "elu",
     "tanh",
-    "softmax",
     "Segments",
     "segment_sum",
     "segment_softmax",
@@ -368,18 +367,6 @@ def elu(x: Node) -> Node:
 def tanh(x: Node) -> Node:
     y = np.tanh(x.value)
     return _node(y, (x,), (lambda g: g * (1.0 - y * y),))
-
-
-def softmax(x: Node, axis: int) -> Node:
-    """Stable softmax along one axis (max subtraction before exp)."""
-    shifted = x.value - np.max(x.value, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / np.sum(e, axis=axis, keepdims=True)
-
-    def vjp(g):
-        return y * (g - np.sum(g * y, axis=axis, keepdims=True))
-
-    return _node(y, (x,), (vjp,))
 
 
 class Segments:

@@ -146,15 +146,7 @@ class EvalReport:
     confusion: list[list[int]]
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "accuracy": self.accuracy,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "per_class": self.per_class,
-            "confusion": self.confusion,
-        }
+        return asdict(self)
 
 
 def score_predictions(

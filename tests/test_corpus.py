@@ -267,8 +267,6 @@ class TestVocabs:
         before = len(vocabs.pos)
         vocabs.pos.index("BRAND-NEW")
         assert len(vocabs.pos) == before
-        with pytest.raises(CorpusError):
-            vocabs.pos.add("BRAND-NEW")
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(CorpusError):
@@ -276,7 +274,7 @@ class TestVocabs:
 
     def test_vocab_roundtrip_preserves_order(self, toy_corpus):
         vocabs = build_vocabs(toy_corpus)
-        clone = Vocab.from_symbols(vocabs.pos.symbols(), vocabs.pos.has_unk)
+        clone = Vocab(vocabs.pos.symbols(), vocabs.pos.has_unk)
         assert clone.symbols() == vocabs.pos.symbols()
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from relgat import numerics as nm
-from relgat.corpus import EntitySpan, Sentence, Token, build_vocabs, parse_conllu_annotated
+from relgat.corpus import EntitySpan, Sentence, Token, Vocab, build_vocabs, parse_conllu_annotated
 from relgat.features import (
     DrefTable,
     FeatureError,
@@ -15,13 +15,13 @@ from relgat.features import (
     HashedEmbeddingProvider,
     attention_pairs,
     build_dref_table,
+    code_tokens,
     dref_edge_features,
     edge_features,
     encode_tokens,
-    entity_mask,
 )
 from relgat.graph import SubGraph, sentence_subgraphs
-from relgat.model import token_layout
+from relgat.model import Model, ModelConfig, token_layout
 from conftest import build_structure_corpus, build_toy_corpus, conllu_block
 
 
@@ -69,19 +69,33 @@ class TestDrefTable:
         assert a.row == b.row
         assert a.ratio == b.ratio
 
-    def test_batch_lookup_equals_string_lookup(self):
-        # None is a symbol of its own; a symbol the table lacks falls back to UNK
-        counts = {(None, "NOUN", "dep"): 2, ("NOUN", None, None): 1, ("NOUN", "NOUN", "dep"): 1}
-        table = DrefTable(counts, 4, d_e=2)
-        tokens = [Token(0, "a"), Token(1, "b", pos="NOUN", deprel="dep"), Token(2, "c", pos="X", deprel="amod")]
-        pos, deprel = table.codes(t.pos for t in tokens), table.codes(t.deprel for t in tokens)
-        assert pos[2] == deprel[2] == -1
-        head, dependent = [0, 1, 1, 2, 1, 0], [1, 0, 1, 1, 1, 0]
-        rows, ratios = table.lookup(pos[head], pos[dependent], deprel[dependent])
-        triples = [(tokens[h].pos, tokens[d].pos, tokens[d].deprel) for h, d in zip(head, dependent)]
-        assert rows.tolist() == [table.row_for(t) for t in triples]
-        assert ratios.tolist() == [table.ratio_for(t) for t in triples]
-        assert rows.tolist()[3:5] == [DrefTable.UNK_ROW, table.row[("NOUN", "NOUN", "dep")]]
+    def test_rows_by_index_equal_string_lookup(self):
+        # every triple of vocabulary symbols, UNK included, finds the row
+        # and ratio that its strings do; tokens without a symbol code to UNK
+        corpus = build_structure_corpus(30, seed=5)
+        table = build_dref_table(corpus[:10], d_e=2)
+        vocabs = build_vocabs(corpus)
+        rows = table.rows_by_index(vocabs)
+        pos, deprel = vocabs.pos.symbols(), vocabs.deprel.symbols()
+        assert rows.shape == (len(pos), len(pos), len(deprel))
+        for (h, d, r), row in np.ndenumerate(rows):
+            triple = (pos[h], pos[d], deprel[r])
+            assert row == table.row_for(triple)
+            assert table.ratios[row] == table.ratio_for(triple)
+        assert table.ratios[[DrefTable.UNK_ROW, DrefTable.SELF_ROW]].tolist() == [1.0, 1.0]
+        assert rows[Vocab.UNK].max() == DrefTable.UNK_ROW
+
+    def test_symbol_outside_the_vocabularies_rejected(self):
+        # a hand-built sentence without a POS counts a triple with None in it
+        (s,) = triple_sentence()
+        vocabs = build_vocabs([s])
+        s.tokens[3].pos = None
+        table = build_dref_table([s], d_e=4)
+        with pytest.raises(FeatureError, match=r"\('VERB', None, 'prep'\)"):
+            table.rows_by_index(vocabs)
+        config = ModelConfig(d_ctx=4, d_f=2, d_wt=2, d_lstm=2, d_g=2, heads=1, d_e=4, edge_mode="dref")
+        with pytest.raises(FeatureError, match="vocabularies lack"):
+            Model(config, vocabs, table)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(FeatureError):
@@ -99,16 +113,26 @@ def pair_row(pairs, i, j):
     return k
 
 
-def unit_layout(sentence, sg):
-    """One sub-graph as a batch: its tokens, their token rows, its pairs and their dependents."""
+def unit_layout(sentence, sg, vocabs=None):
+    """One sub-graph as a batch: its token codes, their token rows, its pairs and their dependents.
+
+    The vocabularies default to the sentence's own.
+    """
+    vocabs = vocabs or build_vocabs([sentence])
     _, pairs, dependents = attention_pairs([sg], np.array([0]))
-    return [(sentence, sg.vertices)], np.arange(len(sg)), pairs, dependents
+    return code_tokens([(sentence, sg.vertices)], vocabs), np.arange(len(sg)), pairs, dependents
+
+
+def dref_rows(sentence, sg, table, vocabs=None):
+    """The dref row of every pair of one sub-graph, and its pairs."""
+    vocabs = vocabs or build_vocabs([sentence])
+    layout = unit_layout(sentence, sg, vocabs)
+    return dref_edge_features(*layout, table.rows_by_index(vocabs)), layout[2]
 
 
 def dref_row(sg, sentence, table, i, j):
-    layout = unit_layout(sentence, sg)
-    rows, _ = dref_edge_features(*layout, table)
-    return rows[pair_row(layout[2], i, j)]
+    rows, pairs = dref_rows(sentence, sg, table)
+    return rows[pair_row(pairs, i, j)]
 
 
 def ctef_flags(sentence, sg):
@@ -156,9 +180,8 @@ class TestDrefAssignment:
         (s,) = triple_sentence()
         table = build_dref_table([s], d_e=4)
         sdp = sentence_subgraphs(s).sdp
-        layout = unit_layout(s, sdp)
-        pairs = layout[2]
-        _, ratios = dref_edge_features(*layout, table)
+        rows, pairs = dref_rows(s, sdp, table)
+        ratios = table.ratios[rows]
         i, j = sdp.local(0), sdp.local(2)
         assert ratios[pair_row(pairs, i, j)] == pytest.approx(2 / 3)
         assert ratios[pair_row(pairs, i, i)] == 1.0
@@ -169,19 +192,18 @@ class TestDrefAssignment:
         rows = [("gleam", "ADJ", 2, "amod"), ("shard", "NOUN", 0, "root"), ("fell", "VERB", 2, "acl")]
         (test_sentence,) = parse_conllu_annotated(conllu_block(0, rows, (0, 0), (2, 2)))
         sgs = sentence_subgraphs(test_sentence)
-        layout = unit_layout(test_sentence, sgs.sdp)
-        pairs = layout[2]
-        dref_rows, _ = dref_edge_features(*layout, table)
-        off_diagonal = dref_rows[pairs[:, 0] != pairs[:, 1]]
+        # ADJ and acl are outside the training vocabularies: they code to UNK
+        rows, pairs = dref_rows(test_sentence, sgs.sdp, table, build_vocabs(train))
+        off_diagonal = rows[pairs[:, 0] != pairs[:, 1]]
         assert off_diagonal.size and np.all(off_diagonal == DrefTable.UNK_ROW)
 
     def test_defined_for_every_attention_pair(self, toy_corpus):
         table = build_dref_table(toy_corpus, d_e=4)
         s = toy_corpus[0]
+        vocabs = build_vocabs(toy_corpus)
         for sg in sentence_subgraphs(s).all():
-            layout = unit_layout(s, sg)
-            rows, ratios = dref_edge_features(*layout, table)
-            assert rows.shape == ratios.shape == (len(layout[2]),)
+            rows, pairs = dref_rows(s, sg, table, vocabs)
+            assert rows.shape == (len(pairs),)
             assert np.all((rows >= 0) & (rows < table.num_rows))
 
     def test_non_tree_edge_rejected(self, pollen_sentence):
@@ -189,7 +211,7 @@ class TestDrefAssignment:
         # claim an edge between 'The'(0) and 'causes'(2), absent from the parse
         fake = SubGraph("sdp", [0, 2], np.array([[0, 1]]))
         with pytest.raises(FeatureError) as err:
-            dref_edge_features(*unit_layout(pollen_sentence, fake), table)
+            dref_rows(pollen_sentence, fake, table)
         assert "not an edge" in str(err.value)
 
 
@@ -238,6 +260,11 @@ class TestEntityMask:
     ]
 
     @staticmethod
+    def entity(layout):
+        # the tokens carry no symbols, so any vocabularies code them
+        return code_tokens(layout, build_vocabs(triple_sentence())).entity
+
+    @staticmethod
     def layout(spans, seed=0):
         """Each sentence with all its tokens in order, then again with a shuffled subset."""
         rng = np.random.default_rng(seed)
@@ -252,14 +279,31 @@ class TestEntityMask:
     def test_equals_per_token_lookup(self, spans):
         layout = self.layout([spans])
         want = [s.entity_token(i) for s, indices in layout for i in indices]
-        got = entity_mask(layout)
+        got = self.entity(layout)
         assert got.dtype == bool and got.tolist() == want
 
     def test_batch_equals_per_token_lookup(self):
         layout = self.layout(self.SPANS, seed=4)
         want = [s.entity_token(i) for s, indices in layout for i in indices]
-        assert entity_mask(layout).tolist() == want
-        assert entity_mask([]).shape == (0,)
+        assert self.entity(layout).tolist() == want
+        assert self.entity([]).shape == (0,)
+
+
+class TestCodeTokens:
+    def test_equals_per_token_lookup(self):
+        # the toy vocabularies lack ADP, prep and pobj: those code to UNK
+        corpus = build_structure_corpus(12, seed=2)
+        vocabs = build_vocabs(build_toy_corpus())
+        rng = np.random.default_rng(1)
+        layout = [(s, rng.permutation(len(s))[: rng.integers(1, len(s) + 1)].tolist()) for s in corpus]
+        codes = code_tokens(layout, vocabs)
+        tokens = [s.tokens[i] for s, indices in layout for i in indices]
+        assert codes.pos.tolist() == [vocabs.pos.index(t.pos) for t in tokens]
+        assert codes.deprel.tolist() == [vocabs.deprel.index(t.deprel) for t in tokens]
+        assert codes.ner.tolist() == [vocabs.ner.index(t.ner) for t in tokens]
+        assert codes.index.tolist() == [t.index for t in tokens]
+        assert codes.head.tolist() == [-1 if t.head is None else t.head for t in tokens]
+        assert Vocab.UNK in codes.pos.tolist() and Vocab.UNK in codes.deprel.tolist()
 
 
 class TestEdgeFeatureDispatch:
@@ -274,10 +318,11 @@ class TestEdgeFeatureDispatch:
         layout = unit_layout(s, sdp)
         pairs = layout[2]
         values = np.arange(table.num_rows * 4, dtype=np.float64).reshape(-1, 4)
-        node = edge_features(*layout, "dref+ctef", 4, table, nm.constant(values))
+        by_index = table.rows_by_index(build_vocabs([s]))
+        node = edge_features(*layout, "dref+ctef", 4, by_index, nm.constant(values))
         assert node.shape == (len(pairs), 4)
         k = pair_row(pairs, 1, 0)
-        rows, _ = dref_edge_features(*layout, table)
+        rows = dref_edge_features(*layout, by_index)
         np.testing.assert_array_equal(node.value[k], values[rows[k]] + np.ones(4))
 
     def test_units_stack_in_order(self, pollen_sentence, fig_example_sentence):
@@ -285,17 +330,21 @@ class TestEdgeFeatureDispatch:
         graph_sets = [sentence_subgraphs(s).all() for s in sentences]
         units = [(s, sg) for s, graphs in zip(sentences, graph_sets) for sg in graphs]
         table = build_dref_table(list(sentences), d_e=4)
+        vocabs = build_vocabs(list(sentences))
+        by_index = table.rows_by_index(vocabs)
         values = np.arange(table.num_rows * 4, dtype=np.float64).reshape(-1, 4)
         vertex_starts = np.cumsum([0] + [len(sg) for _, sg in units[:-1]])
         _, pairs, dependents = attention_pairs([sg for _, sg in units], vertex_starts)
         tokens, token_rows = token_layout(graph_sets)
         node = edge_features(
-            list(zip(sentences, tokens)), token_rows, pairs, dependents,
-            "dref+ctef", 4, table, nm.constant(values), True,
+            code_tokens(list(zip(sentences, tokens)), vocabs), token_rows, pairs, dependents,
+            "dref+ctef", 4, by_index, nm.constant(values), table.ratios,
         )
         bounds = np.cumsum([0] + [len(sg) + 2 * len(sg.edges) for _, sg in units])
         for (s, sg), lo, hi in zip(units, bounds[:-1], bounds[1:]):
-            alone = edge_features(*unit_layout(s, sg), "dref+ctef", 4, table, nm.constant(values), True)
+            alone = edge_features(
+                *unit_layout(s, sg, vocabs), "dref+ctef", 4, by_index, nm.constant(values), table.ratios
+            )
             np.testing.assert_array_equal(node.value[lo:hi], alone.value)
 
     def test_dref_mode_requires_table(self, pollen_sentence):
@@ -304,9 +353,9 @@ class TestEdgeFeatureDispatch:
             edge_features(*unit_layout(pollen_sentence, sdp), "dref", 4, None)
 
 
-def encoded(sentences, provider, emb):
+def encoded(sentences, vocabs, provider, emb):
     """The input rows ``encode_tokens`` yields, its column blocks side by side."""
-    blocks = encode_tokens(sentences, provider, emb)
+    blocks = encode_tokens(sentences, code_tokens(sentences, vocabs), provider, emb)
     assert blocks[0].shape[1] == emb.d_ctx and not blocks[0].requires_grad
     return np.concatenate([b.value for b in blocks], axis=1)
 
@@ -318,7 +367,7 @@ class TestEncodeTokens:
         provider = HashedEmbeddingProvider(768, seed=0)
         s = toy_corpus[0]
         sdp = sentence_subgraphs(s).sdp
-        x = encoded([(s, sdp.vertices)], provider, emb)
+        x = encoded([(s, sdp.vertices)], vocabs, provider, emb)
         assert x.shape == (len(sdp), 898)
 
     def test_dimension_constant_across_sentences(self, toy_corpus):
@@ -328,7 +377,7 @@ class TestEncodeTokens:
         widths = set()
         for s in toy_corpus:
             for sg in sentence_subgraphs(s).all():
-                widths.add(encoded([(s, sg.vertices)], provider, emb).shape[1])
+                widths.add(encoded([(s, sg.vertices)], vocabs, provider, emb).shape[1])
         assert widths == {emb.input_dim}
 
     def test_word_type_block_marks_entities(self, toy_corpus):
@@ -337,7 +386,7 @@ class TestEncodeTokens:
         provider = HashedEmbeddingProvider(8, seed=0)
         s = toy_corpus[0]
         sdp = sentence_subgraphs(s).sdp  # entity, verb, entity
-        x = encoded([(s, sdp.vertices)], provider, emb)
+        x = encoded([(s, sdp.vertices)], vocabs, provider, emb)
         wt = x[:, -2:]
         np.testing.assert_array_equal(wt[0], emb.word_type.value[1])
         np.testing.assert_array_equal(wt[1], emb.word_type.value[0])
@@ -347,8 +396,8 @@ class TestEncodeTokens:
         emb = FeatureEmbeddings(vocabs, d_ctx=8, d_f=3, d_wt=2)
         provider = HashedEmbeddingProvider(8, seed=0)
         units = [(s, sg.vertices) for s in toy_corpus[:3] for sg in sentence_subgraphs(s).all()]
-        stacked = encoded(units, provider, emb)
-        alone = [encoded([unit], provider, emb) for unit in units]
+        stacked = encoded(units, vocabs, provider, emb)
+        alone = [encoded([unit], vocabs, provider, emb) for unit in units]
         np.testing.assert_array_equal(stacked, np.concatenate(alone))
 
     def test_fallback_provider_deterministic(self, toy_corpus):
@@ -370,8 +419,9 @@ class TestEncodeTokens:
         emb = FeatureEmbeddings(vocabs, d_ctx=8, d_f=3, d_wt=2)
         provider = HashedEmbeddingProvider(16, seed=0)
         s = toy_corpus[0]
+        layout = [(s, sentence_subgraphs(s).sdp.vertices)]
         with pytest.raises(FeatureError):
-            encode_tokens([(s, sentence_subgraphs(s).sdp.vertices)], provider, emb)
+            encode_tokens(layout, code_tokens(layout, vocabs), provider, emb)
 
 
 class TestFileProvider:

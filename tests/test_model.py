@@ -148,6 +148,27 @@ def test_config_rejects_non_positive_sizes(field, value):
     assert field in str(err.value) and str(value) in str(err.value)
 
 
+@pytest.mark.parametrize("field", ["d_ctx", "heads", "graph_depth", "expansion_order"])
+@pytest.mark.parametrize("value", [True, 2.0, "2", None])
+def test_config_rejects_non_integer_sizes(field, value):
+    with pytest.raises(ConfigError) as err:
+        ModelConfig(**{**TINY, field: value})
+    assert field in str(err.value) and repr(value) in str(err.value)
+
+
+@pytest.mark.parametrize("field", ["contextual", "dref_scale_by_ratio"])
+@pytest.mark.parametrize("value", ["false", 0, 1, None, np.bool_(True)])
+def test_config_rejects_non_bool_flags(field, value):
+    with pytest.raises(ConfigError) as err:
+        ModelConfig(**{**TINY, field: value})
+    assert field in str(err.value)
+
+
+def test_config_accepts_numpy_integers():
+    config = ModelConfig(**{**TINY, "d_ctx": np.int64(8), "graph_depth": np.int32(2)})
+    assert config.d_ctx == 8 and config.graph_depth == 2
+
+
 def test_model_requires_table_for_dref():
     corpus = build_toy_corpus()
     vocabs = build_vocabs(corpus)
@@ -1146,6 +1167,24 @@ def test_malformed_checkpoint_header_names_path(tmp_path):
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(str(bad))
         assert str(bad) in str(err.value)
+
+
+@pytest.mark.parametrize("field, value", [("dref_scale_by_ratio", "false"), ("d_ctx", True)])
+def test_checkpoint_config_values_are_type_checked(tmp_path, field, value):
+    # a string flag would be truthy and a bool size an int; both are refused
+    model, _, _ = tiny_model(edge_mode="dref")
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + header_len])
+    header["config"][field] = value
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + header_len :])
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(str(bad))
+    assert str(bad) in str(err.value) and field in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -115,22 +115,26 @@ def test_bilstm_saturated_gates_stay_finite(dtype, big):
     assert np.all(np.isfinite(z.grad)) and np.all(np.isfinite(w_hidden.grad))
 
 
+def one_segment_softmax(column):
+    """``segment_softmax`` of the rows of ``column`` taken as one segment."""
+    x = np.asarray(column, dtype=np.float64).reshape(len(column), -1)
+    return nm.segment_softmax(nm.constant(x), nm.Segments([0], len(x))).value
+
+
 def test_softmax_symmetry_and_stability():
-    out = nm.softmax(nm.constant([0.0, 0.0]), axis=0)
-    np.testing.assert_allclose(out.value, [0.5, 0.5])
-    big = nm.softmax(nm.constant([1000.0, 0.0]), axis=0)
-    assert np.all(np.isfinite(big.value))
-    np.testing.assert_allclose(big.value, [1.0, 0.0], atol=1e-12)
-    single = nm.softmax(nm.constant([7.0]), axis=0)
-    np.testing.assert_allclose(single.value, [1.0])
+    np.testing.assert_allclose(one_segment_softmax([0.0, 0.0]), [[0.5], [0.5]])
+    for big in (1000.0, -1000.0):
+        out = one_segment_softmax([big, 0.0])
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out, [[float(big > 0)], [float(big < 0)]], atol=1e-12)
+    np.testing.assert_allclose(one_segment_softmax([7.0]), [[1.0]])
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        x = nm.constant(rng.standard_normal((4, 7)) * rng.uniform(0.1, 50))
-        out = nm.softmax(x, axis=1)
-        np.testing.assert_allclose(out.value.sum(axis=1), 1.0, atol=1e-9)
+        out = one_segment_softmax(rng.standard_normal((7, 4)) * rng.uniform(0.1, 50))
+        np.testing.assert_allclose(out.sum(axis=0), 1.0, atol=1e-9)
 
 
 def test_sum_gradient_is_ones():
@@ -180,7 +184,6 @@ def every_op(leaf):
         "leaky_relu": nm.leaky_relu(x),
         "elu": nm.elu(x),
         "tanh": nm.tanh(x),
-        "softmax": nm.softmax(x, axis=1),
         "segment_sum": nm.segment_sum(x, segments),
         "segment_softmax": nm.segment_softmax(x, segments),
         "bilstm_sequence": nm.bilstm_sequence(z, w_hidden, segments),
@@ -344,7 +347,7 @@ def test_gradient_check_skips_frozen_leaves():
 @pytest.mark.parametrize("case", [
     "add_same", "add_bias", "mul_same", "mul_column", "mul_column_left", "segment_sum", "segment_softmax", "matmul",
     "concat0", "concat1", "gather", "relu", "leaky", "elu",
-    "tanh", "softmax", "lstm_packed", "lstm_packed_reverse",
+    "tanh", "lstm_packed", "lstm_packed_reverse",
     "lstm_tokens", "lstm_tokens_reverse", "lstm_blocks",
     "lstm_tied", "lstm_length_one", "lstm_single",
 ])
@@ -410,7 +413,6 @@ def test_op_gradients(case):
         "leaky": (lambda: nm.mul(nm.leaky_relu(a), probe), [a]),
         "elu": (lambda: nm.mul(nm.elu(a), probe), [a]),
         "tanh": (lambda: nm.mul(nm.tanh(a), probe), [a]),
-        "softmax": (lambda: nm.mul(nm.softmax(a, axis=1), probe), [a]),
         "lstm_packed": (lambda: packed_lstm(False), lstm_params),
         "lstm_packed_reverse": (lambda: packed_lstm(True), lstm_params),
         "lstm_tokens": (lambda: token_lstm(nm.matmul(token_x, w_input), False), token_params),
@@ -502,9 +504,8 @@ def test_segment_ops_match_per_segment_loops():
     soft = nm.segment_softmax(nm.constant(x), segments).value
     for k, (lo, hi) in enumerate(bounds):
         np.testing.assert_allclose(summed[k], x[lo:hi].sum(axis=0), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(
-            soft[lo:hi], nm.softmax(nm.constant(x[lo:hi]), axis=0).value, rtol=0, atol=1e-15
-        )
+        e = np.exp(x[lo:hi] - x[lo:hi].max(axis=0))
+        np.testing.assert_allclose(soft[lo:hi], e / e.sum(axis=0), rtol=0, atol=1e-15)
 
 
 def test_gather_rows_accumulates_duplicates():

@@ -13,11 +13,14 @@ from relgat.corpus import (
     Sentence,
     Token,
     all_labels,
+    build_vocabs,
     parse_conllu_annotated,
     to_conllu,
     tree_error,
 )
-from relgat.features import DrefTable, attention_pairs, build_dref_table, dref_edge_features, edge_features
+from relgat.features import (
+    DrefTable, attention_pairs, build_dref_table, code_tokens, dref_edge_features, edge_features,
+)
 from relgat.graph import DependencyGraph, GraphError, sentence_subgraphs
 from relgat.model import token_layout
 from relgat.train_eval import score_predictions
@@ -151,11 +154,14 @@ def test_batched_pairs_equal_per_unit_dense_reference(batch, order, multi):
 
 @given(batches, st.integers(0, 2), st.booleans(), st.integers(1, 3))
 def test_dref_rows_and_ratios_equal_string_keyed_lookup(batch, order, multi, counted):
-    # the table counts only some sentences, so unseen triples occur too
+    # the vocabularies cover the batch but the table counts only some
+    # sentences, so symbols and triples it never saw occur too
     table = build_dref_table([s for s, _ in batch[:counted]], d_e=2)
+    vocabs = build_vocabs([s for s, _ in batch])
     units, vertex_starts, sentence_tokens, token_rows, vertex_tokens = batch_layout(batch, order, multi)
     _, pairs, dependents = attention_pairs(units, vertex_starts)
-    rows, ratios = dref_edge_features(sentence_tokens, token_rows, pairs, dependents, table)
+    codes = code_tokens(sentence_tokens, vocabs)
+    rows = dref_edge_features(codes, token_rows, pairs, dependents, table.rows_by_index(vocabs))
     want_rows, want_ratios = [], []
     for i, j in pairs.tolist():
         (s, u), (_, v) = vertex_tokens[i], vertex_tokens[j]
@@ -169,14 +175,15 @@ def test_dref_rows_and_ratios_equal_string_keyed_lookup(batch, order, multi, cou
         want_rows.append(table.row_for(triple))
         want_ratios.append(table.ratio_for(triple))
     assert rows.tolist() == want_rows
-    assert ratios.tolist() == want_ratios
+    assert table.ratios[rows].tolist() == want_ratios
 
 
 @given(batches, st.integers(0, 2), st.booleans())
 def test_ctef_flags_the_entity_tokens_attended_from(batch, order, multi):
     units, vertex_starts, sentence_tokens, token_rows, vertex_tokens = batch_layout(batch, order, multi)
     _, pairs, dependents = attention_pairs(units, vertex_starts)
-    flags = edge_features(sentence_tokens, token_rows, pairs, dependents, "ctef", 1).value[:, 0]
+    codes = code_tokens(sentence_tokens, build_vocabs([s for s, _ in batch]))
+    flags = edge_features(codes, token_rows, pairs, dependents, "ctef", 1).value[:, 0]
     want = [float(s.entity_token(v)) for s, v in (vertex_tokens[j] for j in pairs[:, 1])]
     assert flags.tolist() == want
 
