@@ -151,6 +151,7 @@ class ModelConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))  # a numpy integer would not serialise to JSON
         for name in BOOL_FIELDS:
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")

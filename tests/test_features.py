@@ -70,8 +70,8 @@ class TestDrefTable:
         assert a.ratio == b.ratio
 
     def test_rows_by_index_equal_string_lookup(self):
-        # every triple of vocabulary symbols, UNK included, finds the row
-        # and ratio that its strings do; tokens without a symbol code to UNK
+        # every triple of vocabulary symbols finds the row and ratio that
+        # its strings do; the table never saw a triple with the UNK symbol
         corpus = build_structure_corpus(30, seed=5)
         table = build_dref_table(corpus[:10], d_e=2)
         vocabs = build_vocabs(corpus)

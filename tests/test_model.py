@@ -164,9 +164,13 @@ def test_config_rejects_non_bool_flags(field, value):
     assert field in str(err.value)
 
 
-def test_config_accepts_numpy_integers():
+def test_config_accepts_numpy_integers(tmp_path):
+    # stored as Python ints, so a checkpoint header can hold them
     config = ModelConfig(**{**TINY, "d_ctx": np.int64(8), "graph_depth": np.int32(2)})
-    assert config.d_ctx == 8 and config.graph_depth == 2
+    assert type(config.d_ctx) is int and type(config.graph_depth) is int
+    assert (config.d_ctx, config.graph_depth) == (8, 2)
+    save_checkpoint(Model(config, build_vocabs(build_toy_corpus())), str(tmp_path / "model.ckpt"))
+    assert load_checkpoint(str(tmp_path / "model.ckpt")).config == config
 
 
 def test_model_requires_table_for_dref():
