@@ -1,26 +1,36 @@
 """Deterministic binary model checkpoints.
 
-Layout (format version 06): an 8-byte magic (which carries the format
-version), a little-endian uint64 header length, a UTF-8 JSON header,
-then the raw little-endian bytes of every parameter in header order, in
-the model's dtype (``<f4`` for float32, ``<f8`` for float64). The header
-holds the model config, the vocabularies, the dependency-triple
-statistics, the dtype, the parameter names and shapes and a blake2b
-digest of the parameter bytes, so a load rebuilds the exact model in its
-dtype. Each vocabulary is its symbol list in index order, the UNK first
-when it has one. The BiLSTM is one group, ``lstm.w_ctx``, ``.w_feat``,
-``.w_hidden`` and ``.bias``, with the two directions as column blocks,
-forward first; each GAT layer has its heads stacked, as ``gat.l{l}.w``,
-``.a_center``, ``.a_neighbor`` and (with edge features) ``.a_edge``; and
-each context-encoder input matrix is kept as its two row blocks
-(``.w_ctx``, ``.w_feat``). Outputs are byte-identical across runs
-because nothing time- or path-dependent is written. A save writes a
-temporary file beside the target and renames it over the target, so the
-path holds either the old checkpoint or the new one, never a partial
-file. A load rejects a file of another format version, one that is cut
+Layout (format version 07): an 8-byte magic (which carries the format
+version), a little-endian uint64 header length, a UTF-8 JSON header, a
+32-byte blake2b digest, then the raw little-endian bytes of every
+parameter in header order, in the model's dtype (``<f4`` for float32,
+``<f8`` for float64). The digest covers the header bytes as written and
+the parameter bytes, so no byte of either can change unnoticed.
+
+The header states each fact once; the loader derives the rest. It holds
+the model config, the dtype, the parameter names and shapes, each
+vocabulary's corpus symbols in index order (index 0 is the UNK, which
+no symbol spells), the dependency triples and their counts (the total
+is their sum, the table's ``d_e`` the config's) or null, and the
+embedding record, ``{"kind": "hashed", "seed": s}`` or ``{"kind":
+"file"}``, whose dimension is the config's ``d_ctx``. The 19 labels
+are the task's ``corpus.LABELS`` and are not stored.
+
+The BiLSTM is one group, ``lstm.w_ctx``, ``.w_feat``, ``.w_hidden`` and
+``.bias``, with the two directions as column blocks, forward first; each
+GAT layer has its heads stacked, as ``gat.l{l}.w``, ``.a_center``,
+``.a_neighbor`` and (with edge features) ``.a_edge``; and each
+context-encoder input matrix is kept as its two row blocks (``.w_ctx``,
+``.w_feat``). Outputs are byte-identical across runs because nothing
+time- or path-dependent is written. A save writes a temporary file
+beside the target and renames it over the target, so the path holds
+either the old checkpoint or the new one, never a partial file.
+
+A load rejects a file of another format version, one that is cut
 short, carries bytes past the last parameter, has a header that is
-unreadable or does not describe a model, or whose parameter bytes do not
-match the recorded digest, with a CheckpointError naming the path.
+unreadable or does not describe a model, or whose header or parameter
+bytes do not match the digest, with a CheckpointError naming the path.
+The digest is checked last, so a malformed header is reported as such.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ import hashlib
 import json
 import os
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
@@ -39,34 +50,26 @@ from .model import Model, ModelConfig
 
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
 
-MAGIC = b"RGCKPT06"  # the last two bytes are the format version
+MAGIC = b"RGCKPT07"  # the last two bytes are the format version
+DIGEST_SIZE = 32
+VOCABS = ("pos", "deprel", "ner")
 
 
-def _digest(chunks) -> str:
-    h = hashlib.blake2b(digest_size=32)
+def _digest(chunks) -> bytes:
+    h = hashlib.blake2b(digest_size=DIGEST_SIZE)
     for chunk in chunks:
         h.update(chunk)
-    return h.hexdigest()
+    return h.digest()
 
 
 class CheckpointError(ValueError):
     pass
 
 
-def _vocab_payload(vocab: Vocab) -> dict:
-    return {"symbols": vocab.symbols(), "has_unk": vocab.has_unk}
-
-
 def _dref_payload(table: DrefTable | None) -> dict | None:
     if table is None:
         return None
-    triples = list(table.counts)
-    return {
-        "triples": [list(t) for t in triples],
-        "counts": [table.counts[t] for t in triples],
-        "total": table.total,
-        "d_e": table.d_e,
-    }
+    return {"triples": [list(t) for t in table.counts], "counts": list(table.counts.values())}
 
 
 def save_checkpoint(model: Model, path: str, embedding: dict | None = None) -> None:
@@ -74,18 +77,12 @@ def save_checkpoint(model: Model, path: str, embedding: dict | None = None) -> N
     stored = model.dtype.newbyteorder("<")
     payload = [np.ascontiguousarray(p.value, dtype=stored) for p in params.values()]
     header = {
-        "config": model.config.to_dict(),
-        "vocabs": {
-            "pos": _vocab_payload(model.vocabs.pos),
-            "deprel": _vocab_payload(model.vocabs.deprel),
-            "ner": _vocab_payload(model.vocabs.ner),
-            "label": _vocab_payload(model.vocabs.label),
-        },
+        "config": asdict(model.config),
+        "vocabs": {name: getattr(model.vocabs, name).symbols() for name in VOCABS},
         "dref": _dref_payload(model.dref_table),
-        "embedding": embedding or {"kind": "hashed", "dim": model.config.d_ctx, "seed": 0},
+        "embedding": embedding or {"kind": "hashed", "seed": 0},
         "dtype": model.dtype.name,
         "params": [{"name": n, "shape": list(p.value.shape)} for n, p in params.items()],
-        "digest": _digest(payload),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     tmp_path = f"{path}.{os.getpid()}.tmp"  # same directory, so the rename stays atomic
@@ -94,6 +91,7 @@ def save_checkpoint(model: Model, path: str, embedding: dict | None = None) -> N
             f.write(MAGIC)
             f.write(struct.pack("<Q", len(header_bytes)))
             f.write(header_bytes)
+            f.write(_digest([header_bytes, *payload]))
             for data in payload:
                 f.write(data)
             f.flush()
@@ -113,28 +111,31 @@ def load_checkpoint(path: str) -> Model:
             f"{path}: not a checkpoint of this format (magic {blob[:len(MAGIC)]!r}, "
             f"expected {MAGIC!r})"
         )
-    offset = len(MAGIC) + 8
-    if len(blob) < offset:
+    header_start = len(MAGIC) + 8
+    if len(blob) < header_start:
         raise CheckpointError(f"{path}: truncated in the header length")
     (header_len,) = struct.unpack_from("<Q", blob, len(MAGIC))
-    if len(blob) < offset + header_len:
+    digest_start = header_start + header_len
+    if len(blob) < digest_start:
         raise CheckpointError(f"{path}: truncated in the header")
+    header_bytes = blob[header_start:digest_start]
     try:
-        header = json.loads(blob[offset : offset + header_len].decode("utf-8"))
+        header = json.loads(header_bytes.decode("utf-8"))
     except ValueError as exc:  # bad UTF-8 or bad JSON
         raise CheckpointError(f"{path}: unreadable header ({exc})") from None
-    offset += header_len
-    payload_start = offset
+    payload_start = digest_start + DIGEST_SIZE
+    if len(blob) < payload_start:
+        raise CheckpointError(f"{path}: truncated in the digest")
 
     try:
         model, recorded = _model_from_header(header)
-        digest = header["digest"]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from None
     params = model.parameters()
     stored = model.dtype.newbyteorder("<")
     if [name for name, _ in recorded] != list(params):
         raise CheckpointError(f"{path}: parameter set does not match config")
+    offset = payload_start
     for name, shape in recorded:
         node = params[name]
         if tuple(node.value.shape) != shape:
@@ -150,8 +151,8 @@ def load_checkpoint(path: str) -> Model:
         node.value = data.reshape(shape).astype(model.dtype)
     if offset != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - offset} bytes after the last parameter")
-    if _digest([memoryview(blob)[payload_start:]]) != digest:
-        raise CheckpointError(f"{path}: parameter bytes do not match the recorded digest")
+    if _digest([header_bytes, memoryview(blob)[payload_start:]]) != blob[digest_start:payload_start]:
+        raise CheckpointError(f"{path}: header or parameter bytes do not match the recorded digest")
     return model
 
 
@@ -161,16 +162,12 @@ def _model_from_header(header) -> tuple[Model, list[tuple[str, tuple[int, ...]]]
     Any structural fault surfaces as KeyError, TypeError, ValueError or
     AttributeError, which ``load_checkpoint`` turns into CheckpointError.
     """
-    config = ModelConfig.from_dict(header["config"])
-    vp = header["vocabs"]
-    vocabs = Vocabs(**{
-        name: Vocab(vp[name]["symbols"], vp[name]["has_unk"]) for name in ("pos", "deprel", "ner", "label")
-    })
+    config = ModelConfig(**header["config"])
+    vocabs = Vocabs(*(Vocab(header["vocabs"][name]) for name in VOCABS))
     dref = None
     if header["dref"] is not None:
         dp = header["dref"]
-        counts = {tuple(t): c for t, c in zip(dp["triples"], dp["counts"])}
-        dref = DrefTable(counts, dp["total"], dp["d_e"])
+        dref = DrefTable(dict(zip(map(tuple, dp["triples"]), dp["counts"])), config.d_e)
     model = Model(config, vocabs, dref, seed=0, dtype=np.dtype(header["dtype"]))
     model.embedding_info = header["embedding"]  # type: ignore[attr-defined]
     recorded = [(r["name"], tuple(r["shape"])) for r in header["params"]]

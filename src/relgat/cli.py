@@ -18,7 +18,7 @@ import typing
 from dataclasses import dataclass, fields
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .corpus import CorpusError, build_vocabs, parse_conllu_annotated
+from .corpus import LABELS, CorpusError, build_vocabs, parse_conllu_annotated
 from .features import FileEmbeddingProvider, HashedEmbeddingProvider, build_dref_table
 from .graph import sentence_subgraphs, subgraph_size_histograms
 from .model import ModelConfig
@@ -159,15 +159,18 @@ def _provider(embeddings: str | None, dim: int, seed: int):
 
 def _make_provider(run: RunConfig):
     dim, seed = run.model.d_ctx, run.embedding_seed
-    info = {"kind": "file", "dim": dim} if run.embeddings else {"kind": "hashed", "dim": dim, "seed": seed}
+    info = {"kind": "file"} if run.embeddings else {"kind": "hashed", "seed": seed}
     return _provider(run.embeddings, dim, seed), info
 
 
 def _provider_for_checkpoint(model, embeddings_path: str | None):
-    info = getattr(model, "embedding_info", None) or {}
-    if not embeddings_path and info.get("kind") == "file":
+    """The provider a loaded model was trained with; ``--embeddings`` must match its kind."""
+    info = model.embedding_info
+    if info["kind"] == "file" and not embeddings_path:
         raise UsageError("checkpoint was trained on file embeddings; pass --embeddings")
-    return _provider(embeddings_path, info.get("dim", model.config.d_ctx), info.get("seed", 0))
+    if info["kind"] == "hashed" and embeddings_path:
+        raise UsageError("checkpoint was trained on hashed embeddings; drop --embeddings")
+    return _provider(embeddings_path, model.config.d_ctx, info.get("seed", 0))
 
 
 def _write_json(path: str, payload) -> None:
@@ -204,7 +207,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
             "pos": vocabs.pos.symbols(),
             "deprel": vocabs.deprel.symbols(),
             "ner": vocabs.ner.symbols(),
-            "label": vocabs.label.symbols(),
+            "label": [str(label) for label in LABELS],
         },
     )
     _write_json(

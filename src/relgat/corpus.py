@@ -28,7 +28,8 @@ __all__ = [
     "Vocabs",
     "RELATION_BASES",
     "OTHER_LABEL",
-    "all_labels",
+    "LABELS",
+    "LABEL_INDEX",
     "parse_semeval_raw",
     "parse_conllu_annotated",
     "to_semeval_raw",
@@ -95,14 +96,13 @@ class RelationLabel:
         return cls(m.group(1), m.group(2))
 
 
-def all_labels() -> list[str]:
-    """The fixed 19-label space: 9 bases x 2 directions, then Other."""
-    labels = []
-    for base in RELATION_BASES:
-        labels.append(f"{base}({E1_TO_E2})")
-        labels.append(f"{base}({E2_TO_E1})")
-    labels.append(OTHER_LABEL)
-    return labels
+# The task's fixed 19-label space, the logit columns in order: each base in
+# both directions, (e1,e2) first, then Other.
+LABELS = (
+    *(RelationLabel(base, d) for base in RELATION_BASES for d in (E1_TO_E2, E2_TO_E1)),
+    RelationLabel(OTHER_LABEL, None),
+)
+LABEL_INDEX = {label: i for i, label in enumerate(LABELS)}
 
 
 @dataclass
@@ -482,36 +482,30 @@ def to_conllu(sentence: Sentence) -> str:
 
 
 class Vocab:
-    """Injective symbol-to-index map, fixed when built, with an optional reserved UNK at 0.
+    """Injective symbol-to-index map, fixed when built; index 0 is the UNK.
 
-    ``symbols`` are numbered in order after the UNK, a repeat keeping its
-    first index; ``index`` maps a symbol the map lacks, ``None``
-    included, to the UNK, or raises KeyError when there is none.
+    ``symbols`` are numbered in order from 1, a repeat keeping its first
+    index. No symbol spells the UNK: ``index`` maps every symbol the map
+    lacks, ``None`` included, to 0, and a corpus symbol such as
+    ``"<unk>"`` gets an index of its own.
     """
 
-    UNK_SYMBOL = "<unk>"
     UNK = 0
 
-    def __init__(self, symbols, has_unk: bool = True):
-        self.has_unk = has_unk
-        head = [self.UNK_SYMBOL] if has_unk else []
-        self._index = {s: i for i, s in enumerate(dict.fromkeys([*head, *symbols]))}
+    def __init__(self, symbols):
+        self._index = {s: i for i, s in enumerate(dict.fromkeys(symbols), start=1)}
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._index) + 1
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._index
 
     def index(self, symbol: str | None) -> int:
-        idx = self._index.get(symbol)
-        if idx is not None:
-            return idx
-        if self.has_unk:
-            return self.UNK
-        raise KeyError(f"{symbol!r} not in a vocabulary without UNK")
+        return self._index.get(symbol, self.UNK)
 
     def symbols(self) -> list[str]:
+        """The symbols of indices 1, 2, ..., in order."""
         return list(self._index)
 
 
@@ -520,20 +514,16 @@ class Vocabs:
     pos: Vocab
     deprel: Vocab
     ner: Vocab
-    label: Vocab
-
-    def label_index(self, label: RelationLabel) -> int:
-        return self.label.index(str(label))
 
     def label_at(self, index: int) -> RelationLabel:
-        return RelationLabel.parse(self.label.symbols()[index])
+        return LABELS[index]
 
 
 def build_vocabs(train: list[Sentence]) -> Vocabs:
     """Collect pos/deprel/ner vocabularies from the training split.
 
-    Symbols are indexed in first-seen corpus order; the label vocabulary
-    is the fixed 19-label space regardless of corpus contents.
+    Symbols are indexed in first-seen corpus order. Labels need no
+    vocabulary: they are the fixed ``LABELS``.
     """
     if not train:
         raise CorpusError("empty corpus")
@@ -542,5 +532,4 @@ def build_vocabs(train: list[Sentence]) -> Vocabs:
         Vocab(t.pos for t in tokens if t.pos is not None),
         Vocab(t.deprel for t in tokens if t.deprel is not None),
         Vocab(t.ner for t in tokens if t.ner is not None),
-        Vocab(all_labels(), has_unk=False),
     )

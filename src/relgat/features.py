@@ -287,7 +287,8 @@ class DrefTable:
     row 0 is the unseen-triple fallback and row 1 the self-loop row. The
     matrix itself lives in the model; this table only maps triples to
     rows and keeps counts and frequency ratios, with ``ratios`` holding
-    every row's (1 for the two reserved rows).
+    every row's (1 for the two reserved rows): a triple's count over the
+    sum of all counts, the number of edges seen.
 
     ``rows_by_index`` lays the rows out by vocabulary indices, the codes
     of ``code_tokens``; ``row_for`` and ``ratio_for`` look one triple up
@@ -298,13 +299,13 @@ class DrefTable:
     SELF_ROW = 1
     RESERVED_ROWS = 2
 
-    def __init__(self, counts: dict[tuple[str, str, str], int], total: int, d_e: int = 40):
-        if total <= 0 or not counts:
-            raise FeatureError("empty dependency-triple statistics")
+    def __init__(self, counts: dict[tuple[str, str, str], int], d_e: int = 40):
         self.counts = dict(counts)
-        self.total = total
+        self.total = sum(self.counts.values())
+        if self.total <= 0:
+            raise FeatureError("empty dependency-triple statistics")
         self.d_e = d_e
-        observed = np.fromiter(self.counts.values(), np.float64, len(self.counts)) / total
+        observed = np.fromiter(self.counts.values(), np.float64, len(self.counts)) / self.total
         self.ratios = np.concatenate([np.ones(self.RESERVED_ROWS), observed])
 
     @functools.cached_property
@@ -361,7 +362,6 @@ def build_dref_table(train: list[Sentence], d_e: int = 40) -> DrefTable:
     if not train:
         raise FeatureError("empty corpus")
     counts: dict[tuple[str, str, str], int] = {}
-    total = 0
     for sentence in train:
         if not sentence.parsed:
             raise FeatureError(f"instance {sentence.instance_id}: sentence has no parse")
@@ -371,8 +371,7 @@ def build_dref_table(train: list[Sentence], d_e: int = 40) -> DrefTable:
             head = sentence.tokens[t.head]
             triple = (head.pos, t.pos, t.deprel)
             counts[triple] = counts.get(triple, 0) + 1
-            total += 1
-    return DrefTable(counts, total, d_e)
+    return DrefTable(counts, d_e)
 
 
 # ---------------------------------------------------------------------------

@@ -80,12 +80,12 @@ gradient checks and the numpy oracles build float64 models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
-from .corpus import Sentence, Vocabs
+from .corpus import LABELS, Sentence, Vocabs
 from .features import (
     EDGE_MODES,
     DrefTable,
@@ -121,7 +121,7 @@ GRAPH_MODES = ("multi", "single")
 SIZE_FIELDS = ("d_ctx", "d_f", "d_wt", "d_lstm", "d_g", "heads", "d_e")
 INT_FIELDS = (*SIZE_FIELDS, "graph_depth", "expansion_order")
 BOOL_FIELDS = ("contextual", "dref_scale_by_ratio")
-NUM_LABELS = 19
+NUM_LABELS = len(LABELS)
 LEAKY_SLOPE = 0.2
 
 
@@ -178,13 +178,6 @@ class ModelConfig:
     @property
     def uses_dref(self) -> bool:
         return "dref" in self.edge_mode
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------

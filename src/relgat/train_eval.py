@@ -17,14 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import numerics as nm
-from .corpus import (
-    RELATION_BASES,
-    CorpusError,
-    RelationLabel,
-    Sentence,
-    all_labels,
-    build_vocabs,
-)
+from .corpus import LABEL_INDEX, LABELS, RELATION_BASES, CorpusError, RelationLabel, Sentence, build_vocabs
 from .features import EmbeddingProvider, HashedEmbeddingProvider, build_dref_table
 from .graph import SubGraphSet, sentence_subgraphs
 from .model import Model, ModelConfig
@@ -50,12 +43,8 @@ __all__ = [
 
 
 EVAL_CHUNK = 32  # sentences per batched forward in evaluation
-_LABELS = all_labels()
-_LABEL_INDEX = {name: i for i, name in enumerate(_LABELS)}
 # (9, 19): 1 where a label (column) has the base of the row
-_BASE_LABELS = np.array(
-    [[RelationLabel.parse(name).base == base for name in _LABELS] for base in RELATION_BASES], dtype=np.intp
-)
+_BASE_LABELS = np.array([[label.base == base for label in LABELS] for base in RELATION_BASES], dtype=np.intp)
 
 
 class TrainingDiverged(RuntimeError):
@@ -101,9 +90,6 @@ class TrainerConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.budget_unit not in ("epoch", "step"):
             raise ValueError(f"budget_unit must be 'epoch' or 'step', got {self.budget_unit!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -160,9 +146,9 @@ def score_predictions(
     """
     if len(golds) != len(preds):
         raise ValueError(f"{len(golds)} golds vs {len(preds)} predictions")
-    size = len(_LABELS)
-    gold_ids = np.array([_LABEL_INDEX[str(g)] for g in golds], dtype=np.intp)
-    pred_ids = np.array([_LABEL_INDEX[str(p)] for p in preds], dtype=np.intp)
+    size = len(LABELS)
+    gold_ids = np.array([LABEL_INDEX[g] for g in golds], dtype=np.intp)
+    pred_ids = np.array([LABEL_INDEX[p] for p in preds], dtype=np.intp)
     confusion = np.bincount(gold_ids * size + pred_ids, minlength=size * size).reshape(size, size)
     # per base: golds are its rows, predictions its columns, correct ones its diagonal entries
     counts = zip(
@@ -289,7 +275,7 @@ def train(
             batch = order[start : start + trainer_config.batch_size]
             nm.zero_grads(params)
             detail = model.forward([(sentences[i], graphs[i]) for i in batch], provider)
-            golds = [model.vocabs.label_index(sentences[i].label) for i in batch]
+            golds = [LABEL_INDEX[sentences[i].label] for i in batch]
             loss = nm.cross_entropy(detail.logits, golds)
             if not np.isfinite(loss.item()):
                 raise TrainingDiverged(
@@ -376,7 +362,7 @@ def _predict_labels(model: Model, sentences, graphs, provider) -> list[RelationL
     with nm.no_grad():
         for start in range(0, len(instances), EVAL_CHUNK):
             logits = model.forward(instances[start : start + EVAL_CHUNK], provider).logits.value
-            labels.extend(model.vocabs.label_at(int(i)) for i in np.argmax(logits, axis=1))
+            labels.extend(LABELS[i] for i in np.argmax(logits, axis=1))
     return labels
 
 
@@ -532,7 +518,7 @@ def metrics_json(
     final: EvalReport,
 ) -> str:
     payload = {
-        "config": {"model": model_config.to_dict(), "trainer": trainer_config.to_dict()},
+        "config": {"model": asdict(model_config), "trainer": asdict(trainer_config)},
         **log.to_dict(),
         "final": final.to_dict(),
     }

@@ -24,7 +24,7 @@ import os
 import numpy as np
 
 from relgat import numerics as nm
-from relgat.corpus import build_vocabs
+from relgat.corpus import LABEL_INDEX, build_vocabs
 from relgat.features import HashedEmbeddingProvider, build_dref_table
 from relgat.graph import sentence_subgraphs
 from relgat.model import Model, ModelConfig
@@ -53,7 +53,7 @@ def run_cell(graph_layer, edge_mode, contextual, order, depth) -> dict[str, np.n
     dref = build_dref_table(corpus, config.d_e) if config.uses_dref else None
     provider = HashedEmbeddingProvider(config.d_ctx, seed=0)
     instances = [(s, sentence_subgraphs(s, order)) for s in corpus]
-    golds = [vocabs.label_index(s.label) for s in corpus]
+    golds = [LABEL_INDEX[s.label] for s in corpus]
     prefix = cell_name(graph_layer, edge_mode, contextual, order, depth)
     out = {}
     double = Model(config, vocabs, dref, seed=MODEL_SEED, dtype=np.float64)

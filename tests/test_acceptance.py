@@ -16,7 +16,8 @@ from relgat.corpus import (
     RelationLabel,
     Sentence,
     Token,
-    all_labels,
+    LABEL_INDEX,
+    LABELS,
     build_vocabs,
     parse_conllu_annotated,
     to_conllu,
@@ -175,7 +176,7 @@ def test_04_full_model_gradient_fidelity():
         model = Model(config, vocabs, dref, seed=11, dtype=np.float64)
         provider = HashedEmbeddingProvider(config.d_ctx, seed=0)
         sgs = sentence_subgraphs(s)
-        label = vocabs.label_index(s.label)
+        label = LABEL_INDEX[s.label]
 
         def loss():
             return nm.cross_entropy(model.forward([(s, sgs)], provider).logits, [label])
@@ -239,7 +240,7 @@ def test_06_scorer_fidelity():
         all_other = score_predictions(golds, [parse("Other")] * len(golds))
         assert all_other.macro_f1 == 0.0
 
-        full_space = [parse(x) for x in all_labels()]
+        full_space = list(LABELS)
         assert score_predictions(full_space, list(full_space)).macro_f1 == 100.0
 
 

@@ -329,6 +329,42 @@ class TestPredict:
         assert capsys.readouterr().err != ""
 
 
+class TestEmbeddingsKind:
+    """eval and predict read vectors of the kind the checkpoint was trained on."""
+
+    @staticmethod
+    def vectors_file(tmp_path, sentences):
+        path = tmp_path / "v.tsv"
+        path.write_text("".join(
+            f"{s.instance_id}\t{i}\t{' '.join(['0.25'] * 6)}\n" for s in sentences for i in range(len(s))
+        ), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_embeddings_on_hashed_checkpoint_exit_2(self, tmp_path, corpus_file, capsys, command):
+        out = run_train(tmp_path, corpus_file)
+        vectors = self.vectors_file(tmp_path, build_toy_corpus())
+        capsys.readouterr()  # drop the training banner
+        source = "--test" if command == "eval" else "--input"
+        code = main([command, "--checkpoint", os.path.join(out, "model.ckpt"), source, corpus_file,
+                     "--embeddings", vectors])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trained on hashed embeddings" in captured.err
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_file_checkpoint_needs_embeddings(self, tmp_path, corpus_file, capsys, command):
+        vectors = self.vectors_file(tmp_path, build_toy_corpus())
+        out = run_train(tmp_path, corpus_file, extra=("--embeddings", vectors))
+        checkpoint = os.path.join(out, "model.ckpt")
+        source = "--test" if command == "eval" else "--input"
+        capsys.readouterr()
+        assert main([command, "--checkpoint", checkpoint, source, corpus_file]) == 2
+        assert "trained on file embeddings; pass --embeddings" in capsys.readouterr().err
+        assert main([command, "--checkpoint", checkpoint, source, corpus_file, "--embeddings", vectors]) == 0
+
+
 class TestShippedFixtures:
     def test_toy_corpus_file_matches_generator(self):
         shipped = (REPO_ROOT / "data" / "toy_train.conllu").read_text(encoding="utf-8")

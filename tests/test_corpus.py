@@ -9,9 +9,10 @@ from relgat.corpus import (
     EntitySpan,
     RelationLabel,
     Sentence,
+    LABEL_INDEX,
+    LABELS,
     Token,
     Vocab,
-    all_labels,
     build_vocabs,
     parse_conllu_annotated,
     parse_semeval_raw,
@@ -226,12 +227,30 @@ class TestConlluFormat:
 
 class TestLabels:
     def test_label_space_has_19_members(self):
-        labels = all_labels()
-        assert len(labels) == 19
-        assert len(set(labels)) == 19
-        assert labels[-1] == "Other"
-        for name in labels:
-            assert str(RelationLabel.parse(name)) == name
+        assert len(LABELS) == 19
+        assert len(set(LABELS)) == 19
+        assert str(LABELS[-1]) == "Other"
+        for label in LABELS:
+            assert RelationLabel.parse(str(label)) == label
+
+    def test_labels_constant_is_the_logit_order(self):
+        # the logit columns: each base in both directions, (e1,e2) first, then Other
+        assert [str(label) for label in LABELS] == [
+            "Cause-Effect(e1,e2)", "Cause-Effect(e2,e1)",
+            "Component-Whole(e1,e2)", "Component-Whole(e2,e1)",
+            "Content-Container(e1,e2)", "Content-Container(e2,e1)",
+            "Entity-Destination(e1,e2)", "Entity-Destination(e2,e1)",
+            "Entity-Origin(e1,e2)", "Entity-Origin(e2,e1)",
+            "Instrument-Agency(e1,e2)", "Instrument-Agency(e2,e1)",
+            "Member-Collection(e1,e2)", "Member-Collection(e2,e1)",
+            "Message-Topic(e1,e2)", "Message-Topic(e2,e1)",
+            "Product-Producer(e1,e2)", "Product-Producer(e2,e1)",
+            "Other",
+        ]
+        assert isinstance(LABELS, tuple) and len(set(LABELS)) == 19
+        assert LABELS[-1] == RelationLabel("Other", None)
+        assert LABEL_INDEX == {label: i for i, label in enumerate(LABELS)}
+        assert [LABELS[LABEL_INDEX[label]] for label in LABELS] == list(LABELS)
 
     def test_direction_none_iff_other(self):
         with pytest.raises(CorpusError):
@@ -257,11 +276,6 @@ class TestVocabs:
         assert vocabs.pos.index("X") == Vocab.UNK
         assert vocabs.deprel.index("obl") == Vocab.UNK
 
-    def test_label_vocab_fixed_at_19(self, toy_corpus):
-        vocabs = build_vocabs(toy_corpus)
-        assert len(vocabs.label) == 19
-        assert not vocabs.label.has_unk
-
     def test_frozen_vocab_never_allocates(self, toy_corpus):
         vocabs = build_vocabs(toy_corpus)
         before = len(vocabs.pos)
@@ -274,8 +288,22 @@ class TestVocabs:
 
     def test_vocab_roundtrip_preserves_order(self, toy_corpus):
         vocabs = build_vocabs(toy_corpus)
-        clone = Vocab(vocabs.pos.symbols(), vocabs.pos.has_unk)
+        clone = Vocab(vocabs.pos.symbols())
         assert clone.symbols() == vocabs.pos.symbols()
+        assert [clone.index(s) for s in clone.symbols()] == [vocabs.pos.index(s) for s in vocabs.pos.symbols()]
+
+    def test_symbols_are_numbered_from_one(self):
+        vocab = Vocab(["NOUN", "VERB", "NOUN"])
+        assert vocab.symbols() == ["NOUN", "VERB"]
+        assert [vocab.index(s) for s in ("NOUN", "VERB", "X", None)] == [1, 2, Vocab.UNK, Vocab.UNK]
+        assert len(vocab) == 3
+
+    def test_no_symbol_spells_the_unk(self):
+        # a corpus symbol spelled "<unk>" owns a row of its own, apart from unseen symbols
+        vocab = Vocab(["<unk>", "X"])
+        assert len(vocab) == 3
+        assert vocab.index("<unk>") == 1 and vocab.index("X") == 2
+        assert vocab.index("unseen") == Vocab.UNK
 
 
 OFFICIAL_TRAIN = "data/TRAIN_FILE.TXT"

@@ -76,7 +76,8 @@ class TestDrefTable:
         table = build_dref_table(corpus[:10], d_e=2)
         vocabs = build_vocabs(corpus)
         rows = table.rows_by_index(vocabs)
-        pos, deprel = vocabs.pos.symbols(), vocabs.deprel.symbols()
+        # index 0 is the UNK, which spells no symbol
+        pos, deprel = [None, *vocabs.pos.symbols()], [None, *vocabs.deprel.symbols()]
         assert rows.shape == (len(pos), len(pos), len(deprel))
         for (h, d, r), row in np.ndenumerate(rows):
             triple = (pos[h], pos[d], deprel[r])

@@ -9,7 +9,7 @@ import pytest
 from relgat import model as model_module
 from relgat import numerics as nm
 from relgat.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from relgat.corpus import build_vocabs, parse_conllu_annotated
+from relgat.corpus import LABEL_INDEX, build_vocabs, parse_conllu_annotated
 from relgat.features import (
     DrefTable,
     HashedEmbeddingProvider,
@@ -90,7 +90,7 @@ def logits_of(model, sentence, sgs, provider):
 
 def instance_loss(model, sentence, sgs, provider):
     """Cross-entropy of one instance against its gold label, run as a batch of one."""
-    label = model.vocabs.label_index(sentence.label)
+    label = LABEL_INDEX[sentence.label]
     return nm.cross_entropy(model.forward([(sentence, sgs)], provider).logits, [label])
 
 
@@ -319,7 +319,7 @@ def test_constant_context_block_gets_no_gradient_product(contextual):
         return encoded[-1]
 
     instances = [(s, sentence_subgraphs(s)) for s in corpus[:3]]
-    golds = [model.vocabs.label_index(s.label) for s, _ in instances]
+    golds = [LABEL_INDEX[s.label] for s, _ in instances]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model_module, "encode_tokens", recording_encode)
         loss = nm.cross_entropy(model.forward(instances, provider).logits, golds)
@@ -845,7 +845,7 @@ def test_batch_mean_loss_gradient_is_mean_of_instance_gradients(graph_layer):
     model, instances, provider = structure_model(graph_layer=graph_layer, edge_mode="dref+ctef")
     instances = instances[:5]
     params = model.parameters()
-    golds = [model.vocabs.label_index(s.label) for s, _ in instances]
+    golds = [LABEL_INDEX[s.label] for s, _ in instances]
     nm.zero_grads(params.values())
     nm.cross_entropy(model.forward(instances, provider).logits, golds).backward()
     batched = {n: p.grad.copy() for n, p in params.items() if p.grad is not None}
@@ -867,7 +867,7 @@ def test_batch_graph_size_independent_of_batch_size(graph_layer):
     model, instances, provider = structure_model(
         graph_layer=graph_layer, edge_mode="dref+ctef", graph_depth=2
     )
-    golds = [model.vocabs.label_index(s.label) for s, _ in instances]
+    golds = [LABEL_INDEX[s.label] for s, _ in instances]
 
     def graph_size(b):
         logits = model.forward(instances[:b], provider).logits
@@ -904,7 +904,7 @@ def test_full_model_gradient_check():
 def test_full_model_grads_own_their_memory(contextual):
     model, corpus, provider = tiny_model(edge_mode="dref+ctef", contextual=contextual)
     instances = [(s, sentence_subgraphs(s)) for s in corpus[:3]]
-    golds = [model.vocabs.label_index(s.label) for s, _ in instances]
+    golds = [LABEL_INDEX[s.label] for s, _ in instances]
     nm.cross_entropy(model.forward(instances, provider).logits, golds).backward()
     params = list(model.parameters().values())
     assert all(p.grad is not None for p in params)
@@ -949,7 +949,7 @@ def test_lstm_checkpoint_roundtrip_bitwise(tmp_path, dtype):
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(model, path)
     with open(path, "rb") as f:
-        assert f.read(8) == b"RGCKPT06"
+        assert f.read(8) == b"RGCKPT07"
     clone = load_checkpoint(path)
     d = model.config.d_lstm
     shapes = {n: p.shape for n, p in clone.parameters().items() if n.startswith("lstm")}
@@ -972,30 +972,35 @@ def test_malformed_checkpoint_names_path(tmp_path):
     save_checkpoint(model, str(path))
     blob = path.read_bytes()
     (header_len,) = struct.unpack_from("<Q", blob, 8)
-    ends = [8, 16, 16 + header_len]  # magic, header length, header
+    ends = [8, 16, 16 + header_len, 48 + header_len]  # magic, header length, header, digest
     for p in model.parameters().values():
         ends.append(ends[-1] + 8 * p.value.size)
     assert ends[-1] == len(blob)
     bad = tmp_path / "bad.ckpt"
     # cut inside the last byte of every section, and right after every section but the last
     cuts = [end - 1 for end in ends] + ends[:-1]
-    # one flipped bit in the first and last byte of every parameter
+    # one flipped bit in the first and last byte of the digest and of every parameter
     flips = [at for lo, hi in zip(ends[2:], ends[3:]) for at in (lo, hi - 1)]
     flipped = [blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1 :] for at in flips]
-    # the previous formats: version 05 (one parameter group per LSTM direction),
-    # 04 (one w and a per GAT head), 03 (one input matrix per encoder), 02 (no
-    # dtype in the header) and 01 (no digest either)
-    version_05 = b"RGCKPT05" + blob[8:]
-    version_04 = b"RGCKPT04" + blob[8:]
-    version_03 = b"RGCKPT03" + blob[8:]
+    # the previous formats: version 06 (the digest, of the parameter bytes only,
+    # inside the header), 05 (one parameter group per LSTM direction), 04 (one
+    # w and a per GAT head), 03 (one input matrix per encoder), 02 (no dtype in
+    # the header) and 01 (no digest either)
     header = json.loads(blob[16 : ends[2]])
+    header["digest"] = blob[ends[2] : ends[3]].hex()
+    text = json.dumps(header).encode("utf-8")
+    version_06 = b"RGCKPT06" + struct.pack("<Q", len(text)) + text + blob[ends[3] :]
+    version_05 = b"RGCKPT05" + version_06[8:]
+    version_04 = b"RGCKPT04" + version_06[8:]
+    version_03 = b"RGCKPT03" + version_06[8:]
     del header["dtype"]
     text = json.dumps(header).encode("utf-8")
-    version_02 = b"RGCKPT02" + struct.pack("<Q", len(text)) + text + blob[ends[2] :]
+    version_02 = b"RGCKPT02" + struct.pack("<Q", len(text)) + text + blob[ends[3] :]
     del header["digest"]
     text = json.dumps(header).encode("utf-8")
-    old_format = b"RGCKPT01" + struct.pack("<Q", len(text)) + text + blob[ends[2] :]
-    for blob_bad in [blob[:cut] for cut in cuts] + [blob + b"\0", version_05, version_04, version_03, version_02, old_format] + flipped:
+    old_format = b"RGCKPT01" + struct.pack("<Q", len(text)) + text + blob[ends[3] :]
+    versions = [version_06, version_05, version_04, version_03, version_02, old_format]
+    for blob_bad in [blob[:cut] for cut in cuts] + [blob + b"\0", *versions] + flipped:
         bad.write_bytes(blob_bad)
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(str(bad))
@@ -1044,7 +1049,7 @@ def test_float32_model_stays_float32(graph_layer, edge_mode, contextual):
         graph_layer=graph_layer, edge_mode=edge_mode, contextual=contextual,
         dref_scale_by_ratio=True, dtype=np.float32,
     )
-    golds = [model.vocabs.label_index(s.label) for s, _ in instances]
+    golds = [LABEL_INDEX[s.label] for s, _ in instances]
     loss = nm.cross_entropy(model.forward(instances, provider).logits, golds)
     results = []
 
@@ -1126,7 +1131,7 @@ def test_float32_checkpoint_roundtrip_bitwise(tmp_path):
     blob = path.read_bytes()
     (header_len,) = struct.unpack_from("<Q", blob, 8)
     header = json.loads(blob[16 : 16 + header_len])
-    assert blob[:8] == b"RGCKPT06" and header["dtype"] == "float32"
+    assert blob[:8] == b"RGCKPT07" and header["dtype"] == "float32"
     names = [r["name"] for r in header["params"]]
     assert [n for n in names if n.startswith("gat.")] == [
         "gat.l0.w", "gat.l0.a_center", "gat.l0.a_neighbor", "gat.l0.a_edge"
@@ -1134,7 +1139,7 @@ def test_float32_checkpoint_roundtrip_bitwise(tmp_path):
     assert [n for n in names if n.startswith("lstm")] == [
         "lstm.w_ctx", "lstm.w_feat", "lstm.w_hidden", "lstm.bias"
     ]
-    assert len(blob) == 16 + header_len + 4 * sum(p.value.size for p in model.parameters().values())
+    assert len(blob) == 16 + header_len + 32 + 4 * sum(p.value.size for p in model.parameters().values())
     clone = load_checkpoint(str(path))
     assert clone.dtype == np.float32
     for (name, p), q in zip(model.parameters().items(), clone.parameters().values()):
@@ -1189,6 +1194,47 @@ def test_checkpoint_config_values_are_type_checked(tmp_path, field, value):
     with pytest.raises(CheckpointError) as err:
         load_checkpoint(str(bad))
     assert str(bad) in str(err.value) and field in str(err.value)
+
+
+
+def test_checkpoint_header_byte_change_fails_the_digest(tmp_path):
+    model, _, _ = tiny_model(edge_mode="dref")
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    blob = path.read_bytes()
+    at = blob.index(b'"seed": 0') + len(b'"seed": ')
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob[:at] + b"1" + blob[at + 1 :])  # the embedding seed 0 -> 1: still a valid header
+    with pytest.raises(CheckpointError, match="digest") as err:
+        load_checkpoint(str(bad))
+    assert str(bad) in str(err.value)
+
+
+# header edits that each describe a loadable model, so only the digest tells them apart
+HEADER_EDITS = {
+    "vocabs_reversed": lambda h: {**h, "vocabs": {k: v[::-1] for k, v in h["vocabs"].items()}},
+    "dref_counts_x7": lambda h: {**h, "dref": {**h["dref"], "counts": [7 * c for c in h["dref"]["counts"]]}},
+    "embedding_seed": lambda h: {**h, "embedding": {"kind": "hashed", "seed": "x"}},
+    "config_key_dropped": lambda h: {
+        **h, "config": {k: v for k, v in h["config"].items() if k != "dref_scale_by_ratio"}
+    },
+}
+
+
+@pytest.mark.parametrize("edit", list(HEADER_EDITS))
+def test_checkpoint_header_edits_are_refused(tmp_path, edit):
+    model, _, _ = tiny_model(edge_mode="dref", dref_scale_by_ratio=True)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + header_len])
+    text = json.dumps(HEADER_EDITS[edit](header), sort_keys=True).encode("utf-8")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + header_len :])
+    with pytest.raises(CheckpointError, match="digest") as err:
+        load_checkpoint(str(bad))
+    assert str(bad) in str(err.value)
 
 
 # ---------------------------------------------------------------------------

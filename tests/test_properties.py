@@ -9,10 +9,9 @@ from relgat.corpus import (
     RELATION_BASES,
     CorpusError,
     EntitySpan,
-    RelationLabel,
     Sentence,
     Token,
-    all_labels,
+    LABELS,
     build_vocabs,
     parse_conllu_annotated,
     to_conllu,
@@ -256,9 +255,6 @@ def test_every_tree_check_accepts_exactly_the_rooted_trees(heads):
             parse_conllu_annotated(to_conllu(sentence))
 
 
-LABELS = [RelationLabel.parse(name) for name in all_labels()]
-
-
 @given(st.lists(st.tuples(st.sampled_from(LABELS), st.sampled_from(LABELS)), max_size=40))
 def test_scorer_counts_equal_brute_force(pairs):
     golds, preds = [g for g, _ in pairs], [p for _, p in pairs]
@@ -269,10 +265,9 @@ def test_scorer_counts_equal_brute_force(pairs):
         assert cell["predicted"] == sum(1 for p in preds if p.base == base)
         assert cell["correct"] == sum(1 for g, p in pairs if g == p and g.base == base)
         assert all(type(cell[key]) is int for key in ("gold", "predicted", "correct"))
-    names = all_labels()
     for i, row in enumerate(report.confusion):
         for j, count in enumerate(row):
             assert type(count) is int
-            assert count == sum(1 for g, p in pairs if str(g) == names[i] and str(p) == names[j])
+            assert count == sum(1 for g, p in pairs if g == LABELS[i] and p == LABELS[j])
     exact = sum(1 for g, p in pairs if g == p)
     assert report.accuracy == (100.0 * exact / len(pairs) if pairs else 0.0)

@@ -8,7 +8,7 @@ import pytest
 
 from relgat import numerics as nm
 from relgat import train_eval
-from relgat.corpus import RELATION_BASES, RelationLabel, all_labels, parse_conllu_annotated
+from relgat.corpus import LABEL_INDEX, LABELS, RELATION_BASES, RelationLabel, parse_conllu_annotated
 from relgat.features import EmbeddingProvider, HashedEmbeddingProvider
 from relgat.model import Model, ModelConfig
 from relgat.train_eval import (
@@ -41,7 +41,7 @@ def labels(*names):
 
 class TestScorer:
     def test_perfect_predictions_score_100(self):
-        golds = labels(*all_labels())
+        golds = list(LABELS)
         report = score_predictions(golds, list(golds))
         assert report.macro_f1 == 100.0
         assert report.accuracy == 100.0
@@ -83,9 +83,8 @@ class TestScorer:
 
     def test_matches_count_based_recomputation(self):
         rng = np.random.default_rng(19)
-        space = all_labels()
-        golds = [RelationLabel.parse(space[i]) for i in rng.integers(0, 19, size=200)]
-        preds = [RelationLabel.parse(space[i]) for i in rng.integers(0, 19, size=200)]
+        golds = [LABELS[i] for i in rng.integers(0, 19, size=200)]
+        preds = [LABELS[i] for i in rng.integers(0, 19, size=200)]
         report = score_predictions(golds, preds)
 
         gold_count = Counter(g.base for g in golds)
@@ -102,9 +101,9 @@ class TestScorer:
         golds = labels("Cause-Effect(e1,e2)", "Other")
         preds = labels("Other", "Other")
         report = score_predictions(golds, preds)
-        order = all_labels()
-        assert report.confusion[order.index("Cause-Effect(e1,e2)")][order.index("Other")] == 1
-        assert report.confusion[order.index("Other")][order.index("Other")] == 1
+        cause, other = (LABEL_INDEX[label] for label in labels("Cause-Effect(e1,e2)", "Other"))
+        assert report.confusion[cause][other] == 1
+        assert report.confusion[other][other] == 1
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
