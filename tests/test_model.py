@@ -1,5 +1,6 @@
 """Network layers and the full forward pass, checked against straight-line numpy."""
 
+import hashlib
 import json
 import struct
 
@@ -987,7 +988,7 @@ def test_malformed_checkpoint_names_path(tmp_path):
     # w and a per GAT head), 03 (one input matrix per encoder), 02 (no dtype in
     # the header) and 01 (no digest either)
     header = json.loads(blob[16 : ends[2]])
-    header["digest"] = blob[ends[2] : ends[3]].hex()
+    header["digest"] = hashlib.blake2b(blob[ends[3] :], digest_size=32).hexdigest()
     text = json.dumps(header).encode("utf-8")
     version_06 = b"RGCKPT06" + struct.pack("<Q", len(text)) + text + blob[ends[3] :]
     version_05 = b"RGCKPT05" + version_06[8:]
