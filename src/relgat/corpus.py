@@ -127,9 +127,6 @@ class EntitySpan:
         if self.head_token == -1:
             self.head_token = self.end
 
-    def covers(self, index: int) -> bool:
-        return self.start <= index <= self.end
-
 
 @dataclass
 class Sentence:
@@ -144,10 +141,7 @@ class Sentence:
 
     @property
     def parsed(self) -> bool:
-        return all(t.deprel is not None for t in self.tokens)
-
-    def entity_token(self, index: int) -> bool:
-        return self.e1.covers(index) or self.e2.covers(index)
+        return None not in [t.deprel for t in self.tokens]
 
     def validate(self) -> None:
         n = len(self.tokens)

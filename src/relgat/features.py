@@ -23,7 +23,6 @@ out from the sub-graphs' edge arrays.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from collections.abc import Sequence
 from typing import NamedTuple
@@ -226,24 +225,26 @@ def code_tokens(sentences: TokenLayout, vocabs: Vocabs) -> TokenCodes:
 
     Rows follow ``sentences`` as in ``encode_tokens``. Each sentence's
     span bounds are read once and its indices compared with them in plain
-    Python: numpy's fixed cost per call would make the one-sentence
-    forwards of the predict path slower than this loop.
+    Python, and the five integer columns are one array: numpy's fixed cost
+    per call would make the one-sentence forwards of the predict path
+    slower than this loop.
     """
     tokens, index, entity = [], [], []
     for s, indices in sentences:
         e1_start, e1_end, e2_start, e2_end = s.e1.start, s.e1.end, s.e2.start, s.e2.end
-        tokens.extend([s.tokens[i] for i in indices])
-        index.extend(indices)
-        entity.extend([e1_start <= i <= e1_end or e2_start <= i <= e2_end for i in indices])
+        tokens += [s.tokens[i] for i in indices]
+        index += indices
+        entity += [e1_start <= i <= e1_end or e2_start <= i <= e2_end for i in indices]
     pos, deprel, ner = vocabs.pos.index, vocabs.deprel.index, vocabs.ner.index
-    return TokenCodes(
-        np.array([pos(t.pos) for t in tokens], dtype=np.intp),
-        np.array([deprel(t.deprel) for t in tokens], dtype=np.intp),
-        np.array([ner(t.ner) for t in tokens], dtype=np.intp),
-        np.array(entity, dtype=bool),
-        np.array(index, dtype=np.intp),
-        np.array([-1 if t.head is None else t.head for t in tokens], dtype=np.intp),
-    )
+    coded = np.array(
+        [pos(t.pos) for t in tokens]
+        + [deprel(t.deprel) for t in tokens]
+        + [ner(t.ner) for t in tokens]
+        + index
+        + [-1 if t.head is None else t.head for t in tokens],
+        dtype=np.intp,
+    ).reshape(5, len(tokens))
+    return TokenCodes(coded[0], coded[1], coded[2], np.array(entity, dtype=bool), coded[3], coded[4])
 
 
 def encode_tokens(
@@ -291,8 +292,8 @@ class DrefTable:
     sum of all counts, the number of edges seen.
 
     ``rows_by_index`` lays the rows out by vocabulary indices, the codes
-    of ``code_tokens``; ``row_for`` and ``ratio_for`` look one triple up
-    by its strings, through dicts built on first use.
+    of ``code_tokens``: observed triples own rows 2, 3, ... in the order
+    of ``counts``.
     """
 
     UNK_ROW = 0
@@ -308,23 +309,9 @@ class DrefTable:
         observed = np.fromiter(self.counts.values(), np.float64, len(self.counts)) / self.total
         self.ratios = np.concatenate([np.ones(self.RESERVED_ROWS), observed])
 
-    @functools.cached_property
-    def ratio(self) -> dict[tuple[str, str, str], float]:
-        return {t: c / self.total for t, c in self.counts.items()}
-
-    @functools.cached_property
-    def row(self) -> dict[tuple[str, str, str], int]:
-        return {t: i + self.RESERVED_ROWS for i, t in enumerate(self.counts)}
-
     @property
     def num_rows(self) -> int:
         return len(self.counts) + self.RESERVED_ROWS
-
-    def row_for(self, triple: tuple[str, str, str]) -> int:
-        return self.row.get(triple, self.UNK_ROW)
-
-    def ratio_for(self, triple: tuple[str, str, str]) -> float:
-        return self.ratio.get(triple, 1.0)
 
     def rows_by_index(self, vocabs: Vocabs) -> np.ndarray:
         """The (|pos|, |pos|, |deprel|) rows of every triple of vocabulary indices, UNK_ROW if unseen.
@@ -388,14 +375,16 @@ def attention_pairs(graphs: Sequence[SubGraph], vertex_starts: np.ndarray):
     of each pair's dependent, -1 for a self-loop.
     """
     rows = int(vertex_starts[-1]) + len(graphs[-1])
-    offsets = np.repeat(vertex_starts, [len(sg.edges) for sg in graphs])[:, None]
-    head, dependent = (np.concatenate([sg.edges for sg in graphs]) + offsets).T
-    loops = np.arange(rows)
-    center, neighbor = np.concatenate([loops, head, dependent]), np.concatenate([loops, dependent, head])
-    order = np.argsort(center * rows + neighbor)
+    edges = np.concatenate([sg.edges for sg in graphs])
+    edges += vertex_starts.repeat([len(sg.edges) for sg in graphs])[:, None]
+    # (center, neighbor) rows: each vertex with itself, then each edge from its head and from its dependent
+    both_ways = np.concatenate((np.arange(rows).repeat(2).reshape(rows, 2), edges, edges[:, ::-1]))
+    center = both_ways[:, 0]
+    order = (center * rows + both_ways[:, 1]).argsort()
     degree = np.bincount(center, minlength=rows)
-    dependents = np.concatenate([np.full(rows, -1), dependent, dependent])[order]
-    return np.cumsum(degree) - degree, np.stack([center[order], neighbor[order]], axis=1), dependents
+    dependent = edges[:, 1]
+    dependents = np.concatenate((np.full(rows, -1), dependent, dependent))[order]
+    return degree.cumsum() - degree, both_ways[order], dependents
 
 
 def dref_edge_features(codes: TokenCodes, token_rows, pairs, dependents, dref_rows: np.ndarray) -> np.ndarray:
@@ -408,11 +397,12 @@ def dref_edge_features(codes: TokenCodes, token_rows, pairs, dependents, dref_ro
     the other endpoint raises FeatureError naming the two tokens.
     """
     edge = dependents >= 0
-    center, neighbor = token_rows[pairs[edge, 0]], token_rows[pairs[edge, 1]]
+    center, neighbor = token_rows[pairs[edge]].T
     dependent = token_rows[dependents[edge]]
-    wrong = np.flatnonzero(codes.head[dependent] != codes.index[center + neighbor - dependent])
-    if wrong.size:
-        u, v = codes.index[center[wrong[0]]], codes.index[neighbor[wrong[0]]]
+    wrong = codes.head[dependent] != codes.index[center + neighbor - dependent]
+    if wrong.any():
+        first = wrong.argmax()
+        u, v = codes.index[center[first]], codes.index[neighbor[first]]
         raise FeatureError(f"pair ({u},{v}) is not an edge of the dependency tree")
     rows = np.full(len(pairs), DrefTable.SELF_ROW, dtype=np.intp)
     rows[edge] = dref_rows[codes.pos[center], codes.pos[neighbor], codes.deprel[dependent]]
@@ -448,6 +438,6 @@ def edge_features(
             node = nm.mul(node, nm.constant(row_ratios[rows, None].astype(dtype)))
     if "ctef" in mode:
         flags = codes.entity[token_rows[pairs[:, 1]]]
-        ctef = nm.constant(np.repeat(flags[:, None].astype(dtype), d_e, axis=1))
+        ctef = nm.constant(flags.astype(dtype)[:, None].repeat(d_e, axis=1))
         node = ctef if node is None else nm.add(node, ctef)
     return node

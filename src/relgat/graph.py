@@ -11,7 +11,10 @@ dref features read its orientation from the row.
 ``DependencyGraph`` accepts only heads that form one rooted tree, by
 ``corpus.tree_error``, the same rule ``Sentence.validate`` applies to
 parsed input. It checks on every construction, so a hand-built sentence
-that never went through a parser cannot loop ``up_from``.
+that never went through a parser cannot loop ``up_from``; beyond that
+check it keeps only the head list. The derivation lists each vertex's
+undirected neighbors in one pass over it, and builds the three edge
+arrays with one numpy call.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ class GraphError(ValueError):
 
 
 class DependencyGraph:
-    """Undirected view of a dependency tree, with the head relation kept."""
+    """The head relation of a dependency tree, checked to form one rooted tree."""
 
     def __init__(self, heads: list[int | None]):
         problem = tree_error(heads)
@@ -55,13 +58,6 @@ class DependencyGraph:
             raise GraphError(problem)
         self.n = len(heads)
         self.heads = list(heads)
-        self.neighbors: list[list[int]] = [[] for _ in range(self.n)]
-        for child, head in enumerate(heads):
-            if head is not None:
-                self.neighbors[child].append(head)
-                self.neighbors[head].append(child)
-        for adj in self.neighbors:
-            adj.sort()
 
     def up_from(self, vertex: int) -> list[int]:
         """The vertex and its heads up to the root."""
@@ -117,18 +113,11 @@ def shortest_dependency_path(g: DependencyGraph, u: int, v: int) -> list[int]:
     return up_u[: up_u.index(top) + 1] + up_v[: up_v.index(top)][::-1]
 
 
-def _induced_subgraph(g: DependencyGraph, kind: str, vertex_set: set[int]) -> SubGraph:
-    vertices = sorted(vertex_set)
-    local = {v: i for i, v in enumerate(vertices)}
-    edges = [(local[g.heads[v]], i) for i, v in enumerate(vertices) if g.heads[v] in local]
-    return SubGraph(kind, vertices, np.array(edges, dtype=np.intp).reshape(-1, 2))
-
-
-def _expand(g: DependencyGraph, seed: set[int], hops: int) -> set[int]:
+def _expand(neighbors: list[list[int]], seed: set[int], hops: int) -> set[int]:
     """All vertices within undirected distance ``hops`` of the seed set."""
     result = frontier = set(seed)
     while hops and frontier:
-        frontier = {v for u in frontier for v in g.neighbors[u] if v not in result}
+        frontier = {v for u in frontier for v in neighbors[u] if v not in result}
         result |= frontier
         hops -= 1
     return result
@@ -142,18 +131,36 @@ def derive_subgraphs(
     The path graph holds the shortest path between the entity vertices,
     grown to ``expansion_order`` hops. Each entity graph holds the entity
     vertex plus its direct undirected neighbors and is never expanded.
+    The three edge arrays are row blocks of one array.
     """
     if e1 == e2:
         raise GraphError("entity vertices coincide")
     if expansion_order not in (0, 1, 2):
         raise GraphError(f"expansion_order must be 0, 1 or 2, got {expansion_order}")
-    path = set(shortest_dependency_path(g, e1, e2))
-    sdp_vertices = _expand(g, path, expansion_order)
-    return SubGraphSet(
-        sdp=_induced_subgraph(g, SDP, sdp_vertices),
-        e1=_induced_subgraph(g, E1_NEIGHBORHOOD, {e1, *g.neighbors[e1]}),
-        e2=_induced_subgraph(g, E2_NEIGHBORHOOD, {e2, *g.neighbors[e2]}),
-    )
+    heads = g.heads
+    path = shortest_dependency_path(g, e1, e2)
+    neighbors: list[list[int]] = [[] for _ in heads]
+    for v, head in enumerate(heads):
+        if head is not None:
+            neighbors[v].append(head)
+            neighbors[head].append(v)
+    cuts = []
+    flat: list[int] = []  # (local head, local dependent) of every edge, graph by graph
+    for kind, vertex_set in (
+        (SDP, _expand(neighbors, set(path), expansion_order)),
+        (E1_NEIGHBORHOOD, {e1, *neighbors[e1]}),
+        (E2_NEIGHBORHOOD, {e2, *neighbors[e2]}),
+    ):
+        vertices = sorted(vertex_set)
+        local = {v: i for i, v in enumerate(vertices)}
+        start = len(flat) // 2
+        for i, v in enumerate(vertices):
+            head = local.get(heads[v])
+            if head is not None:
+                flat += (head, i)
+        cuts.append((kind, vertices, start, len(flat) // 2))
+    edges = np.array(flat, dtype=np.intp).reshape(-1, 2)
+    return SubGraphSet(*(SubGraph(kind, vertices, edges[lo:hi]) for kind, vertices, lo, hi in cuts))
 
 
 def sentence_subgraphs(sentence: Sentence, expansion_order: int = 0) -> SubGraphSet:

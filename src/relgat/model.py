@@ -515,9 +515,9 @@ class Model:
         per_instance = 3 if cfg.graph_mode == "multi" else 1
         graph_sets = [sgs.all() if cfg.graph_mode == "multi" else [sgs.sdp] for _, sgs in instances]
         units = [sg for graphs in graph_sets for sg in graphs]
-        sizes = [len(sg) for sg in units]
-        vertex_starts = np.cumsum([0] + sizes[:-1])
-        graphs = nm.Segments(vertex_starts, sum(sizes))
+        sizes = np.array([len(sg) for sg in units])
+        vertex_starts = sizes.cumsum() - sizes
+        graphs = nm.Segments(vertex_starts, int(sizes.sum()))
         pair_starts, pairs, dependents = attention_pairs(units, vertex_starts)
         neighborhoods = nm.Segments(pair_starts, len(pairs))
         sentences = nm.Segments(np.arange(0, len(units), per_instance), len(units))
@@ -553,4 +553,4 @@ class Model:
         self, sentence: Sentence, sgs: SubGraphSet, provider: EmbeddingProvider
     ) -> int:
         with nm.no_grad():
-            return int(np.argmax(self.forward([(sentence, sgs)], provider).logits.value[0]))
+            return int(self.forward([(sentence, sgs)], provider).logits.value[0].argmax())

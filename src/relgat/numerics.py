@@ -34,11 +34,13 @@ usual ``matmul`` and ``requires_grad`` pruning skips a constant input.
 With the sequences sorted longest first, step s of the loop updates the
 k_s sequences still running, in both directions at once, with one
 stacked (2, k_s, d) @ (2, d, 4d) ``matmul``, so the loop runs max-length
-steps, not total rows or directions. Its backward runs one
-backpropagation-through-time sweep over the same steps for both
-directions, yields the gate gradients of every row, and makes the
-``w_hidden`` gradient one stacked GEMM for the whole call. The graph
-therefore grows with layers, not with timesteps, sequences or
+steps, not total rows or directions. At small widths a step costs its
+numpy calls, not its arithmetic: a step is a ``matmul`` and ten
+elementwise calls, each over operands of the shape of the block it
+updates, with no temporary. Its backward runs one backpropagation-through-time sweep over the same
+steps for both directions, yields the gate gradients of every row, and
+makes the ``w_hidden`` gradient one stacked GEMM for the whole call. The
+graph therefore grows with layers, not with timesteps, sequences or
 directions.
 
 ``cross_entropy`` scores a (B, C) batch of logits against B labels and
@@ -63,10 +65,14 @@ or with a value.
 Inside ``no_grad()`` nothing is built for a backward, in the spirit of
 ``torch.no_grad``. One rule in ``_node`` serves every op: a result keeps
 its parents and VJP closures only when grads are on and some parent
-requires grad; otherwise it is a plain value node, as a constant is. A
-forward under ``no_grad`` thus holds no closures, and each intermediate
-is freed once nothing reads it; a training graph loses only nodes that
-no backward visits. ``bilstm_sequence`` also skips its backward state
+requires grad; otherwise it is a plain value node, as a constant is.
+``_node`` fills the node's slots directly rather than through
+``Node.__init__``: the op has just computed its value as an array of its
+operands' float dtype, so only a reduction's numpy scalar (the
+batch-mean loss) needs wrapping, as a 0-d array. A forward under
+``no_grad`` thus holds no closures, and each intermediate is freed once
+nothing reads it; a training graph loses only nodes that no backward
+visits. ``bilstm_sequence`` also skips its backward state
 there. ``backward`` on a node that does not require grad raises
 ValueError instead of leaving every gradient untouched.
 
@@ -78,6 +84,7 @@ dtype.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import sys
 
 import numpy as np
@@ -116,6 +123,7 @@ def _sole_owner_refs() -> int:
 
 _SOLE_OWNER_REFS = _sole_owner_refs()
 _grad_enabled = True
+_new_node = object.__new__
 
 
 @contextlib.contextmanager
@@ -245,13 +253,32 @@ def parameter(value) -> Node:
 
 def _tracked(parents) -> bool:
     """Whether an op over ``parents`` enters the graph: grads on and some parent requires grad."""
-    return _grad_enabled and any(p.requires_grad for p in parents)
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                return True
+    return False
 
 
 def _node(value, parents, vjps) -> Node:
+    """An op's result around ``value``, the array it computed in its operands' float dtype.
+
+    It skips ``Node.__init__``: only a numpy scalar (a reduction's) is
+    wrapped as a 0-d array. Untracked, it is a plain value node.
+    """
+    node = _new_node(Node)
+    node.value = value if type(value) is np.ndarray else np.asarray(value)
+    node.grad = None
     if _tracked(parents):
-        return Node(value, parents, vjps, requires_grad=True)
-    return Node(value)
+        node.parents, node.vjps, node.requires_grad = parents, vjps, True
+    else:
+        node.parents = node.vjps = ()
+        node.requires_grad = False
+    return node
+
+
+def _identity(g):
+    return g
 
 
 def add(a: Node, b: Node) -> Node:
@@ -260,17 +287,15 @@ def add(a: Node, b: Node) -> Node:
     Beyond same-shape operands, ``b`` may be a row vector of shape (n,)
     or (1, n) added to an (m, n) matrix ``a`` (bias addition).
     """
-    if a.shape == b.shape:
-        return _node(a.value + b.value, (a, b), (lambda g: g, lambda g: g))
-    if a.value.ndim == 2 and b.value.ndim in (1, 2):
-        rows = b.value.reshape(-1)
-        if a.shape[1] == rows.shape[0] and (b.value.ndim == 1 or b.shape[0] == 1):
-            return _node(
-                a.value + rows,
-                (a, b),
-                (lambda g: g, lambda g: np.sum(g, axis=0).reshape(b.shape)),
-            )
-    raise ShapeMismatch(f"add: incompatible shapes {a.shape} and {b.shape}")
+    av, bv = a.value, b.value
+    if av.shape == bv.shape:
+        return _node(av + bv, (a, b), (_identity, _identity))
+    if av.ndim == 2 and bv.ndim in (1, 2):
+        shape = bv.shape
+        rows = bv.reshape(-1)
+        if av.shape[1] == rows.shape[0] and (bv.ndim == 1 or shape[0] == 1):
+            return _node(av + rows, (a, b), (_identity, lambda g: np.sum(g, axis=0).reshape(shape)))
+    raise ShapeMismatch(f"add: incompatible shapes {av.shape} and {bv.shape}")
 
 
 def mul(a: Node, b: Node) -> Node:
@@ -279,59 +304,52 @@ def mul(a: Node, b: Node) -> Node:
     Beyond same-shape operands, ``b`` may be an (m, 1) column that
     scales the rows of an (m, n) matrix ``a``.
     """
-    if a.shape == b.shape:
+    av, bv = a.value, b.value
+    if av.shape == bv.shape:
+        return _node(av * bv, (a, b), (lambda g: g * bv, lambda g: g * av))
+    if av.ndim == 2 and bv.shape == (av.shape[0], 1):
         return _node(
-            a.value * b.value,
-            (a, b),
-            (lambda g: g * b.value, lambda g: g * a.value),
+            av * bv, (a, b), (lambda g: g * bv, lambda g: np.sum(g * av, axis=1, keepdims=True))
         )
-    if a.value.ndim == 2 and b.shape == (a.shape[0], 1):
-        return _node(
-            a.value * b.value,
-            (a, b),
-            (lambda g: g * b.value, lambda g: np.sum(g * a.value, axis=1, keepdims=True)),
-        )
-    raise ShapeMismatch(f"mul: incompatible shapes {a.shape} and {b.shape}")
+    raise ShapeMismatch(f"mul: incompatible shapes {av.shape} and {bv.shape}")
 
 
 def matmul(a: Node, b: Node) -> Node:
     """2-D matrix product (m,k) @ (k,n)."""
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    return _node(
-        a.value @ b.value,
-        (a, b),
-        (lambda g: g @ b.value.T, lambda g: a.value.T @ g),
-    )
+    av, bv = a.value, b.value
+    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
+        raise ShapeMismatch(f"matmul: incompatible shapes {av.shape} and {bv.shape}")
+    return _node(av @ bv, (a, b), (lambda g: g @ bv.T, lambda g: av.T @ g))
 
 
 def concat(nodes, axis: int) -> Node:
     """Concatenate along an existing axis; gradient splits back."""
-    nodes = list(nodes)
+    nodes = tuple(nodes)
     if not nodes:
         raise ValueError("concat of zero nodes")
-    value = np.concatenate([n.value for n in nodes], axis=axis)
+    values = [n.value for n in nodes]
+    value = np.concatenate(values, axis=axis)
     vjps = []
     offset = 0
-    for n in nodes:
-        width = n.shape[axis]
-        index = [slice(None)] * value.ndim
-        index[axis] = slice(offset, offset + width)
-        vjps.append(lambda g, ix=tuple(index): g[ix])
+    for v in values:
+        width = v.shape[axis]
+        index = (slice(None),) * (axis % value.ndim) + (slice(offset, offset + width),)
+        vjps.append(lambda g, ix=index: g[ix])
         offset += width
-    return _node(value, tuple(nodes), tuple(vjps))
+    return _node(value, nodes, tuple(vjps))
 
 
 def gather_rows(x: Node, indices) -> Node:
     """Select rows by index (duplicates allowed); gradient scatter-adds."""
+    xv = x.value
     idx = np.asarray(indices, dtype=np.intp)
-    if x.value.ndim != 2:
-        raise ShapeMismatch(f"gather_rows: expected a matrix, got shape {x.shape}")
-    rows = x.shape[0]
+    if xv.ndim != 2:
+        raise ShapeMismatch(f"gather_rows: expected a matrix, got shape {xv.shape}")
+    rows = xv.shape[0]
     # one reduction: a negative index read as unsigned exceeds any row count
-    if idx.ndim != 1 or (idx.size and idx.view(np.uintp).max() >= rows):
-        raise ShapeMismatch(f"gather_rows: indices {idx.tolist()} for rows of shape {x.shape}")
-    return _node(x.value.take(idx, axis=0), (x,), (lambda g: _sum_rows_by_index(g, idx, rows),))
+    if idx.ndim != 1 or (idx.size and np.maximum.reduce(idx.view(np.uintp)) >= rows):
+        raise ShapeMismatch(f"gather_rows: indices {idx.tolist()} for rows of shape {xv.shape}")
+    return _node(xv.take(idx, axis=0), (x,), (lambda g: _sum_rows_by_index(g, idx, rows),))
 
 
 def _sum_rows_by_index(values: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
@@ -353,8 +371,10 @@ def relu(x: Node) -> Node:
 
 
 def leaky_relu(x: Node, slope: float = 0.2) -> Node:
-    factor = np.where(x.value > 0, 1.0, slope).astype(x.value.dtype)
-    return _node(x.value * factor, (x,), (lambda g: g * factor,))
+    xv = x.value
+    positive = xv > 0
+    # a Python float slope multiplies in the array's dtype
+    return _node(np.where(positive, xv, xv * slope), (x,), (lambda g: np.where(positive, g, g * slope),))
 
 
 def elu(x: Node) -> Node:
@@ -378,16 +398,17 @@ class Segments:
     def __init__(self, starts, rows: int):
         starts = np.asarray(starts, dtype=np.intp)
         valid = starts.ndim == 1 and starts.size and starts[0] == 0
-        lengths = np.concatenate((starts[1:], [rows])) - starts if valid else None
-        if not valid or lengths.min() <= 0:
+        lengths = np.concatenate((starts[1:], (rows,))) - starts if valid else None
+        if not valid or np.minimum.reduce(lengths) <= 0:
             raise ShapeMismatch(f"segment starts {starts.tolist()} do not split {rows} rows")
         self.starts, self.rows, self.lengths = starts, rows, lengths
-        self.ids = np.repeat(np.arange(starts.size), lengths)
+        self.ids = np.arange(starts.size).repeat(lengths)
 
 
 def _check_rows(op: str, x: Node, segments: Segments) -> None:
-    if x.value.ndim != 2 or x.shape[0] != segments.rows:
-        raise ShapeMismatch(f"{op}: segments of {segments.rows} rows for shape {x.shape}")
+    shape = x.value.shape
+    if len(shape) != 2 or shape[0] != segments.rows:
+        raise ShapeMismatch(f"{op}: segments of {segments.rows} rows for shape {shape}")
 
 
 def segment_sum(x: Node, segments: Segments) -> Node:
@@ -410,6 +431,10 @@ def segment_softmax(x: Node, segments: Segments) -> Node:
     return _node(y, (x,), (vjp,))
 
 
+_GATE_SCALE = np.array([0.5, 0.5, 1.0, 0.5])  # per gate: (input, forget, cell, output)
+_DIRECTIONS = np.arange(2)
+
+
 def bilstm_sequence(z: Node, w_hidden: Node, segments: Segments) -> Node:
     """Hidden states of both LSTM directions over packed sequences, as one node.
 
@@ -427,110 +452,135 @@ def bilstm_sequence(z: Node, w_hidden: Node, segments: Segments) -> Node:
     The sequences are stably sorted longest first, so those still running
     at step s are a prefix of k_s of them in both directions. The rows are
     permuted once into step-major order, where step s is a contiguous
-    (k_s, 2, ·) block, direction second. It is updated with one ``matmul``
-    of the (2, k_s, d) previous states, read in place from step s-1's
-    rows, with a strided (2, d, 4d) view of ``w_hidden``. All four gates
-    come from one ``tanh`` over the gate block, since sigmoid(x) =
-    tanh(x/2)/2 + 1/2, with constant per-column scale and shift rows.
+    block of k_s rows, direction second. Its pre-activations are one
+    ``matmul`` of the (2, k_s, d) previous states, read in place from step
+    s-1's rows, with a strided (2, d, 4d) view of ``w_hidden``, plus the
+    step's rows of the permuted input. All four gates come from one
+    ``tanh`` over the gate block, since sigmoid(x) = tanh(x/2)/2 + 1/2,
+    with constant per-gate scale and shift. The gates are stored
+    gate-major, (k_s, 4, 2, d): the multiply by the scale is what moves a
+    step's pre-activations into that order, each gate of a step is then
+    one block over both directions, and the scale and shift are rows of
+    the gate block's shape, cut once per width like the step's other
+    scratch buffers. A step's elementwise calls thus all take operands of
+    one shape and write into preallocated buffers.
+
+    Folding the scale, a power of two, into a scaled copy of the hidden
+    weights would save one call per step but streams a copy of
+    ``w_hidden`` per call: 2 MB at the paper's d = 256, slower than the
+    calls it saves.
     """
     _check_rows("bilstm_sequence", z, segments)
-    d = w_hidden.shape[0]
-    if z.shape[1] != 8 * d or w_hidden.shape != (d, 8 * d):
+    zv, whv = z.value, w_hidden.value
+    d = whv.shape[0]
+    if zv.shape[1] != 8 * d or whv.shape != (d, 8 * d):
         raise ShapeMismatch(
-            f"bilstm_sequence: pre-activations {z.shape} with hidden weights {w_hidden.shape}"
+            f"bilstm_sequence: pre-activations {zv.shape} with hidden weights {whv.shape}"
         )
-    n = z.shape[0]
+    n = zv.shape[0]
     order = np.argsort(-segments.lengths, kind="stable")
     first, lengths = segments.starts[order], segments.lengths[order]
-    step = np.arange(lengths[0])[:, None]
-    running = step < lengths  # (step, sequence): a prefix of each row is True
-    forward_rows = (first + step)[running]  # step-major position -> layout row
-    backward_rows = (first + lengths - 1 - step)[running]
-    widths = running.sum(axis=1)  # k_s
-    offsets = np.concatenate(([0], np.cumsum(widths)))
-    dtype = z.value.dtype
-    scale = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype), d)
-    shift = np.repeat(np.array([0.5, 0.5, 0.0, 0.5], dtype), d)
-    wh = w_hidden.value.reshape(d, 2, 4 * d).transpose(1, 0, 2)  # direction k's block
+    # the (step, sequence) of each step-major position: a prefix of the sequences runs at each step
+    step, sequence = (np.arange(lengths[0])[:, None] < lengths).nonzero()
+    layout_rows = np.empty((n, 2), np.intp)  # the layout row each direction reads there
+    layout_rows[:, 0] = first[sequence] + step
+    layout_rows[:, 1] = (first + lengths - 1)[sequence] - step
+    widths = np.bincount(step)  # k_s
+    k0 = int(widths[0])
+    dtype = zv.dtype
+    wh = whv.reshape(d, 2, 4 * d).transpose(1, 0, 2)  # direction k's block
+    z_input = zv.reshape(n, 2, 4 * d)[layout_rows, _DIRECTIONS]  # step-major
+    # a step's gates are (k, 4, 2, d), gate-major; sigmoid(x) = tanh(x/2) * 1/2 + 1/2
+    scale_rows = np.empty((k0, 4, 2, d), dtype)
+    scale_rows[...] = _GATE_SCALE[:, None, None]
+    shift_rows = 1 - scale_rows
 
-    z_input = np.empty((n, 2, 4 * d), dtype)
-    z_input[:, 0] = z.value[forward_rows, : 4 * d]
-    z_input[:, 1] = z.value[backward_rows, 4 * d :]
-    acts = np.empty((n, 2, 4 * d), dtype)
-    gate_in, gate_forget, gate_cell, gate_out = (acts[..., j * d : (j + 1) * d] for j in range(4))
+    pre = np.empty((k0, 2, 4 * d), dtype)  # one step's pre-activations
+    pre_gates = pre.reshape(k0, 2, 4, d).transpose(0, 2, 1, 3)
+    acts = np.empty((n, 4, 2, d), dtype)
+    gate_in, gate_forget, gate_cell, gate_out = (acts[:, j] for j in range(4))
     hidden = np.empty((n, 2, d), dtype)  # hidden and cell states after each step
+    hidden_t = hidden.transpose(1, 0, 2)
     cell = np.empty((n, 2, d), dtype)
     tanh_cell = np.empty((n, 2, d), dtype)
-    for s, k in enumerate(widths):
-        rows = slice(offsets[s], offsets[s] + k)
-        a = acts[rows]
-        if s:
-            last = slice(offsets[s - 1], offsets[s - 1] + k)
-            np.matmul(hidden[last].transpose(1, 0, 2), wh, out=a.transpose(1, 0, 2))
-            a += z_input[rows]
-            a *= scale
-        else:
-            np.multiply(z_input[rows], scale, out=a)
-        np.tanh(a, out=a)
-        a *= scale
-        a += shift
-        c = cell[rows]
-        np.multiply(gate_in[rows], gate_cell[rows], out=c)
-        if s:
-            c += gate_forget[rows] * cell[last]
-        np.tanh(c, out=tanh_cell[rows])
-        np.multiply(gate_out[rows], tanh_cell[rows], out=hidden[rows])
+    carry = np.empty((k0, 2, d), dtype)  # forget gate times the previous cell state
+    # step 0 reads zero states: its gates' arguments are its pre-activations, scaled
+    np.multiply(z_input[:k0].reshape(k0, 2, 4, d).transpose(0, 2, 1, 3), scale_rows, out=acts[:k0])
+    lo = 0
+    for k, run in itertools.groupby(widths.tolist()):  # scratch views are cut once per width
+        pre_k, carry_k, scale_k, shift_k = pre[:k], carry[:k], scale_rows[:k], shift_rows[:k]
+        pre_t, pre_gates_k = pre_k.transpose(1, 0, 2), pre_gates[:k]
+        for _ in run:
+            rows = slice(lo, lo + k)
+            a = acts[rows]
+            if lo:
+                last = slice(last.start, last.start + k)
+                np.matmul(hidden_t[:, last], wh, out=pre_t)
+                pre_k += z_input[rows]
+                np.multiply(pre_gates_k, scale_k, out=a)
+            np.tanh(a, out=a)
+            a *= scale_k
+            a += shift_k
+            c = cell[rows]
+            np.multiply(gate_in[rows], gate_cell[rows], out=c)
+            if lo:
+                np.multiply(gate_forget[rows], cell[last], out=carry_k)
+                c += carry_k
+            tc = tanh_cell[rows]
+            np.tanh(c, out=tc)
+            np.multiply(gate_out[rows], tc, out=hidden[rows])
+            last, lo = rows, lo + k
     out = np.empty((n, 2 * d), dtype)
-    out[forward_rows, :d] = hidden[:, 0]
-    out[backward_rows, d:] = hidden[:, 1]
+    out.reshape(n, 2, d)[layout_rows, _DIRECTIONS] = hidden
     if not _tracked((z, w_hidden)):
-        return Node(out)
+        return _node(out, (), ())
     # the row of step s-1 that each row of steps 1, 2, ... reads its previous state from
-    prev = np.arange(widths[0], n) - np.repeat(widths[:-1], widths[1:])
+    prev = np.arange(k0, n) - np.repeat(widths[:-1], widths[1:])
+    offsets = [0, *np.cumsum(widths).tolist()]
 
     cache: dict = {}
 
     def gate_grads(g):
         """d(loss)/d(pre-activation gates) in step-major order, one BPTT sweep per g."""
         if cache.get("g") is not g:
-            g_hidden = np.empty((n, 2, d), dtype)
-            g_hidden[:, 0] = g[forward_rows, :d]
-            g_hidden[:, 1] = g[backward_rows, d:]
+            g_hidden = g.reshape(n, 2, d)[layout_rows, _DIRECTIONS]
             cache["g"] = g
-            cache["dz"] = _bilstm_bptt(g_hidden, acts, cell, tanh_cell, prev, wh, offsets, widths)
+            cache["dz"] = _bilstm_bptt(g_hidden, acts, cell, tanh_cell, prev, wh, offsets)
         return cache["dz"]
 
     def z_vjp(g):
         dz = gate_grads(g)
         out = np.empty((n, 8 * d), dtype)
-        out[forward_rows, : 4 * d] = dz[:, 0]
-        out[backward_rows, 4 * d :] = dz[:, 1]
+        out.reshape(n, 2, 4 * d)[layout_rows, _DIRECTIONS] = dz
         return out
 
     def w_hidden_vjp(g):
-        dz = gate_grads(g)[widths[0] :]  # step 0 reads zero states
+        dz = gate_grads(g)[k0:]  # step 0 reads zero states
         return np.hstack(np.matmul(hidden[prev].transpose(1, 2, 0), dz.transpose(1, 0, 2)))
 
     return _node(out, (z, w_hidden), (z_vjp, w_hidden_vjp))
 
 
-def _bilstm_bptt(g_hidden, acts, cell, tanh_cell, prev, wh, offsets, widths) -> np.ndarray:
+def _bilstm_bptt(g_hidden, acts, cell, tanh_cell, prev, wh, offsets) -> np.ndarray:
     """Backpropagation through time for ``bilstm_sequence``: (n, 2, 4d) gate gradients.
 
-    All arrays are step-major, direction second. Each gate's gradient is
-    the cell gradient (input, forget and cell gates) or the hidden one
-    (output gate) times a per-row factor computed for all rows up front.
-    Carries run over the sorted-sequence prefix: a sequence that ends at
-    step s first gets its (zero) carry there, since later steps only wrote
-    the narrower prefix of longer sequences.
+    All arrays are step-major; the gates ``acts`` are (n, 4, 2, d), gate
+    second, the rest direction second. Each gate's gradient is the cell
+    gradient (input, forget and cell gates) or the hidden one (output
+    gate) times a per-row factor computed for all rows up front. Carries
+    run over the sorted-sequence prefix: a sequence that ends at step s
+    first gets its (zero) carry there, since later steps only wrote the
+    narrower prefix of longer sequences. Step s owns the rows from
+    ``offsets[s]`` to ``offsets[s + 1]``.
     """
     n, _, d = tanh_cell.shape
-    gates = acts.reshape(n, 2, 4, d)
+    k0 = offsets[1]
+    gates = acts.transpose(0, 2, 1, 3)  # (n, 2, 4, d)
     gate_in, gate_forget, gate_cell = gates[:, :, 0], gates[:, :, 1], gates[:, :, 2]
-    factor = np.empty_like(gates)
+    factor = np.empty(gates.shape, acts.dtype)
     factor[:, :, 0] = gate_cell
-    factor[: widths[0], :, 1] = 0.0
-    factor[widths[0] :, :, 1] = cell[prev]
+    factor[:k0, :, 1] = 0.0
+    factor[k0:, :, 1] = cell[prev]
     factor[:, :, 2] = gate_in
     factor[:, :, 3] = tanh_cell
     # activation derivatives: y(1-y) for the sigmoid gates, 1-y^2 for the tanh gate
@@ -539,12 +589,12 @@ def _bilstm_bptt(g_hidden, acts, cell, tanh_cell, prev, wh, offsets, widths) -> 
     factor *= slope
     cell_from_hidden = gates[:, :, 3] * (1.0 - tanh_cell * tanh_cell)
     wh_t = wh.transpose(0, 2, 1)
-    dz = np.empty_like(gates)
-    dh_next = np.zeros((widths[0], 2, d), acts.dtype)
-    dc_next = np.zeros((widths[0], 2, d), acts.dtype)
-    for s in range(len(widths) - 1, -1, -1):
-        k = widths[s]
-        rows = slice(offsets[s], offsets[s] + k)
+    dz = np.empty_like(factor)
+    dh_next = np.zeros((k0, 2, d), acts.dtype)
+    dc_next = np.zeros((k0, 2, d), acts.dtype)
+    for s in range(len(offsets) - 2, -1, -1):
+        rows = slice(offsets[s], offsets[s + 1])
+        k = rows.stop - rows.start
         dh = g_hidden[rows] + dh_next[:k]
         dc = dh * cell_from_hidden[rows]
         dc += dc_next[:k]

@@ -192,6 +192,28 @@ def brute_force_path(heads: list[int | None], u: int, v: int) -> list[int]:
     return min(best, key=len)
 
 
+# ---------------------------------------------------------------------------
+# Oracles over a sentence's strings
+
+
+def entity_token(sentence, index: int) -> bool:
+    """Whether token ``index`` lies in the e1 or the e2 span."""
+    return any(span.start <= index <= span.end for span in (sentence.e1, sentence.e2))
+
+
+def dref_entries(table) -> dict[tuple[str, str, str], tuple[int, float]]:
+    """Each counted triple's dref row and frequency ratio, recomputed from ``table.counts``.
+
+    Observed triples own the rows after the reserved ones, in count order;
+    a triple's ratio is its count over the total. A triple the table lacks
+    reads ``.get(triple, (DrefTable.UNK_ROW, 1.0))``.
+    """
+    return {
+        triple: (row, count / table.total)
+        for row, (triple, count) in enumerate(table.counts.items(), start=table.RESERVED_ROWS)
+    }
+
+
 @pytest.fixture
 def fig_example_sentence():
     return parse_conllu_annotated(FIG_EXAMPLE_CONLLU)[0]

@@ -50,6 +50,7 @@ from conftest import (
     brute_force_path,
     build_structure_corpus,
     build_toy_corpus,
+    dref_entries,
     random_heads,
 )
 
@@ -213,9 +214,10 @@ def test_05_dref_statistics_match_recount():
                 total += 1
         assert table.counts == recount
         assert table.total == total
+        entries = dref_entries(table)
         for key, count in recount.items():
-            assert table.ratio[key] == count / total
-        assert abs(sum(table.ratio.values()) - 1.0) <= 1e-9
+            assert entries[key][1] == count / total
+        assert abs(sum(ratio for _, ratio in entries.values()) - 1.0) <= 1e-9
 
 
 def test_06_scorer_fidelity():

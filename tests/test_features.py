@@ -22,7 +22,7 @@ from relgat.features import (
 )
 from relgat.graph import SubGraph, sentence_subgraphs
 from relgat.model import Model, ModelConfig, token_layout
-from conftest import build_structure_corpus, build_toy_corpus, conllu_block
+from conftest import build_structure_corpus, build_toy_corpus, conllu_block, dref_entries, entity_token
 
 
 def triple_sentence():
@@ -41,12 +41,13 @@ class TestDrefTable:
         table = build_dref_table(triple_sentence(), d_e=4)
         assert table.counts[("NOUN", "VERB", "nsubj")] == 2
         assert table.counts[("VERB", "ADP", "prep")] == 1
-        assert table.ratio[("NOUN", "VERB", "nsubj")] == pytest.approx(2 / 3)
-        assert table.ratio[("VERB", "ADP", "prep")] == pytest.approx(1 / 3)
+        entries = dref_entries(table)
+        assert entries[("NOUN", "VERB", "nsubj")][1] == pytest.approx(2 / 3)
+        assert entries[("VERB", "ADP", "prep")][1] == pytest.approx(1 / 3)
 
     def test_ratios_sum_to_one(self, toy_corpus):
         table = build_dref_table(toy_corpus, d_e=4)
-        assert abs(sum(table.ratio.values()) - 1.0) < 1e-9
+        assert abs(sum(ratio for _, ratio in dref_entries(table).values()) - 1.0) < 1e-9
 
     def test_matches_independent_recount(self):
         corpus = build_structure_corpus(50, seed=3)
@@ -58,16 +59,16 @@ class TestDrefTable:
                     recount[(s.tokens[t.head].pos, t.pos, t.deprel)] += 1
         assert table.counts == dict(recount)
         assert table.total == sum(recount.values())
+        entries = dref_entries(table)
         for triple, count in recount.items():
-            assert table.ratio[triple] == pytest.approx(count / table.total, abs=1e-12)
-        assert abs(sum(table.ratio.values()) - 1.0) < 1e-9
+            assert entries[triple][1] == pytest.approx(count / table.total, abs=1e-12)
+        assert abs(sum(ratio for _, ratio in entries.values()) - 1.0) < 1e-9
 
     def test_rebuild_is_identical(self, toy_corpus):
         a = build_dref_table(toy_corpus, d_e=4)
         b = build_dref_table(toy_corpus, d_e=4)
         assert a.counts == b.counts
-        assert a.row == b.row
-        assert a.ratio == b.ratio
+        assert dref_entries(a) == dref_entries(b)
 
     def test_rows_by_index_equal_string_lookup(self):
         # every triple of vocabulary symbols finds the row and ratio that
@@ -79,10 +80,11 @@ class TestDrefTable:
         # index 0 is the UNK, which spells no symbol
         pos, deprel = [None, *vocabs.pos.symbols()], [None, *vocabs.deprel.symbols()]
         assert rows.shape == (len(pos), len(pos), len(deprel))
+        entries = dref_entries(table)
         for (h, d, r), row in np.ndenumerate(rows):
-            triple = (pos[h], pos[d], deprel[r])
-            assert row == table.row_for(triple)
-            assert table.ratios[row] == table.ratio_for(triple)
+            want_row, want_ratio = entries.get((pos[h], pos[d], deprel[r]), (DrefTable.UNK_ROW, 1.0))
+            assert row == want_row
+            assert table.ratios[row] == want_ratio
         assert table.ratios[[DrefTable.UNK_ROW, DrefTable.SELF_ROW]].tolist() == [1.0, 1.0]
         assert rows[Vocab.UNK].max() == DrefTable.UNK_ROW
 
@@ -160,7 +162,7 @@ class TestDrefAssignment:
         # sdp vertices: core(0) hums(2); 'hums' is an nsubj of 'core'
         i = sgs.sdp.local(0)
         j = sgs.sdp.local(2)
-        assert dref_row(sgs.sdp, s, table, i, j) == table.row[("NOUN", "VERB", "nsubj")]
+        assert dref_row(sgs.sdp, s, table, i, j) == dref_entries(table)[("NOUN", "VERB", "nsubj")][0]
 
     def test_reversed_orientation_unseen_maps_to_unk(self):
         (s,) = triple_sentence()
@@ -242,7 +244,7 @@ class TestCtefAssignment:
         sdp = sentence_subgraphs(s).sdp
         _, before = ctef_flags(s, sdp)
         for t in s.tokens:
-            if not s.entity_token(t.index):
+            if not entity_token(s, t.index):
                 t.surface = t.surface.upper()
                 t.pos = "X"
         _, after = ctef_flags(s, sdp)
@@ -279,13 +281,13 @@ class TestEntityMask:
     @pytest.mark.parametrize("spans", SPANS)
     def test_equals_per_token_lookup(self, spans):
         layout = self.layout([spans])
-        want = [s.entity_token(i) for s, indices in layout for i in indices]
+        want = [entity_token(s, i) for s, indices in layout for i in indices]
         got = self.entity(layout)
         assert got.dtype == bool and got.tolist() == want
 
     def test_batch_equals_per_token_lookup(self):
         layout = self.layout(self.SPANS, seed=4)
-        want = [s.entity_token(i) for s, indices in layout for i in indices]
+        want = [entity_token(s, i) for s, indices in layout for i in indices]
         assert self.entity(layout).tolist() == want
         assert self.entity([]).shape == (0,)
 

@@ -1,9 +1,11 @@
 """Sub-graph derivation: shortest paths, neighborhoods, edge arrays."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from relgat.corpus import parse_conllu_annotated
+from relgat.corpus import EntitySpan, Sentence, Token, parse_conllu_annotated
 from relgat.graph import (
     DependencyGraph,
     GraphError,
@@ -54,9 +56,43 @@ class TestDependencyGraph:
             DependencyGraph([None, 1])
 
     def test_neighbors_are_symmetric(self):
-        g = DependencyGraph([None, 0, 0, 1])
-        assert g.neighbors[0] == [1, 2]
-        assert g.neighbors[1] == [0, 3]
+        # an entity graph holds the vertex with its head and its dependents
+        sgs = derive_subgraphs(DependencyGraph([None, 0, 0, 1]), 0, 1)
+        assert sgs.e1.vertices == [0, 1, 2]
+        assert sgs.e2.vertices == [0, 1, 3]
+
+
+class TestHandBuiltSentence:
+    """A sentence built in code, never parsed, meets the tree check before any derivation."""
+
+    @staticmethod
+    def cut(heads):
+        tokens = [Token(i, f"w{i}", "X", None, "dep", h) for i, h in enumerate(heads)]
+        sentence = Sentence(tokens, EntitySpan(1, 1), EntitySpan(3, 3))
+        raised = []
+
+        def run():
+            try:
+                sentence_subgraphs(sentence, expansion_order=2)
+            except GraphError as exc:
+                raised.append(exc)
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), f"sentence_subgraphs did not return on heads {heads}"
+        assert raised, f"sentence_subgraphs accepted heads {heads}"
+        return str(raised[0])
+
+    def test_head_cycle_under_one_root(self):
+        # tokens 1 and 2 head each other: walking up from e1 would never reach the root
+        assert "cycle" in self.cut([None, 2, 1, 0])
+
+    def test_two_roots(self):
+        assert "multiple roots" in self.cut([None, 0, None, 2])
+
+    def test_head_out_of_range(self):
+        assert "out of range" in self.cut([None, 0, 7, 0])
 
 
 class TestDeriveSubgraphs:
@@ -117,11 +153,15 @@ class TestDeriveSubgraphs:
         rng = np.random.default_rng(29)
         for _ in range(50):
             n = int(rng.integers(3, 12))
-            g = DependencyGraph(random_heads(rng, n))
+            heads = random_heads(rng, n)
             u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
-            sgs = derive_subgraphs(g, u, v)
-            assert len(sgs.e1) == 1 + len(g.neighbors[u])
-            assert len(sgs.e2) == 1 + len(g.neighbors[v])
+            sgs = derive_subgraphs(DependencyGraph(heads), u, v)
+
+            def degree(x):
+                return heads.count(x) + (heads[x] is not None)
+
+            assert len(sgs.e1) == 1 + degree(u)
+            assert len(sgs.e2) == 1 + degree(v)
 
     def test_subgraph_edges_subset_of_tree_edges(self):
         rng = np.random.default_rng(31)

@@ -33,7 +33,7 @@ from relgat.model import (
     gcn_vertex_update,
     pool_graph,
 )
-from conftest import build_structure_corpus, build_toy_corpus, graph_nodes, total
+from conftest import build_structure_corpus, build_toy_corpus, dref_entries, entity_token, graph_nodes, total
 
 TINY = dict(d_ctx=6, d_f=3, d_wt=2, d_lstm=4, d_g=6, heads=2, d_e=3)
 
@@ -1266,6 +1266,7 @@ def numpy_oracle_forward(model, sentence, sgs, provider):
     cfg = model.config
     p = {k: v.value for k, v in model.parameters().items()}
     vocabs = model.vocabs
+    dref = dref_entries(model.dref_table) if model.dref_table else {}
     ctx_all = provider.vectors(sentence)
 
     def encode(sg):
@@ -1277,7 +1278,7 @@ def numpy_oracle_forward(model, sentence, sgs, provider):
                 p["embed.pos"][vocabs.pos.index(t.pos)],
                 p["embed.deprel"][vocabs.deprel.index(t.deprel)],
                 p["embed.ner"][vocabs.ner.index(t.ner)],
-                p["embed.word_type"][1 if sentence.entity_token(v) else 0],
+                p["embed.word_type"][1 if entity_token(sentence, v) else 0],
             ]))
         return np.stack(rows)
 
@@ -1307,9 +1308,9 @@ def numpy_oracle_forward(model, sentence, sgs, provider):
                 tok_u, tok_v = sentence.tokens[u], sentence.tokens[v]
                 deprel = tok_v.deprel if tok_v.head == u else tok_u.deprel
                 triple = (tok_u.pos, tok_v.pos, deprel)
-                row, ratio = model.dref_table.row_for(triple), model.dref_table.ratio_for(triple)
+                row, ratio = dref.get(triple, (DrefTable.UNK_ROW, 1.0))
             vec += p["edge.dref"][row] * (ratio if cfg.dref_scale_by_ratio else 1.0)
-        if "ctef" in cfg.edge_mode and sentence.entity_token(v):
+        if "ctef" in cfg.edge_mode and entity_token(sentence, v):
             vec += np.ones(cfg.d_e)
         return vec
 

@@ -205,6 +205,17 @@ def test_no_grad_ops_return_plain_value_nodes():
         np.testing.assert_array_equal(node.value, tracked[name].value, err_msg=name)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_no_grad_values_are_arrays_of_the_operand_dtype(dtype):
+    # a value-only node holds an ndarray, never a numpy scalar: the
+    # batch-mean loss is a 0-d array
+    with nm.no_grad():
+        plain = every_op(lambda value: nm.parameter(value.astype(dtype)))
+    for name, node in plain.items():
+        assert type(node.value) is np.ndarray and node.value.dtype == dtype, name
+    assert plain["cross_entropy"].value.shape == ()
+
+
 def test_ops_over_constants_build_no_graph():
     # with grads on, a result none of whose parents requires grad is a plain node too
     for name, node in every_op(nm.constant).items():
@@ -492,6 +503,123 @@ def test_lstm_token_rows_equal_gathered_input(reverse):
     gathered_z_grad = np.zeros_like(z_tok)
     np.add.at(gathered_z_grad, token_rows, gathered.grad)
     np.testing.assert_array_equal(by_token.grad, gathered_z_grad)
+
+
+def earlier_bilstm(z, w_hidden, starts, g):
+    """The recurrence as it ran before its gate-major layout, and its two VJPs at ``g``.
+
+    A plain numpy copy of the earlier loop: a step's gates are stored
+    direction-major, scaled and shifted by broadcast (4d,) rows, and the
+    forget term of the cell update is a temporary. Returns the (n, 2d)
+    states and the gradients of ``sum(g * states)`` with respect to ``z``
+    and ``w_hidden``.
+    """
+    n, d = z.shape[0], w_hidden.shape[0]
+    starts = np.asarray(starts)
+    lengths = np.diff(np.append(starts, n))
+    order = np.argsort(-lengths, kind="stable")
+    first, lengths = starts[order], lengths[order]
+    step = np.arange(lengths[0])[:, None]
+    running = step < lengths
+    forward_rows = (first + step)[running]
+    backward_rows = (first + lengths - 1 - step)[running]
+    widths = running.sum(axis=1)
+    offsets = np.concatenate(([0], np.cumsum(widths)))
+    dtype = z.dtype
+    scale = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype), d)
+    shift = np.repeat(np.array([0.5, 0.5, 0.0, 0.5], dtype), d)
+    wh = w_hidden.reshape(d, 2, 4 * d).transpose(1, 0, 2)
+    z_input = np.empty((n, 2, 4 * d), dtype)
+    z_input[:, 0] = z[forward_rows, : 4 * d]
+    z_input[:, 1] = z[backward_rows, 4 * d :]
+    acts = np.empty((n, 2, 4 * d), dtype)
+    gate_in, gate_forget, gate_cell, gate_out = (acts[..., j * d : (j + 1) * d] for j in range(4))
+    hidden, cell, tanh_cell = (np.empty((n, 2, d), dtype) for _ in range(3))
+    for s, k in enumerate(widths):
+        rows = slice(offsets[s], offsets[s] + k)
+        a = acts[rows]
+        if s:
+            last = slice(offsets[s - 1], offsets[s - 1] + k)
+            np.matmul(hidden[last].transpose(1, 0, 2), wh, out=a.transpose(1, 0, 2))
+            a += z_input[rows]
+            a *= scale
+        else:
+            np.multiply(z_input[rows], scale, out=a)
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift
+        c = cell[rows]
+        np.multiply(gate_in[rows], gate_cell[rows], out=c)
+        if s:
+            c += gate_forget[rows] * cell[last]
+        np.tanh(c, out=tanh_cell[rows])
+        np.multiply(gate_out[rows], tanh_cell[rows], out=hidden[rows])
+    out = np.empty((n, 2 * d), dtype)
+    out[forward_rows, :d] = hidden[:, 0]
+    out[backward_rows, d:] = hidden[:, 1]
+
+    prev = np.arange(widths[0], n) - np.repeat(widths[:-1], widths[1:])
+    g_hidden = np.empty((n, 2, d), dtype)
+    g_hidden[:, 0] = g[forward_rows, :d]
+    g_hidden[:, 1] = g[backward_rows, d:]
+    gates = acts.reshape(n, 2, 4, d)
+    factor = np.empty_like(gates)
+    factor[:, :, 0] = gates[:, :, 2]
+    factor[: widths[0], :, 1] = 0.0
+    factor[widths[0] :, :, 1] = cell[prev]
+    factor[:, :, 2] = gates[:, :, 0]
+    factor[:, :, 3] = tanh_cell
+    slope = gates * (1.0 - gates)
+    slope[:, :, 2] = 1.0 - gates[:, :, 2] * gates[:, :, 2]
+    factor *= slope
+    cell_from_hidden = gates[:, :, 3] * (1.0 - tanh_cell * tanh_cell)
+    wh_t = wh.transpose(0, 2, 1)
+    dz = np.empty_like(gates)
+    dh_next = np.zeros((widths[0], 2, d), dtype)
+    dc_next = np.zeros((widths[0], 2, d), dtype)
+    for s in range(len(widths) - 1, -1, -1):
+        k = widths[s]
+        rows = slice(offsets[s], offsets[s] + k)
+        dh = g_hidden[rows] + dh_next[:k]
+        dc = dh * cell_from_hidden[rows]
+        dc += dc_next[:k]
+        block = dz[rows]
+        np.multiply(dc[:, :, None], factor[rows, :, :3], out=block[:, :, :3])
+        np.multiply(dh, factor[rows, :, 3], out=block[:, :, 3])
+        if s:
+            np.multiply(dc, gates[rows, :, 1], out=dc_next[:k])
+            np.matmul(block.reshape(k, 2, 4 * d).transpose(1, 0, 2), wh_t, out=dh_next[:k].transpose(1, 0, 2))
+    dz = dz.reshape(n, 2, 4 * d)
+    z_grad = np.empty((n, 8 * d), dtype)
+    z_grad[forward_rows, : 4 * d] = dz[:, 0]
+    z_grad[backward_rows, 4 * d :] = dz[:, 1]
+    w_grad = np.hstack(np.matmul(hidden[prev].transpose(1, 2, 0), dz[widths[0] :].transpose(1, 0, 2)))
+    return out, z_grad, w_grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lengths", [
+    [3, 3, 3],  # ties throughout
+    [2, 4, 2, 4, 1],  # ties and a length-1 sequence out of order
+    [1, 1, 1],  # every sequence one row long
+    [1],
+    [15, 4, 4],  # a long tail of one-sequence steps
+    [33, 5, 3],
+])
+def test_bilstm_equals_the_earlier_loop_bit_for_bit(dtype, lengths):
+    # the gate-major layout, the per-width scratch rows and the carry
+    # buffer move no bit: states and both VJPs equal the earlier loop's
+    rng = np.random.default_rng(sum(lengths) + len(lengths))
+    d, n = 3, sum(lengths)
+    starts = np.cumsum([0] + lengths[:-1])
+    z = (rng.standard_normal((n, 8 * d)) * 2).astype(dtype)
+    w_hidden = rng.standard_normal((d, 8 * d)).astype(dtype)
+    g = rng.standard_normal((n, 2 * d)).astype(dtype)
+    out = nm.bilstm_sequence(nm.parameter(z), nm.parameter(w_hidden), nm.Segments(starts, n))
+    got = (out.value, out.vjps[0](g), out.vjps[1](g))
+    for name, a, b in zip(("states", "z VJP", "w_hidden VJP"), got, earlier_bilstm(z, w_hidden, starts, g)):
+        assert a.dtype == b.dtype == dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def test_segment_ops_match_per_segment_loops():

@@ -23,7 +23,7 @@ from relgat.features import (
 from relgat.graph import DependencyGraph, GraphError, sentence_subgraphs
 from relgat.model import token_layout
 from relgat.train_eval import score_predictions
-from conftest import brute_force_path, conllu_block
+from conftest import brute_force_path, conllu_block, dref_entries, entity_token
 
 # Small alphabets, so that triples repeat within and across sentences and
 # an edge's reversed orientation is often a triple of its own.
@@ -162,6 +162,7 @@ def test_dref_rows_and_ratios_equal_string_keyed_lookup(batch, order, multi, cou
     codes = code_tokens(sentence_tokens, vocabs)
     rows = dref_edge_features(codes, token_rows, pairs, dependents, table.rows_by_index(vocabs))
     want_rows, want_ratios = [], []
+    entries = dref_entries(table)
     for i, j in pairs.tolist():
         (s, u), (_, v) = vertex_tokens[i], vertex_tokens[j]
         if u == v:
@@ -171,8 +172,9 @@ def test_dref_rows_and_ratios_equal_string_keyed_lookup(batch, order, multi, cou
         tok_u, tok_v = s.tokens[u], s.tokens[v]
         dependent = tok_v if tok_v.head == u else tok_u
         triple = (tok_u.pos, tok_v.pos, dependent.deprel)
-        want_rows.append(table.row_for(triple))
-        want_ratios.append(table.ratio_for(triple))
+        row, ratio = entries.get(triple, (DrefTable.UNK_ROW, 1.0))
+        want_rows.append(row)
+        want_ratios.append(ratio)
     assert rows.tolist() == want_rows
     assert table.ratios[rows].tolist() == want_ratios
 
@@ -183,7 +185,7 @@ def test_ctef_flags_the_entity_tokens_attended_from(batch, order, multi):
     _, pairs, dependents = attention_pairs(units, vertex_starts)
     codes = code_tokens(sentence_tokens, build_vocabs([s for s, _ in batch]))
     flags = edge_features(codes, token_rows, pairs, dependents, "ctef", 1).value[:, 0]
-    want = [float(s.entity_token(v)) for s, v in (vertex_tokens[j] for j in pairs[:, 1])]
+    want = [float(entity_token(s, v)) for s, v in (vertex_tokens[j] for j in pairs[:, 1])]
     assert flags.tolist() == want
 
 
