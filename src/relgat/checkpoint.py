@@ -12,9 +12,10 @@ the model config, the dtype, the parameter names and shapes, each
 vocabulary's corpus symbols in index order (index 0 is the UNK, which
 no symbol spells), the dependency triples and their counts (the total
 is their sum, the table's ``d_e`` the config's) or null, and the
-embedding record, ``{"kind": "hashed", "seed": s}`` or ``{"kind":
-"file"}``, whose dimension is the config's ``d_ctx``. The 19 labels
-are the task's ``corpus.LABELS`` and are not stored.
+model's ``embedding`` record, whose dimension is the config's
+``d_ctx``. The 19 labels are the task's ``corpus.LABELS`` and are not
+stored. A save or load accepts only a record a provider can be rebuilt
+from, ``{"kind": "hashed", "seed": <int>}`` or ``{"kind": "file"}``.
 
 The BiLSTM is one group, ``lstm.w_ctx``, ``.w_feat``, ``.w_hidden`` and
 ``.bias``, with the two directions as column blocks, forward first; each
@@ -72,7 +73,18 @@ def _dref_payload(table: DrefTable | None) -> dict | None:
     return {"triples": [list(t) for t in table.counts], "counts": list(table.counts.values())}
 
 
-def save_checkpoint(model: Model, path: str, embedding: dict | None = None) -> None:
+def _check_embedding(record, path: str) -> None:
+    """CheckpointError naming ``path`` unless ``record`` names a provider a checkpoint can rebuild."""
+    hashed = (
+        isinstance(record, dict) and record.keys() == {"kind", "seed"}
+        and record["kind"] == "hashed" and type(record["seed"]) is int
+    )
+    if not hashed and record != {"kind": "file"}:
+        raise CheckpointError(f"{path}: no provider can be rebuilt from embedding record {record!r}")
+
+
+def save_checkpoint(model: Model, path: str) -> None:
+    _check_embedding(model.embedding, path)
     params = model.parameters()
     stored = model.dtype.newbyteorder("<")
     payload = [np.ascontiguousarray(p.value, dtype=stored) for p in params.values()]
@@ -80,7 +92,7 @@ def save_checkpoint(model: Model, path: str, embedding: dict | None = None) -> N
         "config": asdict(model.config),
         "vocabs": {name: getattr(model.vocabs, name).symbols() for name in VOCABS},
         "dref": _dref_payload(model.dref_table),
-        "embedding": embedding or {"kind": "hashed", "seed": 0},
+        "embedding": model.embedding,
         "dtype": model.dtype.name,
         "params": [{"name": n, "shape": list(p.value.shape)} for n, p in params.items()],
     }
@@ -131,6 +143,7 @@ def load_checkpoint(path: str) -> Model:
         model, recorded = _model_from_header(header)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from None
+    _check_embedding(model.embedding, path)
     params = model.parameters()
     stored = model.dtype.newbyteorder("<")
     if [name for name, _ in recorded] != list(params):
@@ -169,6 +182,6 @@ def _model_from_header(header) -> tuple[Model, list[tuple[str, tuple[int, ...]]]
         dp = header["dref"]
         dref = DrefTable(dict(zip(map(tuple, dp["triples"]), dp["counts"])), config.d_e)
     model = Model(config, vocabs, dref, seed=0, dtype=np.dtype(header["dtype"]))
-    model.embedding_info = header["embedding"]  # type: ignore[attr-defined]
+    model.embedding = header["embedding"]
     recorded = [(r["name"], tuple(r["shape"])) for r in header["params"]]
     return model, recorded

@@ -20,16 +20,16 @@ from dataclasses import dataclass, fields
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import LABELS, CorpusError, build_vocabs, parse_conllu_annotated
 from .features import FileEmbeddingProvider, HashedEmbeddingProvider, build_dref_table
-from .graph import sentence_subgraphs, subgraph_size_histograms
+from .graph import subgraph_size_histograms
 from .model import ModelConfig
 from .train_eval import (
     SpanBuckets,
     TrainerConfig,
-    _predict_labels,
     dev_split,
     entity_distance,
     evaluate,
     metrics_json,
+    predict,
     span_bucket_eval,
     train,
 )
@@ -157,25 +157,23 @@ def _provider(embeddings: str | None, dim: int, seed: int):
     return HashedEmbeddingProvider(dim, seed)
 
 
-def _make_provider(run: RunConfig):
-    dim, seed = run.model.d_ctx, run.embedding_seed
-    info = {"kind": "file"} if run.embeddings else {"kind": "hashed", "seed": seed}
-    return _provider(run.embeddings, dim, seed), info
-
-
 def _provider_for_checkpoint(model, embeddings_path: str | None):
     """The provider a loaded model was trained with; ``--embeddings`` must match its kind."""
-    info = model.embedding_info
-    if info["kind"] == "file" and not embeddings_path:
+    record = model.embedding
+    if record["kind"] == "file" and not embeddings_path:
         raise UsageError("checkpoint was trained on file embeddings; pass --embeddings")
-    if info["kind"] == "hashed" and embeddings_path:
+    if record["kind"] == "hashed" and embeddings_path:
         raise UsageError("checkpoint was trained on hashed embeddings; drop --embeddings")
-    return _provider(embeddings_path, model.config.d_ctx, info.get("seed", 0))
+    return _provider(embeddings_path, model.config.d_ctx, record.get("seed"))
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _write_json(path: str, payload) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        f.write(_json_text(payload))
 
 
 def _ensure_out_dir(run: RunConfig) -> str:
@@ -233,7 +231,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     sentences = _load_corpus(run.train, "train")
     test = _load_corpus(run.test, "test") if run.test else None
     out = _ensure_out_dir(run)
-    provider, embedding_info = _make_provider(run)
+    provider = _provider(run.embeddings, run.model.d_ctx, run.embedding_seed)
     with _naming(run.train):
         model, log = train(sentences, run.model, run.trainer, provider)
     if test is None:
@@ -244,7 +242,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         with _naming(run.test):
             final = evaluate(model, test, provider)
     checkpoint_path = os.path.join(out, "model.ckpt")
-    save_checkpoint(model, checkpoint_path, embedding_info)
+    save_checkpoint(model, checkpoint_path)
     with open(os.path.join(out, "metrics.json"), "w", encoding="utf-8", newline="\n") as f:
         f.write(metrics_json(run.model, run.trainer, log, final))
     print(f"best dev macro-F1 (excluding Other): {log.best_dev_f1:.4f}")
@@ -283,8 +281,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
             text = f.read()
     sentences = _parse_corpus(text, "<stdin>" if args.input == "-" else args.input)
     provider = _provider_for_checkpoint(model, args.embeddings)
-    graphs = [sentence_subgraphs(s, model.config.expansion_order) for s in sentences]
-    for label in _predict_labels(model, sentences, graphs, provider):
+    for label in predict(model, sentences, provider):
         print(str(label))
     return 0
 
@@ -296,12 +293,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "expansion_order": args.expansion_order,
         "subgraph_sizes": subgraph_size_histograms(sentences, args.expansion_order),
     }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+        _write_json(args.out, payload)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(_json_text(payload))
     return 0
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "LABEL_INDEX",
     "parse_semeval_raw",
     "parse_conllu_annotated",
-    "to_semeval_raw",
     "to_conllu",
     "build_vocabs",
     "entity_head_token",
@@ -216,7 +215,9 @@ def parse_semeval_raw(text: str) -> list[Sentence]:
 
     Each instance is a quoted sentence line, a relation line, an optional
     ``Comment`` line and a blank separator. The returned sentences carry
-    no syntactic annotation (pos/deprel/head are None).
+    no syntactic annotation (pos/deprel/head are None). This is the reader
+    for the official task files; their sentences need a dependency parse
+    before a model can train on them.
     """
     lines = text.split("\n")
     sentences = []
@@ -288,25 +289,6 @@ def _parse_marked_sentence(raw: str, instance_id: int) -> Sentence:
         spans[name] = EntitySpan(covered[0], covered[-1])
 
     return Sentence(tokens, spans["e1"], spans["e2"], instance_id=instance_id)
-
-
-def to_semeval_raw(sentence: Sentence) -> str:
-    """Render one instance back to the raw marked-up format."""
-    pieces = []
-    for t in sentence.tokens:
-        word = t.surface
-        if t.index == sentence.e1.start:
-            word = "<e1>" + word
-        if t.index == sentence.e2.start:
-            word = "<e2>" + word
-        if t.index == sentence.e1.end:
-            word = word + "</e1>"
-        if t.index == sentence.e2.end:
-            word = word + "</e2>"
-        pieces.append(word)
-    instance_id = sentence.instance_id if sentence.instance_id is not None else 1
-    label = str(sentence.label) if sentence.label is not None else OTHER_LABEL
-    return f'{instance_id}\t"{" ".join(pieces)}"\n{label}\nComment:\n\n'
 
 
 # ---------------------------------------------------------------------------

@@ -65,9 +65,14 @@ class FeatureError(ValueError):
 
 
 class EmbeddingProvider:
-    """Maps a sentence to one contextual vector per token."""
+    """Maps a sentence to one contextual vector per token.
+
+    ``record`` is what a checkpoint stores to rebuild the provider: a
+    JSON-ready dict, or None for a provider no checkpoint can rebuild.
+    """
 
     dim: int
+    record: dict | None = None
 
     def vectors(self, sentence: Sentence) -> np.ndarray:
         raise NotImplementedError
@@ -83,6 +88,7 @@ class HashedEmbeddingProvider(EmbeddingProvider):
     def __init__(self, dim: int = 768, seed: int = 0):
         self.dim = dim
         self.seed = seed
+        self.record = {"kind": "hashed", "seed": seed}
         self._cache: dict[str, np.ndarray] = {}
 
     def _vector(self, surface: str) -> np.ndarray:
@@ -111,6 +117,8 @@ class FileEmbeddingProvider(EmbeddingProvider):
     one naming the instance and token; all start with the file's path
     when the provider was read with ``from_path``.
     """
+
+    record = {"kind": "file"}
 
     def __init__(self, text: str, dim: int = 768):
         self.dim = dim

@@ -91,6 +91,7 @@ from .features import (
     DrefTable,
     EmbeddingProvider,
     FeatureEmbeddings,
+    HashedEmbeddingProvider,
     attention_pairs,
     code_tokens,
     edge_features,
@@ -409,7 +410,9 @@ class Model:
     ``dtype`` (float32 or float64) is the dtype of every parameter,
     activation and gradient. With dref, the table's rows are laid out by
     vocabulary indices once, here (``dref_rows``); a table triple with a
-    symbol the vocabularies lack raises FeatureError.
+    symbol the vocabularies lack raises FeatureError. ``embedding`` is the
+    ``record`` of the provider the model reads, ``train()``'s default one
+    until ``train()`` or a checkpoint load sets it.
     """
 
     DTYPES = (np.float32, np.float64)
@@ -433,6 +436,7 @@ class Model:
         self.vocabs = vocabs
         self.dref_table = dref if config.uses_dref else None
         self.dtype = dtype
+        self.embedding: dict | None = HashedEmbeddingProvider(config.d_ctx).record
 
         rng = np.random.default_rng(seed)
         self.embeddings = FeatureEmbeddings(

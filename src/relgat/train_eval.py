@@ -32,6 +32,7 @@ __all__ = [
     "train",
     "dev_split",
     "evaluate",
+    "predict",
     "score_predictions",
     "entity_distance",
     "span_bucket_eval",
@@ -67,7 +68,6 @@ class TrainerConfig:
     dev_fraction: float = 0.10
     seed: int = 1
     gradient_clip_norm: float = 5.0
-    budget_unit: str = "epoch"  # interpret `epochs` as epochs or batch steps
     stop_at_train_accuracy: float | None = None
 
     def __post_init__(self):
@@ -88,8 +88,6 @@ class TrainerConfig:
             raise ValueError(f"dev_fraction must be in (0, 1), got {self.dev_fraction}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.budget_unit not in ("epoch", "step"):
-            raise ValueError(f"budget_unit must be 'epoch' or 'step', got {self.budget_unit!r}")
 
 
 @dataclass
@@ -231,8 +229,9 @@ def train(
 
     Deterministic for a fixed seed: the dev split, parameter init and
     per-epoch shuffles all come from one seeded generator consumed in a
-    fixed order. Raises CorpusError on fewer than two sentences or one
-    without a gold label, and TrainingDiverged on a non-finite loss.
+    fixed order. The model's ``embedding`` is the provider's record.
+    Raises CorpusError on fewer than two sentences or one without a gold
+    label, and TrainingDiverged on a non-finite loss.
     """
     if len(sentences) < 2:
         raise CorpusError("training needs at least two sentences")
@@ -249,6 +248,7 @@ def train(
     vocabs = build_vocabs(sentences)
     dref = build_dref_table(sentences, model_config.d_e) if model_config.uses_dref else None
     model = Model(model_config, vocabs, dref, seed=model_seed)
+    model.embedding = provider.record
     params = list(model.parameters().values())
 
     graphs = [sentence_subgraphs(s, model_config.expansion_order) for s in sentences]
@@ -260,13 +260,8 @@ def train(
     best_f1 = -1.0
     best_params: dict[str, np.ndarray] = {}
     wait = 0
-    steps_done = 0
-    epoch = 0
-    budget = trainer_config.epochs
-    out_of_budget = budget <= 0
 
-    while not out_of_budget:
-        epoch += 1
+    for epoch in range(1, trainer_config.epochs + 1):
         order = list(train_idx)
         rng.shuffle(order)
         loss_sum = 0.0
@@ -290,12 +285,8 @@ def train(
                 if p.grad is not None:
                     p.grad *= lr  # the step itself, scaled in place: no temporary
                     p.value -= p.grad
-            steps_done += 1
-            if trainer_config.budget_unit == "step" and steps_done >= budget:
-                out_of_budget = True
-                break
 
-        dev_report = _evaluate_graphs(model, dev_sentences, dev_graphs, provider)
+        dev_report = evaluate(model, dev_sentences, provider, dev_graphs)
         record = EpochRecord(
             epoch=epoch,
             learning_rate=lr,
@@ -322,8 +313,6 @@ def train(
         ):
             log.stopped_early = True
             break
-        if trainer_config.budget_unit == "epoch" and epoch >= budget:
-            break
 
     log.best_dev_f1 = max(best_f1, 0.0)
     for name, p in model.parameters().items():
@@ -336,27 +325,32 @@ def train(
 # Evaluation
 
 
-def evaluate(model: Model, sentences: list[Sentence], provider: EmbeddingProvider) -> EvalReport:
-    graphs = [sentence_subgraphs(s, model.config.expansion_order) for s in sentences]
-    return _evaluate_graphs(model, sentences, graphs, provider)
-
-
-def _evaluate_graphs(
+def evaluate(
     model: Model,
     sentences: list[Sentence],
-    graphs: list[SubGraphSet],
     provider: EmbeddingProvider,
+    graphs: list[SubGraphSet] | None = None,
 ) -> EvalReport:
-    """``evaluate`` over sentences whose sub-graph sets are already derived."""
+    """Score ``predict``'s labels against the gold ones; CorpusError if one is missing."""
     for s in sentences:
         if s.label is None:
             raise CorpusError(f"instance {s.instance_id}: no gold label to score against")
-    preds = _predict_labels(model, sentences, graphs, provider)
+    preds = predict(model, sentences, provider, graphs)
     return score_predictions([s.label for s in sentences], preds)
 
 
-def _predict_labels(model: Model, sentences, graphs, provider) -> list[RelationLabel]:
-    """The predicted label of every sentence, ``EVAL_CHUNK`` sentences per no-grad forward."""
+def predict(
+    model: Model,
+    sentences: list[Sentence],
+    provider: EmbeddingProvider,
+    graphs: list[SubGraphSet] | None = None,
+) -> list[RelationLabel]:
+    """The predicted label of every sentence, ``EVAL_CHUNK`` sentences per no-grad forward.
+
+    ``graphs`` are the sentences' sub-graph sets; without them they are derived here.
+    """
+    if graphs is None:
+        graphs = [sentence_subgraphs(s, model.config.expansion_order) for s in sentences]
     instances = list(zip(sentences, graphs))
     labels = []
     with nm.no_grad():

@@ -8,12 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from relgat.checkpoint import load_checkpoint
+from relgat.checkpoint import load_checkpoint, save_checkpoint
 from relgat.cli import RunConfig, _provider_for_checkpoint, _read_config_file, build_parser, main
 from relgat.corpus import parse_conllu_annotated, to_conllu
+from relgat.features import HashedEmbeddingProvider
 from relgat.graph import sentence_subgraphs
 from relgat.model import ModelConfig
-from relgat.train_eval import EVAL_CHUNK, TrainerConfig
+from relgat.train_eval import EVAL_CHUNK, TrainerConfig, evaluate, train
 from conftest import build_structure_corpus, build_toy_corpus
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -208,7 +209,7 @@ def test_flag_value_parses_like_config_file_value(tmp_path, key, kind):
 
 @pytest.mark.parametrize("key,value", [
     ("graph_layer", "gin"), ("graph_mode", "double"), ("edge_mode", "bogus"),
-    ("expansion_order", "3"), ("budget_unit", "minute"), ("heads", "two"), ("contextual", "maybe"),
+    ("expansion_order", "3"), ("heads", "two"), ("contextual", "maybe"),
 ])
 def test_bad_setting_fails_alike_from_flag_and_config_file(tmp_path, corpus_file, capsys, key, value):
     out = tmp_path / "x"
@@ -363,6 +364,19 @@ class TestEmbeddingsKind:
         assert main([command, "--checkpoint", checkpoint, source, corpus_file]) == 2
         assert "trained on file embeddings; pass --embeddings" in capsys.readouterr().err
         assert main([command, "--checkpoint", checkpoint, source, corpus_file, "--embeddings", vectors]) == 0
+
+    def test_eval_rebuilds_the_provider_an_in_process_model_trained_on(self, tmp_path, corpus_file):
+        # the checkpoint takes the seed from the model, so eval scores it as train() left it
+        sentences = build_toy_corpus()
+        config = ModelConfig(d_ctx=6, d_f=3, d_wt=2, d_lstm=4, d_g=6, heads=2, d_e=3, edge_mode="dref")
+        provider = HashedEmbeddingProvider(config.d_ctx, seed=5)
+        model, _ = train(sentences, config, TrainerConfig(epochs=4, seed=3), provider)
+        in_process = evaluate(model, sentences, provider).to_dict()
+        assert in_process != evaluate(model, sentences, HashedEmbeddingProvider(config.d_ctx)).to_dict()
+        checkpoint, report = str(tmp_path / "model.ckpt"), tmp_path / "eval.json"
+        save_checkpoint(model, checkpoint)
+        assert main(["eval", "--checkpoint", checkpoint, "--test", corpus_file, "--out", str(report)]) == 0
+        assert json.loads(report.read_text(encoding="utf-8")) == in_process
 
 
 class TestShippedFixtures:

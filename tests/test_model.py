@@ -1170,8 +1170,9 @@ def test_malformed_checkpoint_header_names_path(tmp_path):
     payload = blob[16 + header_len :]
     unknown_key = {**header, "config": {**header["config"], "bogus": 1}}
     bad_layer = {**header, "config": {**header["config"], "graph_layer": "sage"}}
+    bad_seed = {**header, "embedding": {"kind": "hashed", "seed": "x"}}
     bad = tmp_path / "bad.ckpt"
-    for bad_header in ({}, [], unknown_key, bad_layer):
+    for bad_header in ({}, [], unknown_key, bad_layer, bad_seed):
         text = json.dumps(bad_header).encode("utf-8")
         bad.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + payload)
         with pytest.raises(CheckpointError) as err:
@@ -1215,7 +1216,7 @@ def test_checkpoint_header_byte_change_fails_the_digest(tmp_path):
 HEADER_EDITS = {
     "vocabs_reversed": lambda h: {**h, "vocabs": {k: v[::-1] for k, v in h["vocabs"].items()}},
     "dref_counts_x7": lambda h: {**h, "dref": {**h["dref"], "counts": [7 * c for c in h["dref"]["counts"]]}},
-    "embedding_seed": lambda h: {**h, "embedding": {"kind": "hashed", "seed": "x"}},
+    "embedding_seed": lambda h: {**h, "embedding": {"kind": "hashed", "seed": 7}},
     "config_key_dropped": lambda h: {
         **h, "config": {k: v for k, v in h["config"].items() if k != "dref_scale_by_ratio"}
     },
@@ -1236,6 +1237,51 @@ def test_checkpoint_header_edits_are_refused(tmp_path, edit):
     with pytest.raises(CheckpointError, match="digest") as err:
         load_checkpoint(str(bad))
     assert str(bad) in str(err.value)
+
+
+# an unknown kind, a missing seed, a seed that is no integer, and a custom provider's record
+BAD_EMBEDDING_RECORDS = [
+    {"kind": "hashd", "seed": 5}, {"kind": "hashed"}, {"kind": "hashed", "seed": "x"}, None,
+]
+
+
+@pytest.mark.parametrize("record", BAD_EMBEDDING_RECORDS)
+def test_unrebuildable_embedding_record_refused_at_save(tmp_path, record):
+    model, _, _ = tiny_model()
+    model.embedding = record
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(CheckpointError, match="embedding record") as err:
+        save_checkpoint(model, str(path))
+    assert str(path) in str(err.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("record", BAD_EMBEDDING_RECORDS)
+def test_unrebuildable_embedding_record_refused_at_load(tmp_path, record):
+    # a hand-written header with a matching digest: only the record check can refuse it
+    model, _, _ = tiny_model()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + header_len])
+    assert header["embedding"] == {"kind": "hashed", "seed": 0}
+    text = json.dumps({**header, "embedding": record}, sort_keys=True).encode("utf-8")
+    payload = blob[16 + header_len + 32 :]
+    digest = hashlib.blake2b(text + payload, digest_size=32).digest()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + digest + payload)
+    with pytest.raises(CheckpointError, match="embedding record") as err:
+        load_checkpoint(str(path))
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("record", [{"kind": "hashed", "seed": 5}, {"kind": "file"}])
+def test_embedding_record_survives_a_checkpoint(tmp_path, record):
+    model, _, _ = tiny_model()
+    model.embedding = record
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(model, path)
+    assert load_checkpoint(path).embedding == record
 
 
 # ---------------------------------------------------------------------------

@@ -141,13 +141,6 @@ class TestTraining:
             assert np.array_equal(p.value, q.value), name
         assert log_a.to_dict() == log_b.to_dict()
 
-    def test_step_budget(self, toy_corpus):
-        cfg = ModelConfig(**TINY)
-        tc = TrainerConfig(epochs=3, budget_unit="step", batch_size=5, seed=1)
-        _, log = train(toy_corpus, cfg, tc)
-        # 18 training sentences in batches of 5 -> 3 steps end inside epoch 1
-        assert len(log.records) == 1
-
     def test_train_loss_is_mean_of_row_losses(self, toy_corpus, monkeypatch):
         # train() weights each batch's mean loss by its size: with 18 training
         # sentences in batches of 5, 5, 5 and 3 the epoch loss is still the
@@ -184,6 +177,31 @@ class TestTraining:
         _, log = train(toy_corpus, ModelConfig(**TINY), TrainerConfig(epochs=3, seed=1))
         assert len(log.records) == 3
         assert len(calls) == len(toy_corpus)
+
+    def test_dev_split_scored_through_evaluate_once_per_epoch(self, toy_corpus, monkeypatch):
+        # train() scores its dev split with the module's evaluate and passes the graphs
+        # it derived (test_subgraphs_derived_once_per_sentence: none are derived again)
+        calls = []
+        score = train_eval.evaluate
+
+        def counted(model, sentences, provider, graphs=None):
+            calls.append((sentences, graphs))
+            return score(model, sentences, provider, graphs)
+
+        monkeypatch.setattr(train_eval, "evaluate", counted)
+        _, log = train(toy_corpus, ModelConfig(**TINY), TrainerConfig(epochs=3, seed=1))
+        _, dev_idx = dev_split(len(toy_corpus), 0.10, 1)
+        dev = [toy_corpus[i] for i in dev_idx]
+        assert len(calls) == len(log.records) == 3
+        for sentences, graphs in calls:
+            assert sentences == dev and graphs is not None and len(graphs) == len(dev)
+
+    def test_model_embedding_is_the_providers_record(self, toy_corpus):
+        cfg = ModelConfig(**TINY)
+        trained, _ = train(toy_corpus, cfg, TrainerConfig(epochs=0, seed=1), HashedEmbeddingProvider(6, seed=5))
+        assert trained.embedding == {"kind": "hashed", "seed": 5}
+        default, _ = train(toy_corpus, cfg, TrainerConfig(epochs=0, seed=1))
+        assert default.embedding == Model(cfg, trained.vocabs).embedding == {"kind": "hashed", "seed": 0}
 
     def test_divergence_reported_with_position(self, toy_corpus):
         class NanProvider(EmbeddingProvider):
@@ -242,8 +260,6 @@ class TestTraining:
             TrainerConfig(dev_fraction=1.0)
         with pytest.raises(ValueError):
             TrainerConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            TrainerConfig(budget_unit="sample")
         for field, value in [
             ("epochs", -1), ("learning_rate", -0.1), ("learning_rate", float("nan")),
             ("gradient_clip_norm", -5.0), ("lr_decay", 0.0), ("lr_decay", 7.0),
