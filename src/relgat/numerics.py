@@ -53,14 +53,25 @@ accumulate gradients across repeated backward calls until cleared with
 has been passed to its parents: a batch's backward then holds only the
 gradients still in flight, and two backward calls through a shared
 interior node each pass their own gradient on once. Accumulation is in
-place, and a node's first gradient contribution is adopted or copied: a
-freshly allocated array of the node's own dtype that nothing else
-references becomes the node's ``grad`` as it is; anything else is copied
-into that dtype, because the pass-through VJPs of ``add`` and ``concat``
-return the incoming gradient or a view of it and a VJP may keep the
-array it returns. Every later contribution is added into that array with
-``+=``. No two nodes' ``grad`` arrays ever share memory, with each other
-or with a value.
+place. Where a node's first gradient contribution goes depends on its
+``grad_buffer``, an array of its value's shape and dtype that a caller
+may give a parameter (a training loop, for its length; ``None`` by
+default):
+
+- With a buffer, the buffer becomes the node's ``grad``. The weight-side
+  VJPs of ``matmul`` and of ``bilstm_sequence``'s ``w_hidden`` compute
+  straight into it with ``out=``; every other first contribution is
+  copied into it. So a training step allocates no parameter gradient.
+- Without one, a freshly allocated array of the node's own dtype that
+  nothing else references becomes the node's ``grad`` as it is; anything
+  else is copied into that dtype, because the pass-through VJPs of
+  ``add`` and ``concat`` return the incoming gradient or a view of it
+  and a VJP may keep the array it returns. Those two VJPs then compute
+  into a fresh array through the same code.
+
+Every later contribution is added into the node's ``grad`` with ``+=``.
+No two nodes' ``grad`` arrays ever share memory, with each other or with
+a value, as long as no two buffers do.
 
 Inside ``no_grad()`` nothing is built for a backward, in the spirit of
 ``torch.no_grad``. One rule in ``_node`` serves every op: a result keeps
@@ -152,15 +163,16 @@ class Node:
 
     ``parents`` and ``vjps`` are parallel tuples: ``vjps[k](g)`` maps the
     gradient w.r.t. this node to the gradient contribution for
-    ``parents[k]``.
+    ``parents[k]``. ``grad_buffer``, when set, is where ``backward``
+    puts the node's first gradient contribution (see the module notes).
     """
 
-    __slots__ = ("value", "grad", "parents", "vjps", "requires_grad")
+    __slots__ = ("value", "grad", "grad_buffer", "parents", "vjps", "requires_grad")
 
     def __init__(self, value, parents=(), vjps=(), requires_grad=False):
         value = np.asarray(value)
         self.value = value if value.dtype.kind == "f" else value.astype(np.float64)
-        self.grad = None
+        self.grad = self.grad_buffer = None
         self.parents = tuple(parents)
         self.vjps = tuple(vjps)
         self.requires_grad = bool(requires_grad)
@@ -179,12 +191,13 @@ class Node:
 
         Only valid for scalar (size-1) outputs. Visits each node exactly
         once; shared subexpressions therefore sum their contributions. A
-        node's first contribution is adopted as its gradient when it is a
-        fresh array of the parent's dtype that nothing else references,
-        and copied into that dtype otherwise (VJPs may return ``g``
-        itself, a view of it, or an array they keep); later ones are added
-        into it in place. Interior nodes drop their gradient once it has
-        reached their parents.
+        node's first contribution becomes its ``grad_buffer`` when it has
+        one, computed or copied into it. Without one, the contribution is
+        adopted as the gradient when it is a fresh array of the parent's
+        dtype that nothing else references, and copied into that dtype
+        otherwise (VJPs may return ``g`` itself, a view of it, or an array
+        they keep). Later ones are added into it in place. Interior nodes
+        drop their gradient once it has reached their parents.
         """
         if self.value.size != 1:
             raise ValueError(f"backward() requires a scalar output, got shape {self.shape}")
@@ -200,8 +213,13 @@ class Node:
                 if not parent.requires_grad:
                     continue
                 contribution = vjp(g)
+                buffer = parent.grad_buffer
                 if parent.grad is not None:
                     parent.grad += contribution
+                elif buffer is not None:
+                    if contribution is not buffer:  # else the VJP computed into it
+                        np.copyto(buffer, contribution)
+                    parent.grad = buffer
                 elif (
                     type(contribution) is np.ndarray
                     and contribution.dtype == parent.value.dtype
@@ -268,7 +286,7 @@ def _node(value, parents, vjps) -> Node:
     """
     node = _new_node(Node)
     node.value = value if type(value) is np.ndarray else np.asarray(value)
-    node.grad = None
+    node.grad = node.grad_buffer = None
     if _tracked(parents):
         node.parents, node.vjps, node.requires_grad = parents, vjps, True
     else:
@@ -279,6 +297,11 @@ def _node(value, parents, vjps) -> Node:
 
 def _identity(g):
     return g
+
+
+def _grad_out(node: Node) -> np.ndarray | None:
+    """Where a VJP computes ``node``'s first gradient contribution: its buffer, or None (a fresh array)."""
+    return node.grad_buffer if node.grad is None else None
 
 
 def add(a: Node, b: Node) -> Node:
@@ -319,7 +342,7 @@ def matmul(a: Node, b: Node) -> Node:
     av, bv = a.value, b.value
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise ShapeMismatch(f"matmul: incompatible shapes {av.shape} and {bv.shape}")
-    return _node(av @ bv, (a, b), (lambda g: g @ bv.T, lambda g: av.T @ g))
+    return _node(av @ bv, (a, b), (lambda g: g @ bv.T, lambda g: np.matmul(av.T, g, out=_grad_out(b))))
 
 
 def concat(nodes, axis: int) -> Node:
@@ -556,7 +579,13 @@ def bilstm_sequence(z: Node, w_hidden: Node, segments: Segments) -> Node:
 
     def w_hidden_vjp(g):
         dz = gate_grads(g)[k0:]  # step 0 reads zero states
-        return np.hstack(np.matmul(hidden[prev].transpose(1, 2, 0), dz.transpose(1, 0, 2)))
+        out = _grad_out(w_hidden)
+        if out is None:
+            out = np.empty((d, 8 * d), dtype)
+        # one (d, 4d) GEMM per direction, each into its strided column block
+        blocks = out.reshape(d, 2, 4 * d).transpose(1, 0, 2)
+        np.matmul(hidden[prev].transpose(1, 2, 0), dz.transpose(1, 0, 2), out=blocks)
+        return out
 
     return _node(out, (z, w_hidden), (z_vjp, w_hidden_vjp))
 
@@ -640,6 +669,11 @@ def cross_entropy(logits: Node, labels) -> Node:
 
 
 def zero_grads(params) -> None:
+    """Clear the accumulated gradients: the next backward starts each one afresh.
+
+    A parameter keeps its ``grad_buffer``, so that start writes into the
+    same storage again; a caller that gave buffers drops them itself.
+    """
     for p in params:
         p.grad = None
 

@@ -232,6 +232,12 @@ def train(
     fixed order. The model's ``embedding`` is the provider's record.
     Raises CorpusError on fewer than two sentences or one without a gold
     label, and TrainingDiverged on a non-finite loss.
+
+    For the length of the call every parameter has one gradient buffer
+    (``nm.Node.grad_buffer``) that each step's backward writes into, and
+    the best-dev parameters are copied into one snapshot allocated once.
+    The returned model carries only its parameters: no gradient and no
+    buffer.
     """
     if len(sentences) < 2:
         raise CorpusError("training needs at least two sentences")
@@ -250,6 +256,8 @@ def train(
     model = Model(model_config, vocabs, dref, seed=model_seed)
     model.embedding = provider.record
     params = list(model.parameters().values())
+    for p in params:
+        p.grad_buffer = np.empty_like(p.value)
 
     graphs = [sentence_subgraphs(s, model_config.expansion_order) for s in sentences]
     dev_sentences = [sentences[i] for i in dev_idx]
@@ -258,7 +266,7 @@ def train(
     log = TrainLog()
     lr = trainer_config.learning_rate
     best_f1 = -1.0
-    best_params: dict[str, np.ndarray] = {}
+    best_values: list[np.ndarray] = []  # allocated at the first improvement
     wait = 0
 
     for epoch in range(1, trainer_config.epochs + 1):
@@ -299,7 +307,10 @@ def train(
         if dev_report.macro_f1 > best_f1 + 1e-12:
             best_f1 = dev_report.macro_f1
             log.best_epoch = epoch
-            best_params = {n: p.value.copy() for n, p in model.parameters().items()}
+            if not best_values:
+                best_values = [np.empty_like(p.value) for p in params]
+            for best, p in zip(best_values, params):
+                np.copyto(best, p.value)
             wait = 0
         else:
             wait += 1
@@ -315,9 +326,10 @@ def train(
             break
 
     log.best_dev_f1 = max(best_f1, 0.0)
-    for name, p in model.parameters().items():
-        if name in best_params:
-            p.value = best_params[name]
+    for p in params:
+        p.grad = p.grad_buffer = None
+    for best, p in zip(best_values, params):
+        p.value = best
     return model, log
 
 

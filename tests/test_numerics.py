@@ -832,3 +832,54 @@ def test_accumulation_kept_vjp_result_over_two_backward_calls():
     first_a, first_b, first_expected = firsts[0]
     np.testing.assert_allclose(first_a, first_expected[0], rtol=0, atol=1e-12)
     np.testing.assert_allclose(first_b, first_expected[1], rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Gradient buffers
+
+
+def _buffer_case(dtype):
+    """Leaf values and a loss over them whose k-th call reads probe k.
+
+    ``w`` gets two weight-side ``matmul`` contributions, ``w_hidden`` the
+    strided per-direction blocks of ``bilstm_sequence``; ``bias`` and
+    ``emb`` get reductions that are copied in.
+    """
+    rng = np.random.default_rng(9)
+    d, n = 2, 7
+    shapes = dict(emb=(5, 3), w=(3, 3), w_in=(3, 8 * d), bias=(1, 8 * d), w_hidden=(d, 8 * d))
+    values = {name: rng.standard_normal(shape).astype(dtype) for name, shape in shapes.items()}
+    rows = rng.integers(0, 5, n)
+    probes = [nm.constant(rng.standard_normal((n, 2 * d)).astype(dtype)) for _ in range(3)]
+    segments = nm.Segments([0, 3, 5], n)
+
+    def loss(p, k):
+        x = nm.gather_rows(p["emb"], rows)
+        h = nm.tanh(nm.matmul(nm.matmul(x, p["w"]), p["w"]))
+        z = nm.add(nm.matmul(h, p["w_in"]), p["bias"])
+        return total(nm.mul(nm.bilstm_sequence(z, p["w_hidden"], segments), probes[k]))
+
+    return values, loss
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_buffered_gradients_equal_adopted_ones(dtype):
+    values, loss = _buffer_case(dtype)
+    plain = {name: nm.parameter(v.copy()) for name, v in values.items()}
+    buffered = {name: nm.parameter(v.copy()) for name, v in values.items()}
+    for p in buffered.values():
+        p.grad_buffer = np.full_like(p.value, np.nan)  # a first write that misses an entry shows
+    # two backward calls that accumulate, then one after zero_grads
+    for calls in ((0, 1), (2,)):
+        for params in (plain, buffered):
+            nm.zero_grads(params.values())
+            for k in calls:
+                loss(params, k).backward()
+        for name, p in buffered.items():
+            assert p.grad is p.grad_buffer, name
+            assert p.grad.tobytes() == plain[name].grad.tobytes(), name
+        arrays = [p.grad for p in buffered.values()] + [p.value for p in buffered.values()]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1 :]:
+                assert not np.shares_memory(a, b)
+    assert all(p.grad_buffer is None for p in plain.values())

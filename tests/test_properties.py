@@ -20,7 +20,7 @@ from relgat.corpus import (
 from relgat.features import (
     DrefTable, attention_pairs, build_dref_table, code_tokens, dref_edge_features, edge_features,
 )
-from relgat.graph import DependencyGraph, GraphError, sentence_subgraphs
+from relgat.graph import DependencyGraph, GraphError, derive_subgraphs, sentence_subgraphs
 from relgat.model import token_layout
 from relgat.train_eval import score_predictions
 from conftest import brute_force_path, conllu_block, dref_entries, entity_token
@@ -79,6 +79,27 @@ def test_path_graph_is_the_tree_path_between_entity_heads(drawn):
     assert sdp.vertices == sorted(path)
     undirected = {(min(a, b), max(a, b)) for a, b in tree_edges(heads, sdp.vertices)}
     assert undirected == {(min(a, b), max(a, b)) for a, b in zip(path, path[1:])}
+
+
+def ball(heads, centre, radius):
+    """The vertices within ``radius`` undirected hops of the set ``centre``, by breadth-first search."""
+    distance = dict.fromkeys(centre, 0)
+    queue = list(centre)
+    for u in queue:
+        if distance[u] < radius:
+            for v in neighbours(heads, u) - distance.keys():
+                distance[v] = distance[u] + 1
+                queue.append(v)
+    return set(distance)
+
+
+@given(tree_sentences(), st.integers(0, 2))
+def test_path_graph_is_the_ball_around_the_tree_path(drawn, order):
+    # the unit edges are pinned by test_induced_edges_are_the_tree_edges_inside
+    sentence, heads = drawn
+    e1, e2 = sentence.e1.head_token, sentence.e2.head_token
+    sdp = derive_subgraphs(DependencyGraph(heads), e1, e2, order).sdp
+    assert sdp.vertices == sorted(ball(heads, brute_force_path(heads, e1, e2), order))
 
 
 @given(tree_sentences())

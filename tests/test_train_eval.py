@@ -8,8 +8,11 @@ import pytest
 
 from relgat import numerics as nm
 from relgat import train_eval
-from relgat.corpus import LABEL_INDEX, LABELS, RELATION_BASES, RelationLabel, parse_conllu_annotated
-from relgat.features import EmbeddingProvider, HashedEmbeddingProvider
+from relgat.corpus import (
+    LABEL_INDEX, LABELS, RELATION_BASES, RelationLabel, build_vocabs, parse_conllu_annotated,
+)
+from relgat.features import EmbeddingProvider, HashedEmbeddingProvider, build_dref_table
+from relgat.graph import sentence_subgraphs
 from relgat.model import Model, ModelConfig
 from relgat.train_eval import (
     SpanBuckets,
@@ -163,6 +166,43 @@ class TestTraining:
                 for b, label in enumerate(labels)
             ]
             assert record.train_loss == pytest.approx(np.mean(rows), rel=1e-12, abs=0)
+
+    def test_trained_model_is_bare_and_equals_a_plain_loop(self, toy_corpus, monkeypatch):
+        # train() steps through gradient buffers and a best-dev snapshot; the
+        # reference steps through gradients adopted fresh every backward. At
+        # this seed the snapshot is refreshed at epochs 1 and 2, and epoch 2's
+        # parameters are restored after epoch 3.
+        monkeypatch.setattr(train_eval, "Model", functools.partial(Model, dtype=np.float64))
+        config = ModelConfig(**TINY, edge_mode="dref")
+        trainer = TrainerConfig(epochs=3, batch_size=5, seed=10, learning_rate=0.5, gradient_clip_norm=0.05)
+        model, log = train(toy_corpus, config, trainer)
+        for name, p in model.parameters().items():
+            assert p.grad is None and p.grad_buffer is None, name
+
+        rng = np.random.default_rng(trainer.seed)
+        train_idx, _ = train_eval._dev_split(len(toy_corpus), trainer.dev_fraction, rng)
+        dref = build_dref_table(toy_corpus, config.d_e)
+        reference = Model(config, build_vocabs(toy_corpus), dref, int(rng.integers(2**31 - 1)), np.float64)
+        params = reference.parameters()
+        provider = HashedEmbeddingProvider(config.d_ctx, seed=0)
+        graphs = [sentence_subgraphs(s) for s in toy_corpus]
+        per_epoch = []
+        for _ in range(trainer.epochs):
+            order = list(train_idx)
+            rng.shuffle(order)
+            for start in range(0, len(order), trainer.batch_size):
+                batch = order[start : start + trainer.batch_size]
+                nm.zero_grads(params.values())
+                logits = reference.forward([(toy_corpus[i], graphs[i]) for i in batch], provider).logits
+                nm.cross_entropy(logits, [LABEL_INDEX[toy_corpus[i].label] for i in batch]).backward()
+                clip_gradients(params.values(), trainer.gradient_clip_norm)
+                for p in params.values():
+                    if p.grad is not None:
+                        p.value -= trainer.learning_rate * p.grad
+            per_epoch.append({name: p.value.copy() for name, p in params.items()})
+        assert 1 <= log.best_epoch <= trainer.epochs
+        for name, p in model.parameters().items():
+            assert p.value.tobytes() == per_epoch[log.best_epoch - 1][name].tobytes(), name
 
     def test_subgraphs_derived_once_per_sentence(self, toy_corpus, monkeypatch):
         # the per-epoch dev evaluation reuses the sub-graphs train() derived
