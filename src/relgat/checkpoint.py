@@ -1,6 +1,6 @@
 """Deterministic binary model checkpoints.
 
-Layout (format version 07): an 8-byte magic (which carries the format
+Layout (format version 08): an 8-byte magic (which carries the format
 version), a little-endian uint64 header length, a UTF-8 JSON header, a
 32-byte blake2b digest, then the raw little-endian bytes of every
 parameter in header order, in the model's dtype (``<f4`` for float32,
@@ -15,7 +15,8 @@ is their sum, the table's ``d_e`` the config's) or null, and the
 model's ``embedding`` record, whose dimension is the config's
 ``d_ctx``. The 19 labels are the task's ``corpus.LABELS`` and are not
 stored. A save or load accepts only a record a provider can be rebuilt
-from, ``{"kind": "hashed", "seed": <int>}`` or ``{"kind": "file"}``.
+from, ``{"kind": "hashed", "seed": <int>}`` or ``{"kind": "file",
+"digest": <hex>}``, the blake2b digest of the vectors file's text.
 
 The BiLSTM is one group, ``lstm.w_ctx``, ``.w_feat``, ``.w_hidden`` and
 ``.bias``, with the two directions as column blocks, forward first; each
@@ -40,6 +41,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import struct
 from dataclasses import asdict
 
@@ -51,8 +53,9 @@ from .model import Model, ModelConfig
 
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
 
-MAGIC = b"RGCKPT07"  # the last two bytes are the format version
+MAGIC = b"RGCKPT08"  # the last two bytes are the format version
 DIGEST_SIZE = 32
+_HEX_DIGEST = re.compile(r"[0-9a-f]{64}")  # a vectors file's digest, as FileEmbeddingProvider writes it
 VOCABS = ("pos", "deprel", "ner")
 
 
@@ -79,7 +82,12 @@ def _check_embedding(record, path: str) -> None:
         isinstance(record, dict) and record.keys() == {"kind", "seed"}
         and record["kind"] == "hashed" and type(record["seed"]) is int
     )
-    if not hashed and record != {"kind": "file"}:
+    pinned_file = (
+        isinstance(record, dict) and record.keys() == {"kind", "digest"}
+        and record["kind"] == "file" and isinstance(record["digest"], str)
+        and _HEX_DIGEST.fullmatch(record["digest"]) is not None
+    )
+    if not hashed and not pinned_file:
         raise CheckpointError(f"{path}: no provider can be rebuilt from embedding record {record!r}")
 
 
@@ -181,7 +189,7 @@ def _model_from_header(header) -> tuple[Model, list[tuple[str, tuple[int, ...]]]
     if header["dref"] is not None:
         dp = header["dref"]
         dref = DrefTable(dict(zip(map(tuple, dp["triples"]), dp["counts"])), config.d_e)
-    model = Model(config, vocabs, dref, seed=0, dtype=np.dtype(header["dtype"]))
+    model = Model(config, vocabs, dref, seed=None, dtype=np.dtype(header["dtype"]))
     model.embedding = header["embedding"]
     recorded = [(r["name"], tuple(r["shape"])) for r in header["params"]]
     return model, recorded

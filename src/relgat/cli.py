@@ -158,13 +158,16 @@ def _provider(embeddings: str | None, dim: int, seed: int):
 
 
 def _provider_for_checkpoint(model, embeddings_path: str | None):
-    """The provider a loaded model was trained with; ``--embeddings`` must match its kind."""
+    """The provider a loaded model was trained with; ``--embeddings`` must be the file it read."""
     record = model.embedding
     if record["kind"] == "file" and not embeddings_path:
         raise UsageError("checkpoint was trained on file embeddings; pass --embeddings")
     if record["kind"] == "hashed" and embeddings_path:
         raise UsageError("checkpoint was trained on hashed embeddings; drop --embeddings")
-    return _provider(embeddings_path, model.config.d_ctx, record.get("seed"))
+    provider = _provider(embeddings_path, model.config.d_ctx, record.get("seed"))
+    if provider.record != record:
+        raise UsageError(f"{embeddings_path}: not the embeddings file the checkpoint was trained on")
+    return provider
 
 
 def _json_text(payload) -> str:

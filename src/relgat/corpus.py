@@ -301,32 +301,51 @@ def parse_conllu_annotated(text: str) -> list[Sentence]:
     Uses columns ID, FORM, UPOS, HEAD, DEPREL and MISC (``NER=TYPE`` or
     ``_``). IDs are converted to 0-based; HEAD 0 becomes None (root). A
     block carries each of the ``# id``, ``# e1``, ``# e2`` and ``# label``
-    comments at most once; other comments are free.
+    comments at most once; other comments are free. Blocks are separated
+    by lines that are empty or all whitespace.
     """
+    lines = text.split("\n")
     sentences = []
-    block: list[tuple[int, str]] = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if line.strip() == "":
-            if block:
-                sentences.append(_parse_conllu_block(block, len(sentences)))
-                block = []
-        else:
-            block.append((lineno, line))
-    if block:
-        sentences.append(_parse_conllu_block(block, len(sentences)))
+    first = None  # index of the current block's first line
+    for i, line in enumerate(lines):
+        if not line or line.isspace():
+            if first is not None:
+                sentences.append(_parse_conllu_block(lines, first, i, len(sentences)))
+                first = None
+        elif first is None:
+            first = i
+    if first is not None:
+        sentences.append(_parse_conllu_block(lines, first, len(lines), len(sentences)))
     return sentences
 
 
 UNIQUE_COMMENTS = ("id", "e1", "e2", "label")  # keys a block may carry at most once
+_LABEL_BY_SPELLING = {str(label): label for label in LABELS}
+# int() of the usual spellings of small IDs and HEADs, by lookup; int() reads any other
+_INT_OF = {str(i): i for i in range(256)}
 
 
-def _parse_conllu_block(block: list[tuple[int, str]], position: int) -> Sentence:
+def _parse_conllu_block(lines: list[str], first: int, stop: int, position: int) -> Sentence:
+    """The sentence of the non-blank ``lines[first:stop]``, read in one pass.
+
+    The checks and their order are those of a reader that first collects
+    the comments and the rows, then checks the rows: a row without 10
+    columns fails at once; then a block without rows, a repeated unique
+    comment, a single row; then, row by row, a non-integer ID or HEAD, a
+    non-contiguous ID, a HEAD outside 0..n; then the entity comments, the
+    label and the tree. A row's ID and HEAD are checked as it is read,
+    except HEAD > n, which needs n: ``top`` keeps the largest HEAD read
+    before the first faulty row, and ``fault`` that row's error.
+    """
     comments: dict[str, str] = {}
     comment_line: dict[str, int] = {}
     repeated: tuple[str, int] | None = None  # the first repeated unique key and its line
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, line in block:
-        if line.startswith("#"):
+    tokens: list[Token] = []
+    rows = 0
+    top = 0
+    fault: tuple[str, int, int] | None = None  # (kind, line, HEAD) of the first faulty row
+    for lineno, line in enumerate(lines[first:stop], start=first + 1):
+        if line[0] == "#":
             body = line[1:].strip()
             if "=" in body:
                 key, _, value = body.partition("=")
@@ -340,10 +359,39 @@ def _parse_conllu_block(block: list[tuple[int, str]], position: int) -> Sentence
         cols = line.split("\t")
         if len(cols) != 10:
             raise CorpusError(f"line {lineno}: expected 10 tab-separated columns, got {len(cols)}")
-        rows.append((lineno, cols))
+        rows += 1
+        if fault is not None:
+            continue
+        try:
+            token_id = _INT_OF.get(cols[0]) or int(cols[0])
+            head = _INT_OF.get(cols[6])
+            if head is None:
+                head = int(cols[6])
+        except ValueError:
+            fault = ("integer", lineno, 0)
+            continue
+        if token_id != rows:
+            fault = ("contiguous", lineno, head)
+            continue
+        if head > 0:
+            parent = head - 1
+            if head > top:
+                top = head
+        elif head == 0:
+            parent = None
+        else:
+            fault = ("range", lineno, head)
+            continue
+        misc = cols[9]
+        ner = "_"
+        if misc != "_":
+            for item in misc.split("|"):
+                if item.startswith("NER="):
+                    ner = item[4:]
+        tokens.append(Token(rows - 1, cols[1], cols[3], ner, cols[7], parent))
 
     if not rows:
-        raise CorpusError(f"block at line {block[0][0]}: no token rows")
+        raise CorpusError(f"block at line {first + 1}: no token rows")
 
     instance_id: int | str = comments.get("id", position)
     if isinstance(instance_id, str) and instance_id.isdigit():
@@ -356,36 +404,20 @@ def _parse_conllu_block(block: list[tuple[int, str]], position: int) -> Sentence
             f"(first at line {comment_line[key]})"
         )
 
-    tokens = []
-    n = len(rows)
+    n = rows
     if n < 2:
         raise CorpusError(f"{where}: single-token sentences are rejected")
-    for expected, (lineno, cols) in enumerate(rows, start=1):
-        try:
-            token_id = int(cols[0])
-            head = int(cols[6])
-        except ValueError:
-            raise CorpusError(f"line {lineno}: non-integer ID or HEAD") from None
-        if token_id != expected:
+    if top > n:  # a row before any faulty one has HEAD > n; find the first
+        row = next(t.index for t in tokens if t.head is not None and t.head >= n)
+        row_lines = [i for i, line in enumerate(lines[first:stop], first + 1) if line[0] != "#"]
+        fault = ("range", row_lines[row], tokens[row].head + 1)
+    if fault is not None:
+        kind, lineno, head = fault
+        if kind == "integer":
+            raise CorpusError(f"line {lineno}: non-integer ID or HEAD")
+        if kind == "contiguous":
             raise CorpusError(f"{where}: non-contiguous token IDs at line {lineno}")
-        if not 0 <= head <= n:
-            raise CorpusError(f"{where}: HEAD {head} out of range at line {lineno}")
-        misc = cols[9]
-        ner = None
-        if misc != "_":
-            for item in misc.split("|"):
-                if item.startswith("NER="):
-                    ner = item[len("NER=") :]
-        tokens.append(
-            Token(
-                index=token_id - 1,
-                surface=cols[1],
-                pos=cols[3],
-                ner=ner if ner is not None else "_",
-                deprel=cols[7],
-                head=None if head == 0 else head - 1,
-            )
-        )
+        raise CorpusError(f"{where}: HEAD {head} out of range at line {lineno}")
 
     spans = {}
     for name in ("e1", "e2"):
@@ -404,10 +436,12 @@ def _parse_conllu_block(block: list[tuple[int, str]], position: int) -> Sentence
 
     label = None
     if "label" in comments:
-        try:
-            label = RelationLabel.parse(comments["label"])
-        except CorpusError as exc:
-            raise CorpusError(f"{where}: {exc}") from None
+        label = _LABEL_BY_SPELLING.get(comments["label"])
+        if label is None:
+            try:
+                label = RelationLabel.parse(comments["label"])
+            except CorpusError as exc:
+                raise CorpusError(f"{where}: {exc}") from None
 
     sentence = Sentence(tokens, spans["e1"], spans["e2"], label, instance_id)
     sentence.validate()

@@ -115,14 +115,15 @@ class FileEmbeddingProvider(EmbeddingProvider):
     raises FeatureError naming its line, a second record for the same
     (instance, token) one naming both lines, and a token without a vector
     one naming the instance and token; all start with the file's path
-    when the provider was read with ``from_path``.
+    when the provider was read with ``from_path``. The ``record`` pins
+    the vectors: it carries the blake2b digest of ``text``.
     """
-
-    record = {"kind": "file"}
 
     def __init__(self, text: str, dim: int = 768):
         self.dim = dim
         self.path: str | None = None
+        digest = hashlib.blake2b(text.encode("utf-8"), digest_size=32).hexdigest()
+        self.record = {"kind": "file", "digest": digest}
         self._table: dict[tuple[str, int], np.ndarray] = {}
         line_of: dict[tuple[str, int], int] = {}
         for lineno, line in enumerate(text.split("\n"), start=1):
@@ -199,10 +200,10 @@ class FeatureEmbeddings:
         self.d_f = d_f
         self.d_wt = d_wt
         self.dtype = np.dtype(dtype)
-        self.pos = nm.parameter(nm.uniform_init(rng, (len(vocabs.pos), d_f), d_f, dtype))
-        self.deprel = nm.parameter(nm.uniform_init(rng, (len(vocabs.deprel), d_f), d_f, dtype))
-        self.ner = nm.parameter(nm.uniform_init(rng, (len(vocabs.ner), d_f), d_f, dtype))
-        self.word_type = nm.parameter(nm.uniform_init(rng, (2, d_wt), d_wt, dtype))
+        self.pos = nm.parameter(nm.initial_values(rng, (len(vocabs.pos), d_f), d_f, dtype))
+        self.deprel = nm.parameter(nm.initial_values(rng, (len(vocabs.deprel), d_f), d_f, dtype))
+        self.ner = nm.parameter(nm.initial_values(rng, (len(vocabs.ner), d_f), d_f, dtype))
+        self.word_type = nm.parameter(nm.initial_values(rng, (2, d_wt), d_wt, dtype))
 
     @property
     def input_dim(self) -> int:

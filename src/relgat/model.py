@@ -195,8 +195,8 @@ def input_weights(
     """
     fan_in = ctx_dim + feat_dim
     return (
-        nm.parameter(nm.uniform_init(rng, (ctx_dim, width), fan_in, dtype)),
-        nm.parameter(nm.uniform_init(rng, (feat_dim, width), fan_in, dtype)),
+        nm.parameter(nm.initial_values(rng, (ctx_dim, width), fan_in, dtype)),
+        nm.parameter(nm.initial_values(rng, (feat_dim, width), fan_in, dtype)),
     )
 
 
@@ -221,7 +221,7 @@ class LstmParams:
         )
         for block in (slice(0, gates), slice(gates, 2 * gates)):
             for w, fan in ((w_ctx, fan_in), (w_feat, fan_in), (w_hidden, hidden_dim)):
-                nm.uniform_init(rng, (len(w), gates), fan, out=w[:, block])
+                nm.initial_values(rng, (len(w), gates), fan, out=w[:, block])
         self.w_ctx, self.w_feat = nm.parameter(w_ctx), nm.parameter(w_feat)
         self.w_hidden = nm.parameter(w_hidden)
         self.bias = nm.parameter(np.zeros((1, 2 * gates), dtype))
@@ -250,8 +250,8 @@ class GatLayer:
         m, attn_len = head_dim, 2 * head_dim + edge_dim
         w, a = [], []
         for _ in range(heads):
-            w.append(nm.uniform_init(rng, (in_dim, m), in_dim, dtype))
-            a.append(nm.uniform_init(rng, (attn_len,), attn_len, dtype))
+            w.append(nm.initial_values(rng, (in_dim, m), in_dim, dtype))
+            a.append(nm.initial_values(rng, (attn_len,), attn_len, dtype))
         a = np.stack(a, axis=1)  # (attn_len, heads): head k's vector in column k
         self.w = nm.parameter(np.hstack(w))
         self.a_center = nm.parameter(a[:m].T.reshape(-1, 1))
@@ -412,7 +412,9 @@ class Model:
     vocabulary indices once, here (``dref_rows``); a table triple with a
     symbol the vocabularies lack raises FeatureError. ``embedding`` is the
     ``record`` of the provider the model reads, ``train()``'s default one
-    until ``train()`` or a checkpoint load sets it.
+    until ``train()`` or a checkpoint load sets it. ``seed`` None
+    allocates every parameter without drawing it (``nm.UNDRAWN``), for a
+    checkpoint load, which writes every value.
     """
 
     DTYPES = (np.float32, np.float64)
@@ -422,7 +424,7 @@ class Model:
         config: ModelConfig,
         vocabs: Vocabs,
         dref: DrefTable | None = None,
-        seed: int = 0,
+        seed: int | None = 0,
         dtype=np.float32,
     ):
         dtype = np.dtype(dtype)
@@ -438,7 +440,7 @@ class Model:
         self.dtype = dtype
         self.embedding: dict | None = HashedEmbeddingProvider(config.d_ctx).record
 
-        rng = np.random.default_rng(seed)
+        rng = nm.UNDRAWN if seed is None else np.random.default_rng(seed)
         self.embeddings = FeatureEmbeddings(
             vocabs, config.d_ctx, config.d_f, config.d_wt, rng, dtype
         )
@@ -449,7 +451,7 @@ class Model:
         if self.dref_table is not None:
             self.dref_rows = self.dref_table.rows_by_index(vocabs)
             self.dref_embed = nm.parameter(
-                nm.uniform_init(rng, (self.dref_table.num_rows, config.d_e), config.d_e, dtype)
+                nm.initial_values(rng, (self.dref_table.num_rows, config.d_e), config.d_e, dtype)
             )
             self._params["edge.dref"] = self.dref_embed
 
@@ -481,12 +483,12 @@ class Model:
             self.gcn_layers = []
             for l in range(config.graph_depth):
                 in_dim = (ctx_out if l == 0 else config.d_g) + edge_dim
-                w = nm.parameter(nm.uniform_init(rng, (in_dim, config.d_g), in_dim, dtype))
+                w = nm.parameter(nm.initial_values(rng, (in_dim, config.d_g), in_dim, dtype))
                 self._params[f"gcn.l{l}.w"] = w
                 self.gcn_layers.append(w)
 
-        self.pool_w = nm.parameter(nm.uniform_init(rng, (config.d_g, 1), config.d_g, dtype))
-        self.cls_w = nm.parameter(nm.uniform_init(rng, (config.d_g, NUM_LABELS), config.d_g, dtype))
+        self.pool_w = nm.parameter(nm.initial_values(rng, (config.d_g, 1), config.d_g, dtype))
+        self.cls_w = nm.parameter(nm.initial_values(rng, (config.d_g, NUM_LABELS), config.d_g, dtype))
         self.cls_b = nm.parameter(np.zeros(NUM_LABELS, dtype))
         self._params["pool.w"] = self.pool_w
         self._params["cls.w"] = self.cls_w

@@ -123,6 +123,8 @@ __all__ = [
     "gradient_check",
     "zero_grads",
     "uniform_init",
+    "initial_values",
+    "UNDRAWN",
 ]
 
 
@@ -703,6 +705,22 @@ def uniform_init(
         chunk = out[lo : lo + rows]
         chunk[...] = rng.uniform(-bound, bound, size=chunk.shape)
     return out
+
+
+# In place of a generator: parameters are allocated but not drawn, for a
+# model whose every value a checkpoint load writes.
+UNDRAWN = object()
+
+
+def initial_values(rng, shape, fan_in: int, dtype=np.float64, out: np.ndarray | None = None) -> np.ndarray:
+    """``uniform_init(rng, ...)``, or with ``rng`` UNDRAWN the storage alone.
+
+    That storage is ``out`` as given, or a new uninitialised array of
+    ``shape``; no generator is asked for a value.
+    """
+    if rng is UNDRAWN:
+        return np.empty(shape, dtype) if out is None else out
+    return uniform_init(rng, shape, fan_in, dtype, out)
 
 
 def gradient_check(f, params, h: float = 1e-5) -> float:

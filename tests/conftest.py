@@ -1,4 +1,4 @@
-"""Shared fixtures: hand-built parses and synthetic corpora."""
+"""Shared fixtures: hand-built parses, synthetic corpora and the reference CoNLL-U reader."""
 
 from __future__ import annotations
 
@@ -7,7 +7,16 @@ import pytest
 from hypothesis import settings
 
 from relgat import numerics as nm
-from relgat.corpus import parse_conllu_annotated
+from relgat.corpus import (
+    UNIQUE_COMMENTS,
+    CorpusError,
+    EntitySpan,
+    RelationLabel,
+    Sentence,
+    Token,
+    entity_head_token,
+    parse_conllu_annotated,
+)
 
 # Property tests draw from a fixed seed with no example database and no
 # per-example deadline, so a run is repeatable and its time bounded.
@@ -212,6 +221,121 @@ def dref_entries(table) -> dict[tuple[str, str, str], tuple[int, float]]:
         triple: (row, count / table.total)
         for row, (triple, count) in enumerate(table.counts.items(), start=table.RESERVED_ROWS)
     }
+
+
+# ---------------------------------------------------------------------------
+# Reference CoNLL-U reader: blocks of (line number, line) pairs, comments
+# and rows collected first, then the rows checked and converted.
+
+
+def reference_parse_conllu(text: str) -> list[Sentence]:
+    """What ``parse_conllu_annotated`` returns or raises, read the plain way."""
+    sentences = []
+    block: list[tuple[int, str]] = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if line.strip() == "":
+            if block:
+                sentences.append(_reference_block(block, len(sentences)))
+                block = []
+        else:
+            block.append((lineno, line))
+    if block:
+        sentences.append(_reference_block(block, len(sentences)))
+    return sentences
+
+
+def _reference_block(block: list[tuple[int, str]], position: int) -> Sentence:
+    comments: dict[str, str] = {}
+    comment_line: dict[str, int] = {}
+    repeated: tuple[str, int] | None = None  # the first repeated unique key and its line
+    rows: list[tuple[int, list[str]]] = []
+    for lineno, line in block:
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body:
+                key, _, value = body.partition("=")
+                key = key.strip()
+                if key in UNIQUE_COMMENTS and key in comment_line:
+                    repeated = repeated or (key, lineno)
+                    continue
+                comments[key] = value.strip()
+                comment_line[key] = lineno
+            continue
+        cols = line.split("\t")
+        if len(cols) != 10:
+            raise CorpusError(f"line {lineno}: expected 10 tab-separated columns, got {len(cols)}")
+        rows.append((lineno, cols))
+
+    if not rows:
+        raise CorpusError(f"block at line {block[0][0]}: no token rows")
+
+    instance_id: int | str = comments.get("id", position)
+    if isinstance(instance_id, str) and instance_id.isdigit():
+        instance_id = int(instance_id)
+    where = f"instance {instance_id}"
+    if repeated is not None:
+        key, lineno = repeated
+        raise CorpusError(
+            f"{where}: repeated '# {key}' comment at line {lineno} "
+            f"(first at line {comment_line[key]})"
+        )
+
+    tokens = []
+    n = len(rows)
+    if n < 2:
+        raise CorpusError(f"{where}: single-token sentences are rejected")
+    for expected, (lineno, cols) in enumerate(rows, start=1):
+        try:
+            token_id = int(cols[0])
+            head = int(cols[6])
+        except ValueError:
+            raise CorpusError(f"line {lineno}: non-integer ID or HEAD") from None
+        if token_id != expected:
+            raise CorpusError(f"{where}: non-contiguous token IDs at line {lineno}")
+        if not 0 <= head <= n:
+            raise CorpusError(f"{where}: HEAD {head} out of range at line {lineno}")
+        misc = cols[9]
+        ner = None
+        if misc != "_":
+            for item in misc.split("|"):
+                if item.startswith("NER="):
+                    ner = item[len("NER=") :]
+        tokens.append(
+            Token(
+                index=token_id - 1,
+                surface=cols[1],
+                pos=cols[3],
+                ner=ner if ner is not None else "_",
+                deprel=cols[7],
+                head=None if head == 0 else head - 1,
+            )
+        )
+
+    spans = {}
+    for name in ("e1", "e2"):
+        if name not in comments:
+            raise CorpusError(f"{where}: missing '# {name} = START END' comment")
+        parts = comments[name].split()
+        if len(parts) != 2:
+            raise CorpusError(f"{where}: malformed {name} comment")
+        try:
+            start, end = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise CorpusError(f"{where}: malformed {name} comment") from None
+        if start > end:
+            raise CorpusError(f"{where}: {name} span {start}..{end} is reversed")
+        spans[name] = EntitySpan(start, end, entity_head_token(tokens, start, end))
+
+    label = None
+    if "label" in comments:
+        try:
+            label = RelationLabel.parse(comments["label"])
+        except CorpusError as exc:
+            raise CorpusError(f"{where}: {exc}") from None
+
+    sentence = Sentence(tokens, spans["e1"], spans["e2"], label, instance_id)
+    sentence.validate()
+    return sentence
 
 
 @pytest.fixture

@@ -365,6 +365,22 @@ class TestEmbeddingsKind:
         assert "trained on file embeddings; pass --embeddings" in capsys.readouterr().err
         assert main([command, "--checkpoint", checkpoint, source, corpus_file, "--embeddings", vectors]) == 0
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_other_embeddings_file_exit_2(self, tmp_path, corpus_file, capsys, command):
+        # a vectors file of the right width that is not the one the model was trained on
+        vectors = self.vectors_file(tmp_path, build_toy_corpus())
+        out = run_train(tmp_path, corpus_file, extra=("--embeddings", vectors))
+        other = tmp_path / "other.tsv"
+        other.write_text(Path(vectors).read_text(encoding="utf-8").replace("0.25", "0.5"), encoding="utf-8")
+        source = "--test" if command == "eval" else "--input"
+        capsys.readouterr()
+        code = main([command, "--checkpoint", os.path.join(out, "model.ckpt"), source, corpus_file,
+                     "--embeddings", str(other)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{other}: not the embeddings file the checkpoint was trained on" in captured.err
+
     def test_eval_rebuilds_the_provider_an_in_process_model_trained_on(self, tmp_path, corpus_file):
         # the checkpoint takes the seed from the model, so eval scores it as train() left it
         sentences = build_toy_corpus()

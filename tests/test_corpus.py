@@ -129,6 +129,26 @@ class TestConlluFormat:
             parse_conllu_annotated(text)
         assert "out of range" in str(err.value)
 
+    @pytest.mark.parametrize("edits,message", [
+        # HEAD > n is known only at the block's end, yet an earlier row's fault wins
+        ([("2\tpollen\t_\tNOUN\t_\t_\t3", "2\tpollen\t_\tNOUN\t_\t_\t9"), ("5\tallergy", "x\tallergy")],
+         "instance 1: HEAD 9 out of range at line 6"),
+        ([("2\tpollen", "x\tpollen"), ("5\tallergy\t_\tNOUN\t_\t_\t3", "5\tallergy\t_\tNOUN\t_\t_\t9")],
+         "line 6: non-integer ID or HEAD"),
+        ([("4\tthe\t_\tDET\t_\t_\t5", "4\tthe\t_\tDET\t_\t_\t7"), ("6\t.\t_\tPUNCT\t_\t_\t3", "6\t.\t_\tPUNCT\t_\t_\t-1")],
+         "instance 1: HEAD 7 out of range at line 8"),
+        ([("3\tcauses", "4\tcauses"), ("5\tallergy\t_\tNOUN\t_\t_\t3", "5\tallergy\t_\tNOUN\t_\t_\t9")],
+         "instance 1: non-contiguous token IDs at line 7"),
+    ], ids=["head-past-n-then-bad-id", "bad-id-then-head-past-n", "head-past-n-then-negative-head", "id-gap-then-head-past-n"])
+    def test_row_faults_are_reported_in_row_order(self, edits, message):
+        text = POLLEN_CONLLU
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new, 1)
+        with pytest.raises(CorpusError) as err:
+            parse_conllu_annotated(text)
+        assert str(err.value) == message
+
     def test_missing_entity_comment_rejected(self):
         text = POLLEN_CONLLU.replace("# e2 = 4 4\n", "")
         with pytest.raises(CorpusError) as err:

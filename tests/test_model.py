@@ -950,7 +950,7 @@ def test_lstm_checkpoint_roundtrip_bitwise(tmp_path, dtype):
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(model, path)
     with open(path, "rb") as f:
-        assert f.read(8) == b"RGCKPT07"
+        assert f.read(8) == b"RGCKPT08"
     clone = load_checkpoint(path)
     d = model.config.d_lstm
     shapes = {n: p.shape for n, p in clone.parameters().items() if n.startswith("lstm")}
@@ -983,10 +983,12 @@ def test_malformed_checkpoint_names_path(tmp_path):
     # one flipped bit in the first and last byte of the digest and of every parameter
     flips = [at for lo, hi in zip(ends[2:], ends[3:]) for at in (lo, hi - 1)]
     flipped = [blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1 :] for at in flips]
-    # the previous formats: version 06 (the digest, of the parameter bytes only,
-    # inside the header), 05 (one parameter group per LSTM direction), 04 (one
-    # w and a per GAT head), 03 (one input matrix per encoder), 02 (no dtype in
-    # the header) and 01 (no digest either)
+    # the previous formats: version 07 (a file embedding record without the
+    # file's digest), 06 (the digest, of the parameter bytes only, inside the
+    # header), 05 (one parameter group per LSTM direction), 04 (one w and a
+    # per GAT head), 03 (one input matrix per encoder), 02 (no dtype in the
+    # header) and 01 (no digest either)
+    version_07 = b"RGCKPT07" + blob[8:]
     header = json.loads(blob[16 : ends[2]])
     header["digest"] = hashlib.blake2b(blob[ends[3] :], digest_size=32).hexdigest()
     text = json.dumps(header).encode("utf-8")
@@ -1000,7 +1002,7 @@ def test_malformed_checkpoint_names_path(tmp_path):
     del header["digest"]
     text = json.dumps(header).encode("utf-8")
     old_format = b"RGCKPT01" + struct.pack("<Q", len(text)) + text + blob[ends[3] :]
-    versions = [version_06, version_05, version_04, version_03, version_02, old_format]
+    versions = [version_07, version_06, version_05, version_04, version_03, version_02, old_format]
     for blob_bad in [blob[:cut] for cut in cuts] + [blob + b"\0", *versions] + flipped:
         bad.write_bytes(blob_bad)
         with pytest.raises(CheckpointError) as err:
@@ -1010,6 +1012,28 @@ def test_malformed_checkpoint_names_path(tmp_path):
         bad.write_bytes(blob_bad)
         with pytest.raises(CheckpointError, match="digest"):
             load_checkpoint(str(bad))
+
+
+@pytest.mark.parametrize("graph_layer,contextual", [("gat", True), ("gcn", False)])
+def test_load_draws_no_parameter(tmp_path, monkeypatch, graph_layer, contextual):
+    # the loader allocates every parameter and writes it from the file, drawing none
+    model, instances, provider = structure_model(
+        graph_layer=graph_layer, contextual=contextual, edge_mode="dref+ctef", dtype=np.float32
+    )
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(model, path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a checkpoint load drew a parameter")
+
+    monkeypatch.setattr(nm, "uniform_init", no_draws)
+    clone = load_checkpoint(path)
+    assert list(clone.parameters()) == list(model.parameters())
+    for (name, p), q in zip(model.parameters().items(), clone.parameters().values()):
+        assert q.value.dtype == np.float32 and np.array_equal(p.value, q.value), name
+    assert np.array_equal(
+        model.forward(instances, provider).logits.value, clone.forward(instances, provider).logits.value
+    )
 
 
 def test_checkpoint_save_replaces_whole_file(tmp_path, monkeypatch):
@@ -1132,7 +1156,7 @@ def test_float32_checkpoint_roundtrip_bitwise(tmp_path):
     blob = path.read_bytes()
     (header_len,) = struct.unpack_from("<Q", blob, 8)
     header = json.loads(blob[16 : 16 + header_len])
-    assert blob[:8] == b"RGCKPT07" and header["dtype"] == "float32"
+    assert blob[:8] == b"RGCKPT08" and header["dtype"] == "float32"
     names = [r["name"] for r in header["params"]]
     assert [n for n in names if n.startswith("gat.")] == [
         "gat.l0.w", "gat.l0.a_center", "gat.l0.a_neighbor", "gat.l0.a_edge"
@@ -1239,9 +1263,11 @@ def test_checkpoint_header_edits_are_refused(tmp_path, edit):
     assert str(bad) in str(err.value)
 
 
-# an unknown kind, a missing seed, a seed that is no integer, and a custom provider's record
+# an unknown kind, a missing seed, a seed that is no integer, a custom provider's
+# record, a file record without its digest and one whose digest is no hex digest
 BAD_EMBEDDING_RECORDS = [
     {"kind": "hashd", "seed": 5}, {"kind": "hashed"}, {"kind": "hashed", "seed": "x"}, None,
+    {"kind": "file"}, {"kind": "file", "digest": "not hex"},
 ]
 
 
@@ -1275,7 +1301,7 @@ def test_unrebuildable_embedding_record_refused_at_load(tmp_path, record):
     assert str(path) in str(err.value)
 
 
-@pytest.mark.parametrize("record", [{"kind": "hashed", "seed": 5}, {"kind": "file"}])
+@pytest.mark.parametrize("record", [{"kind": "hashed", "seed": 5}, {"kind": "file", "digest": "0f" * 32}])
 def test_embedding_record_survives_a_checkpoint(tmp_path, record):
     model, _, _ = tiny_model()
     model.embedding = record

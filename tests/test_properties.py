@@ -1,12 +1,17 @@
-"""Property tests: the tree rule, sub-graph invariants, the token map, the batched pair layout and the scorer."""
+"""Property tests: the tree rule, sub-graph invariants, the token map, the batched pair layout,
+the scorer, the CoNLL-U reader against its reference, and corrupt checkpoints."""
+
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relgat.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from relgat.corpus import (
     RELATION_BASES,
+    UNIQUE_COMMENTS,
     CorpusError,
     EntitySpan,
     Sentence,
@@ -21,9 +26,11 @@ from relgat.features import (
     DrefTable, attention_pairs, build_dref_table, code_tokens, dref_edge_features, edge_features,
 )
 from relgat.graph import DependencyGraph, GraphError, derive_subgraphs, sentence_subgraphs
-from relgat.model import token_layout
+from relgat.model import Model, ModelConfig, token_layout
 from relgat.train_eval import score_predictions
-from conftest import brute_force_path, conllu_block, dref_entries, entity_token
+from conftest import (
+    brute_force_path, build_toy_corpus, conllu_block, dref_entries, entity_token, reference_parse_conllu,
+)
 
 # Small alphabets, so that triples repeat within and across sentences and
 # an edge's reversed orientation is often a triple of its own.
@@ -294,3 +301,150 @@ def test_scorer_counts_equal_brute_force(pairs):
             assert count == sum(1 for g, p in pairs if g == LABELS[i] and p == LABELS[j])
     exact = sum(1 for g, p in pairs if g == p)
     assert report.accuracy == (100.0 * exact / len(pairs) if pairs else 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The CoNLL-U reader against the reference reader: equal sentences, or the
+# same CorpusError message
+
+
+def _digit_spelling(value: str) -> str:
+    """``value`` with its ASCII digits written as Arabic-Indic digits, which int() reads alike."""
+    return value.translate({ord(d): chr(0x660 + int(d)) for d in "0123456789"})
+
+
+def _mutate_row(draw, block, kind):
+    rows = [i for i, line in enumerate(block) if not line.startswith("#")]
+    if not rows:
+        return
+    i = draw(st.sampled_from(rows))
+    cols = block[i].split("\t")
+    if kind == "drop column":
+        del cols[draw(st.integers(0, len(cols) - 1))]
+    elif kind == "duplicate column":
+        c = draw(st.integers(0, len(cols) - 1))
+        cols.insert(c, cols[c])
+    elif len(cols) == 10:
+        c = {"id": 0, "head": 6, "misc": 9}.get(kind)
+        if c is None:  # non-integer or respelled: the ID or the HEAD
+            c = draw(st.sampled_from([0, 6]))
+        if kind == "non-integer":
+            cols[c] = draw(st.sampled_from(["x", "1.5", "", "0x1", "-"]))
+        elif kind == "respelled":  # a spelling int() reads that no lookup table holds
+            cols[c] = draw(st.sampled_from(["0{}", "+{}", " {} ", "{}_0"])).format(cols[c])
+            cols[c] = draw(st.sampled_from([cols[c], _digit_spelling(cols[c])]))
+        elif kind == "misc":
+            cols[c] = draw(st.sampled_from(["NER=PER", "A=1|NER=LOC|NER=ORG", "NER=", "x|y", "_"]))
+        elif kind == "id":  # a gap, or a repeat of the ID before
+            cols[c] = str(rows.index(i) + draw(st.sampled_from([0, 2, 3])))
+        else:  # a HEAD out of range
+            cols[c] = str(draw(st.sampled_from([-1, len(rows) + 1, len(rows) + 2])))
+    block[i] = "\t".join(cols)
+
+
+def _mutate_comment(draw, block, kind):
+    at = draw(st.integers(0, len(block)))
+    if kind == "repeated comment":
+        key = draw(st.sampled_from(UNIQUE_COMMENTS))
+        block.insert(at, f"# {key} = {draw(st.sampled_from(['0', '1 1', 'Other', '']))}")
+    elif kind == "free comment":
+        block.insert(at, draw(st.sampled_from(["# note = x", "# text", "#", "# a = b = c", "#label"])))
+    elif kind in ("e1", "e2"):
+        spans = [i for i, line in enumerate(block) if line.startswith(f"# {kind} =")]
+        value = draw(st.sampled_from([None, "", "3", "a b", "1 2 3", "2 1", "0 0", "1 1", "-1 0", "0 99"]))
+        for i in reversed(spans):
+            del block[i]
+        if value is not None:
+            block.insert(spans[0] if spans else at, f"# {kind} = {value}")
+    elif kind == "label":
+        spelling = draw(st.sampled_from([
+            "Foo(e1,e2)", "Other", "Cause-Effect(e1,e2)", "Cause-Effect", "Other(e1,e2)", "other",
+            "Message-Topic(e2,e1)", "Cause-Effect(e1,e3)",
+        ]))
+        block[:] = [line for line in block if not line.startswith("# label =")]
+        block.insert(min(at, len(block)), f"# label = {spelling}")
+    elif kind == "single token":
+        rows = [line for line in block if not line.startswith("#")]
+        block[:] = [line for line in block if line.startswith("#")] + rows[:1]
+    elif kind == "no rows":
+        block[:] = [line for line in block if line.startswith("#")]
+    elif kind == "whitespace line":  # splits the block in two
+        block.insert(at, draw(st.sampled_from([" ", "\t", "\u3000", " \r"])))
+
+
+ROW_MUTATIONS = ("drop column", "duplicate column", "non-integer", "respelled", "id", "head", "misc")
+COMMENT_MUTATIONS = (
+    "repeated comment", "free comment", "e1", "e2", "label", "single token", "no rows", "whitespace line",
+)
+
+
+@st.composite
+def conllu_texts(draw):
+    """``to_conllu`` text of random trees, with up to three edits and whitespace separator lines."""
+    blocks = []
+    for sentence, _ in draw(st.lists(tree_sentences(max_tokens=6), min_size=1, max_size=3)):
+        sentence.label = draw(st.sampled_from([None, *LABELS]))
+        sentence.instance_id = draw(st.sampled_from([0, 7, "s-1"]))
+        blocks.append(to_conllu(sentence).rstrip("\n").split("\n"))
+    for _ in range(draw(st.integers(0, 3))):
+        block = draw(st.sampled_from(blocks))
+        kind = draw(st.sampled_from(ROW_MUTATIONS + COMMENT_MUTATIONS))
+        if kind in ROW_MUTATIONS:
+            _mutate_row(draw, block, kind)
+        else:
+            _mutate_comment(draw, block, kind)
+    separators = [draw(st.sampled_from(["", " ", "\t \r", "\u3000"])) for _ in blocks]
+    return "".join("\n".join(block) + "\n" + sep + "\n" for block, sep in zip(blocks, separators))
+
+
+def _read(reader, text):
+    try:
+        return reader(text)
+    except CorpusError as exc:
+        return f"CorpusError: {exc}"
+
+
+@settings(max_examples=150)
+@given(conllu_texts())
+def test_reader_equals_the_reference_reader(text):
+    assert _read(parse_conllu_annotated, text) == _read(reference_parse_conllu, text)
+
+
+# ---------------------------------------------------------------------------
+# Corrupt checkpoints: every cut, changed byte or header-length prefix is
+# refused with a CheckpointError that names the file
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    corpus = build_toy_corpus()
+    config = ModelConfig(d_ctx=6, d_f=3, d_wt=2, d_lstm=4, d_g=6, heads=2, d_e=3, edge_mode="dref+ctef")
+    model = Model(config, build_vocabs(corpus), build_dref_table(corpus, config.d_e), seed=3)
+    path = tmp_path_factory.mktemp("checkpoint") / "model.ckpt"
+    save_checkpoint(model, str(path))
+    return path
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_corrupt_checkpoint_is_refused_naming_the_file(saved_checkpoint, data):
+    path = saved_checkpoint
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, 8)
+    # offsets anywhere, and as often in the magic, length prefix and header
+    offsets = st.one_of(st.integers(0, len(blob) - 1), st.integers(0, 16 + header_len))
+    kind = data.draw(st.sampled_from(["cut", "byte", "length"]))
+    if kind == "cut":
+        bad = blob[: data.draw(offsets)]
+    elif kind == "byte":
+        at = data.draw(offsets)
+        bad = blob[:at] + bytes([blob[at] ^ data.draw(st.integers(1, 255))]) + blob[at + 1 :]
+    else:
+        lengths = st.one_of(st.integers(0, 2 * header_len + 64), st.integers(0, 2**64 - 1))
+        stated = data.draw(lengths.filter(lambda n: n != header_len))
+        bad = blob[:8] + struct.pack("<Q", stated) + blob[16:]
+    corrupt = path.with_name("corrupt.ckpt")
+    corrupt.write_bytes(bad)
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(str(corrupt))
+    assert str(corrupt) in str(err.value)
