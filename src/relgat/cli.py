@@ -15,21 +15,21 @@ import json
 import os
 import sys
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import LABELS, CorpusError, build_vocabs, parse_conllu_annotated
-from .features import FileEmbeddingProvider, HashedEmbeddingProvider, build_dref_table
+from .features import FileEmbeddingProvider, HashedEmbeddingProvider, build_dref_table, file_record
 from .graph import subgraph_size_histograms
 from .model import ModelConfig
 from .train_eval import (
-    SpanBuckets,
     TrainerConfig,
     dev_split,
     entity_distance,
     evaluate,
-    metrics_json,
+    gold_labels,
     predict,
+    score_predictions,
     span_bucket_eval,
     train,
 )
@@ -148,26 +148,36 @@ def _load_corpus(path: str | None, what: str):
     return sentences
 
 
+def _vectors_text(path: str) -> str:
+    if not os.path.exists(path):
+        raise UsageError(f"embeddings file not found: {path}")
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
 def _provider(embeddings: str | None, dim: int, seed: int):
     """Vectors from the ``embeddings`` file if one is given, else hashed ones."""
     if embeddings:
-        if not os.path.exists(embeddings):
-            raise UsageError(f"embeddings file not found: {embeddings}")
-        return FileEmbeddingProvider.from_path(embeddings, dim)
+        return FileEmbeddingProvider.from_text(_vectors_text(embeddings), dim, embeddings)
     return HashedEmbeddingProvider(dim, seed)
 
 
 def _provider_for_checkpoint(model, embeddings_path: str | None):
-    """The provider a loaded model was trained with; ``--embeddings`` must be the file it read."""
-    record = model.embedding
-    if record["kind"] == "file" and not embeddings_path:
+    """The provider a loaded model was trained with; ``--embeddings`` must be the file it read.
+
+    The file's digest is compared with the checkpoint's record before any line is parsed.
+    """
+    record, dim = model.embedding, model.config.d_ctx
+    if record["kind"] == "hashed":
+        if embeddings_path:
+            raise UsageError("checkpoint was trained on hashed embeddings; drop --embeddings")
+        return HashedEmbeddingProvider(dim, record["seed"])
+    if not embeddings_path:
         raise UsageError("checkpoint was trained on file embeddings; pass --embeddings")
-    if record["kind"] == "hashed" and embeddings_path:
-        raise UsageError("checkpoint was trained on hashed embeddings; drop --embeddings")
-    provider = _provider(embeddings_path, model.config.d_ctx, record.get("seed"))
-    if provider.record != record:
+    text = _vectors_text(embeddings_path)
+    if file_record(text) != record:
         raise UsageError(f"{embeddings_path}: not the embeddings file the checkpoint was trained on")
-    return provider
+    return FileEmbeddingProvider.from_text(text, dim, embeddings_path)
 
 
 def _json_text(payload) -> str:
@@ -246,8 +256,8 @@ def cmd_train(args: argparse.Namespace) -> int:
             final = evaluate(model, test, provider)
     checkpoint_path = os.path.join(out, "model.ckpt")
     save_checkpoint(model, checkpoint_path)
-    with open(os.path.join(out, "metrics.json"), "w", encoding="utf-8", newline="\n") as f:
-        f.write(metrics_json(run.model, run.trainer, log, final))
+    config = {"model": asdict(run.model), "trainer": asdict(run.trainer)}
+    _write_json(os.path.join(out, "metrics.json"), {"config": config, **log.to_dict(), "final": final.to_dict()})
     print(f"best dev macro-F1 (excluding Other): {log.best_dev_f1:.4f}")
     print(f"checkpoint: {checkpoint_path}")
     return 0
@@ -260,11 +270,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     sentences = _load_corpus(args.test, "test")
     provider = _provider_for_checkpoint(model, args.embeddings)
     with _naming(args.test):
-        report = evaluate(model, sentences, provider)
+        golds = gold_labels(sentences)
+        preds = predict(model, sentences, provider)
+    report = score_predictions(golds, preds)
     payload = report.to_dict()
     if args.span_buckets:
-        buckets = SpanBuckets.from_sentences(sentences)
-        payload["span_buckets"] = span_bucket_eval(model, sentences, buckets, provider)
+        payload["span_buckets"] = span_bucket_eval(sentences, preds)
     if args.out:
         _write_json(args.out, payload)
     print(f"macro-F1 (excluding Other): {report.macro_f1:.4f}")

@@ -164,9 +164,9 @@ def tree_error(heads: list[int | None]) -> str | None:
     ``heads[i]`` is token i's head and None marks the root. The rule:
     exactly one root, every other head a token in range other than the
     token itself, and no cycle, so that following heads from any token
-    reaches the root. ``Sentence.validate`` and ``DependencyGraph`` both
-    apply it. O(n): each walk stops at the first token an earlier walk
-    reached, and every earlier walk reached the root.
+    reaches the root. ``Sentence.validate`` and the sub-graph derivation
+    in ``graph`` both apply it. O(n): each walk stops at the first token
+    an earlier walk reached, and every earlier walk reached the root.
     """
     n = len(heads)
     roots = [i for i, h in enumerate(heads) if h is None]
@@ -394,7 +394,7 @@ def _parse_conllu_block(lines: list[str], first: int, stop: int, position: int) 
         raise CorpusError(f"block at line {first + 1}: no token rows")
 
     instance_id: int | str = comments.get("id", position)
-    if isinstance(instance_id, str) and instance_id.isdigit():
+    if isinstance(instance_id, str) and instance_id.isdecimal():
         instance_id = int(instance_id)
     where = f"instance {instance_id}"
     if repeated is not None:

@@ -38,6 +38,7 @@ __all__ = [
     "EmbeddingProvider",
     "HashedEmbeddingProvider",
     "FileEmbeddingProvider",
+    "file_record",
     "FeatureEmbeddings",
     "DrefTable",
     "EDGE_MODES",
@@ -106,6 +107,11 @@ class HashedEmbeddingProvider(EmbeddingProvider):
         return np.array([self._vector(t.surface) for t in sentence.tokens])
 
 
+def file_record(text: str) -> dict:
+    """The record of a vectors file: its kind and the blake2b digest of its text."""
+    return {"kind": "file", "digest": hashlib.blake2b(text.encode("utf-8"), digest_size=32).hexdigest()}
+
+
 class FileEmbeddingProvider(EmbeddingProvider):
     """Precomputed vectors keyed by (instance id, token index).
 
@@ -115,15 +121,14 @@ class FileEmbeddingProvider(EmbeddingProvider):
     raises FeatureError naming its line, a second record for the same
     (instance, token) one naming both lines, and a token without a vector
     one naming the instance and token; all start with the file's path
-    when the provider was read with ``from_path``. The ``record`` pins
-    the vectors: it carries the blake2b digest of ``text``.
+    when the provider was built with ``from_text``. The ``record`` pins
+    the vectors: it is ``file_record(text)``.
     """
 
     def __init__(self, text: str, dim: int = 768):
         self.dim = dim
         self.path: str | None = None
-        digest = hashlib.blake2b(text.encode("utf-8"), digest_size=32).hexdigest()
-        self.record = {"kind": "file", "digest": digest}
+        self.record = file_record(text)
         self._table: dict[tuple[str, int], np.ndarray] = {}
         line_of: dict[tuple[str, int], int] = {}
         for lineno, line in enumerate(text.split("\n"), start=1):
@@ -155,9 +160,8 @@ class FileEmbeddingProvider(EmbeddingProvider):
             self._table[key] = vec
 
     @classmethod
-    def from_path(cls, path: str, dim: int = 768) -> "FileEmbeddingProvider":
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
+    def from_text(cls, text: str, dim: int, path: str) -> "FileEmbeddingProvider":
+        """The vectors in ``text``, read from ``path``: every FeatureError starts with the path."""
         try:
             provider = cls(text, dim)
         except FeatureError as exc:

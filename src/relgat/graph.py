@@ -8,13 +8,14 @@ keeps its tree edges as (head, dependent) rows of local positions (PyG's
 ``edge_index``); the attention layout takes each edge both ways, and the
 dref features read its orientation from the row.
 
-``DependencyGraph`` accepts only heads that form one rooted tree, by
-``corpus.tree_error``, the same rule ``Sentence.validate`` applies to
-parsed input. It checks on every construction, so a hand-built sentence
-that never went through a parser cannot loop ``up_from``; beyond that
-check it keeps only the head list. The derivation lists each vertex's
-undirected neighbors in one pass over it, and builds the three edge
-arrays with one numpy call.
+A tree is its head list: ``heads[i]`` is token i's head, None at the
+root. ``shortest_dependency_path`` and ``derive_subgraphs`` first check
+that the heads form one rooted tree, by ``corpus.tree_error``, the same
+rule ``Sentence.validate`` applies to parsed input, so a hand-built
+sentence that never went through a parser cannot loop a walk to the
+root. The derivation lists each vertex's undirected neighbors in one
+pass over the heads, and builds the three edge arrays with one numpy
+call.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .corpus import Sentence, tree_error
 
 __all__ = [
     "GraphError",
-    "DependencyGraph",
     "SubGraph",
     "SubGraphSet",
     "SDP",
@@ -47,30 +47,6 @@ E2_NEIGHBORHOOD = "e2"
 
 class GraphError(ValueError):
     pass
-
-
-class DependencyGraph:
-    """The head relation of a dependency tree, checked to form one rooted tree."""
-
-    def __init__(self, heads: list[int | None]):
-        problem = tree_error(heads)
-        if problem is not None:
-            raise GraphError(problem)
-        self.n = len(heads)
-        self.heads = list(heads)
-
-    def up_from(self, vertex: int) -> list[int]:
-        """The vertex and its heads up to the root."""
-        chain = [vertex]
-        while self.heads[chain[-1]] is not None:
-            chain.append(self.heads[chain[-1]])
-        return chain
-
-    @classmethod
-    def from_sentence(cls, sentence: Sentence) -> "DependencyGraph":
-        if not sentence.parsed:
-            raise GraphError(f"instance {sentence.instance_id}: sentence has no parse")
-        return cls([t.head for t in sentence.tokens])
 
 
 @dataclass
@@ -103,14 +79,28 @@ class SubGraphSet:
         return [self.sdp, self.e1, self.e2]
 
 
-def shortest_dependency_path(g: DependencyGraph, u: int, v: int) -> list[int]:
-    """The unique tree path from u to v, endpoints included: up to their lowest common head, down to v."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise GraphError(f"path endpoints {u},{v} out of range for {g.n} vertices")
-    up_u, up_v = g.up_from(u), g.up_from(v)
+def _check_tree(heads: list[int | None]) -> None:
+    problem = tree_error(heads)
+    if problem is not None:
+        raise GraphError(problem)
+
+
+def _tree_path(heads: list[int | None], u: int, v: int) -> list[int]:
+    if not (0 <= u < len(heads) and 0 <= v < len(heads)):
+        raise GraphError(f"path endpoints {u},{v} out of range for {len(heads)} vertices")
+    up_u, up_v = [u], [v]  # each endpoint and its heads up to the root
+    for chain in (up_u, up_v):
+        while heads[chain[-1]] is not None:
+            chain.append(heads[chain[-1]])
     on_v = set(up_v)
     top = next(x for x in up_u if x in on_v)
     return up_u[: up_u.index(top) + 1] + up_v[: up_v.index(top)][::-1]
+
+
+def shortest_dependency_path(heads: list[int | None], u: int, v: int) -> list[int]:
+    """The unique tree path from u to v, endpoints included: up to their lowest common head, down to v."""
+    _check_tree(heads)
+    return _tree_path(heads, u, v)
 
 
 def _expand(neighbors: list[list[int]], seed: set[int], hops: int) -> set[int]:
@@ -124,7 +114,7 @@ def _expand(neighbors: list[list[int]], seed: set[int], hops: int) -> set[int]:
 
 
 def derive_subgraphs(
-    g: DependencyGraph, e1: int, e2: int, expansion_order: int = 0
+    heads: list[int | None], e1: int, e2: int, expansion_order: int = 0
 ) -> SubGraphSet:
     """Cut the three per-sentence sub-graphs out of the dependency tree.
 
@@ -133,12 +123,12 @@ def derive_subgraphs(
     vertex plus its direct undirected neighbors and is never expanded.
     The three edge arrays are row blocks of one array.
     """
+    _check_tree(heads)
     if e1 == e2:
         raise GraphError("entity vertices coincide")
     if expansion_order not in (0, 1, 2):
         raise GraphError(f"expansion_order must be 0, 1 or 2, got {expansion_order}")
-    heads = g.heads
-    path = shortest_dependency_path(g, e1, e2)
+    path = _tree_path(heads, e1, e2)
     neighbors: list[list[int]] = [[] for _ in heads]
     for v, head in enumerate(heads):
         if head is not None:
@@ -164,10 +154,10 @@ def derive_subgraphs(
 
 
 def sentence_subgraphs(sentence: Sentence, expansion_order: int = 0) -> SubGraphSet:
-    g = DependencyGraph.from_sentence(sentence)
-    return derive_subgraphs(
-        g, sentence.e1.head_token, sentence.e2.head_token, expansion_order
-    )
+    if not sentence.parsed:
+        raise GraphError(f"instance {sentence.instance_id}: sentence has no parse")
+    heads = [t.head for t in sentence.tokens]
+    return derive_subgraphs(heads, sentence.e1.head_token, sentence.e2.head_token, expansion_order)
 
 
 def subgraph_size_histograms(

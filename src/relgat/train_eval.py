@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -28,18 +27,17 @@ __all__ = [
     "EpochRecord",
     "TrainLog",
     "EvalReport",
-    "SpanBuckets",
     "train",
     "dev_split",
     "evaluate",
     "predict",
+    "gold_labels",
     "score_predictions",
     "entity_distance",
     "span_bucket_eval",
     "row_name",
     "ablation_sweep",
     "clip_gradients",
-    "metrics_json",
 ]
 
 
@@ -344,11 +342,16 @@ def evaluate(
     graphs: list[SubGraphSet] | None = None,
 ) -> EvalReport:
     """Score ``predict``'s labels against the gold ones; CorpusError if one is missing."""
+    golds = gold_labels(sentences)
+    return score_predictions(golds, predict(model, sentences, provider, graphs))
+
+
+def gold_labels(sentences: list[Sentence]) -> list[RelationLabel]:
+    """The gold label of every sentence; CorpusError if one is missing."""
     for s in sentences:
         if s.label is None:
             raise CorpusError(f"instance {s.instance_id}: no gold label to score against")
-    preds = predict(model, sentences, provider, graphs)
-    return score_predictions([s.label for s in sentences], preds)
+    return [s.label for s in sentences]
 
 
 def predict(
@@ -383,63 +386,26 @@ def entity_distance(sentence: Sentence) -> int:
     return sentence.e1.start - sentence.e2.end - 1
 
 
-@dataclass
-class SpanBuckets:
-    """Thresholds splitting an evaluation set by entity distance.
+def span_bucket_eval(sentences: list[Sentence], preds: list[RelationLabel]) -> dict:
+    """Score ``preds`` per bucket of entity distance k; empty buckets are flagged rather than scored.
 
-    short: k <= low; long: k >= high; medium in between. By default the
-    thresholds are mean +/- std of the distances in the (non-empty) data;
-    literal thresholds may make a bucket empty, which is reported.
+    With the mean and std of k over the (non-empty) sentences: short is
+    k <= mean - std, long is k >= mean + std, medium lies in between.
     """
-
-    low: float
-    high: float
-    mean: float | None = None
-    std: float | None = None
-
-    BUCKETS = ("short", "medium", "long")
-
-    @classmethod
-    def from_sentences(cls, sentences: list[Sentence]) -> "SpanBuckets":
-        if not sentences:
-            raise ValueError("span buckets need at least one sentence")
-        ks = np.array([entity_distance(s) for s in sentences], dtype=np.float64)
-        mu = float(np.mean(ks))
-        sigma = float(np.std(ks))
-        return cls(low=mu - sigma, high=mu + sigma, mean=mu, std=sigma)
-
-    def bucket(self, k: int) -> str:
-        if k <= self.low:
-            return "short"
-        if k >= self.high:
-            return "long"
-        return "medium"
-
-
-def span_bucket_eval(
-    model: Model,
-    sentences: list[Sentence],
-    buckets: SpanBuckets,
-    provider: EmbeddingProvider,
-) -> dict:
-    """One report per bucket; empty buckets are flagged rather than scored."""
     if not sentences:
-        raise ValueError("span_bucket_eval needs a non-empty evaluation set")
-    grouped: dict[str, list[Sentence]] = {b: [] for b in SpanBuckets.BUCKETS}
-    for s in sentences:
-        grouped[buckets.bucket(entity_distance(s))].append(s)
-    out = {
-        "thresholds": {"low": buckets.low, "high": buckets.high, "mean": buckets.mean, "std": buckets.std},
-        "buckets": {},
-    }
-    for name in SpanBuckets.BUCKETS:
-        members = grouped[name]
-        out["buckets"][name] = {
-            "size": len(members),
-            "empty": not members,
-            "report": evaluate(model, members, provider).to_dict() if members else None,
-        }
-    return out
+        raise ValueError("span buckets need at least one sentence")
+    golds = gold_labels(sentences)
+    ks = np.array([entity_distance(s) for s in sentences], dtype=np.float64)
+    mean, std = float(np.mean(ks)), float(np.std(ks))
+    low, high = mean - std, mean + std
+    members: dict[str, list[tuple[RelationLabel, RelationLabel]]] = {"short": [], "medium": [], "long": []}
+    for k, gold, pred in zip(ks, golds, preds, strict=True):
+        members["short" if k <= low else "long" if k >= high else "medium"].append((gold, pred))
+    buckets = {}
+    for name, pairs in members.items():
+        report = score_predictions([g for g, _ in pairs], [p for _, p in pairs]).to_dict() if pairs else None
+        buckets[name] = {"size": len(pairs), "empty": not pairs, "report": report}
+    return {"thresholds": {"low": low, "high": high, "mean": mean, "std": std}, "buckets": buckets}
 
 
 # ---------------------------------------------------------------------------
@@ -511,21 +477,3 @@ def ablation_sweep(
             writer.writeheader()
             writer.writerows(rows)
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Metrics serialization
-
-
-def metrics_json(
-    model_config: ModelConfig,
-    trainer_config: TrainerConfig,
-    log: TrainLog,
-    final: EvalReport,
-) -> str:
-    payload = {
-        "config": {"model": asdict(model_config), "trainer": asdict(trainer_config)},
-        **log.to_dict(),
-        "final": final.to_dict(),
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

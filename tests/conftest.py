@@ -270,7 +270,7 @@ def _reference_block(block: list[tuple[int, str]], position: int) -> Sentence:
         raise CorpusError(f"block at line {block[0][0]}: no token rows")
 
     instance_id: int | str = comments.get("id", position)
-    if isinstance(instance_id, str) and instance_id.isdigit():
+    if isinstance(instance_id, str) and instance_id.isdecimal():
         instance_id = int(instance_id)
     where = f"instance {instance_id}"
     if repeated is not None:

@@ -27,7 +27,6 @@ from relgat.features import (
     build_dref_table,
 )
 from relgat.graph import (
-    DependencyGraph,
     sentence_subgraphs,
     shortest_dependency_path,
 )
@@ -78,7 +77,7 @@ def test_01_sdp_matches_brute_force_oracle():
             n = int(rng.integers(2, 13))
             heads = random_heads(rng, n)
             u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
-            fast = shortest_dependency_path(DependencyGraph(heads), u, v)
+            fast = shortest_dependency_path(heads, u, v)
             assert fast == brute_force_path(heads, u, v)
         assert time.monotonic() - started < 5.0
 

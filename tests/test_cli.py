@@ -8,12 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from relgat import train_eval
 from relgat.checkpoint import load_checkpoint, save_checkpoint
 from relgat.cli import RunConfig, _provider_for_checkpoint, _read_config_file, build_parser, main
 from relgat.corpus import parse_conllu_annotated, to_conllu
 from relgat.features import HashedEmbeddingProvider
 from relgat.graph import sentence_subgraphs
-from relgat.model import ModelConfig
+from relgat.model import Model, ModelConfig
 from relgat.train_eval import EVAL_CHUNK, TrainerConfig, evaluate, train
 from conftest import build_structure_corpus, build_toy_corpus
 
@@ -248,6 +249,25 @@ class TestEval:
         sizes = {k: v["size"] for k, v in report["span_buckets"]["buckets"].items()}
         assert sum(sizes.values()) == 20
 
+    def test_span_buckets_forward_and_cut_each_sentence_once(self, tmp_path, corpus_file, monkeypatch):
+        out = run_train(tmp_path, corpus_file)
+        counts = {"instances": 0, "subgraphs": 0}
+        forward, subgraphs = Model.forward, train_eval.sentence_subgraphs
+
+        def counting_forward(self, instances, provider):
+            counts["instances"] += len(instances)
+            return forward(self, instances, provider)
+
+        def counting_subgraphs(*args):
+            counts["subgraphs"] += 1
+            return subgraphs(*args)
+
+        monkeypatch.setattr(Model, "forward", counting_forward)
+        monkeypatch.setattr(train_eval, "sentence_subgraphs", counting_subgraphs)
+        assert main(["eval", "--checkpoint", os.path.join(out, "model.ckpt"),
+                     "--test", corpus_file, "--span-buckets"]) == 0
+        assert counts == {"instances": 20, "subgraphs": 20}
+
     @pytest.mark.parametrize("extra", [[], ["--span-buckets"]])
     def test_empty_test_corpus_fails_naming_file(self, tmp_path, corpus_file, capsys, extra):
         out = run_train(tmp_path, corpus_file)
@@ -380,6 +400,12 @@ class TestEmbeddingsKind:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{other}: not the embeddings file the checkpoint was trained on" in captured.err
+        # the digest is compared before any line is parsed: a malformed other file is refused as such
+        other.write_text(Path(vectors).read_text(encoding="utf-8") + "0\ty\t1 2 3 4 5 6\n", encoding="utf-8")
+        code = main([command, "--checkpoint", os.path.join(out, "model.ckpt"), source, corpus_file,
+                     "--embeddings", str(other)])
+        assert code == 2
+        assert f"{other}: not the embeddings file the checkpoint was trained on" in capsys.readouterr().err
 
     def test_eval_rebuilds_the_provider_an_in_process_model_trained_on(self, tmp_path, corpus_file):
         # the checkpoint takes the seed from the model, so eval scores it as train() left it
@@ -431,6 +457,17 @@ class TestStats:
         payload = json.loads(capsys.readouterr().out)
         assert payload["sentences"] == 20
         assert payload["subgraph_sizes"]["sdp"] == {"3": 20}
+
+    def test_reads_a_superscript_digit_id(self, tmp_path, capsys):
+        # "²" is a digit to str.isdigit() but not a decimal int() reads
+        data = tmp_path / "id.conllu"
+        data.write_text(
+            "# id = \u00b2\n# e1 = 0 0\n# e2 = 1 1\n"
+            "1\ta\t_\tNOUN\t_\t_\t0\troot\t_\t_\n2\tb\t_\tNOUN\t_\t_\t1\tdep\t_\t_\n",
+            encoding="utf-8",
+        )
+        assert main(["stats", "--data", str(data)]) == 0
+        assert json.loads(capsys.readouterr().out)["sentences"] == 1
 
     def test_malformed_corpus_error_names_file_and_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.conllu"

@@ -7,7 +7,6 @@ import pytest
 
 from relgat.corpus import EntitySpan, Sentence, Token, parse_conllu_annotated
 from relgat.graph import (
-    DependencyGraph,
     GraphError,
     derive_subgraphs,
     sentence_subgraphs,
@@ -24,17 +23,17 @@ def surfaces(sentence, sg):
 class TestShortestPath:
     def test_three_vertex_path(self):
         # configuration <- of <- elements style chain hanging off a root
-        g = DependencyGraph([None, 0, 1, 2])
-        assert shortest_dependency_path(g, 1, 3) == [1, 2, 3]
+        heads = [None, 0, 1, 2]
+        assert shortest_dependency_path(heads, 1, 3) == [1, 2, 3]
 
     def test_same_vertex(self):
-        g = DependencyGraph([None, 0])
-        assert shortest_dependency_path(g, 1, 1) == [1]
+        heads = [None, 0]
+        assert shortest_dependency_path(heads, 1, 1) == [1]
 
     def test_endpoint_out_of_range(self):
-        g = DependencyGraph([None, 0])
+        heads = [None, 0]
         with pytest.raises(GraphError):
-            shortest_dependency_path(g, 0, 5)
+            shortest_dependency_path(heads, 0, 5)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(17)
@@ -42,22 +41,24 @@ class TestShortestPath:
             n = int(rng.integers(2, 13))
             heads = random_heads(rng, n)
             u, v = rng.choice(n, size=2, replace=False)
-            got = shortest_dependency_path(DependencyGraph(heads), int(u), int(v))
+            got = shortest_dependency_path(heads, int(u), int(v))
             assert got == brute_force_path(heads, int(u), int(v))
 
 
 class TestDependencyGraph:
+    """A dependency graph is its head list, checked to form one rooted tree."""
+
     def test_rejects_forest(self):
         with pytest.raises(GraphError):
-            DependencyGraph([None, None, 1])  # two roots, 1 edge for 3 vertices
+            shortest_dependency_path([None, None, 1], 1, 2)  # two roots, 1 edge for 3 vertices
 
     def test_rejects_self_head(self):
         with pytest.raises(GraphError):
-            DependencyGraph([None, 1])
+            shortest_dependency_path([None, 1], 0, 1)
 
     def test_neighbors_are_symmetric(self):
         # an entity graph holds the vertex with its head and its dependents
-        sgs = derive_subgraphs(DependencyGraph([None, 0, 0, 1]), 0, 1)
+        sgs = derive_subgraphs([None, 0, 0, 1], 0, 1)
         assert sgs.e1.vertices == [0, 1, 2]
         assert sgs.e2.vertices == [0, 1, 3]
 
@@ -104,49 +105,49 @@ class TestDeriveSubgraphs:
         assert surfaces(s, sgs.e2) == {"surge", "from", "the"}
 
     def test_path_graph(self):
-        g = DependencyGraph([1, None, 1])  # chain 0 - 1 - 2
-        sgs = derive_subgraphs(g, 0, 2)
+        heads = [1, None, 1]  # chain 0 - 1 - 2
+        sgs = derive_subgraphs(heads, 0, 2)
         assert sgs.sdp.vertices == [0, 1, 2]
         assert sgs.e1.vertices == [0, 1]
         assert sgs.e2.vertices == [1, 2]
 
     def test_star_expansion_strictly_grows(self):
         # star centered at 0, entities at two leaves
-        g = DependencyGraph([None, 0, 0, 0, 0])
-        base = derive_subgraphs(g, 1, 2, expansion_order=0)
-        grown = derive_subgraphs(g, 1, 2, expansion_order=1)
+        heads = [None, 0, 0, 0, 0]
+        base = derive_subgraphs(heads, 1, 2, expansion_order=0)
+        grown = derive_subgraphs(heads, 1, 2, expansion_order=1)
         assert set(base.sdp.vertices) < set(grown.sdp.vertices)
 
     def test_entity_graphs_ignore_expansion(self):
-        g = DependencyGraph([None, 0, 1, 2, 3])
+        heads = [None, 0, 1, 2, 3]
         for order in (0, 1, 2):
-            sgs = derive_subgraphs(g, 0, 2, expansion_order=order)
+            sgs = derive_subgraphs(heads, 0, 2, expansion_order=order)
             assert sgs.e1.vertices == [0, 1]
             assert sgs.e2.vertices == [1, 2, 3]
 
     def test_adjacent_entities(self):
-        g = DependencyGraph([None, 0, 1])
-        sgs = derive_subgraphs(g, 0, 1)
+        heads = [None, 0, 1]
+        sgs = derive_subgraphs(heads, 0, 1)
         assert sgs.sdp.vertices == [0, 1]
         assert sgs.sdp.edges.tolist() == [[0, 1]]
 
     def test_same_entity_rejected(self):
-        g = DependencyGraph([None, 0])
+        heads = [None, 0]
         with pytest.raises(GraphError):
-            derive_subgraphs(g, 1, 1)
+            derive_subgraphs(heads, 1, 1)
 
     def test_bad_expansion_order_rejected(self):
-        g = DependencyGraph([None, 0, 0])
+        heads = [None, 0, 0]
         with pytest.raises(GraphError):
-            derive_subgraphs(g, 1, 2, expansion_order=3)
+            derive_subgraphs(heads, 1, 2, expansion_order=3)
 
     def test_expansion_nesting_property(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
             n = int(rng.integers(3, 14))
-            g = DependencyGraph(random_heads(rng, n))
+            heads = random_heads(rng, n)
             u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
-            tiers = [set(derive_subgraphs(g, u, v, k).sdp.vertices) for k in (0, 1, 2)]
+            tiers = [set(derive_subgraphs(heads, u, v, k).sdp.vertices) for k in (0, 1, 2)]
             assert tiers[0] <= tiers[1] <= tiers[2]
 
     def test_entity_graph_size_is_one_plus_degree(self):
@@ -155,7 +156,7 @@ class TestDeriveSubgraphs:
             n = int(rng.integers(3, 12))
             heads = random_heads(rng, n)
             u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
-            sgs = derive_subgraphs(DependencyGraph(heads), u, v)
+            sgs = derive_subgraphs(heads, u, v)
 
             def degree(x):
                 return heads.count(x) + (heads[x] is not None)
@@ -168,10 +169,9 @@ class TestDeriveSubgraphs:
         for _ in range(50):
             n = int(rng.integers(3, 12))
             heads = random_heads(rng, n)
-            g = DependencyGraph(heads)
             tree_edges = {(h, c) for c, h in enumerate(heads) if h is not None}  # head, dependent
             u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
-            sgs = derive_subgraphs(g, u, v, expansion_order=1)
+            sgs = derive_subgraphs(heads, u, v, expansion_order=1)
             for sg in sgs.all():
                 globalized = {(sg.vertices[a], sg.vertices[b]) for a, b in sg.edges.tolist()}
                 assert globalized <= tree_edges
@@ -179,14 +179,14 @@ class TestDeriveSubgraphs:
 
 class TestAdjacency:
     def test_single_edge(self):
-        g = DependencyGraph([None, 0])
-        sgs = derive_subgraphs(g, 0, 1)
+        heads = [None, 0]
+        sgs = derive_subgraphs(heads, 0, 1)
         assert sgs.sdp.edges.tolist() == [[0, 1]]
 
     def test_single_vertex(self):
         # e1 neighborhood of a leaf whose only neighbor is the other entity
-        g = DependencyGraph([None, 0])
-        sgs = derive_subgraphs(g, 0, 1)
+        heads = [None, 0]
+        sgs = derive_subgraphs(heads, 0, 1)
         assert sgs.e1.edges.shape == (1, 2)
 
     def test_worked_example_e2_matrix(self):
@@ -200,18 +200,18 @@ class TestAdjacency:
         rng = np.random.default_rng(37)
         for _ in range(30):
             n = int(rng.integers(3, 12))
-            g = DependencyGraph(random_heads(rng, n))
+            heads = random_heads(rng, n)
             u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
-            for sg in derive_subgraphs(g, u, v, 1).all():
+            for sg in derive_subgraphs(heads, u, v, 1).all():
                 e = sg.edges
                 inside = set(sg.vertices)
                 tree_edges_inside = sum(
-                    1 for c, h in enumerate(g.heads) if h is not None and {c, h} <= inside
+                    1 for c, h in enumerate(heads) if h is not None and {c, h} <= inside
                 )
                 assert e.shape == (tree_edges_inside, 2) and e.dtype == np.intp
                 assert np.all(e[:, 0] != e[:, 1])
                 assert len({frozenset(edge) for edge in e.tolist()}) == len(e)
-                assert all(g.heads[sg.vertices[b]] == sg.vertices[a] for a, b in e.tolist())
+                assert all(heads[sg.vertices[b]] == sg.vertices[a] for a, b in e.tolist())
 
 
 def test_size_histograms(toy_corpus):

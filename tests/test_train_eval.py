@@ -15,7 +15,6 @@ from relgat.features import EmbeddingProvider, HashedEmbeddingProvider, build_dr
 from relgat.graph import sentence_subgraphs
 from relgat.model import Model, ModelConfig
 from relgat.train_eval import (
-    SpanBuckets,
     TrainerConfig,
     TrainingDiverged,
     ablation_sweep,
@@ -23,7 +22,7 @@ from relgat.train_eval import (
     dev_split,
     entity_distance,
     evaluate,
-    metrics_json,
+    predict,
     row_name,
     score_predictions,
     span_bucket_eval,
@@ -345,42 +344,66 @@ class TestTraining:
 # Span buckets
 
 
+def distance_corpus(gaps):
+    """One Other-labelled sentence per gap: ``gap`` tokens and the verb lie between its two entities."""
+    blocks = []
+    for i, gap in enumerate(gaps):
+        # every non-root token hangs off the verb at 1-based position gap+2
+        middle = [("w", "ADV", gap + 2, "advmod")] * gap
+        rows = (
+            [("left", "NOUN", gap + 2, "nsubj")]
+            + middle
+            + [("sat", "VERB", 0, "root"), ("right", "NOUN", gap + 2, "obj")]
+        )
+        blocks.append(conllu_block(i, rows, (0, 0), (len(rows) - 1, len(rows) - 1), "Other"))
+    return parse_conllu_annotated("".join(blocks))
+
+
 class TestSpanBuckets:
-    def test_literal_thresholds_can_empty_short_bucket(self, toy_corpus):
-        cfg = ModelConfig(**TINY)
-        model, _ = train(toy_corpus, cfg, TrainerConfig(epochs=1, seed=1))
-        buckets = SpanBuckets(low=3 - 9, high=3 + 9)
-        out = span_bucket_eval(model, toy_corpus, buckets, HashedEmbeddingProvider(cfg.d_ctx, 0))
-        assert out["buckets"]["short"]["empty"] is True
-        assert out["buckets"]["short"]["report"] is None
-        assert out["buckets"]["medium"]["size"] == len(toy_corpus)
+    def test_equal_distances_leave_medium_and_long_empty(self):
+        # std 0: every distance equals the mean, so all of them are short
+        corpus = distance_corpus([3, 3, 3])
+        out = span_bucket_eval(corpus, labels("Other", "Other", "Other"))
+        assert out["thresholds"] == {"low": 4.0, "high": 4.0, "mean": 4.0, "std": 0.0}
+        assert out["buckets"]["short"]["size"] == 3
+        for name in ("medium", "long"):
+            assert out["buckets"][name] == {"size": 0, "empty": True, "report": None}
 
     def test_data_derived_thresholds_partition(self):
-        blocks = []
-        for i, gap in enumerate([0, 1, 2, 5, 8, 11]):
-            # every non-root token hangs off the verb at 1-based position gap+2
-            middle = [("w", "ADV", gap + 2, "advmod")] * gap
-            rows = (
-                [("left", "NOUN", gap + 2, "nsubj")]
-                + middle
-                + [("sat", "VERB", 0, "root"), ("right", "NOUN", gap + 2, "obj")]
-            )
-            blocks.append(conllu_block(i, rows, (0, 0), (len(rows) - 1, len(rows) - 1), "Other"))
-        corpus = parse_conllu_annotated("".join(blocks))
-        buckets = SpanBuckets.from_sentences(corpus)
-        names = [buckets.bucket(entity_distance(s)) for s in corpus]
-        assert set(names) <= {"short", "medium", "long"}
-        assert len(names) == len(corpus)
-        assert "short" in names and "long" in names
+        corpus = distance_corpus([0, 1, 2, 5, 8, 11])
+        ks = [entity_distance(s) for s in corpus]
+        assert ks == [1, 2, 3, 6, 9, 12]
+        out = span_bucket_eval(corpus, labels(*["Other"] * len(corpus)))
+        mean, std = np.mean(ks), np.std(ks)
+        assert out["thresholds"] == {"low": mean - std, "high": mean + std, "mean": mean, "std": std}
+        sizes = {name: bucket["size"] for name, bucket in out["buckets"].items()}
+        assert sizes == {"short": 1, "medium": 4, "long": 1}
+
+    def test_each_bucket_scores_its_members_of_the_one_prediction(self, toy_corpus):
+        cfg = ModelConfig(**TINY)
+        provider = HashedEmbeddingProvider(cfg.d_ctx, 0)
+        model, _ = train(toy_corpus, cfg, TrainerConfig(epochs=1, seed=1))
+        corpus = distance_corpus([0, 1, 2, 5, 8, 11])  # every bucket has members
+        preds = predict(model, corpus, provider)
+        with pytest.raises(ValueError):
+            span_bucket_eval(corpus, preds[:-1])
+        out = span_bucket_eval(corpus, preds)
+        assert sum(bucket["size"] for bucket in out["buckets"].values()) == len(corpus)
+        low, high = out["thresholds"]["low"], out["thresholds"]["high"]
+        for name, keep in (("short", lambda k: k <= low), ("long", lambda k: k >= high),
+                           ("medium", lambda k: low < k < high)):
+            members = [i for i, s in enumerate(corpus) if keep(entity_distance(s))]
+            want = score_predictions([corpus[i].label for i in members], [preds[i] for i in members])
+            assert out["buckets"][name] == {"size": len(members), "empty": False, "report": want.to_dict()}
 
     def test_single_sentence_lands_in_one_bucket(self, toy_corpus):
-        only = toy_corpus[:1]
-        buckets = SpanBuckets.from_sentences(only)
-        assert buckets.bucket(entity_distance(only[0])) == "short"
+        out = span_bucket_eval(toy_corpus[:1], [toy_corpus[0].label])
+        assert out["buckets"]["short"]["size"] == 1
+        assert out["buckets"]["short"]["report"]["accuracy"] == 100.0
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="at least one sentence"):
-            SpanBuckets.from_sentences([])
+            span_bucket_eval([], [])
 
     def test_entity_distance(self, toy_corpus):
         # the <n1> verb the <n2>: two tokens sit strictly between the spans
@@ -416,14 +439,3 @@ class TestSweep:
     def test_unknown_axis_rejected(self, toy_corpus):
         with pytest.raises(ValueError):
             ablation_sweep(toy_corpus, toy_corpus, ModelConfig(**TINY), TrainerConfig(epochs=1), {"depth": [1]})
-
-
-def test_metrics_json_deterministic(toy_corpus):
-    cfg = ModelConfig(**TINY)
-    tc = TrainerConfig(epochs=2, seed=4)
-    model_a, log_a = train(toy_corpus, cfg, tc)
-    model_b, log_b = train(toy_corpus, cfg, tc)
-    provider = HashedEmbeddingProvider(cfg.d_ctx, 0)
-    text_a = metrics_json(cfg, tc, log_a, evaluate(model_a, toy_corpus, provider))
-    text_b = metrics_json(cfg, tc, log_b, evaluate(model_b, toy_corpus, provider))
-    assert text_a == text_b
