@@ -19,7 +19,9 @@ from dataclasses import asdict, dataclass, fields
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import LABELS, CorpusError, build_vocabs, parse_conllu_annotated
-from .features import FileEmbeddingProvider, HashedEmbeddingProvider, build_dref_table, file_record
+from .features import (
+    FeatureError, FileEmbeddingProvider, HashedEmbeddingProvider, build_dref_table, file_record,
+)
 from .graph import subgraph_size_histograms
 from .model import ModelConfig
 from .train_eval import (
@@ -72,22 +74,36 @@ def _parse_value(key: str, raw: str):
     return raw.strip()
 
 
+def _read_text(path: str, error: type[Exception]) -> str:
+    """The UTF-8 text of ``path`` with universal newlines, as ``open(path, encoding="utf-8")`` reads it.
+
+    An undecodable byte raises ``error`` naming the path and the byte's line.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _read_config_file(path: str) -> dict:
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
     values = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise UsageError(f"{path}:{lineno}: expected key=value")
-            key, _, raw = body.partition("=")
-            key = key.strip()
-            if key not in _KEY_TYPES:
-                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _parse_value(key, raw.strip())
+    for lineno, line in enumerate(_read_text(path, UsageError).split("\n"), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise UsageError(f"{path}:{lineno}: expected key=value")
+        key, _, raw = body.partition("=")
+        key = key.strip()
+        if key not in _KEY_TYPES:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = _parse_value(key, raw.strip())
     return values
 
 
@@ -141,8 +157,7 @@ def _load_corpus(path: str | None, what: str):
         raise UsageError(f"missing {what} corpus path")
     if not os.path.exists(path):
         raise UsageError(f"{what} corpus not found: {path}")
-    with open(path, encoding="utf-8") as f:
-        sentences = _parse_corpus(f.read(), path)
+    sentences = _parse_corpus(_read_text(path, CorpusError), path)
     if not sentences:
         raise CorpusError(f"{path}: empty corpus")
     return sentences
@@ -151,8 +166,7 @@ def _load_corpus(path: str | None, what: str):
 def _vectors_text(path: str) -> str:
     if not os.path.exists(path):
         raise UsageError(f"embeddings file not found: {path}")
-    with open(path, encoding="utf-8") as f:
-        return f.read()
+    return _read_text(path, FeatureError)
 
 
 def _provider(embeddings: str | None, dim: int, seed: int):
@@ -291,8 +305,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     else:
         if not os.path.exists(args.input):
             raise UsageError(f"input not found: {args.input}")
-        with open(args.input, encoding="utf-8") as f:
-            text = f.read()
+        text = _read_text(args.input, CorpusError)
     sentences = _parse_corpus(text, "<stdin>" if args.input == "-" else args.input)
     provider = _provider_for_checkpoint(model, args.embeddings)
     for label in predict(model, sentences, provider):

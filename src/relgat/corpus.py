@@ -16,7 +16,9 @@ ID and HEAD, contiguous IDs, HEAD in 0..n).
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import repeat
 
 __all__ = [
     "CorpusError",
@@ -497,7 +499,8 @@ class Vocab:
     ``symbols`` are numbered in order from 1, a repeat keeping its first
     index. No symbol spells the UNK: ``index`` maps every symbol the map
     lacks, ``None`` included, to 0, and a corpus symbol such as
-    ``"<unk>"`` gets an index of its own.
+    ``"<unk>"`` gets an index of its own. ``indices`` is ``index`` over
+    a column of symbols, one dict lookup per symbol and no Python call.
     """
 
     UNK = 0
@@ -513,6 +516,9 @@ class Vocab:
 
     def index(self, symbol: str | None) -> int:
         return self._index.get(symbol, self.UNK)
+
+    def indices(self, symbols: Iterable[str | None]) -> Iterator[int]:
+        return map(self._index.get, symbols, repeat(self.UNK))
 
     def symbols(self) -> list[str]:
         """The symbols of indices 1, 2, ..., in order."""

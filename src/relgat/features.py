@@ -5,10 +5,13 @@ each row's POS, deprel and NER vocabulary index, its entity flag, its
 position in the sentence and its head. Everything below reads those
 arrays; no symbol is coded anywhere but through the model's ``Vocab``s.
 
-Per-token inputs are the concatenation of a contextual vector (from a
-pluggable provider), three trainable symbol embeddings (POS, deprel,
-NER) gathered by the vocabulary indices, and a 2-row word-type
-embedding gathered by the entity flags.
+Per-token inputs are the concatenation of a contextual vector, three
+trainable symbol embeddings (POS, deprel, NER) gathered by the
+vocabulary indices, and a 2-row word-type embedding gathered by the
+entity flags. The contextual vectors come from a pluggable provider,
+whose ``vectors(sentence, indices)`` returns the rows of the given token
+positions only: a batch asks each sentence for the distinct tokens of
+its sub-graphs, never for the whole sentence.
 
 Edge features come in two flavors. The frequency-based kind (dref) keys
 a trainable vector on the (POS, POS, deprel) triple of the underlying
@@ -25,6 +28,8 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Sequence
+from itertools import chain
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -66,7 +71,11 @@ class FeatureError(ValueError):
 
 
 class EmbeddingProvider:
-    """Maps a sentence to one contextual vector per token.
+    """Maps a sentence's token positions to their contextual vectors.
+
+    ``vectors(sentence, indices)`` returns a (len(indices), dim) array:
+    row r is the vector of ``sentence.tokens[indices[r]]``. A model asks
+    only for the tokens its sub-graphs hold, each once.
 
     ``record`` is what a checkpoint stores to rebuild the provider: a
     JSON-ready dict, or None for a provider no checkpoint can rebuild.
@@ -75,7 +84,7 @@ class EmbeddingProvider:
     dim: int
     record: dict | None = None
 
-    def vectors(self, sentence: Sentence) -> np.ndarray:
+    def vectors(self, sentence: Sentence, indices: Sequence[int]) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -92,19 +101,17 @@ class HashedEmbeddingProvider(EmbeddingProvider):
         self.record = {"kind": "hashed", "seed": seed}
         self._cache: dict[str, np.ndarray] = {}
 
-    def _vector(self, surface: str) -> np.ndarray:
-        cached = self._cache.get(surface)
-        if cached is None:
-            digest = hashlib.blake2b(
-                f"{self.seed}\x00{surface}".encode("utf-8"), digest_size=8
-            ).digest()
-            rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
-            cached = rng.standard_normal(self.dim)
-            self._cache[surface] = cached
-        return cached
+    def _draw(self, surface: str) -> np.ndarray:
+        digest = hashlib.blake2b(f"{self.seed}\x00{surface}".encode("utf-8"), digest_size=8).digest()
+        rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
+        self._cache[surface] = vector = rng.standard_normal(self.dim)
+        return vector
 
-    def vectors(self, sentence: Sentence) -> np.ndarray:
-        return np.array([self._vector(t.surface) for t in sentence.tokens])
+    def vectors(self, sentence: Sentence, indices: Sequence[int]) -> np.ndarray:
+        tokens, cache = sentence.tokens, self._cache
+        surfaces = [tokens[i].surface for i in indices]
+        rows = [cache[s] if s in cache else self._draw(s) for s in surfaces]
+        return np.concatenate(rows).reshape(len(rows), self.dim)  # faster than np.array(rows)
 
 
 def file_record(text: str) -> dict:
@@ -120,7 +127,8 @@ class FileEmbeddingProvider(EmbeddingProvider):
     token index and D space-separated finite decimals. A malformed record
     raises FeatureError naming its line, a second record for the same
     (instance, token) one naming both lines, and a token without a vector
-    one naming the instance and token; all start with the file's path
+    one naming the instance and token, the first in sentence order
+    whichever tokens were asked for; all start with the file's path
     when the provider was built with ``from_text``. The ``record`` pins
     the vectors: it is ``file_record(text)``.
     """
@@ -169,18 +177,15 @@ class FileEmbeddingProvider(EmbeddingProvider):
         provider.path = path
         return provider
 
-    def vectors(self, sentence: Sentence) -> np.ndarray:
-        key = str(sentence.instance_id)
-        rows = []
-        for t in sentence.tokens:
-            vec = self._table.get((key, t.index))
-            if vec is None:
+    def vectors(self, sentence: Sentence, indices: Sequence[int]) -> np.ndarray:
+        key, tokens = str(sentence.instance_id), sentence.tokens
+        for t in tokens:
+            if (key, t.index) not in self._table:
                 where = f"{self.path}: " if self.path else ""
                 raise FeatureError(
                     f"{where}no precomputed vector for instance {sentence.instance_id} token {t.index}"
                 )
-            rows.append(vec)
-        return np.array(rows)
+        return np.array([self._table[key, tokens[i].index] for i in indices])
 
 
 # ---------------------------------------------------------------------------
@@ -238,25 +243,24 @@ def code_tokens(sentences: TokenLayout, vocabs: Vocabs) -> TokenCodes:
 
     Rows follow ``sentences`` as in ``encode_tokens``. Each sentence's
     span bounds are read once and its indices compared with them in plain
-    Python, and the five integer columns are one array: numpy's fixed cost
-    per call would make the one-sentence forwards of the predict path
-    slower than this loop.
+    Python, each symbol column is coded by ``Vocab.indices``, and the five
+    integer columns are one array: numpy's fixed cost per call would make
+    the one-sentence forwards of the predict path slower than this loop.
     """
     tokens, index, entity = [], [], []
     for s, indices in sentences:
         e1_start, e1_end, e2_start, e2_end = s.e1.start, s.e1.end, s.e2.start, s.e2.end
-        tokens += [s.tokens[i] for i in indices]
+        tokens += map(s.tokens.__getitem__, indices)
         index += indices
         entity += [e1_start <= i <= e1_end or e2_start <= i <= e2_end for i in indices]
-    pos, deprel, ner = vocabs.pos.index, vocabs.deprel.index, vocabs.ner.index
-    coded = np.array(
-        [pos(t.pos) for t in tokens]
-        + [deprel(t.deprel) for t in tokens]
-        + [ner(t.ner) for t in tokens]
-        + index
-        + [-1 if t.head is None else t.head for t in tokens],
-        dtype=np.intp,
-    ).reshape(5, len(tokens))
+    columns = chain(
+        vocabs.pos.indices(map(attrgetter("pos"), tokens)),
+        vocabs.deprel.indices(map(attrgetter("deprel"), tokens)),
+        vocabs.ner.indices(map(attrgetter("ner"), tokens)),
+        index,
+        [-1 if t.head is None else t.head for t in tokens],
+    )
+    coded = np.fromiter(columns, np.intp, 5 * len(tokens)).reshape(5, len(tokens))
     return TokenCodes(coded[0], coded[1], coded[2], np.array(entity, dtype=bool), coded[3], coded[4])
 
 
@@ -271,16 +275,14 @@ def encode_tokens(
     vectors, a constant (T, d_ctx), and the trainable [pos ; deprel ; ner ;
     word-type] features, (T, 3*d_f + d_wt): side by side, the d_ctx +
     3*d_f + d_wt input columns of every token. Both are in the embeddings'
-    dtype: the provider's vectors are cast once, here.
+    dtype: the provider is asked for exactly those tokens of each sentence,
+    and its vectors are cast once, here.
     """
-    ctx = []
-    for sentence, indices in sentences:
-        ctx_all = provider.vectors(sentence)
-        if ctx_all.shape[1] != emb.d_ctx:
-            raise FeatureError(f"provider dimension {ctx_all.shape[1]} != expected {emb.d_ctx}")
-        ctx.append(ctx_all[indices])
+    ctx = np.concatenate([provider.vectors(s, indices) for s, indices in sentences], dtype=emb.dtype)
+    if ctx.shape[1] != emb.d_ctx:
+        raise FeatureError(f"provider dimension {ctx.shape[1]} != expected {emb.d_ctx}")
     return [
-        nm.constant(np.concatenate(ctx, dtype=emb.dtype)),
+        nm.constant(ctx),
         nm.concat([
             nm.gather_rows(emb.pos, codes.pos),
             nm.gather_rows(emb.deprel, codes.deprel),

@@ -300,9 +300,10 @@ def token_layout(graph_sets: list[list[SubGraph]]) -> tuple[list[list[int]], np.
     tokens, rows = [], []
     offset = 0
     for graphs in graph_sets:
-        distinct = sorted({v for sg in graphs for v in sg.vertices})
-        row_of = {v: r for r, v in enumerate(distinct, start=offset)}
-        rows.extend(row_of[v] for sg in graphs for v in sg.vertices)
+        vertices = [v for sg in graphs for v in sg.vertices]
+        distinct = sorted(set(vertices))
+        row_of = dict(zip(distinct, range(offset, offset + len(distinct))))
+        rows += map(row_of.__getitem__, vertices)
         tokens.append(distinct)
         offset += len(distinct)
     return tokens, np.array(rows, dtype=np.intp)

@@ -17,6 +17,7 @@ from relgat.corpus import (
     entity_head_token,
     parse_conllu_annotated,
 )
+from relgat.features import TokenCodes
 
 # Property tests draw from a fixed seed with no example database and no
 # per-example deadline, so a run is repeatable and its time bounded.
@@ -208,6 +209,23 @@ def brute_force_path(heads: list[int | None], u: int, v: int) -> list[int]:
 def entity_token(sentence, index: int) -> bool:
     """Whether token ``index`` lies in the e1 or the e2 span."""
     return any(span.start <= index <= span.end for span in (sentence.e1, sentence.e2))
+
+
+def reference_code_tokens(sentences, vocabs) -> TokenCodes:
+    """What ``code_tokens`` returns, one ``Vocab.index`` call per symbol."""
+    tokens = [s.tokens[i] for s, indices in sentences for i in indices]
+    index = [i for _, indices in sentences for i in indices]
+    entity = [entity_token(s, i) for s, indices in sentences for i in indices]
+    pos, deprel, ner = vocabs.pos.index, vocabs.deprel.index, vocabs.ner.index
+    coded = np.array(
+        [pos(t.pos) for t in tokens]
+        + [deprel(t.deprel) for t in tokens]
+        + [ner(t.ner) for t in tokens]
+        + index
+        + [-1 if t.head is None else t.head for t in tokens],
+        dtype=np.intp,
+    ).reshape(5, len(tokens))
+    return TokenCodes(coded[0], coded[1], coded[2], np.array(entity, dtype=bool), coded[3], coded[4])
 
 
 def dref_entries(table) -> dict[tuple[str, str, str], tuple[int, float]]:

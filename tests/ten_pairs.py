@@ -1,0 +1,90 @@
+"""Compare two checkouts on one bench workload by alternating runs.
+
+    python3 tests/ten_pairs.py PARENT_DIR CHANGE_DIR --workload infer-long --seed 11 \
+        [--seconds 30] [--pairs 10]
+
+Each pair runs ``python3 bench/run.py --workload W --seed S --seconds T
+--trace 0`` once in PARENT_DIR and once in CHANGE_DIR, the parent first
+in odd pairs and the change first in even ones, and reads the last line
+of each run's stdout as its JSON result. A run that is not ``correct: true``
+stops the comparison (exit 1). For every end-to-end metric of
+``BENCHMARK.json`` it then prints each side's median and quartiles, the
+pairs the change won, and whether a claimed gain would hold: the change
+wins at least nine pairs in ten and its median beats the parent's by more
+than the parent's interquartile range.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import statistics
+import subprocess
+import sys
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run(checkout: str, args: argparse.Namespace) -> dict:
+    """The metric values of one bench run in ``checkout``; exits if the run is not correct."""
+    command = [
+        sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(args.seed),
+        "--seconds", f"{args.seconds:g}", "--trace", "0",
+    ]
+    out = subprocess.run(command, cwd=checkout, capture_output=True, text=True).stdout
+    lines = out.strip().splitlines()
+    result = json.loads(lines[-1]) if lines else {}
+    if result.get("correct") is not True:
+        sys.exit(f"{checkout}: run ended without correct: true: {lines[-1] if lines else '(no output)'}")
+    return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=30)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv[1:])
+    with open(os.path.join(REPO_ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
+        end_to_end = json.load(f)["end_to_end"]
+
+    pairs = []
+    for i in range(args.pairs):
+        if i % 2 == 0:
+            parent = run(args.parent, args)
+            change = run(args.change, args)
+        else:
+            change = run(args.change, args)
+            parent = run(args.parent, args)
+        pairs.append((parent, change))
+        shown = " ".join(f"{m['name']} {parent[m['name']]:.4g}/{change[m['name']]:.4g}" for m in end_to_end)
+        print(f"pair {i + 1}: {shown}", flush=True)
+
+    needed = math.ceil(0.9 * args.pairs)
+    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s (parent/change)")
+    for metric in end_to_end:
+        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        parent = [p[name] for p, _ in pairs]
+        change = [c[name] for _, c in pairs]
+        (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        holds = wins >= needed and sign * (cm - pm) > p3 - p1
+        print(
+            f"  {name:<15} parent {pm:.4g} [{p1:.4g}, {p3:.4g}]  change {cm:.4g} [{c1:.4g}, {c3:.4g}]  "
+            f"{(cm - pm) / pm:+.1%}  wins {wins}/{args.pairs}  claim {'holds' if holds else 'does not hold'}"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

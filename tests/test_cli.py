@@ -10,7 +10,7 @@ import pytest
 
 from relgat import train_eval
 from relgat.checkpoint import load_checkpoint, save_checkpoint
-from relgat.cli import RunConfig, _provider_for_checkpoint, _read_config_file, build_parser, main
+from relgat.cli import RunConfig, _provider_for_checkpoint, _read_config_file, _read_text, build_parser, main
 from relgat.corpus import parse_conllu_annotated, to_conllu
 from relgat.features import HashedEmbeddingProvider
 from relgat.graph import sentence_subgraphs
@@ -480,3 +480,50 @@ class TestStats:
         payload = json.loads(capsys.readouterr().out)
         sizes = payload["subgraph_sizes"]["sdp"]
         assert all(int(k) > 3 for k in sizes)
+
+
+class TestUndecodableByte:
+    """A byte that is not UTF-8 is a typed error naming the file and the byte's line."""
+
+    @staticmethod
+    def spoil(path, line: int) -> str:
+        """``path`` with a 0xff byte put at the start of its 1-based ``line``."""
+        lines = Path(path).read_bytes().split(b"\n")
+        lines[line - 1] = b"\xff" + lines[line - 1]
+        Path(path).write_bytes(b"\n".join(lines))
+        return f"{path}: line {line}: byte 0xff is not UTF-8"
+
+    def test_corpus_exits_1(self, corpus_file, capsys):
+        message = self.spoil(corpus_file, 7)
+        assert main(["stats", "--data", corpus_file]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_predict_input_exits_1(self, tmp_path, corpus_file, capsys):
+        out = run_train(tmp_path, corpus_file)
+        capsys.readouterr()
+        message = self.spoil(corpus_file, 3)
+        assert main(["predict", "--checkpoint", os.path.join(out, "model.ckpt"), "--input", corpus_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_embeddings_file_exits_1(self, tmp_path, corpus_file, capsys):
+        vectors = TestEmbeddingsKind.vectors_file(tmp_path, build_toy_corpus())
+        message = self.spoil(vectors, 2)
+        code = main(["train", "--train", corpus_file, "--out-dir", str(tmp_path / "run"),
+                     "--embeddings", vectors, *TINY_FLAGS])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_config_file_exits_2(self, tmp_path, corpus_file, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("epochs = 2\nseed = 3\n", encoding="utf-8")
+        message = self.spoil(config, 2)
+        code = main(["train", "--config", str(config), "--train", corpus_file, "--out-dir", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_text_is_read_as_text_mode_reads_it(self, tmp_path):
+        path = tmp_path / "mixed.txt"
+        path.write_bytes("\ufeffa\r\nb\rc\n\u00e9\r\r\nd".encode("utf-8"))
+        with open(path, encoding="utf-8") as f:
+            assert _read_text(str(path), ValueError) == f.read()

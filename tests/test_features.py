@@ -405,17 +405,30 @@ class TestEncodeTokens:
 
     def test_fallback_provider_deterministic(self, toy_corpus):
         s = toy_corpus[0]
-        a = HashedEmbeddingProvider(32, seed=5).vectors(s)
-        b = HashedEmbeddingProvider(32, seed=5).vectors(s)
+        a = HashedEmbeddingProvider(32, seed=5).vectors(s, range(len(s)))
+        b = HashedEmbeddingProvider(32, seed=5).vectors(s, range(len(s)))
         np.testing.assert_array_equal(a, b)
-        c = HashedEmbeddingProvider(32, seed=6).vectors(s)
+        c = HashedEmbeddingProvider(32, seed=6).vectors(s, range(len(s)))
         assert not np.array_equal(a, c)
 
     def test_same_surface_same_vector(self, toy_corpus):
         provider = HashedEmbeddingProvider(32, seed=0)
         s = toy_corpus[0]  # two 'the' tokens
-        vecs = provider.vectors(s)
+        vecs = provider.vectors(s, range(len(s)))
         np.testing.assert_array_equal(vecs[0], vecs[3])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_hashed_rows_on_request_are_rows_of_the_whole_sentence(self, toy_corpus, dtype):
+        vocabs = build_vocabs(toy_corpus)
+        emb = FeatureEmbeddings(vocabs, d_ctx=8, d_f=3, d_wt=2, dtype=dtype)
+        for s in toy_corpus[:4]:
+            whole = HashedEmbeddingProvider(8, seed=2).vectors(s, range(len(s)))
+            idx = [len(s) - 1, 0, 2, 0]
+            got = HashedEmbeddingProvider(8, seed=2).vectors(s, idx)
+            assert got.dtype == np.float64 and got.tobytes() == whole[idx].tobytes()
+            layout = [(s, idx)]
+            ctx = encode_tokens(layout, code_tokens(layout, vocabs), HashedEmbeddingProvider(8, seed=2), emb)[0]
+            assert ctx.value.dtype == dtype and ctx.value.tobytes() == whole[idx].astype(dtype).tobytes()
 
     def test_provider_dimension_checked(self, toy_corpus):
         vocabs = build_vocabs(toy_corpus)
@@ -439,7 +452,7 @@ class TestFileProvider:
     def test_lookup_roundtrip(self, pollen_sentence):
         text = self.make_text(pollen_sentence, 6)
         provider = FileEmbeddingProvider(text, dim=6)
-        vecs = provider.vectors(pollen_sentence)
+        vecs = provider.vectors(pollen_sentence, range(len(pollen_sentence)))
         assert vecs.shape == (len(pollen_sentence), 6)
 
     def test_missing_vector_names_instance_and_token(self, pollen_sentence):
@@ -447,7 +460,7 @@ class TestFileProvider:
         kept = "\n".join(text.split("\n")[:-3]) + "\n"  # drop the last two tokens
         provider = FileEmbeddingProvider(kept, dim=6)
         with pytest.raises(FeatureError) as err:
-            provider.vectors(pollen_sentence)
+            provider.vectors(pollen_sentence, [0])
         assert str(pollen_sentence.instance_id) in str(err.value)
         assert "token 4" in str(err.value)
 
@@ -455,13 +468,13 @@ class TestFileProvider:
         text = self.make_text(pollen_sentence, 6)
         provider = FileEmbeddingProvider("\n".join(text.split("\n")[:-3]) + "\n", dim=6)
         with pytest.raises(FeatureError) as err:
-            provider.vectors(pollen_sentence)
+            provider.vectors(pollen_sentence, [0, 1])
         assert str(err.value) == f"no precomputed vector for instance {pollen_sentence.instance_id} token 4"
 
     def test_vectors_are_the_file_rows_in_token_order(self, pollen_sentence):
         text = self.make_text(pollen_sentence, 6)
         want = [[float(x) for x in line.split("\t")[2].split()] for line in text.split("\n") if line]
-        got = FileEmbeddingProvider(text, dim=6).vectors(pollen_sentence)
+        got = FileEmbeddingProvider(text, dim=6).vectors(pollen_sentence, range(len(pollen_sentence)))
         assert got.dtype == np.float64 and got.tolist() == want
 
     def test_missing_vector_error_starts_with_path(self, pollen_sentence, tmp_path):
@@ -469,7 +482,7 @@ class TestFileProvider:
         path.write_text(self.make_text(pollen_sentence, 6).split("\n")[0] + "\n", encoding="utf-8")
         provider = FileEmbeddingProvider.from_text(path.read_text(encoding="utf-8"), 6, str(path))
         with pytest.raises(FeatureError) as err:
-            provider.vectors(pollen_sentence)
+            provider.vectors(pollen_sentence, [0])
         assert str(err.value).startswith(f"{path}: no precomputed vector for instance")
         assert "token 1" in str(err.value)
 

@@ -307,6 +307,25 @@ def test_lstm_params_are_direction_draws_side_by_side(dtype):
     assert list(lstm.parameters("lstm")) == ["lstm.w_ctx", "lstm.w_feat", "lstm.w_hidden", "lstm.bias"]
 
 
+@pytest.mark.parametrize("graph_mode", ["multi", "single"])
+def test_forward_asks_the_provider_for_the_distinct_subgraph_tokens_only(graph_mode):
+    # a token outside every sub-graph of its instance never gets a contextual vector
+    model, corpus, _ = tiny_model(edge_mode="dref+ctef", graph_mode=graph_mode)
+    asked = []
+
+    class RecordingProvider(HashedEmbeddingProvider):
+        def vectors(self, sentence, indices):
+            asked.append((sentence, list(indices)))
+            return super().vectors(sentence, indices)
+
+    instances = [(s, sentence_subgraphs(s)) for s in corpus[:4]]
+    model.forward(instances, RecordingProvider(model.config.d_ctx, seed=0))
+    units = [sgs.all() if graph_mode == "multi" else [sgs.sdp] for _, sgs in instances]
+    want = [(s, sorted({v for sg in graphs for v in sg.vertices})) for (s, _), graphs in zip(instances, units)]
+    assert asked == want
+    assert all(len(indices) < len(s) for s, indices in asked)
+
+
 @pytest.mark.parametrize("contextual", [True, False])
 def test_constant_context_block_gets_no_gradient_product(contextual):
     # the input projection multiplies the constant contextual block by its own
@@ -1339,7 +1358,7 @@ def numpy_oracle_forward(model, sentence, sgs, provider):
     p = {k: v.value for k, v in model.parameters().items()}
     vocabs = model.vocabs
     dref = dref_entries(model.dref_table) if model.dref_table else {}
-    ctx_all = provider.vectors(sentence)
+    ctx_all = provider.vectors(sentence, range(len(sentence)))
 
     def encode(sg):
         rows = []

@@ -1,5 +1,6 @@
-"""Property tests: the tree rule, sub-graph invariants, the token map, the batched pair layout,
-the scorer, the CoNLL-U reader against its reference, and corrupt checkpoints."""
+"""Property tests: the tree rule, sub-graph invariants, the token map and codes, the batched pair
+layout, the scorer, the CoNLL-U reader against its reference, corrupt checkpoints and corrupt
+embedding files."""
 
 import struct
 
@@ -17,19 +18,23 @@ from relgat.corpus import (
     Sentence,
     Token,
     LABELS,
+    Vocab,
+    Vocabs,
     build_vocabs,
     parse_conllu_annotated,
     to_conllu,
     tree_error,
 )
 from relgat.features import (
-    DrefTable, attention_pairs, build_dref_table, code_tokens, dref_edge_features, edge_features,
+    DrefTable, FeatureError, FileEmbeddingProvider, attention_pairs, build_dref_table, code_tokens,
+    dref_edge_features, edge_features,
 )
 from relgat.graph import GraphError, derive_subgraphs, sentence_subgraphs, shortest_dependency_path
 from relgat.model import Model, ModelConfig, token_layout
 from relgat.train_eval import score_predictions
 from conftest import (
-    brute_force_path, build_toy_corpus, conllu_block, dref_entries, entity_token, reference_parse_conllu,
+    brute_force_path, build_toy_corpus, conllu_block, dref_entries, entity_token, reference_code_tokens,
+    reference_parse_conllu,
 )
 
 # Small alphabets, so that triples repeat within and across sentences and
@@ -158,6 +163,31 @@ def batch_layout(batch, order, multi):
 
 
 batches = st.lists(tree_sentences(), min_size=1, max_size=3)
+
+
+NERS = ("THING", "PLACE")
+
+
+def vocab_of(symbols):
+    """A vocabulary of some of ``symbols`` and of a symbol no token holds, in drawn order."""
+    return st.lists(st.sampled_from((*symbols, "<unk>")), unique=True).map(Vocab)
+
+
+@given(batches, st.data())
+def test_token_codes_equal_per_symbol_lookups(batch, data):
+    # symbols the drawn vocabularies lack and absent (None) symbols both code as UNK
+    vocabs = Vocabs(*(data.draw(vocab_of(symbols)) for symbols in (POS, (*DEPRELS, "root"), NERS)))
+    layout = []
+    for sentence, _ in batch:
+        for t in sentence.tokens:
+            t.pos = data.draw(st.sampled_from((t.pos, None)))
+            t.deprel = data.draw(st.sampled_from((t.deprel, None)))
+            t.ner = data.draw(st.sampled_from((*NERS, None)))
+        layout.append((sentence, data.draw(st.lists(st.integers(0, len(sentence) - 1), min_size=1))))
+    got, want = code_tokens(layout, vocabs), reference_code_tokens(layout, vocabs)
+    for name, column in zip(want._fields, want):
+        assert getattr(got, name).dtype == column.dtype, name
+        assert np.array_equal(getattr(got, name), column), name
 
 
 @given(batches, st.integers(0, 2), st.booleans())
@@ -448,3 +478,58 @@ def test_corrupt_checkpoint_is_refused_naming_the_file(saved_checkpoint, data):
     with pytest.raises(CheckpointError) as err:
         load_checkpoint(str(corrupt))
     assert str(corrupt) in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# Corrupt embedding files: every mutated record is refused with a
+# FeatureError that starts with the path and names the record's line
+
+NOT_INTEGERS = ("x", "", "1.5", "1e3", "0x1", "--1", "nan")
+NOT_NUMBERS = ("x", "", "1,5", "0x1", "--1", "1e", ".", "1.2.3")
+NOT_FINITE = ("nan", "NaN", "inf", "-inf", "Infinity", "1e999")
+
+
+@st.composite
+def vectors_texts(draw):
+    """A valid vectors file, as (dim, lines): ids 0.., each with a few tokens."""
+    dim = draw(st.integers(1, 4))
+    values = st.floats(-1e6, 1e6, allow_nan=False).map(repr)
+    lines = [
+        f"{instance}\t{token}\t{' '.join(draw(st.lists(values, min_size=dim, max_size=dim)))}"
+        for instance in range(draw(st.integers(1, 3)))
+        for token in range(draw(st.integers(1, 3)))
+    ]
+    return dim, lines
+
+
+@settings(max_examples=150)
+@given(vectors_texts(), st.data())
+def test_corrupt_embedding_file_is_refused_naming_the_line(drawn, data):
+    dim, lines = drawn
+    path = "vectors.tsv"
+    at = data.draw(st.integers(0, len(lines) - 1))
+    fields = lines[at].split("\t")
+    values = fields[2].split(" ")
+    kind = data.draw(st.sampled_from(
+        ["truncate", "drop field", "repeat field", "drop value", "repeat value", "index", "value", "non-finite"]
+    ))
+    if kind == "truncate":
+        # keep at least one character and lose at least the whole last value
+        bad = lines[at][: data.draw(st.integers(1, len(lines[at]) - len(values[-1]) - 1))]
+    elif kind in ("drop field", "repeat field"):
+        i = data.draw(st.integers(0, 2))
+        fields[i:i + 1] = [] if kind == "drop field" else [fields[i]] * 2
+        bad = "\t".join(fields)
+    else:
+        i = data.draw(st.integers(0, dim - 1))
+        if kind in ("drop value", "repeat value"):
+            values[i:i + 1] = [] if kind == "drop value" else [values[i]] * 2
+        elif kind == "index":
+            fields[1] = data.draw(st.sampled_from(NOT_INTEGERS))
+        else:
+            values[i] = data.draw(st.sampled_from(NOT_NUMBERS if kind == "value" else NOT_FINITE))
+        bad = "\t".join([*fields[:2], " ".join(values)])
+    text = "\n".join([*lines[:at], bad, *lines[at + 1:]]) + "\n"
+    with pytest.raises(FeatureError) as err:
+        FileEmbeddingProvider.from_text(text, dim, path)
+    assert str(err.value).startswith(f"{path}: embedding file line {at + 1}: ")

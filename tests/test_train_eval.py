@@ -246,8 +246,8 @@ class TestTraining:
         class NanProvider(EmbeddingProvider):
             dim = 6
 
-            def vectors(self, sentence):
-                return np.full((len(sentence), self.dim), np.nan)
+            def vectors(self, sentence, indices):
+                return np.full((len(indices), self.dim), np.nan)
 
         provider = NanProvider()
         cfg = ModelConfig(**TINY)
