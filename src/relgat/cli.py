@@ -74,26 +74,35 @@ def _parse_value(key: str, raw: str):
     return raw.strip()
 
 
-def _read_text(path: str, error: type[Exception]) -> str:
-    """The UTF-8 text of ``path`` with universal newlines, as ``open(path, encoding="utf-8")`` reads it.
+def _existing(path: str, what: str) -> str:
+    """``path``, if a file is there; else a UsageError naming it as the ``what``."""
+    if not os.path.exists(path):
+        raise UsageError(f"{what} not found: {path}")
+    return path
 
-    An undecodable byte raises ``error`` naming the path and the byte's line.
+
+def _decode(data: bytes, source: str, error: type[Exception]) -> str:
+    """``data`` as UTF-8 text with universal newlines, as ``open(path, encoding="utf-8")`` reads it.
+
+    An undecodable byte raises ``error`` naming ``source`` and the byte's line.
     """
-    with open(path, "rb") as f:
-        data = f.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise error(f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
+        raise error(f"{source}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def _read_text(path: str, what: str, error: type[Exception]) -> str:
+    """The ``_decode``d text of the ``what`` file at ``path``."""
+    with open(_existing(path, what), "rb") as f:
+        return _decode(f.read(), path, error)
+
+
 def _read_config_file(path: str) -> dict:
-    if not os.path.exists(path):
-        raise UsageError(f"config file not found: {path}")
-    values = {}
-    for lineno, line in enumerate(_read_text(path, UsageError).split("\n"), start=1):
+    values, line_of = {}, {}
+    for lineno, line in enumerate(_read_text(path, "config file", UsageError).split("\n"), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
@@ -103,6 +112,9 @@ def _read_config_file(path: str) -> dict:
         key = key.strip()
         if key not in _KEY_TYPES:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in line_of:
+            raise UsageError(f"{path}:{lineno}: repeated config key {key!r} (first at line {line_of[key]})")
+        line_of[key] = lineno
         values[key] = _parse_value(key, raw.strip())
     return values
 
@@ -146,33 +158,30 @@ def _naming(source: str):
         raise CorpusError(f"{source}: {exc}") from None
 
 
-def _parse_corpus(text: str, source: str):
-    """Annotated CoNLL-U sentences; a CorpusError names ``source`` before its position."""
-    with _naming(source):
-        return parse_conllu_annotated(text)
+def _read_corpus(path: str | None, what: str):
+    """The annotated CoNLL-U sentences of the ``what`` file; a CorpusError names it.
 
-
-def _load_corpus(path: str | None, what: str):
-    if not path:
-        raise UsageError(f"missing {what} corpus path")
-    if not os.path.exists(path):
-        raise UsageError(f"{what} corpus not found: {path}")
-    sentences = _parse_corpus(_read_text(path, CorpusError), path)
-    if not sentences:
+    A corpus must be named and hold a sentence. Only predict's ``input``
+    may be empty, and reads stdin, named ``<stdin>``, for ``-``.
+    """
+    predict = what == "input"
+    if not (path or predict):
+        raise UsageError(f"missing {what} path")
+    if predict and path == "-":
+        path, text = "<stdin>", _decode(sys.stdin.buffer.read(), "<stdin>", CorpusError)
+    else:
+        text = _read_text(path, what, CorpusError)
+    with _naming(path):
+        sentences = parse_conllu_annotated(text)
+    if not (sentences or predict):
         raise CorpusError(f"{path}: empty corpus")
     return sentences
-
-
-def _vectors_text(path: str) -> str:
-    if not os.path.exists(path):
-        raise UsageError(f"embeddings file not found: {path}")
-    return _read_text(path, FeatureError)
 
 
 def _provider(embeddings: str | None, dim: int, seed: int):
     """Vectors from the ``embeddings`` file if one is given, else hashed ones."""
     if embeddings:
-        return FileEmbeddingProvider.from_text(_vectors_text(embeddings), dim, embeddings)
+        return FileEmbeddingProvider(_read_text(embeddings, "embeddings file", FeatureError), dim, embeddings)
     return HashedEmbeddingProvider(dim, seed)
 
 
@@ -188,10 +197,10 @@ def _provider_for_checkpoint(model, embeddings_path: str | None):
         return HashedEmbeddingProvider(dim, record["seed"])
     if not embeddings_path:
         raise UsageError("checkpoint was trained on file embeddings; pass --embeddings")
-    text = _vectors_text(embeddings_path)
+    text = _read_text(embeddings_path, "embeddings file", FeatureError)
     if file_record(text) != record:
         raise UsageError(f"{embeddings_path}: not the embeddings file the checkpoint was trained on")
-    return FileEmbeddingProvider.from_text(text, dim, embeddings_path)
+    return FileEmbeddingProvider(text, dim, embeddings_path)
 
 
 def _json_text(payload) -> str:
@@ -216,7 +225,7 @@ def _ensure_out_dir(run: RunConfig) -> str:
 
 def cmd_prepare(args: argparse.Namespace) -> int:
     run = RunConfig.merge(args)
-    sentences = _load_corpus(run.train, "train")
+    sentences = _read_corpus(run.train, "train corpus")
     out = _ensure_out_dir(run)
     vocabs = build_vocabs(sentences)
     table = build_dref_table(sentences, run.model.d_e)
@@ -255,8 +264,8 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     run = RunConfig.merge(args)
-    sentences = _load_corpus(run.train, "train")
-    test = _load_corpus(run.test, "test") if run.test else None
+    sentences = _read_corpus(run.train, "train corpus")
+    test = _read_corpus(run.test, "test corpus") if run.test else None
     out = _ensure_out_dir(run)
     provider = _provider(run.embeddings, run.model.d_ctx, run.embedding_seed)
     with _naming(run.train):
@@ -278,10 +287,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    if not os.path.exists(args.checkpoint):
-        raise UsageError(f"checkpoint not found: {args.checkpoint}")
-    model = load_checkpoint(args.checkpoint)
-    sentences = _load_corpus(args.test, "test")
+    model = load_checkpoint(_existing(args.checkpoint, "checkpoint"))
+    sentences = _read_corpus(args.test, "test corpus")
     provider = _provider_for_checkpoint(model, args.embeddings)
     with _naming(args.test):
         golds = gold_labels(sentences)
@@ -297,16 +304,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    if not os.path.exists(args.checkpoint):
-        raise UsageError(f"checkpoint not found: {args.checkpoint}")
-    model = load_checkpoint(args.checkpoint)
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        if not os.path.exists(args.input):
-            raise UsageError(f"input not found: {args.input}")
-        text = _read_text(args.input, CorpusError)
-    sentences = _parse_corpus(text, "<stdin>" if args.input == "-" else args.input)
+    model = load_checkpoint(_existing(args.checkpoint, "checkpoint"))
+    sentences = _read_corpus(args.input, "input")
     provider = _provider_for_checkpoint(model, args.embeddings)
     for label in predict(model, sentences, provider):
         print(str(label))
@@ -314,7 +313,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    sentences = _load_corpus(args.data, "data")
+    sentences = _read_corpus(args.data, "data corpus")
     payload = {
         "sentences": len(sentences),
         "expansion_order": args.expansion_order,

@@ -128,21 +128,21 @@ class FileEmbeddingProvider(EmbeddingProvider):
     raises FeatureError naming its line, a second record for the same
     (instance, token) one naming both lines, and a token without a vector
     one naming the instance and token, the first in sentence order
-    whichever tokens were asked for; all start with the file's path
-    when the provider was built with ``from_text``. The ``record`` pins
-    the vectors: it is ``file_record(text)``.
+    whichever tokens were asked for; all start with ``path``, the file
+    the text was read from, when one is given. The ``record`` pins the
+    vectors: it is ``file_record(text)``.
     """
 
-    def __init__(self, text: str, dim: int = 768):
+    def __init__(self, text: str, dim: int = 768, path: str | None = None):
         self.dim = dim
-        self.path: str | None = None
+        self._named = f"{path}: " if path else ""
         self.record = file_record(text)
         self._table: dict[tuple[str, int], np.ndarray] = {}
         line_of: dict[tuple[str, int], int] = {}
         for lineno, line in enumerate(text.split("\n"), start=1):
             if not line.strip():
                 continue
-            where = f"embedding file line {lineno}"
+            where = f"{self._named}embedding file line {lineno}"
             parts = line.split("\t")
             if len(parts) != 3:
                 raise FeatureError(f"{where}: expected 3 tab-separated fields")
@@ -167,23 +167,12 @@ class FileEmbeddingProvider(EmbeddingProvider):
             line_of[key] = lineno
             self._table[key] = vec
 
-    @classmethod
-    def from_text(cls, text: str, dim: int, path: str) -> "FileEmbeddingProvider":
-        """The vectors in ``text``, read from ``path``: every FeatureError starts with the path."""
-        try:
-            provider = cls(text, dim)
-        except FeatureError as exc:
-            raise FeatureError(f"{path}: {exc}") from None
-        provider.path = path
-        return provider
-
     def vectors(self, sentence: Sentence, indices: Sequence[int]) -> np.ndarray:
         key, tokens = str(sentence.instance_id), sentence.tokens
         for t in tokens:
             if (key, t.index) not in self._table:
-                where = f"{self.path}: " if self.path else ""
                 raise FeatureError(
-                    f"{where}no precomputed vector for instance {sentence.instance_id} token {t.index}"
+                    f"{self._named}no precomputed vector for instance {sentence.instance_id} token {t.index}"
                 )
         return np.array([self._table[key, tokens[i].index] for i in indices])
 
@@ -217,14 +206,6 @@ class FeatureEmbeddings:
     @property
     def input_dim(self) -> int:
         return self.d_ctx + 3 * self.d_f + self.d_wt
-
-    def parameters(self) -> dict[str, nm.Node]:
-        return {
-            "embed.pos": self.pos,
-            "embed.deprel": self.deprel,
-            "embed.ner": self.ner,
-            "embed.word_type": self.word_type,
-        }
 
 
 class TokenCodes(NamedTuple):

@@ -102,6 +102,8 @@ from .graph import SubGraph, SubGraphSet
 __all__ = [
     "ModelConfig",
     "ConfigError",
+    "check_integers",
+    "group_parameters",
     "LstmParams",
     "GatLayer",
     "Model",
@@ -130,6 +132,18 @@ class ConfigError(ValueError):
     pass
 
 
+def check_integers(config, names) -> None:
+    """Every field of ``config`` in ``names`` must be an integer, not a bool; ConfigError names it.
+
+    A numpy integer is stored as an int, which serialises to JSON.
+    """
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        setattr(config, name, int(value))
+
+
 @dataclass
 class ModelConfig:
     d_ctx: int = 768
@@ -148,11 +162,7 @@ class ModelConfig:
     dref_scale_by_ratio: bool = False
 
     def __post_init__(self):
-        for name in INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))  # a numpy integer would not serialise to JSON
+        check_integers(self, INT_FIELDS)
         for name in BOOL_FIELDS:
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
@@ -183,6 +193,11 @@ class ModelConfig:
 
 # ---------------------------------------------------------------------------
 # Layer parameter groups
+
+
+def group_parameters(group, prefix: str) -> dict[str, nm.Node]:
+    """A group's parameters: its ``nm.Node`` attributes, named ``prefix.attribute``, in assignment order."""
+    return {f"{prefix}.{name}": p for name, p in vars(group).items() if isinstance(p, nm.Node)}
 
 
 def input_weights(
@@ -226,14 +241,6 @@ class LstmParams:
         self.w_hidden = nm.parameter(w_hidden)
         self.bias = nm.parameter(np.zeros((1, 2 * gates), dtype))
 
-    def parameters(self, prefix: str) -> dict[str, nm.Node]:
-        return {
-            f"{prefix}.w_ctx": self.w_ctx,
-            f"{prefix}.w_feat": self.w_feat,
-            f"{prefix}.w_hidden": self.w_hidden,
-            f"{prefix}.bias": self.bias,
-        }
-
 
 class GatLayer:
     """Multi-head attention parameters, heads stacked: head k owns rows or columns k*m to (k+1)*m.
@@ -258,9 +265,6 @@ class GatLayer:
         self.a_neighbor = nm.parameter(a[m : 2 * m].T.reshape(-1, 1))
         self.a_edge = nm.parameter(a[2 * m :].copy()) if edge_dim else None
         self.head_mask = np.repeat(np.eye(heads, dtype=dtype), m, axis=0)
-
-    def parameters(self, prefix: str) -> dict[str, nm.Node]:
-        return {f"{prefix}.{name}": p for name, p in vars(self).items() if isinstance(p, nm.Node)}
 
 
 # ---------------------------------------------------------------------------
@@ -442,60 +446,56 @@ class Model:
         self.embedding: dict | None = HashedEmbeddingProvider(config.d_ctx).record
 
         rng = nm.UNDRAWN if seed is None else np.random.default_rng(seed)
-        self.embeddings = FeatureEmbeddings(
-            vocabs, config.d_ctx, config.d_f, config.d_wt, rng, dtype
-        )
-        self._params: dict[str, nm.Node] = dict(self.embeddings.parameters())
+        self.embeddings = FeatureEmbeddings(vocabs, config.d_ctx, config.d_f, config.d_wt, rng, dtype)
+        self._params = group_parameters(self.embeddings, "embed")
 
         self.dref_rows: np.ndarray | None = None
         self.dref_embed: nm.Node | None = None
         if self.dref_table is not None:
             self.dref_rows = self.dref_table.rows_by_index(vocabs)
-            self.dref_embed = nm.parameter(
-                nm.initial_values(rng, (self.dref_table.num_rows, config.d_e), config.d_e, dtype)
-            )
-            self._params["edge.dref"] = self.dref_embed
+            drawn = nm.initial_values(rng, (self.dref_table.num_rows, config.d_e), config.d_e, dtype)
+            self.dref_embed = self._own("edge.dref", nm.parameter(drawn))
 
         feat_dim = self.embeddings.input_dim - config.d_ctx
         ctx_out = 2 * config.d_lstm
         if config.contextual:
             self.lstm = LstmParams(config.d_ctx, feat_dim, config.d_lstm, rng, dtype)
-            self._params.update(self.lstm.parameters("lstm"))
+            self._params.update(group_parameters(self.lstm, "lstm"))
             self.proj_w_ctx = self.proj_w_feat = self.proj_b = None
         else:
             self.lstm = None
-            self.proj_w_ctx, self.proj_w_feat = input_weights(rng, config.d_ctx, feat_dim, ctx_out, dtype)
-            self.proj_b = nm.parameter(np.zeros((1, ctx_out), dtype))
-            self._params["proj.w_ctx"] = self.proj_w_ctx
-            self._params["proj.w_feat"] = self.proj_w_feat
-            self._params["proj.b"] = self.proj_b
+            w_ctx, w_feat = input_weights(rng, config.d_ctx, feat_dim, ctx_out, dtype)
+            self.proj_w_ctx = self._own("proj.w_ctx", w_ctx)
+            self.proj_w_feat = self._own("proj.w_feat", w_feat)
+            self.proj_b = self._own("proj.b", nm.parameter(np.zeros((1, ctx_out), dtype)))
 
         edge_dim = config.d_e if config.edge_mode != "none" else 0
+        self.gat_layers = self.gcn_layers = None
         if config.graph_layer == "gat":
             self.gat_layers = []
             for l in range(config.graph_depth):
                 in_dim = ctx_out if l == 0 else config.d_g
-                layer = GatLayer(in_dim, config.heads, config.head_dim, edge_dim, rng, dtype)
-                self._params.update(layer.parameters(f"gat.l{l}"))
-                self.gat_layers.append(layer)
-            self.gcn_layers = None
+                self.gat_layers.append(GatLayer(in_dim, config.heads, config.head_dim, edge_dim, rng, dtype))
+                self._params.update(group_parameters(self.gat_layers[-1], f"gat.l{l}"))
         else:
-            self.gat_layers = None
             self.gcn_layers = []
             for l in range(config.graph_depth):
                 in_dim = (ctx_out if l == 0 else config.d_g) + edge_dim
                 w = nm.parameter(nm.initial_values(rng, (in_dim, config.d_g), in_dim, dtype))
-                self._params[f"gcn.l{l}.w"] = w
-                self.gcn_layers.append(w)
+                self.gcn_layers.append(self._own(f"gcn.l{l}.w", w))
 
-        self.pool_w = nm.parameter(nm.initial_values(rng, (config.d_g, 1), config.d_g, dtype))
-        self.cls_w = nm.parameter(nm.initial_values(rng, (config.d_g, NUM_LABELS), config.d_g, dtype))
-        self.cls_b = nm.parameter(np.zeros(NUM_LABELS, dtype))
-        self._params["pool.w"] = self.pool_w
-        self._params["cls.w"] = self.cls_w
-        self._params["cls.b"] = self.cls_b
+        d_g = config.d_g
+        self.pool_w = self._own("pool.w", nm.parameter(nm.initial_values(rng, (d_g, 1), d_g, dtype)))
+        self.cls_w = self._own("cls.w", nm.parameter(nm.initial_values(rng, (d_g, NUM_LABELS), d_g, dtype)))
+        self.cls_b = self._own("cls.b", nm.parameter(np.zeros(NUM_LABELS, dtype)))
+
+    def _own(self, name: str, node: nm.Node) -> nm.Node:
+        """``node``, registered as the model's own parameter ``name``."""
+        self._params[name] = node
+        return node
 
     def parameters(self) -> dict[str, nm.Node]:
+        """Every parameter by the name a checkpoint stores it under, in the order they were drawn."""
         return dict(self._params)
 
     # -- forward --------------------------------------------------------------

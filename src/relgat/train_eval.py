@@ -19,7 +19,7 @@ from . import numerics as nm
 from .corpus import LABEL_INDEX, LABELS, RELATION_BASES, CorpusError, RelationLabel, Sentence, build_vocabs
 from .features import EmbeddingProvider, HashedEmbeddingProvider, build_dref_table
 from .graph import SubGraphSet, sentence_subgraphs
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, check_integers
 
 __all__ = [
     "TrainerConfig",
@@ -52,7 +52,7 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class TrainerConfig:
-    """Training-loop settings; a setting out of range raises ValueError naming it.
+    """Training-loop settings; a setting out of range or of the wrong kind raises ValueError naming it.
 
     ``epochs=0`` trains nothing and ``learning_rate=0`` steps nowhere, both
     legal; ``gradient_clip_norm=0`` turns clipping off.
@@ -69,6 +69,7 @@ class TrainerConfig:
     stop_at_train_accuracy: float | None = None
 
     def __post_init__(self):
+        check_integers(self, ("batch_size", "epochs", "decay_patience", "seed"))
         # written as "not (in range)" so that NaN is rejected too
         if not self.epochs >= 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")

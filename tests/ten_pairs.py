@@ -11,7 +11,12 @@ stops the comparison (exit 1). For every end-to-end metric of
 ``BENCHMARK.json`` it then prints each side's median and quartiles, the
 pairs the change won, and whether a claimed gain would hold: the change
 wins at least nine pairs in ten and its median beats the parent's by more
-than the parent's interquartile range.
+than the parent's interquartile range. Last comes the regression verdict,
+with the metric's ``bound`` from ``BENCHMARK.json``: "regression" when the
+change's median is worse than the parent's by more than bound × the
+parent's median, else "within bound"; "unresolved" instead of either when
+the parent's interquartile range is wider than bound × its median, unless
+every change run beats every parent run.
 """
 
 from __future__ import annotations
@@ -55,6 +60,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv[1:])
+    if args.pairs < 2:
+        parser.error(f"--pairs must be at least 2, got {args.pairs}")
     with open(os.path.join(REPO_ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         end_to_end = json.load(f)["end_to_end"]
 
@@ -79,9 +86,16 @@ def main(argv: list[str]) -> int:
         (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         holds = wins >= needed and sign * (cm - pm) > p3 - p1
+        allowed = metric["bound"] * abs(pm)
+        beats_all = all(sign * (c - p) > 0 for p in parent for c in change)
+        if p3 - p1 > allowed and not beats_all:
+            verdict = "unresolved"
+        else:
+            verdict = "regression" if sign * (pm - cm) > allowed else "within bound"
         print(
             f"  {name:<15} parent {pm:.4g} [{p1:.4g}, {p3:.4g}]  change {cm:.4g} [{c1:.4g}, {c3:.4g}]  "
-            f"{(cm - pm) / pm:+.1%}  wins {wins}/{args.pairs}  claim {'holds' if holds else 'does not hold'}"
+            f"{(cm - pm) / pm:+.1%}  wins {wins}/{args.pairs}  claim {'holds' if holds else 'does not hold'}  "
+            f"{verdict}"
         )
     return 0
 

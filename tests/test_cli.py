@@ -1,5 +1,6 @@
 """CLI subcommands: exit codes, file outputs, determinism."""
 
+import io
 import json
 import os
 import typing
@@ -146,6 +147,15 @@ class TestTrain:
         assert code == 0
         metrics = json.loads(open(os.path.join(out, "metrics.json"), encoding="utf-8").read())
         assert metrics["config"]["trainer"]["epochs"] == 2  # flag beats file
+
+    def test_repeated_config_key_exits_2(self, tmp_path, corpus_file, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("epochs = 5\nseed = 3\n\nepochs = 1  # again\n", encoding="utf-8")
+        out = tmp_path / "x"
+        code = main(["train", "--config", str(config), "--train", corpus_file, "--out-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {config}:4: repeated config key 'epochs' (first at line 1)\n"
+        assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, corpus_file, capsys):
         config = tmp_path / "bad.cfg"
@@ -421,6 +431,45 @@ class TestEmbeddingsKind:
         assert json.loads(report.read_text(encoding="utf-8")) == in_process
 
 
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A toy corpus file and a checkpoint trained on it."""
+    tmp_path = tmp_path_factory.mktemp("trained")
+    corpus = tmp_path / "train.conllu"
+    corpus.write_text("".join(to_conllu(s) for s in build_toy_corpus()), encoding="utf-8")
+    return str(corpus), os.path.join(run_train(tmp_path, str(corpus)), "model.ckpt")
+
+
+# Each input flag with the name its "not found" message gives the file; MISSING marks the flag's path.
+MISSING_INPUTS = [
+    (["prepare", "--out-dir", "out", "--train", "MISSING"], "train corpus"),
+    (["train", "--out-dir", "out", "--train", "MISSING"], "train corpus"),
+    (["train", "--out-dir", "out", "--train", "CORPUS", "--config", "MISSING"], "config file"),
+    (["train", "--out-dir", "out", "--train", "CORPUS", "--embeddings", "MISSING"], "embeddings file"),
+    (["train", "--out-dir", "out", "--train", "CORPUS", "--test", "MISSING"], "test corpus"),
+    (["eval", "--checkpoint", "MISSING", "--test", "CORPUS"], "checkpoint"),
+    (["eval", "--checkpoint", "CHECKPOINT", "--test", "MISSING"], "test corpus"),
+    (["predict", "--checkpoint", "CHECKPOINT", "--input", "MISSING"], "input"),
+    (["stats", "--data", "MISSING"], "data corpus"),
+]
+
+
+@pytest.mark.parametrize("argv,what,path", [
+    (argv, what, path)
+    for argv, what in MISSING_INPUTS
+    # "-" is stdin to predict's --input only
+    for path in (("missing.txt", "-") if what != "input" else ("missing.txt",))
+])
+def test_missing_input_exits_2_naming_it(trained, tmp_path, monkeypatch, capsys, argv, what, path):
+    corpus, checkpoint = trained
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"")))
+    names = {"MISSING": path, "CORPUS": corpus, "CHECKPOINT": checkpoint}
+    assert main([names.get(arg, arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {what} not found: {path}\n"
+
+
 class TestShippedFixtures:
     def test_toy_corpus_file_matches_generator(self):
         shipped = (REPO_ROOT / "data" / "toy_train.conllu").read_text(encoding="utf-8")
@@ -441,10 +490,8 @@ class TestShippedFixtures:
         assert code == 0
         capsys.readouterr()
         # predict from stdin
-        import io
-
-        text = (REPO_ROOT / "data" / "toy_predict.conllu").read_text(encoding="utf-8")
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        data = (REPO_ROOT / "data" / "toy_predict.conllu").read_bytes()
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
         code = main(["predict", "--checkpoint", os.path.join(out, "model.ckpt")])
         assert code == 0
         lines = [l for l in capsys.readouterr().out.split("\n") if l]
@@ -506,6 +553,16 @@ class TestUndecodableByte:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
+    def test_stdin_exits_1_naming_it(self, trained, capsys, monkeypatch):
+        block = (
+            "# e1 = 0 0\n# e2 = 1 1\n"
+            "1\t\xff\t_\tNOUN\t_\t_\t0\troot\t_\t_\n2\tb\t_\tNOUN\t_\t_\t1\tdep\t_\t_\n"
+        )
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(block.encode("latin-1"))))
+        assert main(["predict", "--checkpoint", trained[1], "--input", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: <stdin>: line 3: byte 0xff is not UTF-8\n"
+
     def test_embeddings_file_exits_1(self, tmp_path, corpus_file, capsys):
         vectors = TestEmbeddingsKind.vectors_file(tmp_path, build_toy_corpus())
         message = self.spoil(vectors, 2)
@@ -526,4 +583,4 @@ class TestUndecodableByte:
         path = tmp_path / "mixed.txt"
         path.write_bytes("\ufeffa\r\nb\rc\n\u00e9\r\r\nd".encode("utf-8"))
         with open(path, encoding="utf-8") as f:
-            assert _read_text(str(path), ValueError) == f.read()
+            assert _read_text(str(path), "text file", ValueError) == f.read()

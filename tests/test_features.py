@@ -480,7 +480,7 @@ class TestFileProvider:
     def test_missing_vector_error_starts_with_path(self, pollen_sentence, tmp_path):
         path = tmp_path / "v.tsv"
         path.write_text(self.make_text(pollen_sentence, 6).split("\n")[0] + "\n", encoding="utf-8")
-        provider = FileEmbeddingProvider.from_text(path.read_text(encoding="utf-8"), 6, str(path))
+        provider = FileEmbeddingProvider(path.read_text(encoding="utf-8"), 6, str(path))
         with pytest.raises(FeatureError) as err:
             provider.vectors(pollen_sentence, [0])
         assert str(err.value).startswith(f"{path}: no precomputed vector for instance")
@@ -495,7 +495,7 @@ class TestFileProvider:
         path = tmp_path / "vectors.tsv"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(FeatureError) as err:
-            FileEmbeddingProvider.from_text(text, 2, str(path))
+            FileEmbeddingProvider(text, 2, str(path))
         assert str(err.value) == f"{path}: {message}"
         FileEmbeddingProvider("7\t0\t1 2\n8\t0\t3 4\n", dim=2)  # another instance's token 0
 
@@ -522,5 +522,5 @@ class TestFileProvider:
         path = tmp_path / "vectors.tsv"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(FeatureError) as err:
-            FileEmbeddingProvider.from_text(text, 3, str(path))
+            FileEmbeddingProvider(text, 3, str(path))
         assert str(err.value).startswith(f"{path}: ") and "line 3" in str(err.value)

@@ -31,6 +31,7 @@ from relgat.model import (
     gat_attention,
     gat_vertex_update,
     gcn_vertex_update,
+    group_parameters,
     pool_graph,
 )
 from conftest import build_structure_corpus, build_toy_corpus, dref_entries, entity_token, graph_nodes, total
@@ -214,7 +215,7 @@ def test_bilstm_reversal_swaps_directions():
     # over reversed x, read in reverse
     rng = np.random.default_rng(1)
     lstm = LstmParams(2, 3, 4, rng)
-    for p in lstm.parameters("l").values():
+    for p in group_parameters(lstm, "l").values():
         p.value[:, 16:] = p.value[:, :16]
     x = rng.standard_normal((6, 5))
     out = bilstm(x, [0], lstm).value
@@ -229,7 +230,7 @@ def test_bilstm_gradient_matches_finite_differences():
     lstm = LstmParams(1, 2, 2, rng)
     x = token_blocks(rng.standard_normal((3, 3)), 1, nm.parameter)
     probe = nm.constant(rng.standard_normal((5, 4)))
-    params = [*x, *lstm.parameters("l").values()]
+    params = [*x, *group_parameters(lstm, "l").values()]
     err = nm.gradient_check(
         lambda: total(nm.mul(bilstm_encode(x, nm.Segments([0, 3], 5), lstm, [0, 1, 2, 1, 0]), probe)),
         params,
@@ -304,7 +305,7 @@ def test_lstm_params_are_direction_draws_side_by_side(dtype):
         got = getattr(lstm, name).value
         assert got.dtype == dtype and np.array_equal(got, want), name
     assert lstm.bias.value.dtype == dtype and not lstm.bias.value.any()
-    assert list(lstm.parameters("lstm")) == ["lstm.w_ctx", "lstm.w_feat", "lstm.w_hidden", "lstm.bias"]
+    assert list(group_parameters(lstm, "lstm")) == ["lstm.w_ctx", "lstm.w_feat", "lstm.w_hidden", "lstm.bias"]
 
 
 @pytest.mark.parametrize("graph_mode", ["multi", "single"])
@@ -509,7 +510,7 @@ def test_gat_layer_parameters_are_per_head_draws_stacked(edge_dim):
             assert got_w.dtype == dtype and np.array_equal(got_w, w)
             assert got_a.dtype == dtype and np.array_equal(got_a, a)
         names = ["g.w", "g.a_center", "g.a_neighbor"] + (["g.a_edge"] if edge_dim else [])
-        assert list(layer.parameters("g")) == names
+        assert list(group_parameters(layer, "g")) == names
 
 
 def test_edge_mode_none_equals_zeroed_edge_slot_bitwise():

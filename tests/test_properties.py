@@ -531,5 +531,5 @@ def test_corrupt_embedding_file_is_refused_naming_the_line(drawn, data):
         bad = "\t".join([*fields[:2], " ".join(values)])
     text = "\n".join([*lines[:at], bad, *lines[at + 1:]]) + "\n"
     with pytest.raises(FeatureError) as err:
-        FileEmbeddingProvider.from_text(text, dim, path)
+        FileEmbeddingProvider(text, dim, path)
     assert str(err.value).startswith(f"{path}: embedding file line {at + 1}: ")

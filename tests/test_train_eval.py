@@ -309,6 +309,20 @@ class TestTraining:
         # the edges of each range stay legal: no epochs, no step, no clipping, no decay
         TrainerConfig(epochs=0, learning_rate=0.0, gradient_clip_norm=0.0, lr_decay=1.0, decay_patience=1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", 1.5), ("batch_size", 2.5), ("seed", 1.5), ("epochs", True),
+        ("decay_patience", 1.5), ("seed", "1"), ("batch_size", None),
+    ])
+    def test_trainer_integer_fields_refuse_other_values(self, field, value):
+        # the rule ModelConfig applies to its integer fields
+        with pytest.raises(ValueError) as err:
+            TrainerConfig(**{field: value})
+        assert str(err.value) == f"{field} must be an integer, got {value!r}"
+
+    def test_trainer_integer_fields_store_numpy_integers_as_ints(self):
+        config = TrainerConfig(batch_size=np.int64(5), epochs=np.int32(2), decay_patience=np.uint8(3), seed=np.int64(4))
+        assert [type(v) for v in (config.batch_size, config.epochs, config.decay_patience, config.seed)] == [int] * 4
+
     def test_evaluate_requires_labels(self, toy_corpus):
         cfg = ModelConfig(**TINY)
         model, _ = train(toy_corpus, cfg, TrainerConfig(epochs=1, seed=1))
