@@ -266,8 +266,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     run = RunConfig.merge(args)
     sentences = _read_corpus(run.train, "train corpus")
     test = _read_corpus(run.test, "test corpus") if run.test else None
-    out = _ensure_out_dir(run)
     provider = _provider(run.embeddings, run.model.d_ctx, run.embedding_seed)
+    out = _ensure_out_dir(run)
     with _naming(run.train):
         model, log = train(sentences, run.model, run.trainer, provider)
     if test is None:

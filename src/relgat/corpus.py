@@ -231,7 +231,10 @@ def parse_semeval_raw(text: str) -> list[Sentence]:
         m = _RAW_LINE_RE.match(lines[pos])
         if not m:
             raise CorpusError(f"line {pos + 1}: expected a numbered quoted sentence")
-        instance_id = int(m.group(1))
+        try:
+            instance_id = int(m.group(1))
+        except ValueError:  # more digits than int() converts
+            raise CorpusError(f"line {pos + 1}: instance id of {len(m.group(1))} digits") from None
         sentence = _parse_marked_sentence(m.group(2), instance_id)
         pos += 1
         if pos >= len(lines) or lines[pos].strip() == "":

@@ -18,7 +18,8 @@ import numpy as np
 from . import numerics as nm
 from .corpus import LABEL_INDEX, LABELS, RELATION_BASES, CorpusError, RelationLabel, Sentence, build_vocabs
 from .features import EmbeddingProvider, HashedEmbeddingProvider, build_dref_table
-from .graph import SubGraphSet, sentence_subgraphs
+# sentence_subgraphs is not called here: bench/tracing.py looks it up under this module's name
+from .graph import SubGraphSet, sentence_subgraphs, subgraph_sets
 from .model import Model, ModelConfig, check_integers
 
 __all__ = [
@@ -258,7 +259,7 @@ def train(
     for p in params:
         p.grad_buffer = np.empty_like(p.value)
 
-    graphs = [sentence_subgraphs(s, model_config.expansion_order) for s in sentences]
+    graphs = subgraph_sets(sentences, model_config.expansion_order)
     dev_sentences = [sentences[i] for i in dev_idx]
     dev_graphs = [graphs[i] for i in dev_idx]
 
@@ -366,7 +367,7 @@ def predict(
     ``graphs`` are the sentences' sub-graph sets; without them they are derived here.
     """
     if graphs is None:
-        graphs = [sentence_subgraphs(s, model.config.expansion_order) for s in sentences]
+        graphs = subgraph_sets(sentences, model.config.expansion_order)
     instances = list(zip(sentences, graphs))
     labels = []
     with nm.no_grad():

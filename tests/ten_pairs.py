@@ -7,7 +7,8 @@ Each pair runs ``python3 bench/run.py --workload W --seed S --seconds T
 --trace 0`` once in PARENT_DIR and once in CHANGE_DIR, the parent first
 in odd pairs and the change first in even ones, and reads the last line
 of each run's stdout as its JSON result. A run that is not ``correct: true``
-stops the comparison (exit 1). For every end-to-end metric of
+stops the comparison (exit 1) and prints its exit code and the last lines of
+its stderr. For every end-to-end metric of
 ``BENCHMARK.json`` it then prints each side's median and quartiles, the
 pairs the change won, and whether a claimed gain would hold: the change
 wins at least nine pairs in ten and its median beats the parent's by more
@@ -30,6 +31,7 @@ import subprocess
 import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+STDERR_LINES = 10  # of a failed run, shown
 
 
 def run(checkout: str, args: argparse.Namespace) -> dict:
@@ -38,11 +40,18 @@ def run(checkout: str, args: argparse.Namespace) -> dict:
         sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(args.seed),
         "--seconds", f"{args.seconds:g}", "--trace", "0",
     ]
-    out = subprocess.run(command, cwd=checkout, capture_output=True, text=True).stdout
-    lines = out.strip().splitlines()
-    result = json.loads(lines[-1]) if lines else {}
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if lines else {}
+    except ValueError:
+        result = {}
     if result.get("correct") is not True:
-        sys.exit(f"{checkout}: run ended without correct: true: {lines[-1] if lines else '(no output)'}")
+        stderr = "\n".join(done.stderr.strip().splitlines()[-STDERR_LINES:]) or "(none)"
+        sys.exit(
+            f"{checkout}: run ended without correct: true (exit code {done.returncode}): "
+            f"{lines[-1] if lines else '(no output)'}\nlast lines of stderr:\n{stderr}"
+        )
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 

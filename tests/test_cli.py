@@ -109,6 +109,16 @@ class TestTrain:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text,code", [(None, 2), ("0\t0\t0.5\n", 1)], ids=["missing", "one-value-of-6"])
+    def test_bad_embeddings_file_leaves_no_out_dir(self, corpus_file, tmp_path, capsys, text, code):
+        vectors, out = tmp_path / "v.tsv", tmp_path / "x"
+        if text is not None:
+            vectors.write_text(text, encoding="utf-8")
+        assert main(["train", "--train", corpus_file, "--out-dir", str(out), "--embeddings", str(vectors),
+                     *TINY_FLAGS]) == code
+        assert str(vectors) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_vector_error_names_embeddings_file(self, tmp_path, corpus_file, capsys):
         vectors = tmp_path / "v.tsv"
         vectors.write_text("0\t0\t" + " ".join(["0.5"] * 6) + "\n", encoding="utf-8")
@@ -262,18 +272,18 @@ class TestEval:
     def test_span_buckets_forward_and_cut_each_sentence_once(self, tmp_path, corpus_file, monkeypatch):
         out = run_train(tmp_path, corpus_file)
         counts = {"instances": 0, "subgraphs": 0}
-        forward, subgraphs = Model.forward, train_eval.sentence_subgraphs
+        forward, subgraph_sets = Model.forward, train_eval.subgraph_sets
 
         def counting_forward(self, instances, provider):
             counts["instances"] += len(instances)
             return forward(self, instances, provider)
 
-        def counting_subgraphs(*args):
-            counts["subgraphs"] += 1
-            return subgraphs(*args)
+        def counting_subgraph_sets(sentences, expansion_order):
+            counts["subgraphs"] += len(sentences)
+            return subgraph_sets(sentences, expansion_order)
 
         monkeypatch.setattr(Model, "forward", counting_forward)
-        monkeypatch.setattr(train_eval, "sentence_subgraphs", counting_subgraphs)
+        monkeypatch.setattr(train_eval, "subgraph_sets", counting_subgraph_sets)
         assert main(["eval", "--checkpoint", os.path.join(out, "model.ckpt"),
                      "--test", corpus_file, "--span-buckets"]) == 0
         assert counts == {"instances": 20, "subgraphs": 20}
@@ -570,6 +580,7 @@ class TestUndecodableByte:
                      "--embeddings", vectors, *TINY_FLAGS])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
 
     def test_config_file_exits_2(self, tmp_path, corpus_file, capsys):
         config = tmp_path / "run.cfg"

@@ -1,8 +1,10 @@
-"""Property tests: the tree rule, sub-graph invariants, the token map and codes, the batched pair
-layout, the scorer, the CoNLL-U reader against its reference, corrupt checkpoints and corrupt
-embedding files."""
+"""Property tests: the tree rule, sub-graph invariants, the batch sub-graph pass against the
+per-sentence one, the token map and codes, the batched pair layout, the scorer, the CoNLL-U reader
+against its reference, mutated raw SemEval files, corrupt checkpoints and corrupt embedding files."""
 
+import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from relgat.corpus import (
     Vocabs,
     build_vocabs,
     parse_conllu_annotated,
+    parse_semeval_raw,
     to_conllu,
     tree_error,
 )
@@ -29,7 +32,10 @@ from relgat.features import (
     DrefTable, FeatureError, FileEmbeddingProvider, attention_pairs, build_dref_table, code_tokens,
     dref_edge_features, edge_features,
 )
-from relgat.graph import GraphError, derive_subgraphs, sentence_subgraphs, shortest_dependency_path
+from relgat import graph
+from relgat.graph import (
+    GraphError, derive_subgraphs, sentence_subgraphs, shortest_dependency_path, subgraph_sets,
+)
 from relgat.model import Model, ModelConfig, token_layout
 from relgat.train_eval import score_predictions
 from conftest import (
@@ -131,6 +137,94 @@ def test_induced_edges_are_the_tree_edges_inside(drawn, order):
         edges = [(sg.vertices[a], sg.vertices[b]) for a, b in sg.edges.tolist()]
         assert set(edges) == tree_edges(heads, sg.vertices)
         assert len(edges) == len(set(edges))
+
+
+def seeded_trees(seed, size, min_tokens=2):
+    """``size`` hand-built parsed sentences over random rooted trees of min_tokens..40 tokens.
+
+    A token hangs off the token drawn just before it with a per-sentence chance of 0, 1/2 or 1,
+    else off any earlier one, so some trees are as deep as they are long. The entity heads are
+    any two distinct tokens; each sentence's instance id is its position.
+    """
+    rng = np.random.default_rng(seed)
+    sentences = []
+    for k in range(size):
+        n = int(rng.integers(min_tokens, 41))
+        order = rng.permutation(n)  # order[0] is the root
+        chain = rng.choice([0, 0.5, 1])
+        heads = [None] * n
+        for i in range(1, n):
+            heads[order[i]] = int(order[i - 1 if rng.random() < chain else rng.integers(0, i)])
+        tokens = [Token(i, f"w{i}", "X", "_", "root" if h is None else "dep", h) for i, h in enumerate(heads)]
+        e1, e2 = (int(v) for v in rng.choice(n, size=2, replace=False))
+        sentences.append(Sentence(tokens, EntitySpan(e1, e1), EntitySpan(e2, e2), instance_id=k))
+    return sentences
+
+
+batch_sizes = st.sampled_from([0, 1]) | st.integers(2, 40)
+
+
+@given(st.integers(0, 2**32 - 1), batch_sizes, st.integers(0, 2))
+def test_batch_subgraphs_equal_the_per_sentence_list(seed, size, order):
+    batch = seeded_trees(seed, size)
+    with mock.patch.object(graph, "sentence_subgraphs", wraps=graph.sentence_subgraphs) as spy:
+        got = subgraph_sets(batch, order)
+    assert not spy.called  # the vectorised check accepts every rooted tree
+    assert len(got) == size
+    for sets, sentence in zip(got, batch):
+        for sg, ref in zip(sets.all(), sentence_subgraphs(sentence, order).all()):
+            assert (sg.kind, sg.vertices) == (ref.kind, ref.vertices)
+            assert all(type(v) is int for v in sg.vertices)
+            assert sg.edges.dtype == np.intp and sg.edges.shape == ref.edges.shape
+            assert np.array_equal(sg.edges, ref.edges)
+
+
+def spoil(sentence, kind, rng):
+    """Break one rule that the sub-graph derivation checks, in place."""
+    heads = [t.head for t in sentence.tokens]
+    n = len(heads)
+    root = heads.index(None)
+    v, w = (int(x) for x in rng.choice([i for i in range(n) if i != root], size=2, replace=False))
+    if kind == "no root":
+        sentence.tokens[root].head = v
+    elif kind == "two roots":
+        sentence.tokens[v].head = None
+    elif kind == "cycle":
+        sentence.tokens[v].head, sentence.tokens[w].head = w, v
+    elif kind == "self head":
+        sentence.tokens[v].head = v
+    elif kind == "head past the end":
+        sentence.tokens[v].head = n + int(rng.integers(0, 3))
+    elif kind == "negative head":
+        sentence.tokens[v].head = -int(rng.integers(1, 3))
+    elif kind == "entities coincide":
+        sentence.e2.head_token = sentence.e1.head_token
+    elif kind == "entity out of range":
+        sentence.e1.head_token = int(rng.choice([-1, n]))
+    elif kind == "unparsed":
+        sentence.tokens[v].deprel = None
+
+
+SPOILS = ("no root", "two roots", "cycle", "self head", "head past the end", "negative head",
+          "entities coincide", "entity out of range", "unparsed", "order 3")
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from(SPOILS), st.data())
+def test_batch_subgraphs_raise_the_per_sentence_error(seed, size, kind, data):
+    # every sentence has at least 3 tokens, so two non-root tokens exist to spoil
+    batch, order = seeded_trees(seed, size, min_tokens=3), data.draw(st.integers(0, 2))
+    at = data.draw(st.integers(0, size - 1))
+    if kind == "order 3":
+        order, at = 3, 0
+    else:
+        spoil(batch[at], kind, np.random.default_rng(seed))
+    with pytest.raises(GraphError) as ref:
+        [sentence_subgraphs(s, order) for s in batch]
+    with mock.patch.object(graph, "sentence_subgraphs", wraps=graph.sentence_subgraphs) as spy:
+        with pytest.raises(GraphError) as got:
+            subgraph_sets(batch, order)
+    assert str(got.value) == str(ref.value)
+    assert spy.call_args.args[0] is batch[at]
 
 
 @given(st.lists(tree_sentences(), min_size=1, max_size=3), st.integers(0, 2), st.booleans())
@@ -443,6 +537,76 @@ def test_reader_equals_the_reference_reader(text):
 # ---------------------------------------------------------------------------
 # Corrupt checkpoints: every cut, changed byte or header-length prefix is
 # refused with a CheckpointError that names the file
+
+
+RAW_WORDS = ("the", "pollen", "causes", "an", "allergy", "(", ",", ".", "door", "x1")
+RAW_MARKERS = ("<e1>", "</e1>", "<e2>", "</e2>")
+NOT_IDS = ("x", "", "-1", "1.5", "\u00b2", "1 2", "0x1", "1" * 5000)
+
+
+@st.composite
+def semeval_raw_texts(draw):
+    """A valid raw SemEval file: numbered quoted sentences with both entities marked, a label line
+    and sometimes a comment line, separated by blank lines."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        words = draw(st.lists(st.sampled_from(RAW_WORDS), min_size=2, max_size=8))
+        first = draw(st.integers(0, len(words) - 2))
+        second = draw(st.integers(first + 1, len(words) - 1))
+        for at, name in zip((first, second), draw(st.permutations(["e1", "e2"]))):
+            words[at] = f"<{name}>{words[at]}</{name}>"
+        comment = ["Comment: " + draw(st.sampled_from(["", "x", "<e1>"]))] if draw(st.booleans()) else []
+        blocks.append("\n".join([
+            f'{draw(st.integers(1, 99999))}\t"{" ".join(words)}"', str(draw(st.sampled_from(LABELS))), *comment,
+        ]))
+    return "\n\n".join(blocks) + "\n\n"
+
+
+def _mutate_raw(draw, text, kind):
+    lines = text.split("\n")
+    j = draw(st.integers(0, len(lines) - 1))
+    if kind == "truncate":
+        return text[: draw(st.integers(0, len(text)))]
+    if kind in ("drop line", "repeat line"):
+        lines[j:j + 1] = [] if kind == "drop line" else [lines[j]] * 2
+        return "\n".join(lines)
+    if kind == "id":
+        lines[j] = re.sub(r"^\d*", lambda _: draw(st.sampled_from(NOT_IDS)), lines[j], count=1)
+        return "\n".join(lines)
+    line = lines[j]
+    if kind == "tab":
+        at = draw(st.integers(0, len(line)))
+        lines[j] = line.replace("\t", " ", 1) if draw(st.booleans()) else line[:at] + "\t" + line[at:]
+    elif kind == "quote":
+        at = draw(st.integers(0, len(line)))
+        lines[j] = line.replace('"', "", 1) if draw(st.booleans()) else line[:at] + '"' + line[at:]
+    else:  # marker: drop, repeat, misspell or move one
+        marker = draw(st.sampled_from(RAW_MARKERS))
+        how = draw(st.sampled_from(["drop", "repeat", "misspell", "move"]))
+        replacement = {"drop": "", "repeat": marker * 2, "misspell": marker.replace("e", "E"), "move": ""}[how]
+        line = line.replace(marker, replacement, 1)
+        if how == "move":
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + marker + line[at:]
+        lines[j] = line
+    return "\n".join(lines)
+
+
+RAW_MUTATIONS = ("truncate", "drop line", "repeat line", "tab", "quote", "marker", "id")
+
+
+@settings(max_examples=200)
+@given(semeval_raw_texts(), st.data())
+def test_mutated_raw_semeval_is_refused_naming_where_or_valid(text, data):
+    for kind in data.draw(st.lists(st.sampled_from(RAW_MUTATIONS), min_size=1, max_size=3)):
+        text = _mutate_raw(data.draw, text, kind)
+    try:
+        sentences = parse_semeval_raw(text)
+    except CorpusError as exc:
+        assert re.match(r"(line|instance) \d+: ", str(exc)), str(exc)
+    else:
+        for sentence in sentences:
+            sentence.validate()
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,68 @@
+"""The ten-pair comparison tool (``tests/ten_pairs.py``): its verdicts and what it shows of a failed run."""
+
+import argparse
+import subprocess
+
+import pytest
+
+import ten_pairs
+
+# Ten runs per side and metric. sent_per_s: the change wins every pair by more than the
+# parent's spread. predict_ms_p50: the change is 50% slower. predict_ms_p95: the parent
+# spreads wider than the bound. setup_s: the change is 5% slower. peak_rss_mb: no change.
+PARENT = {
+    "sent_per_s": [100 + i for i in range(10)],
+    "predict_ms_p50": [1.0 + 0.01 * i for i in range(10)],
+    "predict_ms_p95": [1.0 + i for i in range(10)],
+    "setup_s": [1.0 + 0.001 * i for i in range(10)],
+    "peak_rss_mb": [50.0] * 10,
+}
+CHANGE = {
+    "sent_per_s": [120 + i for i in range(10)],
+    "predict_ms_p50": [1.5 + 0.01 * i for i in range(10)],
+    "predict_ms_p95": [1.0 + i for i in range(10)],
+    "setup_s": [1.05 + 0.001 * i for i in range(10)],
+    "peak_rss_mb": [50.0] * 10,
+}
+
+
+def test_verdicts(monkeypatch, capsys):
+    served = {"parent": 0, "change": 0}
+
+    def fake_run(checkout, args):
+        i = served[checkout]
+        served[checkout] += 1
+        values = PARENT if checkout == "parent" else CHANGE
+        return {name: series[i] for name, series in values.items()}
+
+    monkeypatch.setattr(ten_pairs, "run", fake_run)
+    assert ten_pairs.main(["ten_pairs.py", "parent", "change", "--workload", "w", "--seed", "1"]) == 0
+    assert served == {"parent": 10, "change": 10}
+    rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines() if line.startswith("  ")}
+    expected = {
+        "sent_per_s": ("wins 10/10", "claim holds", "within bound"),
+        "predict_ms_p50": ("wins 0/10", "claim does not hold", "regression"),
+        "predict_ms_p95": ("wins 0/10", "claim does not hold", "unresolved"),
+        "setup_s": ("wins 0/10", "claim does not hold", "within bound"),
+        "peak_rss_mb": ("wins 0/10", "claim does not hold", "within bound"),
+    }
+    assert rows.keys() == expected.keys()
+    for name, parts in expected.items():
+        assert all(part in rows[name] for part in parts), rows[name]
+        assert rows[name].endswith(parts[-1])
+
+
+@pytest.mark.parametrize("stdout", ['{"correct": false}\n', "", "Traceback (most recent call last)\n"])
+def test_failed_run_shows_exit_code_and_stderr_tail(monkeypatch, stdout):
+    stderr = "".join(f"line {i}\n" for i in range(30)) + "ValueError: boom\n"
+    monkeypatch.setattr(
+        ten_pairs.subprocess, "run",
+        lambda command, **kwargs: subprocess.CompletedProcess(command, 3, stdout, stderr),
+    )
+    args = argparse.Namespace(workload="w", seed=1, seconds=1.0)
+    with pytest.raises(SystemExit) as exit_:
+        ten_pairs.run("CHECKOUT", args)
+    message = str(exit_.value.code)
+    assert message.startswith("CHECKOUT: run ended without correct: true (exit code 3): ")
+    tail = message.split("last lines of stderr:\n")[1].splitlines()
+    assert tail == [f"line {i}" for i in range(21, 30)] + ["ValueError: boom"]

@@ -206,16 +206,16 @@ class TestTraining:
     def test_subgraphs_derived_once_per_sentence(self, toy_corpus, monkeypatch):
         # the per-epoch dev evaluation reuses the sub-graphs train() derived
         calls = []
-        derive = train_eval.sentence_subgraphs
+        derive = train_eval.subgraph_sets
 
-        def counted(sentence, order=0):
-            calls.append(sentence)
-            return derive(sentence, order)
+        def counted(sentences, order=0):
+            calls.extend(sentences)
+            return derive(sentences, order)
 
-        monkeypatch.setattr(train_eval, "sentence_subgraphs", counted)
+        monkeypatch.setattr(train_eval, "subgraph_sets", counted)
         _, log = train(toy_corpus, ModelConfig(**TINY), TrainerConfig(epochs=3, seed=1))
         assert len(log.records) == 3
-        assert len(calls) == len(toy_corpus)
+        assert calls == toy_corpus
 
     def test_dev_split_scored_through_evaluate_once_per_epoch(self, toy_corpus, monkeypatch):
         # train() scores its dev split with the module's evaluate and passes the graphs
