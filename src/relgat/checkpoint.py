@@ -1,6 +1,6 @@
 """Deterministic binary model checkpoints.
 
-Layout (format version 08): an 8-byte magic (which carries the format
+Layout (format version 09): an 8-byte magic (which carries the format
 version), a little-endian uint64 header length, a UTF-8 JSON header, a
 32-byte blake2b digest, then the raw little-endian bytes of every
 parameter in header order, in the model's dtype (``<f4`` for float32,
@@ -53,7 +53,7 @@ from .model import Model, ModelConfig
 
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
 
-MAGIC = b"RGCKPT08"  # the last two bytes are the format version
+MAGIC = b"RGCKPT09"  # the last two bytes are the format version
 DIGEST_SIZE = 32
 _HEX_DIGEST = re.compile(r"[0-9a-f]{64}")  # a vectors file's digest, as FileEmbeddingProvider writes it
 VOCABS = ("pos", "deprel", "ner")

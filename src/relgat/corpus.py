@@ -58,7 +58,6 @@ E2_TO_E1 = "e2,e1"
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 _RAW_LINE_RE = re.compile(r"^(\d+)\t\"(.*)\"\s*$")
-_LABEL_RE = re.compile(r"^([A-Za-z-]+)\((e1,e2|e2,e1)\)$")
 
 
 class CorpusError(ValueError):
@@ -86,15 +85,13 @@ class RelationLabel:
             return OTHER_LABEL
         return f"{self.base}({self.direction})"
 
-    @classmethod
-    def parse(cls, text: str) -> "RelationLabel":
+    @staticmethod
+    def parse(text: str) -> "RelationLabel":
+        """The one of the 19 ``LABELS`` that ``text`` spells, surrounding whitespace ignored."""
         text = text.strip()
-        if text == OTHER_LABEL:
-            return cls(OTHER_LABEL, None)
-        m = _LABEL_RE.match(text)
-        if not m or m.group(1) not in RELATION_BASES:
+        if text not in _LABEL_BY_SPELLING:
             raise CorpusError(f"unknown relation label {text!r}")
-        return cls(m.group(1), m.group(2))
+        return _LABEL_BY_SPELLING[text]
 
 
 # The task's fixed 19-label space, the logit columns in order: each base in
@@ -104,6 +101,7 @@ LABELS = (
     RelationLabel(OTHER_LABEL, None),
 )
 LABEL_INDEX = {label: i for i, label in enumerate(LABELS)}
+_LABEL_BY_SPELLING = {str(label): label for label in LABELS}
 
 
 @dataclass
@@ -325,7 +323,6 @@ def parse_conllu_annotated(text: str) -> list[Sentence]:
 
 
 UNIQUE_COMMENTS = ("id", "e1", "e2", "label")  # keys a block may carry at most once
-_LABEL_BY_SPELLING = {str(label): label for label in LABELS}
 # int() of the usual spellings of small IDs and HEADs, by lookup; int() reads any other
 _INT_OF = {str(i): i for i in range(256)}
 
@@ -400,7 +397,10 @@ def _parse_conllu_block(lines: list[str], first: int, stop: int, position: int) 
 
     instance_id: int | str = comments.get("id", position)
     if isinstance(instance_id, str) and instance_id.isdecimal():
-        instance_id = int(instance_id)
+        try:
+            instance_id = int(instance_id)
+        except ValueError:  # more digits than int() converts
+            raise CorpusError(f"line {comment_line['id']}: instance id of {len(instance_id)} digits") from None
     where = f"instance {instance_id}"
     if repeated is not None:
         key, lineno = repeated
@@ -441,12 +441,10 @@ def _parse_conllu_block(lines: list[str], first: int, stop: int, position: int) 
 
     label = None
     if "label" in comments:
-        label = _LABEL_BY_SPELLING.get(comments["label"])
-        if label is None:
-            try:
-                label = RelationLabel.parse(comments["label"])
-            except CorpusError as exc:
-                raise CorpusError(f"{where}: {exc}") from None
+        try:
+            label = RelationLabel.parse(comments["label"])
+        except CorpusError as exc:
+            raise CorpusError(f"{where}: {exc}") from None
 
     sentence = Sentence(tokens, spans["e1"], spans["e2"], label, instance_id)
     sentence.validate()

@@ -15,7 +15,7 @@ its sub-graphs, never for the whole sentence.
 
 Edge features come in two flavors. The frequency-based kind (dref) keys
 a trainable vector on the (POS, POS, deprel) triple of the underlying
-tree edge, with corpus frequency ratios kept alongside; a model lays
+tree edge, one row per triple seen in the training parses; a model lays
 the table's rows out by vocabulary indices once, so a pair's row is one
 fancy index. The connection-type kind (ctef) marks, per attention
 direction, whether the attended-from vertex is an entity token
@@ -283,9 +283,8 @@ class DrefTable:
     Each observed triple owns one row of a trainable embedding matrix;
     row 0 is the unseen-triple fallback and row 1 the self-loop row. The
     matrix itself lives in the model; this table only maps triples to
-    rows and keeps counts and frequency ratios, with ``ratios`` holding
-    every row's (1 for the two reserved rows): a triple's count over the
-    sum of all counts, the number of edges seen.
+    rows and keeps their counts. ``to_json_dict`` gives each triple's
+    frequency ratio: its count over ``total``, the number of edges seen.
 
     ``rows_by_index`` lays the rows out by vocabulary indices, the codes
     of ``code_tokens``: observed triples own rows 2, 3, ... in the order
@@ -302,8 +301,6 @@ class DrefTable:
         if self.total <= 0:
             raise FeatureError("empty dependency-triple statistics")
         self.d_e = d_e
-        observed = np.fromiter(self.counts.values(), np.float64, len(self.counts)) / self.total
-        self.ratios = np.concatenate([np.ones(self.RESERVED_ROWS), observed])
 
     @property
     def num_rows(self) -> int:
@@ -339,8 +336,7 @@ class DrefTable:
 def build_dref_table(train: list[Sentence], d_e: int = 40) -> DrefTable:
     """Count every tree edge of the training split as one triple.
 
-    The triple is (head POS, dependent POS, deprel of the dependent);
-    ratios are counts over the total number of edges seen.
+    The triple is (head POS, dependent POS, deprel of the dependent).
     """
     if not train:
         raise FeatureError("empty corpus")
@@ -408,19 +404,17 @@ def dref_edge_features(codes: TokenCodes, token_rows, pairs, dependents, dref_ro
 def edge_features(
     codes: TokenCodes, token_rows: np.ndarray, pairs: np.ndarray, dependents: np.ndarray,
     mode: str, d_e: int, dref_rows: np.ndarray | None = None, dref_embed: nm.Node | None = None,
-    row_ratios: np.ndarray | None = None, dtype=np.float64,
+    dtype=np.float64,
 ) -> nm.Node | None:
     """The (P, d_e) feature rows of a batch's pairs, or None when the mode has none.
 
     The batch is laid out as in ``Model.forward``: the ``code_tokens`` of
     its token rows, the token row of every vertex row, and the
     ``attention_pairs`` pairs and dependents over vertex rows. dref
-    gathers each pair's row of ``dref_embed``, scaled by that row's
-    frequency ratio when ``row_ratios`` (``DrefTable.ratios``) is given;
-    ctef is an all-ones row where the attended-from vertex j of pair
-    (i, j) is an entity token and zeros elsewhere; the combined mode sums
-    both. The ratios and flags are constants of ``dtype``, that of
-    ``dref_embed``.
+    gathers each pair's row of ``dref_embed``; ctef is an all-ones row
+    where the attended-from vertex j of pair (i, j) is an entity token
+    and zeros elsewhere; the combined mode sums both. The flags are
+    constants of ``dtype``, that of ``dref_embed``.
     """
     if mode not in EDGE_MODES:
         raise FeatureError(f"unknown edge mode {mode!r}")
@@ -430,8 +424,6 @@ def edge_features(
             raise FeatureError(f"edge mode {mode!r} needs a dependency-triple table and embedding")
         rows = dref_edge_features(codes, token_rows, pairs, dependents, dref_rows)
         node = nm.gather_rows(dref_embed, rows)
-        if row_ratios is not None:
-            node = nm.mul(node, nm.constant(row_ratios[rows, None].astype(dtype)))
     if "ctef" in mode:
         flags = codes.entity[token_rows[pairs[:, 1]]]
         ctef = nm.constant(flags.astype(dtype)[:, None].repeat(d_e, axis=1))

@@ -202,7 +202,7 @@ def _cut_batch(sentences: list[Sentence], expansion_order: int) -> list[SubGraph
     ends = np.array([(s.e1.head_token, s.e2.head_token) for s in sentences]).T  # (2, B) entity heads
     if (
         expansion_order not in (0, 1, 2)
-        or None in {t.deprel for s in sentences for t in s.tokens}
+        or not all(s.parsed for s in sentences)
         or not ((0 <= ends) & (ends < lens)).all()
         or (ends[0] == ends[1]).any()
     ):

@@ -123,7 +123,7 @@ GRAPH_LAYERS = ("gat", "gcn")
 GRAPH_MODES = ("multi", "single")
 SIZE_FIELDS = ("d_ctx", "d_f", "d_wt", "d_lstm", "d_g", "heads", "d_e")
 INT_FIELDS = (*SIZE_FIELDS, "graph_depth", "expansion_order")
-BOOL_FIELDS = ("contextual", "dref_scale_by_ratio")
+BOOL_FIELDS = ("contextual",)
 NUM_LABELS = len(LABELS)
 LEAKY_SLOPE = 0.2
 
@@ -159,7 +159,6 @@ class ModelConfig:
     graph_mode: str = "multi"
     edge_mode: str = "none"
     expansion_order: int = 0
-    dref_scale_by_ratio: bool = False
 
     def __post_init__(self):
         check_integers(self, INT_FIELDS)
@@ -534,10 +533,9 @@ class Model:
         codes = code_tokens(sentence_tokens, self.vocabs)
         x = encode_tokens(sentence_tokens, codes, provider, self.embeddings)
         h = self._context_encode(x, graphs, token_rows)
-        row_ratios = self.dref_table.ratios if self.dref_table and cfg.dref_scale_by_ratio else None
         efeat = edge_features(
             codes, token_rows, pairs, dependents, cfg.edge_mode, cfg.d_e,
-            self.dref_rows, self.dref_embed, row_ratios, self.dtype,
+            self.dref_rows, self.dref_embed, self.dtype,
         )
         attention: list[np.ndarray] = []
         if cfg.graph_layer == "gat":

@@ -229,15 +229,16 @@ def reference_code_tokens(sentences, vocabs) -> TokenCodes:
 
 
 def dref_entries(table) -> dict[tuple[str, str, str], tuple[int, float]]:
-    """Each counted triple's dref row and frequency ratio, recomputed from ``table.counts``.
+    """Each counted triple's dref row, recomputed from ``table.counts``, and its frequency ratio,
+    read from ``table.to_json_dict()``, the one place the program states ratios.
 
-    Observed triples own the rows after the reserved ones, in count order;
-    a triple's ratio is its count over the total. A triple the table lacks
-    reads ``.get(triple, (DrefTable.UNK_ROW, 1.0))``.
+    Observed triples own the rows after the reserved ones, in count order.
+    A triple the table lacks reads ``.get(triple, (DrefTable.UNK_ROW, None))``.
     """
+    ratios = table.to_json_dict()
     return {
-        triple: (row, count / table.total)
-        for row, (triple, count) in enumerate(table.counts.items(), start=table.RESERVED_ROWS)
+        triple: (row, ratios["|".join(triple)]["ratio"])
+        for row, triple in enumerate(table.counts, start=table.RESERVED_ROWS)
     }
 
 
@@ -289,7 +290,10 @@ def _reference_block(block: list[tuple[int, str]], position: int) -> Sentence:
 
     instance_id: int | str = comments.get("id", position)
     if isinstance(instance_id, str) and instance_id.isdecimal():
-        instance_id = int(instance_id)
+        try:
+            instance_id = int(instance_id)
+        except ValueError:  # more digits than int() converts
+            raise CorpusError(f"line {comment_line['id']}: instance id of {len(instance_id)} digits") from None
     where = f"instance {instance_id}"
     if repeated is not None:
         key, lineno = repeated

@@ -1,4 +1,4 @@
-"""Count the lines and the code lines of every module of ``src/relgat``.
+"""Count the lines and the code lines of every module of ``src/relgat``, and its config keys.
 
     python3 tests/count_lines.py [PACKAGE_DIR]
 
@@ -7,12 +7,15 @@ part of a docstring (the string that opens a module, class or function
 body). Blank lines, comment lines and docstring lines are skipped. Each
 file is read by one ``ast`` pass, which finds its docstrings, and one
 ``tokenize`` pass, which finds the lines its tokens cover. Prints one
-row per module and a total row.
+row per module, a total row and a ``config keys`` row: the number of
+keys a config file may set, ``len(cli._KEY_TYPES)`` of the package
+imported from PACKAGE_DIR (or the one already imported under its name).
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import io
 import os
 import sys
@@ -48,6 +51,17 @@ def count(text: str) -> tuple[int, int]:
     return len(text.splitlines()), len(code - docstrings)
 
 
+def config_keys(package: str) -> int:
+    """The number of keys a config file may set, read from the ``cli`` module of ``package``."""
+    package = os.path.abspath(package)
+    sys.path.insert(0, os.path.dirname(package))
+    try:
+        cli = importlib.import_module(f"{os.path.basename(package)}.cli")
+    finally:
+        sys.path.pop(0)
+    return len(cli._KEY_TYPES)
+
+
 def main(argv: list[str]) -> int:
     package = argv[1] if len(argv) > 1 else os.path.join(
         os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "relgat"
@@ -61,6 +75,7 @@ def main(argv: list[str]) -> int:
         total_code += code
         print(f"{name[:-3]:<16}{lines:>8}{code:>8}")
     print(f"{'total':<16}{total_lines:>8}{total_code:>8}")
+    print(f"{'config keys':<16}{'':>8}{config_keys(package):>8}")
     return 0
 
 

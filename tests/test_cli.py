@@ -175,6 +175,18 @@ class TestTrain:
         assert code == 2
         assert "momentum" in capsys.readouterr().err
 
+    def test_dref_scale_by_ratio_is_an_unknown_key(self, tmp_path, corpus_file, capsys):
+        # the dref rows are never scaled by their ratios, in a config file or by a flag
+        config = tmp_path / "old.cfg"
+        config.write_text("dref_scale_by_ratio = true\n", encoding="utf-8")
+        out = str(tmp_path / "x")
+        assert main(["train", "--config", str(config), "--train", corpus_file, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == f"error: {config}:1: unknown config key 'dref_scale_by_ratio'\n"
+        with pytest.raises(SystemExit) as exit_:
+            main(["train", "--dref-scale-by-ratio", "true", "--train", corpus_file, "--out-dir", out])
+        assert exit_.value.code == 2 and "--dref-scale-by-ratio" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_metrics_byte_identical_across_runs(self, tmp_path, corpus_file):
         out_a = run_train(tmp_path, corpus_file, "a")
         out_b = run_train(tmp_path, corpus_file, "b")

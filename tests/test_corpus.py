@@ -174,6 +174,13 @@ class TestConlluFormat:
             parse_conllu_annotated(text)
         assert str(err.value) == f"instance 1: repeated '# {key}' comment at line 5 (first at line {first})"
 
+    def test_id_of_more_digits_than_int_converts_names_its_line(self):
+        # as the raw reader does, not a bare ValueError from int()
+        text = "# text = x\n" + POLLEN_CONLLU.replace("# id = 1\n", "# id = " + "9" * 5000 + "\n", 1)
+        with pytest.raises(CorpusError) as err:
+            parse_conllu_annotated(text)
+        assert str(err.value) == "line 2: instance id of 5000 digits"
+
     def test_other_comments_may_repeat(self):
         text = POLLEN_CONLLU.replace("1\tThe", "# text = a\n# text = b\n1\tThe", 1)
         (s,) = parse_conllu_annotated(text)
@@ -273,6 +280,21 @@ class TestLabels:
             "Other",
         ]
         assert LABEL_INDEX == {label: i for i, label in enumerate(LABELS)}
+
+    @pytest.mark.parametrize("text, index", [
+        (" Other ", 18), ("Cause-Effect(e1,e2)\r\n", 0), ("\tMessage-Topic(e2,e1)", 15),
+    ])
+    def test_parse_ignores_surrounding_whitespace(self, text, index):
+        assert RelationLabel.parse(text) == LABELS[index]
+
+    @pytest.mark.parametrize("text", [
+        "other", "Other(e1,e2)", "Cause-Effect", "Cause-Effect(e1,e3)", "Cause-Effect (e1,e2)",
+        "cause-effect(e1,e2)", "Foo(e1,e2)", "Cause-Effect(e1,e2)x", "",
+    ])
+    def test_parse_refuses_any_other_spelling(self, text):
+        with pytest.raises(CorpusError) as err:
+            RelationLabel.parse(f" {text} ")
+        assert str(err.value) == f"unknown relation label {text!r}"
 
     def test_direction_none_iff_other(self):
         with pytest.raises(CorpusError):

@@ -71,8 +71,8 @@ class TestDrefTable:
         assert dref_entries(a) == dref_entries(b)
 
     def test_rows_by_index_equal_string_lookup(self):
-        # every triple of vocabulary symbols finds the row and ratio that
-        # its strings do; the table never saw a triple with the UNK symbol
+        # every triple of vocabulary symbols finds the row that its strings
+        # do; the table never saw a triple with the UNK symbol
         corpus = build_structure_corpus(30, seed=5)
         table = build_dref_table(corpus[:10], d_e=2)
         vocabs = build_vocabs(corpus)
@@ -82,10 +82,7 @@ class TestDrefTable:
         assert rows.shape == (len(pos), len(pos), len(deprel))
         entries = dref_entries(table)
         for (h, d, r), row in np.ndenumerate(rows):
-            want_row, want_ratio = entries.get((pos[h], pos[d], deprel[r]), (DrefTable.UNK_ROW, 1.0))
-            assert row == want_row
-            assert table.ratios[row] == want_ratio
-        assert table.ratios[[DrefTable.UNK_ROW, DrefTable.SELF_ROW]].tolist() == [1.0, 1.0]
+            assert row == entries.get((pos[h], pos[d], deprel[r]), (DrefTable.UNK_ROW, None))[0]
         assert rows[Vocab.UNK].max() == DrefTable.UNK_ROW
 
     def test_symbol_outside_the_vocabularies_rejected(self):
@@ -184,10 +181,10 @@ class TestDrefAssignment:
         table = build_dref_table([s], d_e=4)
         sdp = sentence_subgraphs(s).sdp
         rows, pairs = dref_rows(s, sdp, table)
-        ratios = table.ratios[rows]
+        ratio_of_row = {row: ratio for row, ratio in dref_entries(table).values()}
         i, j = sdp.local(0), sdp.local(2)
-        assert ratios[pair_row(pairs, i, j)] == pytest.approx(2 / 3)
-        assert ratios[pair_row(pairs, i, i)] == 1.0
+        assert ratio_of_row[rows[pair_row(pairs, i, j)]] == pytest.approx(2 / 3)
+        assert rows[pair_row(pairs, i, i)] == DrefTable.SELF_ROW
 
     def test_unseen_pos_pair_at_test_time(self):
         train = build_toy_corpus()
@@ -341,12 +338,12 @@ class TestEdgeFeatureDispatch:
         tokens, token_rows = token_layout(graph_sets)
         node = edge_features(
             code_tokens(list(zip(sentences, tokens)), vocabs), token_rows, pairs, dependents,
-            "dref+ctef", 4, by_index, nm.constant(values), table.ratios,
+            "dref+ctef", 4, by_index, nm.constant(values),
         )
         bounds = np.cumsum([0] + [len(sg) + 2 * len(sg.edges) for _, sg in units])
         for (s, sg), lo, hi in zip(units, bounds[:-1], bounds[1:]):
             alone = edge_features(
-                *unit_layout(s, sg, vocabs), "dref+ctef", 4, by_index, nm.constant(values), table.ratios
+                *unit_layout(s, sg, vocabs), "dref+ctef", 4, by_index, nm.constant(values)
             )
             np.testing.assert_array_equal(node.value[lo:hi], alone.value)
 

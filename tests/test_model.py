@@ -158,7 +158,7 @@ def test_config_rejects_non_integer_sizes(field, value):
     assert field in str(err.value) and repr(value) in str(err.value)
 
 
-@pytest.mark.parametrize("field", ["contextual", "dref_scale_by_ratio"])
+@pytest.mark.parametrize("field", ["contextual"])
 @pytest.mark.parametrize("value", ["false", 0, 1, None, np.bool_(True)])
 def test_config_rejects_non_bool_flags(field, value):
     with pytest.raises(ConfigError) as err:
@@ -752,15 +752,6 @@ def test_forward_oracle_non_contextual():
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
-def test_forward_oracle_ratio_scaled_edges():
-    model, corpus, provider = tiny_model(edge_mode="dref", dref_scale_by_ratio=True)
-    s = corpus[0]
-    sgs = sentence_subgraphs(s)
-    got = logits_of(model, s, sgs, provider)
-    want = numpy_oracle_forward(model, s, sgs, provider)
-    np.testing.assert_allclose(got, want, atol=1e-10)
-
-
 def test_forward_oracle_three_token_sentence():
     text = (
         "# id = 9\n# e1 = 0 0\n# e2 = 2 2\n# label = Other\n"
@@ -970,7 +961,7 @@ def test_lstm_checkpoint_roundtrip_bitwise(tmp_path, dtype):
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(model, path)
     with open(path, "rb") as f:
-        assert f.read(8) == b"RGCKPT08"
+        assert f.read(8) == b"RGCKPT09"
     clone = load_checkpoint(path)
     d = model.config.d_lstm
     shapes = {n: p.shape for n, p in clone.parameters().items() if n.startswith("lstm")}
@@ -1003,11 +994,13 @@ def test_malformed_checkpoint_names_path(tmp_path):
     # one flipped bit in the first and last byte of the digest and of every parameter
     flips = [at for lo, hi in zip(ends[2:], ends[3:]) for at in (lo, hi - 1)]
     flipped = [blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1 :] for at in flips]
-    # the previous formats: version 07 (a file embedding record without the
-    # file's digest), 06 (the digest, of the parameter bytes only, inside the
+    # the previous formats: version 08 (a config key that scaled dref rows
+    # by their ratios), 07 (a file embedding record without the file's
+    # digest), 06 (the digest, of the parameter bytes only, inside the
     # header), 05 (one parameter group per LSTM direction), 04 (one w and a
     # per GAT head), 03 (one input matrix per encoder), 02 (no dtype in the
     # header) and 01 (no digest either)
+    version_08 = b"RGCKPT08" + blob[8:]
     version_07 = b"RGCKPT07" + blob[8:]
     header = json.loads(blob[16 : ends[2]])
     header["digest"] = hashlib.blake2b(blob[ends[3] :], digest_size=32).hexdigest()
@@ -1022,7 +1015,7 @@ def test_malformed_checkpoint_names_path(tmp_path):
     del header["digest"]
     text = json.dumps(header).encode("utf-8")
     old_format = b"RGCKPT01" + struct.pack("<Q", len(text)) + text + blob[ends[3] :]
-    versions = [version_07, version_06, version_05, version_04, version_03, version_02, old_format]
+    versions = [version_08, version_07, version_06, version_05, version_04, version_03, version_02, old_format]
     for blob_bad in [blob[:cut] for cut in cuts] + [blob + b"\0", *versions] + flipped:
         bad.write_bytes(blob_bad)
         with pytest.raises(CheckpointError) as err:
@@ -1091,8 +1084,7 @@ def test_float32_model_stays_float32(graph_layer, edge_mode, contextual):
     # every node value, every VJP result and every parameter gradient of a
     # forward and backward is float32
     model, instances, provider = structure_model(
-        graph_layer=graph_layer, edge_mode=edge_mode, contextual=contextual,
-        dref_scale_by_ratio=True, dtype=np.float32,
+        graph_layer=graph_layer, edge_mode=edge_mode, contextual=contextual, dtype=np.float32,
     )
     golds = [LABEL_INDEX[s.label] for s, _ in instances]
     loss = nm.cross_entropy(model.forward(instances, provider).logits, golds)
@@ -1176,7 +1168,7 @@ def test_float32_checkpoint_roundtrip_bitwise(tmp_path):
     blob = path.read_bytes()
     (header_len,) = struct.unpack_from("<Q", blob, 8)
     header = json.loads(blob[16 : 16 + header_len])
-    assert blob[:8] == b"RGCKPT08" and header["dtype"] == "float32"
+    assert blob[:8] == b"RGCKPT09" and header["dtype"] == "float32"
     names = [r["name"] for r in header["params"]]
     assert [n for n in names if n.startswith("gat.")] == [
         "gat.l0.w", "gat.l0.a_center", "gat.l0.a_neighbor", "gat.l0.a_edge"
@@ -1224,7 +1216,7 @@ def test_malformed_checkpoint_header_names_path(tmp_path):
         assert str(bad) in str(err.value)
 
 
-@pytest.mark.parametrize("field, value", [("dref_scale_by_ratio", "false"), ("d_ctx", True)])
+@pytest.mark.parametrize("field, value", [("contextual", "false"), ("d_ctx", True)])
 def test_checkpoint_config_values_are_type_checked(tmp_path, field, value):
     # a string flag would be truthy and a bool size an int; both are refused
     model, _, _ = tiny_model(edge_mode="dref")
@@ -1262,14 +1254,14 @@ HEADER_EDITS = {
     "dref_counts_x7": lambda h: {**h, "dref": {**h["dref"], "counts": [7 * c for c in h["dref"]["counts"]]}},
     "embedding_seed": lambda h: {**h, "embedding": {"kind": "hashed", "seed": 7}},
     "config_key_dropped": lambda h: {
-        **h, "config": {k: v for k, v in h["config"].items() if k != "dref_scale_by_ratio"}
+        **h, "config": {k: v for k, v in h["config"].items() if k != "expansion_order"}
     },
 }
 
 
 @pytest.mark.parametrize("edit", list(HEADER_EDITS))
 def test_checkpoint_header_edits_are_refused(tmp_path, edit):
-    model, _, _ = tiny_model(edge_mode="dref", dref_scale_by_ratio=True)
+    model, _, _ = tiny_model(edge_mode="dref", expansion_order=1)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, str(path))
     blob = path.read_bytes()
@@ -1395,13 +1387,13 @@ def numpy_oracle_forward(model, sentence, sgs, provider):
         vec = np.zeros(cfg.d_e)
         if "dref" in cfg.edge_mode:
             if u == v:
-                row, ratio = DrefTable.SELF_ROW, 1.0
+                row = DrefTable.SELF_ROW
             else:
                 tok_u, tok_v = sentence.tokens[u], sentence.tokens[v]
                 deprel = tok_v.deprel if tok_v.head == u else tok_u.deprel
                 triple = (tok_u.pos, tok_v.pos, deprel)
-                row, ratio = dref.get(triple, (DrefTable.UNK_ROW, 1.0))
-            vec += p["edge.dref"][row] * (ratio if cfg.dref_scale_by_ratio else 1.0)
+                row, _ = dref.get(triple, (DrefTable.UNK_ROW, None))
+            vec += p["edge.dref"][row]
         if "ctef" in cfg.edge_mode and entity_token(sentence, v):
             vec += np.ones(cfg.d_e)
         return vec

@@ -1,7 +1,10 @@
 """Property tests: the tree rule, sub-graph invariants, the batch sub-graph pass against the
 per-sentence one, the token map and codes, the batched pair layout, the scorer, the CoNLL-U reader
-against its reference, mutated raw SemEval files, corrupt checkpoints and corrupt embedding files."""
+against its reference, the CLI's errors on mutated CoNLL-U files, mutated raw SemEval files, corrupt
+checkpoints and corrupt embedding files."""
 
+import contextlib
+import io
 import re
 import struct
 from unittest import mock
@@ -12,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relgat.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from relgat.cli import main
 from relgat.corpus import (
     RELATION_BASES,
     UNIQUE_COMMENTS,
@@ -313,22 +317,23 @@ def test_dref_rows_and_ratios_equal_string_keyed_lookup(batch, order, multi, cou
     _, pairs, dependents = attention_pairs(units, vertex_starts)
     codes = code_tokens(sentence_tokens, vocabs)
     rows = dref_edge_features(codes, token_rows, pairs, dependents, table.rows_by_index(vocabs))
-    want_rows, want_ratios = [], []
+    want_rows, got_ratios, want_ratios = [], [], []
     entries = dref_entries(table)
     for i, j in pairs.tolist():
         (s, u), (_, v) = vertex_tokens[i], vertex_tokens[j]
         if u == v:
             want_rows.append(DrefTable.SELF_ROW)
-            want_ratios.append(1.0)
             continue
         tok_u, tok_v = s.tokens[u], s.tokens[v]
         dependent = tok_v if tok_v.head == u else tok_u
         triple = (tok_u.pos, tok_v.pos, dependent.deprel)
-        row, ratio = entries.get(triple, (DrefTable.UNK_ROW, 1.0))
+        row, ratio = entries.get(triple, (DrefTable.UNK_ROW, None))
         want_rows.append(row)
-        want_ratios.append(ratio)
+        if triple in table.counts:  # the pair's ratio, as dref.json states it, is count over total
+            got_ratios.append(ratio)
+            want_ratios.append(table.counts[triple] / table.total)
     assert rows.tolist() == want_rows
-    assert table.ratios[rows].tolist() == want_ratios
+    assert got_ratios == want_ratios
 
 
 @given(batches, st.integers(0, 2), st.booleans())
@@ -508,7 +513,8 @@ def conllu_texts(draw):
     blocks = []
     for sentence, _ in draw(st.lists(tree_sentences(max_tokens=6), min_size=1, max_size=3)):
         sentence.label = draw(st.sampled_from([None, *LABELS]))
-        sentence.instance_id = draw(st.sampled_from([0, 7, "s-1", "\u00b2"]))  # "²": isdigit() but not int()
+        # "²": isdigit() but not int(); 5000 digits: more than int() converts
+        sentence.instance_id = draw(st.sampled_from([0, 7, "s-1", "\u00b2", "1" * 5000]))
         blocks.append(to_conllu(sentence).rstrip("\n").split("\n"))
     for _ in range(draw(st.integers(0, 3))):
         block = draw(st.sampled_from(blocks))
@@ -532,6 +538,23 @@ def _read(reader, text):
 @given(conllu_texts())
 def test_reader_equals_the_reference_reader(text):
     assert _read(parse_conllu_annotated, text) == _read(reference_parse_conllu, text)
+
+
+@pytest.fixture(scope="module")
+def corpus_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("corpus") / "data.conllu"
+
+
+@settings(max_examples=100)
+@given(conllu_texts())
+def test_cli_names_the_file_for_every_corpus_failure(corpus_path, text):
+    corpus_path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["stats", "--data", str(corpus_path)])
+    assert (code, err.getvalue()) == (0, "") or (
+        code == 1 and err.getvalue().startswith(f"error: {corpus_path}: ")
+    ), (code, err.getvalue())
 
 
 # ---------------------------------------------------------------------------
