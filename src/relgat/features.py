@@ -21,7 +21,7 @@ fancy index. The connection-type kind (ctef) marks, per attention
 direction, whether the attended-from vertex is an entity token
 (all-ones) or not (all-zeros). Both are arrays over a whole batch,
 aligned with the (center, neighbor) rows that ``attention_pairs`` lays
-out from the sub-graphs' edge arrays.
+out from a batch layout's edge rows.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import numpy as np
 
 from . import numerics as nm
 from .corpus import Sentence, Vocabs
-from .graph import SubGraph
 
 __all__ = [
     "FeatureError",
@@ -357,26 +356,24 @@ def build_dref_table(train: list[Sentence], d_e: int = 40) -> DrefTable:
 # The attention pairs of a batch and their edge features
 
 
-def attention_pairs(graphs: Sequence[SubGraph], vertex_starts: np.ndarray):
-    """Pair starts, (P, 2) pairs and dependents of sub-graphs laid out back to back.
+def attention_pairs(edges: np.ndarray, rows: int):
+    """Pair starts, (P, 2) pairs and dependents of ``rows`` vertex rows joined by ``edges``.
 
-    Graph u owns the vertex rows from ``vertex_starts[u]`` on. Its pairs,
-    each vertex with itself and each edge both ways, are (center,
-    neighbor) vertex rows sorted by center, then neighbor, from
+    ``edges`` holds (head, dependent) vertex rows, as ``Layout.edges``.
+    The pairs, each vertex with itself and each edge both ways, are
+    (center, neighbor) vertex rows sorted by center, then neighbor, from
     ``pair_starts[i]`` for center i; ``dependents`` holds the vertex row
     of each pair's dependent, -1 for a self-loop.
     """
-    rows = int(vertex_starts[-1]) + len(graphs[-1])
-    edges = np.concatenate([sg.edges for sg in graphs])
-    edges += vertex_starts.repeat([len(sg.edges) for sg in graphs])[:, None]
     # (center, neighbor) rows: each vertex with itself, then each edge from its head and from its dependent
     both_ways = np.concatenate((np.arange(rows).repeat(2).reshape(rows, 2), edges, edges[:, ::-1]))
     center = both_ways[:, 0]
-    order = (center * rows + both_ways[:, 1]).argsort()
+    # the keys are distinct, so every sort gives this order; numpy's stable one is the fastest here
+    order = (center * rows + both_ways[:, 1]).argsort(kind="stable")
     degree = np.bincount(center, minlength=rows)
     dependent = edges[:, 1]
     dependents = np.concatenate((np.full(rows, -1), dependent, dependent))[order]
-    return degree.cumsum() - degree, both_ways[order], dependents
+    return degree.cumsum() - degree, both_ways.take(order, axis=0), dependents
 
 
 def dref_edge_features(codes: TokenCodes, token_rows, pairs, dependents, dref_rows: np.ndarray) -> np.ndarray:

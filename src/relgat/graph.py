@@ -18,21 +18,26 @@ pass over the heads, and builds the three edge arrays with one numpy
 call. ``sentence_subgraphs`` cuts one sentence this way, and is the
 reference for the batch pass.
 
-``subgraph_sets`` cuts a batch of sentences in one numpy pass over
-their flat head array: pointer doubling checks the trees and marks
-each entity head's ancestors, the path is the symmetric difference of
-those marks plus the lowest common head, and one ``nonzero`` over
-(unit, token) marks gives every vertex list and edge array. Its check
-only accepts; a batch it does not accept goes through the per-sentence
-path, so the errors are that path's. ``train``, ``predict`` and the
-size histograms use the batch pass; the bench's one-sentence predict
-path uses ``sentence_subgraphs``.
+A batch is laid out as one ``Layout``: the disjoint union of its
+instances' sub-graphs as flat vertex, edge and token rows, which
+``Model.forward`` reads as it stands. ``batch_layout`` cuts a batch into
+it in one numpy pass over the flat head array: pointer doubling checks
+the trees and marks each entity head's ancestors, the path is the
+symmetric difference of those marks plus the lowest common head, and
+the (unit, token) marks, placed instance by instance, give every vertex
+row, edge row and token row at once. Its check only accepts; a batch it
+does not accept is laid out from the per-sentence path, so the errors
+are that path's. ``set_layout`` lays out sub-graph sets already cut,
+which is how the bench's one-sentence predict path runs. ``train``,
+``predict`` and the size histograms use the batch pass.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +53,9 @@ __all__ = [
     "shortest_dependency_path",
     "derive_subgraphs",
     "sentence_subgraphs",
-    "subgraph_sets",
+    "Layout",
+    "set_layout",
+    "batch_layout",
     "subgraph_size_histograms",
 ]
 
@@ -76,9 +83,6 @@ class SubGraph:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    def local(self, vertex: int) -> int:
-        return self.vertices.index(vertex)
 
 
 @dataclass
@@ -172,31 +176,84 @@ def sentence_subgraphs(sentence: Sentence, expansion_order: int = 0) -> SubGraph
     return derive_subgraphs(heads, sentence.e1.head_token, sentence.e2.head_token, expansion_order)
 
 
-def subgraph_sets(sentences: list[Sentence], expansion_order: int = 0) -> list[SubGraphSet]:
-    """``[sentence_subgraphs(s, expansion_order) for s in sentences]``, cut in one numpy pass.
+class Layout(NamedTuple):
+    """A batch of instances as one disjoint union of their units (PyG's mini-batching layout).
+
+    Units are laid out instance by instance, U per instance, path graph
+    first: U = 3 in multi-graph mode (then the e1 and e2 neighborhoods),
+    1 in single mode. Unit g owns the vertex rows from ``unit_starts[g]``
+    up to the next unit's start, in ascending sentence order. The token
+    rows number each instance's distinct tokens, instance by instance.
+    Every array is ``intp``.
+    """
+
+    sentences: list[Sentence]
+    vertices: np.ndarray  # (n,) the sentence position of every vertex row's token
+    unit_starts: np.ndarray  # (G,) first vertex row of every unit
+    edges: np.ndarray  # (E, 2) (head, dependent) vertex rows of each unit's tree edges, by dependent
+    tokens: list[list[int]]  # each instance's distinct tokens: the sorted union of its units' vertices
+    token_rows: np.ndarray  # (n,) the token row of every vertex row
+    entities: np.ndarray  # (2, B) the vertex rows of the e1 and e2 heads in each path unit
+
+
+def set_layout(sentences: list[Sentence], sets: list[SubGraphSet], multi: bool = True) -> Layout:
+    """The layout of ``sentences`` cut into the given sub-graph sets: what ``batch_layout`` returns.
+
+    It reads the sets' vertex lists in plain Python, with a fixed handful
+    of numpy calls: on one sentence that is cheaper than the batch pass,
+    so the one-sentence predict path lays out its set this way.
+    """
+    groups = [sgs.all() if multi else [sgs.sdp] for sgs in sets]
+    units = [sg for graphs in groups for sg in graphs]
+    unit_starts = np.array(list(accumulate(map(len, units), initial=0))[:-1], dtype=np.intp)
+    vertices, rows, tokens, entities = [], [], [], []
+    token_count = 0
+    for sentence, graphs in zip(sentences, groups):
+        own = [v for sg in graphs for v in sg.vertices]
+        distinct = sorted(set(own))
+        row_of = dict(zip(distinct, range(token_count, token_count + len(distinct))))
+        # the path unit comes first and holds both entity heads
+        entities.append([len(vertices) + own.index(span.head_token) for span in (sentence.e1, sentence.e2)])
+        rows += map(row_of.__getitem__, own)
+        vertices += own
+        tokens.append(distinct)
+        token_count += len(distinct)
+    edges = np.concatenate([sg.edges for sg in units] or [np.empty((0, 2), dtype=np.intp)])
+    edges += unit_starts.repeat([len(sg.edges) for sg in units])[:, None]
+    return Layout(
+        sentences, np.array(vertices, dtype=np.intp), unit_starts, edges,
+        tokens, np.array(rows, dtype=np.intp), np.array(entities, dtype=np.intp).reshape(-1, 2).T,
+    )
+
+
+def batch_layout(sentences: list[Sentence], expansion_order: int = 0, multi: bool = True) -> Layout:
+    """``set_layout`` of ``sentences`` and their ``sentence_subgraphs``, cut in one numpy pass.
 
     The pass only accepts what the reference accepts (see ``_cut_batch``).
     Anything else (an unparsed sentence, entity heads that coincide or lie
     out of range, an invalid order, heads that the vectorised check does
-    not accept) runs the per-sentence list instead, so every GraphError is
-    the reference's, for the same sentence.
+    not accept) is laid out from the per-sentence sets instead, so every
+    GraphError is the reference's, for the same sentence.
     """
-    sets = _cut_batch(sentences, expansion_order) if sentences else []
-    if sets is None:
-        return [sentence_subgraphs(s, expansion_order) for s in sentences]
-    return sets
+    layout = _cut_batch(sentences, expansion_order, 3 if multi else 1) if sentences else None
+    if layout is None:
+        return set_layout(sentences, [sentence_subgraphs(s, expansion_order) for s in sentences], multi)
+    return layout
 
 
-def _cut_batch(sentences: list[Sentence], expansion_order: int) -> list[SubGraphSet] | None:
-    """The batch's sub-graph sets, or None where the pass does not accept the batch.
+def _cut_batch(sentences: list[Sentence], expansion_order: int, per_instance: int) -> Layout | None:
+    """The batch's layout, ``per_instance`` units each, or None where the pass does not accept the batch.
 
     The heads are one flat array over the batch's N tokens, in which a
     root is its own head, and ``up[j]`` takes every token to its 2^j-th
     head. The batch is accepted when every sentence has one root, every
     other head is a token of the sentence, and every token is at its root
     after ⌈log2 L⌉ squarings, which a cycle or a self-head prevents:
-    ``corpus.tree_error``'s rule. Transient memory is a few arrays of N
-    per squaring and per unit.
+    ``corpus.tree_error``'s rule. The (unit, token) vertex marks are then
+    scattered to their instance-major positions (sentence by sentence,
+    unit by unit, token by token), where one ``nonzero`` lists every
+    vertex row in layout order and a running count of the marks numbers
+    them. Transient memory is a few arrays of N per squaring and per unit.
     """
     lens = np.array([len(s.tokens) for s in sentences])
     ends = np.array([(s.e1.head_token, s.e2.head_token) for s in sentences]).T  # (2, B) entity heads
@@ -245,34 +302,36 @@ def _cut_batch(sentences: list[Sentence], expansion_order: int) -> list[SubGraph
     units[1:] = entities | entities[:, parent]
     units[1, parent[ends[0]]] = units[2, parent[ends[1]]] = True
 
-    flat = units.ravel()
-    marked = np.zeros(3 * n + 1, dtype=np.intp)  # marks before each (unit, token)
-    np.cumsum(flat, out=marked[1:])
-    at = np.flatnonzero(flat)  # every vertex, unit by unit, in token order
-    token = at % n
-    start = at - local[token]  # its unit's row at its sentence's first token
-    up_at = at + parent[token] - token  # its head in the same unit row; itself at the root
-    edge = flat[up_at] & (up_at != at)
-    edges = np.stack((marked[up_at] - marked[start], marked[at] - marked[start]), axis=1)[edge]
-    vertex_cut = marked[np.arange(3)[:, None] * n + starts]  # (3, B + 1) unit-sentence bounds
-    edge_cut = np.concatenate(([0], np.cumsum(edge)))[vertex_cut].tolist()
-    vertex_cut = vertex_cut.tolist()
-    vertices = local[token].tolist()
-    return [
-        SubGraphSet(*(
-            SubGraph(kind, vertices[vc[b] : vc[b + 1]], edges[ec[b] : ec[b + 1]])
-            for kind, vc, ec in zip((SDP, E1_NEIGHBORHOOD, E2_NEIGHBORHOOD), vertex_cut, edge_cut)
-        ))
-        for b in range(len(sentences))
-    ]
+    marks = units[:per_instance]
+    spot = per_instance * first + local + np.arange(per_instance)[:, None] * lens[sentence_of]  # (U, N)
+    laid = np.zeros(per_instance * n, dtype=bool)
+    laid[spot] = marks
+    token_at = np.empty(per_instance * n, dtype=np.intp)
+    token_at[spot] = np.arange(n)
+    at = np.flatnonzero(laid)  # every vertex row's position
+    token = token_at[at]
+    row = np.zeros(per_instance * n + 1, dtype=np.intp)  # vertex rows before each position
+    np.cumsum(laid, out=row[1:])
+    up_at = at + parent[token] - token  # its head in the same unit; itself at the root
+    edge = laid[up_at] & (up_at != at)
+    used = marks.any(axis=0)  # each sentence's distinct tokens
+    distinct = np.flatnonzero(used)
+    token_row = np.cumsum(used, dtype=np.intp) - 1
+    cuts = np.cumsum(np.bincount(sentence_of[distinct], minlength=len(sentences))).tolist()
+    positions = local[distinct].tolist()
+    unit_starts = row[spot[:, starts[:-1]].T.ravel()]  # where each (sentence, unit) block begins
+    edges = np.stack((row[up_at[edge]], np.flatnonzero(edge)), axis=1)
+    tokens = [positions[lo:hi] for lo, hi in zip([0, *cuts], cuts)]
+    return Layout(sentences, local[token], unit_starts, edges, tokens, token_row[token], row[spot[0, ends]])
 
 
 def subgraph_size_histograms(
     sentences: list[Sentence], expansion_order: int = 0
 ) -> dict[str, dict[int, int]]:
-    """Vertex-count histogram per sub-graph kind over a corpus."""
-    counters = {SDP: Counter(), E1_NEIGHBORHOOD: Counter(), E2_NEIGHBORHOOD: Counter()}
-    for sgs in subgraph_sets(sentences, expansion_order):
-        for sg in sgs.all():
-            counters[sg.kind][len(sg)] += 1
-    return {kind: dict(sorted(c.items())) for kind, c in counters.items()}
+    """Vertex-count histogram per sub-graph kind over a corpus, read from the unit starts of its layout."""
+    layout = batch_layout(sentences, expansion_order)
+    sizes = np.diff(layout.unit_starts, append=len(layout.vertices)).reshape(-1, 3)
+    return {
+        kind: dict(sorted(Counter(column.tolist()).items()))
+        for kind, column in zip((SDP, E1_NEIGHBORHOOD, E2_NEIGHBORHOOD), sizes.T)
+    }

@@ -36,12 +36,15 @@ adds each center's weighted messages (the segment-softmax / scatter-add
 formulation of PyG's GATConv). A layer is thus a fixed number of
 autodiff nodes, independent of the vertex count and of the heads.
 
-A forward pass takes a batch of instances and runs it as one segment
-layout, the disjoint union of all their sub-graphs (PyG's mini-batching
-scheme), built as plain arrays before any parameter is read:
+A forward pass takes a batch as one ``graph.Layout``: the disjoint
+union of all its instances' sub-graphs (PyG's mini-batching scheme),
+cut as flat arrays before any parameter is read (``graph.batch_layout``,
+or ``graph.set_layout`` from sub-graph sets already cut). It reads the
+layout as it stands and derives the rest:
 
     units          every instance's sub-graphs, path graph first; G = 3B
-                   in multi-graph mode, B in single mode
+                   in multi-graph mode, B in single mode. ``unit_starts``
+                   cuts the vertex rows into them
     tokens         each instance's distinct tokens, the sorted union of
                    its units' vertices: the rows of the token encoding
                    and of the input projection, so a token that several
@@ -56,13 +59,14 @@ scheme), built as plain arrays before any parameter is read:
                    features read each pair's tokens
     graphs         vertex Segments, one per unit: the BiLSTM sequences
                    and the pooling groups
-    pairs          ``attention_pairs`` of all units from their edge
-                   arrays: (P, 2) (center, neighbor) vertex rows and each
-                   pair's dependent row; edge features are (P, d_e)
+    pairs          ``attention_pairs`` of the layout's (head, dependent)
+                   edge rows: (P, 2) (center, neighbor) vertex rows and
+                   each pair's dependent row; edge features are (P, d_e)
     neighborhoods  pair Segments, one per center: every graph layer's
                    softmax and sum; their lengths are the GCN degrees
     sentences      unit Segments, one per instance: its pooled rows are
-                   summed and its path graph's e1/e2 rows added
+                   summed and its path graph's e1/e2 rows (``entities``)
+                   added
 
 Each ``Segments`` is validated once, when built. The autodiff graph has
 the same nodes whatever B is, and a single instance is a batch of one.
@@ -97,7 +101,7 @@ from .features import (
     edge_features,
     encode_tokens,
 )
-from .graph import SubGraph, SubGraphSet
+from .graph import Layout, SubGraphSet, set_layout
 
 __all__ = [
     "ModelConfig",
@@ -111,7 +115,6 @@ __all__ = [
     "input_weights",
     "input_projection",
     "bilstm_encode",
-    "token_layout",
     "gat_attention",
     "gat_vertex_update",
     "gcn_vertex_update",
@@ -292,26 +295,6 @@ def bilstm_encode(x: list[nm.Node], segments: nm.Segments, lstm: LstmParams, tok
     return nm.bilstm_sequence(z, lstm.w_hidden, segments)
 
 
-def token_layout(graph_sets: list[list[SubGraph]]) -> tuple[list[list[int]], np.ndarray]:
-    """The distinct tokens of each instance and the token row of every unit vertex row.
-
-    ``graph_sets[b]`` holds instance b's units. Its tokens are the sorted
-    union of their vertices; token rows number them instance by instance,
-    and the returned map gives, for each vertex of each unit in order,
-    the row of the same sentence token.
-    """
-    tokens, rows = [], []
-    offset = 0
-    for graphs in graph_sets:
-        vertices = [v for sg in graphs for v in sg.vertices]
-        distinct = sorted(set(vertices))
-        row_of = dict(zip(distinct, range(offset, offset + len(distinct))))
-        rows += map(row_of.__getitem__, vertices)
-        tokens.append(distinct)
-        offset += len(distinct)
-    return tokens, np.array(rows, dtype=np.intp)
-
-
 def gat_attention(
     wh: nm.Node, neighborhoods: nm.Segments, pairs, layer: GatLayer, efeat: nm.Node | None = None
 ) -> nm.Node:
@@ -409,7 +392,7 @@ class ForwardDetail:
 
 
 class Model:
-    """Parameter container plus the forward pass over a sub-graph set.
+    """Parameter container plus the forward pass over a batch layout.
 
     ``dtype`` (float32 or float64) is the dtype of every parameter,
     activation and gradient. With dref, the table's rows are laid out by
@@ -505,36 +488,32 @@ class Model:
         projected = input_projection(x, self.proj_w_ctx, self.proj_w_feat, self.proj_b)
         return nm.gather_rows(projected, token_rows)
 
-    def forward(
-        self, instances: list[tuple[Sentence, SubGraphSet]], provider: EmbeddingProvider
-    ) -> ForwardDetail:
-        """Logits (B, 19) of B (sentence, sub-graph set) instances, run as one layout.
+    def forward(self, layout: Layout, provider: EmbeddingProvider) -> ForwardDetail:
+        """Logits (B, 19) of a batch's B instances, run as one layout.
 
-        The graphs of all instances are units laid out back to back,
-        instance by instance, path graph first: their vertex rows, their
-        offset attention pairs and their edge features each form one
-        array, so every layer runs once for the whole batch.
+        ``layout`` holds the units of all instances back to back, instance
+        by instance, path graph first (``graph.batch_layout``): their vertex
+        rows, attention pairs and edge features each form one array, so
+        every layer runs once for the whole batch. It must have the
+        model's units per instance.
         """
-        if not instances:
-            raise ValueError("forward needs at least one instance")
         cfg = self.config
         per_instance = 3 if cfg.graph_mode == "multi" else 1
-        graph_sets = [sgs.all() if cfg.graph_mode == "multi" else [sgs.sdp] for _, sgs in instances]
-        units = [sg for graphs in graph_sets for sg in graphs]
-        sizes = np.array([len(sg) for sg in units])
-        vertex_starts = sizes.cumsum() - sizes
-        graphs = nm.Segments(vertex_starts, int(sizes.sum()))
-        pair_starts, pairs, dependents = attention_pairs(units, vertex_starts)
+        vertex_starts, batch = layout.unit_starts, len(layout.sentences)
+        if not batch or len(vertex_starts) != per_instance * batch:
+            raise ValueError(f"forward needs one or more instances of {per_instance} units each")
+        rows = len(layout.vertices)
+        graphs = nm.Segments(vertex_starts, rows)
+        pair_starts, pairs, dependents = attention_pairs(layout.edges, rows)
         neighborhoods = nm.Segments(pair_starts, len(pairs))
-        sentences = nm.Segments(np.arange(0, len(units), per_instance), len(units))
+        sentences = nm.Segments(np.arange(0, len(vertex_starts), per_instance), len(vertex_starts))
 
-        tokens, token_rows = token_layout(graph_sets)
-        sentence_tokens = [(sentence, t) for (sentence, _), t in zip(instances, tokens)]
+        sentence_tokens = list(zip(layout.sentences, layout.tokens))
         codes = code_tokens(sentence_tokens, self.vocabs)
         x = encode_tokens(sentence_tokens, codes, provider, self.embeddings)
-        h = self._context_encode(x, graphs, token_rows)
+        h = self._context_encode(x, graphs, layout.token_rows)
         efeat = edge_features(
-            codes, token_rows, pairs, dependents, cfg.edge_mode, cfg.d_e,
+            codes, layout.token_rows, pairs, dependents, cfg.edge_mode, cfg.d_e,
             self.dref_rows, self.dref_embed, self.dtype,
         )
         attention: list[np.ndarray] = []
@@ -547,9 +526,7 @@ class Model:
                 h = gcn_vertex_update(h, neighborhoods, pairs, w, efeat)
         pooled, alpha = pool_graph(h, graphs, self.pool_w)
 
-        sdp_starts = vertex_starts[::per_instance]
-        e1_rows = sdp_starts + [sgs.sdp.local(s.e1.head_token) for s, sgs in instances]
-        e2_rows = sdp_starts + [sgs.sdp.local(s.e2.head_token) for s, sgs in instances]
+        e1_rows, e2_rows = layout.entities
         v = compose_sentence(pooled, sentences, nm.gather_rows(h, e1_rows), nm.gather_rows(h, e2_rows))
         logits = nm.add(nm.matmul(v, self.cls_w), self.cls_b)
         return ForwardDetail(logits, alpha.value[:, 0], attention, vertex_starts, pair_starts)
@@ -557,5 +534,6 @@ class Model:
     def predict_index(
         self, sentence: Sentence, sgs: SubGraphSet, provider: EmbeddingProvider
     ) -> int:
+        layout = set_layout([sentence], [sgs], self.config.graph_mode == "multi")
         with nm.no_grad():
-            return int(self.forward([(sentence, sgs)], provider).logits.value[0].argmax())
+            return int(self.forward(layout, provider).logits.value[0].argmax())

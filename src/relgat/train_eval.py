@@ -19,7 +19,7 @@ from . import numerics as nm
 from .corpus import LABEL_INDEX, LABELS, RELATION_BASES, CorpusError, RelationLabel, Sentence, build_vocabs
 from .features import EmbeddingProvider, HashedEmbeddingProvider, build_dref_table
 # sentence_subgraphs is not called here: bench/tracing.py looks it up under this module's name
-from .graph import SubGraphSet, sentence_subgraphs, subgraph_sets
+from .graph import batch_layout, sentence_subgraphs
 from .model import Model, ModelConfig, check_integers
 
 __all__ = [
@@ -259,9 +259,8 @@ def train(
     for p in params:
         p.grad_buffer = np.empty_like(p.value)
 
-    graphs = subgraph_sets(sentences, model_config.expansion_order)
+    multi = model_config.graph_mode == "multi"
     dev_sentences = [sentences[i] for i in dev_idx]
-    dev_graphs = [graphs[i] for i in dev_idx]
 
     log = TrainLog()
     lr = trainer_config.learning_rate
@@ -277,7 +276,8 @@ def train(
         for start in range(0, len(order), trainer_config.batch_size):
             batch = order[start : start + trainer_config.batch_size]
             nm.zero_grads(params)
-            detail = model.forward([(sentences[i], graphs[i]) for i in batch], provider)
+            layout = batch_layout([sentences[i] for i in batch], model_config.expansion_order, multi)
+            detail = model.forward(layout, provider)
             golds = [LABEL_INDEX[sentences[i].label] for i in batch]
             loss = nm.cross_entropy(detail.logits, golds)
             if not np.isfinite(loss.item()):
@@ -294,7 +294,7 @@ def train(
                     p.grad *= lr  # the step itself, scaled in place: no temporary
                     p.value -= p.grad
 
-        dev_report = evaluate(model, dev_sentences, provider, dev_graphs)
+        dev_report = evaluate(model, dev_sentences, provider)
         record = EpochRecord(
             epoch=epoch,
             learning_rate=lr,
@@ -337,15 +337,10 @@ def train(
 # Evaluation
 
 
-def evaluate(
-    model: Model,
-    sentences: list[Sentence],
-    provider: EmbeddingProvider,
-    graphs: list[SubGraphSet] | None = None,
-) -> EvalReport:
+def evaluate(model: Model, sentences: list[Sentence], provider: EmbeddingProvider) -> EvalReport:
     """Score ``predict``'s labels against the gold ones; CorpusError if one is missing."""
     golds = gold_labels(sentences)
-    return score_predictions(golds, predict(model, sentences, provider, graphs))
+    return score_predictions(golds, predict(model, sentences, provider))
 
 
 def gold_labels(sentences: list[Sentence]) -> list[RelationLabel]:
@@ -356,23 +351,17 @@ def gold_labels(sentences: list[Sentence]) -> list[RelationLabel]:
     return [s.label for s in sentences]
 
 
-def predict(
-    model: Model,
-    sentences: list[Sentence],
-    provider: EmbeddingProvider,
-    graphs: list[SubGraphSet] | None = None,
-) -> list[RelationLabel]:
+def predict(model: Model, sentences: list[Sentence], provider: EmbeddingProvider) -> list[RelationLabel]:
     """The predicted label of every sentence, ``EVAL_CHUNK`` sentences per no-grad forward.
 
-    ``graphs`` are the sentences' sub-graph sets; without them they are derived here.
+    Each chunk is cut into its layout here, by ``batch_layout``.
     """
-    if graphs is None:
-        graphs = subgraph_sets(sentences, model.config.expansion_order)
-    instances = list(zip(sentences, graphs))
+    order, multi = model.config.expansion_order, model.config.graph_mode == "multi"
     labels = []
     with nm.no_grad():
-        for start in range(0, len(instances), EVAL_CHUNK):
-            logits = model.forward(instances[start : start + EVAL_CHUNK], provider).logits.value
+        for start in range(0, len(sentences), EVAL_CHUNK):
+            layout = batch_layout(sentences[start : start + EVAL_CHUNK], order, multi)
+            logits = model.forward(layout, provider).logits.value
             labels.extend(LABELS[i] for i in np.argmax(logits, axis=1))
     return labels
 

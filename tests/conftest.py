@@ -18,6 +18,7 @@ from relgat.corpus import (
     parse_conllu_annotated,
 )
 from relgat.features import TokenCodes
+from relgat.graph import set_layout
 
 # Property tests draw from a fixed seed with no example database and no
 # per-example deadline, so a run is repeatable and its time bounded.
@@ -151,6 +152,12 @@ def build_structure_corpus(n: int, seed: int = 0):
 
 # ---------------------------------------------------------------------------
 # Autodiff graphs and random trees
+
+
+def laid_out(model, instances):
+    """The layout ``model.forward`` reads for (sentence, sub-graph set) instances, in the model's graph mode."""
+    sentences = [sentence for sentence, _ in instances]
+    return set_layout(sentences, [sgs for _, sgs in instances], model.config.graph_mode == "multi")
 
 
 def total(x):

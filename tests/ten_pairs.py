@@ -17,7 +17,9 @@ with the metric's ``bound`` from ``BENCHMARK.json``: "regression" when the
 change's median is worse than the parent's by more than bound × the
 parent's median, else "within bound"; "unresolved" instead of either when
 the parent's interquartile range is wider than bound × its median, unless
-every change run beats every parent run.
+every change run beats every parent run. The whole table is printed
+either way; the exit code is 1 when any metric's verdict is "regression",
+else 0 ("unresolved" does not fail).
 """
 
 from __future__ import annotations
@@ -87,6 +89,7 @@ def main(argv: list[str]) -> int:
         print(f"pair {i + 1}: {shown}", flush=True)
 
     needed = math.ceil(0.9 * args.pairs)
+    regressed = False
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s (parent/change)")
     for metric in end_to_end:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
@@ -101,12 +104,13 @@ def main(argv: list[str]) -> int:
             verdict = "unresolved"
         else:
             verdict = "regression" if sign * (pm - cm) > allowed else "within bound"
+        regressed |= verdict == "regression"
         print(
             f"  {name:<15} parent {pm:.4g} [{p1:.4g}, {p3:.4g}]  change {cm:.4g} [{c1:.4g}, {c3:.4g}]  "
             f"{(cm - pm) / pm:+.1%}  wins {wins}/{args.pairs}  claim {'holds' if holds else 'does not hold'}  "
             f"{verdict}"
         )
-    return 0
+    return 1 if regressed else 0
 
 
 if __name__ == "__main__":

@@ -50,6 +50,7 @@ from conftest import (
     build_structure_corpus,
     build_toy_corpus,
     dref_entries,
+    laid_out,
     random_heads,
 )
 
@@ -139,7 +140,7 @@ def test_03_attention_and_pooling_normalization():
             model = Model(config, vocabs, dref, seed=trial, dtype=np.float64)
             provider = HashedEmbeddingProvider(config.d_ctx, seed=trial)
             sgs = sentence_subgraphs(sentence)
-            detail = model.forward([(sentence, sgs)], provider)
+            detail = model.forward(laid_out(model, [(sentence, sgs)]), provider)
             # every center's attention segment and every unit's pooling segment
             for alpha in detail.attention:  # (P, heads) per layer
                 sums = np.add.reduceat(alpha, detail.pair_starts)
@@ -179,7 +180,7 @@ def test_04_full_model_gradient_fidelity():
         label = LABEL_INDEX[s.label]
 
         def loss():
-            return nm.cross_entropy(model.forward([(s, sgs)], provider).logits, [label])
+            return nm.cross_entropy(model.forward(laid_out(model, [(s, sgs)]), provider).logits, [label])
 
         groups = {
             "embeddings": lambda n: n.startswith("embed."),

@@ -284,18 +284,18 @@ class TestEval:
     def test_span_buckets_forward_and_cut_each_sentence_once(self, tmp_path, corpus_file, monkeypatch):
         out = run_train(tmp_path, corpus_file)
         counts = {"instances": 0, "subgraphs": 0}
-        forward, subgraph_sets = Model.forward, train_eval.subgraph_sets
+        forward, batch_layout = Model.forward, train_eval.batch_layout
 
-        def counting_forward(self, instances, provider):
-            counts["instances"] += len(instances)
-            return forward(self, instances, provider)
+        def counting_forward(self, layout, provider):
+            counts["instances"] += len(layout.sentences)
+            return forward(self, layout, provider)
 
-        def counting_subgraph_sets(sentences, expansion_order):
+        def counting_batch_layout(sentences, expansion_order, multi):
             counts["subgraphs"] += len(sentences)
-            return subgraph_sets(sentences, expansion_order)
+            return batch_layout(sentences, expansion_order, multi)
 
         monkeypatch.setattr(Model, "forward", counting_forward)
-        monkeypatch.setattr(train_eval, "subgraph_sets", counting_subgraph_sets)
+        monkeypatch.setattr(train_eval, "batch_layout", counting_batch_layout)
         assert main(["eval", "--checkpoint", os.path.join(out, "model.ckpt"),
                      "--test", corpus_file, "--span-buckets"]) == 0
         assert counts == {"instances": 20, "subgraphs": 20}

@@ -20,8 +20,8 @@ from relgat.features import (
     edge_features,
     encode_tokens,
 )
-from relgat.graph import SubGraph, sentence_subgraphs
-from relgat.model import Model, ModelConfig, token_layout
+from relgat.graph import SubGraph, batch_layout, sentence_subgraphs
+from relgat.model import Model, ModelConfig
 from conftest import build_structure_corpus, build_toy_corpus, conllu_block, dref_entries, entity_token
 
 
@@ -119,7 +119,7 @@ def unit_layout(sentence, sg, vocabs=None):
     The vocabularies default to the sentence's own.
     """
     vocabs = vocabs or build_vocabs([sentence])
-    _, pairs, dependents = attention_pairs([sg], np.array([0]))
+    _, pairs, dependents = attention_pairs(sg.edges, len(sg))
     return code_tokens([(sentence, sg.vertices)], vocabs), np.arange(len(sg)), pairs, dependents
 
 
@@ -143,7 +143,7 @@ def ctef_flags(sentence, sg):
 class TestAttentionPairs:
     def test_closed_neighborhoods_grouped_by_center(self):
         sg = SubGraph("sdp", [0, 1, 2, 3], np.array([[0, 1], [0, 2], [1, 3]]))
-        starts, pairs, dependents = attention_pairs([sg], np.array([0]))
+        starts, pairs, dependents = attention_pairs(sg.edges, len(sg))
         assert pairs.tolist() == [
             [0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 3], [2, 0], [2, 2], [3, 1], [3, 3],
         ]
@@ -157,16 +157,16 @@ class TestDrefAssignment:
         table = build_dref_table([s], d_e=4)
         sgs = sentence_subgraphs(s)
         # sdp vertices: core(0) hums(2); 'hums' is an nsubj of 'core'
-        i = sgs.sdp.local(0)
-        j = sgs.sdp.local(2)
+        i = sgs.sdp.vertices.index(0)
+        j = sgs.sdp.vertices.index(2)
         assert dref_row(sgs.sdp, s, table, i, j) == dref_entries(table)[("NOUN", "VERB", "nsubj")][0]
 
     def test_reversed_orientation_unseen_maps_to_unk(self):
         (s,) = triple_sentence()
         table = build_dref_table([s], d_e=4)
         sgs = sentence_subgraphs(s)
-        i = sgs.sdp.local(2)  # verb attending to its noun head: (VERB, NOUN, nsubj)
-        j = sgs.sdp.local(0)
+        i = sgs.sdp.vertices.index(2)  # verb attending to its noun head: (VERB, NOUN, nsubj)
+        j = sgs.sdp.vertices.index(0)
         assert dref_row(sgs.sdp, s, table, i, j) == DrefTable.UNK_ROW
 
     def test_self_loop_uses_dedicated_row(self):
@@ -182,7 +182,7 @@ class TestDrefAssignment:
         sdp = sentence_subgraphs(s).sdp
         rows, pairs = dref_rows(s, sdp, table)
         ratio_of_row = {row: ratio for row, ratio in dref_entries(table).values()}
-        i, j = sdp.local(0), sdp.local(2)
+        i, j = sdp.vertices.index(0), sdp.vertices.index(2)
         assert ratio_of_row[rows[pair_row(pairs, i, j)]] == pytest.approx(2 / 3)
         assert rows[pair_row(pairs, i, i)] == DrefTable.SELF_ROW
 
@@ -333,11 +333,10 @@ class TestEdgeFeatureDispatch:
         vocabs = build_vocabs(list(sentences))
         by_index = table.rows_by_index(vocabs)
         values = np.arange(table.num_rows * 4, dtype=np.float64).reshape(-1, 4)
-        vertex_starts = np.cumsum([0] + [len(sg) for _, sg in units[:-1]])
-        _, pairs, dependents = attention_pairs([sg for _, sg in units], vertex_starts)
-        tokens, token_rows = token_layout(graph_sets)
+        layout = batch_layout(list(sentences))
+        _, pairs, dependents = attention_pairs(layout.edges, len(layout.vertices))
         node = edge_features(
-            code_tokens(list(zip(sentences, tokens)), vocabs), token_rows, pairs, dependents,
+            code_tokens(list(zip(sentences, layout.tokens)), vocabs), layout.token_rows, pairs, dependents,
             "dref+ctef", 4, by_index, nm.constant(values),
         )
         bounds = np.cumsum([0] + [len(sg) + 2 * len(sg.edges) for _, sg in units])

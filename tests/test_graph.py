@@ -1,10 +1,12 @@
 """Sub-graph derivation: shortest paths, neighborhoods, edge arrays."""
 
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from relgat import graph
 from relgat.corpus import EntitySpan, Sentence, Token, parse_conllu_annotated
 from relgat.graph import (
     GraphError,
@@ -13,7 +15,7 @@ from relgat.graph import (
     shortest_dependency_path,
     subgraph_size_histograms,
 )
-from conftest import FIG_EXAMPLE_CONLLU, brute_force_path, random_heads
+from conftest import FIG_EXAMPLE_CONLLU, brute_force_path, build_structure_corpus, random_heads
 
 
 def surfaces(sentence, sg):
@@ -220,3 +222,19 @@ def test_size_histograms(toy_corpus):
     assert sum(hist["sdp"].values()) == len(toy_corpus)
     # every toy sentence has a 3-vertex path between the entities
     assert hist["sdp"] == {3: 20}
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_size_histograms_count_the_per_sentence_units_from_one_layout(order, monkeypatch):
+    # the histograms read the unit starts of one batch layout, and cut no sentence one at a time
+    corpus = build_structure_corpus(30, seed=4)
+    want = {kind: Counter() for kind in ("sdp", "e1", "e2")}
+    for s in corpus:
+        for sg in sentence_subgraphs(s, order).all():
+            want[sg.kind][len(sg)] += 1
+    cut = []
+    monkeypatch.setattr(graph, "sentence_subgraphs", lambda *args: cut.append(args))
+    hist = subgraph_size_histograms(corpus, order)
+    assert cut == []
+    assert hist == {kind: dict(sorted(c.items())) for kind, c in want.items()}
+    assert all(list(h) == sorted(h) for h in hist.values())

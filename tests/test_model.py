@@ -18,7 +18,7 @@ from relgat.features import (
     build_dref_table,
     encode_tokens,
 )
-from relgat.graph import SubGraph, sentence_subgraphs
+from relgat.graph import SubGraph, batch_layout, sentence_subgraphs
 from relgat.model import (
     ConfigError,
     GatLayer,
@@ -34,7 +34,9 @@ from relgat.model import (
     group_parameters,
     pool_graph,
 )
-from conftest import build_structure_corpus, build_toy_corpus, dref_entries, entity_token, graph_nodes, total
+from conftest import (
+    build_structure_corpus, build_toy_corpus, dref_entries, entity_token, graph_nodes, laid_out, total,
+)
 
 TINY = dict(d_ctx=6, d_f=3, d_wt=2, d_lstm=4, d_g=6, heads=2, d_e=3)
 
@@ -76,7 +78,7 @@ def make_subgraph(edges, n, kind="sdp"):
 
 def pair_layout(sg):
     """The pair segments and the (P, 2) attention pairs of one sub-graph."""
-    starts, pairs, _ = attention_pairs([sg], np.array([0]))
+    starts, pairs, _ = attention_pairs(sg.edges, len(sg))
     return nm.Segments(starts, len(pairs)), pairs
 
 
@@ -87,13 +89,13 @@ def permuted(edges, perm):
 
 def logits_of(model, sentence, sgs, provider):
     """The (19,) logits of one instance, run as a batch of one."""
-    return model.forward([(sentence, sgs)], provider).logits.value[0]
+    return model.forward(laid_out(model, [(sentence, sgs)]), provider).logits.value[0]
 
 
 def instance_loss(model, sentence, sgs, provider):
     """Cross-entropy of one instance against its gold label, run as a batch of one."""
     label = LABEL_INDEX[sentence.label]
-    return nm.cross_entropy(model.forward([(sentence, sgs)], provider).logits, [label])
+    return nm.cross_entropy(model.forward(laid_out(model, [(sentence, sgs)]), provider).logits, [label])
 
 
 def instance_layout(detail, b, units):
@@ -320,7 +322,7 @@ def test_forward_asks_the_provider_for_the_distinct_subgraph_tokens_only(graph_m
             return super().vectors(sentence, indices)
 
     instances = [(s, sentence_subgraphs(s)) for s in corpus[:4]]
-    model.forward(instances, RecordingProvider(model.config.d_ctx, seed=0))
+    model.forward(laid_out(model, instances), RecordingProvider(model.config.d_ctx, seed=0))
     units = [sgs.all() if graph_mode == "multi" else [sgs.sdp] for _, sgs in instances]
     want = [(s, sorted({v for sg in graphs for v in sg.vertices})) for (s, _), graphs in zip(instances, units)]
     assert asked == want
@@ -343,7 +345,7 @@ def test_constant_context_block_gets_no_gradient_product(contextual):
     golds = [LABEL_INDEX[s.label] for s, _ in instances]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model_module, "encode_tokens", recording_encode)
-        loss = nm.cross_entropy(model.forward(instances, provider).logits, golds)
+        loss = nm.cross_entropy(model.forward(laid_out(model, instances), provider).logits, golds)
     (ctx, feat), = encoded
     called, widths = [], set()
 
@@ -698,7 +700,7 @@ def test_zeroed_classifier_gives_uniform_distribution(pollen_sentence):
     model.cls_b.value = np.zeros_like(model.cls_b.value)
     s = corpus[0]
     sgs = sentence_subgraphs(s)
-    detail = model.forward([(s, sgs)], provider)
+    detail = model.forward(laid_out(model, [(s, sgs)]), provider)
     np.testing.assert_array_equal(detail.logits.value, np.zeros((1, 19)))
     loss = instance_loss(model, s, sgs, provider)
     assert loss.item() == pytest.approx(np.log(19.0), abs=1e-12)
@@ -717,7 +719,7 @@ def test_single_mode_uses_only_path_graph():
     model, corpus, provider = tiny_model(graph_mode="single")
     s = corpus[0]
     sgs = sentence_subgraphs(s)
-    detail = model.forward([(s, sgs)], provider)
+    detail = model.forward(laid_out(model, [(s, sgs)]), provider)
     assert detail.vertex_starts.tolist() == [0]
     assert detail.pooling.shape == (len(sgs.sdp),)
 
@@ -810,12 +812,12 @@ def test_batched_logits_equal_batch_of_one(graph_layer, graph_mode, edge_mode, g
         graph_depth=graph_depth, expansion_order=1,
     )
     units = 3 if graph_mode == "multi" else 1
-    batched = model.forward(instances, provider)
+    batched = model.forward(laid_out(model, instances), provider)
     assert batched.logits.shape == (len(instances), 19)
     assert len(batched.vertex_starts) == units * len(instances)
     assert len(batched.attention) == (graph_depth if graph_layer == "gat" else 0)
     for b, instance in enumerate(instances):
-        one = model.forward([instance], provider)
+        one = model.forward(laid_out(model, [instance]), provider)
         np.testing.assert_allclose(batched.logits.value[b], one.logits.value[0], rtol=0, atol=1e-12)
         got, want = instance_layout(batched, b, units), instance_layout(one, 0, units)
         np.testing.assert_array_equal(got[0], want[0])
@@ -846,7 +848,7 @@ def test_forward_validates_three_segments(graph_layer, graph_depth, monkeypatch)
     monkeypatch.setattr(nm.Segments, "__init__", counting)
     for batch in (instances[:4], instances[:1]):
         built.clear()
-        model.forward(batch, provider)
+        model.forward(laid_out(model, batch), provider)
         graphs = [sg for _, sgs in batch for sg in sgs.all()]
         pairs = sum(len(sg) + 2 * len(sg.edges) for sg in graphs)
         assert built == [sum(map(len, graphs)), pairs, len(graphs)]
@@ -859,7 +861,7 @@ def test_batch_mean_loss_gradient_is_mean_of_instance_gradients(graph_layer):
     params = model.parameters()
     golds = [LABEL_INDEX[s.label] for s, _ in instances]
     nm.zero_grads(params.values())
-    nm.cross_entropy(model.forward(instances, provider).logits, golds).backward()
+    nm.cross_entropy(model.forward(laid_out(model, instances), provider).logits, golds).backward()
     batched = {n: p.grad.copy() for n, p in params.items() if p.grad is not None}
     total = {n: np.zeros_like(p.value) for n, p in params.items()}
     for sentence, sgs in instances:
@@ -882,7 +884,7 @@ def test_batch_graph_size_independent_of_batch_size(graph_layer):
     golds = [LABEL_INDEX[s.label] for s, _ in instances]
 
     def graph_size(b):
-        logits = model.forward(instances[:b], provider).logits
+        logits = model.forward(laid_out(model, instances[:b]), provider).logits
         return len(graph_nodes(nm.cross_entropy(logits, golds[:b])))
 
     assert graph_size(2) == graph_size(8)
@@ -891,7 +893,16 @@ def test_batch_graph_size_independent_of_batch_size(graph_layer):
 def test_forward_rejects_empty_batch():
     model, _, provider = tiny_model()
     with pytest.raises(ValueError):
-        model.forward([], provider)
+        model.forward(laid_out(model, []), provider)
+
+
+@pytest.mark.parametrize("graph_mode", ["multi", "single"])
+def test_forward_rejects_a_layout_of_the_other_graph_mode(graph_mode):
+    model, corpus, provider = tiny_model(graph_mode=graph_mode)
+    other = batch_layout(corpus[:3], multi=graph_mode == "single")
+    with pytest.raises(ValueError, match="units each"):
+        model.forward(other, provider)
+    model.forward(batch_layout(corpus[:3], multi=graph_mode == "multi"), provider)
 
 
 def test_depth_two_gradient_check():
@@ -917,7 +928,7 @@ def test_full_model_grads_own_their_memory(contextual):
     model, corpus, provider = tiny_model(edge_mode="dref+ctef", contextual=contextual)
     instances = [(s, sentence_subgraphs(s)) for s in corpus[:3]]
     golds = [LABEL_INDEX[s.label] for s, _ in instances]
-    nm.cross_entropy(model.forward(instances, provider).logits, golds).backward()
+    nm.cross_entropy(model.forward(laid_out(model, instances), provider).logits, golds).backward()
     params = list(model.parameters().values())
     assert all(p.grad is not None for p in params)
     for p in params:
@@ -950,7 +961,7 @@ def test_noncontextual_checkpoint_roundtrip_bitwise(tmp_path, dtype):
     for (name, p), q in zip(model.parameters().items(), clone.parameters().values()):
         assert q.value.dtype == dtype and np.array_equal(p.value, q.value), name
     assert np.array_equal(
-        model.forward(instances, provider).logits.value, clone.forward(instances, provider).logits.value
+        model.forward(laid_out(model, instances), provider).logits.value, clone.forward(laid_out(clone, instances), provider).logits.value
     )
 
 
@@ -974,7 +985,7 @@ def test_lstm_checkpoint_roundtrip_bitwise(tmp_path, dtype):
     for (name, p), q in zip(model.parameters().items(), clone.parameters().values()):
         assert q.value.dtype == dtype and np.array_equal(p.value, q.value), name
     assert np.array_equal(
-        model.forward(instances, provider).logits.value, clone.forward(instances, provider).logits.value
+        model.forward(laid_out(model, instances), provider).logits.value, clone.forward(laid_out(clone, instances), provider).logits.value
     )
 
 
@@ -1045,7 +1056,7 @@ def test_load_draws_no_parameter(tmp_path, monkeypatch, graph_layer, contextual)
     for (name, p), q in zip(model.parameters().items(), clone.parameters().values()):
         assert q.value.dtype == np.float32 and np.array_equal(p.value, q.value), name
     assert np.array_equal(
-        model.forward(instances, provider).logits.value, clone.forward(instances, provider).logits.value
+        model.forward(laid_out(model, instances), provider).logits.value, clone.forward(laid_out(clone, instances), provider).logits.value
     )
 
 
@@ -1087,7 +1098,7 @@ def test_float32_model_stays_float32(graph_layer, edge_mode, contextual):
         graph_layer=graph_layer, edge_mode=edge_mode, contextual=contextual, dtype=np.float32,
     )
     golds = [LABEL_INDEX[s.label] for s, _ in instances]
-    loss = nm.cross_entropy(model.forward(instances, provider).logits, golds)
+    loss = nm.cross_entropy(model.forward(laid_out(model, instances), provider).logits, golds)
     results = []
 
     def recording(vjp):
@@ -1116,8 +1127,8 @@ def test_float32_logits_match_float64(graph_layer, edge_mode):
     double, _, _ = structure_model(**cfg)
     for (name, p), q in zip(single.parameters().items(), double.parameters().values()):
         assert np.array_equal(p.value, q.value.astype(np.float32)), name
-    got = single.forward(instances, provider).logits.value
-    want = double.forward(instances, provider).logits.value
+    got = single.forward(laid_out(single, instances), provider).logits.value
+    want = double.forward(laid_out(double, instances), provider).logits.value
     assert got.dtype == np.float32 and want.dtype == np.float64
     assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
     assert np.array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
@@ -1132,9 +1143,9 @@ def test_no_grad_forward_is_bit_identical(graph_layer, edge_mode, contextual, dt
         dtype, graph_layer=graph_layer, edge_mode=edge_mode, contextual=contextual,
         graph_depth=2, expansion_order=1,
     )
-    tracked = model.forward(instances, provider)
+    tracked = model.forward(laid_out(model, instances), provider)
     with nm.no_grad():
-        plain = model.forward(instances, provider)
+        plain = model.forward(laid_out(model, instances), provider)
     assert graph_nodes(plain.logits) == [plain.logits] and not plain.logits.requires_grad
     assert plain.logits.value.dtype == dtype
     np.testing.assert_array_equal(plain.logits.value, tracked.logits.value)
@@ -1154,7 +1165,7 @@ def test_predict_index_runs_a_no_grad_forward(monkeypatch):
 
     monkeypatch.setattr(model, "forward", recording)
     for sentence, sgs in instances:
-        want = int(np.argmax(forward([(sentence, sgs)], provider).logits.value[0]))
+        want = int(np.argmax(forward(laid_out(model, [(sentence, sgs)]), provider).logits.value[0]))
         assert model.predict_index(sentence, sgs, provider) == want
     assert len(logits) == len(instances)
     assert all(graph_nodes(node) == [node] for node in logits)
@@ -1182,7 +1193,7 @@ def test_float32_checkpoint_roundtrip_bitwise(tmp_path):
     for (name, p), q in zip(model.parameters().items(), clone.parameters().values()):
         assert q.value.dtype == np.float32 and np.array_equal(p.value, q.value), name
     assert np.array_equal(
-        model.forward(instances, provider).logits.value, clone.forward(instances, provider).logits.value
+        model.forward(laid_out(model, instances), provider).logits.value, clone.forward(laid_out(clone, instances), provider).logits.value
     )
 
 
@@ -1462,7 +1473,7 @@ def numpy_oracle_forward(model, sentence, sgs, provider):
         states = graph_layer(context(encode(sg)), sg)
         pooled.append(pool(states))
         if sg.kind == "sdp":
-            e1_state = states[sg.local(sentence.e1.head_token)]
-            e2_state = states[sg.local(sentence.e2.head_token)]
+            e1_state = states[sg.vertices.index(sentence.e1.head_token)]
+            e2_state = states[sg.vertices.index(sentence.e2.head_token)]
     v = e1_state + e2_state + sum(pooled)
     return v @ p["cls.w"] + p["cls.b"]

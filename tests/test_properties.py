@@ -1,7 +1,7 @@
-"""Property tests: the tree rule, sub-graph invariants, the batch sub-graph pass against the
-per-sentence one, the token map and codes, the batched pair layout, the scorer, the CoNLL-U reader
-against its reference, the CLI's errors on mutated CoNLL-U files, mutated raw SemEval files, corrupt
-checkpoints and corrupt embedding files."""
+"""Property tests: the tree rule, sub-graph invariants, the batch layout against the layout of the
+per-sentence sub-graphs, the token rows, the token codes, the batched pair layout, the scorer, the
+CoNLL-U reader against its reference, the CLI's errors on mutated CoNLL-U files, mutated raw SemEval
+files, corrupt checkpoints and corrupt embedding files."""
 
 import contextlib
 import io
@@ -38,9 +38,10 @@ from relgat.features import (
 )
 from relgat import graph
 from relgat.graph import (
-    GraphError, derive_subgraphs, sentence_subgraphs, shortest_dependency_path, subgraph_sets,
+    GraphError, Layout, batch_layout, derive_subgraphs, sentence_subgraphs, set_layout,
+    shortest_dependency_path,
 )
-from relgat.model import Model, ModelConfig, token_layout
+from relgat.model import Model, ModelConfig
 from relgat.train_eval import score_predictions
 from conftest import (
     brute_force_path, build_toy_corpus, conllu_block, dref_entries, entity_token, reference_code_tokens,
@@ -168,19 +169,50 @@ def seeded_trees(seed, size, min_tokens=2):
 batch_sizes = st.sampled_from([0, 1]) | st.integers(2, 40)
 
 
-@given(st.integers(0, 2**32 - 1), batch_sizes, st.integers(0, 2))
-def test_batch_subgraphs_equal_the_per_sentence_list(seed, size, order):
+def units_of(sgs, multi):
+    return sgs.all() if multi else [sgs.sdp]
+
+
+@given(st.integers(0, 2**32 - 1), batch_sizes, st.integers(0, 2), st.booleans())
+def test_batch_subgraphs_equal_the_per_sentence_list(seed, size, order, multi):
     batch = seeded_trees(seed, size)
     with mock.patch.object(graph, "sentence_subgraphs", wraps=graph.sentence_subgraphs) as spy:
-        got = subgraph_sets(batch, order)
+        got = batch_layout(batch, order, multi)
     assert not spy.called  # the vectorised check accepts every rooted tree
-    assert len(got) == size
-    for sets, sentence in zip(got, batch):
-        for sg, ref in zip(sets.all(), sentence_subgraphs(sentence, order).all()):
-            assert (sg.kind, sg.vertices) == (ref.kind, ref.vertices)
-            assert all(type(v) is int for v in sg.vertices)
-            assert sg.edges.dtype == np.intp and sg.edges.shape == ref.edges.shape
-            assert np.array_equal(sg.edges, ref.edges)
+    sets = [sentence_subgraphs(s, order) for s in batch]
+    want = set_layout(batch, sets, multi)
+    assert got.sentences == want.sentences == batch
+    for name in Layout._fields[1:]:
+        g, w = getattr(got, name), getattr(want, name)
+        if name == "tokens":
+            assert g == w and all(type(t) is int for distinct in g for t in distinct)
+        else:
+            assert g.dtype == w.dtype == np.intp and g.shape == w.shape, name
+            assert np.array_equal(g, w), name
+
+    # what the set layout is, read off the sets: units instance by instance, path first
+    units = [sg for sgs in sets for sg in units_of(sgs, multi)]
+    starts = np.cumsum([0] + [len(sg) for sg in units])
+    assert want.vertices.tolist() == [v for sg in units for v in sg.vertices]
+    assert want.unit_starts.tolist() == starts[:-1].tolist()
+    assert want.edges.tolist() == [[a + lo, d + lo] for sg, lo in zip(units, starts) for a, d in sg.edges.tolist()]
+    path_starts = starts[:-1][:: 3 if multi else 1]
+    for b, (sentence, first) in enumerate(zip(batch, path_starts)):
+        e1, e2 = want.entities[:, b]
+        assert first <= min(e1, e2) and max(e1, e2) < first + len(sets[b].sdp)
+        assert (want.vertices[e1], want.vertices[e2]) == (sentence.e1.head_token, sentence.e2.head_token)
+
+
+@given(st.lists(tree_sentences(), min_size=1, max_size=3), st.integers(0, 2), st.booleans())
+def test_token_rows_name_the_same_sentence_token(batch, order, multi):
+    sentences = [sentence for sentence, _ in batch]
+    layout = batch_layout(sentences, order, multi)
+    graph_sets = [units_of(sentence_subgraphs(s, order), multi) for s in sentences]
+    token_of_row = [(b, t) for b, distinct in enumerate(layout.tokens) for t in distinct]
+    unit_rows = [(b, v) for b, graphs in enumerate(graph_sets) for sg in graphs for v in sg.vertices]
+    assert [token_of_row[r] for r in layout.token_rows] == unit_rows
+    for distinct, graphs in zip(layout.tokens, graph_sets):
+        assert distinct == sorted({v for sg in graphs for v in sg.vertices})
 
 
 def spoil(sentence, kind, rng):
@@ -213,8 +245,8 @@ SPOILS = ("no root", "two roots", "cycle", "self head", "head past the end", "ne
           "entities coincide", "entity out of range", "unparsed", "order 3")
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from(SPOILS), st.data())
-def test_batch_subgraphs_raise_the_per_sentence_error(seed, size, kind, data):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from(SPOILS), st.booleans(), st.data())
+def test_batch_subgraphs_raise_the_per_sentence_error(seed, size, kind, multi, data):
     # every sentence has at least 3 tokens, so two non-root tokens exist to spoil
     batch, order = seeded_trees(seed, size, min_tokens=3), data.draw(st.integers(0, 2))
     at = data.draw(st.integers(0, size - 1))
@@ -226,38 +258,18 @@ def test_batch_subgraphs_raise_the_per_sentence_error(seed, size, kind, data):
         [sentence_subgraphs(s, order) for s in batch]
     with mock.patch.object(graph, "sentence_subgraphs", wraps=graph.sentence_subgraphs) as spy:
         with pytest.raises(GraphError) as got:
-            subgraph_sets(batch, order)
+            batch_layout(batch, order, multi)
     assert str(got.value) == str(ref.value)
     assert spy.call_args.args[0] is batch[at]
 
 
-@given(st.lists(tree_sentences(), min_size=1, max_size=3), st.integers(0, 2), st.booleans())
-def test_token_rows_name_the_same_sentence_token(batch, order, multi):
-    graph_sets = [
-        sgs.all() if multi else [sgs.sdp]
-        for sgs in (sentence_subgraphs(sentence, order) for sentence, _ in batch)
-    ]
-    tokens, token_rows = token_layout(graph_sets)
-    token_of_row = [(b, t) for b, distinct in enumerate(tokens) for t in distinct]
-    unit_rows = [(b, v) for b, graphs in enumerate(graph_sets) for sg in graphs for v in sg.vertices]
-    assert [token_of_row[r] for r in token_rows] == unit_rows
-    for distinct, graphs in zip(tokens, graph_sets):
-        assert distinct == sorted({v for sg in graphs for v in sg.vertices})
-
-
-def batch_layout(batch, order, multi):
-    """A batch laid out as ``Model.forward`` does, plus the (sentence, token) of every vertex row."""
+def reference_layout(batch, order, multi):
+    """A batch's ``set_layout``, its units in order, and the (sentence, token) of every vertex row."""
     sentences = [sentence for sentence, _ in batch]
-    graph_sets = [
-        sgs.all() if multi else [sgs.sdp] for sgs in (sentence_subgraphs(s, order) for s in sentences)
-    ]
-    units = [sg for graphs in graph_sets for sg in graphs]
-    vertex_starts = np.cumsum([0] + [len(sg) for sg in units[:-1]])
-    tokens, token_rows = token_layout(graph_sets)
-    vertex_tokens = [
-        (s, v) for s, graphs in zip(sentences, graph_sets) for sg in graphs for v in sg.vertices
-    ]
-    return units, vertex_starts, list(zip(sentences, tokens)), token_rows, vertex_tokens
+    sets = [sentence_subgraphs(s, order) for s in sentences]
+    units = [(s, sg) for s, sgs in zip(sentences, sets) for sg in units_of(sgs, multi)]
+    vertex_tokens = [(s, v) for s, sg in units for v in sg.vertices]
+    return set_layout(sentences, sets, multi), [sg for _, sg in units], vertex_tokens
 
 
 batches = st.lists(tree_sentences(), min_size=1, max_size=3)
@@ -290,10 +302,10 @@ def test_token_codes_equal_per_symbol_lookups(batch, data):
 
 @given(batches, st.integers(0, 2), st.booleans())
 def test_batched_pairs_equal_per_unit_dense_reference(batch, order, multi):
-    units, vertex_starts, _, _, _ = batch_layout(batch, order, multi)
-    pair_starts, pairs, dependents = attention_pairs(units, vertex_starts)
+    layout, units, _ = reference_layout(batch, order, multi)
+    pair_starts, pairs, dependents = attention_pairs(layout.edges, len(layout.vertices))
     want_starts, want_pairs, want_dependents = [], [], []
-    for sg, first in zip(units, vertex_starts):
+    for sg, first in zip(units, layout.unit_starts):
         n = len(sg)
         adjacency = np.zeros((n, n), dtype=np.int64)
         adjacency[sg.edges[:, 0], sg.edges[:, 1]] = adjacency[sg.edges[:, 1], sg.edges[:, 0]] = 1
@@ -313,10 +325,10 @@ def test_dref_rows_and_ratios_equal_string_keyed_lookup(batch, order, multi, cou
     # sentences, so symbols and triples it never saw occur too
     table = build_dref_table([s for s, _ in batch[:counted]], d_e=2)
     vocabs = build_vocabs([s for s, _ in batch])
-    units, vertex_starts, sentence_tokens, token_rows, vertex_tokens = batch_layout(batch, order, multi)
-    _, pairs, dependents = attention_pairs(units, vertex_starts)
-    codes = code_tokens(sentence_tokens, vocabs)
-    rows = dref_edge_features(codes, token_rows, pairs, dependents, table.rows_by_index(vocabs))
+    layout, _, vertex_tokens = reference_layout(batch, order, multi)
+    _, pairs, dependents = attention_pairs(layout.edges, len(layout.vertices))
+    codes = code_tokens(list(zip(layout.sentences, layout.tokens)), vocabs)
+    rows = dref_edge_features(codes, layout.token_rows, pairs, dependents, table.rows_by_index(vocabs))
     want_rows, got_ratios, want_ratios = [], [], []
     entries = dref_entries(table)
     for i, j in pairs.tolist():
@@ -338,10 +350,10 @@ def test_dref_rows_and_ratios_equal_string_keyed_lookup(batch, order, multi, cou
 
 @given(batches, st.integers(0, 2), st.booleans())
 def test_ctef_flags_the_entity_tokens_attended_from(batch, order, multi):
-    units, vertex_starts, sentence_tokens, token_rows, vertex_tokens = batch_layout(batch, order, multi)
-    _, pairs, dependents = attention_pairs(units, vertex_starts)
-    codes = code_tokens(sentence_tokens, build_vocabs([s for s, _ in batch]))
-    flags = edge_features(codes, token_rows, pairs, dependents, "ctef", 1).value[:, 0]
+    layout, _, vertex_tokens = reference_layout(batch, order, multi)
+    _, pairs, dependents = attention_pairs(layout.edges, len(layout.vertices))
+    codes = code_tokens(list(zip(layout.sentences, layout.tokens)), build_vocabs([s for s, _ in batch]))
+    flags = edge_features(codes, layout.token_rows, pairs, dependents, "ctef", 1).value[:, 0]
     want = [float(entity_token(s, v)) for s, v in (vertex_tokens[j] for j in pairs[:, 1])]
     assert flags.tolist() == want
 

@@ -26,17 +26,24 @@ CHANGE = {
 }
 
 
-def test_verdicts(monkeypatch, capsys):
+def serve(monkeypatch, parent, change):
+    """Make ``ten_pairs.run`` return the next value of each series, per side; returns the call counts."""
     served = {"parent": 0, "change": 0}
 
     def fake_run(checkout, args):
         i = served[checkout]
         served[checkout] += 1
-        values = PARENT if checkout == "parent" else CHANGE
+        values = parent if checkout == "parent" else change
         return {name: series[i] for name, series in values.items()}
 
     monkeypatch.setattr(ten_pairs, "run", fake_run)
-    assert ten_pairs.main(["ten_pairs.py", "parent", "change", "--workload", "w", "--seed", "1"]) == 0
+    return served
+
+
+def test_verdicts(monkeypatch, capsys):
+    # predict_ms_p50 regresses, so the whole table is printed and the exit code is 1
+    served = serve(monkeypatch, PARENT, CHANGE)
+    assert ten_pairs.main(["ten_pairs.py", "parent", "change", "--workload", "w", "--seed", "1"]) == 1
     assert served == {"parent": 10, "change": 10}
     rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines() if line.startswith("  ")}
     expected = {
@@ -50,6 +57,14 @@ def test_verdicts(monkeypatch, capsys):
     for name, parts in expected.items():
         assert all(part in rows[name] for part in parts), rows[name]
         assert rows[name].endswith(parts[-1])
+
+
+def test_unresolved_and_within_bound_exit_0(monkeypatch, capsys):
+    change = {**CHANGE, "predict_ms_p50": PARENT["predict_ms_p50"]}
+    serve(monkeypatch, PARENT, change)
+    assert ten_pairs.main(["ten_pairs.py", "parent", "change", "--workload", "w", "--seed", "1"]) == 0
+    verdicts = [line.rsplit("  ", 1)[-1] for line in capsys.readouterr().out.splitlines() if line.startswith("  ")]
+    assert verdicts == ["within bound", "within bound", "unresolved", "within bound", "within bound"]
 
 
 @pytest.mark.parametrize("stdout", ['{"correct": false}\n', "", "Traceback (most recent call last)\n"])

@@ -2,12 +2,13 @@
 
 import functools
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from relgat import numerics as nm
-from relgat import train_eval
+from relgat import graph, train_eval
 from relgat.corpus import (
     LABEL_INDEX, LABELS, RELATION_BASES, RelationLabel, build_vocabs, parse_conllu_annotated,
 )
@@ -28,7 +29,7 @@ from relgat.train_eval import (
     span_bucket_eval,
     train,
 )
-from conftest import conllu_block, graph_nodes
+from conftest import conllu_block, graph_nodes, laid_out
 
 TINY = dict(d_ctx=6, d_f=3, d_wt=2, d_lstm=4, d_g=6, heads=2, d_e=3)
 
@@ -192,7 +193,7 @@ class TestTraining:
             for start in range(0, len(order), trainer.batch_size):
                 batch = order[start : start + trainer.batch_size]
                 nm.zero_grads(params.values())
-                logits = reference.forward([(toy_corpus[i], graphs[i]) for i in batch], provider).logits
+                logits = reference.forward(laid_out(reference, [(toy_corpus[i], graphs[i]) for i in batch]), provider).logits
                 nm.cross_entropy(logits, [LABEL_INDEX[toy_corpus[i].label] for i in batch]).backward()
                 clip_gradients(params.values(), trainer.gradient_clip_norm)
                 for p in params.values():
@@ -203,37 +204,43 @@ class TestTraining:
         for name, p in model.parameters().items():
             assert p.value.tobytes() == per_epoch[log.best_epoch - 1][name].tobytes(), name
 
-    def test_subgraphs_derived_once_per_sentence(self, toy_corpus, monkeypatch):
-        # the per-epoch dev evaluation reuses the sub-graphs train() derived
+    def test_each_epoch_cuts_every_sentence_once(self, toy_corpus, monkeypatch):
+        # every minibatch and every dev chunk is cut into its layout by one batch pass,
+        # so an epoch cuts each sentence once, and none through the per-sentence path
         calls = []
-        derive = train_eval.subgraph_sets
+        cut = train_eval.batch_layout
 
-        def counted(sentences, order=0):
-            calls.extend(sentences)
-            return derive(sentences, order)
+        def counted(sentences, order=0, multi=True):
+            calls.append(sentences)
+            return cut(sentences, order, multi)
 
-        monkeypatch.setattr(train_eval, "subgraph_sets", counted)
-        _, log = train(toy_corpus, ModelConfig(**TINY), TrainerConfig(epochs=3, seed=1))
-        assert len(log.records) == 3
-        assert calls == toy_corpus
+        monkeypatch.setattr(train_eval, "batch_layout", counted)
+        with mock.patch.object(graph, "sentence_subgraphs", wraps=graph.sentence_subgraphs) as spy:
+            _, log = train(toy_corpus, ModelConfig(**TINY), TrainerConfig(epochs=3, batch_size=7, seed=1))
+        assert not spy.called
+        train_idx, dev_idx = dev_split(len(toy_corpus), 0.10, 1)
+        per_epoch = -(-len(train_idx) // 7) + 1  # the minibatches, then the dev split in one chunk
+        assert len(log.records) == 3 and len(calls) == 3 * per_epoch
+        for epoch in range(3):
+            batches = calls[epoch * per_epoch : (epoch + 1) * per_epoch]
+            assert batches[-1] == [toy_corpus[i] for i in dev_idx]
+            assert sorted(map(id, sum(batches, []))) == sorted(map(id, toy_corpus))
 
     def test_dev_split_scored_through_evaluate_once_per_epoch(self, toy_corpus, monkeypatch):
-        # train() scores its dev split with the module's evaluate and passes the graphs
-        # it derived (test_subgraphs_derived_once_per_sentence: none are derived again)
+        # train() scores its dev split with the module's evaluate, once per epoch
         calls = []
         score = train_eval.evaluate
 
-        def counted(model, sentences, provider, graphs=None):
-            calls.append((sentences, graphs))
-            return score(model, sentences, provider, graphs)
+        def counted(model, sentences, provider):
+            calls.append(sentences)
+            return score(model, sentences, provider)
 
         monkeypatch.setattr(train_eval, "evaluate", counted)
         _, log = train(toy_corpus, ModelConfig(**TINY), TrainerConfig(epochs=3, seed=1))
         _, dev_idx = dev_split(len(toy_corpus), 0.10, 1)
         dev = [toy_corpus[i] for i in dev_idx]
         assert len(calls) == len(log.records) == 3
-        for sentences, graphs in calls:
-            assert sentences == dev and graphs is not None and len(graphs) == len(dev)
+        assert all(sentences == dev for sentences in calls)
 
     def test_model_embedding_is_the_providers_record(self, toy_corpus):
         cfg = ModelConfig(**TINY)
