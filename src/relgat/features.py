@@ -386,7 +386,7 @@ def dref_edge_features(codes: TokenCodes, token_rows, pairs, dependents, dref_ro
     the other endpoint raises FeatureError naming the two tokens.
     """
     edge = dependents >= 0
-    center, neighbor = token_rows[pairs[edge]].T
+    center, neighbor = token_rows[pairs.compress(edge, axis=0)].T
     dependent = token_rows[dependents[edge]]
     wrong = codes.head[dependent] != codes.index[center + neighbor - dependent]
     if wrong.any():

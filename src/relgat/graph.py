@@ -19,17 +19,19 @@ call. ``sentence_subgraphs`` cuts one sentence this way, and is the
 reference for the batch pass.
 
 A batch is laid out as one ``Layout``: the disjoint union of its
-instances' sub-graphs as flat vertex, edge and token rows, which
-``Model.forward`` reads as it stands. ``batch_layout`` cuts a batch into
-it in one numpy pass over the flat head array: pointer doubling checks
-the trees and marks each entity head's ancestors, the path is the
-symmetric difference of those marks plus the lowest common head, and
-the (unit, token) marks, placed instance by instance, give every vertex
-row, edge row and token row at once. Its check only accepts; a batch it
-does not accept is laid out from the per-sentence path, so the errors
-are that path's. ``set_layout`` lays out sub-graph sets already cut,
-which is how the bench's one-sentence predict path runs. ``train``,
-``predict`` and the size histograms use the batch pass.
+instances' sub-graphs as flat vertex, edge and token rows, from which
+``model.forward_inputs`` builds what ``Model.forward`` reads.
+``batch_layout`` cuts a batch into it in one numpy pass over the flat
+head array: pointer doubling checks the trees and marks each entity
+head's ancestors, the path is the symmetric difference of those marks
+plus the lowest common head, and the (unit, token) marks, placed
+instance by instance, give every vertex row, edge row and token row at
+once. Its check only accepts; a batch it does not accept is laid out
+from the per-sentence path, so the errors are that path's.
+``set_layout`` lays out sub-graph sets already cut, which is how the
+bench's one-sentence predict path runs. ``predict`` (each chunk),
+``train`` (its training split, once per call; a minibatch gathers its
+instances' rows) and the size histograms use the batch pass.
 """
 
 from __future__ import annotations
@@ -259,7 +261,7 @@ def _cut_batch(sentences: list[Sentence], expansion_order: int, per_instance: in
     ends = np.array([(s.e1.head_token, s.e2.head_token) for s in sentences]).T  # (2, B) entity heads
     if (
         expansion_order not in (0, 1, 2)
-        or not all(s.parsed for s in sentences)
+        or None in [t.deprel for s in sentences for t in s.tokens]  # an unparsed token
         or not ((0 <= ends) & (ends < lens)).all()
         or (ends[0] == ends[1]).any()
     ):

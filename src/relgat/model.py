@@ -36,11 +36,15 @@ adds each center's weighted messages (the segment-softmax / scatter-add
 formulation of PyG's GATConv). A layer is thus a fixed number of
 autodiff nodes, independent of the vertex count and of the heads.
 
-A forward pass takes a batch as one ``graph.Layout``: the disjoint
-union of all its instances' sub-graphs (PyG's mini-batching scheme),
-cut as flat arrays before any parameter is read (``graph.batch_layout``,
-or ``graph.set_layout`` from sub-graph sets already cut). It reads the
-layout as it stands and derives the rest:
+A forward pass reads a batch's parameter-free inputs from one
+``Inputs``, which ``forward_inputs`` builds from a ``graph.Layout``: the
+disjoint union of all its instances' sub-graphs (PyG's mini-batching
+scheme), cut as flat arrays before any parameter is read
+(``graph.batch_layout``, or ``graph.set_layout`` from sub-graph sets
+already cut). ``InstanceRows.take`` gathers the inputs of some of a
+built batch's instances, as ``forward_inputs`` would build them, so
+``train()`` builds its split's inputs once and gathers each minibatch.
+The inputs hold, and the forward derives:
 
     units          every instance's sub-graphs, path graph first; G = 3B
                    in multi-graph mode, B in single mode. ``unit_starts``
@@ -49,10 +53,10 @@ layout as it stands and derives the rest:
                    its units' vertices: the rows of the token encoding
                    and of the input projection, so a token that several
                    sub-graphs share is encoded and projected once
-    codes          ``code_tokens`` of the tokens, once: their POS,
-                   deprel and NER vocabulary indices, entity flags,
-                   positions and heads, which the token encoding and the
-                   edge features both read
+    codes          ``code_tokens`` of the tokens (built once with the
+                   inputs): their POS, deprel and NER vocabulary indices,
+                   entity flags, positions and heads, which the token
+                   encoding and the edge features both read
     token_rows     the token row of every vertex row, by which the
                    BiLSTM gathers its gate pre-activations (the
                    non-contextual variant its projection) and the edge
@@ -60,8 +64,9 @@ layout as it stands and derives the rest:
     graphs         vertex Segments, one per unit: the BiLSTM sequences
                    and the pooling groups
     pairs          ``attention_pairs`` of the layout's (head, dependent)
-                   edge rows: (P, 2) (center, neighbor) vertex rows and
-                   each pair's dependent row; edge features are (P, d_e)
+                   edge rows (built once with the inputs): (P, 2)
+                   (center, neighbor) vertex rows and each pair's
+                   dependent row; edge features are (P, d_e)
     neighborhoods  pair Segments, one per center: every graph layer's
                    softmax and sum; their lengths are the GCN degrees
     sentences      unit Segments, one per instance: its pooled rows are
@@ -85,6 +90,7 @@ gradient checks and the numpy oracles build float64 models.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,6 +102,7 @@ from .features import (
     EmbeddingProvider,
     FeatureEmbeddings,
     HashedEmbeddingProvider,
+    TokenCodes,
     attention_pairs,
     code_tokens,
     edge_features,
@@ -112,6 +119,7 @@ __all__ = [
     "GatLayer",
     "Model",
     "ForwardDetail",
+    "Inputs", "forward_inputs", "InstanceRows",
     "input_weights",
     "input_projection",
     "bilstm_encode",
@@ -371,6 +379,75 @@ def compose_sentence(
 
 
 # ---------------------------------------------------------------------------
+# A batch's parameter-free inputs
+
+
+class Inputs(NamedTuple):
+    """What a forward reads of a batch besides the parameters and the provider (``forward_inputs``)."""
+
+    layout: Layout
+    codes: TokenCodes  # the ``code_tokens`` of the layout's token rows
+    pair_starts: np.ndarray  # (n,) the ``attention_pairs`` of the layout's edges: first pair row of each center
+    pairs: np.ndarray  # (P, 2) (center, neighbor) vertex rows
+    dependents: np.ndarray  # (P,) each pair's dependent vertex row, -1 for a self-loop
+
+
+def forward_inputs(layout: Layout, vocabs: Vocabs) -> Inputs:
+    """The ``Inputs`` of a batch cut into ``layout``: its token codes and attention pairs."""
+    pair_starts, pairs, dependents = attention_pairs(layout.edges, len(layout.vertices))
+    codes = code_tokens(list(zip(layout.sentences, layout.tokens)), vocabs)
+    return Inputs(layout, codes, pair_starts, pairs, dependents)
+
+
+def _picked_rows(starts: np.ndarray, pick: np.ndarray):
+    """The rows of instances ``pick`` when instance i owns rows ``starts[i]`` up to ``starts[i + 1]``.
+
+    Also each picked instance's row count and the shift from its new
+    first row to its old one.
+    """
+    first, counts = starts[pick], starts[pick + 1] - starts[pick]
+    shift = first - (np.cumsum(counts) - counts)
+    return np.arange(counts.sum(), dtype=np.intp) + shift.repeat(counts), counts, shift
+
+
+class InstanceRows:
+    """Built ``Inputs`` and the vertex, edge, token and pair rows each of their instances owns.
+
+    An instance's rows of each kind are contiguous, and the rows of its
+    units, edges and pairs name vertex rows, and its vertex rows name
+    token and pair rows, of that instance only. So ``take`` gathers any
+    instances' rows and shifts the row numbers they hold.
+    """
+
+    def __init__(self, inputs: Inputs):
+        layout = inputs.layout
+        self.inputs, self.per_instance = inputs, len(layout.unit_starts) // len(layout.sentences)
+        vertex = np.append(layout.unit_starts[:: self.per_instance], len(layout.vertices))
+        edge = layout.edges[:, 1].searchsorted(vertex)  # the edges are ordered by dependent row
+        token = np.cumsum([0, *map(len, layout.tokens)], dtype=np.intp)
+        self.starts = vertex, edge, token, np.append(inputs.pair_starts, len(inputs.pairs))[vertex]
+
+    def take(self, pick) -> Inputs:
+        """The ``Inputs`` of instances ``pick``, in that order: ``forward_inputs`` of their layout."""
+        inputs, layout, pick = self.inputs, self.inputs.layout, np.asarray(pick, dtype=np.intp)
+        rows = [_picked_rows(starts, pick) for starts in self.starts]
+        (vertex, counts, shift), (edge, edge_counts, _), (token, _, token_shift), (pair, pair_counts, pair_shift) = rows
+        by_edge, by_pair = shift.repeat(edge_counts), shift.repeat(pair_counts)  # the vertex shift of each row
+        units = layout.unit_starts.reshape(-1, self.per_instance)[pick] - shift[:, None]
+        dependents = inputs.dependents[pair]
+        taken = Layout(
+            [layout.sentences[i] for i in pick], layout.vertices[vertex], units.ravel(),
+            layout.edges.take(edge, axis=0) - by_edge[:, None], [layout.tokens[i] for i in pick],
+            layout.token_rows[vertex] - token_shift.repeat(counts), layout.entities[:, pick] - shift,
+        )
+        return Inputs(
+            taken, TokenCodes(*(column[token] for column in inputs.codes)),
+            inputs.pair_starts[vertex] - pair_shift.repeat(counts),
+            inputs.pairs.take(pair, axis=0) - by_pair[:, None], dependents - (dependents >= 0) * by_pair,
+        )
+
+
+# ---------------------------------------------------------------------------
 # Model
 
 
@@ -488,28 +565,26 @@ class Model:
         projected = input_projection(x, self.proj_w_ctx, self.proj_w_feat, self.proj_b)
         return nm.gather_rows(projected, token_rows)
 
-    def forward(self, layout: Layout, provider: EmbeddingProvider) -> ForwardDetail:
+    def forward(self, inputs: Inputs, provider: EmbeddingProvider) -> ForwardDetail:
         """Logits (B, 19) of a batch's B instances, run as one layout.
 
-        ``layout`` holds the units of all instances back to back, instance
-        by instance, path graph first (``graph.batch_layout``): their vertex
-        rows, attention pairs and edge features each form one array, so
-        every layer runs once for the whole batch. It must have the
-        model's units per instance.
+        ``inputs`` (``forward_inputs``) holds the units of all instances back
+        to back, instance by instance, path graph first: their vertex rows,
+        attention pairs and edge features each form one array, so every
+        layer runs once for the whole batch. It must have the model's units
+        per instance.
         """
         cfg = self.config
+        layout, codes, pair_starts, pairs, dependents = inputs
         per_instance = 3 if cfg.graph_mode == "multi" else 1
         vertex_starts, batch = layout.unit_starts, len(layout.sentences)
         if not batch or len(vertex_starts) != per_instance * batch:
             raise ValueError(f"forward needs one or more instances of {per_instance} units each")
-        rows = len(layout.vertices)
-        graphs = nm.Segments(vertex_starts, rows)
-        pair_starts, pairs, dependents = attention_pairs(layout.edges, rows)
+        graphs = nm.Segments(vertex_starts, len(layout.vertices))
         neighborhoods = nm.Segments(pair_starts, len(pairs))
         sentences = nm.Segments(np.arange(0, len(vertex_starts), per_instance), len(vertex_starts))
 
         sentence_tokens = list(zip(layout.sentences, layout.tokens))
-        codes = code_tokens(sentence_tokens, self.vocabs)
         x = encode_tokens(sentence_tokens, codes, provider, self.embeddings)
         h = self._context_encode(x, graphs, layout.token_rows)
         efeat = edge_features(
@@ -536,4 +611,4 @@ class Model:
     ) -> int:
         layout = set_layout([sentence], [sgs], self.config.graph_mode == "multi")
         with nm.no_grad():
-            return int(self.forward(layout, provider).logits.value[0].argmax())
+            return int(self.forward(forward_inputs(layout, self.vocabs), provider).logits.value[0].argmax())

@@ -20,7 +20,7 @@ from .corpus import LABEL_INDEX, LABELS, RELATION_BASES, CorpusError, RelationLa
 from .features import EmbeddingProvider, HashedEmbeddingProvider, build_dref_table
 # sentence_subgraphs is not called here: bench/tracing.py looks it up under this module's name
 from .graph import batch_layout, sentence_subgraphs
-from .model import Model, ModelConfig, check_integers
+from .model import InstanceRows, Model, ModelConfig, check_integers, forward_inputs
 
 __all__ = [
     "TrainerConfig",
@@ -233,6 +233,11 @@ def train(
     Raises CorpusError on fewer than two sentences or one without a gold
     label, and TrainingDiverged on a non-finite loss.
 
+    Before the first step the training split is cut, coded and paired
+    once (``forward_inputs`` of its ``batch_layout``), so a sentence the
+    cut rejects raises its GraphError before any forward runs; each
+    minibatch gathers its instances' rows (``InstanceRows.take``).
+
     For the length of the call every parameter has one gradient buffer
     (``nm.Node.grad_buffer``) that each step's backward writes into, and
     the best-dev parameters are copied into one snapshot allocated once.
@@ -260,6 +265,9 @@ def train(
         p.grad_buffer = np.empty_like(p.value)
 
     multi = model_config.graph_mode == "multi"
+    split = [sentences[i] for i in train_idx]
+    rows = InstanceRows(forward_inputs(batch_layout(split, model_config.expansion_order, multi), vocabs))
+    labels = np.array([LABEL_INDEX[s.label] for s in split], dtype=np.intp)
     dev_sentences = [sentences[i] for i in dev_idx]
 
     log = TrainLog()
@@ -269,16 +277,15 @@ def train(
     wait = 0
 
     for epoch in range(1, trainer_config.epochs + 1):
-        order = list(train_idx)
+        order = list(range(len(split)))
         rng.shuffle(order)
         loss_sum = 0.0
         seen = correct = 0
         for start in range(0, len(order), trainer_config.batch_size):
             batch = order[start : start + trainer_config.batch_size]
             nm.zero_grads(params)
-            layout = batch_layout([sentences[i] for i in batch], model_config.expansion_order, multi)
-            detail = model.forward(layout, provider)
-            golds = [LABEL_INDEX[sentences[i].label] for i in batch]
+            detail = model.forward(rows.take(batch), provider)
+            golds = labels[batch]
             loss = nm.cross_entropy(detail.logits, golds)
             if not np.isfinite(loss.item()):
                 raise TrainingDiverged(
@@ -354,14 +361,15 @@ def gold_labels(sentences: list[Sentence]) -> list[RelationLabel]:
 def predict(model: Model, sentences: list[Sentence], provider: EmbeddingProvider) -> list[RelationLabel]:
     """The predicted label of every sentence, ``EVAL_CHUNK`` sentences per no-grad forward.
 
-    Each chunk is cut into its layout here, by ``batch_layout``.
+    Each chunk is cut into its layout here, by ``batch_layout``, and
+    its inputs built by ``forward_inputs``.
     """
     order, multi = model.config.expansion_order, model.config.graph_mode == "multi"
     labels = []
     with nm.no_grad():
         for start in range(0, len(sentences), EVAL_CHUNK):
             layout = batch_layout(sentences[start : start + EVAL_CHUNK], order, multi)
-            logits = model.forward(layout, provider).logits.value
+            logits = model.forward(forward_inputs(layout, model.vocabs), provider).logits.value
             labels.extend(LABELS[i] for i in np.argmax(logits, axis=1))
     return labels
 

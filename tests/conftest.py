@@ -19,6 +19,7 @@ from relgat.corpus import (
 )
 from relgat.features import TokenCodes
 from relgat.graph import set_layout
+from relgat.model import forward_inputs
 
 # Property tests draw from a fixed seed with no example database and no
 # per-example deadline, so a run is repeatable and its time bounded.
@@ -155,9 +156,10 @@ def build_structure_corpus(n: int, seed: int = 0):
 
 
 def laid_out(model, instances):
-    """The layout ``model.forward`` reads for (sentence, sub-graph set) instances, in the model's graph mode."""
+    """The inputs ``model.forward`` reads for (sentence, sub-graph set) instances, in the model's graph mode."""
     sentences = [sentence for sentence, _ in instances]
-    return set_layout(sentences, [sgs for _, sgs in instances], model.config.graph_mode == "multi")
+    layout = set_layout(sentences, [sgs for _, sgs in instances], model.config.graph_mode == "multi")
+    return forward_inputs(layout, model.vocabs)
 
 
 def total(x):

@@ -27,7 +27,7 @@ from relgat import numerics as nm
 from relgat.corpus import LABEL_INDEX, build_vocabs
 from relgat.features import HashedEmbeddingProvider, build_dref_table
 from relgat.graph import batch_layout
-from relgat.model import Model, ModelConfig
+from relgat.model import Model, ModelConfig, forward_inputs
 from conftest import build_structure_corpus
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures", "parity.npz")
@@ -52,12 +52,12 @@ def run_cell(graph_layer, edge_mode, contextual, order, depth) -> dict[str, np.n
     vocabs = build_vocabs(corpus)
     dref = build_dref_table(corpus, config.d_e) if config.uses_dref else None
     provider = HashedEmbeddingProvider(config.d_ctx, seed=0)
-    layout = batch_layout(corpus, order)
+    inputs = forward_inputs(batch_layout(corpus, order), vocabs)
     golds = [LABEL_INDEX[s.label] for s in corpus]
     prefix = cell_name(graph_layer, edge_mode, contextual, order, depth)
     out = {}
     double = Model(config, vocabs, dref, seed=MODEL_SEED, dtype=np.float64)
-    logits = double.forward(layout, provider).logits
+    logits = double.forward(inputs, provider).logits
     loss = nm.cross_entropy(logits, golds)
     loss.backward()
     out[f"{prefix}.logits64"] = logits.value
@@ -65,7 +65,7 @@ def run_cell(graph_layer, edge_mode, contextual, order, depth) -> dict[str, np.n
     for name, p in double.parameters().items():
         out[f"{prefix}.grad.{name}"] = p.grad
     single = Model(config, vocabs, dref, seed=MODEL_SEED, dtype=np.float32)
-    out[f"{prefix}.logits32"] = single.forward(layout, provider).logits.value
+    out[f"{prefix}.logits32"] = single.forward(inputs, provider).logits.value
     return out
 
 

@@ -1,7 +1,10 @@
-"""Compare two checkouts on one bench workload by alternating runs.
+"""Compare two checkouts on bench workloads by alternating runs.
 
-    python3 tests/ten_pairs.py PARENT_DIR CHANGE_DIR --workload infer-long --seed 11 \
+    python3 tests/ten_pairs.py PARENT_DIR CHANGE_DIR --workload train-long,infer-long --seed 11 \
         [--seconds 30] [--pairs 10]
+
+``--workload`` names one workload or a comma-separated list of them,
+compared one after the other, each with its own table.
 
 Each pair runs ``python3 bench/run.py --workload W --seed S --seconds T
 --trace 0`` once in PARENT_DIR and once in CHANGE_DIR, the parent first
@@ -18,8 +21,8 @@ change's median is worse than the parent's by more than bound × the
 parent's median, else "within bound"; "unresolved" instead of either when
 the parent's interquartile range is wider than bound × its median, unless
 every change run beats every parent run. The whole table is printed
-either way; the exit code is 1 when any metric's verdict is "regression",
-else 0 ("unresolved" does not fail).
+either way; the exit code is 1 when any metric of any workload has the
+verdict "regression", else 0 ("unresolved" does not fail).
 """
 
 from __future__ import annotations
@@ -76,6 +79,15 @@ def main(argv: list[str]) -> int:
     with open(os.path.join(REPO_ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         end_to_end = json.load(f)["end_to_end"]
 
+    workloads = args.workload.split(",")
+    if not all(workloads):
+        parser.error(f"--workload has an empty name: {args.workload!r}")
+    regressed = [compare(argparse.Namespace(**{**vars(args), "workload": w}), end_to_end) for w in workloads]
+    return 1 if any(regressed) else 0
+
+
+def compare(args: argparse.Namespace, end_to_end: list[dict]) -> bool:
+    """Run the pairs of one workload and print its table; whether any metric regressed."""
     pairs = []
     for i in range(args.pairs):
         if i % 2 == 0:
@@ -110,7 +122,7 @@ def main(argv: list[str]) -> int:
             f"{(cm - pm) / pm:+.1%}  wins {wins}/{args.pairs}  claim {'holds' if holds else 'does not hold'}  "
             f"{verdict}"
         )
-    return 1 if regressed else 0
+    return regressed
 
 
 if __name__ == "__main__":

@@ -286,9 +286,9 @@ class TestEval:
         counts = {"instances": 0, "subgraphs": 0}
         forward, batch_layout = Model.forward, train_eval.batch_layout
 
-        def counting_forward(self, layout, provider):
-            counts["instances"] += len(layout.sentences)
-            return forward(self, layout, provider)
+        def counting_forward(self, inputs, provider):
+            counts["instances"] += len(inputs.layout.sentences)
+            return forward(self, inputs, provider)
 
         def counting_batch_layout(sentences, expansion_order, multi):
             counts["subgraphs"] += len(sentences)

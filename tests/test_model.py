@@ -27,6 +27,7 @@ from relgat.model import (
     ModelConfig,
     bilstm_encode,
     compose_sentence,
+    forward_inputs,
     input_weights,
     gat_attention,
     gat_vertex_update,
@@ -899,10 +900,10 @@ def test_forward_rejects_empty_batch():
 @pytest.mark.parametrize("graph_mode", ["multi", "single"])
 def test_forward_rejects_a_layout_of_the_other_graph_mode(graph_mode):
     model, corpus, provider = tiny_model(graph_mode=graph_mode)
-    other = batch_layout(corpus[:3], multi=graph_mode == "single")
+    other = forward_inputs(batch_layout(corpus[:3], multi=graph_mode == "single"), model.vocabs)
     with pytest.raises(ValueError, match="units each"):
         model.forward(other, provider)
-    model.forward(batch_layout(corpus[:3], multi=graph_mode == "multi"), provider)
+    model.forward(forward_inputs(batch_layout(corpus[:3], multi=graph_mode == "multi"), model.vocabs), provider)
 
 
 def test_depth_two_gradient_check():

@@ -1,7 +1,8 @@
 """Property tests: the tree rule, sub-graph invariants, the batch layout against the layout of the
-per-sentence sub-graphs, the token rows, the token codes, the batched pair layout, the scorer, the
-CoNLL-U reader against its reference, the CLI's errors on mutated CoNLL-U files, mutated raw SemEval
-files, corrupt checkpoints and corrupt embedding files."""
+per-sentence sub-graphs, the token rows, a minibatch's inputs gathered from a split's, the token
+codes, the batched pair layout, the scorer, the CoNLL-U reader against its reference, the CLI's
+errors on mutated CoNLL-U files, mutated raw SemEval files, corrupt checkpoints and corrupt
+embedding files."""
 
 import contextlib
 import io
@@ -33,7 +34,7 @@ from relgat.corpus import (
     tree_error,
 )
 from relgat.features import (
-    DrefTable, FeatureError, FileEmbeddingProvider, attention_pairs, build_dref_table, code_tokens,
+    DrefTable, FeatureError, FileEmbeddingProvider, TokenCodes, attention_pairs, build_dref_table, code_tokens,
     dref_edge_features, edge_features,
 )
 from relgat import graph
@@ -41,7 +42,7 @@ from relgat.graph import (
     GraphError, Layout, batch_layout, derive_subgraphs, sentence_subgraphs, set_layout,
     shortest_dependency_path,
 )
-from relgat.model import Model, ModelConfig
+from relgat.model import InstanceRows, Model, ModelConfig, forward_inputs
 from relgat.train_eval import score_predictions
 from conftest import (
     brute_force_path, build_toy_corpus, conllu_block, dref_entries, entity_token, reference_code_tokens,
@@ -213,6 +214,30 @@ def test_token_rows_name_the_same_sentence_token(batch, order, multi):
     assert [token_of_row[r] for r in layout.token_rows] == unit_rows
     for distinct, graphs in zip(layout.tokens, graph_sets):
         assert distinct == sorted({v for sg in graphs for v in sg.vertices})
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(0, 2), st.booleans(), st.data())
+def test_gathered_inputs_equal_the_inputs_of_the_picked_sentences(seed, size, order, multi, data):
+    # train()'s minibatches: instances picked from the inputs of a whole split, in any order
+    corpus = seeded_trees(seed, size)
+    rng = np.random.default_rng(seed)
+    for t in (t for sentence in corpus for t in sentence.tokens):
+        t.pos, t.ner = str(rng.choice(POS)), str(rng.choice(NERS))
+    vocabs = build_vocabs(corpus)
+    rows = InstanceRows(forward_inputs(batch_layout(corpus, order, multi), vocabs))
+    shuffled = data.draw(st.permutations(range(size)))
+    pick = shuffled[: data.draw(st.integers(1, size))]
+    got = rows.take(pick)
+    want = forward_inputs(batch_layout([corpus[i] for i in pick], order, multi), vocabs)
+    assert list(map(id, got.layout.sentences)) == [id(corpus[i]) for i in pick]
+    assert got.layout.tokens == want.layout.tokens
+    arrays = [(f"layout.{name}", getattr(got.layout, name), getattr(want.layout, name)) for name in Layout._fields]
+    arrays += [(f"codes.{name}", g, w) for name, g, w in zip(TokenCodes._fields, got.codes, want.codes)]
+    arrays += [(name, getattr(got, name), getattr(want, name)) for name in ("pair_starts", "pairs", "dependents")]
+    for name, g, w in arrays:
+        if isinstance(w, np.ndarray):
+            assert g.dtype == w.dtype and g.shape == w.shape, name
+            assert np.array_equal(g, w), name
 
 
 def spoil(sentence, kind, rng):

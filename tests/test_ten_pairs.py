@@ -67,6 +67,34 @@ def test_unresolved_and_within_bound_exit_0(monkeypatch, capsys):
     assert verdicts == ["within bound", "within bound", "unresolved", "within bound", "within bound"]
 
 
+def test_a_workload_list_prints_one_table_each_and_fails_on_any_regression(monkeypatch, capsys):
+    # "a" is within bound on every metric and "b" regresses on predict_ms_p50
+    series = {
+        "a": (PARENT, {**CHANGE, "predict_ms_p50": PARENT["predict_ms_p50"]}),
+        "b": (PARENT, CHANGE),
+    }
+    served = {}
+
+    def fake_run(checkout, args):
+        i = served.get((checkout, args.workload), 0)
+        served[checkout, args.workload] = i + 1
+        values = series[args.workload][checkout == "change"]
+        return {name: values[name][i] for name in values}
+
+    monkeypatch.setattr(ten_pairs, "run", fake_run)
+    argv = ["ten_pairs.py", "parent", "change", "--workload", "a,b", "--seed", "1"]
+    assert ten_pairs.main(argv) == 1
+    assert served == {(side, w): 10 for side in ("parent", "change") for w in "ab"}
+    lines = capsys.readouterr().out.splitlines()
+    headers = [i for i, line in enumerate(lines) if " seed 1, 10 pairs " in line]
+    assert [lines[i].split()[0] for i in headers] == ["a", "b"]
+    for i, regressed in zip(headers, (False, True)):
+        verdicts = [line.rsplit("  ", 1)[-1] for line in lines[i + 1 : i + 6]]
+        assert ("regression" in verdicts) == regressed, verdicts
+    served.clear()
+    assert ten_pairs.main(argv[:4] + ["a", "--seed", "1"]) == 0
+
+
 @pytest.mark.parametrize("stdout", ['{"correct": false}\n', "", "Traceback (most recent call last)\n"])
 def test_failed_run_shows_exit_code_and_stderr_tail(monkeypatch, stdout):
     stderr = "".join(f"line {i}\n" for i in range(30)) + "ValueError: boom\n"

@@ -13,7 +13,7 @@ from relgat.corpus import (
     LABEL_INDEX, LABELS, RELATION_BASES, RelationLabel, build_vocabs, parse_conllu_annotated,
 )
 from relgat.features import EmbeddingProvider, HashedEmbeddingProvider, build_dref_table
-from relgat.graph import sentence_subgraphs
+from relgat.graph import GraphError, sentence_subgraphs
 from relgat.model import Model, ModelConfig
 from relgat.train_eval import (
     TrainerConfig,
@@ -204,9 +204,10 @@ class TestTraining:
         for name, p in model.parameters().items():
             assert p.value.tobytes() == per_epoch[log.best_epoch - 1][name].tobytes(), name
 
-    def test_each_epoch_cuts_every_sentence_once(self, toy_corpus, monkeypatch):
-        # every minibatch and every dev chunk is cut into its layout by one batch pass,
-        # so an epoch cuts each sentence once, and none through the per-sentence path
+    def test_train_cuts_its_split_once_and_the_dev_split_each_epoch(self, toy_corpus, monkeypatch):
+        # the training split is cut into one layout before the first step and every minibatch
+        # gathers its rows from it; the dev split is cut once per epoch, in one chunk; nothing
+        # goes through the per-sentence path
         calls = []
         cut = train_eval.batch_layout
 
@@ -219,12 +220,22 @@ class TestTraining:
             _, log = train(toy_corpus, ModelConfig(**TINY), TrainerConfig(epochs=3, batch_size=7, seed=1))
         assert not spy.called
         train_idx, dev_idx = dev_split(len(toy_corpus), 0.10, 1)
-        per_epoch = -(-len(train_idx) // 7) + 1  # the minibatches, then the dev split in one chunk
-        assert len(log.records) == 3 and len(calls) == 3 * per_epoch
-        for epoch in range(3):
-            batches = calls[epoch * per_epoch : (epoch + 1) * per_epoch]
-            assert batches[-1] == [toy_corpus[i] for i in dev_idx]
-            assert sorted(map(id, sum(batches, []))) == sorted(map(id, toy_corpus))
+        assert len(log.records) == 3
+        want = [train_idx] + 3 * [dev_idx]
+        assert [list(map(id, sentences)) for sentences in calls] == [[id(toy_corpus[i]) for i in w] for w in want]
+
+    def test_a_training_sentence_that_fails_the_cut_raises_before_any_forward(self, toy_corpus, monkeypatch):
+        train_idx, _ = dev_split(len(toy_corpus), 0.10, 1)
+        bad = toy_corpus[train_idx[-1]]
+        bad.e2.head_token = bad.e1.head_token
+        with pytest.raises(GraphError) as want:
+            sentence_subgraphs(bad)
+        forward = mock.Mock(side_effect=AssertionError("a forward ran"))
+        monkeypatch.setattr(Model, "forward", forward)
+        with pytest.raises(GraphError) as got:
+            train(toy_corpus, ModelConfig(**TINY), TrainerConfig(epochs=2, batch_size=2, seed=1))
+        assert str(got.value) == str(want.value)
+        assert not forward.called
 
     def test_dev_split_scored_through_evaluate_once_per_epoch(self, toy_corpus, monkeypatch):
         # train() scores its dev split with the module's evaluate, once per epoch
