@@ -91,26 +91,36 @@ class HashedEmbeddingProvider(EmbeddingProvider):
     """Deterministic fallback: hash (surface, seed) to a pseudo-random vector.
 
     The same surface always maps to the same unit-variance vector, across
-    runs and platforms.
+    runs and platforms. Each surface is drawn once, into its row of one
+    float64 table, so a sentence's vectors are one ``take`` of their rows.
+    The table starts at 64 rows (384 KB at d_ctx 768) and doubles when
+    full, so past 64 surfaces fewer than half its rows are slack.
     """
 
     def __init__(self, dim: int = 768, seed: int = 0):
         self.dim = dim
         self.seed = seed
         self.record = {"kind": "hashed", "seed": seed}
-        self._cache: dict[str, np.ndarray] = {}
+        self._row_of: dict[str, int] = {}
+        self._table = np.empty((64, dim))
 
     def _draw(self, surface: str) -> np.ndarray:
         digest = hashlib.blake2b(f"{self.seed}\x00{surface}".encode("utf-8"), digest_size=8).digest()
         rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
-        self._cache[surface] = vector = rng.standard_normal(self.dim)
-        return vector
+        return rng.standard_normal(self.dim)
+
+    def _add(self, surface: str) -> int:
+        row = self._row_of[surface] = len(self._row_of)
+        if row == len(self._table):
+            self._table = np.concatenate((self._table, np.empty_like(self._table)))
+        self._table[row] = self._draw(surface)
+        return row
 
     def vectors(self, sentence: Sentence, indices: Sequence[int]) -> np.ndarray:
-        tokens, cache = sentence.tokens, self._cache
+        tokens, row_of = sentence.tokens, self._row_of
         surfaces = [tokens[i].surface for i in indices]
-        rows = [cache[s] if s in cache else self._draw(s) for s in surfaces]
-        return np.concatenate(rows).reshape(len(rows), self.dim)  # faster than np.array(rows)
+        rows = [row_of[s] if s in row_of else self._add(s) for s in surfaces]
+        return self._table.take(rows, axis=0)  # after the draws, which may grow the table
 
 
 def file_record(text: str) -> dict:

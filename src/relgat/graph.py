@@ -271,7 +271,10 @@ def _cut_batch(sentences: list[Sentence], expansion_order: int, per_instance: in
     sentence_of = np.repeat(np.arange(len(sentences)), lens)
     first = starts[sentence_of]  # each token's sentence start
     local = np.arange(n) - first
-    head = np.array([t.head for s in sentences for t in s.tokens], dtype=float)  # None reads as nan
+    try:
+        head = np.array([t.head for s in sentences for t in s.tokens], dtype=float)  # None reads as nan
+    except OverflowError:  # a head too large for a float is out of range
+        return None
     root = np.isnan(head)
     head[root] = local[root]
     if not (

@@ -1,10 +1,12 @@
 """Compare two checkouts on bench workloads by alternating runs.
 
-    python3 tests/ten_pairs.py PARENT_DIR CHANGE_DIR --workload train-long,infer-long --seed 11 \
+    python3 tests/ten_pairs.py PARENT_DIR CHANGE_DIR --workload train-long,infer-long --seed 11,29 \
         [--seconds 30] [--pairs 10]
 
-``--workload`` names one workload or a comma-separated list of them,
-compared one after the other, each with its own table.
+``--workload`` names one workload or a comma-separated list of them, and
+``--seed`` one integer seed or a comma-separated list of them. Every
+(workload, seed) is compared in turn, workloads outermost, each with its
+own table.
 
 Each pair runs ``python3 bench/run.py --workload W --seed S --seconds T
 --trace 0`` once in PARENT_DIR and once in CHANGE_DIR, the parent first
@@ -21,7 +23,7 @@ change's median is worse than the parent's by more than bound × the
 parent's median, else "within bound"; "unresolved" instead of either when
 the parent's interquartile range is wider than bound × its median, unless
 every change run beats every parent run. The whole table is printed
-either way; the exit code is 1 when any metric of any workload has the
+either way; the exit code is 1 when any metric of any table has the
 verdict "regression", else 0 ("unresolved" does not fail).
 """
 
@@ -70,7 +72,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", required=True)
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv[1:])
@@ -82,12 +84,20 @@ def main(argv: list[str]) -> int:
     workloads = args.workload.split(",")
     if not all(workloads):
         parser.error(f"--workload has an empty name: {args.workload!r}")
-    regressed = [compare(argparse.Namespace(**{**vars(args), "workload": w}), end_to_end) for w in workloads]
+    try:
+        seeds = [int(seed) for seed in args.seed.split(",")]
+    except ValueError:
+        parser.error(f"--seed is not a comma-separated list of integers: {args.seed!r}")
+    regressed = [
+        compare(argparse.Namespace(**{**vars(args), "workload": w, "seed": seed}), end_to_end)
+        for w in workloads
+        for seed in seeds
+    ]
     return 1 if any(regressed) else 0
 
 
 def compare(args: argparse.Namespace, end_to_end: list[dict]) -> bool:
-    """Run the pairs of one workload and print its table; whether any metric regressed."""
+    """Run the pairs of one workload and seed and print its table; whether any metric regressed."""
     pairs = []
     for i in range(args.pairs):
         if i % 2 == 0:

@@ -413,6 +413,25 @@ class TestEncodeTokens:
         vecs = provider.vectors(s, range(len(s)))
         np.testing.assert_array_equal(vecs[0], vecs[3])
 
+    def test_hashed_rows_are_the_per_surface_draws(self):
+        # the table's rows equal each surface's own draw, byte for byte: for a
+        # surface repeated within and across calls, one first seen in the middle
+        # of a call, and calls that grow the table past its first 64 rows
+        words = [f"w{i}" for i in range(150)]
+        calls = [
+            ["a", "b", "a"],
+            ["b", "new", "a", "new"],  # "new" first seen mid-call, then repeated
+            words[:70],  # grows the table within one call
+            ["a", *words[60:150], "new", words[3]],  # grows it again, between seen surfaces
+        ]
+        provider, fresh = HashedEmbeddingProvider(8, seed=3), HashedEmbeddingProvider(8, seed=3)
+        for surfaces in calls:
+            s = Sentence([Token(i, w) for i, w in enumerate(surfaces)], EntitySpan(0, 0), EntitySpan(1, 1))
+            got = provider.vectors(s, range(len(s)))
+            want = np.stack([fresh._draw(w) for w in surfaces])
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert len(provider._table) == 256
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_hashed_rows_on_request_are_rows_of_the_whole_sentence(self, toy_corpus, dtype):
         vocabs = build_vocabs(toy_corpus)

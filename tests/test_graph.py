@@ -97,6 +97,17 @@ class TestHandBuiltSentence:
     def test_head_out_of_range(self):
         assert "out of range" in self.cut([None, 0, 7, 0])
 
+    def test_head_too_large_for_a_float_fails_the_batch_cut_as_the_reference(self):
+        # the batch cut reads heads as floats; 10**400 has none, and must not raise a bare OverflowError
+        tokens = [Token(i, f"w{i}", "X", None, "dep", h) for i, h in enumerate([None, 10**400, 0, 0])]
+        sentence = Sentence(tokens, EntitySpan(1, 1), EntitySpan(3, 3))
+        with pytest.raises(GraphError) as ref:
+            sentence_subgraphs(sentence)
+        for multi in (True, False):
+            with pytest.raises(GraphError) as got:
+                graph.batch_layout([sentence], multi=multi)
+            assert str(got.value) == str(ref.value) and "out of range" in str(ref.value)
+
 
 class TestDeriveSubgraphs:
     def test_worked_example(self):

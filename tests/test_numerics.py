@@ -506,11 +506,12 @@ def test_lstm_token_rows_equal_gathered_input(reverse):
 
 
 def earlier_bilstm(z, w_hidden, starts, g):
-    """The recurrence as it ran before its gate-major layout, and its two VJPs at ``g``.
+    """The recurrence as it ran before its per-width scratch rows, and its two VJPs at ``g``.
 
-    A plain numpy copy of the earlier loop: a step's gates are stored
-    direction-major, scaled and shifted by broadcast (4d,) rows, and the
-    forget term of the cell update is a temporary. Returns the (n, 2d)
+    A plain numpy copy of the earlier loop: each step's ``matmul`` writes
+    straight into its gate block, the gates are scaled and shifted by
+    broadcast (4d,) rows, and the forget term of the cell update is a
+    temporary. Returns the (n, 2d)
     states and the gradients of ``sum(g * states)`` with respect to ``z``
     and ``w_hidden``.
     """
@@ -605,10 +606,13 @@ def earlier_bilstm(z, w_hidden, starts, g):
     [1],
     [15, 4, 4],  # a long tail of one-sequence steps
     [33, 5, 3],
+    # 24 sentences' units as an infer-long batch lays them out: widths fall from 72 to 1
+    [x for sdp in range(24, 0, -1) for x in (sdp, 3, 2)],
 ])
 def test_bilstm_equals_the_earlier_loop_bit_for_bit(dtype, lengths):
-    # the gate-major layout, the per-width scratch rows and the carry
-    # buffer move no bit: states and both VJPs equal the earlier loop's
+    # the step's scratch term added into the gates, the per-width scale and
+    # shift rows and the carry buffer move no bit: states and both VJPs
+    # equal the earlier loop's
     rng = np.random.default_rng(sum(lengths) + len(lengths))
     d, n = 3, sum(lengths)
     starts = np.cumsum([0] + lengths[:-1])

@@ -258,6 +258,8 @@ def spoil(sentence, kind, rng):
         sentence.tokens[v].head = n + int(rng.integers(0, 3))
     elif kind == "negative head":
         sentence.tokens[v].head = -int(rng.integers(1, 3))
+    elif kind == "head too large for a float":
+        sentence.tokens[v].head = 10 ** int(rng.integers(309, 500))
     elif kind == "entities coincide":
         sentence.e2.head_token = sentence.e1.head_token
     elif kind == "entity out of range":
@@ -267,7 +269,7 @@ def spoil(sentence, kind, rng):
 
 
 SPOILS = ("no root", "two roots", "cycle", "self head", "head past the end", "negative head",
-          "entities coincide", "entity out of range", "unparsed", "order 3")
+          "head too large for a float", "entities coincide", "entity out of range", "unparsed", "order 3")
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from(SPOILS), st.booleans(), st.data())

@@ -95,6 +95,42 @@ def test_a_workload_list_prints_one_table_each_and_fails_on_any_regression(monke
     assert ten_pairs.main(argv[:4] + ["a", "--seed", "1"]) == 0
 
 
+def test_a_seed_list_prints_one_table_per_workload_and_seed_and_fails_on_any_regression(monkeypatch, capsys):
+    # only workload "b" at seed 29 regresses (on predict_ms_p50)
+    within = {**CHANGE, "predict_ms_p50": PARENT["predict_ms_p50"]}
+    served = {}
+
+    def fake_run(checkout, args):
+        key = (checkout, args.workload, args.seed)
+        i = served.get(key, 0)
+        served[key] = i + 1
+        values = PARENT if checkout == "parent" else CHANGE if (args.workload, args.seed) == ("b", 29) else within
+        return {name: values[name][i] for name in values}
+
+    monkeypatch.setattr(ten_pairs, "run", fake_run)
+    argv = ["ten_pairs.py", "parent", "change", "--workload", "a,b", "--seed", "11,29"]
+    assert ten_pairs.main(argv) == 1
+    tables = [(w, s) for w in "ab" for s in (11, 29)]
+    assert served == {(side, w, s): 10 for side in ("parent", "change") for w, s in tables}
+    lines = capsys.readouterr().out.splitlines()
+    headers = [i for i, line in enumerate(lines) if ", 10 pairs of " in line]
+    assert [lines[i].split(",")[0] for i in headers] == [f"{w} seed {s}" for w, s in tables]
+    for i, table in zip(headers, tables):
+        verdicts = [line.rsplit("  ", 1)[-1] for line in lines[i + 1 : i + 6]]
+        assert ("regression" in verdicts) == (table == ("b", 29)), (table, verdicts)
+    served.clear()
+    assert ten_pairs.main(argv[:6] + ["11"]) == 0
+    assert {s for _, _, s in served} == {11}
+
+
+@pytest.mark.parametrize("seed", ["11,", "eleven", "11,,29", "1.5"])
+def test_a_seed_that_is_not_an_integer_list_is_a_usage_error(monkeypatch, seed):
+    monkeypatch.setattr(ten_pairs, "run", lambda checkout, args: pytest.fail("ran a pair"))
+    with pytest.raises(SystemExit) as exit_:
+        ten_pairs.main(["ten_pairs.py", "parent", "change", "--workload", "w", "--seed", seed])
+    assert exit_.value.code == 2
+
+
 @pytest.mark.parametrize("stdout", ['{"correct": false}\n', "", "Traceback (most recent call last)\n"])
 def test_failed_run_shows_exit_code_and_stderr_tail(monkeypatch, stdout):
     stderr = "".join(f"line {i}\n" for i in range(30)) + "ValueError: boom\n"
