@@ -41,6 +41,7 @@ __all__ = [
     "FeatureError",
     "EmbeddingProvider",
     "HashedEmbeddingProvider",
+    "hashed_record",
     "FileEmbeddingProvider",
     "file_record",
     "FeatureEmbeddings",
@@ -87,6 +88,11 @@ class EmbeddingProvider:
         raise NotImplementedError
 
 
+def hashed_record(seed: int = 0) -> dict:
+    """The record of a ``HashedEmbeddingProvider``: its kind and seed."""
+    return {"kind": "hashed", "seed": seed}
+
+
 class HashedEmbeddingProvider(EmbeddingProvider):
     """Deterministic fallback: hash (surface, seed) to a pseudo-random vector.
 
@@ -100,7 +106,7 @@ class HashedEmbeddingProvider(EmbeddingProvider):
     def __init__(self, dim: int = 768, seed: int = 0):
         self.dim = dim
         self.seed = seed
-        self.record = {"kind": "hashed", "seed": seed}
+        self.record = hashed_record(seed)
         self._row_of: dict[str, int] = {}
         self._table = np.empty((64, dim))
 

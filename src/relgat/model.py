@@ -58,9 +58,9 @@ The inputs hold, and the forward derives:
                    entity flags, positions and heads, which the token
                    encoding and the edge features both read
     token_rows     the token row of every vertex row, by which the
-                   BiLSTM gathers its gate pre-activations (the
-                   non-contextual variant its projection) and the edge
-                   features read each pair's tokens
+                   BiLSTM reads its gate pre-activations (the non-
+                   contextual variant gathers its projection) and the
+                   edge features read each pair's tokens
     graphs         vertex Segments, one per unit: the BiLSTM sequences
                    and the pooling groups
     pairs          ``attention_pairs`` of the layout's (head, dependent)
@@ -101,12 +101,12 @@ from .features import (
     DrefTable,
     EmbeddingProvider,
     FeatureEmbeddings,
-    HashedEmbeddingProvider,
     TokenCodes,
     attention_pairs,
     code_tokens,
     edge_features,
     encode_tokens,
+    hashed_record,
 )
 from .graph import Layout, SubGraphSet, set_layout
 
@@ -296,11 +296,11 @@ def bilstm_encode(x: list[nm.Node], segments: nm.Segments, lstm: LstmParams, tok
 
     ``x`` holds the [contextual, feature] column blocks of the distinct
     tokens. Both directions' gate pre-activations come from one
-    projection per token, gathered to the layout rows (layout row r reads
-    token row ``token_rows[r]``), and one recurrence runs both directions.
+    projection per token, and one recurrence reads them (layout row r
+    reads token row ``token_rows[r]``) and runs both directions.
     """
-    z = nm.gather_rows(input_projection(x, lstm.w_ctx, lstm.w_feat, lstm.bias), token_rows)
-    return nm.bilstm_sequence(z, lstm.w_hidden, segments)
+    z = input_projection(x, lstm.w_ctx, lstm.w_feat, lstm.bias)
+    return nm.bilstm_sequence(z, lstm.w_hidden, segments, token_rows)
 
 
 def gat_attention(
@@ -502,7 +502,7 @@ class Model:
         self.vocabs = vocabs
         self.dref_table = dref if config.uses_dref else None
         self.dtype = dtype
-        self.embedding: dict | None = HashedEmbeddingProvider(config.d_ctx).record
+        self.embedding: dict | None = hashed_record()
 
         rng = nm.UNDRAWN if seed is None else np.random.default_rng(seed)
         self.embeddings = FeatureEmbeddings(vocabs, config.d_ctx, config.d_f, config.d_wt, rng, dtype)

@@ -20,17 +20,25 @@ segment of a ``Segments``: the segments' starts, lengths and row ids,
 validated once when built and shared by every op over the same rows. A
 graph layer is then a fixed handful of nodes whatever the vertex count.
 ``gather_rows`` selects rows by index, duplicates allowed; its backward
-is the engine's one scatter-add, a single ``bincount`` that sums the
-gradient rows of every index.
+is a single ``bincount`` that sums the gradient rows of every index.
 
 Recurrences are fused and packed: ``bilstm_sequence`` runs both LSTM
 directions over any number of sequences, one per segment of a
 ``Segments``, as a single node. It is the recurrence alone: its input is
-the (n, 8d) gate pre-activations ``x @ w_input + bias`` of every layout
-row, the two directions as column blocks, which the caller builds from
-ordinary ops (a projection over distinct tokens and a ``gather_rows`` to
-the layout, say), so input GEMMs and their gradients are the engine's
-usual ``matmul`` and ``requires_grad`` pruning skips a constant input.
+the (T, 8d) gate pre-activations ``x @ w_input + bias`` of T tokens, the
+two directions as column blocks, and the token row each layout row
+reads. The caller builds them with ordinary ops (a projection over a
+batch's distinct tokens, say), so input GEMMs and their gradients are
+the engine's usual ``matmul`` and ``requires_grad`` pruning skips a
+constant input. The op gathers its gate buffer straight from the token
+rows, and its input gradient is ``gather_rows``' to the bit: each
+token's rows summed in layout order, in float64. It sums them by rank
+layers, every token's first row, then every second row and so on, one
+fancy index each: at the paper's widths a ``bincount`` over the flat
+(n, 8d) gradient costs several times the few layers a token's
+multiplicity allows. ``gather_rows`` keeps its ``bincount``, which is
+the cheaper of the two over narrow rows read many times, as the graph
+layers' neighbour gathers are.
 With the sequences sorted longest first, step s of the loop updates the
 k_s sequences still running, in both directions at once, with one
 stacked (2, k_s, d) @ (2, d, 4d) ``matmul``, so the loop runs max-length
@@ -464,25 +472,30 @@ _GATE_SCALE = np.array([0.5, 0.5, 1.0, 0.5])  # per gate: (input, forget, cell, 
 _DIRECTIONS = np.arange(2)
 
 
-def bilstm_sequence(z: Node, w_hidden: Node, segments: Segments) -> Node:
+def bilstm_sequence(z: Node, w_hidden: Node, segments: Segments, token_rows) -> Node:
     """Hidden states of both LSTM directions over packed sequences, as one node.
 
-    ``z`` (n, 8d) holds the input pre-activations of every layout row,
+    ``z`` (T, 8d) holds the input pre-activations of T tokens,
     ``x @ w_input + bias`` computed by the caller; this op is the
-    recurrence alone. Its columns are ``[forward 4d | backward 4d]``, as
-    are those of ``w_hidden`` (d, 8d), and within each direction the gates
-    are stacked (input, forget, cell, output). The layout holds S
-    sequences, one per row segment of ``segments``; the forward direction
-    reads each first row to last, the backward one last to first. Row r
-    of the (n, 2d) result is ``[h_fwd | h_bwd]`` after reading row r;
-    initial hidden and cell states are zero. Every buffer has the input's
-    dtype.
+    recurrence alone. Layout row r reads token row ``token_rows[r]``, so
+    the op equals one over ``gather_rows(z, token_rows)`` with identity
+    token rows, bit for bit, its ``z`` gradient included. Token rows that
+    are not one per layout row, or name no row of ``z``, raise
+    ShapeMismatch naming them and both shapes. The columns of ``z`` are
+    ``[forward 4d | backward 4d]``, as are those of ``w_hidden`` (d, 8d),
+    and within each direction the gates are stacked (input, forget, cell,
+    output). The n layout rows hold S sequences, one per row segment of
+    ``segments``; the forward direction reads each first row to last, the
+    backward one last to first. Row r of the (n, 2d) result is
+    ``[h_fwd | h_bwd]`` after reading row r; initial hidden and cell
+    states are zero. Every buffer has the input's dtype.
 
     The sequences are stably sorted longest first, so those still running
     at step s are a prefix of k_s of them in both directions. The rows are
     permuted once into step-major order, where step s is a contiguous
-    block of k_s rows, direction second: the gather of ``z`` into that
-    order is the gate buffer ``acts`` (n, 2, 4d) itself. A step adds one
+    block of k_s rows, direction second: the gather of the token rows of
+    ``z`` into that order is the gate buffer ``acts`` (n, 2, 4d) itself,
+    one fancy index with no (n, 8d) layout copy between. A step adds one
     ``matmul`` of the (2, k_s, d) previous states, read in place from step
     s-1's rows, with a strided (2, d, 4d) view of ``w_hidden`` into its
     rows. All four gates come from one ``tanh`` over the gate block, since
@@ -504,15 +517,24 @@ def bilstm_sequence(z: Node, w_hidden: Node, segments: Segments) -> Node:
     weights would save one call per step but streams a copy of
     ``w_hidden`` per call: 2 MB at the paper's d = 256, slower than the
     calls it saves.
+
+    The ``z`` gradient is summed into token rows from the step-major gate
+    gradients directly, by rank layers (``_rank_layers``): layer j holds
+    every token's (j+1)-th layout row, in layout order. The first layer is
+    written into a float64 (T, 8d) buffer of zeros, each later one added
+    to it, and a final +0.0 turns a -0.0 into +0.0: the bits of
+    ``bincount``'s sum, which starts at +0.0. A token appears once per
+    layer, so each layer is one fancy index; a batch's token is read by at
+    most its sentence's three sub-graphs, so there are at most three.
     """
-    _check_rows("bilstm_sequence", z, segments)
-    zv, whv = z.value, w_hidden.value
+    zv, whv, n = z.value, w_hidden.value, segments.rows
+    tokens = np.asarray(token_rows, dtype=np.intp)
+    # one reduction: a negative row read as unsigned exceeds any token count
+    if zv.ndim != 2 or tokens.shape != (n,) or np.maximum.reduce(tokens.view(np.uintp)) >= len(zv):
+        raise ShapeMismatch(f"bilstm_sequence: token rows {tokens.tolist()} of {n} rows for shape {zv.shape}")
     d = whv.shape[0]
     if zv.shape[1] != 8 * d or whv.shape != (d, 8 * d):
-        raise ShapeMismatch(
-            f"bilstm_sequence: pre-activations {zv.shape} with hidden weights {whv.shape}"
-        )
-    n = zv.shape[0]
+        raise ShapeMismatch(f"bilstm_sequence: pre-activations {zv.shape} with hidden weights {whv.shape}")
     order = np.argsort(-segments.lengths, kind="stable")
     first, lengths = segments.starts[order], segments.lengths[order]
     # the (step, sequence) of each step-major position: a prefix of the sequences runs at each step
@@ -526,17 +548,15 @@ def bilstm_sequence(z: Node, w_hidden: Node, segments: Segments) -> Node:
     wh = whv.reshape(d, 2, 4 * d).transpose(1, 0, 2)  # direction k's block
     # a step's gates are (k, 2, 4d), direction-major as the matmul writes them; the input
     # pre-activations are gathered into place; sigmoid(x) = tanh(x/2) * 1/2 + 1/2
-    acts = zv.reshape(n, 2, 4 * d)[layout_rows, _DIRECTIONS]
+    acts = zv.reshape(len(zv), 2, 4 * d)[tokens[layout_rows], _DIRECTIONS]
     gates = acts.reshape(n, 2, 4, d)
     gate_in, gate_forget, gate_cell, gate_out = (gates[:, :, j] for j in range(4))
     scale_rows = np.empty((k0, 2, 4 * d), dtype)
     scale_rows[...] = _GATE_SCALE.repeat(d)
     shift_rows = 1 - scale_rows
     pre = np.empty((k0, 2, 4 * d), dtype)  # one step's hidden-state term
-    hidden = np.empty((n, 2, d), dtype)  # hidden and cell states after each step
+    hidden, cell, tanh_cell = np.empty((3, n, 2, d), dtype)  # hidden and cell states after each step
     hidden_t = hidden.transpose(1, 0, 2)
-    cell = np.empty((n, 2, d), dtype)
-    tanh_cell = np.empty((n, 2, d), dtype)
     carry = np.empty((k0, 2, d), dtype)  # forget gate times the previous cell state
     lo = 0
     for k, run in itertools.groupby(widths.tolist()):  # scratch views are cut once per width
@@ -568,7 +588,6 @@ def bilstm_sequence(z: Node, w_hidden: Node, segments: Segments) -> Node:
         return _node(out, (), ())
     # the row of step s-1 that each row of steps 1, 2, ... reads its previous state from
     prev = np.arange(k0, n) - np.repeat(widths[:-1], widths[1:])
-    offsets = [0, *np.cumsum(widths).tolist()]
 
     cache: dict = {}
 
@@ -577,14 +596,20 @@ def bilstm_sequence(z: Node, w_hidden: Node, segments: Segments) -> Node:
         if cache.get("g") is not g:
             g_hidden = g.reshape(n, 2, d)[layout_rows, _DIRECTIONS]
             cache["g"] = g
-            cache["dz"] = _bilstm_bptt(g_hidden, gates, cell, tanh_cell, prev, wh, offsets)
+            cache["dz"] = _bilstm_bptt(g_hidden, gates, cell, tanh_cell, prev, wh, widths.tolist())
         return cache["dz"]
 
     def z_vjp(g):
         dz = gate_grads(g)
-        out = np.empty((n, 8 * d), dtype)
-        out.reshape(n, 2, 4 * d)[layout_rows, _DIRECTIONS] = dz
-        return out
+        position = np.empty((n, 2), np.intp)  # the step-major row of each layout row, per direction
+        position[layout_rows, _DIRECTIONS] = np.arange(n)[:, None]
+        sums = np.zeros((len(zv), 2, 4 * d))
+        first, *later = _rank_layers(tokens)  # a token's rows, one per layer, in layout order
+        sums[tokens[first]] = dz[position[first], _DIRECTIONS]
+        for rows in later:
+            sums[tokens[rows]] += dz[position[rows], _DIRECTIONS]
+        sums += 0.0  # a -0.0 comes out +0.0, as from a sum that starts at +0.0
+        return sums.reshape(len(zv), 8 * d).astype(dtype, copy=False)
 
     def w_hidden_vjp(g):
         dz = gate_grads(g)[k0:]  # step 0 reads zero states
@@ -599,7 +624,7 @@ def bilstm_sequence(z: Node, w_hidden: Node, segments: Segments) -> Node:
     return _node(out, (z, w_hidden), (z_vjp, w_hidden_vjp))
 
 
-def _bilstm_bptt(g_hidden, gates, cell, tanh_cell, prev, wh, offsets) -> np.ndarray:
+def _bilstm_bptt(g_hidden, gates, cell, tanh_cell, prev, wh, widths: list[int]) -> np.ndarray:
     """Backpropagation through time for ``bilstm_sequence``: (n, 2, 4d) gate gradients.
 
     All arrays are step-major, direction second; the ``gates`` are
@@ -609,11 +634,22 @@ def _bilstm_bptt(g_hidden, gates, cell, tanh_cell, prev, wh, offsets) -> np.ndar
     computed for all rows up front. Carries run over the sorted-sequence
     prefix: a sequence that ends at step s first gets its (zero) carry
     there, since later steps only wrote the narrower prefix of longer
-    sequences. Step s owns the rows from ``offsets[s]`` to
-    ``offsets[s + 1]``.
+    sequences. Step s owns the ``widths[s]`` rows after those of the
+    steps before it, and the sweep runs the steps last to first, with the
+    carries, scratch rows and their views cut once per width.
+
+    The hidden-state carry ``dh_next`` is (2, d, k0): each step's product
+    ``wh @ block^T`` writes a (d, k_s) block per direction in C order.
+    The transposed product ``block @ wh^T`` has the same bits, but writing
+    (k_s, d) blocks it ran 1.5 times as long at the paper's d = 256
+    (k_s = 18; 2 vCPUs, one BLAS thread). The price is a strided read of
+    the carry in the next step's first add, about 1 µs a step at d = 16.
+    Writing each step's results into scratch rows, through views cut once
+    per width, wins that back: a d = 16 sweep of 24 sequences and about
+    20 steps took as long as the earlier loop's (250-275 µs).
     """
     n, _, d = tanh_cell.shape
-    k0 = offsets[1]
+    k0, dtype = widths[0], gates.dtype
     gate_in, gate_forget, gate_cell = gates[:, :, 0], gates[:, :, 1], gates[:, :, 2]
     factor = np.empty(gates.shape, gates.dtype)
     factor[:, :, 0] = gate_cell
@@ -626,25 +662,39 @@ def _bilstm_bptt(g_hidden, gates, cell, tanh_cell, prev, wh, offsets) -> np.ndar
     slope[:, :, 2] = 1.0 - gate_cell * gate_cell
     factor *= slope
     cell_from_hidden = gates[:, :, 3] * (1.0 - tanh_cell * tanh_cell)
-    wh_t = wh.transpose(0, 2, 1)
+    factor_cell, factor_out = factor[:, :, :3], factor[:, :, 3]
     dz = np.empty_like(factor)
-    dh_next = np.zeros((k0, 2, d), gates.dtype)
-    dc_next = np.zeros((k0, 2, d), gates.dtype)
-    for s in range(len(offsets) - 2, -1, -1):
-        rows = slice(offsets[s], offsets[s + 1])
-        k = rows.stop - rows.start
-        dh = g_hidden[rows] + dh_next[:k]
-        dc = dh * cell_from_hidden[rows]
-        dc += dc_next[:k]
-        block = dz[rows]
-        np.multiply(dc[:, :, None], factor[rows, :, :3], out=block[:, :, :3])
-        np.multiply(dh, factor[rows, :, 3], out=block[:, :, 3])
-        if s:
-            np.multiply(dc, gate_forget[rows], out=dc_next[:k])
-            np.matmul(
-                block.reshape(k, 2, 4 * d).transpose(1, 0, 2), wh_t, out=dh_next[:k].transpose(1, 0, 2)
-            )
+    dz_cell, dz_out, dz_t = dz[:, :, :3], dz[:, :, 3], dz.reshape(n, 2, 4 * d).transpose(1, 2, 0)
+    dh_next, dc_next = np.zeros((2, d, k0), dtype), np.zeros((k0, 2, d), dtype)
+    dh_rows, dc_rows = np.empty((k0, 2, d), dtype), np.empty((k0, 2, d), dtype)
+    hi = n
+    for k, run in itertools.groupby(reversed(widths)):
+        carry_h, carry_c, dh, dc = dh_next[:, :, :k], dc_next[:k], dh_rows[:k], dc_rows[:k]
+        carry_h_rows, dc_cell = carry_h.transpose(2, 0, 1), dc[:, :, None]
+        for _ in run:
+            lo = hi - k
+            np.add(g_hidden[lo:hi], carry_h_rows, out=dh)
+            np.multiply(dh, cell_from_hidden[lo:hi], out=dc)
+            dc += carry_c
+            np.multiply(dc_cell, factor_cell[lo:hi], out=dz_cell[lo:hi])
+            np.multiply(dh, factor_out[lo:hi], out=dz_out[lo:hi])
+            if lo:  # step 0 passes nothing on
+                np.multiply(dc, gate_forget[lo:hi], out=carry_c)
+                np.matmul(wh, dz_t[:, :, lo:hi], out=carry_h)
+            hi = lo
     return dz.reshape(n, 2, 4 * d)
+
+
+def _rank_layers(index: np.ndarray) -> list[np.ndarray]:
+    """The positions of ``index`` by rank: layer j holds the (j+1)-th position of each value.
+
+    A layer holds each value at most once, and a value's positions are in
+    increasing order across the layers.
+    """
+    order = np.argsort(index, kind="stable")
+    ranked = index[order]
+    rank = np.arange(len(index)) - ranked.searchsorted(ranked)  # minus where the value's run starts
+    return [order[rank == j] for j in range(rank.max() + 1)]
 
 
 def cross_entropy(logits: Node, labels) -> Node:
@@ -696,11 +746,14 @@ def uniform_init(
     """Uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) initialization, rounded to ``dtype``.
 
     The draws are float64 whatever ``dtype`` is, so a float32 init is the
-    float64 init rounded. They are made a chunk of rows at a time and
-    written into the result: the generator yields the same sequence as one
-    call for the whole shape, with no full-size float64 temporary. Given
-    ``out`` (of ``shape``; a column block of a larger matrix, say), the
-    draws fill it in place, rounded to its dtype, and it is returned.
+    float64 init rounded. They are made a chunk of rows at a time into one
+    float64 buffer, allocated once per call, and written into the result:
+    ``rng.random`` fills the buffer, which is scaled and shifted as
+    ``Generator.uniform`` does, ``low + (high - low) * u``, so the values
+    and the generator's state equal one ``uniform`` call for the whole
+    shape, with no full-size float64 temporary. Given ``out`` (of
+    ``shape``; a column block of a larger matrix, say), the draws fill it
+    in place, rounded to its dtype, and it is returned.
     """
     bound = float(np.sqrt(1.0 / fan_in))
     if out is None:
@@ -708,9 +761,14 @@ def uniform_init(
     elif out.shape != tuple(shape):
         raise ShapeMismatch(f"uniform_init: shape {tuple(shape)} for a block of shape {out.shape}")
     rows = max(1, _INIT_BLOCK // max(1, int(np.prod(out.shape[1:]))))
+    drawn = np.empty((min(rows, len(out)), *out.shape[1:]))
     for lo in range(0, len(out), rows):
         chunk = out[lo : lo + rows]
-        chunk[...] = rng.uniform(-bound, bound, size=chunk.shape)
+        u = drawn[: len(chunk)]
+        rng.random(out=u)
+        u *= 2 * bound  # high - low, exactly
+        u -= bound  # + low
+        chunk[...] = u
     return out
 
 

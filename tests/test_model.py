@@ -1334,6 +1334,19 @@ def test_embedding_record_survives_a_checkpoint(tmp_path, record):
     assert load_checkpoint(path).embedding == record
 
 
+def test_a_model_build_makes_no_provider(monkeypatch):
+    # the default record is the one a seed-0 hashed provider gives, read without building one
+    record = HashedEmbeddingProvider(TINY["d_ctx"], seed=0).record
+
+    def no_provider(*args, **kwargs):
+        raise AssertionError("a model build made an embedding provider")
+
+    vocabs = build_vocabs(build_toy_corpus())
+    monkeypatch.setattr(HashedEmbeddingProvider, "__init__", no_provider)
+    for seed in (3, None):  # a fresh model, and one a checkpoint load fills
+        assert Model(ModelConfig(**TINY), vocabs, seed=seed).embedding == record
+
+
 # ---------------------------------------------------------------------------
 # Straight-line numpy reimplementation used as the forward oracle
 

@@ -58,16 +58,18 @@ def test_shape_errors_name_both_shapes():
     w_hidden = nm.constant(np.zeros((2, 16)))
     for z_shape in ((2, 8), (2, 17)):
         with pytest.raises(nm.ShapeMismatch) as err:
-            nm.bilstm_sequence(nm.constant(np.zeros(z_shape)), w_hidden, nm.Segments([0], 2))
+            nm.bilstm_sequence(nm.constant(np.zeros(z_shape)), w_hidden, nm.Segments([0], 2), [0, 1])
         assert str(z_shape) in str(err.value) and "(2, 16)" in str(err.value)
     for w_shape in ((2, 8), (4, 16)):
         with pytest.raises(nm.ShapeMismatch) as err:
-            nm.bilstm_sequence(nm.constant(np.zeros((2, 16))), nm.constant(np.zeros(w_shape)), nm.Segments([0], 2))
+            nm.bilstm_sequence(
+                nm.constant(np.zeros((2, 16))), nm.constant(np.zeros(w_shape)), nm.Segments([0], 2), [0, 1]
+            )
         assert "(2, 16)" in str(err.value) and str(w_shape) in str(err.value)
     x = nm.constant(np.zeros((4, 2)))
 
-    def packed_lstm(x, segments):
-        return nm.bilstm_sequence(x, w_hidden, segments)
+    def packed_lstm(x, segments):  # one token row per row of x
+        return nm.bilstm_sequence(x, w_hidden, segments, np.arange(len(x.value)))
 
     for indices in ([0, 4], [[0, 1]], [-1, 0], [[0], [1]]):
         with pytest.raises(nm.ShapeMismatch) as err:
@@ -108,7 +110,7 @@ def test_bilstm_saturated_gates_stay_finite(dtype, big):
     w_hidden = nm.parameter(rng.standard_normal((2, 16)).astype(dtype))
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        out = nm.bilstm_sequence(z, w_hidden, nm.Segments([0, 2], 6))
+        out = nm.bilstm_sequence(z, w_hidden, nm.Segments([0, 2], 6), np.arange(6))
         total(out).backward()
     assert out.value.dtype == dtype
     assert np.all(np.isfinite(out.value)) and np.all(np.abs(out.value) <= 1.0)
@@ -186,7 +188,7 @@ def every_op(leaf):
         "tanh": nm.tanh(x),
         "segment_sum": nm.segment_sum(x, segments),
         "segment_softmax": nm.segment_softmax(x, segments),
-        "bilstm_sequence": nm.bilstm_sequence(z, w_hidden, segments),
+        "bilstm_sequence": nm.bilstm_sequence(z, w_hidden, segments, [3, 0, 3, 1]),
         "cross_entropy": nm.cross_entropy(x, [0, 2, 1, 1]),
     }
 
@@ -360,7 +362,7 @@ def test_gradient_check_skips_frozen_leaves():
     "concat0", "concat1", "gather", "relu", "leaky", "elu",
     "tanh", "lstm_packed", "lstm_packed_reverse",
     "lstm_tokens", "lstm_tokens_reverse", "lstm_blocks",
-    "lstm_tied", "lstm_length_one", "lstm_single",
+    "lstm_tied", "lstm_length_one", "lstm_single", "lstm_shared",
 ])
 def test_op_gradients(case):
     rng = np.random.default_rng(zlib.crc32(case.encode()))  # str hash() varies per process
@@ -383,7 +385,8 @@ def test_op_gradients(case):
     probe_74 = doubled(nm.constant(rng.standard_normal((7, 2))), nm.constant)
 
     def packed_lstm(reverse):
-        return nm.mul(nm.bilstm_sequence(seq_z, w_hidden, seq_segments), one_direction(probe_74, reverse))
+        out = nm.bilstm_sequence(seq_z, w_hidden, seq_segments, np.arange(7))
+        return nm.mul(out, one_direction(probe_74, reverse))
 
     # three token rows read by sequences of lengths 2 and 3, rows 0 and 1 twice each
     token_x, token_rows = rand(rng, 3, 3), [0, 1, 1, 2, 0]
@@ -395,18 +398,19 @@ def test_op_gradients(case):
     w_fixed, w_free = doubled(rand(rng, 2, 8)), doubled(rand(rng, 1, 8))
 
     def token_lstm(z, reverse):
-        out = nm.bilstm_sequence(
-            nm.gather_rows(nm.add(z, lstm_bias), token_rows), w_hidden, nm.Segments([0, 2], 5)
-        )
+        out = nm.bilstm_sequence(nm.add(z, lstm_bias), w_hidden, nm.Segments([0, 2], 5), token_rows)
         return nm.mul(out, one_direction(probe_54, reverse))
 
     # both directions with their own weights, read together
     both_z, both_w_hidden = rand(rng, 7, 16), rand(rng, 2, 16)
     both_params = [both_z, both_w_hidden]
 
-    def both_lstm(starts):
-        out = nm.bilstm_sequence(both_z, both_w_hidden, nm.Segments(starts, 7))
+    def both_lstm(starts, z=both_z, token_rows=range(7)):
+        out = nm.bilstm_sequence(z, both_w_hidden, nm.Segments(starts, 7), list(token_rows))
         return nm.mul(out, nm.constant(np.arange(1.0, 29.0).reshape(7, 4) / 28.0))
+
+    # token 0 is read by all three sequences, as a sub-graph token shared by a sentence's three units
+    shared_z = rand(rng, 4, 16)
 
     builders = {
         "add_same": (lambda: nm.mul(nm.add(a, b), probe), [a, b]),
@@ -441,6 +445,7 @@ def test_op_gradients(case):
         # every sequence one row long: no step reads a previous state
         "lstm_length_one": (lambda: both_lstm(list(range(7))), [both_z]),
         "lstm_single": (lambda: both_lstm([0]), both_params),
+        "lstm_shared": (lambda: both_lstm([0, 2, 5], shared_z, [1, 0, 2, 0, 3, 3, 0]), [shared_z, both_w_hidden]),
     }
     build, params = builders[case]
     err = nm.gradient_check(lambda: total(build()), params)
@@ -464,11 +469,11 @@ def test_lstm_sequence_gradients(n, reverse):
 
     def lstm():
         z = nm.add(nm.matmul(x, w_input), bias)
-        return nm.mul(nm.bilstm_sequence(z, w_hidden, nm.Segments([0], n)), probe)
+        return nm.mul(nm.bilstm_sequence(z, w_hidden, nm.Segments([0], n), np.arange(n)), probe)
 
     err = nm.gradient_check(lambda: total(lstm()), [x, w_input, w_hidden, bias])
     z = nm.constant(np.zeros((n, 16)))
-    assert nm.bilstm_sequence(z, w_hidden, nm.Segments([0], n)).parents == (z, w_hidden)
+    assert nm.bilstm_sequence(z, w_hidden, nm.Segments([0], n), np.arange(n)).parents == (z, w_hidden)
     assert err < 1e-6
     # every parent gets gradient; w_hidden only sees a nonzero state after step one
     for p in (x, w_input, bias) if n == 1 else (x, w_input, w_hidden, bias):
@@ -480,29 +485,40 @@ def test_lstm_sequence_gradients(n, reverse):
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_lstm_token_rows_equal_gathered_input(reverse):
-    # gathering token rows into the layout equals feeding the gathered
-    # rows: the same hidden states and the same gradients, bit for bit,
-    # duplicate rows summed in layout order
+    # reading token rows equals feeding their gather_rows: the same states,
+    # w_hidden gradient and token-row gradient, bit for bit. Tokens are read
+    # one to three times, each token's rows summed in layout order in
+    # float64, with -0.0 becoming +0.0 as under gather_rows' bincount
     rng = np.random.default_rng(9 + int(reverse))
-    z_tok = rng.standard_normal((4, 16))
-    token_rows, starts = np.array([0, 1, 1, 2, 0, 3, 2]), [0, 3, 4]
-    w_hidden = rand(rng, 2, 16)
-    probe = one_direction(nm.constant(rng.standard_normal((7, 4))), reverse)
+    token_rows, starts = np.array([0, 1, 1, 2, 0, 3, 2, 0]), [0, 3, 4, 6]
+    z_tok, w_hidden = rng.standard_normal((4, 16)), rng.standard_normal((2, 16))
+    g = one_direction(nm.constant(rng.standard_normal((8, 4))), reverse).value
+    for dtype in (np.float32, np.float64):
+        runs = []
+        for gathered in (False, True):
+            z, w = nm.parameter(z_tok.astype(dtype)), nm.parameter(w_hidden.astype(dtype))
+            z_in, rows = (nm.gather_rows(z, token_rows), np.arange(8)) if gathered else (z, token_rows)
+            out = nm.bilstm_sequence(z_in, w, nm.Segments(starts, 8), rows)
+            total(nm.mul(out, nm.constant(g.astype(dtype)))).backward()
+            runs.append((out.value, w.grad, z.grad))
+        for name, a, b in zip(("states", "w_hidden gradient", "token-row gradient"), *runs):
+            assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes(), (name, dtype)
+        # the layout rows' gradients hold -0.0 (the unprobed direction's gates); the sums do not
+        z_rows, w_rows, g_rows = (x.astype(dtype) for x in (z_tok[token_rows], w_hidden, g))
+        layout_grad = earlier_bilstm(z_rows, w_rows, starts, g_rows)[1]
+        assert np.any((layout_grad == 0) & np.signbit(layout_grad)), dtype
+        token_grad = runs[0][2]
+        assert not np.any((token_grad == 0) & np.signbit(token_grad)), dtype
 
-    def run(z):
-        nm.zero_grads([w_hidden])
-        out = nm.bilstm_sequence(z, w_hidden, nm.Segments(starts, 7))
-        total(nm.mul(out, probe)).backward()
-        return out.value, w_hidden.grad
 
-    by_token, gathered = nm.parameter(z_tok), nm.parameter(z_tok[token_rows])
-    out_a, grad_a = run(nm.gather_rows(by_token, token_rows))
-    out_b, grad_b = run(gathered)
-    np.testing.assert_array_equal(out_a, out_b)
-    np.testing.assert_array_equal(grad_a, grad_b)
-    gathered_z_grad = np.zeros_like(z_tok)
-    np.add.at(gathered_z_grad, token_rows, gathered.grad)
-    np.testing.assert_array_equal(by_token.grad, gathered_z_grad)
+@pytest.mark.parametrize("token_rows", [[0, 1, 2], [0, 1, 2, 3, 0], [0, 1, 4, 2], [0, -1, 1, 2], [[0, 1, 2, 3]]])
+def test_lstm_token_rows_out_of_range_or_wrong_length(token_rows):
+    # four layout rows read token rows of a (4, 16) input
+    z, w_hidden = nm.constant(np.zeros((4, 16))), nm.constant(np.zeros((2, 16)))
+    with pytest.raises(nm.ShapeMismatch) as err:
+        nm.bilstm_sequence(z, w_hidden, nm.Segments([0, 2], 4), token_rows)
+    message = str(err.value)
+    assert str(token_rows).strip("[]") in message and "4 rows" in message and "(4, 16)" in message
 
 
 def earlier_bilstm(z, w_hidden, starts, g):
@@ -598,6 +614,27 @@ def earlier_bilstm(z, w_hidden, starts, g):
     return out, z_grad, w_grad
 
 
+def assert_equals_the_earlier_loop(lengths, d, dtype, w_scale=1.0):
+    """States and both VJPs of ``bilstm_sequence`` on identity token rows equal ``earlier_bilstm``'s bytes.
+
+    The earlier loop's z gradient goes through ``gather_rows``' row sums,
+    which make a -0.0 +0.0, as the op's token-row sums do.
+    """
+    rng = np.random.default_rng(sum(lengths) + len(lengths))
+    n = sum(lengths)
+    starts = np.cumsum([0] + lengths[:-1])
+    z = (rng.standard_normal((n, 8 * d)) * 2).astype(dtype)
+    w_hidden = (rng.standard_normal((d, 8 * d)) * w_scale).astype(dtype)
+    g = rng.standard_normal((n, 2 * d)).astype(dtype)
+    out = nm.bilstm_sequence(nm.parameter(z), nm.parameter(w_hidden), nm.Segments(starts, n), np.arange(n))
+    got = (out.value, out.vjps[0](g), out.vjps[1](g))
+    states, z_grad, w_grad = earlier_bilstm(z, w_hidden, starts, g)
+    want = (states, nm._sum_rows_by_index(z_grad, np.arange(n), n), w_grad)
+    for name, a, b in zip(("states", "z VJP", "w_hidden VJP"), got, want):
+        assert a.dtype == b.dtype == dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("lengths", [
     [3, 3, 3],  # ties throughout
@@ -611,19 +648,17 @@ def earlier_bilstm(z, w_hidden, starts, g):
 ])
 def test_bilstm_equals_the_earlier_loop_bit_for_bit(dtype, lengths):
     # the step's scratch term added into the gates, the per-width scale and
-    # shift rows and the carry buffer move no bit: states and both VJPs
-    # equal the earlier loop's
-    rng = np.random.default_rng(sum(lengths) + len(lengths))
-    d, n = 3, sum(lengths)
-    starts = np.cumsum([0] + lengths[:-1])
-    z = (rng.standard_normal((n, 8 * d)) * 2).astype(dtype)
-    w_hidden = rng.standard_normal((d, 8 * d)).astype(dtype)
-    g = rng.standard_normal((n, 2 * d)).astype(dtype)
-    out = nm.bilstm_sequence(nm.parameter(z), nm.parameter(w_hidden), nm.Segments(starts, n))
-    got = (out.value, out.vjps[0](g), out.vjps[1](g))
-    for name, a, b in zip(("states", "z VJP", "w_hidden VJP"), got, earlier_bilstm(z, w_hidden, starts, g)):
-        assert a.dtype == b.dtype == dtype and a.shape == b.shape, name
-        assert a.tobytes() == b.tobytes(), name
+    # shift rows, the carry buffer and the hidden-gradient product written
+    # direction by direction as (d, k) blocks move no bit: states and both
+    # VJPs equal the earlier loop's
+    assert_equals_the_earlier_loop(lengths, 3, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bilstm_equals_the_earlier_loop_at_paper_width(dtype):
+    # BLAS picks its kernels by shape: a train-paper minibatch, 18 sequences
+    # of 3 rows at d 256, with weights at the scale of their init
+    assert_equals_the_earlier_loop([3] * 18, 256, dtype, w_scale=1 / 16)
 
 
 def test_segment_ops_match_per_segment_loops():
@@ -702,6 +737,28 @@ def test_uniform_init_fills_a_given_block():
     with pytest.raises(nm.ShapeMismatch) as err:
         nm.uniform_init(np.random.default_rng(4), (3, 4), 25, out=np.empty((4, 3)))
     assert "(3, 4)" in str(err.value) and "(4, 3)" in str(err.value)
+
+
+@pytest.mark.parametrize("shape, block", [
+    ((20000, 7), None),  # 9362 rows of 7 per chunk: two full chunks and a short one
+    ((70001,), None),  # one value per row: a full chunk and a short one
+    ((20000, 7), slice(3, 10)),  # a column block of a wider matrix
+])
+def test_uniform_init_chunks_equal_one_uniform_draw(shape, block):
+    # buffered chunk draws give the bytes of one Generator.uniform call, in
+    # float64 and rounded to float32, and leave the generator where it would
+    assert nm._INIT_BLOCK % 7 and nm._INIT_BLOCK < np.prod(shape)
+    for dtype in (np.float64, np.float32):
+        rng = np.random.default_rng(6)
+        whole = rng.uniform(-0.2, 0.2, size=shape).astype(dtype)
+        after = rng.random()
+        rng = np.random.default_rng(6)
+        if block is None:
+            init = nm.uniform_init(rng, shape, 25, dtype)
+        else:
+            init = nm.uniform_init(rng, shape, 25, out=np.zeros((shape[0], 12), dtype)[:, block])
+        assert init.dtype == dtype and init.tobytes() == whole.tobytes()
+        assert rng.random() == after
 
 
 # ---------------------------------------------------------------------------
@@ -861,7 +918,7 @@ def _buffer_case(dtype):
         x = nm.gather_rows(p["emb"], rows)
         h = nm.tanh(nm.matmul(nm.matmul(x, p["w"]), p["w"]))
         z = nm.add(nm.matmul(h, p["w_in"]), p["bias"])
-        return total(nm.mul(nm.bilstm_sequence(z, p["w_hidden"], segments), probes[k]))
+        return total(nm.mul(nm.bilstm_sequence(z, p["w_hidden"], segments, np.arange(n)), probes[k]))
 
     return values, loss
 
