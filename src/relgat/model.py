@@ -234,6 +234,12 @@ class LstmParams:
     Draws run direction by direction, ``w_ctx``, ``w_feat`` then
     ``w_hidden``, straight into their column blocks, so the blocks equal
     one direction's matrices drawn on their own from the same generator.
+
+    The three matrices are ``nm.padded_zeros``: at the paper's widths
+    (d = 256) their 8d-wide rows are 8 KiB of float32, a whole multiple
+    of 4 KiB, so each is a view into storage with 64 bytes more per row
+    and its GEMMs escape 4 KiB aliasing (see the ``numerics`` notes).
+    At small widths they are plain arrays.
     """
 
     def __init__(
@@ -242,7 +248,7 @@ class LstmParams:
         gates = 4 * hidden_dim
         fan_in = ctx_dim + feat_dim
         w_ctx, w_feat, w_hidden = (
-            np.empty((rows, 2 * gates), dtype) for rows in (ctx_dim, feat_dim, hidden_dim)
+            nm.padded_zeros((rows, 2 * gates), dtype) for rows in (ctx_dim, feat_dim, hidden_dim)
         )
         for block in (slice(0, gates), slice(gates, 2 * gates)):
             for w, fan in ((w_ctx, fan_in), (w_feat, fan_in), (w_hidden, hidden_dim)):
@@ -265,12 +271,12 @@ class GatLayer:
 
     def __init__(self, in_dim, heads, head_dim, edge_dim, rng: np.random.Generator, dtype=np.float64):
         m, attn_len = head_dim, 2 * head_dim + edge_dim
-        w, a = [], []
-        for _ in range(heads):
-            w.append(nm.initial_values(rng, (in_dim, m), in_dim, dtype))
+        w, a = nm.padded_zeros((in_dim, heads * m), dtype), []
+        for k in range(heads):
+            nm.initial_values(rng, (in_dim, m), in_dim, out=w[:, k * m : (k + 1) * m])
             a.append(nm.initial_values(rng, (attn_len,), attn_len, dtype))
         a = np.stack(a, axis=1)  # (attn_len, heads): head k's vector in column k
-        self.w = nm.parameter(np.hstack(w))
+        self.w = nm.parameter(w)
         self.a_center = nm.parameter(a[:m].T.reshape(-1, 1))
         self.a_neighbor = nm.parameter(a[m : 2 * m].T.reshape(-1, 1))
         self.a_edge = nm.parameter(a[2 * m :].copy()) if edge_dim else None

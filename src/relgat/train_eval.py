@@ -20,7 +20,7 @@ from .corpus import LABEL_INDEX, LABELS, RELATION_BASES, CorpusError, RelationLa
 from .features import EmbeddingProvider, HashedEmbeddingProvider, build_dref_table
 # sentence_subgraphs is not called here: bench/tracing.py looks it up under this module's name
 from .graph import batch_layout, sentence_subgraphs
-from .model import InstanceRows, Model, ModelConfig, check_integers, forward_inputs
+from .model import Inputs, InstanceRows, Model, ModelConfig, check_integers, forward_inputs
 
 __all__ = [
     "TrainerConfig",
@@ -32,6 +32,7 @@ __all__ = [
     "dev_split",
     "evaluate",
     "predict",
+    "chunk_inputs",
     "gold_labels",
     "score_predictions",
     "entity_distance",
@@ -194,17 +195,19 @@ def clip_gradients(params, max_norm: float) -> float:
 
     Pure rescaling: the aggregate gradient direction is unchanged; a
     max_norm of 0 leaves them as they are. Returns the pre-clip norm.
+
+    The norm and the scaling run over each gradient's ``nm.storage``: a
+    row-padded gradient buffer is read and scaled whole, padding
+    included, which is zero and stays zero, so it adds nothing to the
+    norm. BLAS sums the longer run in another order, so the norm may
+    differ from that of an unpadded copy in its last bits.
     """
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float(np.vdot(p.grad, p.grad))
-    norm = float(np.sqrt(total))
+    grads = [nm.storage(p.grad) for p in params if p.grad is not None]
+    norm = float(np.sqrt(sum(float(np.vdot(g, g)) for g in grads)))
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
-        for p in params:
-            if p.grad is not None:
-                p.grad *= scale
+        for g in grads:
+            g *= scale
     return norm
 
 
@@ -234,15 +237,20 @@ def train(
     label, and TrainingDiverged on a non-finite loss.
 
     Before the first step the training split is cut, coded and paired
-    once (``forward_inputs`` of its ``batch_layout``), so a sentence the
-    cut rejects raises its GraphError before any forward runs; each
-    minibatch gathers its instances' rows (``InstanceRows.take``).
+    once (``forward_inputs`` of its ``batch_layout``), and so is the dev
+    split (``chunk_inputs``), so a sentence the cut rejects raises its
+    GraphError before any forward runs; each minibatch gathers its
+    instances' rows (``InstanceRows.take``), and each epoch scores the
+    dev split's chunks through ``evaluate``.
 
     For the length of the call every parameter has one gradient buffer
     (``nm.Node.grad_buffer``) that each step's backward writes into, and
     the best-dev parameters are copied into one snapshot allocated once.
-    The returned model carries only its parameters: no gradient and no
-    buffer.
+    Both take the value's layout (``nm.padded_zeros`` of its shape), so
+    the step, the clip and the snapshot copy each run over contiguous
+    ``nm.storage``, and a row-padded value stays padded, with zero
+    padding, in the returned model. That model carries only its
+    parameters: no gradient and no buffer.
     """
     if len(sentences) < 2:
         raise CorpusError("training needs at least two sentences")
@@ -262,13 +270,16 @@ def train(
     model.embedding = provider.record
     params = list(model.parameters().values())
     for p in params:
-        p.grad_buffer = np.empty_like(p.value)
+        p.grad_buffer = nm.padded_zeros(p.value.shape, p.value.dtype)
+    # (value, gradient) storage of every parameter, for the step
+    steps = [(nm.storage(p.value), nm.storage(p.grad_buffer)) for p in params]
 
     multi = model_config.graph_mode == "multi"
     split = [sentences[i] for i in train_idx]
     rows = InstanceRows(forward_inputs(batch_layout(split, model_config.expansion_order, multi), vocabs))
     labels = np.array([LABEL_INDEX[s.label] for s in split], dtype=np.intp)
     dev_sentences = [sentences[i] for i in dev_idx]
+    dev_chunks = chunk_inputs(model, dev_sentences)
 
     log = TrainLog()
     lr = trainer_config.learning_rate
@@ -296,12 +307,12 @@ def train(
             correct += int(np.sum(np.argmax(detail.logits.value, axis=1) == golds))
             loss.backward()
             clip_gradients(params, trainer_config.gradient_clip_norm)
-            for p in params:
+            for p, (value, grad) in zip(params, steps):
                 if p.grad is not None:
-                    p.grad *= lr  # the step itself, scaled in place: no temporary
-                    p.value -= p.grad
+                    grad *= lr  # the step itself, scaled in place: no temporary
+                    value -= grad
 
-        dev_report = evaluate(model, dev_sentences, provider)
+        dev_report = evaluate(model, dev_sentences, provider, dev_chunks)
         record = EpochRecord(
             epoch=epoch,
             learning_rate=lr,
@@ -315,9 +326,9 @@ def train(
             best_f1 = dev_report.macro_f1
             log.best_epoch = epoch
             if not best_values:
-                best_values = [np.empty_like(p.value) for p in params]
-            for best, p in zip(best_values, params):
-                np.copyto(best, p.value)
+                best_values = [nm.padded_zeros(p.value.shape, p.value.dtype) for p in params]
+            for best, (value, _) in zip(best_values, steps):
+                np.copyto(nm.storage(best), value)
             wait = 0
         else:
             wait += 1
@@ -344,10 +355,15 @@ def train(
 # Evaluation
 
 
-def evaluate(model: Model, sentences: list[Sentence], provider: EmbeddingProvider) -> EvalReport:
-    """Score ``predict``'s labels against the gold ones; CorpusError if one is missing."""
+def evaluate(
+    model: Model, sentences: list[Sentence], provider: EmbeddingProvider, chunks: list[Inputs] | None = None
+) -> EvalReport:
+    """Score ``predict``'s labels against the gold ones; CorpusError if one is missing.
+
+    ``chunks``, when given, is ``chunk_inputs(model, sentences)``, built once by the caller.
+    """
     golds = gold_labels(sentences)
-    return score_predictions(golds, predict(model, sentences, provider))
+    return score_predictions(golds, predict(model, sentences, provider, chunks))
 
 
 def gold_labels(sentences: list[Sentence]) -> list[RelationLabel]:
@@ -358,18 +374,40 @@ def gold_labels(sentences: list[Sentence]) -> list[RelationLabel]:
     return [s.label for s in sentences]
 
 
-def predict(model: Model, sentences: list[Sentence], provider: EmbeddingProvider) -> list[RelationLabel]:
+def chunk_inputs(model: Model, sentences: list[Sentence]) -> list[Inputs]:
+    """The ``Inputs`` of ``sentences``' ``EVAL_CHUNK``-sentence chunks, in order, from one cut.
+
+    The sentences are cut by one ``batch_layout`` and their inputs built
+    by one ``forward_inputs``; each chunk of more than one gathers its
+    rows (``InstanceRows.take``), equal to ``forward_inputs`` of the
+    chunk's own layout.
+    """
+    if not sentences:
+        return []
+    layout = batch_layout(sentences, model.config.expansion_order, model.config.graph_mode == "multi")
+    inputs = forward_inputs(layout, model.vocabs)
+    if len(sentences) <= EVAL_CHUNK:
+        return [inputs]
+    rows = InstanceRows(inputs)
+    return [
+        rows.take(np.arange(start, min(start + EVAL_CHUNK, len(sentences))))
+        for start in range(0, len(sentences), EVAL_CHUNK)
+    ]
+
+
+def predict(
+    model: Model, sentences: list[Sentence], provider: EmbeddingProvider, chunks: list[Inputs] | None = None
+) -> list[RelationLabel]:
     """The predicted label of every sentence, ``EVAL_CHUNK`` sentences per no-grad forward.
 
-    Each chunk is cut into its layout here, by ``batch_layout``, and
-    its inputs built by ``forward_inputs``.
+    ``chunks`` is ``chunk_inputs(model, sentences)``, built here when None.
     """
-    order, multi = model.config.expansion_order, model.config.graph_mode == "multi"
+    if chunks is None:
+        chunks = chunk_inputs(model, sentences)
     labels = []
     with nm.no_grad():
-        for start in range(0, len(sentences), EVAL_CHUNK):
-            layout = batch_layout(sentences[start : start + EVAL_CHUNK], order, multi)
-            logits = model.forward(forward_inputs(layout, model.vocabs), provider).logits.value
+        for inputs in chunks:
+            logits = model.forward(inputs, provider).logits.value
             labels.extend(LABELS[i] for i in np.argmax(logits, axis=1))
     return labels
 
