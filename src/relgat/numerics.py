@@ -839,7 +839,7 @@ def storage(a: np.ndarray) -> np.ndarray:
     ):
         return a
     width, start = a.strides[0] // itemsize, (a.ctypes.data - base.ctypes.data) // itemsize
-    if start < 0 or start + len(a) * width > len(base):
+    if start + len(a) * width > len(base):
         return a
     return base[start : start + len(a) * width].reshape(len(a), width)
 
