@@ -28,9 +28,9 @@ time- or path-dependent is written. A save writes a temporary file
 beside the target and renames it over the target, so the path holds
 either the old checkpoint or the new one, never a partial file.
 
-A load writes every value into a new array of the layout the model
-gives that parameter (``numerics.padded_zeros`` of its shape), so a
-row-padded matrix stays padded. It rejects a file of another format
+A load writes every value in place into the loaded model's parameter
+arena (``Model.arena``), so a row-padded matrix stays padded and no
+parameter gets an array of its own. It rejects a file of another format
 version, one that is cut short, carries bytes past the last parameter,
 has a header that is unreadable or does not describe a model, or whose
 header or parameter bytes do not match the digest, with a
@@ -50,7 +50,6 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import numerics as nm
 from .corpus import Vocab, Vocabs
 from .features import DrefTable
 from .model import Model, ModelConfig
@@ -173,7 +172,6 @@ def load_checkpoint(path: str) -> Model:
             raise CheckpointError(f"{path}: truncated in parameter {name}")
         data = np.frombuffer(blob, dtype=stored, count=count, offset=offset)
         offset += size
-        node.value = nm.padded_zeros(shape, model.dtype)  # the layout the model gave it
         node.value[...] = data.reshape(shape)
     if offset != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - offset} bytes after the last parameter")

@@ -197,7 +197,11 @@ class FileEmbeddingProvider(EmbeddingProvider):
 
 
 class FeatureEmbeddings:
-    """Trainable POS/deprel/NER/word-type tables sized from the vocabularies, in ``dtype``."""
+    """Trainable POS/deprel/NER/word-type tables sized from the vocabularies, in ``dtype``.
+
+    ``take(shape)`` gives each table's storage in that order, new zeros
+    by default; the draws fill it in place.
+    """
 
     def __init__(
         self,
@@ -207,16 +211,18 @@ class FeatureEmbeddings:
         d_wt: int = 10,
         rng: np.random.Generator | None = None,
         dtype=np.float64,
+        take=None,
     ):
         rng = rng if rng is not None else np.random.default_rng(0)
+        take = take or (lambda shape: np.zeros(shape, dtype))
         self.d_ctx = d_ctx
         self.d_f = d_f
         self.d_wt = d_wt
         self.dtype = np.dtype(dtype)
-        self.pos = nm.parameter(nm.initial_values(rng, (len(vocabs.pos), d_f), d_f, dtype))
-        self.deprel = nm.parameter(nm.initial_values(rng, (len(vocabs.deprel), d_f), d_f, dtype))
-        self.ner = nm.parameter(nm.initial_values(rng, (len(vocabs.ner), d_f), d_f, dtype))
-        self.word_type = nm.parameter(nm.initial_values(rng, (2, d_wt), d_wt, dtype))
+        self.pos = nm.parameter(nm.initial_values(rng, d_f, take((len(vocabs.pos), d_f))))
+        self.deprel = nm.parameter(nm.initial_values(rng, d_f, take((len(vocabs.deprel), d_f))))
+        self.ner = nm.parameter(nm.initial_values(rng, d_f, take((len(vocabs.ner), d_f))))
+        self.word_type = nm.parameter(nm.initial_values(rng, d_wt, take((2, d_wt))))
 
     @property
     def input_dim(self) -> int:

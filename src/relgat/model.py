@@ -84,7 +84,9 @@ The model's value dtype is a constructor argument, float32 by default:
 parameters, every constant a forward builds, activations and gradients
 all share it. Parameters are drawn in float64 and rounded
 (``uniform_init``), so a float32 model is its float64 twin rounded;
-gradient checks and the numpy oracles build float64 models.
+gradient checks and the numpy oracles build float64 models. A model's
+parameters share one line-aligned ``nm.Arena``; a group built on its
+own takes new zeros for each parameter instead.
 """
 
 from __future__ import annotations
@@ -211,18 +213,17 @@ def group_parameters(group, prefix: str) -> dict[str, nm.Node]:
 
 
 def input_weights(
-    rng: np.random.Generator, ctx_dim: int, feat_dim: int, width: int, dtype=np.float64
+    rng: np.random.Generator, ctx_dim: int, feat_dim: int, width: int, dtype=np.float64, take=None
 ) -> tuple[nm.Node, nm.Node]:
     """The contextual and feature row blocks of one (ctx_dim + feat_dim, width) input matrix.
 
     Drawn one after the other with the whole matrix's fan-in, so stacked
-    they equal ``uniform_init`` of the whole matrix bit for bit.
+    they equal ``uniform_init`` of the whole matrix bit for bit. Each is
+    drawn into what ``take(shape)`` gives, new zeros by default.
     """
+    take = take or (lambda shape: np.zeros(shape, dtype))
     fan_in = ctx_dim + feat_dim
-    return (
-        nm.parameter(nm.initial_values(rng, (ctx_dim, width), fan_in, dtype)),
-        nm.parameter(nm.initial_values(rng, (feat_dim, width), fan_in, dtype)),
-    )
+    return tuple(nm.parameter(nm.initial_values(rng, fan_in, take((n, width)))) for n in (ctx_dim, feat_dim))
 
 
 class LstmParams:
@@ -235,27 +236,27 @@ class LstmParams:
     ``w_hidden``, straight into their column blocks, so the blocks equal
     one direction's matrices drawn on their own from the same generator.
 
-    The three matrices are ``nm.padded_zeros``: at the paper's widths
-    (d = 256) their 8d-wide rows are 8 KiB of float32, a whole multiple
-    of 4 KiB, so each is a view into storage with 64 bytes more per row
-    and its GEMMs escape 4 KiB aliasing (see the ``numerics`` notes).
-    At small widths they are plain arrays.
+    ``take(shape)`` gives the storage of ``w_ctx``, ``w_feat``,
+    ``w_hidden`` and ``bias``, in that order, new zeros by default. In a
+    ``Model`` it is the model's arena, where at the paper's widths
+    (d = 256) the three matrices' 8d-wide rows, 8 KiB of float32, a whole
+    multiple of 4 KiB, are stored 64 bytes longer, so that their GEMMs
+    escape 4 KiB aliasing (see the ``numerics`` notes).
     """
 
     def __init__(
-        self, ctx_dim: int, feat_dim: int, hidden_dim: int, rng: np.random.Generator, dtype=np.float64
+        self, ctx_dim: int, feat_dim: int, hidden_dim: int, rng: np.random.Generator, dtype=np.float64,
+        take=None,
     ):
+        take = take or (lambda shape: np.zeros(shape, dtype))
         gates = 4 * hidden_dim
         fan_in = ctx_dim + feat_dim
-        w_ctx, w_feat, w_hidden = (
-            nm.padded_zeros((rows, 2 * gates), dtype) for rows in (ctx_dim, feat_dim, hidden_dim)
+        self.w_ctx, self.w_feat, self.w_hidden, self.bias = (
+            nm.parameter(take((rows, 2 * gates))) for rows in (ctx_dim, feat_dim, hidden_dim, 1)
         )
         for block in (slice(0, gates), slice(gates, 2 * gates)):
-            for w, fan in ((w_ctx, fan_in), (w_feat, fan_in), (w_hidden, hidden_dim)):
-                nm.initial_values(rng, (len(w), gates), fan, out=w[:, block])
-        self.w_ctx, self.w_feat = nm.parameter(w_ctx), nm.parameter(w_feat)
-        self.w_hidden = nm.parameter(w_hidden)
-        self.bias = nm.parameter(np.zeros((1, 2 * gates), dtype))
+            for w, fan in ((self.w_ctx, fan_in), (self.w_feat, fan_in), (self.w_hidden, hidden_dim)):
+                nm.initial_values(rng, fan, w.value[:, block])
 
 
 class GatLayer:
@@ -267,19 +268,26 @@ class GatLayer:
     ``head_mask`` (heads*m, heads) is 1 where a row belongs to head k.
     Draws run head by head, transform then [center | neighbor | edge], so
     per-head parameters drawn from the same generator, stacked, equal them.
+    ``take(shape)`` gives the parameters' storage in that order, new
+    zeros by default, and the draws fill it in place.
     """
 
-    def __init__(self, in_dim, heads, head_dim, edge_dim, rng: np.random.Generator, dtype=np.float64):
+    def __init__(
+        self, in_dim, heads, head_dim, edge_dim, rng: np.random.Generator, dtype=np.float64, take=None
+    ):
+        take = take or (lambda shape: np.zeros(shape, dtype))
         m, attn_len = head_dim, 2 * head_dim + edge_dim
-        w, a = nm.padded_zeros((in_dim, heads * m), dtype), []
+        self.w = nm.parameter(take((in_dim, heads * m)))
+        self.a_center, self.a_neighbor = (nm.parameter(take((heads * m, 1))) for _ in range(2))
+        self.a_edge = nm.parameter(take((edge_dim, heads))) if edge_dim else None
         for k in range(heads):
-            nm.initial_values(rng, (in_dim, m), in_dim, out=w[:, k * m : (k + 1) * m])
-            a.append(nm.initial_values(rng, (attn_len,), attn_len, dtype))
-        a = np.stack(a, axis=1)  # (attn_len, heads): head k's vector in column k
-        self.w = nm.parameter(w)
-        self.a_center = nm.parameter(a[:m].T.reshape(-1, 1))
-        self.a_neighbor = nm.parameter(a[m : 2 * m].T.reshape(-1, 1))
-        self.a_edge = nm.parameter(a[2 * m :].copy()) if edge_dim else None
+            rows = slice(k * m, (k + 1) * m)
+            nm.initial_values(rng, in_dim, self.w.value[:, rows])
+            # head k's attention vector, one draw of attn_len values: [center | neighbor | edge]
+            for a in (self.a_center.value[rows, 0], self.a_neighbor.value[rows, 0]):
+                nm.initial_values(rng, attn_len, a)
+            if edge_dim:
+                nm.initial_values(rng, attn_len, self.a_edge.value[:, k])
         self.head_mask = np.repeat(np.eye(heads, dtype=dtype), m, axis=0)
 
 
@@ -482,9 +490,15 @@ class Model:
     vocabulary indices once, here (``dref_rows``); a table triple with a
     symbol the vocabularies lack raises FeatureError. ``embedding`` is the
     ``record`` of the provider the model reads, ``train()``'s default one
-    until ``train()`` or a checkpoint load sets it. ``seed`` None
-    allocates every parameter without drawing it (``nm.UNDRAWN``), for a
-    checkpoint load, which writes every value.
+    until ``train()`` or a checkpoint load sets it.
+
+    Every parameter is a view of one ``nm.Arena``, ``arena``, laid out in
+    ``parameters()`` order. The arena needs every shape before the first
+    draw, so ``__init__`` builds the groups twice: a sizing pass records
+    each shape and reads read-only zeros that allocate nothing, and the
+    second pass draws straight into the arena's views. ``seed`` None
+    leaves every parameter zero without drawing it (``nm.UNDRAWN``), for a
+    checkpoint load, which writes every value in place.
     """
 
     DTYPES = (np.float32, np.float64)
@@ -507,32 +521,38 @@ class Model:
         self.config = config
         self.vocabs = vocabs
         self.dref_table = dref if config.uses_dref else None
+        self.dref_rows = None if self.dref_table is None else self.dref_table.rows_by_index(vocabs)
         self.dtype = dtype
         self.embedding: dict | None = hashed_record()
 
-        rng = nm.UNDRAWN if seed is None else np.random.default_rng(seed)
-        self.embeddings = FeatureEmbeddings(vocabs, config.d_ctx, config.d_f, config.d_wt, rng, dtype)
-        self._params = group_parameters(self.embeddings, "embed")
+        shapes, zero = [], np.zeros((), dtype)
+        # the sizing pass: every shape recorded, read-only zeros in place of storage, nothing drawn
+        self._build(nm.UNDRAWN, lambda shape: shapes.append(shape) or np.broadcast_to(zero, shape))
+        self.arena = nm.Arena(shapes, dtype)
+        views = iter(self.arena.views)
+        self._build(nm.UNDRAWN if seed is None else np.random.default_rng(seed), lambda shape: next(views))
 
-        self.dref_rows: np.ndarray | None = None
+    def _build(self, rng, take) -> None:
+        """Every parameter, in ``parameters()`` order, drawn from ``rng`` into what ``take(shape)`` gives."""
+        config, dtype = self.config, self.dtype
+        self.embeddings = FeatureEmbeddings(self.vocabs, config.d_ctx, config.d_f, config.d_wt, rng, dtype, take)
+        self._params = group_parameters(self.embeddings, "embed")
         self.dref_embed: nm.Node | None = None
         if self.dref_table is not None:
-            self.dref_rows = self.dref_table.rows_by_index(vocabs)
-            drawn = nm.initial_values(rng, (self.dref_table.num_rows, config.d_e), config.d_e, dtype)
-            self.dref_embed = self._own("edge.dref", nm.parameter(drawn))
+            drawn = nm.initial_values(rng, config.d_e, take((self.dref_table.num_rows, config.d_e)))
+            self.dref_embed = self._own("edge.dref", drawn)
 
         feat_dim = self.embeddings.input_dim - config.d_ctx
         ctx_out = 2 * config.d_lstm
+        self.lstm = self.proj_w_ctx = self.proj_w_feat = self.proj_b = None
         if config.contextual:
-            self.lstm = LstmParams(config.d_ctx, feat_dim, config.d_lstm, rng, dtype)
+            self.lstm = LstmParams(config.d_ctx, feat_dim, config.d_lstm, rng, dtype, take)
             self._params.update(group_parameters(self.lstm, "lstm"))
-            self.proj_w_ctx = self.proj_w_feat = self.proj_b = None
         else:
-            self.lstm = None
-            w_ctx, w_feat = input_weights(rng, config.d_ctx, feat_dim, ctx_out, dtype)
-            self.proj_w_ctx = self._own("proj.w_ctx", w_ctx)
-            self.proj_w_feat = self._own("proj.w_feat", w_feat)
-            self.proj_b = self._own("proj.b", nm.parameter(np.zeros((1, ctx_out), dtype)))
+            w_ctx, w_feat = input_weights(rng, config.d_ctx, feat_dim, ctx_out, dtype, take)
+            self.proj_w_ctx = self._own("proj.w_ctx", w_ctx.value)
+            self.proj_w_feat = self._own("proj.w_feat", w_feat.value)
+            self.proj_b = self._own("proj.b", take((1, ctx_out)))
 
         edge_dim = config.d_e if config.edge_mode != "none" else 0
         self.gat_layers = self.gcn_layers = None
@@ -540,23 +560,24 @@ class Model:
             self.gat_layers = []
             for l in range(config.graph_depth):
                 in_dim = ctx_out if l == 0 else config.d_g
-                self.gat_layers.append(GatLayer(in_dim, config.heads, config.head_dim, edge_dim, rng, dtype))
-                self._params.update(group_parameters(self.gat_layers[-1], f"gat.l{l}"))
+                layer = GatLayer(in_dim, config.heads, config.head_dim, edge_dim, rng, dtype, take)
+                self.gat_layers.append(layer)
+                self._params.update(group_parameters(layer, f"gat.l{l}"))
         else:
             self.gcn_layers = []
             for l in range(config.graph_depth):
                 in_dim = (ctx_out if l == 0 else config.d_g) + edge_dim
-                w = nm.parameter(nm.initial_values(rng, (in_dim, config.d_g), in_dim, dtype))
+                w = nm.initial_values(rng, in_dim, take((in_dim, config.d_g)))
                 self.gcn_layers.append(self._own(f"gcn.l{l}.w", w))
 
         d_g = config.d_g
-        self.pool_w = self._own("pool.w", nm.parameter(nm.initial_values(rng, (d_g, 1), d_g, dtype)))
-        self.cls_w = self._own("cls.w", nm.parameter(nm.initial_values(rng, (d_g, NUM_LABELS), d_g, dtype)))
-        self.cls_b = self._own("cls.b", nm.parameter(np.zeros(NUM_LABELS, dtype)))
+        self.pool_w = self._own("pool.w", nm.initial_values(rng, d_g, take((d_g, 1))))
+        self.cls_w = self._own("cls.w", nm.initial_values(rng, d_g, take((d_g, NUM_LABELS))))
+        self.cls_b = self._own("cls.b", take((NUM_LABELS,)))
 
-    def _own(self, name: str, node: nm.Node) -> nm.Node:
-        """``node``, registered as the model's own parameter ``name``."""
-        self._params[name] = node
+    def _own(self, name: str, value: np.ndarray) -> nm.Node:
+        """A parameter of ``value``, registered as the model's own parameter ``name``."""
+        node = self._params[name] = nm.parameter(value)
         return node
 
     def parameters(self) -> dict[str, nm.Node]:

@@ -99,40 +99,40 @@ visits. ``bilstm_sequence`` also skips its backward state
 there. ``backward`` on a node that does not require grad raises
 ValueError instead of leaving every gradient untouched.
 
-A weight matrix whose rows are a whole multiple of 4096 bytes long puts
-the same column of every row on the same cache sets, so a GEMM that
+A model keeps its parameters in one ``Arena``: one zeroed buffer,
+``flat``, with a block per parameter, each starting on a 64-byte cache
+line. malloc puts a large array 16 bytes past a line, where each row's
+loads straddle one more line: for the paper's ``w_ctx`` shape unpadded,
+a (9, 768) product took 1.26 ms there and 1.14 ms line-aligned. A
+weight matrix whose rows are a whole multiple of 4096 bytes long also
+puts the same column of every row on the same cache sets, so a GEMM that
 packs a few of its rows at a time (a forward's small-M products, the
 weight gradients) keeps evicting what it has just loaded: 4 KiB
 aliasing (Goto and van de Geijn 2008, "Anatomy of High-Performance
-Matrix Multiplication"). ``padded_zeros`` allocates such a matrix, of
-two or more rows, as a view into storage whose rows are 64 bytes
-longer (``ROW_PAD_BYTES``), with zero padding, and starts that storage
-on a 64-byte cache line: malloc puts a large array 16 bytes past a
-page, where each row's loads straddle one more line. BLAS reads the
-view through its leading dimension, so no product changes a bit. At the
-paper's dims the LSTM's ``w_ctx``, ``w_feat`` and ``w_hidden`` have
-8 KiB float32 rows. On 2 vCPUs with one BLAS thread (medians of 15
-samples), a (9, 768) @ (768, 2048) product took 1.26 ms unpadded where
-malloc puts it, 0.95 ms with 64-byte padding there and 0.87 ms padded
-and line-aligned; padding by 128 or 256 bytes gave 1.19 and 1.35 ms.
-At small widths nothing is padded. Elementwise passes over a whole
-parameter (a training step, the clip norm, a snapshot copy) run over
-its ``storage``, the contiguous padded array: over the padded
-``w_ctx`` views an in-place subtract took 1.43 ms against 0.60 ms over
-storage, and ``vdot`` 4.6 ms (it copies a strided operand) against
-0.31 ms. So a parameter's gradient buffer and its copies take the
-value's layout, ``padded_zeros`` of its shape, and their padding stays
-zero.
-
-``gradient_check`` compares against central differences, which only
-resolve the gradient in float64; it refuses parameters of any other
-dtype.
+Matrix Multiplication"). The arena stores such a matrix, of two or more
+rows, with rows 64 bytes longer (``ROW_PAD_BYTES``) and zero padding,
+and its view reads their leading columns. BLAS reads the view through
+its leading dimension, so no product changes a bit. At the paper's dims
+the LSTM's ``w_ctx``, ``w_feat`` and ``w_hidden`` have 8 KiB float32
+rows. On 2 vCPUs with one BLAS thread (medians of 15 samples), a
+(9, 768) @ (768, 2048) product took 1.26 ms unpadded where malloc puts
+it, 0.95 ms with 64-byte padding there and 0.87 ms padded and
+line-aligned; padding by 128 or 256 bytes gave 1.19 and 1.35 ms. At
+small widths nothing is padded. Elementwise passes over parameters (a
+training step, the clip norm, a snapshot copy) run over contiguous
+storage, a block or the whole ``flat``: over the padded ``w_ctx`` views
+an in-place subtract took 1.43 ms against 0.60 ms over its storage, and
+``vdot`` 4.6 ms (it copies a strided operand) against 0.31 ms. So a
+model's gradients and its best-dev copy take the values' layout, an
+arena of the same shapes, and their padding and the gaps between blocks
+stay zero.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import sys
 
 import numpy as np
@@ -157,13 +157,11 @@ __all__ = [
     "segment_softmax",
     "bilstm_sequence",
     "cross_entropy",
-    "gradient_check",
     "zero_grads",
     "uniform_init",
     "initial_values",
     "UNDRAWN",
-    "padded_zeros",
-    "storage",
+    "Arena",
 ]
 
 
@@ -801,47 +799,39 @@ def uniform_init(
 
 ALIAS_BYTES = 4096  # rows a whole multiple of this long alias in the caches
 ROW_PAD_BYTES = 64  # what an aliasing row's storage adds
-LINE_BYTES = 64  # where padded storage starts: on a cache line
+LINE_BYTES = 64  # where every block of an arena starts: on a cache line
 
 
-def padded_zeros(shape, dtype=np.float64) -> np.ndarray:
-    """Zeros of ``shape``; a matrix of aliasing rows is a view into storage with padded rows.
+class Arena:
+    """One zeroed buffer, ``flat``, that holds a block for each of ``shapes``, in order.
 
-    A 2-D ``shape`` of two or more rows whose row length in bytes is a
-    whole multiple of ``ALIAS_BYTES`` gets storage ``ROW_PAD_BYTES``
-    wider per row, zero, that starts on a ``LINE_BYTES`` boundary, and
-    the view of its leading columns is returned (module notes); any
-    other shape gets a plain array.
+    ``views[k]`` is block k as an array of ``shapes[k]`` and ``blocks[k]``
+    its contiguous storage, 1-D. Every block starts on a ``LINE_BYTES``
+    line. A 2-D shape of two or more rows whose row length in bytes is a
+    whole multiple of ``ALIAS_BYTES`` is stored with rows ``ROW_PAD_BYTES``
+    longer, and its view reads their leading columns (module notes). No
+    view reaches the padding or the gaps between blocks, so they stay
+    zero. Two arenas of the same shapes and dtype share one layout.
     """
-    dtype = np.dtype(dtype)
-    shape = tuple(shape)
-    if len(shape) != 2 or shape[0] < 2 or shape[1] == 0 or shape[1] * dtype.itemsize % ALIAS_BYTES:
-        return np.zeros(shape, dtype)
-    rows, columns = shape
-    width = columns + ROW_PAD_BYTES // dtype.itemsize
-    # one line more than the storage, so that it can start on a line (malloc aligns to 16 bytes)
-    raw = np.zeros(rows * width + LINE_BYTES // dtype.itemsize, dtype)
-    start = -raw.ctypes.data % LINE_BYTES // dtype.itemsize
-    return raw[start : start + rows * width].reshape(rows, width)[:, :columns]
 
-
-def storage(a: np.ndarray) -> np.ndarray:
-    """The contiguous storage a ``padded_zeros`` view reads, padding included; any other array as it is.
-
-    Such a view is 2-D, its rows ``ROW_PAD_BYTES`` further apart than
-    they are long, into a 1-D array that holds every padded row; a view
-    of that shape is taken for one, and only ``padded_zeros`` makes them.
-    """
-    base, itemsize = a.base, a.itemsize
-    if (
-        base is None or a.ndim != 2 or base.ndim != 1 or base.dtype != a.dtype
-        or a.strides != (a.shape[1] * itemsize + ROW_PAD_BYTES, itemsize)
-    ):
-        return a
-    width, start = a.strides[0] // itemsize, (a.ctypes.data - base.ctypes.data) // itemsize
-    if start + len(a) * width > len(base):
-        return a
-    return base[start : start + len(a) * width].reshape(len(a), width)
+    def __init__(self, shapes, dtype=np.float64):
+        dtype = np.dtype(dtype)
+        self.shapes = [tuple(shape) for shape in shapes]
+        line, stored, starts, end = LINE_BYTES // dtype.itemsize, [], [], 0
+        for shape in self.shapes:
+            row_bytes = shape[-1] * dtype.itemsize if len(shape) == 2 and shape[0] > 1 else 0
+            aliasing = row_bytes > 0 and row_bytes % ALIAS_BYTES == 0
+            stored.append((shape[0], shape[1] + ROW_PAD_BYTES // dtype.itemsize) if aliasing else shape)
+            starts.append(end)
+            end += -(-math.prod(stored[-1]) // line) * line  # up to the next line
+        raw = np.zeros(end + line, dtype)  # a line more, so that flat can start on one
+        first = -raw.ctypes.data % LINE_BYTES // dtype.itemsize
+        self.flat = raw[first : first + end]
+        self.blocks = [self.flat[lo : lo + math.prod(shape)] for lo, shape in zip(starts, stored)]
+        self.views = [
+            block.reshape(shape) if shape == want else block.reshape(shape)[:, : want[1]]
+            for block, shape, want in zip(self.blocks, stored, self.shapes)
+        ]
 
 
 # In place of a generator: parameters are allocated but not drawn, for a
@@ -849,58 +839,6 @@ def storage(a: np.ndarray) -> np.ndarray:
 UNDRAWN = object()
 
 
-def initial_values(rng, shape, fan_in: int, dtype=np.float64, out: np.ndarray | None = None) -> np.ndarray:
-    """A weight's values: ``uniform_init(rng, ...)``, or with ``rng`` UNDRAWN the storage alone.
-
-    That storage is ``out`` as given, or new ``padded_zeros`` of
-    ``shape``; no generator is asked for a value.
-    """
-    if out is None:
-        out = padded_zeros(shape, dtype)
-    return out if rng is UNDRAWN else uniform_init(rng, shape, fan_in, dtype, out)
-
-
-def gradient_check(f, params, h: float = 1e-5) -> float:
-    """Max per-coordinate relative error between backward and central differences.
-
-    ``f`` must be a deterministic zero-argument callable returning a scalar
-    Node built from ``params``. Coordinates where both gradients are tiny
-    (< 1e-8) are compared absolutely to avoid 0/0 blowups. The parameters
-    must be float64: a step of ``h`` in float32 is lost in rounding noise,
-    so any other dtype raises ValueError.
-    """
-    params = [p for p in params if p.requires_grad]
-    for p in params:
-        if p.value.dtype != np.float64:
-            raise ValueError(f"gradient_check needs float64 parameters, got {p.value.dtype}")
-    zero_grads(params)
-    out = f()
-    if out.value.size != 1:
-        raise ValueError("gradient_check requires a scalar-valued function")
-    out.backward()
-    analytic = []
-    for p in params:
-        g = p.grad if p.grad is not None else np.zeros_like(p.value)
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("non-finite analytic gradient")
-        analytic.append(g.copy())
-
-    worst = 0.0
-    for p, ga in zip(params, analytic):
-        value = p.value
-        for i in np.ndindex(value.shape):  # in place, also in a padded view
-            original = value[i]
-            value[i] = original + h
-            f_plus = f().item()
-            value[i] = original - h
-            f_minus = f().item()
-            value[i] = original
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise FloatingPointError("non-finite function value during gradient check")
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            a = ga[i]
-            scale = max(abs(a), abs(numeric))
-            err = abs(a - numeric) if scale < 1e-8 else abs(a - numeric) / scale
-            if err > worst:
-                worst = err
-    return worst
+def initial_values(rng, fan_in: int, out: np.ndarray) -> np.ndarray:
+    """``out`` filled in place by ``uniform_init(rng, ...)``, or with ``rng`` UNDRAWN left as it is."""
+    return out if rng is UNDRAWN else uniform_init(rng, out.shape, fan_in, out.dtype, out)

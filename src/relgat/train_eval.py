@@ -190,19 +190,18 @@ def score_predictions(
 # Training
 
 
-def clip_gradients(params, max_norm: float) -> float:
-    """Scale all gradients so their global norm is at most max_norm.
+def clip_gradients(grads, max_norm: float) -> float:
+    """Scale the gradient arrays ``grads`` in place so their global norm is at most max_norm.
 
     Pure rescaling: the aggregate gradient direction is unchanged; a
-    max_norm of 0 leaves them as they are. Returns the pre-clip norm.
+    max_norm of 0 leaves them as they are. Returns the pre-clip norm,
+    the square root of the sum of each array's ``vdot`` with itself.
 
-    The norm and the scaling run over each gradient's ``nm.storage``: a
-    row-padded gradient buffer is read and scaled whole, padding
-    included, which is zero and stays zero, so it adds nothing to the
-    norm. BLAS sums the longer run in another order, so the norm may
-    differ from that of an unpadded copy in its last bits.
+    ``train()`` passes its gradient arena's blocks, one per parameter in
+    order, padding included, which is zero and stays zero, so it adds
+    nothing to the norm. BLAS sums a padded block in another order, so
+    the norm may differ from that of an unpadded copy in its last bits.
     """
-    grads = [nm.storage(p.grad) for p in params if p.grad is not None]
     norm = float(np.sqrt(sum(float(np.vdot(g, g)) for g in grads)))
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
@@ -243,14 +242,17 @@ def train(
     instances' rows (``InstanceRows.take``), and each epoch scores the
     dev split's chunks through ``evaluate``.
 
-    For the length of the call every parameter has one gradient buffer
-    (``nm.Node.grad_buffer``) that each step's backward writes into, and
-    the best-dev parameters are copied into one snapshot allocated once.
-    Both take the value's layout (``nm.padded_zeros`` of its shape), so
-    the step, the clip and the snapshot copy each run over contiguous
-    ``nm.storage``, and a row-padded value stays padded, with zero
-    padding, in the returned model. That model carries only its
-    parameters: no gradient and no buffer.
+    For the length of the call the parameters' gradient buffers
+    (``nm.Node.grad_buffer``), which each step's backward writes into,
+    are the views of a gradient arena laid out as ``model.arena``, and
+    the best-dev values have room of that layout beside it. After each
+    backward the block of a parameter that got no gradient is zeroed, so
+    no stale gradient is applied; the clip runs over the blocks, and the
+    step is two operations over the whole arenas. Each improvement
+    copies ``model.arena.flat`` whole, and the end copies the best one
+    back in place, so the returned model's parameters stay views of its
+    arena, with zero padding. That model carries only its parameters: no
+    gradient and no buffer.
     """
     if len(sentences) < 2:
         raise CorpusError("training needs at least two sentences")
@@ -268,11 +270,15 @@ def train(
     dref = build_dref_table(sentences, model_config.d_e) if model_config.uses_dref else None
     model = Model(model_config, vocabs, dref, seed=model_seed)
     model.embedding = provider.record
-    params = list(model.parameters().values())
-    for p in params:
-        p.grad_buffer = nm.padded_zeros(p.value.shape, p.value.dtype)
-    # (value, gradient) storage of every parameter, for the step
-    steps = [(nm.storage(p.value), nm.storage(p.grad_buffer)) for p in params]
+    params, values = list(model.parameters().values()), model.arena.flat
+    # the gradients, then the best-dev values, each laid out as the model's arena, in one buffer:
+    # as two buffers freed together at each return, they let malloc give the heap's top back and
+    # fault it in again in every later call (about 2000 minor faults a call at the paper's dims)
+    work = nm.Arena(model.arena.shapes * 2, model.dtype)
+    grads, best = np.split(work.flat, 2)
+    blocks = work.blocks[: len(params)]
+    for p, buffer in zip(params, work.views):
+        p.grad_buffer = buffer
 
     multi = model_config.graph_mode == "multi"
     split = [sentences[i] for i in train_idx]
@@ -284,7 +290,6 @@ def train(
     log = TrainLog()
     lr = trainer_config.learning_rate
     best_f1 = -1.0
-    best_values: list[np.ndarray] = []  # allocated at the first improvement
     wait = 0
 
     for epoch in range(1, trainer_config.epochs + 1):
@@ -306,11 +311,12 @@ def train(
             seen += len(batch)
             correct += int(np.sum(np.argmax(detail.logits.value, axis=1) == golds))
             loss.backward()
-            clip_gradients(params, trainer_config.gradient_clip_norm)
-            for p, (value, grad) in zip(params, steps):
-                if p.grad is not None:
-                    grad *= lr  # the step itself, scaled in place: no temporary
-                    value -= grad
+            for p, block in zip(params, blocks):
+                if p.grad is None:  # what its buffer holds is an earlier step's
+                    block.fill(0)
+            clip_gradients(blocks, trainer_config.gradient_clip_norm)
+            grads *= lr  # the step itself, scaled in place: no temporary
+            values -= grads
 
         dev_report = evaluate(model, dev_sentences, provider, dev_chunks)
         record = EpochRecord(
@@ -325,10 +331,7 @@ def train(
         if dev_report.macro_f1 > best_f1 + 1e-12:
             best_f1 = dev_report.macro_f1
             log.best_epoch = epoch
-            if not best_values:
-                best_values = [nm.padded_zeros(p.value.shape, p.value.dtype) for p in params]
-            for best, (value, _) in zip(best_values, steps):
-                np.copyto(nm.storage(best), value)
+            np.copyto(best, values)
             wait = 0
         else:
             wait += 1
@@ -346,8 +349,8 @@ def train(
     log.best_dev_f1 = max(best_f1, 0.0)
     for p in params:
         p.grad = p.grad_buffer = None
-    for best, p in zip(best_values, params):
-        p.value = best
+    if log.best_epoch:
+        np.copyto(values, best)
     return model, log
 
 

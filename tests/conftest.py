@@ -168,6 +168,54 @@ def total(x):
     return nm.matmul(nm.matmul(nm.constant(np.ones((1, rows))), x), nm.constant(np.ones((cols, 1))))
 
 
+def gradient_check(f, params, h: float = 1e-5) -> float:
+    """Max per-coordinate relative error between backward and central differences.
+
+    ``f`` must be a deterministic zero-argument callable returning a scalar
+    Node built from ``params``. Coordinates where both gradients are tiny
+    (< 1e-8) are compared absolutely to avoid 0/0 blowups. The parameters
+    must be float64: a step of ``h`` in float32 is lost in rounding noise,
+    so any other dtype raises ValueError.
+
+    Every gradient test of the package measures its criterion with this.
+    """
+    params = [p for p in params if p.requires_grad]
+    for p in params:
+        if p.value.dtype != np.float64:
+            raise ValueError(f"gradient_check needs float64 parameters, got {p.value.dtype}")
+    nm.zero_grads(params)
+    out = f()
+    if out.value.size != 1:
+        raise ValueError("gradient_check requires a scalar-valued function")
+    out.backward()
+    analytic = []
+    for p in params:
+        g = p.grad if p.grad is not None else np.zeros_like(p.value)
+        if not np.all(np.isfinite(g)):
+            raise FloatingPointError("non-finite analytic gradient")
+        analytic.append(g.copy())
+
+    worst = 0.0
+    for p, ga in zip(params, analytic):
+        value = p.value
+        for i in np.ndindex(value.shape):  # in place, also in a padded view
+            original = value[i]
+            value[i] = original + h
+            f_plus = f().item()
+            value[i] = original - h
+            f_minus = f().item()
+            value[i] = original
+            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+                raise FloatingPointError("non-finite function value during gradient check")
+            numeric = (f_plus - f_minus) / (2.0 * h)
+            a = ga[i]
+            scale = max(abs(a), abs(numeric))
+            err = abs(a - numeric) if scale < 1e-8 else abs(a - numeric) / scale
+            if err > worst:
+                worst = err
+    return worst
+
+
 def graph_nodes(*roots):
     """Every autodiff node reachable from ``roots`` through ``.parents``, once each."""
     seen, stack = {id(r): r for r in roots}, list(roots)

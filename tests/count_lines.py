@@ -1,6 +1,6 @@
 """Count the lines and the code lines of every module of ``src/relgat``, and its config keys.
 
-    python3 tests/count_lines.py [PACKAGE_DIR]
+    python3 tests/count_lines.py [PACKAGE_DIR] [--against PARENT_PACKAGE_DIR]
 
 A code line holds at least one token that is not a comment, and is not
 part of a docstring (the string that opens a module, class or function
@@ -10,10 +10,15 @@ file is read by one ``ast`` pass, which finds its docstrings, and one
 row per module, a total row and a ``config keys`` row: the number of
 keys a config file may set, ``len(cli._KEY_TYPES)`` of the package
 imported from PACKAGE_DIR (or the one already imported under its name).
+With ``--against``, each module row and the total row end in a
+``delta`` column: the code lines gained over the same module of
+PARENT_PACKAGE_DIR, where a module that only one side has counts as
+empty on the other (a deleted one gets a row of zeros).
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
 import io
@@ -62,20 +67,34 @@ def config_keys(package: str) -> int:
     return len(cli._KEY_TYPES)
 
 
-def main(argv: list[str]) -> int:
-    package = argv[1] if len(argv) > 1 else os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "relgat"
-    )
-    total_lines = total_code = 0
-    print(f"{'module':<16}{'lines':>8}{'code':>8}")
+def modules(package: str) -> dict[str, tuple[int, int]]:
+    """(lines, code lines) of every module of ``package``, by module name."""
+    counts = {}
     for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
         with open(os.path.join(package, name), encoding="utf-8") as f:
-            lines, code = count(f.read())
-        total_lines += lines
-        total_code += code
-        print(f"{name[:-3]:<16}{lines:>8}{code:>8}")
-    print(f"{'total':<16}{total_lines:>8}{total_code:>8}")
-    print(f"{'config keys':<16}{'':>8}{config_keys(package):>8}")
+            counts[name[:-3]] = count(f.read())
+    return counts
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(prog=os.path.basename(argv[0]))
+    parser.add_argument("package", nargs="?", default=os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "relgat"
+    ))
+    parser.add_argument("--against", metavar="PARENT_PACKAGE_DIR")
+    args = parser.parse_args(argv[1:])
+    counts = modules(args.package)
+    parent = modules(args.against) if args.against else {}
+    names = sorted({*counts, *parent})
+    rows = [(name, *counts.get(name, (0, 0))) for name in names]
+    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
+    parent_code = {name: code for name, (_, code) in parent.items()}
+    parent_code["total"] = sum(parent_code.values())
+    print(f"{'module':<16}{'lines':>8}{'code':>8}" + (f"{'delta':>8}" if args.against else ""))
+    for name, lines, code in rows:
+        delta = f"{code - parent_code.get(name, 0):>+8}" if args.against else ""
+        print(f"{name:<16}{lines:>8}{code:>8}{delta}")
+    print(f"{'config keys':<16}{'':>8}{config_keys(args.package):>8}")
     return 0
 
 

@@ -50,6 +50,7 @@ from conftest import (
     build_structure_corpus,
     build_toy_corpus,
     dref_entries,
+    gradient_check,
     laid_out,
     random_heads,
 )
@@ -194,7 +195,7 @@ def test_04_full_model_gradient_fidelity():
         for group, keep in groups.items():
             members = [p for n, p in named.items() if keep(n)]
             assert members, group
-            err = nm.gradient_check(loss, members)
+            err = gradient_check(loss, members)
             assert err < 1e-4, f"{group}: {err}"
         assert time.monotonic() - started < 60.0
 

@@ -36,7 +36,8 @@ from relgat.model import (
     pool_graph,
 )
 from conftest import (
-    build_structure_corpus, build_toy_corpus, dref_entries, entity_token, graph_nodes, laid_out, total,
+    build_structure_corpus, build_toy_corpus, dref_entries, entity_token, gradient_check, graph_nodes, laid_out,
+    total,
 )
 
 TINY = dict(d_ctx=6, d_f=3, d_wt=2, d_lstm=4, d_g=6, heads=2, d_e=3)
@@ -234,7 +235,7 @@ def test_bilstm_gradient_matches_finite_differences():
     x = token_blocks(rng.standard_normal((3, 3)), 1, nm.parameter)
     probe = nm.constant(rng.standard_normal((5, 4)))
     params = [*x, *group_parameters(lstm, "l").values()]
-    err = nm.gradient_check(
+    err = gradient_check(
         lambda: total(nm.mul(bilstm_encode(x, nm.Segments([0, 3], 5), lstm, [0, 1, 2, 1, 0]), probe)),
         params,
     )
@@ -911,7 +912,7 @@ def test_depth_two_gradient_check():
     s = corpus[0]
     sgs = sentence_subgraphs(s)
     gat_params = [p for n, p in model.parameters().items() if n.startswith("gat.")]
-    err = nm.gradient_check(lambda: instance_loss(model, s, sgs, provider), gat_params)
+    err = gradient_check(lambda: instance_loss(model, s, sgs, provider), gat_params)
     assert err < 1e-4
 
 
@@ -920,7 +921,7 @@ def test_full_model_gradient_check():
     s = corpus[0]
     sgs = sentence_subgraphs(s)
     params = list(model.parameters().values())
-    err = nm.gradient_check(lambda: instance_loss(model, s, sgs, provider), params)
+    err = gradient_check(lambda: instance_loss(model, s, sgs, provider), params)
     assert err < 1e-4
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from relgat import numerics as nm
-from conftest import graph_nodes, total
+from conftest import gradient_check, graph_nodes, total
 
 
 def rand(rng, *shape):
@@ -284,10 +284,10 @@ def test_cross_entropy_label_out_of_range():
 def test_cross_entropy_gradient_matches_finite_differences():
     rng = np.random.default_rng(11)
     logits = nm.parameter(rng.standard_normal((1, 19)))
-    err = nm.gradient_check(lambda: nm.cross_entropy(logits, [7]), [logits])
+    err = gradient_check(lambda: nm.cross_entropy(logits, [7]), [logits])
     assert err < 1e-6
     batch = nm.parameter(rng.standard_normal((4, 19)))
-    err = nm.gradient_check(lambda: nm.cross_entropy(batch, [7, 0, 18, 7]), [batch])
+    err = gradient_check(lambda: nm.cross_entropy(batch, [7, 0, 18, 7]), [batch])
     assert err < 1e-6
 
 
@@ -311,7 +311,7 @@ def test_cross_entropy_is_mean_of_rows():
 
 def test_gradient_check_analytic_square():
     x = nm.parameter(np.array([[1.0, 2.0]]))
-    err = nm.gradient_check(lambda: total(nm.mul(x, x)), [x])
+    err = gradient_check(lambda: total(nm.mul(x, x)), [x])
     nm.zero_grads([x])
     total(nm.mul(x, x)).backward()
     np.testing.assert_allclose(x.grad, [[2.0, 4.0]], atol=1e-12)
@@ -321,7 +321,7 @@ def test_gradient_check_analytic_square():
 def test_gradient_check_refuses_float32():
     x = nm.parameter(np.array([[1.0, 2.0]], dtype=np.float32))
     with pytest.raises(ValueError, match="float32"):
-        nm.gradient_check(lambda: total(nm.mul(x, x)), [x])
+        gradient_check(lambda: total(nm.mul(x, x)), [x])
 
 
 def test_node_keeps_float_dtype():
@@ -352,7 +352,7 @@ def test_fresh_gradient_adopted_in_its_dtype(dtype):
 def test_gradient_check_skips_frozen_leaves():
     x = nm.parameter(np.array([[1.0, 2.0]]))
     frozen = nm.constant(np.array([[3.0, 4.0]]))
-    err = nm.gradient_check(lambda: total(nm.mul(x, frozen)), [x, frozen])
+    err = gradient_check(lambda: total(nm.mul(x, frozen)), [x, frozen])
     assert err < 1e-8
     assert frozen.grad is None
 
@@ -448,7 +448,7 @@ def test_op_gradients(case):
         "lstm_shared": (lambda: both_lstm([0, 2, 5], shared_z, [1, 0, 2, 0, 3, 3, 0]), [shared_z, both_w_hidden]),
     }
     build, params = builders[case]
-    err = nm.gradient_check(lambda: total(build()), params)
+    err = gradient_check(lambda: total(build()), params)
     assert err < 1e-6, f"{case}: {err}"
     for p in params:  # every parent gets gradient
         assert np.any(p.grad != 0.0), case
@@ -471,7 +471,7 @@ def test_lstm_sequence_gradients(n, reverse):
         z = nm.add(nm.matmul(x, w_input), bias)
         return nm.mul(nm.bilstm_sequence(z, w_hidden, nm.Segments([0], n), np.arange(n)), probe)
 
-    err = nm.gradient_check(lambda: total(lstm()), [x, w_input, w_hidden, bias])
+    err = gradient_check(lambda: total(lstm()), [x, w_input, w_hidden, bias])
     z = nm.constant(np.zeros((n, 16)))
     assert nm.bilstm_sequence(z, w_hidden, nm.Segments([0], n), np.arange(n)).parents == (z, w_hidden)
     assert err < 1e-6

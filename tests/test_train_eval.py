@@ -197,7 +197,8 @@ class TestTraining:
                 nm.zero_grads(params.values())
                 logits = reference.forward(laid_out(reference, [(toy_corpus[i], graphs[i]) for i in batch]), provider).logits
                 nm.cross_entropy(logits, [LABEL_INDEX[toy_corpus[i].label] for i in batch]).backward()
-                clip_gradients(params.values(), trainer.gradient_clip_norm)
+                grads = [p.grad for p in params.values() if p.grad is not None]
+                clip_gradients(grads, trainer.gradient_clip_norm)
                 for p in params.values():
                     if p.grad is not None:
                         p.value -= trainer.learning_rate * p.grad
@@ -205,6 +206,24 @@ class TestTraining:
         assert 1 <= log.best_epoch <= trainer.epochs
         for name, p in model.parameters().items():
             assert p.value.tobytes() == per_epoch[log.best_epoch - 1][name].tobytes(), name
+
+    def test_a_parameter_without_a_gradient_is_not_stepped(self, toy_corpus, monkeypatch):
+        # from the second step on the classifier bias takes no part in the backward, so its
+        # gradient buffer still holds the first step's gradient, which the step must not apply
+        seen = []
+
+        class BiasFrozenAfterOneStep(Model):
+            def forward(self, inputs, provider):
+                seen.append({name: p.value.copy() for name, p in self.parameters().items()})
+                self.cls_b.requires_grad = len(seen) == 1
+                return super().forward(inputs, provider)
+
+        monkeypatch.setattr(train_eval, "Model", BiasFrozenAfterOneStep)
+        train(toy_corpus, ModelConfig(**TINY), TrainerConfig(epochs=1, batch_size=5, seed=4))
+        first, second, third = seen[:3]  # the values each of the first three steps starts from
+        assert not np.array_equal(first["cls.b"], second["cls.b"])
+        assert np.array_equal(second["cls.b"], third["cls.b"])
+        assert not np.array_equal(second["cls.w"], third["cls.w"])
 
     def test_train_cuts_its_split_and_its_dev_split_once(self, toy_corpus, monkeypatch):
         # the training split is cut into one layout before the first step and every minibatch
@@ -301,7 +320,7 @@ class TestTraining:
         grads = [rng.standard_normal((3, 3)) * 10 for _ in range(3)]
         for p, g in zip(params, grads):
             p.grad = g.copy()
-        norm = clip_gradients(params, max_norm=1.0)
+        norm = clip_gradients([p.grad for p in params], max_norm=1.0)
         flat_before = np.concatenate([g.reshape(-1) for g in grads])
         flat_after = np.concatenate([p.grad.reshape(-1) for p in params])
         assert norm == pytest.approx(np.linalg.norm(flat_before))
@@ -312,7 +331,7 @@ class TestTraining:
     def test_clip_noop_below_threshold(self):
         p = nm.parameter(np.zeros(3))
         p.grad = np.array([0.3, 0.0, 0.4])
-        clip_gradients([p], max_norm=5.0)
+        clip_gradients([p.grad], max_norm=5.0)
         np.testing.assert_array_equal(p.grad, [0.3, 0.0, 0.4])
 
     def test_trainer_config_validation(self):
