@@ -26,12 +26,13 @@ head array: pointer doubling checks the trees and marks each entity
 head's ancestors, the path is the symmetric difference of those marks
 plus the lowest common head, and the (unit, token) marks, placed
 instance by instance, give every vertex row, edge row and token row at
-once. Its check only accepts; a batch it does not accept is laid out
-from the per-sentence path, so the errors are that path's.
-``set_layout`` lays out sub-graph sets already cut, which is how the
-bench's one-sentence predict path runs. ``predict`` (each chunk),
-``train`` (its training split, once per call; a minibatch gathers its
-instances' rows) and the size histograms use the batch pass.
+once. Its check only accepts; a batch it does not accept is run
+through the per-sentence path, whose first rejected sentence raises
+its own error, and nothing is laid out. ``set_layout`` lays out one
+sentence's sub-graph set already cut, which is how the bench's
+one-sentence predict path runs. ``predict`` (each chunk), ``train``
+(its training split, once per call; a minibatch gathers its instances'
+rows) and the size histograms use the batch pass.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ class SubGraph:
     the token at a.
     """
 
-    kind: str
     vertices: list[int]
     edges: np.ndarray = field(repr=False)
 
@@ -154,11 +154,7 @@ def derive_subgraphs(
             neighbors[head].append(v)
     cuts = []
     flat: list[int] = []  # (local head, local dependent) of every edge, graph by graph
-    for kind, vertex_set in (
-        (SDP, _expand(neighbors, set(path), expansion_order)),
-        (E1_NEIGHBORHOOD, {e1, *neighbors[e1]}),
-        (E2_NEIGHBORHOOD, {e2, *neighbors[e2]}),
-    ):
+    for vertex_set in (_expand(neighbors, set(path), expansion_order), {e1, *neighbors[e1]}, {e2, *neighbors[e2]}):
         vertices = sorted(vertex_set)
         local = {v: i for i, v in enumerate(vertices)}
         start = len(flat) // 2
@@ -166,9 +162,9 @@ def derive_subgraphs(
             head = local.get(heads[v])
             if head is not None:
                 flat += (head, i)
-        cuts.append((kind, vertices, start, len(flat) // 2))
+        cuts.append((vertices, start, len(flat) // 2))
     edges = np.array(flat, dtype=np.intp).reshape(-1, 2)
-    return SubGraphSet(*(SubGraph(kind, vertices, edges[lo:hi]) for kind, vertices, lo, hi in cuts))
+    return SubGraphSet(*(SubGraph(vertices, edges[lo:hi]) for vertices, lo, hi in cuts))
 
 
 def sentence_subgraphs(sentence: Sentence, expansion_order: int = 0) -> SubGraphSet:
@@ -184,13 +180,14 @@ class Layout(NamedTuple):
     Units are laid out instance by instance, U per instance, path graph
     first: U = 3 in multi-graph mode (then the e1 and e2 neighborhoods),
     1 in single mode. Unit g owns the vertex rows from ``unit_starts[g]``
-    up to the next unit's start, in ascending sentence order. The token
-    rows number each instance's distinct tokens, instance by instance.
-    Every array is ``intp``.
+    up to the next unit's start, in ascending sentence order; there are
+    ``len(token_rows)`` vertex rows. The token rows number each
+    instance's distinct tokens, instance by instance, so a vertex row's
+    sentence position is its instance's ``tokens`` entry at its token
+    row. Every array is ``intp``.
     """
 
     sentences: list[Sentence]
-    vertices: np.ndarray  # (n,) the sentence position of every vertex row's token
     unit_starts: np.ndarray  # (G,) first vertex row of every unit
     edges: np.ndarray  # (E, 2) (head, dependent) vertex rows of each unit's tree edges, by dependent
     tokens: list[list[int]]  # each instance's distinct tokens: the sorted union of its units' vertices
@@ -198,48 +195,41 @@ class Layout(NamedTuple):
     entities: np.ndarray  # (2, B) the vertex rows of the e1 and e2 heads in each path unit
 
 
-def set_layout(sentences: list[Sentence], sets: list[SubGraphSet], multi: bool = True) -> Layout:
-    """The layout of ``sentences`` cut into the given sub-graph sets: what ``batch_layout`` returns.
+def set_layout(sentence: Sentence, sgs: SubGraphSet, multi: bool = True) -> Layout:
+    """The layout of ``sentence`` cut into ``sgs``: what ``batch_layout([sentence], ...)`` returns.
 
-    It reads the sets' vertex lists in plain Python, with a fixed handful
+    It reads the set's vertex lists in plain Python, with a fixed handful
     of numpy calls: on one sentence that is cheaper than the batch pass,
     so the one-sentence predict path lays out its set this way.
     """
-    groups = [sgs.all() if multi else [sgs.sdp] for sgs in sets]
-    units = [sg for graphs in groups for sg in graphs]
+    units = sgs.all() if multi else [sgs.sdp]
     unit_starts = np.array(list(accumulate(map(len, units), initial=0))[:-1], dtype=np.intp)
-    vertices, rows, tokens, entities = [], [], [], []
-    token_count = 0
-    for sentence, graphs in zip(sentences, groups):
-        own = [v for sg in graphs for v in sg.vertices]
-        distinct = sorted(set(own))
-        row_of = dict(zip(distinct, range(token_count, token_count + len(distinct))))
-        # the path unit comes first and holds both entity heads
-        entities.append([len(vertices) + own.index(span.head_token) for span in (sentence.e1, sentence.e2)])
-        rows += map(row_of.__getitem__, own)
-        vertices += own
-        tokens.append(distinct)
-        token_count += len(distinct)
-    edges = np.concatenate([sg.edges for sg in units] or [np.empty((0, 2), dtype=np.intp)])
+    own = [v for sg in units for v in sg.vertices]
+    distinct = sorted(set(own))
+    row_of = dict(zip(distinct, range(len(distinct))))
+    edges = np.concatenate([sg.edges for sg in units])
     edges += unit_starts.repeat([len(sg.edges) for sg in units])[:, None]
-    return Layout(
-        sentences, np.array(vertices, dtype=np.intp), unit_starts, edges,
-        tokens, np.array(rows, dtype=np.intp), np.array(entities, dtype=np.intp).reshape(-1, 2).T,
-    )
+    # the path unit comes first and holds both entity heads
+    entities = np.array([[own.index(span.head_token)] for span in (sentence.e1, sentence.e2)], dtype=np.intp)
+    token_rows = np.array([row_of[v] for v in own], dtype=np.intp)
+    return Layout([sentence], unit_starts, edges, [distinct], token_rows, entities)
 
 
 def batch_layout(sentences: list[Sentence], expansion_order: int = 0, multi: bool = True) -> Layout:
-    """``set_layout`` of ``sentences`` and their ``sentence_subgraphs``, cut in one numpy pass.
+    """The layout of ``sentences`` cut into their ``sentence_subgraphs``, in one numpy pass.
 
     The pass only accepts what the reference accepts (see ``_cut_batch``).
     Anything else (an unparsed sentence, entity heads that coincide or lie
     out of range, an invalid order, heads that the vectorised check does
-    not accept) is laid out from the per-sentence sets instead, so every
-    GraphError is the reference's, for the same sentence.
+    not accept) is run through the reference, sentence by sentence, and
+    its first rejected sentence raises: every GraphError is the
+    reference's, for the same sentence, and nothing is laid out.
     """
-    layout = _cut_batch(sentences, expansion_order, 3 if multi else 1) if sentences else None
+    layout = _cut_batch(sentences, expansion_order, 3 if multi else 1)
     if layout is None:
-        return set_layout(sentences, [sentence_subgraphs(s, expansion_order) for s in sentences], multi)
+        for sentence in sentences:
+            sentence_subgraphs(sentence, expansion_order)
+        raise AssertionError("the batch pass rejected a batch that the per-sentence path accepts")
     return layout
 
 
@@ -257,8 +247,8 @@ def _cut_batch(sentences: list[Sentence], expansion_order: int, per_instance: in
     vertex row in layout order and a running count of the marks numbers
     them. Transient memory is a few arrays of N per squaring and per unit.
     """
-    lens = np.array([len(s.tokens) for s in sentences])
-    ends = np.array([(s.e1.head_token, s.e2.head_token) for s in sentences]).T  # (2, B) entity heads
+    lens = np.array([len(s.tokens) for s in sentences], dtype=np.intp)
+    ends = np.array([(s.e1.head_token, s.e2.head_token) for s in sentences] or np.empty((0, 2), np.intp)).T  # (2, B)
     if (
         expansion_order not in (0, 1, 2)
         or None in [t.deprel for s in sentences for t in s.tokens]  # an unparsed token
@@ -283,7 +273,7 @@ def _cut_batch(sentences: list[Sentence], expansion_order: int, per_instance: in
     ):
         return None
     up = [first + head.astype(np.intp)]
-    for _ in range(int(lens.max() - 1).bit_length()):
+    for _ in range(int(lens.max(initial=1) - 1).bit_length()):
         up.append(up[-1][up[-1]])
     if not root[up[-1]].all():
         return None
@@ -327,7 +317,7 @@ def _cut_batch(sentences: list[Sentence], expansion_order: int, per_instance: in
     unit_starts = row[spot[:, starts[:-1]].T.ravel()]  # where each (sentence, unit) block begins
     edges = np.stack((row[up_at[edge]], np.flatnonzero(edge)), axis=1)
     tokens = [positions[lo:hi] for lo, hi in zip([0, *cuts], cuts)]
-    return Layout(sentences, local[token], unit_starts, edges, tokens, token_row[token], row[spot[0, ends]])
+    return Layout(sentences, unit_starts, edges, tokens, token_row[token], row[spot[0, ends]])
 
 
 def subgraph_size_histograms(
@@ -335,7 +325,7 @@ def subgraph_size_histograms(
 ) -> dict[str, dict[int, int]]:
     """Vertex-count histogram per sub-graph kind over a corpus, read from the unit starts of its layout."""
     layout = batch_layout(sentences, expansion_order)
-    sizes = np.diff(layout.unit_starts, append=len(layout.vertices)).reshape(-1, 3)
+    sizes = np.diff(layout.unit_starts, append=len(layout.token_rows)).reshape(-1, 3)
     return {
         kind: dict(sorted(Counter(column.tolist()).items()))
         for kind, column in zip((SDP, E1_NEIGHBORHOOD, E2_NEIGHBORHOOD), sizes.T)

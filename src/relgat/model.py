@@ -40,8 +40,8 @@ A forward pass reads a batch's parameter-free inputs from one
 ``Inputs``, which ``forward_inputs`` builds from a ``graph.Layout``: the
 disjoint union of all its instances' sub-graphs (PyG's mini-batching
 scheme), cut as flat arrays before any parameter is read
-(``graph.batch_layout``, or ``graph.set_layout`` from sub-graph sets
-already cut). ``InstanceRows.take`` gathers the inputs of some of a
+(``graph.batch_layout``, or ``graph.set_layout`` from one sentence's
+sub-graph set already cut). ``InstanceRows.take`` gathers the inputs of some of a
 built batch's instances, as ``forward_inputs`` would build them, so
 ``train()`` builds its split's inputs once and gathers each minibatch.
 The inputs hold, and the forward derives:
@@ -83,7 +83,7 @@ starts that cut them by unit and by center.
 The model's value dtype is a constructor argument, float32 by default:
 parameters, every constant a forward builds, activations and gradients
 all share it. Parameters are drawn in float64 and rounded
-(``uniform_init``), so a float32 model is its float64 twin rounded;
+(``nm.initial_values``), so a float32 model is its float64 twin rounded;
 gradient checks and the numpy oracles build float64 models. A model's
 parameters share one line-aligned ``nm.Arena``; a group built on its
 own takes new zeros for each parameter instead.
@@ -218,7 +218,7 @@ def input_weights(
     """The contextual and feature row blocks of one (ctx_dim + feat_dim, width) input matrix.
 
     Drawn one after the other with the whole matrix's fan-in, so stacked
-    they equal ``uniform_init`` of the whole matrix bit for bit. Each is
+    they equal ``initial_values`` of the whole matrix bit for bit. Each is
     drawn into what ``take(shape)`` gives, new zeros by default.
     """
     take = take or (lambda shape: np.zeros(shape, dtype))
@@ -408,7 +408,7 @@ class Inputs(NamedTuple):
 
 def forward_inputs(layout: Layout, vocabs: Vocabs) -> Inputs:
     """The ``Inputs`` of a batch cut into ``layout``: its token codes and attention pairs."""
-    pair_starts, pairs, dependents = attention_pairs(layout.edges, len(layout.vertices))
+    pair_starts, pairs, dependents = attention_pairs(layout.edges, len(layout.token_rows))
     codes = code_tokens(list(zip(layout.sentences, layout.tokens)), vocabs)
     return Inputs(layout, codes, pair_starts, pairs, dependents)
 
@@ -436,7 +436,7 @@ class InstanceRows:
     def __init__(self, inputs: Inputs):
         layout = inputs.layout
         self.inputs, self.per_instance = inputs, len(layout.unit_starts) // len(layout.sentences)
-        vertex = np.append(layout.unit_starts[:: self.per_instance], len(layout.vertices))
+        vertex = np.append(layout.unit_starts[:: self.per_instance], len(layout.token_rows))
         edge = layout.edges[:, 1].searchsorted(vertex)  # the edges are ordered by dependent row
         token = np.cumsum([0, *map(len, layout.tokens)], dtype=np.intp)
         self.starts = vertex, edge, token, np.append(inputs.pair_starts, len(inputs.pairs))[vertex]
@@ -450,9 +450,9 @@ class InstanceRows:
         units = layout.unit_starts.reshape(-1, self.per_instance)[pick] - shift[:, None]
         dependents = inputs.dependents[pair]
         taken = Layout(
-            [layout.sentences[i] for i in pick], layout.vertices[vertex], units.ravel(),
-            layout.edges.take(edge, axis=0) - by_edge[:, None], [layout.tokens[i] for i in pick],
-            layout.token_rows[vertex] - token_shift.repeat(counts), layout.entities[:, pick] - shift,
+            [layout.sentences[i] for i in pick], units.ravel(), layout.edges.take(edge, axis=0) - by_edge[:, None],
+            [layout.tokens[i] for i in pick], layout.token_rows[vertex] - token_shift.repeat(counts),
+            layout.entities[:, pick] - shift,
         )
         return Inputs(
             taken, TokenCodes(*(column[token] for column in inputs.codes)),
@@ -607,7 +607,7 @@ class Model:
         vertex_starts, batch = layout.unit_starts, len(layout.sentences)
         if not batch or len(vertex_starts) != per_instance * batch:
             raise ValueError(f"forward needs one or more instances of {per_instance} units each")
-        graphs = nm.Segments(vertex_starts, len(layout.vertices))
+        graphs = nm.Segments(vertex_starts, len(layout.token_rows))
         neighborhoods = nm.Segments(pair_starts, len(pairs))
         sentences = nm.Segments(np.arange(0, len(vertex_starts), per_instance), len(vertex_starts))
 
@@ -636,6 +636,6 @@ class Model:
     def predict_index(
         self, sentence: Sentence, sgs: SubGraphSet, provider: EmbeddingProvider
     ) -> int:
-        layout = set_layout([sentence], [sgs], self.config.graph_mode == "multi")
+        layout = set_layout(sentence, sgs, self.config.graph_mode == "multi")
         with nm.no_grad():
             return int(self.forward(forward_inputs(layout, self.vocabs), provider).logits.value[0].argmax())

@@ -158,7 +158,6 @@ __all__ = [
     "bilstm_sequence",
     "cross_entropy",
     "zero_grads",
-    "uniform_init",
     "initial_values",
     "UNDRAWN",
     "Arena",
@@ -762,41 +761,6 @@ def zero_grads(params) -> None:
         p.grad = None
 
 
-_INIT_BLOCK = 1 << 16  # values drawn per call: a float64 block that stays in cache
-
-
-def uniform_init(
-    rng: np.random.Generator, shape, fan_in: int, dtype=np.float64, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) initialization, rounded to ``dtype``.
-
-    The draws are float64 whatever ``dtype`` is, so a float32 init is the
-    float64 init rounded. They are made a chunk of rows at a time into one
-    float64 buffer, allocated once per call, and written into the result:
-    ``rng.random`` fills the buffer, which is scaled and shifted as
-    ``Generator.uniform`` does, ``low + (high - low) * u``, so the values
-    and the generator's state equal one ``uniform`` call for the whole
-    shape, with no full-size float64 temporary. Given ``out`` (of
-    ``shape``; a column block of a larger matrix, say), the draws fill it
-    in place, rounded to its dtype, and it is returned.
-    """
-    bound = float(np.sqrt(1.0 / fan_in))
-    if out is None:
-        out = np.empty(shape, dtype)
-    elif out.shape != tuple(shape):
-        raise ShapeMismatch(f"uniform_init: shape {tuple(shape)} for a block of shape {out.shape}")
-    rows = max(1, _INIT_BLOCK // max(1, int(np.prod(out.shape[1:]))))
-    drawn = np.empty((min(rows, len(out)), *out.shape[1:]))
-    for lo in range(0, len(out), rows):
-        chunk = out[lo : lo + rows]
-        u = drawn[: len(chunk)]
-        rng.random(out=u)
-        u *= 2 * bound  # high - low, exactly
-        u -= bound  # + low
-        chunk[...] = u
-    return out
-
-
 ALIAS_BYTES = 4096  # rows a whole multiple of this long alias in the caches
 ROW_PAD_BYTES = 64  # what an aliasing row's storage adds
 LINE_BYTES = 64  # where every block of an arena starts: on a cache line
@@ -839,6 +803,32 @@ class Arena:
 UNDRAWN = object()
 
 
+_INIT_BLOCK = 1 << 16  # values drawn per call: a float64 block that stays in cache
+
+
 def initial_values(rng, fan_in: int, out: np.ndarray) -> np.ndarray:
-    """``out`` filled in place by ``uniform_init(rng, ...)``, or with ``rng`` UNDRAWN left as it is."""
-    return out if rng is UNDRAWN else uniform_init(rng, out.shape, fan_in, out.dtype, out)
+    """``out`` filled in place with Uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) draws and returned.
+
+    With ``rng`` UNDRAWN, ``out`` is left as it is. The draws are float64
+    whatever ``out``'s dtype is, and are rounded to it, so a float32 init
+    is the float64 init rounded. They are made a chunk of rows at a time
+    into one float64 buffer, allocated once per call, and written into
+    ``out`` (a column block of a larger matrix, say): ``rng.random``
+    fills the buffer, which is scaled and shifted as ``Generator.uniform``
+    does, ``low + (high - low) * u``, so the values and the generator's
+    state equal one ``uniform`` call for the whole shape, with no
+    full-size float64 temporary.
+    """
+    if rng is UNDRAWN:
+        return out
+    bound = float(np.sqrt(1.0 / fan_in))
+    rows = max(1, _INIT_BLOCK // max(1, int(np.prod(out.shape[1:]))))
+    drawn = np.empty((min(rows, len(out)), *out.shape[1:]))
+    for lo in range(0, len(out), rows):
+        chunk = out[lo : lo + rows]
+        u = drawn[: len(chunk)]
+        rng.random(out=u)
+        u *= 2 * bound  # high - low, exactly
+        u -= bound  # + low
+        chunk[...] = u
+    return out

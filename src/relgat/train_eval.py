@@ -236,11 +236,11 @@ def train(
     label, and TrainingDiverged on a non-finite loss.
 
     Before the first step the training split is cut, coded and paired
-    once (``forward_inputs`` of its ``batch_layout``), and so is the dev
-    split (``chunk_inputs``), so a sentence the cut rejects raises its
-    GraphError before any forward runs; each minibatch gathers its
-    instances' rows (``InstanceRows.take``), and each epoch scores the
-    dev split's chunks through ``evaluate``.
+    once (``forward_inputs`` of its ``batch_layout``), so a training
+    sentence the cut rejects raises its GraphError before any forward
+    runs; each minibatch gathers its instances' rows
+    (``InstanceRows.take``). Each epoch scores the dev split through
+    ``evaluate``, which cuts it again.
 
     For the length of the call the parameters' gradient buffers
     (``nm.Node.grad_buffer``), which each step's backward writes into,
@@ -285,7 +285,6 @@ def train(
     rows = InstanceRows(forward_inputs(batch_layout(split, model_config.expansion_order, multi), vocabs))
     labels = np.array([LABEL_INDEX[s.label] for s in split], dtype=np.intp)
     dev_sentences = [sentences[i] for i in dev_idx]
-    dev_chunks = chunk_inputs(model, dev_sentences)
 
     log = TrainLog()
     lr = trainer_config.learning_rate
@@ -318,7 +317,7 @@ def train(
             grads *= lr  # the step itself, scaled in place: no temporary
             values -= grads
 
-        dev_report = evaluate(model, dev_sentences, provider, dev_chunks)
+        dev_report = evaluate(model, dev_sentences, provider)
         record = EpochRecord(
             epoch=epoch,
             learning_rate=lr,
@@ -358,15 +357,10 @@ def train(
 # Evaluation
 
 
-def evaluate(
-    model: Model, sentences: list[Sentence], provider: EmbeddingProvider, chunks: list[Inputs] | None = None
-) -> EvalReport:
-    """Score ``predict``'s labels against the gold ones; CorpusError if one is missing.
-
-    ``chunks``, when given, is ``chunk_inputs(model, sentences)``, built once by the caller.
-    """
+def evaluate(model: Model, sentences: list[Sentence], provider: EmbeddingProvider) -> EvalReport:
+    """Score ``predict``'s labels against the gold ones; CorpusError if one is missing."""
     golds = gold_labels(sentences)
-    return score_predictions(golds, predict(model, sentences, provider, chunks))
+    return score_predictions(golds, predict(model, sentences, provider))
 
 
 def gold_labels(sentences: list[Sentence]) -> list[RelationLabel]:
@@ -378,38 +372,24 @@ def gold_labels(sentences: list[Sentence]) -> list[RelationLabel]:
 
 
 def chunk_inputs(model: Model, sentences: list[Sentence]) -> list[Inputs]:
-    """The ``Inputs`` of ``sentences``' ``EVAL_CHUNK``-sentence chunks, in order, from one cut.
+    """The ``Inputs`` of ``sentences``' ``EVAL_CHUNK``-sentence chunks, in order, none for no sentences.
 
-    The sentences are cut by one ``batch_layout`` and their inputs built
-    by one ``forward_inputs``; each chunk of more than one gathers its
-    rows (``InstanceRows.take``), equal to ``forward_inputs`` of the
-    chunk's own layout.
+    Each chunk is cut by its own ``batch_layout`` and built by its own
+    ``forward_inputs``, and every chunk is cut before this returns, so a
+    sentence the cut rejects raises its GraphError before any forward.
     """
-    if not sentences:
-        return []
-    layout = batch_layout(sentences, model.config.expansion_order, model.config.graph_mode == "multi")
-    inputs = forward_inputs(layout, model.vocabs)
-    if len(sentences) <= EVAL_CHUNK:
-        return [inputs]
-    rows = InstanceRows(inputs)
+    order, multi = model.config.expansion_order, model.config.graph_mode == "multi"
     return [
-        rows.take(np.arange(start, min(start + EVAL_CHUNK, len(sentences))))
-        for start in range(0, len(sentences), EVAL_CHUNK)
+        forward_inputs(batch_layout(sentences[lo : lo + EVAL_CHUNK], order, multi), model.vocabs)
+        for lo in range(0, len(sentences), EVAL_CHUNK)
     ]
 
 
-def predict(
-    model: Model, sentences: list[Sentence], provider: EmbeddingProvider, chunks: list[Inputs] | None = None
-) -> list[RelationLabel]:
-    """The predicted label of every sentence, ``EVAL_CHUNK`` sentences per no-grad forward.
-
-    ``chunks`` is ``chunk_inputs(model, sentences)``, built here when None.
-    """
-    if chunks is None:
-        chunks = chunk_inputs(model, sentences)
+def predict(model: Model, sentences: list[Sentence], provider: EmbeddingProvider) -> list[RelationLabel]:
+    """The predicted label of every sentence, one no-grad forward per chunk of ``chunk_inputs``."""
     labels = []
     with nm.no_grad():
-        for inputs in chunks:
+        for inputs in chunk_inputs(model, sentences):
             logits = model.forward(inputs, provider).logits.value
             labels.extend(LABELS[i] for i in np.argmax(logits, axis=1))
     return labels

@@ -18,7 +18,7 @@ from relgat.corpus import (
     parse_conllu_annotated,
 )
 from relgat.features import TokenCodes
-from relgat.graph import set_layout
+from relgat.graph import Layout
 from relgat.model import forward_inputs
 
 # Property tests draw from a fixed seed with no example database and no
@@ -155,10 +155,37 @@ def build_structure_corpus(n: int, seed: int = 0):
 # Autodiff graphs and random trees
 
 
+def reference_set_layout(sentences, sets, multi=True):
+    """The layout of ``sentences`` cut into the given sub-graph sets: what ``graph.batch_layout`` returns.
+
+    It reads the sets' vertex lists in plain Python, unit by unit: the
+    oracle the batch pass and the one-sentence ``graph.set_layout`` are
+    compared with.
+    """
+    groups = [sgs.all() if multi else [sgs.sdp] for sgs in sets]
+    units = [sg for graphs in groups for sg in graphs]
+    unit_starts = np.cumsum([0] + [len(sg) for sg in units])[:-1].astype(np.intp)
+    rows, tokens, entities = [], [], []
+    for sentence, graphs in zip(sentences, groups):
+        own = [v for sg in graphs for v in sg.vertices]
+        distinct = sorted(set(own))
+        first = sum(map(len, tokens))  # the instance's first token row
+        # the path unit comes first and holds both entity heads
+        entities.append([len(rows) + own.index(span.head_token) for span in (sentence.e1, sentence.e2)])
+        rows += [first + distinct.index(v) for v in own]
+        tokens.append(distinct)
+    edges = np.concatenate([sg.edges for sg in units] or [np.empty((0, 2), dtype=np.intp)])
+    edges += unit_starts.repeat([len(sg.edges) for sg in units])[:, None]
+    return Layout(
+        list(sentences), unit_starts, edges, tokens, np.array(rows, dtype=np.intp),
+        np.array(entities, dtype=np.intp).reshape(-1, 2).T,
+    )
+
+
 def laid_out(model, instances):
     """The inputs ``model.forward`` reads for (sentence, sub-graph set) instances, in the model's graph mode."""
     sentences = [sentence for sentence, _ in instances]
-    layout = set_layout(sentences, [sgs for _, sgs in instances], model.config.graph_mode == "multi")
+    layout = reference_set_layout(sentences, [sgs for _, sgs in instances], model.config.graph_mode == "multi")
     return forward_inputs(layout, model.vocabs)
 
 

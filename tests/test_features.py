@@ -142,7 +142,7 @@ def ctef_flags(sentence, sg):
 
 class TestAttentionPairs:
     def test_closed_neighborhoods_grouped_by_center(self):
-        sg = SubGraph("sdp", [0, 1, 2, 3], np.array([[0, 1], [0, 2], [1, 3]]))
+        sg = SubGraph([0, 1, 2, 3], np.array([[0, 1], [0, 2], [1, 3]]))
         starts, pairs, dependents = attention_pairs(sg.edges, len(sg))
         assert pairs.tolist() == [
             [0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 3], [2, 0], [2, 2], [3, 1], [3, 3],
@@ -209,7 +209,7 @@ class TestDrefAssignment:
     def test_non_tree_edge_rejected(self, pollen_sentence):
         table = build_dref_table([pollen_sentence], d_e=4)
         # claim an edge between 'The'(0) and 'causes'(2), absent from the parse
-        fake = SubGraph("sdp", [0, 2], np.array([[0, 1]]))
+        fake = SubGraph([0, 2], np.array([[0, 1]]))
         with pytest.raises(FeatureError) as err:
             dref_rows(pollen_sentence, fake, table)
         assert "not an edge" in str(err.value)
@@ -334,7 +334,7 @@ class TestEdgeFeatureDispatch:
         by_index = table.rows_by_index(vocabs)
         values = np.arange(table.num_rows * 4, dtype=np.float64).reshape(-1, 4)
         layout = batch_layout(list(sentences))
-        _, pairs, dependents = attention_pairs(layout.edges, len(layout.vertices))
+        _, pairs, dependents = attention_pairs(layout.edges, len(layout.token_rows))
         node = edge_features(
             code_tokens(list(zip(sentences, layout.tokens)), vocabs), layout.token_rows, pairs, dependents,
             "dref+ctef", 4, by_index, nm.constant(values),

@@ -241,8 +241,8 @@ def test_size_histograms_count_the_per_sentence_units_from_one_layout(order, mon
     corpus = build_structure_corpus(30, seed=4)
     want = {kind: Counter() for kind in ("sdp", "e1", "e2")}
     for s in corpus:
-        for sg in sentence_subgraphs(s, order).all():
-            want[sg.kind][len(sg)] += 1
+        for kind, sg in zip(want, sentence_subgraphs(s, order).all()):
+            want[kind][len(sg)] += 1
     cut = []
     monkeypatch.setattr(graph, "sentence_subgraphs", lambda *args: cut.append(args))
     hist = subgraph_size_histograms(corpus, order)

@@ -73,9 +73,9 @@ def single_head_layers(layer):
     return out
 
 
-def make_subgraph(edges, n, kind="sdp"):
+def make_subgraph(edges, n):
     """A sub-graph over local vertices 0..n-1 with the given (head, dependent) edges."""
-    return SubGraph(kind, list(range(n)), np.array(edges, dtype=np.intp).reshape(-1, 2))
+    return SubGraph(list(range(n)), np.array(edges, dtype=np.intp).reshape(-1, 2))
 
 
 def pair_layout(sg):
@@ -280,11 +280,11 @@ def test_input_weights_are_one_draw_split_by_rows():
         k = ctx_dim + feat_dim
         for dtype in (np.float64, np.float32):
             w_ctx, w_feat = input_weights(np.random.default_rng(seed), ctx_dim, feat_dim, width, dtype)
-            whole = nm.uniform_init(np.random.default_rng(seed), (k, width), k, dtype)
+            whole = nm.initial_values(np.random.default_rng(seed), k, np.empty((k, width), dtype))
             assert w_ctx.value.dtype == dtype and w_feat.value.dtype == dtype
             assert np.array_equal(np.vstack([w_ctx.value, w_feat.value]), whole)
             lstm = LstmParams(ctx_dim, feat_dim, width, np.random.default_rng(seed), dtype)
-            gates = nm.uniform_init(np.random.default_rng(seed), (k, 4 * width), k, dtype)
+            gates = nm.initial_values(np.random.default_rng(seed), k, np.empty((k, 4 * width), dtype))
             assert np.array_equal(direction(lstm, 0)[0], gates)
 
 
@@ -298,7 +298,7 @@ def test_lstm_params_are_direction_draws_side_by_side(dtype):
     per_direction = []
     for _ in range(2):
         w_ctx, w_feat = input_weights(rng, ctx_dim, feat_dim, 4 * hidden, dtype)
-        w_hidden = nm.uniform_init(rng, (hidden, 4 * hidden), hidden, dtype)
+        w_hidden = nm.initial_values(rng, hidden, np.empty((hidden, 4 * hidden), dtype))
         per_direction.append((w_ctx.value, w_feat.value, w_hidden))
     after = rng.uniform()
     rng = np.random.default_rng(21)
@@ -504,8 +504,8 @@ def test_gat_layer_parameters_are_per_head_draws_stacked(edge_dim):
     for dtype in (np.float64, np.float32):
         rng = np.random.default_rng(17)
         per_head = [
-            (nm.uniform_init(rng, (in_dim, m), in_dim, dtype),
-             nm.uniform_init(rng, (attn_len, 1), attn_len, dtype)[:, 0])
+            (nm.initial_values(rng, in_dim, np.empty((in_dim, m), dtype)),
+             nm.initial_values(rng, attn_len, np.empty(attn_len, dtype)))
             for _ in range(heads)
         ]
         layer = GatLayer(in_dim, heads, m, edge_dim, np.random.default_rng(17), dtype)
@@ -783,7 +783,7 @@ def test_logits_invariant_to_internal_vertex_ordering():
     def shuffled(sg):
         perm = rng.permutation(len(sg))
         vertices = [sg.vertices[p] for p in perm]
-        return SubGraph(sg.kind, vertices, permuted(sg.edges, perm))
+        return SubGraph(vertices, permuted(sg.edges, perm))
 
     from relgat.graph import SubGraphSet
 
@@ -1049,10 +1049,13 @@ def test_load_draws_no_parameter(tmp_path, monkeypatch, graph_layer, contextual)
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(model, path)
 
-    def no_draws(*args, **kwargs):
-        raise AssertionError("a checkpoint load drew a parameter")
+    fill = nm.initial_values
 
-    monkeypatch.setattr(nm, "uniform_init", no_draws)
+    def no_draws(rng, fan_in, out):
+        assert rng is nm.UNDRAWN, "a checkpoint load drew a parameter"
+        return fill(rng, fan_in, out)
+
+    monkeypatch.setattr(nm, "initial_values", no_draws)
     clone = load_checkpoint(path)
     assert list(clone.parameters()) == list(model.parameters())
     for (name, p), q in zip(model.parameters().items(), clone.parameters().values()):
@@ -1487,7 +1490,7 @@ def numpy_oracle_forward(model, sentence, sgs, provider):
     for sg in graphs:
         states = graph_layer(context(encode(sg)), sg)
         pooled.append(pool(states))
-        if sg.kind == "sdp":
+        if sg is sgs.sdp:
             e1_state = states[sg.vertices.index(sentence.e1.head_token)]
             e2_state = states[sg.vertices.index(sentence.e2.head_token)]
     v = e1_state + e2_state + sum(pooled)

@@ -707,36 +707,35 @@ def test_gather_rows_backward_matches_add_at(dtype):
 
 
 def test_uniform_init_bounds_and_determinism():
-    a = nm.uniform_init(np.random.default_rng(3), (50, 50), fan_in=25)
-    b = nm.uniform_init(np.random.default_rng(3), (50, 50), fan_in=25)
+    a = nm.initial_values(np.random.default_rng(3), 25, np.empty((50, 50)))
+    b = nm.initial_values(np.random.default_rng(3), 25, np.empty((50, 50)))
     np.testing.assert_array_equal(a, b)
     assert np.max(np.abs(a)) <= 1.0 / 5.0
     # drawn block by block, yet the same values as one draw for the whole shape,
     # and in float32 those values rounded
     whole = np.random.default_rng(3).uniform(-0.2, 0.2, size=(300, 400))
     for dtype in (np.float64, np.float32):
-        init = nm.uniform_init(np.random.default_rng(3), (300, 400), fan_in=25, dtype=dtype)
+        init = nm.initial_values(np.random.default_rng(3), 25, np.empty((300, 400), dtype))
         assert init.dtype == dtype
         np.testing.assert_array_equal(init, whole.astype(dtype))
 
 
 def test_uniform_init_fills_a_given_block():
-    # a column block filled in place holds the values of a fresh init from the
-    # same generator state, rounded to the block's dtype, and the generator
-    # ends where it would; the other columns are left alone
+    # a column block filled in place holds the values of a contiguous init from
+    # the same generator state, rounded to the block's dtype, and the generator
+    # ends where it would; the other columns are left alone, and so is the
+    # whole block under UNDRAWN
     for dtype in (np.float64, np.float32):
         whole = np.full((300, 700), 7.0, dtype)
         block = whole[:, 200:500]
+        assert nm.initial_values(nm.UNDRAWN, 25, block) is block and np.all(whole == 7.0)
         rng = np.random.default_rng(4)
-        assert nm.uniform_init(rng, (300, 300), 25, out=block) is block
+        assert nm.initial_values(rng, 25, block) is block
         after = rng.uniform()
         rng = np.random.default_rng(4)
-        np.testing.assert_array_equal(block, nm.uniform_init(rng, (300, 300), 25, dtype))
+        np.testing.assert_array_equal(block, nm.initial_values(rng, 25, np.empty((300, 300), dtype)))
         assert rng.uniform() == after
         assert np.all(whole[:, :200] == 7.0) and np.all(whole[:, 500:] == 7.0)
-    with pytest.raises(nm.ShapeMismatch) as err:
-        nm.uniform_init(np.random.default_rng(4), (3, 4), 25, out=np.empty((4, 3)))
-    assert "(3, 4)" in str(err.value) and "(4, 3)" in str(err.value)
 
 
 @pytest.mark.parametrize("shape, block", [
@@ -753,10 +752,8 @@ def test_uniform_init_chunks_equal_one_uniform_draw(shape, block):
         whole = rng.uniform(-0.2, 0.2, size=shape).astype(dtype)
         after = rng.random()
         rng = np.random.default_rng(6)
-        if block is None:
-            init = nm.uniform_init(rng, shape, 25, dtype)
-        else:
-            init = nm.uniform_init(rng, shape, 25, out=np.zeros((shape[0], 12), dtype)[:, block])
+        out = np.empty(shape, dtype) if block is None else np.zeros((shape[0], 12), dtype)[:, block]
+        init = nm.initial_values(rng, 25, out)
         assert init.dtype == dtype and init.tobytes() == whole.tobytes()
         assert rng.random() == after
 

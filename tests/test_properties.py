@@ -46,7 +46,7 @@ from relgat.model import InstanceRows, Model, ModelConfig, forward_inputs
 from relgat.train_eval import score_predictions
 from conftest import (
     brute_force_path, build_toy_corpus, conllu_block, dref_entries, entity_token, reference_code_tokens,
-    reference_parse_conllu,
+    reference_parse_conllu, reference_set_layout,
 )
 
 # Small alphabets, so that triples repeat within and across sentences and
@@ -174,15 +174,8 @@ def units_of(sgs, multi):
     return sgs.all() if multi else [sgs.sdp]
 
 
-@given(st.integers(0, 2**32 - 1), batch_sizes, st.integers(0, 2), st.booleans())
-def test_batch_subgraphs_equal_the_per_sentence_list(seed, size, order, multi):
-    batch = seeded_trees(seed, size)
-    with mock.patch.object(graph, "sentence_subgraphs", wraps=graph.sentence_subgraphs) as spy:
-        got = batch_layout(batch, order, multi)
-    assert not spy.called  # the vectorised check accepts every rooted tree
-    sets = [sentence_subgraphs(s, order) for s in batch]
-    want = set_layout(batch, sets, multi)
-    assert got.sentences == want.sentences == batch
+def assert_same_layout(got, want):
+    assert got.sentences == want.sentences
     for name in Layout._fields[1:]:
         g, w = getattr(got, name), getattr(want, name)
         if name == "tokens":
@@ -191,17 +184,35 @@ def test_batch_subgraphs_equal_the_per_sentence_list(seed, size, order, multi):
             assert g.dtype == w.dtype == np.intp and g.shape == w.shape, name
             assert np.array_equal(g, w), name
 
+
+@given(st.integers(0, 2**32 - 1), batch_sizes, st.integers(0, 2), st.booleans())
+def test_batch_subgraphs_equal_the_per_sentence_list(seed, size, order, multi):
+    batch = seeded_trees(seed, size)
+    with (
+        mock.patch.object(graph, "sentence_subgraphs", wraps=graph.sentence_subgraphs) as spy,
+        mock.patch.object(graph, "set_layout", side_effect=AssertionError("laid out from sub-graph sets")),
+    ):
+        got = batch_layout(batch, order, multi)
+    assert not spy.called  # the vectorised pass lays out every batch of rooted trees, the empty one too
+    sets = [sentence_subgraphs(s, order) for s in batch]
+    want = reference_set_layout(batch, sets, multi)
+    assert_same_layout(got, want)
+    for sentence, sgs in zip(batch, sets):  # the one-sentence path of Model.predict_index
+        assert_same_layout(set_layout(sentence, sgs, multi), reference_set_layout([sentence], [sgs], multi))
+
     # what the set layout is, read off the sets: units instance by instance, path first
     units = [sg for sgs in sets for sg in units_of(sgs, multi)]
     starts = np.cumsum([0] + [len(sg) for sg in units])
-    assert want.vertices.tolist() == [v for sg in units for v in sg.vertices]
+    position = [t for distinct in want.tokens for t in distinct]  # the sentence position of each token row
+    at = [position[row] for row in want.token_rows]  # and of each vertex row
+    assert at == [v for sg in units for v in sg.vertices]
     assert want.unit_starts.tolist() == starts[:-1].tolist()
     assert want.edges.tolist() == [[a + lo, d + lo] for sg, lo in zip(units, starts) for a, d in sg.edges.tolist()]
     path_starts = starts[:-1][:: 3 if multi else 1]
     for b, (sentence, first) in enumerate(zip(batch, path_starts)):
         e1, e2 = want.entities[:, b]
         assert first <= min(e1, e2) and max(e1, e2) < first + len(sets[b].sdp)
-        assert (want.vertices[e1], want.vertices[e2]) == (sentence.e1.head_token, sentence.e2.head_token)
+        assert (at[e1], at[e2]) == (sentence.e1.head_token, sentence.e2.head_token)
 
 
 @given(st.lists(tree_sentences(), min_size=1, max_size=3), st.integers(0, 2), st.booleans())
@@ -283,7 +294,13 @@ def test_batch_subgraphs_raise_the_per_sentence_error(seed, size, kind, multi, d
         spoil(batch[at], kind, np.random.default_rng(seed))
     with pytest.raises(GraphError) as ref:
         [sentence_subgraphs(s, order) for s in batch]
-    with mock.patch.object(graph, "sentence_subgraphs", wraps=graph.sentence_subgraphs) as spy:
+    # a rejected batch is not laid out: the first sentence the per-sentence path rejects raises
+    unreachable = AssertionError("a rejected batch was laid out")
+    with (
+        mock.patch.object(graph, "sentence_subgraphs", wraps=graph.sentence_subgraphs) as spy,
+        mock.patch.object(graph, "set_layout", side_effect=unreachable),
+        mock.patch.object(graph, "Layout", side_effect=unreachable),
+    ):
         with pytest.raises(GraphError) as got:
             batch_layout(batch, order, multi)
     assert str(got.value) == str(ref.value)
@@ -291,12 +308,12 @@ def test_batch_subgraphs_raise_the_per_sentence_error(seed, size, kind, multi, d
 
 
 def reference_layout(batch, order, multi):
-    """A batch's ``set_layout``, its units in order, and the (sentence, token) of every vertex row."""
+    """A batch's ``reference_set_layout``, its units in order, and the (sentence, token) of every vertex row."""
     sentences = [sentence for sentence, _ in batch]
     sets = [sentence_subgraphs(s, order) for s in sentences]
     units = [(s, sg) for s, sgs in zip(sentences, sets) for sg in units_of(sgs, multi)]
     vertex_tokens = [(s, v) for s, sg in units for v in sg.vertices]
-    return set_layout(sentences, sets, multi), [sg for _, sg in units], vertex_tokens
+    return reference_set_layout(sentences, sets, multi), [sg for _, sg in units], vertex_tokens
 
 
 batches = st.lists(tree_sentences(), min_size=1, max_size=3)
@@ -330,7 +347,7 @@ def test_token_codes_equal_per_symbol_lookups(batch, data):
 @given(batches, st.integers(0, 2), st.booleans())
 def test_batched_pairs_equal_per_unit_dense_reference(batch, order, multi):
     layout, units, _ = reference_layout(batch, order, multi)
-    pair_starts, pairs, dependents = attention_pairs(layout.edges, len(layout.vertices))
+    pair_starts, pairs, dependents = attention_pairs(layout.edges, len(layout.token_rows))
     want_starts, want_pairs, want_dependents = [], [], []
     for sg, first in zip(units, layout.unit_starts):
         n = len(sg)
@@ -353,7 +370,7 @@ def test_dref_rows_and_ratios_equal_string_keyed_lookup(batch, order, multi, cou
     table = build_dref_table([s for s, _ in batch[:counted]], d_e=2)
     vocabs = build_vocabs([s for s, _ in batch])
     layout, _, vertex_tokens = reference_layout(batch, order, multi)
-    _, pairs, dependents = attention_pairs(layout.edges, len(layout.vertices))
+    _, pairs, dependents = attention_pairs(layout.edges, len(layout.token_rows))
     codes = code_tokens(list(zip(layout.sentences, layout.tokens)), vocabs)
     rows = dref_edge_features(codes, layout.token_rows, pairs, dependents, table.rows_by_index(vocabs))
     want_rows, got_ratios, want_ratios = [], [], []
@@ -378,7 +395,7 @@ def test_dref_rows_and_ratios_equal_string_keyed_lookup(batch, order, multi, cou
 @given(batches, st.integers(0, 2), st.booleans())
 def test_ctef_flags_the_entity_tokens_attended_from(batch, order, multi):
     layout, _, vertex_tokens = reference_layout(batch, order, multi)
-    _, pairs, dependents = attention_pairs(layout.edges, len(layout.vertices))
+    _, pairs, dependents = attention_pairs(layout.edges, len(layout.token_rows))
     codes = code_tokens(list(zip(layout.sentences, layout.tokens)), build_vocabs([s for s, _ in batch]))
     flags = edge_features(codes, layout.token_rows, pairs, dependents, "ctef", 1).value[:, 0]
     want = [float(entity_token(s, v)) for s, v in (vertex_tokens[j] for j in pairs[:, 1])]

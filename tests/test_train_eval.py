@@ -14,7 +14,7 @@ from relgat.corpus import (
 )
 from relgat.features import EmbeddingProvider, HashedEmbeddingProvider, build_dref_table
 from relgat.graph import GraphError, sentence_subgraphs
-from relgat.model import Model, ModelConfig, forward_inputs
+from relgat.model import Model, ModelConfig
 from relgat.train_eval import (
     EVAL_CHUNK,
     TrainerConfig,
@@ -225,10 +225,10 @@ class TestTraining:
         assert np.array_equal(second["cls.b"], third["cls.b"])
         assert not np.array_equal(second["cls.w"], third["cls.w"])
 
-    def test_train_cuts_its_split_and_its_dev_split_once(self, toy_corpus, monkeypatch):
+    def test_train_cuts_its_split_once_and_its_dev_split_each_epoch(self, toy_corpus, monkeypatch):
         # the training split is cut into one layout before the first step and every minibatch
-        # gathers its rows from it; the dev split is cut once too, and every epoch scores it from
-        # that cut, whatever the epoch count; nothing goes through the per-sentence path
+        # gathers its rows from it; each epoch's evaluate cuts the dev split (one chunk) again;
+        # nothing goes through the per-sentence path
         cut = train_eval.batch_layout
         train_idx, dev_idx = dev_split(len(toy_corpus), 0.10, 1)
         want = [[id(toy_corpus[i]) for i in w] for w in (train_idx, dev_idx)]
@@ -244,7 +244,7 @@ class TestTraining:
                 _, log = train(toy_corpus, ModelConfig(**TINY), TrainerConfig(epochs=epochs, batch_size=7, seed=1))
             assert not spy.called
             assert len(log.records) == epochs
-            assert [list(map(id, sentences)) for sentences in calls] == want
+            assert [list(map(id, sentences)) for sentences in calls] == [want[0]] + [want[1]] * epochs
 
     def test_a_training_sentence_that_fails_the_cut_raises_before_any_forward(self, toy_corpus, monkeypatch):
         train_idx, _ = dev_split(len(toy_corpus), 0.10, 1)
@@ -260,22 +260,20 @@ class TestTraining:
         assert not forward.called
 
     def test_dev_split_scored_through_evaluate_once_per_epoch(self, toy_corpus, monkeypatch):
-        # train() scores its dev split with the module's evaluate, once per epoch, from the
-        # chunk inputs it built once
+        # train() scores its dev split with the module's evaluate, once per epoch
         calls = []
         score = train_eval.evaluate
 
-        def counted(model, sentences, provider, chunks):
-            calls.append((sentences, chunks))
-            return score(model, sentences, provider, chunks)
+        def counted(model, sentences, provider):
+            calls.append(sentences)
+            return score(model, sentences, provider)
 
         monkeypatch.setattr(train_eval, "evaluate", counted)
         _, log = train(toy_corpus, ModelConfig(**TINY), TrainerConfig(epochs=3, seed=1))
         _, dev_idx = dev_split(len(toy_corpus), 0.10, 1)
         dev = [toy_corpus[i] for i in dev_idx]
         assert len(calls) == len(log.records) == 3
-        assert all(sentences == dev for sentences, _ in calls)
-        assert all(chunks is calls[0][1] for _, chunks in calls)
+        assert all(sentences == dev for sentences in calls)
 
     def test_model_embedding_is_the_providers_record(self, toy_corpus):
         cfg = ModelConfig(**TINY)
@@ -365,23 +363,19 @@ class TestTraining:
         config = TrainerConfig(batch_size=np.int64(5), epochs=np.int32(2), decay_patience=np.uint8(3), seed=np.int64(4))
         assert [type(v) for v in (config.batch_size, config.epochs, config.decay_patience, config.seed)] == [int] * 4
 
-    def test_chunk_inputs_forward_as_each_chunk_cut_on_its_own(self):
-        # the dev split's and predict()'s chunks come from one cut; each chunk's logits are
-        # those of the chunk cut and coded by itself, bit for bit
+    def test_predict_labels_each_chunk_as_predicted_on_its_own(self):
+        # predict() runs chunks of EVAL_CHUNK sentences, each cut on its own: its labels are
+        # those of each chunk predicted by itself
         corpus = build_structure_corpus(2 * EVAL_CHUNK + 5, seed=8)
         cfg = ModelConfig(**TINY, edge_mode="dref+ctef", expansion_order=1)
         model = Model(cfg, build_vocabs(corpus), build_dref_table(corpus, cfg.d_e), seed=3)
         provider = HashedEmbeddingProvider(cfg.d_ctx, 0)
+        parts = [corpus[lo : lo + EVAL_CHUNK] for lo in (0, EVAL_CHUNK, 2 * EVAL_CHUNK)]
+        assert list(map(len, parts)) == [EVAL_CHUNK, EVAL_CHUNK, 5]
         chunks = chunk_inputs(model, corpus)
-        assert [len(inputs.layout.sentences) for inputs in chunks] == [EVAL_CHUNK, EVAL_CHUNK, 5]
-        with nm.no_grad():
-            for k, inputs in enumerate(chunks):
-                part = corpus[k * EVAL_CHUNK : (k + 1) * EVAL_CHUNK]
-                assert list(map(id, inputs.layout.sentences)) == list(map(id, part))
-                own = forward_inputs(graph.batch_layout(part, cfg.expansion_order), model.vocabs)
-                got, want = (model.forward(i, provider).logits.value for i in (inputs, own))
-                assert got.tobytes() == want.tobytes()
-        assert chunk_inputs(model, []) == []
+        assert [list(map(id, inputs.layout.sentences)) for inputs in chunks] == [list(map(id, p)) for p in parts]
+        assert predict(model, corpus, provider) == [label for part in parts for label in predict(model, part, provider)]
+        assert chunk_inputs(model, []) == [] and predict(model, [], provider) == []
 
     def test_evaluate_requires_labels(self, toy_corpus):
         cfg = ModelConfig(**TINY)
